@@ -5,16 +5,26 @@
 //! stream with profiling on and off, serially and with 4 evaluator
 //! workers.
 //!
-//! The profiling switch is process-global, so all four configurations
-//! run inside one `#[test]` body (test threads within this binary would
-//! otherwise race on the flag).
+//! The profiling switch is process-global, so every test in this binary
+//! holds `PROFILING_SWITCH` while it runs (test threads would otherwise
+//! race on the flag).
+//!
+//! The same body pins the breakdown's accounting on a whole plan — RL
+//! first stage included, rollouts on 1 and on 4 threads: the self times
+//! of the profile sum to at most the wall (forked rollout evaluators
+//! publish their stage times inside the live `rl.forward` span, and
+//! worker CPU-seconds are clipped to wall).
 
 use neuroplan::master::{solve_master_telemetry, MasterConfig};
+use neuroplan::{NeuroPlan, NeuroPlanConfig};
 use np_eval::{EvalConfig, PlanEvaluator};
 use np_lp::LpBackend;
+use np_telemetry::profile::ProfileReport;
 use np_telemetry::Telemetry;
 use np_topology::{generator::preset_network, Network, TopologyPreset};
 use proptest::prelude::*;
+
+static PROFILING_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// One master solve; returns the plan cost and the full counter stream.
 fn run(
@@ -52,6 +62,26 @@ fn run(
     (out.cost, tel.counters())
 }
 
+/// One profiled tier-A plan; returns `(self-time sum, wall)` in µs.
+fn profiled_plan(net: &Network, workers: usize) -> (u64, u64) {
+    np_telemetry::set_profiling(true);
+    let tel = Telemetry::memory();
+    let mut planner = NeuroPlan::new(NeuroPlanConfig::quick().with_seed(3).with_workers(workers));
+    planner.tel = tel.clone();
+    planner.plan(net);
+    let wall = tel.elapsed_us();
+    np_telemetry::set_profiling(false);
+    let report = ProfileReport::from_telemetry(&tel, wall);
+    assert!(
+        report
+            .entries
+            .iter()
+            .any(|e| e.name == "mwu" && e.self_us > 0),
+        "the evaluator's stage times must reach the profile"
+    );
+    (report.self_total_us(), wall)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
     #[test]
@@ -59,6 +89,7 @@ proptest! {
         granularity in 1u32..3,
         node_limit in 20usize..60,
     ) {
+        let _switch = PROFILING_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let net = preset_network(TopologyPreset::A);
         for workers in [1usize, 4] {
             let (cost_off, counters_off) =
@@ -80,5 +111,22 @@ proptest! {
                 workers
             );
         }
+    }
+}
+
+#[test]
+fn self_times_of_a_whole_plan_sum_to_at_most_the_wall() {
+    let _switch = PROFILING_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    let net = preset_network(TopologyPreset::A);
+    for workers in [1usize, 4] {
+        let (self_sum, wall) = profiled_plan(&net, workers);
+        assert!(
+            self_sum <= wall,
+            "self-time sum {self_sum} us exceeds the {wall} us wall at {workers} workers"
+        );
+        assert!(
+            self_sum * 10 >= wall * 9,
+            "breakdown covers only {self_sum} of {wall} us at {workers} workers"
+        );
     }
 }

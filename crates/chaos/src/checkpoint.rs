@@ -37,53 +37,66 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Digit value by ASCII code (either case), `0xff` for anything else.
+const UNHEX: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut v = 0;
+    while v < 16 {
+        table[HEX[v] as usize] = v as u8;
+        table[HEX[v].to_ascii_uppercase() as usize] = v as u8;
+        v += 1;
+    }
+    table
+};
+
 /// One `f64` as 16 lowercase hex digits (little-endian bytes).
 pub fn f64_to_hex(x: f64) -> String {
-    let mut s = String::with_capacity(16);
-    for b in x.to_le_bytes() {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    f64s_to_hex(&[x])
 }
 
 /// Inverse of [`f64_to_hex`].
 pub fn hex_to_f64(s: &str) -> Option<f64> {
-    let bytes = hex_bytes(s)?;
-    Some(f64::from_le_bytes(bytes.try_into().ok()?))
+    match hex_to_f64s(s)?.as_slice() {
+        &[x] => Some(x),
+        _ => None,
+    }
 }
 
-/// A whole slice as one hex blob (16 digits per value).
+/// A whole slice as one hex blob (16 digits per value). An agent's
+/// learning state goes through here once per checkpointed epoch, so the
+/// digits come from a table, not from a formatter call per byte.
 pub fn f64s_to_hex(xs: &[f64]) -> String {
-    let mut s = String::with_capacity(16 * xs.len());
+    let mut digits = Vec::with_capacity(16 * xs.len());
     for &x in xs {
         for b in x.to_le_bytes() {
-            s.push_str(&format!("{b:02x}"));
+            digits.push(HEX[usize::from(b >> 4)]);
+            digits.push(HEX[usize::from(b & 0xf)]);
         }
     }
-    s
+    String::from_utf8(digits).expect("hex digits are ASCII")
 }
 
-/// Inverse of [`f64s_to_hex`].
+/// Inverse of [`f64s_to_hex`]: `None` unless `s` is whole 16-digit
+/// groups of hex digits (either case) and nothing else.
 pub fn hex_to_f64s(s: &str) -> Option<Vec<f64>> {
-    let bytes = hex_bytes(s)?;
-    if !bytes.len().is_multiple_of(8) {
-        return None;
-    }
-    Some(
-        bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
-}
-
-fn hex_bytes(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    if !s.len().is_multiple_of(16) {
         return None;
     }
     s.as_bytes()
-        .chunks_exact(2)
-        .map(|c| u8::from_str_radix(std::str::from_utf8(c).ok()?, 16).ok())
+        .chunks_exact(16)
+        .map(|group| {
+            let mut bytes = [0u8; 8];
+            for (b, pair) in bytes.iter_mut().zip(group.chunks_exact(2)) {
+                let (hi, lo) = (UNHEX[usize::from(pair[0])], UNHEX[usize::from(pair[1])]);
+                if hi | lo > 0xf {
+                    return None;
+                }
+                *b = hi << 4 | lo;
+            }
+            Some(f64::from_le_bytes(bytes))
+        })
         .collect()
 }
 
@@ -191,6 +204,75 @@ mod tests {
         );
         assert!(hex_to_f64("zz").is_none());
         assert!(hex_to_f64s("0102").is_none(), "not a multiple of 8 bytes");
+    }
+
+    /// The formatter-per-byte encoder and `from_str_radix` decoder the
+    /// table-driven ones replaced, kept as the reference they must match.
+    fn reference_hex(xs: &[f64]) -> String {
+        xs.iter()
+            .flat_map(|x| x.to_le_bytes())
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    fn reference_unhex(s: &str) -> Option<Vec<f64>> {
+        let bytes: Vec<u8> = (0..s.len() / 2)
+            .map(|i| u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok())
+            .collect::<Option<_>>()?;
+        s.len().is_multiple_of(16).then(|| {
+            bytes
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn table_driven_hex_matches_the_formatter_it_replaced() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0, // subnormal
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::EPSILON,
+        ];
+        // Arbitrary bit patterns (xorshift64*), including signalling NaNs.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [0usize, 1, 7, 64, 513] {
+            for _ in 0..len {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                xs.push(f64::from_bits(state.wrapping_mul(0x2545_f491_4f6c_dd1d)));
+            }
+            let blob = f64s_to_hex(&xs);
+            assert_eq!(blob, reference_hex(&xs));
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let want = reference_unhex(&blob).map(bits);
+            assert_eq!(hex_to_f64s(&blob).map(bits), want);
+            assert_eq!(hex_to_f64s(&blob.to_uppercase()).map(bits), want);
+        }
+        assert_eq!(f64_to_hex(1.5), reference_hex(&[1.5]));
+        for bad in [
+            "0",
+            "zz",
+            "0102",
+            "00000000000000g0",
+            "000000000000000é",
+            "+f00000000000000",
+        ] {
+            assert!(hex_to_f64s(bad).is_none(), "{bad:?}");
+            assert!(hex_to_f64(bad).is_none(), "{bad:?}");
+        }
+        assert!(
+            hex_to_f64(&"0".repeat(32)).is_none(),
+            "two values are not one"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::config::NeuroPlanConfig;
 use crate::env::PlanningEnv;
 use crate::greedy::greedy_augment;
 use crate::master::{
-    apply_units, lp_round_plan, plan_cost_of, polish_units_budgeted, solve_master_telemetry,
+    lp_round_plan, plan_cost_of, polish_units_budgeted, solve_master_telemetry, try_apply_units,
     MasterConfig, MasterOutcome,
 };
 use crate::report::PruningReport;
@@ -19,7 +19,7 @@ use np_lp::MipStatus;
 use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, TrainResume};
 use np_supervisor::{PlanQuality, StageCtx, StageError, SupervisionReport, Supervisor};
 use np_telemetry::{sys, Telemetry};
-use np_topology::Network;
+use np_topology::{Network, TopologyError};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -124,6 +124,19 @@ pub enum PlanError {
         /// Entries in the plan.
         got: usize,
     },
+    /// A link's entry is below its minimum capacity (Eq. 4).
+    BelowMinimum {
+        /// Index of the link.
+        link: usize,
+    },
+    /// A link's entry needs more spectrum than a fiber on its path has
+    /// left (Eq. 5).
+    SpectrumExceeded {
+        /// Index of the link.
+        link: usize,
+        /// Index of the exhausted fiber.
+        fiber: usize,
+    },
     /// A scenario's service expectations are violated by these
     /// capacities. Scenario 0 is the no-failure base case; scenario `k`
     /// (k ≥ 1) is failure `k − 1` of the instance's failure set.
@@ -155,6 +168,13 @@ impl std::fmt::Display for PlanError {
             PlanError::WrongLength { expected, got } => {
                 write!(f, "plan has {got} capacity entries for {expected} links")
             }
+            PlanError::BelowMinimum { link } => {
+                write!(f, "plan sets link {link} below its minimum capacity")
+            }
+            PlanError::SpectrumExceeded { link, fiber } => write!(
+                f,
+                "plan sets link {link} beyond the spectrum left on fiber {fiber}"
+            ),
             PlanError::ScenarioInfeasible { scenario } => write!(
                 f,
                 "plan violates the service expectations of {}",
@@ -879,7 +899,8 @@ impl NeuroPlan {
 
 /// Validate a finished plan end-to-end with a fresh exact evaluator —
 /// harnesses call this before trusting any reported cost. On failure the
-/// error names the violated constraint (the first infeasible scenario).
+/// error names the violated constraint (the first link whose entry the
+/// network cannot take, else the first infeasible scenario).
 pub fn validate_plan(net: &Network, units: &[u32]) -> Result<(), PlanError> {
     let expected = net.link_ids().count();
     if units.len() != expected {
@@ -889,7 +910,14 @@ pub fn validate_plan(net: &Network, units: &[u32]) -> Result<(), PlanError> {
         });
     }
     let mut check = net.clone();
-    apply_units(&mut check, units);
+    try_apply_units(&mut check, units).map_err(|e| match e {
+        TopologyError::BelowMinimumCapacity(link) => PlanError::BelowMinimum { link: link.index() },
+        TopologyError::SpectrumExceeded { link, fiber } => PlanError::SpectrumExceeded {
+            link: link.index(),
+            fiber: fiber.index(),
+        },
+        other => unreachable!("set_units fails only on Eq. 4 or Eq. 5: {other}"),
+    })?;
     let mut evaluator = np_eval::PlanEvaluator::new(&check, self_exact());
     let outcome = evaluator.check_network(&check);
     if outcome.feasible {
@@ -931,6 +959,33 @@ mod tests {
         assert!(result.quality <= PlanQuality::Incumbent);
         assert_eq!(result.supervision.degrades, 0);
         assert!(result.supervision.stage("master").is_some());
+    }
+
+    #[test]
+    fn validate_plan_names_the_link_that_cannot_take_its_units() {
+        // A plan from outside (`evaluate --plan`, a daemon request) may
+        // undercut a minimum or overrun a fiber; both are verdicts, not
+        // panics.
+        let net = GeneratorConfig::a_variant(0.5).generate();
+        let current: Vec<u32> = net.link_ids().map(|l| net.link(l).capacity_units).collect();
+        let low = net
+            .link_ids()
+            .find(|&l| net.link(l).min_units > 0)
+            .expect("a half-filled instance pins some minimums");
+        let mut below = current.clone();
+        below[low.index()] = net.link(low).min_units - 1;
+        assert_eq!(
+            validate_plan(&net, &below),
+            Err(PlanError::BelowMinimum { link: low.index() })
+        );
+        let mut above = current;
+        above[0] += net.spectrum_room_units(np_topology::LinkId::new(0)) + 1;
+        match validate_plan(&net, &above) {
+            Err(e @ PlanError::SpectrumExceeded { link: 0, .. }) => {
+                assert!(e.to_string().contains("link 0"), "{e}")
+            }
+            other => panic!("expected a spectrum verdict on link 0, got {other:?}"),
+        }
     }
 
     #[test]

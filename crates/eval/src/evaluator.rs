@@ -544,7 +544,10 @@ impl PlanEvaluator {
     /// Merge a child evaluator's work back after a parallel phase:
     /// certificates it discovered and its accumulated stats. Absorbing
     /// children in a fixed order keeps both the certificate store and the
-    /// published counters independent of worker count.
+    /// published counters independent of worker count. The child's work
+    /// is published here, while the span that ran the parallel phase is
+    /// still live — published later, its stage times would be charged to
+    /// whatever span is live then and counted twice.
     pub fn absorb(&mut self, child: &mut PlanEvaluator) {
         for (mine, theirs) in self.certs.iter_mut().zip(child.certs.iter_mut()) {
             if mine.is_none() {
@@ -553,6 +556,7 @@ impl PlanEvaluator {
         }
         let st = std::mem::take(&mut child.stats);
         self.stats.merge(&st);
+        self.publish_stats();
     }
 
     /// The stored certificate for a scenario, if any (interpretability:

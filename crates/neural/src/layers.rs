@@ -1,24 +1,65 @@
 //! Layers with hand-derived forward/backward passes.
 //!
-//! Each layer caches whatever its backward pass needs during `forward`.
 //! `backward` takes `∂L/∂output`, **accumulates** parameter gradients and
-//! returns `∂L/∂input`. The convention matches a single sample that is a
+//! produces `∂L/∂input`. The convention matches a single sample that is a
 //! whole node-feature matrix (`n_nodes × features`), which is how the
 //! agent consumes graphs.
+//!
+//! Nothing here allocates after the first call: every product goes
+//! through the `_into` kernels of [`crate::matrix`] into buffers the
+//! layer (or the [`crate::Mlp`] around it) keeps in a [`Scratch`], and
+//! the ReLU gate is read off the stored post-activation. A parameter
+//! gradient is still formed per call, from zero, and then added to the
+//! accumulated one — summing straight into the accumulator would change
+//! the rounding (DESIGN.md "neural kernel contract").
 
 use crate::matrix::Matrix;
 use crate::param::Param;
+use crate::scratch::Scratch;
 use crate::sparse::Csr;
 use rand::Rng;
 
-/// Fully-connected layer `y = xW + b`.
+/// `Wᵀ` kept beside a weight so `g · Wᵀ` can run through the axpy kernel.
+/// Weights only change through `params_mut` (optimizer step, state
+/// import), which invalidates the copy; across the hundreds of backward
+/// calls of one update it is built once.
+#[derive(Debug, Default)]
+pub(crate) struct Transposed {
+    t: Matrix,
+    fresh: bool,
+}
+
+impl Transposed {
+    pub(crate) fn of(&mut self, w: &Matrix) -> &Matrix {
+        if !self.fresh {
+            w.transpose_into(&mut self.t);
+            self.fresh = true;
+        }
+        &self.t
+    }
+
+    pub(crate) fn invalidate(&mut self) {
+        self.fresh = false;
+    }
+}
+
+/// Fully-connected layer `y = xW + b`. It keeps no activations: the
+/// caller owns them and hands the forward input back to `backward`.
 #[derive(Clone, Debug)]
 pub struct Linear {
     /// Weight, `in × out`.
-    pub w: Param,
+    pub(crate) w: Param,
     /// Bias, `1 × out`.
-    pub b: Param,
-    cached_input: Option<Matrix>,
+    pub(crate) b: Param,
+    ws: Scratch<LinearScratch>,
+}
+
+#[derive(Debug, Default)]
+struct LinearScratch {
+    wt: Transposed,
+    /// This call's `xᵀg` and `Σ_rows g`.
+    w_step: Matrix,
+    b_step: Matrix,
 }
 
 impl Linear {
@@ -27,61 +68,31 @@ impl Linear {
         Linear {
             w: Param::new(Matrix::kaiming(fan_in, fan_out, rng)),
             b: Param::new(Matrix::zeros(1, fan_out)),
-            cached_input: None,
+            ws: Scratch::default(),
         }
     }
 
-    /// Forward pass; caches the input for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
+    /// `y = xW + b`.
+    pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
+        x.matmul_into(&self.w.value, y);
         y.add_row_broadcast(&self.b.value);
-        self.cached_input = Some(x.clone());
-        y
     }
 
-    /// Backward pass: accumulates `∂L/∂W = xᵀg`, `∂L/∂b = Σ_rows g`,
-    /// returns `∂L/∂x = g Wᵀ`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_input.as_ref().expect("forward before backward");
-        self.w.grad.add_assign(&x.t_matmul(grad_out));
-        self.b.grad.add_assign(&grad_out.sum_rows());
-        grad_out.matmul_t(&self.w.value)
+    /// Backward pass for the forward input `x`: accumulates
+    /// `∂L/∂W = xᵀg`, `∂L/∂b = Σ_rows g`, writes `∂L/∂x = g Wᵀ`.
+    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
+        let ws = &mut self.ws.0;
+        x.t_matmul_into(grad_out, &mut ws.w_step);
+        self.w.grad.add_assign(&ws.w_step);
+        grad_out.sum_rows_into(&mut ws.b_step);
+        self.b.grad.add_assign(&ws.b_step);
+        grad_out.matmul_into(ws.wt.of(&self.w.value), grad_in);
     }
 
     /// Mutable access to the trainable parameters.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.ws.0.wt.invalidate();
         vec![&mut self.w, &mut self.b]
-    }
-}
-
-/// Rectified linear unit.
-#[derive(Clone, Debug, Default)]
-pub struct Relu {
-    mask: Option<Vec<bool>>,
-}
-
-impl Relu {
-    /// New activation layer.
-    pub fn new() -> Self {
-        Relu { mask: None }
-    }
-
-    /// `max(0, x)` elementwise; caches the activity mask.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
-        x.map(|v| v.max(0.0))
-    }
-
-    /// Zero the gradient where the forward input was non-positive.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mask = self.mask.as_ref().expect("forward before backward");
-        let mut g = grad_out.clone();
-        for (v, &alive) in g.as_mut_slice().iter_mut().zip(mask) {
-            if !alive {
-                *v = 0.0;
-            }
-        }
-        g
     }
 }
 
@@ -91,14 +102,26 @@ impl Relu {
 /// `Â` is symmetric, so the backward pass can propagate with `Â` itself
 /// instead of its transpose:
 /// `∂L/∂W = (ÂH)ᵀ · g`, `∂L/∂H = Â · g · Wᵀ` (with `g` already gated by
-/// the ReLU mask).
+/// the ReLU).
 #[derive(Clone, Debug)]
 pub struct Gcn {
     /// Weight, `in × out`.
-    pub w: Param,
+    pub(crate) w: Param,
     adj: Csr,
-    relu: Relu,
-    cached_ah: Option<Matrix>,
+    ws: Scratch<GcnScratch>,
+}
+
+#[derive(Debug, Default)]
+struct GcnScratch {
+    /// `ÂH` and `ReLU(ÂHW)` of the last forward.
+    ah: Matrix,
+    out: Matrix,
+    /// The ReLU-gated output gradient of the last backward.
+    gated: Matrix,
+    w_step: Matrix,
+    wt: Transposed,
+    gw: Matrix,
+    grad_in: Matrix,
 }
 
 impl Gcn {
@@ -108,8 +131,7 @@ impl Gcn {
         Gcn {
             w: Param::new(Matrix::kaiming(fan_in, fan_out, rng)),
             adj,
-            relu: Relu::new(),
-            cached_ah: None,
+            ws: Scratch::default(),
         }
     }
 
@@ -118,25 +140,47 @@ impl Gcn {
         &self.adj
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, h: &Matrix) -> Matrix {
-        let ah = self.adj.matmul_dense(h);
-        let z = ah.matmul(&self.w.value);
-        self.cached_ah = Some(ah);
-        self.relu.forward(&z)
+    /// Forward pass; the result is [`Gcn::output`].
+    pub fn forward(&mut self, h: &Matrix) {
+        let ws = &mut self.ws.0;
+        self.adj.matmul_dense_into(h, &mut ws.ah);
+        ws.ah.matmul_into(&self.w.value, &mut ws.out);
+        ws.out.relu_in_place();
     }
 
-    /// Backward pass; accumulates into `w.grad`, returns `∂L/∂H`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let g = self.relu.backward(grad_out);
-        let ah = self.cached_ah.as_ref().expect("forward before backward");
-        self.w.grad.add_assign(&ah.t_matmul(&g));
-        let gw = g.matmul_t(&self.w.value);
-        self.adj.matmul_dense(&gw)
+    /// `H'` of the last forward pass.
+    pub fn output(&self) -> &Matrix {
+        &self.ws.0.out
+    }
+
+    /// The parameter half of [`Gcn::backward`]: accumulates into `w.grad`
+    /// only. The first layer of a stack stops here — nothing consumes
+    /// the gradient of the input features.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        let ws = &mut self.ws.0;
+        ws.gated.copy_from(grad_out);
+        ws.gated.relu_gate(&ws.out);
+        ws.ah.t_matmul_into(&ws.gated, &mut ws.w_step);
+        self.w.grad.add_assign(&ws.w_step);
+    }
+
+    /// Backward pass; accumulates into `w.grad`, leaves `∂L/∂H` in
+    /// [`Gcn::input_grad`].
+    pub fn backward(&mut self, grad_out: &Matrix) {
+        self.backward_params(grad_out);
+        let ws = &mut self.ws.0;
+        ws.gated.matmul_into(ws.wt.of(&self.w.value), &mut ws.gw);
+        self.adj.matmul_dense_into(&ws.gw, &mut ws.grad_in);
+    }
+
+    /// `∂L/∂H` of the last [`Gcn::backward`].
+    pub fn input_grad(&self) -> &Matrix {
+        &self.ws.0.grad_in
     }
 
     /// Mutable access to the trainable parameters.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.ws.0.wt.invalidate();
         vec![&mut self.w]
     }
 }
@@ -154,17 +198,24 @@ mod tests {
         let mut l = Linear::new(2, 2, &mut rng);
         l.w.value = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         l.b.value = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
-        let y = l.forward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        let mut y = Matrix::zeros(0, 0);
+        l.forward_into(&Matrix::from_vec(1, 2, vec![1.0, 1.0]), &mut y);
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
-    #[test]
-    fn relu_gates_forward_and_backward() {
-        let mut r = Relu::new();
-        let y = r.forward(&Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]));
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let g = r.backward(&Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]));
-        assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
+    fn linear_sum(l: &Linear, x: &Matrix) -> f64 {
+        let mut y = Matrix::zeros(0, 0);
+        l.forward_into(x, &mut y);
+        y.as_slice().iter().sum()
+    }
+
+    fn gcn_sum(l: &mut Gcn, x: &Matrix) -> f64 {
+        l.forward(x);
+        l.output().as_slice().iter().sum()
+    }
+
+    fn ones_like(m: &Matrix) -> Matrix {
+        Matrix::from_vec(m.rows(), m.cols(), vec![1.0; m.as_slice().len()])
     }
 
     #[test]
@@ -174,10 +225,13 @@ mod tests {
         let mut layer = Linear::new(3, 2, &mut rng);
         // Loss = sum of outputs; dL/dy = ones.
         check_param_gradients(
-            &mut |l: &mut Linear| l.forward(&x).as_slice().iter().sum::<f64>(),
+            &mut |l: &mut Linear| linear_sum(l, &x),
             &mut |l: &mut Linear| {
-                let y = l.forward(&x);
-                l.backward(&Matrix::from_vec(y.rows(), y.cols(), vec![1.0; 8]));
+                l.backward(
+                    &x,
+                    &Matrix::from_vec(4, 2, vec![1.0; 8]),
+                    &mut Matrix::zeros(0, 0),
+                );
             },
             &mut layer,
             |l| l.params_mut(),
@@ -191,16 +245,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Linear::new(3, 2, &mut rng);
         let x = Matrix::kaiming(2, 3, &mut rng);
-        let y = layer.forward(&x);
-        let gx = layer.backward(&Matrix::from_vec(y.rows(), y.cols(), vec![1.0; 4]));
+        let mut gx = Matrix::zeros(0, 0);
+        layer.backward(&x, &Matrix::from_vec(2, 2, vec![1.0; 4]), &mut gx);
         let eps = 1e-6;
         for i in 0..x.as_slice().len() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += eps;
-            let fp: f64 = layer.forward(&xp).as_slice().iter().sum();
+            let fp = linear_sum(&layer, &xp);
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let fm: f64 = layer.forward(&xm).as_slice().iter().sum();
+            let fm = linear_sum(&layer, &xm);
             let fd = (fp - fm) / (2.0 * eps);
             assert!((gx.as_slice()[i] - fd).abs() < 1e-5, "input grad {i}");
         }
@@ -229,7 +283,8 @@ mod tests {
         // Only node 0 has a feature; after one layer nodes 0 and 1 see it,
         // node 2 (two hops away) does not.
         let h = Matrix::from_vec(3, 1, vec![1.0, 0.0, 0.0]);
-        let y = gcn.forward(&h);
+        gcn.forward(&h);
+        let y = gcn.output();
         assert!(y.get(0, 0) > 0.0);
         assert!(y.get(1, 0) > 0.0);
         assert_eq!(y.get(2, 0), 0.0);
@@ -241,11 +296,10 @@ mod tests {
         let x = Matrix::kaiming(3, 2, &mut rng).map(|v| v + 0.3); // keep ReLU mostly active
         let mut layer = Gcn::new(path_adjacency(), 2, 2, &mut rng);
         check_param_gradients(
-            &mut |l: &mut Gcn| l.forward(&x).as_slice().iter().sum::<f64>(),
+            &mut |l: &mut Gcn| gcn_sum(l, &x),
             &mut |l: &mut Gcn| {
-                let y = l.forward(&x);
-                let ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; 6]);
-                l.backward(&ones);
+                l.forward(&x);
+                l.backward(&ones_like(l.output()));
             },
             &mut layer,
             |l| l.params_mut(),
@@ -259,19 +313,62 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut layer = Gcn::new(path_adjacency(), 2, 3, &mut rng);
         let x = Matrix::kaiming(3, 2, &mut rng).map(|v| v + 0.5);
-        let y = layer.forward(&x);
-        let ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; 9]);
-        let gx = layer.backward(&ones);
+        layer.forward(&x);
+        layer.backward(&ones_like(layer.output()));
+        let gx = layer.input_grad().clone();
         let eps = 1e-6;
         for i in 0..x.as_slice().len() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += eps;
-            let fp: f64 = layer.forward(&xp).as_slice().iter().sum();
+            let fp = gcn_sum(&mut layer, &xp);
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let fm: f64 = layer.forward(&xm).as_slice().iter().sum();
+            let fm = gcn_sum(&mut layer, &xm);
             let fd = (fp - fm) / (2.0 * eps);
             assert!((gx.as_slice()[i] - fd).abs() < 1e-4, "input grad {i}");
         }
+    }
+
+    #[test]
+    fn params_only_backward_accumulates_the_same_weight_gradient() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let x = Matrix::kaiming(3, 2, &mut rng);
+        let g = Matrix::kaiming(3, 3, &mut rng);
+        let mut full = Gcn::new(path_adjacency(), 2, 3, &mut rng);
+        let mut params_only = full.clone();
+        full.forward(&x);
+        full.backward(&g);
+        params_only.forward(&x);
+        params_only.backward_params(&g);
+        assert_eq!(full.w.grad, params_only.w.grad);
+    }
+
+    #[test]
+    fn a_stepped_weight_refreshes_the_transposed_copy() {
+        // `params_mut` is the only way to the weights; it must invalidate
+        // the cached `Wᵀ` or the next input gradient uses stale weights.
+        let mut rng = StdRng::seed_from_u64(8);
+        let x = Matrix::kaiming(3, 2, &mut rng);
+        let mut layer = Gcn::new(path_adjacency(), 2, 3, &mut rng);
+        layer.forward(&x);
+        layer.backward(&ones_like(layer.output()));
+        for v in layer.params_mut()[0].value.as_mut_slice() {
+            *v = -*v + 0.25;
+        }
+        let mut fresh = layer.clone();
+        for l in [&mut layer, &mut fresh] {
+            l.forward(&x);
+            l.backward(&ones_like(l.output()));
+        }
+        assert_eq!(layer.input_grad(), fresh.input_grad());
+    }
+
+    #[test]
+    fn cloning_a_layer_leaves_its_scratch_behind() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut layer = Gcn::new(path_adjacency(), 2, 3, &mut rng);
+        layer.forward(&Matrix::kaiming(3, 2, &mut rng));
+        assert_eq!(layer.output().rows(), 3);
+        assert_eq!(layer.clone().output().rows(), 0, "buffers are not state");
     }
 }

@@ -17,8 +17,9 @@
 //! * [`sparse`] — CSR sparse matrices for the normalized adjacency `Â`;
 //! * [`param`] — a trainable tensor bundling value, gradient and Adam
 //!   moments;
-//! * [`layers`] — `Linear`, `Relu` and `Gcn` layers with
-//!   forward/backward;
+//! * [`layers`] — `Linear` and `Gcn` layers with forward/backward;
+//! * [`scratch`] — the reusable-buffer wrapper that keeps workspaces out
+//!   of a layer's cloned, exported or checkpointed state;
 //! * [`gat`] — the graph-attention alternative encoder the paper
 //!   compared against (and found weaker than) the GCN;
 //! * [`mlp`] — a multi-layer perceptron assembled from those layers;
@@ -36,12 +37,14 @@ pub mod mlp;
 pub mod ops;
 pub mod optim;
 pub mod param;
+pub mod scratch;
 pub mod sparse;
 
 pub use gat::Gat;
-pub use layers::{Gcn, Linear, Relu};
+pub use layers::{Gcn, Linear};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::Adam;
 pub use param::Param;
+pub use scratch::Scratch;
 pub use sparse::Csr;

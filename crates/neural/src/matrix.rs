@@ -3,7 +3,7 @@
 use rand::Rng;
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -73,86 +73,65 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Depth-block size for the blocked matmul kernels: a `DEPTH_BLOCK ×
-    /// cols` panel of the right-hand matrix stays resident in L1/L2 while
-    /// every output row sweeps over it.
-    const DEPTH_BLOCK: usize = 64;
+    /// Reshape in place, reusing the allocation; contents are unspecified
+    /// until the caller (a kernel writing into this buffer) fills them.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
 
-    /// `self · other`, blocked over the shared (depth) dimension.
-    ///
-    /// Loop order is p-block outer / row / p-in-block / column-inner: the
-    /// `other` panel for one p-block is reused across all `n` rows instead
-    /// of being re-streamed from memory per row, and the inner loop is a
-    /// contiguous axpy the compiler vectorizes. Every output element still
-    /// accumulates its `a[i,p]·b[p,j]` terms in ascending `p` order —
-    /// blocks ascend and `p` ascends within each block — so the result is
-    /// bit-identical to the naive ikj kernel (f64 addition is performed in
-    /// the exact same sequence).
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    /// Become a copy of `other`, reusing the allocation.
+    pub fn copy_from(&mut self, other: &Matrix) {
+        self.resize(other.rows, other.cols);
+        self.data.copy_from_slice(&other.data);
+    }
+
+    /// Set every entry to `v`.
+    pub fn fill(&mut self, v: f64) {
+        self.data.fill(v);
+    }
+
+    /// `out = self · other` (see [`accumulate`] for the kernel contract).
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(n, m);
-        for pb in (0..k).step_by(Self::DEPTH_BLOCK) {
-            let pe = (pb + Self::DEPTH_BLOCK).min(k);
-            for i in 0..n {
-                let dst = &mut out.data[i * m..(i + 1) * m];
-                for p in pb..pe {
-                    let a = self.data[i * k + p];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let orow = &other.data[p * m..(p + 1) * m];
-                    for (d, &o) in dst.iter_mut().zip(orow) {
-                        *d += a * o;
-                    }
-                }
-            }
-        }
-        out
+        out.resize(self.rows, other.cols);
+        let lhs = Lhs {
+            data: &self.data,
+            row_stride: self.cols,
+            depth_stride: 1,
+        };
+        accumulate(lhs, self.cols, &other.data, other.cols, &mut out.data);
     }
 
-    /// `selfᵀ · other` without materializing the transpose, blocked over
-    /// the shared (row) dimension with the same ascending-`p` accumulation
-    /// order — and therefore the same bits — as the unblocked kernel.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+    /// `out = selfᵀ · other` without materializing the transpose.
+    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let (k, n, m) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(n, m);
-        for pb in (0..k).step_by(Self::DEPTH_BLOCK) {
-            let pe = (pb + Self::DEPTH_BLOCK).min(k);
-            for i in 0..n {
-                let dst = &mut out.data[i * m..(i + 1) * m];
-                for p in pb..pe {
-                    let a = self.data[p * n + i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let orow = &other.data[p * m..(p + 1) * m];
-                    for (d, &o) in dst.iter_mut().zip(orow) {
-                        *d += a * o;
-                    }
-                }
-            }
-        }
-        out
+        out.resize(self.cols, other.cols);
+        let lhs = Lhs {
+            data: &self.data,
+            row_stride: 1,
+            depth_stride: self.cols,
+        };
+        accumulate(lhs, self.rows, &other.data, other.cols, &mut out.data);
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let (n, k, m) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(n, m);
-        for i in 0..n {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..m {
-                let orow = &other.data[j * k..(j + 1) * k];
-                let mut s = 0.0;
-                for (a, o) in arow.iter().zip(orow) {
-                    s += a * o;
-                }
-                out.data[i * m + j] = s;
+    /// `out = selfᵀ`. `A · Bᵀ` is `A.matmul_into(&Bᵀ, ..)` over a copy
+    /// the layers refresh only when `B` (a weight) may have changed.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
+    }
+
+    /// `self · other` into a fresh matrix (setup and tests; the hot path
+    /// uses [`Matrix::matmul_into`]).
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
         out
     }
 
@@ -184,25 +163,44 @@ impl Matrix {
         }
     }
 
-    /// Column-sum collapsed to a `1 × cols` row (the bias gradient).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.data[r * self.cols + c];
+    /// `out` = column sums as a `1 × cols` row (the bias gradient), rows
+    /// added in ascending order.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.resize(1, self.cols);
+        out.fill(0.0);
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        out
     }
 
-    /// Mean over rows as a `1 × cols` row (the critic's pooling).
-    pub fn mean_rows(&self) -> Matrix {
-        let mut out = self.sum_rows();
+    /// `out` = mean over rows as a `1 × cols` row (the critic's pooling).
+    pub fn mean_rows_into(&self, out: &mut Matrix) {
+        self.sum_rows_into(out);
         let n = self.rows.max(1) as f64;
         for v in &mut out.data {
             *v /= n;
         }
-        out
+    }
+
+    /// `max(0, x)` elementwise, in place.
+    pub fn relu_in_place(&mut self) {
+        for v in &mut self.data {
+            *v = v.max(0.0);
+        }
+    }
+
+    /// ReLU backward, in place on the gradient: zero it wherever the
+    /// stored post-activation `post` is not positive (`post > 0` exactly
+    /// when the pre-activation was).
+    pub fn relu_gate(&mut self, post: &Matrix) {
+        assert_eq!((self.rows, self.cols), (post.rows, post.cols));
+        for (g, &y) in self.data.iter_mut().zip(&post.data) {
+            if y <= 0.0 {
+                *g = 0.0;
+            }
+        }
     }
 
     /// Elementwise map into a new matrix.
@@ -225,6 +223,86 @@ impl Matrix {
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
+}
+
+/// Depth entries whose non-zero multipliers are gathered (on the stack)
+/// before the output strips sweep over them.
+const DEPTH_CHUNK: usize = 128;
+
+/// The left operand of [`accumulate`]: element `(i, p)` lives at
+/// `data[i * row_stride + p * depth_stride]`, which covers both `A` and
+/// `Aᵀ` without copying.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f64],
+    row_stride: usize,
+    depth_stride: usize,
+}
+
+/// `out[i, j] = Σ_p lhs(i, p) · b[p, j]` over `depth` values of `p`, the
+/// one dense kernel (DESIGN.md "neural kernel contract"): every output
+/// element starts at `+0.0` and adds its terms in ascending `p`, one
+/// rounding per term, skipping terms whose left factor is exactly zero —
+/// the arithmetic of the naive `ikj` loop, bit for bit. The non-zero
+/// factors of a row are gathered first, so the sweep over them is
+/// branch-free however the zeros (ReLU outputs, masked gradients) fall.
+fn accumulate(lhs: Lhs<'_>, depth: usize, b: &[f64], m: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    if m == 0 {
+        return;
+    }
+    let mut nz_p = [0usize; DEPTH_CHUNK];
+    let mut nz_a = [0.0f64; DEPTH_CHUNK];
+    for (i, orow) in out.chunks_exact_mut(m).enumerate() {
+        for p0 in (0..depth).step_by(DEPTH_CHUNK) {
+            let mut cnt = 0;
+            for p in p0..(p0 + DEPTH_CHUNK).min(depth) {
+                let a = lhs.data[i * lhs.row_stride + p * lhs.depth_stride];
+                nz_p[cnt] = p;
+                nz_a[cnt] = a;
+                cnt += usize::from(a != 0.0);
+            }
+            add_scaled_rows(&nz_p[..cnt], &nz_a[..cnt], b, orow);
+        }
+    }
+}
+
+/// `dst[j] += Σ_t scales[t] · b[rows[t], j]` with `b` of `dst`'s width:
+/// each element of `dst` adds its terms in slice order, one rounding
+/// each. Shared by the dense and the CSR product. A strip of `dst` sits
+/// in registers while the terms stream past — 16 `f64` (eight SSE2
+/// registers on the baseline x86-64 target) at a time, then 8/4/2/1 for
+/// what is left of a narrow or ragged row.
+pub(crate) fn add_scaled_rows(rows: &[usize], scales: &[f64], b: &[f64], dst: &mut [f64]) {
+    let j = add_strips::<16>(rows, scales, b, dst, 0);
+    let j = add_strips::<8>(rows, scales, b, dst, j);
+    let j = add_strips::<4>(rows, scales, b, dst, j);
+    let j = add_strips::<2>(rows, scales, b, dst, j);
+    add_strips::<1>(rows, scales, b, dst, j);
+}
+
+/// The `W`-wide strips of `dst[j0..]`; returns where they end.
+fn add_strips<const W: usize>(
+    rows: &[usize],
+    scales: &[f64],
+    b: &[f64],
+    dst: &mut [f64],
+    mut j0: usize,
+) -> usize {
+    let m = dst.len();
+    while m - j0 >= W {
+        let mut acc = [0.0f64; W];
+        acc.copy_from_slice(&dst[j0..j0 + W]);
+        for (&r, &a) in rows.iter().zip(scales) {
+            let brow = &b[r * m + j0..r * m + j0 + W];
+            for (s, &o) in acc.iter_mut().zip(brow) {
+                *s += a * o;
+            }
+        }
+        dst[j0..j0 + W].copy_from_slice(&acc);
+        j0 += W;
+    }
+    j0
 }
 
 /// Standard normal sample via Box-Muller (keeps us off rand_distr).
@@ -256,25 +334,20 @@ mod tests {
     fn t_matmul_equals_transpose_then_matmul() {
         let a = m23(); // 2×3
         let b = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let direct = a.t_matmul(&b); // (3×2)
-                                     // aᵀ explicitly:
-        let at = Matrix::from_vec(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        let mut direct = Matrix::zeros(0, 0);
+        a.t_matmul_into(&b, &mut direct); // 3×2
+        let mut at = Matrix::zeros(0, 0);
+        a.transpose_into(&mut at);
+        assert_eq!(at.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
         assert_eq!(direct, at.matmul(&b));
     }
 
     #[test]
-    fn matmul_t_equals_matmul_with_transpose() {
-        let a = m23(); // 2×3
-        let b = Matrix::from_vec(4, 3, (1..=12).map(f64::from).collect());
-        let direct = a.matmul_t(&b); // 2×4
-        let bt = Matrix::from_vec(
-            3,
-            4,
-            vec![
-                1.0, 4.0, 7.0, 10.0, 2.0, 5.0, 8.0, 11.0, 3.0, 6.0, 9.0, 12.0,
-            ],
-        );
-        assert_eq!(direct, a.matmul(&bt));
+    fn into_kernels_reshape_and_overwrite_a_reused_buffer() {
+        let mut out = Matrix::from_vec(1, 3, vec![9.0; 3]);
+        m23().matmul_into(&Matrix::from_vec(3, 1, vec![1.0; 3]), &mut out);
+        assert_eq!((out.rows(), out.cols()), (2, 1));
+        assert_eq!(out.as_slice(), &[6.0, 15.0]);
     }
 
     #[test]
@@ -282,8 +355,11 @@ mod tests {
         let mut a = m23();
         a.add_row_broadcast(&Matrix::from_vec(1, 3, vec![10.0, 20.0, 30.0]));
         assert_eq!(a.row(0), &[11.0, 22.0, 33.0]);
-        assert_eq!(a.sum_rows().as_slice(), &[25.0, 47.0, 69.0]);
-        assert_eq!(m23().mean_rows().as_slice(), &[2.5, 3.5, 4.5]);
+        let mut row = Matrix::zeros(0, 0);
+        a.sum_rows_into(&mut row);
+        assert_eq!(row.as_slice(), &[25.0, 47.0, 69.0]);
+        m23().mean_rows_into(&mut row);
+        assert_eq!(row.as_slice(), &[2.5, 3.5, 4.5]);
     }
 
     #[test]
@@ -317,52 +393,14 @@ mod tests {
         m23().matmul(&m23());
     }
 
-    /// Naive ikj matmul: the pre-blocking reference kernel. Every output
-    /// element accumulates in ascending `p` order, the order the blocked
-    /// kernels promise to preserve.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let (n, k, m) = (a.rows(), a.cols(), b.cols());
-        let mut out = Matrix::zeros(n, m);
-        for i in 0..n {
-            for p in 0..k {
-                let av = a.get(i, p);
-                if av == 0.0 {
-                    continue;
-                }
-                for j in 0..m {
-                    let v = out.get(i, j) + av * b.get(p, j);
-                    out.set(i, j, v);
-                }
-            }
-        }
-        out
-    }
-
     #[test]
-    fn blocked_matmul_is_bit_identical_to_naive() {
-        // Depth 150 spans multiple DEPTH_BLOCK panels plus a ragged tail;
-        // equality here is exact (f64 bits), not approximate.
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = Matrix::kaiming(37, 150, &mut rng);
-        let b = Matrix::kaiming(150, 23, &mut rng);
-        assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
-    }
-
-    #[test]
-    fn blocked_t_matmul_is_bit_identical_to_naive() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let a = Matrix::kaiming(150, 37, &mut rng); // k=150 shared rows
-        let b = Matrix::kaiming(150, 23, &mut rng);
-        let at = {
-            let mut t = Matrix::zeros(37, 150);
-            for r in 0..150 {
-                for c in 0..37 {
-                    t.set(c, r, a.get(r, c));
-                }
-            }
-            t
-        };
-        assert_eq!(a.t_matmul(&b), naive_matmul(&at, &b));
+    fn relu_gate_reads_the_post_activation() {
+        let mut y = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, f64::NAN]);
+        y.relu_in_place();
+        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+        let mut g = Matrix::from_vec(1, 4, vec![1.0; 4]);
+        g.relu_gate(&y);
+        assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Multi-layer perceptron: `Linear → ReLU → … → Linear`.
 
-use crate::layers::{Linear, Relu};
+use crate::layers::Linear;
 use crate::matrix::Matrix;
 use crate::param::Param;
+use crate::scratch::Scratch;
 use rand::Rng;
 
 /// An MLP with ReLU between hidden layers and a linear output layer —
@@ -11,7 +12,18 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    activations: Vec<Relu>,
+    ws: Scratch<MlpScratch>,
+}
+
+#[derive(Debug, Default)]
+struct MlpScratch {
+    /// `acts[0]` is a copy of the input, `acts[i + 1]` the output of
+    /// layer `i` (post-ReLU for hidden layers, so it doubles as the next
+    /// layer's input and as the gate of the backward pass).
+    acts: Vec<Matrix>,
+    /// Gradient flowing backward, and the buffer the next layer writes.
+    grad: Matrix,
+    grad_next: Matrix,
 }
 
 impl Mlp {
@@ -21,40 +33,55 @@ impl Mlp {
             widths.len() >= 2,
             "an MLP needs at least input and output widths"
         );
-        let mut layers = Vec::new();
-        let mut activations = Vec::new();
-        for w in widths.windows(2) {
-            layers.push(Linear::new(w[0], w[1], rng));
-        }
-        for _ in 0..layers.len().saturating_sub(1) {
-            activations.push(Relu::new());
-        }
         Mlp {
-            layers,
-            activations,
+            layers: widths
+                .windows(2)
+                .map(|w| Linear::new(w[0], w[1], rng))
+                .collect(),
+            ws: Scratch::default(),
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = self.layers[0].forward(x);
-        for i in 1..self.layers.len() {
-            h = self.activations[i - 1].forward(&h);
-            h = self.layers[i].forward(&h);
-        }
-        h
-    }
-
-    /// Backward pass; returns `∂L/∂input`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        for i in (0..self.layers.len()).rev() {
-            g = self.layers[i].backward(&g);
-            if i > 0 {
-                g = self.activations[i - 1].backward(&g);
+    /// Forward pass; the result is [`Mlp::output`].
+    pub fn forward(&mut self, x: &Matrix) {
+        let acts = &mut self.ws.0.acts;
+        acts.resize_with(self.layers.len() + 1, Matrix::default);
+        acts[0].copy_from(x);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (inputs, outputs) = acts.split_at_mut(i + 1);
+            layer.forward_into(&inputs[i], &mut outputs[0]);
+            if i + 1 < self.layers.len() {
+                outputs[0].relu_in_place();
             }
         }
-        g
+    }
+
+    /// Output of the last forward pass.
+    pub fn output(&self) -> &Matrix {
+        self.ws.0.acts.last().expect("forward before output")
+    }
+
+    /// Backward pass; leaves `∂L/∂input` in [`Mlp::input_grad`].
+    pub fn backward(&mut self, grad_out: &Matrix) {
+        let ws = &mut self.ws.0;
+        assert_eq!(
+            ws.acts.len(),
+            self.layers.len() + 1,
+            "forward before backward"
+        );
+        ws.grad.copy_from(grad_out);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            layer.backward(&ws.acts[i], &ws.grad, &mut ws.grad_next);
+            if i > 0 {
+                ws.grad_next.relu_gate(&ws.acts[i]);
+            }
+            std::mem::swap(&mut ws.grad, &mut ws.grad_next);
+        }
+    }
+
+    /// `∂L/∂input` of the last backward pass.
+    pub fn input_grad(&self) -> &Matrix {
+        &self.ws.0.grad
     }
 
     /// All trainable parameters.
@@ -91,8 +118,8 @@ mod tests {
         let mut mlp = Mlp::new(&[2, 1], &mut rng);
         mlp.layers[0].w.value = Matrix::from_vec(2, 1, vec![2.0, -1.0]);
         mlp.layers[0].b.value = Matrix::from_vec(1, 1, vec![0.5]);
-        let y = mlp.forward(&Matrix::from_vec(1, 2, vec![3.0, 1.0]));
-        assert_eq!(y.as_slice(), &[5.5]);
+        mlp.forward(&Matrix::from_vec(1, 2, vec![3.0, 1.0]));
+        assert_eq!(mlp.output().as_slice(), &[5.5]);
     }
 
     #[test]
@@ -101,11 +128,13 @@ mod tests {
         let x = Matrix::kaiming(3, 4, &mut rng);
         let mut mlp = Mlp::new(&[4, 8, 8, 2], &mut rng);
         check_param_gradients(
-            &mut |m: &mut Mlp| m.forward(&x).as_slice().iter().sum::<f64>(),
             &mut |m: &mut Mlp| {
-                let y = m.forward(&x);
-                let ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; 6]);
-                m.backward(&ones);
+                m.forward(&x);
+                m.output().as_slice().iter().sum::<f64>()
+            },
+            &mut |m: &mut Mlp| {
+                m.forward(&x);
+                m.backward(&Matrix::from_vec(3, 2, vec![1.0; 6]));
             },
             &mut mlp,
             |m| m.params_mut(),
@@ -119,8 +148,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut mlp = Mlp::new(&[5, 16, 2], &mut rng);
         let x = Matrix::kaiming(7, 5, &mut rng);
-        let y = mlp.forward(&x);
-        let g = mlp.backward(&Matrix::zeros(y.rows(), y.cols()));
+        mlp.forward(&x);
+        mlp.backward(&Matrix::zeros(7, 2));
+        let g = mlp.input_grad();
         assert_eq!((g.rows(), g.cols()), (7, 5));
     }
 }

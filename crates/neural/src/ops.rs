@@ -8,11 +8,12 @@
 
 use rand::Rng;
 
-/// Numerically-stable masked softmax. Masked-out entries come back as 0.
+/// Numerically-stable masked softmax into a reused buffer. Masked-out
+/// entries come back as 0.
 ///
 /// Panics if no entry is valid (the environment guarantees at least one
 /// legal action or terminates the trajectory).
-pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
+pub fn masked_softmax_into(logits: &[f64], mask: &[bool], probs: &mut Vec<f64>) {
     assert_eq!(logits.len(), mask.len());
     let max = logits
         .iter()
@@ -24,22 +25,28 @@ pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
         max.is_finite(),
         "masked_softmax requires at least one valid action"
     );
-    let mut probs: Vec<f64> = logits
-        .iter()
-        .zip(mask)
-        .map(|(&l, &m)| if m { (l - max).exp() } else { 0.0 })
-        .collect();
+    probs.clear();
+    probs.extend(
+        logits
+            .iter()
+            .zip(mask)
+            .map(|(&l, &m)| if m { (l - max).exp() } else { 0.0 }),
+    );
     let z: f64 = probs.iter().sum();
-    for p in &mut probs {
+    for p in probs.iter_mut() {
         *p /= z;
     }
+}
+
+/// [`masked_softmax_into`] a fresh vector.
+pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
+    let mut probs = Vec::new();
+    masked_softmax_into(logits, mask, &mut probs);
     probs
 }
 
-/// `ln` of the masked softmax probability of `action`.
-pub fn masked_log_prob(logits: &[f64], mask: &[bool], action: usize) -> f64 {
-    assert!(mask[action], "log-prob of a masked action");
-    let probs = masked_softmax(logits, mask);
+/// `ln` of the probability a masked softmax gave `action`.
+pub fn log_prob(probs: &[f64], action: usize) -> f64 {
     probs[action].max(f64::MIN_POSITIVE).ln()
 }
 
@@ -60,27 +67,30 @@ pub fn sample_categorical(probs: &[f64], rng: &mut impl Rng) -> usize {
         .expect("probability vector must have positive mass")
 }
 
-/// Gradient of `coeff · (−ln p(action))` with respect to the logits:
-/// `coeff · (softmax − onehot(action))`, zero on masked entries.
+/// Gradient of `coeff · (−ln p(action))` with respect to the logits,
+/// written into `grad`: `coeff · (softmax − onehot(action))`, zero on
+/// masked entries.
 ///
 /// With `coeff = advantage` this is exactly the per-step policy-gradient
 /// term of Algorithm 1's `ComputePLoss`.
-pub fn policy_logit_grad(probs: &[f64], mask: &[bool], action: usize, coeff: f64) -> Vec<f64> {
+pub fn policy_logit_grad(
+    probs: &[f64],
+    mask: &[bool],
+    action: usize,
+    coeff: f64,
+    grad: &mut [f64],
+) {
     debug_assert!(mask[action]);
-    probs
-        .iter()
-        .enumerate()
-        .zip(mask)
-        .map(|((i, &p), &m)| {
-            if !m {
-                0.0
-            } else if i == action {
-                coeff * (p - 1.0)
-            } else {
-                coeff * p
-            }
-        })
-        .collect()
+    assert_eq!(probs.len(), grad.len());
+    for (i, ((g, &p), &m)) in grad.iter_mut().zip(probs).zip(mask).enumerate() {
+        *g = if !m {
+            0.0
+        } else if i == action {
+            coeff * (p - 1.0)
+        } else {
+            coeff * p
+        };
+    }
 }
 
 /// Shannon entropy of a probability vector (masked zeros contribute 0).
@@ -127,7 +137,7 @@ mod tests {
         let mask = [true, true, true];
         let probs = masked_softmax(&logits, &mask);
         for (a, &p) in probs.iter().enumerate() {
-            assert!((masked_log_prob(&logits, &mask, a) - p.ln()).abs() < 1e-12);
+            assert!((log_prob(&probs, a) - p.ln()).abs() < 1e-12);
         }
     }
 
@@ -148,7 +158,8 @@ mod tests {
         let logits = [0.0, 0.0, 0.0];
         let mask = [true, true, true];
         let probs = masked_softmax(&logits, &mask);
-        let g = policy_logit_grad(&probs, &mask, 1, 2.0);
+        let mut g = [0.0; 3];
+        policy_logit_grad(&probs, &mask, 1, 2.0, &mut g);
         assert!((g[0] - 2.0 / 3.0).abs() < 1e-12);
         assert!((g[1] - 2.0 * (1.0 / 3.0 - 1.0)).abs() < 1e-12);
         assert!((g.iter().sum::<f64>()).abs() < 1e-12, "grad sums to zero");
@@ -161,14 +172,15 @@ mod tests {
         let action = 0;
         let coeff = 1.7;
         let probs = masked_softmax(&logits, &mask);
-        let g = policy_logit_grad(&probs, &mask, action, coeff);
+        let mut g = vec![0.0; logits.len()];
+        policy_logit_grad(&probs, &mask, action, coeff, &mut g);
         let eps = 1e-6;
         for i in 0..logits.len() {
             let mut lp = logits.clone();
             lp[i] += eps;
             let mut lm = logits.clone();
             lm[i] -= eps;
-            let f = |l: &[f64]| -coeff * masked_log_prob(l, &mask, action);
+            let f = |l: &[f64]| -coeff * log_prob(&masked_softmax(l, &mask), action);
             let fd = (f(&lp) - f(&lm)) / (2.0 * eps);
             assert!((g[i] - fd).abs() < 1e-6, "logit {i}: {} vs {fd}", g[i]);
         }

@@ -31,7 +31,7 @@ impl Param {
 
     /// Reset the accumulated gradient to zero.
     pub fn zero_grad(&mut self) {
-        self.grad = Matrix::zeros(self.value.rows(), self.value.cols());
+        self.grad.fill(0.0);
     }
 
     /// Number of scalar parameters.

@@ -1,6 +1,6 @@
 //! CSR sparse matrices for the GCN propagation operator `Â`.
 
-use crate::matrix::Matrix;
+use crate::matrix::{add_scaled_rows, Matrix};
 
 /// A square sparse matrix in compressed-sparse-row form.
 ///
@@ -67,23 +67,26 @@ impl Csr {
         self.values.len()
     }
 
-    /// `self · dense` — the `ÂH` product of Eq. 7.
-    pub fn matmul_dense(&self, dense: &Matrix) -> Matrix {
+    /// `out = self · dense` — the `ÂH` product of Eq. 7. Each output
+    /// element adds its row's stored entries in storage order (none
+    /// skipped), through the same register strips as the dense kernel.
+    pub fn matmul_dense_into(&self, dense: &Matrix, out: &mut Matrix) {
         assert_eq!(self.n, dense.rows(), "spmm shape mismatch");
         let m = dense.cols();
-        let mut out = Matrix::zeros(self.n, m);
-        for r in 0..self.n {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                let src = &dense.as_slice()[c * m..(c + 1) * m];
-                let dst = &mut out.as_mut_slice()[r * m..(r + 1) * m];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
-                }
-            }
+        out.resize(self.n, m);
+        out.fill(0.0);
+        if m == 0 {
+            return;
         }
-        out
+        for (r, orow) in out.as_mut_slice().chunks_exact_mut(m).enumerate() {
+            let entries = self.row_ptr[r]..self.row_ptr[r + 1];
+            add_scaled_rows(
+                &self.col_idx[entries.clone()],
+                &self.values[entries],
+                dense.as_slice(),
+                orow,
+            );
+        }
     }
 
     /// Whether the matrix is symmetric (the normalized adjacency must be,
@@ -150,14 +153,17 @@ mod tests {
     fn spmm_matches_dense() {
         let a = Csr::from_triples(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
         let h = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        let out = a.matmul_dense(&h);
+        let mut out = Matrix::zeros(0, 0);
+        a.matmul_dense_into(&h, &mut out);
         assert_eq!(out.as_slice(), &[1.0, 2.0, 0.0, 3.0]);
     }
 
     #[test]
     fn identity_is_a_no_op() {
         let h = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(Csr::identity(3).matmul_dense(&h), h);
+        let mut out = Matrix::zeros(0, 0);
+        Csr::identity(3).matmul_dense_into(&h, &mut out);
+        assert_eq!(out, h);
     }
 
     #[test]

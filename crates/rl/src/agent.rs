@@ -12,8 +12,8 @@
 //! the GCN with its own loss, mirroring Algorithm 1 lines 16–22.
 
 use crate::buffer::StepRecord;
-use np_neural::ops::{masked_log_prob, masked_softmax, policy_logit_grad, sample_categorical};
-use np_neural::{Adam, Csr, Gat, Gcn, Matrix, Mlp};
+use np_neural::ops::{log_prob, masked_softmax_into, policy_logit_grad, sample_categorical};
+use np_neural::{Adam, Csr, Gat, Gcn, Matrix, Mlp, Param, Scratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,63 +60,102 @@ impl Default for AgentConfig {
     }
 }
 
-/// The stack of graph layers shared by both heads.
+/// One graph layer of the encoder shared by both heads.
+// An agent holds a handful of these; boxing the larger variant would buy
+// nothing but an indirection on every forward.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
-enum EncoderStack {
-    Gcn(Vec<Gcn>),
-    Gat(Vec<Gat>),
+enum GraphLayer {
+    Gcn(Gcn),
+    Gat(Gat),
 }
 
-impl EncoderStack {
-    fn forward(&mut self, features: &Matrix) -> Matrix {
-        let mut h = features.clone();
+impl GraphLayer {
+    fn forward(&mut self, h: &Matrix) {
         match self {
-            EncoderStack::Gcn(layers) => {
-                for l in layers {
-                    h = l.forward(&h);
-                }
-            }
-            EncoderStack::Gat(layers) => {
-                for l in layers {
-                    h = l.forward(&h);
-                }
-            }
-        }
-        h
-    }
-
-    fn backward(&mut self, grad: &Matrix) {
-        let mut g = grad.clone();
-        match self {
-            EncoderStack::Gcn(layers) => {
-                for l in layers.iter_mut().rev() {
-                    g = l.backward(&g);
-                }
-            }
-            EncoderStack::Gat(layers) => {
-                for l in layers.iter_mut().rev() {
-                    g = l.backward(&g);
-                }
-            }
+            GraphLayer::Gcn(l) => l.forward(h),
+            GraphLayer::Gat(l) => l.forward(h),
         }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut np_neural::Param> {
+    fn output(&self) -> &Matrix {
         match self {
-            EncoderStack::Gcn(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
-            EncoderStack::Gat(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
+            GraphLayer::Gcn(l) => l.output(),
+            GraphLayer::Gat(l) => l.output(),
         }
     }
+
+    /// Accumulate parameter gradients; `∂L/∂input` is only worth its
+    /// products when a layer below consumes it.
+    fn backward(&mut self, grad: &Matrix, input_grad_used: bool) {
+        match self {
+            GraphLayer::Gcn(l) if input_grad_used => l.backward(grad),
+            GraphLayer::Gcn(l) => l.backward_params(grad),
+            GraphLayer::Gat(l) => l.backward(grad),
+        }
+    }
+
+    fn input_grad(&self) -> &Matrix {
+        match self {
+            GraphLayer::Gcn(l) => l.input_grad(),
+            GraphLayer::Gat(l) => l.input_grad(),
+        }
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        match self {
+            GraphLayer::Gcn(l) => l.params_mut(),
+            GraphLayer::Gat(l) => l.params_mut(),
+        }
+    }
+}
+
+/// Run the encoder; the embeddings are then [`embedding`].
+fn encode(encoder: &mut [GraphLayer], features: &Matrix) {
+    for i in 0..encoder.len() {
+        let (below, rest) = encoder.split_at_mut(i);
+        rest[0].forward(below.last().map_or(features, |l| l.output()));
+    }
+}
+
+/// The node embeddings `H` of the last [`encode`] (the features
+/// themselves with zero graph layers).
+fn embedding<'a>(encoder: &'a [GraphLayer], features: &'a Matrix) -> &'a Matrix {
+    encoder.last().map_or(features, |l| l.output())
+}
+
+/// Backpropagate `∂L/∂H` through the encoder, top layer first.
+fn backprop_encoder(encoder: &mut [GraphLayer], grad_h: &Matrix) {
+    for i in (0..encoder.len()).rev() {
+        let (lower, above) = encoder.split_at_mut(i + 1);
+        let grad = above.first().map_or(grad_h, |l| l.input_grad());
+        lower[i].backward(grad, i > 0);
+    }
+}
+
+/// Per-call buffers of the agent (the layers keep their own).
+#[derive(Default)]
+struct AgentScratch {
+    /// Mean-pooled embedding fed to the critic.
+    pooled: Matrix,
+    /// Temperature-scaled logits (only when exploring off-policy).
+    scaled: Vec<f64>,
+    probs: Vec<f64>,
+    /// Loss gradient at a head's output, and `∂L/∂H` of the value loss.
+    head_grad: Matrix,
+    grad_h: Matrix,
 }
 
 /// The shared-encoder actor-critic.
 ///
 /// `Clone` duplicates the full parameter state (weights, optimizer
 /// moments, sampling RNG) — parallel rollout actors clone the master
-/// agent at the top of each epoch and act with private RNG streams.
+/// agent at the top of each epoch and act with private RNG streams. The
+/// activation and gradient buffers are [`Scratch`]: a clone starts with
+/// empty ones, and none of them is exported.
 #[derive(Clone)]
 pub struct ActorCritic {
-    encoder: EncoderStack,
+    encoder: Vec<GraphLayer>,
     actor: Mlp,
     critic: Mlp,
     adam_actor: Adam,
@@ -130,6 +169,7 @@ pub struct ActorCritic {
     /// entirely, so pre-existing runs stay bit-identical. The trainer
     /// raises it after a NaN rollback to reanneal exploration.
     explore_temp: f64,
+    ws: Scratch<AgentScratch>,
 }
 
 impl ActorCritic {
@@ -144,25 +184,21 @@ impl ActorCritic {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut dim = feature_dim;
-        let encoder = match cfg.encoder {
-            Encoder::Gcn => {
-                let mut layers = Vec::new();
-                for _ in 0..cfg.gnn_layers {
-                    layers.push(Gcn::new(adjacency.clone(), dim, cfg.gnn_hidden, &mut rng));
-                    dim = cfg.gnn_hidden;
+        let mut encoder = Vec::new();
+        for _ in 0..cfg.gnn_layers {
+            encoder.push(match cfg.encoder {
+                Encoder::Gcn => {
+                    GraphLayer::Gcn(Gcn::new(adjacency.clone(), dim, cfg.gnn_hidden, &mut rng))
                 }
-                EncoderStack::Gcn(layers)
-            }
-            Encoder::Gat => {
-                let neighbors = adjacency.neighbor_lists();
-                let mut layers = Vec::new();
-                for _ in 0..cfg.gnn_layers {
-                    layers.push(Gat::new(neighbors.clone(), dim, cfg.gnn_hidden, &mut rng));
-                    dim = cfg.gnn_hidden;
-                }
-                EncoderStack::Gat(layers)
-            }
-        };
+                Encoder::Gat => GraphLayer::Gat(Gat::new(
+                    adjacency.neighbor_lists(),
+                    dim,
+                    cfg.gnn_hidden,
+                    &mut rng,
+                )),
+            });
+            dim = cfg.gnn_hidden;
+        }
         let mut actor_widths = vec![dim];
         actor_widths.extend_from_slice(&cfg.mlp_hidden);
         actor_widths.push(num_unit_choices);
@@ -178,27 +214,38 @@ impl ActorCritic {
             num_unit_choices,
             sample_rng: StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15),
             explore_temp: 1.0,
+            ws: Scratch::default(),
         }
     }
 
-    fn embed(&mut self, features: &Matrix) -> Matrix {
-        self.encoder.forward(features)
+    /// Encoder, actor head and critic head for one observation: the
+    /// logits are then `self.actor.output()`, the return is the value.
+    /// Rollouts and updates share it — the layers keep their outputs,
+    /// which a backward pass reads in place, and nothing else.
+    fn forward(&mut self, features: &Matrix) -> f64 {
+        encode(&mut self.encoder, features);
+        self.actor.forward(embedding(&self.encoder, features));
+        self.value_head(features)
+    }
+
+    /// The critic on the embeddings of the last [`encode`].
+    fn value_head(&mut self, features: &Matrix) -> f64 {
+        let pooled = &mut self.ws.0.pooled;
+        embedding(&self.encoder, features).mean_rows_into(pooled);
+        self.critic.forward(pooled);
+        self.critic.output().get(0, 0)
     }
 
     /// Flat masked logits and the critic value for an observation.
     pub fn policy_value(&mut self, features: &Matrix) -> (Vec<f64>, f64) {
-        let h = self.embed(features);
-        let logits = self.actor.forward(&h); // n × m
-        let pooled = h.mean_rows();
-        let value = self.critic.forward(&pooled).get(0, 0);
-        (logits.as_slice().to_vec(), value)
+        let value = self.forward(features);
+        (self.actor.output().as_slice().to_vec(), value)
     }
 
     /// Critic value only.
     pub fn value(&mut self, features: &Matrix) -> f64 {
-        let h = self.embed(features);
-        let pooled = h.mean_rows();
-        self.critic.forward(&pooled).get(0, 0)
+        encode(&mut self.encoder, features);
+        self.value_head(features)
     }
 
     /// Sample an action from the masked policy; returns
@@ -220,17 +267,18 @@ impl ActorCritic {
         mask: &[bool],
         rng: &mut StdRng,
     ) -> (usize, f64, f64) {
-        let (mut logits, value) = self.policy_value(features);
+        let value = self.forward(features);
+        let ws = &mut self.ws.0;
+        let mut logits = self.actor.output().as_slice();
         if self.explore_temp != 1.0 {
             let inv = 1.0 / self.explore_temp;
-            for l in &mut logits {
-                *l *= inv;
-            }
+            ws.scaled.clear();
+            ws.scaled.extend(logits.iter().map(|l| l * inv));
+            logits = &ws.scaled;
         }
-        let probs = masked_softmax(&logits, mask);
-        let action = sample_categorical(&probs, rng);
-        let logp = masked_log_prob(&logits, mask, action);
-        (action, logp, value)
+        masked_softmax_into(logits, mask, &mut ws.probs);
+        let action = sample_categorical(&ws.probs, rng);
+        (action, log_prob(&ws.probs, action), value)
     }
 
     /// Policy update (Algorithm 1's `ComputePLoss` + line 19): mean
@@ -238,18 +286,25 @@ impl ActorCritic {
     /// actor *and* the shared GCN, then one Adam step on both.
     pub fn update_policy(&mut self, steps: &[StepRecord]) {
         let scale = 1.0 / steps.len().max(1) as f64;
+        let ws = &mut self.ws.0;
         for step in steps {
-            let h = self.embed(&step.features);
-            let logits = self.actor.forward(&h);
-            let probs = masked_softmax(logits.as_slice(), &step.mask);
-            let grad_flat =
-                policy_logit_grad(&probs, &step.mask, step.action, step.advantage * scale);
-            let grad = Matrix::from_vec(logits.rows(), logits.cols(), grad_flat);
-            let grad_h = self.actor.backward(&grad);
-            self.backprop_gcn(&grad_h);
+            encode(&mut self.encoder, &step.features);
+            self.actor.forward(embedding(&self.encoder, &step.features));
+            let logits = self.actor.output();
+            masked_softmax_into(logits.as_slice(), &step.mask, &mut ws.probs);
+            ws.head_grad.resize(logits.rows(), logits.cols());
+            policy_logit_grad(
+                &ws.probs,
+                &step.mask,
+                step.action,
+                step.advantage * scale,
+                ws.head_grad.as_mut_slice(),
+            );
+            self.actor.backward(&ws.head_grad);
+            backprop_encoder(&mut self.encoder, self.actor.input_grad());
         }
         let mut params = self.actor.params_mut();
-        params.extend(self.encoder.params_mut());
+        params.extend(self.encoder.iter_mut().flat_map(|l| l.params_mut()));
         self.adam_actor.step(&mut params);
     }
 
@@ -258,28 +313,28 @@ impl ActorCritic {
     pub fn update_value(&mut self, steps: &[StepRecord]) {
         let scale = 1.0 / steps.len().max(1) as f64;
         for step in steps {
-            let h = self.embed(&step.features);
-            let pooled = h.mean_rows();
-            let v = self.critic.forward(&pooled).get(0, 0);
-            let dv = 2.0 * (v - step.reward_to_go) * scale;
-            let grad_pooled = self.critic.backward(&Matrix::from_vec(1, 1, vec![dv]));
+            encode(&mut self.encoder, &step.features);
+            let v = self.value_head(&step.features);
+            let ws = &mut self.ws.0;
+            ws.head_grad.resize(1, 1);
+            ws.head_grad
+                .set(0, 0, 2.0 * (v - step.reward_to_go) * scale);
+            self.critic.backward(&ws.head_grad);
             // Mean-pool backward: distribute evenly over nodes.
+            let h = embedding(&self.encoder, &step.features);
             let n = h.rows();
-            let mut grad_h = Matrix::zeros(n, h.cols());
-            for r in 0..n {
-                for c in 0..h.cols() {
-                    grad_h.set(r, c, grad_pooled.get(0, c) / n as f64);
+            ws.grad_h.resize(n, h.cols());
+            let grad_pooled = self.critic.input_grad().as_slice();
+            for row in ws.grad_h.as_mut_slice().chunks_exact_mut(h.cols().max(1)) {
+                for (g, &p) in row.iter_mut().zip(grad_pooled) {
+                    *g = p / n as f64;
                 }
             }
-            self.backprop_gcn(&grad_h);
+            backprop_encoder(&mut self.encoder, &ws.grad_h);
         }
         let mut params = self.critic.params_mut();
-        params.extend(self.encoder.params_mut());
+        params.extend(self.encoder.iter_mut().flat_map(|l| l.params_mut()));
         self.adam_critic.step(&mut params);
-    }
-
-    fn backprop_gcn(&mut self, grad_h: &Matrix) {
-        self.encoder.backward(grad_h);
     }
 
     /// `m`: unit choices per node.
@@ -289,8 +344,7 @@ impl ActorCritic {
 
     /// Total trainable parameter count (diagnostics).
     pub fn num_params(&mut self) -> usize {
-        let enc: usize = self.encoder.params_mut().iter().map(|p| p.len()).sum();
-        enc + self.actor.num_params() + self.critic.num_params()
+        self.all_params().iter().map(|p| p.len()).sum()
     }
 
     /// Reseed the sampling RNG (used to decorrelate evaluation rollouts).
@@ -309,8 +363,12 @@ impl ActorCritic {
         self.explore_temp = temp;
     }
 
-    fn all_params(&mut self) -> Vec<&mut np_neural::Param> {
-        let mut ps = self.encoder.params_mut();
+    fn all_params(&mut self) -> Vec<&mut Param> {
+        let mut ps: Vec<&mut Param> = self
+            .encoder
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect();
         ps.extend(self.actor.params_mut());
         ps.extend(self.critic.params_mut());
         ps
@@ -416,12 +474,14 @@ impl ActorCritic {
     /// Sample greedily (argmax) instead of stochastically — used when
     /// extracting the final first-stage plan.
     pub fn act_greedy(&mut self, features: &Matrix, mask: &[bool]) -> usize {
-        let (logits, _) = self.policy_value(features);
-        let probs = masked_softmax(&logits, mask);
+        self.forward(features);
+        let probs = &mut self.ws.0.probs;
+        masked_softmax_into(self.actor.output().as_slice(), mask, probs);
+        // `total_cmp`: a NaN logit must not panic the final decode.
         probs
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .expect("non-empty action space")
     }
@@ -435,7 +495,7 @@ pub fn derive_seed(rng: &mut impl Rng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_neural::Csr;
+    use np_neural::ops::masked_softmax;
 
     fn agent(n: usize, layers: usize) -> ActorCritic {
         let adj = Csr::identity(n);
@@ -575,6 +635,33 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(a.act_greedy(&obs(3), &mask), argmax);
+    }
+
+    #[test]
+    fn greedy_decode_survives_a_nan_logit() {
+        // A NaN in the actor's output bias makes one logit per node — and
+        // through the softmax's normalizer every probability — NaN.
+        let mut a = agent(3, 1);
+        let bias = a.actor.params_mut().pop().expect("output bias");
+        bias.value.as_mut_slice()[0] = f64::NAN;
+        let (logits, _) = a.policy_value(&obs(3));
+        assert!(logits[0].is_nan() && logits[1].is_finite());
+        assert!(a.act_greedy(&obs(3), &[true; 6]) < 6);
+    }
+
+    #[test]
+    fn clones_and_exports_leave_the_workspace_behind() {
+        let mut a = agent(4, 2);
+        a.act(&obs(4), &[true; 8]);
+        assert_eq!(a.ws.0.probs.len(), 8);
+        let mut twin = a.clone();
+        assert!(
+            twin.ws.0.probs.is_empty(),
+            "a clone starts with empty buffers"
+        );
+        // Same learning state either way: the twin acts and exports alike.
+        assert_eq!(twin.export_state(), a.export_state());
+        assert_eq!(twin.act(&obs(4), &[true; 8]), a.act(&obs(4), &[true; 8]));
     }
 
     #[test]

@@ -901,6 +901,47 @@ mod tests {
         assert_eq!(halves, full);
     }
 
+    /// Bit-identity pin for the actor-critic arithmetic: the learning
+    /// state after three epochs hashes to the value recorded before the
+    /// np-neural kernels were rebuilt (DESIGN.md "neural kernel
+    /// contract"). The preset-A `PlanningEnv` half of the pin is
+    /// crates/core/tests/agent_golden.rs.
+    #[test]
+    fn counter_env_learning_state_matches_the_recorded_hashes() {
+        use crate::agent::Encoder;
+        let state_hash = |encoder: Encoder, num_actors: usize| {
+            let mut env = CounterEnv::new(5, 3, 7);
+            let mut agent = ActorCritic::new(
+                env.adjacency().clone(),
+                env.feature_dim(),
+                env.num_unit_choices(),
+                &AgentConfig {
+                    encoder,
+                    gnn_layers: 2,
+                    gnn_hidden: 12,
+                    mlp_hidden: vec![20, 9],
+                    seed: 5,
+                    ..Default::default()
+                },
+            );
+            let cfg = TrainConfig {
+                epochs: 3,
+                steps_per_epoch: 64,
+                max_traj_len: 16,
+                num_actors,
+                rollout_workers: 2,
+                rollout_seed: 11,
+                ..Default::default()
+            };
+            train(&mut env, &mut agent, &cfg);
+            np_chaos::checkpoint::fnv1a64(agent.export_state().as_bytes())
+        };
+        assert_eq!(state_hash(Encoder::Gcn, 1), 0xefe2_ae73_0e76_6b10);
+        assert_eq!(state_hash(Encoder::Gcn, 4), 0xcea1_d121_0900_a66f);
+        assert_eq!(state_hash(Encoder::Gat, 1), 0x656c_496d_1c58_625d);
+        assert_eq!(state_hash(Encoder::Gat, 4), 0xb8db_8446_d9cf_be8c);
+    }
+
     #[test]
     fn early_stopping_respects_patience() {
         let mut env = CounterEnv::new(2, 1, 2);

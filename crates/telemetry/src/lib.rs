@@ -212,23 +212,25 @@ struct Store {
     events: Vec<Event>,
 }
 
-// Per-thread stack of child-time accumulators, one entry per live
-// `SpanGuard` on this thread. When a guard drops it subtracts the
+// Per-thread stack of live `SpanGuard`s: each entry is the span's start
+// and its child-time accumulator. When a guard drops it subtracts the
 // accumulated child time from its own duration (→ self time) and
 // charges its full duration to the parent entry. Replayed/deferred
 // spans (`record_span`) charge only their *self* time to the top entry,
 // because a flat replay stream contains every descendant and each one
-// charges the same enclosing span.
+// charges the same enclosing span — and never more than the wall that
+// span has left, so time measured on parallel workers (CPU-seconds) is
+// clipped to wall and self times keep summing to at most the wall.
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<(Instant, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Push a fresh child-time accumulator; returns the entry's depth
+/// Push a live span started at `start`; returns the entry's depth
 /// (stack length after the push) so a non-LIFO drop can still find it.
-fn stack_push() -> usize {
+fn stack_push(start: Instant) -> usize {
     SPAN_STACK.with(|s| {
         let mut st = s.borrow_mut();
-        st.push(0);
+        st.push((start, 0));
         st.len()
     })
 }
@@ -240,12 +242,10 @@ fn stack_pop_and_charge(depth: usize, dur_us: u64) -> u64 {
     SPAN_STACK.with(|s| {
         let mut st = s.borrow_mut();
         let mut child_us = 0;
-        if st.len() >= depth {
-            while st.len() >= depth {
-                child_us += st.pop().expect("len >= depth >= 1");
-            }
+        while st.len() >= depth {
+            child_us += st.pop().expect("len >= depth >= 1").1;
         }
-        if let Some(top) = st.last_mut() {
+        if let Some((_, top)) = st.last_mut() {
             *top = top.saturating_add(dur_us);
         }
         child_us
@@ -253,13 +253,18 @@ fn stack_pop_and_charge(depth: usize, dur_us: u64) -> u64 {
 }
 
 /// Charge a leaf/replayed span's self time to the enclosing live span
-/// on this thread, if any.
-fn stack_charge(self_us: u64) {
-    SPAN_STACK.with(|s| {
-        if let Some(top) = s.borrow_mut().last_mut() {
-            *top = top.saturating_add(self_us);
+/// on this thread, if any; returns the part of it that span had room
+/// for (all of it when nothing is live).
+fn stack_charge(self_us: u64) -> u64 {
+    SPAN_STACK.with(|s| match s.borrow_mut().last_mut() {
+        None => self_us,
+        Some((start, child_us)) => {
+            let elapsed = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let charged = self_us.min(elapsed.saturating_sub(*child_us));
+            *child_us += charged;
+            charged
         }
-    });
+    })
 }
 
 struct Inner {
@@ -374,11 +379,13 @@ impl Telemetry {
 
     /// Record a completed span with explicit duration *and* self time
     /// (a replayed span that already excluded its nested children).
-    /// Charges `self_us` to the enclosing live span on this thread.
+    /// Charges `self_us` to the enclosing live span on this thread —
+    /// clipped, in the charge and in the recorded event alike, to the
+    /// wall that span has not yet handed to other children.
     #[inline]
     pub fn record_span_parts(&self, sys: &str, name: &str, dur_us: u64, self_us: u64) {
         let Some(inner) = &self.inner else { return };
-        stack_charge(self_us);
+        let self_us = stack_charge(self_us);
         inner.emit(Event {
             t_us: inner.now_us(),
             sys: sys.to_string(),
@@ -399,13 +406,16 @@ impl Telemetry {
                 start: None,
                 depth: 0,
             },
-            Some(_) => SpanGuard {
-                tel: self.clone(),
-                sys: sys.to_string(),
-                name: name.to_string(),
-                start: Some(Instant::now()),
-                depth: stack_push(),
-            },
+            Some(_) => {
+                let start = Instant::now();
+                SpanGuard {
+                    tel: self.clone(),
+                    sys: sys.to_string(),
+                    name: name.to_string(),
+                    start: Some(start),
+                    depth: stack_push(start),
+                }
+            }
         }
     }
 
@@ -884,6 +894,39 @@ mod tests {
         let (mip_total, mip_self) = by_name["solve_mip"];
         assert_eq!(by_name["factorize"], (700, 700));
         assert!(mip_self <= mip_total - 700 + 10);
+    }
+
+    #[test]
+    fn deferred_spans_are_clipped_to_the_wall_the_live_span_has_left() {
+        // Four workers' worth of stage time surfacing inside a span that
+        // lasted a quarter as long: the breakdown is a wall breakdown,
+        // so what does not fit is dropped, not counted beyond the wall.
+        let tel = Telemetry::memory();
+        {
+            let _phase = tel.span(sys::RL, "forward");
+            spin_us(1_000);
+            tel.record_span(sys::EVAL, "mwu", 4_000_000);
+            tel.record_span(sys::EVAL, "exact_lp", 500);
+        }
+        let by_name: BTreeMap<String, (u64, u64)> = tel
+            .spans_self()
+            .into_iter()
+            .map(|(_, n, _, t, s)| (n, (t, s)))
+            .collect();
+        let (phase_total, phase_self) = by_name["forward"];
+        let (mwu_total, mwu_self) = by_name["mwu"];
+        assert_eq!(mwu_total, 4_000_000, "the measured duration is kept");
+        assert!((1_000..=phase_total).contains(&mwu_self), "{mwu_self}");
+        assert!(by_name["exact_lp"].1 <= phase_total - mwu_self);
+        let self_sum: u64 = by_name.values().map(|&(_, s)| s).sum();
+        assert!(self_sum <= phase_total, "{self_sum} vs {phase_total}");
+        assert!(phase_self <= phase_total - mwu_self);
+        // Outside any live span there is no wall to clip to.
+        tel.record_span(sys::EVAL, "mwu", 7);
+        assert_eq!(
+            tel.spans_self().iter().find(|s| s.1 == "mwu").unwrap().4,
+            mwu_self + 7
+        );
     }
 
     #[test]

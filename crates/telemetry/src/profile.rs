@@ -3,7 +3,7 @@
 //! [`ProfileReport::from_telemetry`] turns the spans recorded by any
 //! enabled [`Telemetry`](crate::Telemetry) handle into a breakdown
 //! sorted by **self time** (parent-exclusive, see the crate docs), the
-//! quantity that actually sums to ≤ total wall on a serial stream. The
+//! quantity that actually sums to ≤ total wall. The
 //! report renders two ways:
 //!
 //! - [`ProfileReport::to_json`] — the stable `np-profile-v1` schema
@@ -66,9 +66,10 @@ impl ProfileReport {
         }
     }
 
-    /// Sum of all self times — ≤ `total_wall_us` for a serial stream;
-    /// parallel replays can exceed it (CPU-seconds), which shows up as
-    /// `coverage > 1` in the JSON.
+    /// Sum of all self times — ≤ `total_wall_us` when the profiled
+    /// region is covered by a live span: live spans nest, and deferred
+    /// or replayed spans (worker CPU-seconds included) are clipped to
+    /// the wall their enclosing live span has left.
     pub fn self_total_us(&self) -> u64 {
         self.entries.iter().map(|e| e.self_us).sum()
     }
