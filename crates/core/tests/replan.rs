@@ -322,18 +322,27 @@ fn kill_mid_stream_resumes_to_the_uninterrupted_plan() {
 
     let dir = tmp_dir("kill-resume");
     let out_path = dir.join("plan.json");
-    // The plan phase burns supervisor occurrences 0..=7 (RL ladder,
-    // master, polish); occurrence 8 is event 0's replan_master and 9 is
-    // event 1's — kill@9 dies inside event 1's solve, after event 0's
-    // record hit the checkpoint.
+    // Kill points are counted from the start of the process: one per
+    // training epoch, then one per supervised stage (first_stage, master,
+    // polish), then each event's replan_master. `--quick` trains fewer
+    // epochs under `debug_assertions`, and the binary is built with this
+    // test's profile, so the count of the same `quick()` places the kill
+    // inside event 1's solve — after event 0's record hit the checkpoint
+    // — in debug and release alike.
+    let plan_phase = NeuroPlanConfig::quick().train.epochs + 3;
+    let kill = format!("kill@{}", plan_phase + 1);
     let killed = run(
         &replan_args(dir.to_str().unwrap(), out_path.to_str().unwrap(), &[]),
-        Some("kill@9"),
+        Some(&kill),
     );
+    let killed_stderr = String::from_utf8_lossy(&killed.stderr);
     assert!(
         !killed.status.success(),
-        "kill@9 must abort the run:\n{}",
-        String::from_utf8_lossy(&killed.stderr)
+        "{kill} must abort the run:\n{killed_stderr}"
+    );
+    assert!(
+        killed_stderr.contains("injected kill at stage replan_master"),
+        "{kill} must land on an event's solve, not earlier:\n{killed_stderr}"
     );
     assert!(!out_path.exists(), "no plan written by the killed run");
     assert!(

@@ -7,10 +7,12 @@
 
 use crate::scenario::ScenarioCtx;
 use crate::stats::EvalStats;
+use np_flow::commodity::group_by_source;
+use np_flow::dijkstra::DijkstraWorkspace;
 use np_flow::metric::{extract_cut, MetricCut};
 use np_flow::mwu::{max_concurrent_flow, MwuConfig};
-use np_flow::{greedy, Commodity, FlowGraph};
-use np_lp::{solve_lp_warm, LpStatus, Model, Sense, SimplexConfig};
+use np_flow::{greedy, ArcId, Commodity, FlowGraph};
+use np_lp::{ConstrId, IncrementalLp, LpStatus, Model, Sense, SimplexConfig, VarId};
 
 /// Which machinery decides a scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,7 +23,8 @@ pub enum Backend {
     /// for speed). `λ < 1` without a verified cut is still reported
     /// infeasible — documented approximation.
     Mwu,
-    /// Exact source-aggregated LP only (the paper's evaluator, verbatim).
+    /// Exact LP only: the paper's evaluator question (max concurrent flow
+    /// λ ≥ 1?) in path form, solved by column generation.
     ExactLp,
 }
 
@@ -86,10 +89,7 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
         return Verdict::StructurallyInfeasible;
     }
     match cfg.backend {
-        Backend::ExactLp => {
-            stats.lp_calls += 1;
-            timed_exact_lp(ctx, stats)
-        }
+        Backend::ExactLp => timed_exact_lp(ctx, stats),
         Backend::Mwu => {
             if witness_still_fits(ctx, stats) {
                 return Verdict::Feasible;
@@ -254,7 +254,6 @@ fn mwu_verdict(
             return Verdict::Infeasible(None);
         }
     }
-    stats.lp_calls += 1;
     timed_exact_lp(ctx, stats)
 }
 
@@ -299,11 +298,12 @@ fn mwu_completion_feasible(
     r.feasible
 }
 
-/// [`exact_lp_verdict`] with its wall time charged to
-/// [`EvalStats::exact_lp_us`] when profiling is on.
+/// The exact LP stage of the pipeline: [`exact_lp`] with its wall time
+/// charged to [`EvalStats::exact_lp_us`] when profiling is on.
 fn timed_exact_lp(ctx: &ScenarioCtx, stats: &mut EvalStats) -> Verdict {
+    stats.lp_calls += 1;
     let t0 = np_telemetry::profiling().then(std::time::Instant::now);
-    let v = exact_lp_verdict(ctx);
+    let v = exact_lp(ctx, stats);
     if let Some(t0) = t0 {
         stats.exact_lp_us += t0.elapsed().as_micros() as u64;
     }
@@ -314,95 +314,161 @@ fn timed_exact_lp(ctx: &ScenarioCtx, stats: &mut EvalStats) -> Verdict {
 /// the LP bounded when capacity is abundant.
 const LAMBDA_CAP: f64 = 2.0;
 
-/// Exact max-concurrent-flow LP with source aggregation (§5): variables
-/// are λ plus per-(source, arc) flows; constraints are per-(source, node)
-/// conservation and per-arc capacity. Capacity-row duals become the
-/// length function for cut extraction.
+/// A path enters the restricted master when its length undercuts its
+/// commodity's dual by more than this — the simplex's own reduced-cost
+/// tolerance, below which it would not pivot the column in anyway.
+const PRICE_TOL: f64 = 1e-7;
+
+/// One scenario's persistent restricted master of the path-form
+/// max-concurrent-flow LP (DESIGN.md §17): variable 0 is λ, every other
+/// variable one generated path; rows `0..k` are the commodities
+/// (`Σ_p x_p − d_j·λ ≥ 0`), rows `k..k+arcs` the capacities
+/// (`Σ_{p∋a} x_p ≤ cap_a`). A path is a path under any capacity vector
+/// and any demand, so the pool and the optimal basis carry over from
+/// check to check and across perturbations that keep the arc set.
+#[derive(Clone, Debug)]
+pub(crate) struct PathLp {
+    pub(crate) lp: IncrementalLp,
+    /// Commodity indices sharing a source, in first-seen order: pricing
+    /// grows one shortest-path tree per group (source aggregation).
+    groups: Vec<(usize, Vec<usize>)>,
+    /// The generated paths as `(commodity, arcs)`, aligned with variables
+    /// `1..`. A path that is already a column never enters again, so
+    /// every pricing round either grows the pool or ends the loop.
+    pool: Vec<(usize, Vec<ArcId>)>,
+}
+
+const LAMBDA: VarId = VarId(0);
+
+impl PathLp {
+    fn build(ctx: &ScenarioCtx) -> PathLp {
+        let mut model = Model::new("concurrent-flow");
+        // Minimizing −D·λ (D the total demand) instead of −λ scales the
+        // commodity duals to average 1, so the simplex's absolute
+        // reduced-cost tolerance is a relative one on λ.
+        model.add_var("", 0.0, LAMBDA_CAP, -ctx.total_demand().max(1.0), false);
+        for c in &ctx.commodities {
+            model.add_constr("", vec![(LAMBDA, -c.demand)], Sense::Ge, 0.0);
+        }
+        for arc in ctx.graph.arcs() {
+            model.add_constr("", Vec::new(), Sense::Le, arc.cap);
+        }
+        PathLp {
+            lp: IncrementalLp::new(model, SimplexConfig::default()),
+            groups: group_by_source(&ctx.commodities),
+            pool: Vec::new(),
+        }
+    }
+
+    /// Add every path that prices out: per source one shortest-path tree
+    /// under `lengths`, per commodity the tree path if it is shorter than
+    /// the commodity's dual `w[j]` by more than `tol`. Returns how many
+    /// entered.
+    fn price(&mut self, ctx: &ScenarioCtx, lengths: &[f64], w: &[f64], tol: f64) -> u64 {
+        let k = ctx.commodities.len();
+        let mut ws = DijkstraWorkspace::default();
+        let mut path = Vec::new();
+        let mut added = 0;
+        for (src, members) in &self.groups {
+            ws.build_tree(&ctx.graph, *src, |a| lengths[a], |_| true);
+            for &j in members {
+                let dst = ctx.commodities[j].dst;
+                if !(ws.tree_dist(dst) < w[j] - tol && ws.tree_path(&ctx.graph, dst, &mut path)) {
+                    continue;
+                }
+                if self.pool.iter().any(|(c, p)| *c == j && *p == path) {
+                    continue; // inside the simplex's tolerance of its dual
+                }
+                let mut entries = vec![(ConstrId(j), 1.0)];
+                entries.extend(path.iter().map(|&a| (ConstrId(k + a), 1.0)));
+                self.lp.add_col("", 0.0, f64::INFINITY, 0.0, &entries);
+                self.pool.push((j, path.clone()));
+                added += 1;
+            }
+        }
+        added
+    }
+}
+
+/// Exact max concurrent flow in path form by column generation
+/// (DESIGN.md §17). `λ < 1` with duals that do not verify as a violated
+/// metric inequality means broken stored state: pool and basis are
+/// dropped and the scenario solved once more from nothing with exact
+/// pricing (tolerance 0) before `Infeasible(None)` is reported.
+fn exact_lp(ctx: &ScenarioCtx, stats: &mut EvalStats) -> Verdict {
+    let v = column_generation(ctx, stats, PRICE_TOL);
+    if !matches!(v, Verdict::Infeasible(None)) {
+        return v;
+    }
+    stats.lp_cold_retries += 1;
+    *ctx.lp.borrow_mut() = None;
+    column_generation(ctx, stats, 0.0)
+}
+
+/// Patch the scenario's restricted master to the context's capacities
+/// and demands (building and seeding it on first use), then solve and
+/// price until no path undercuts its commodity's dual by more than `tol`.
+/// `λ ≥ 1 − 1e-7` is feasible (a `λ ≥ 1` primal is kept as the witness);
+/// otherwise the capacity duals are the lengths of the cut.
+fn column_generation(ctx: &ScenarioCtx, stats: &mut EvalStats, tol: f64) -> Verdict {
+    let k = ctx.commodities.len();
+    let na = ctx.graph.num_arcs();
+    let mut slot = ctx.lp.borrow_mut();
+    if slot.as_ref().is_some_and(|p| p.lp.num_rows() != k + na) {
+        *slot = None; // built for another graph (contexts are plain data)
+    }
+    let fresh = slot.is_none();
+    let plp = slot.get_or_insert_with(|| PathLp::build(ctx));
+    if fresh {
+        stats.lp_cold_builds += 1;
+        // Seed with each commodity's fewest-hop path.
+        stats.lp_columns += plp.price(ctx, &vec![1.0; na], &vec![f64::INFINITY; k], tol);
+    } else {
+        for (j, c) in ctx.commodities.iter().enumerate() {
+            plp.lp.set_coeff(ConstrId(j), LAMBDA, -c.demand);
+        }
+        for (a, arc) in ctx.graph.arcs().iter().enumerate() {
+            plp.lp.set_rhs(ConstrId(k + a), arc.cap);
+        }
+    }
+    let (sol, lengths) = loop {
+        let sol = plp.lp.solve();
+        stats.lp_pricing_rounds += 1;
+        if sol.status != LpStatus::Optimal {
+            // The restricted master is always feasible (λ = 0, x = 0) and
+            // bounded (λ ≤ cap): anything else is a numerical breakdown.
+            return Verdict::Infeasible(None);
+        }
+        let lengths: Vec<f64> = sol.duals[k..].iter().map(|y| y.abs()).collect();
+        let added = plp.price(ctx, &lengths, &sol.duals[..k], tol);
+        stats.lp_columns += added;
+        if added == 0 {
+            break (sol, lengths);
+        }
+    };
+    let lam = sol.x[LAMBDA.0];
+    if lam >= 1.0 - 1e-7 {
+        if lam >= 1.0 {
+            // The path flows route λ·d_j ≥ d_j within capacity; summed
+            // per arc they are the witness.
+            let mut flow = vec![0.0; na];
+            for ((_, path), &x) in plp.pool.iter().zip(&sol.x[1..]) {
+                for &a in path {
+                    flow[a] += x;
+                }
+            }
+            *ctx.witness.borrow_mut() = Some(flow);
+        }
+        return Verdict::Feasible;
+    }
+    Verdict::Infeasible(extract_cut(&ctx.graph, &ctx.commodities, &lengths))
+}
+
+/// The exact LP on its own, outside the escalation pipeline: the verdict
+/// of [`Backend::ExactLp`] for a context already
+/// [refreshed](ScenarioCtx::refresh), without touching any counters.
 pub fn exact_lp_verdict(ctx: &ScenarioCtx) -> Verdict {
-    let graph = &ctx.graph;
-    let n = graph.num_nodes();
-    let na = graph.num_arcs();
-    let sources = ctx.sources();
-    let mut model = Model::new("concurrent-flow");
-    let lambda = model.add_var("lambda", 0.0, LAMBDA_CAP, -1.0, false);
-    // f[s][a] laid out source-major.
-    let mut fvar = Vec::with_capacity(sources.len() * na);
-    for (si, _) in sources.iter().enumerate() {
-        for a in 0..na {
-            fvar.push(model.add_var(format!("f{si}_{a}"), 0.0, f64::INFINITY, 0.0, false));
-        }
-    }
-    // Net demand of source s at node v.
-    let mut traffic = vec![vec![0.0f64; n]; sources.len()];
-    for c in &ctx.commodities {
-        let si = sources.binary_search(&c.src).expect("source listed");
-        traffic[si][c.src] += c.demand;
-        traffic[si][c.dst] -= c.demand;
-    }
-    for (si, _) in sources.iter().enumerate() {
-        for (v, &net_demand) in traffic[si].iter().enumerate().take(n) {
-            let mut coeffs: Vec<(np_lp::VarId, f64)> = Vec::new();
-            for (a, arc) in graph.arcs().iter().enumerate() {
-                if arc.from == v {
-                    coeffs.push((fvar[si * na + a], 1.0));
-                } else if arc.to == v {
-                    coeffs.push((fvar[si * na + a], -1.0));
-                }
-            }
-            coeffs.push((lambda, -net_demand));
-            if coeffs.is_empty() {
-                continue;
-            }
-            model.add_constr(format!("cons{si}_{v}"), coeffs, Sense::Eq, 0.0);
-        }
-    }
-    let cap_row_start = model.num_constrs();
-    for (a, arc) in graph.arcs().iter().enumerate() {
-        let coeffs: Vec<(np_lp::VarId, f64)> = (0..sources.len())
-            .map(|si| (fvar[si * na + a], 1.0))
-            .collect();
-        model.add_constr(format!("cap{a}"), coeffs, Sense::Le, arc.cap);
-    }
-    // Warm-start from this scenario's previous optimal basis (the model
-    // shape is fixed per scenario; only capacities move between checks).
-    // Any shape mismatch or warm-path failure falls back to a cold solve
-    // inside `solve_lp_warm`.
-    let warm = ctx.lp_warm.borrow().clone();
-    let out = solve_lp_warm(&model, &SimplexConfig::default(), warm.as_ref());
-    if out.basis.is_some() {
-        *ctx.lp_warm.borrow_mut() = out.basis;
-    }
-    let sol = out.solution;
-    match sol.status {
-        LpStatus::Optimal => {
-            let lam = sol.x[lambda.0];
-            if lam >= 1.0 - 1e-7 {
-                if lam >= 1.0 {
-                    // The aggregated primal routes λ·d_j ≥ d_j within
-                    // capacity: store it for witness reuse.
-                    let flow: Vec<f64> = (0..na)
-                        .map(|a| {
-                            (0..sources.len())
-                                .map(|si| sol.x[fvar[si * na + a].0])
-                                .sum()
-                        })
-                        .collect();
-                    *ctx.witness.borrow_mut() = Some(flow);
-                }
-                return Verdict::Feasible;
-            }
-            // Capacity duals → lengths → exactly-verified cut.
-            let lengths: Vec<f64> = (0..na)
-                .map(|a| sol.duals[cap_row_start + a].abs())
-                .collect();
-            let cut = extract_cut(graph, &ctx.commodities, &lengths);
-            Verdict::Infeasible(cut)
-        }
-        // The concurrent-flow LP is always feasible (λ=0, f=0) and bounded
-        // (λ ≤ cap); anything else is a numerical breakdown — be
-        // conservative and claim infeasibility without a certificate.
-        _ => Verdict::Infeasible(None),
-    }
+    exact_lp(ctx, &mut EvalStats::default())
 }
 
 #[cfg(test)]
@@ -537,6 +603,194 @@ mod tests {
         };
         assert!(cut.is_violated(|_| 100.0));
         assert!(!cut.is_violated(|_| 101.0));
+    }
+
+    /// λ of the persistent path LP as `exact_lp_verdict` left it (a warm
+    /// re-solve of the converged restricted master pivots nothing).
+    fn path_lp_lambda(ctx: &ScenarioCtx) -> f64 {
+        let mut slot = ctx.lp.borrow_mut();
+        slot.as_mut().expect("exact LP ran").lp.solve().x[LAMBDA.0]
+    }
+
+    /// The three promises of the exact oracle on one refreshed context:
+    /// λ equals the verbatim edge LP's, an infeasible verdict carries a
+    /// violated cut, a `λ ≥ 1` verdict stores a witness that fits.
+    fn assert_exact_oracle_contract(ctx: &ScenarioCtx, what: &str) {
+        *ctx.witness.borrow_mut() = None;
+        let verdict = exact_lp_verdict(ctx);
+        let lam = path_lp_lambda(ctx);
+        let edge = crate::edge_oracle::edge_lp_lambda(ctx, LAMBDA_CAP);
+        assert!(
+            (lam - edge).abs() <= 1e-7,
+            "{what}: path λ {lam} vs edge λ {edge}"
+        );
+        let cap_of = |l: LinkId| {
+            let a = ctx.arc_link.iter().position(|&x| x == l).expect("tagged");
+            ctx.graph.arc(a).cap
+        };
+        match verdict {
+            Verdict::Feasible => {
+                assert!(lam >= 1.0 - 1e-7, "{what}: feasible at λ {lam}");
+                let witness = ctx.witness.borrow();
+                assert_eq!(witness.is_some(), lam >= 1.0, "{what}: witness iff λ ≥ 1");
+                for (arc, f) in ctx.graph.arcs().iter().zip(witness.iter().flatten()) {
+                    assert!(*f <= arc.cap + 1e-9, "{what}: witness overflows an arc");
+                }
+            }
+            Verdict::Infeasible(cut) => {
+                assert!(lam < 1.0 - 1e-7, "{what}: infeasible at λ {lam}");
+                if lam < 1.0 - 1e-5 {
+                    let cut = cut.unwrap_or_else(|| panic!("{what}: no cut at λ {lam}"));
+                    assert!(cut.is_violated(cap_of), "{what}: cut not violated");
+                }
+            }
+            Verdict::StructurallyInfeasible => panic!("{what}: the LP never says structural"),
+        }
+    }
+
+    /// The smallest uniform per-link capacity (to 1e-3) at which every
+    /// scenario of `net` is feasible: scaled around 1, it puts the
+    /// binding scenarios on both sides of the λ = 1 threshold.
+    fn boundary_capacity(net: &Network) -> f64 {
+        let mut ev = crate::PlanEvaluator::new(net, crate::EvalConfig::default());
+        let (mut lo, mut hi) = (0.0f64, 1e6f64);
+        while hi - lo > 1e-3 {
+            let mid = 0.5 * (lo + hi);
+            ev.reset();
+            if ev.check(&vec![mid; net.links().len()]).feasible {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    #[test]
+    fn path_lp_matches_the_edge_lp_on_preset_scenarios() {
+        for preset in [TopologyPreset::A, TopologyPreset::B] {
+            let net = preset_network(preset);
+            let base = boundary_capacity(&net);
+            // One context per scenario, carried through the whole sweep:
+            // every check after the first re-optimizes the stored LP.
+            let mut ctxs = crate::scenario::build_all(&net, true);
+            for scale in [0.6, 0.9, 1.0, 1.2] {
+                // Uniform capacities, then a ragged vector with dark links.
+                for ragged in [false, true] {
+                    let cap = |l: LinkId| match (ragged, l.index() % 7) {
+                        (false, _) => base * scale,
+                        (true, 0) => 0.0,
+                        (true, r) => base * scale * (0.5 + 0.25 * r as f64),
+                    };
+                    for (i, ctx) in ctxs.iter_mut().enumerate() {
+                        ctx.refresh(cap);
+                        let what = format!("{preset:?} scenario {i} x{scale} ragged={ragged}");
+                        assert_exact_oracle_contract(ctx, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A connected random graph (ring plus chords, some links dark) with
+    /// random commodities, dressed as a scenario context.
+    fn random_ctx(
+        n: usize,
+        chords: &[(usize, usize, f64)],
+        demands: &[(usize, usize, f64)],
+    ) -> ScenarioCtx {
+        let net = preset_network(TopologyPreset::A);
+        let mut ctx = ScenarioCtx::build(&net, None, true);
+        ctx.graph = FlowGraph::new(n);
+        ctx.arc_link.clear();
+        let ring = (0..n).map(|v| (v, (v + 1) % n, 6.0));
+        let chords = chords.iter().map(|&(u, v, c)| (u % n, v % n, c));
+        for (id, (u, v, cap)) in ring.chain(chords).filter(|(u, v, _)| u != v).enumerate() {
+            // Capacities below 1 are dark links.
+            let cap = if cap < 1.0 { 0.0 } else { cap };
+            ctx.graph.add_link_arcs(u, v, cap, LinkId::new(id));
+            ctx.arc_link.extend([LinkId::new(id); 2]);
+        }
+        let raw: Vec<Commodity> = demands
+            .iter()
+            .map(|&(s, t, d)| (s % n, t % n, d))
+            .filter(|(s, t, _)| s != t)
+            .map(|(s, t, d)| Commodity::new(s, t, d))
+            .collect();
+        ctx.commodities = np_flow::commodity::merge_parallel(&raw);
+        ctx
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn path_lp_matches_the_edge_lp_on_random_graphs(
+            n in 3usize..8,
+            chords in proptest::collection::vec((0usize..8, 0usize..8, 0.0f64..12.0), 0..8),
+            demands in proptest::collection::vec((0usize..8, 0usize..8, 0.5f64..6.0), 1..10),
+        ) {
+            let mut ctx = random_ctx(n, &chords, &demands);
+            proptest::prop_assume!(!ctx.commodities.is_empty());
+            let caps: Vec<f64> = ctx.graph.arcs().iter().map(|a| a.cap).collect();
+            for scale in [0.6, 0.9, 1.0, 1.2, 3.0] {
+                for (a, cap) in caps.iter().enumerate() {
+                    ctx.graph.set_cap(a, cap * scale);
+                }
+                assert_exact_oracle_contract(&ctx, &format!("x{scale}"));
+            }
+        }
+    }
+
+    #[test]
+    fn poisoned_lp_state_is_retried_cold_and_still_yields_a_verified_cut() {
+        let net = preset_network(TopologyPreset::A);
+        let base = boundary_capacity(&net);
+        // A scenario that binds at the boundary, 30 % short of it.
+        let mut ctxs = crate::scenario::build_all(&net, true);
+        ctxs.iter_mut().for_each(|c| c.refresh(|_| 0.7 * base));
+        let ctx = ctxs
+            .iter()
+            .find(|c| !exact_lp_verdict(c).is_feasible())
+            .expect("some scenario binds");
+        *ctx.lp.borrow_mut() = None;
+        let mut st = stats();
+        assert!(matches!(
+            exact_lp(ctx, &mut st),
+            Verdict::Infeasible(Some(_))
+        ));
+        assert_eq!((st.lp_cold_builds, st.lp_cold_retries), (1, 0));
+        // Poison the stored model: λ now also loads arc 0, which alone
+        // holds it below 1. The optimal duals put all length on that one
+        // arc — no commodity has to cross it, so the "cut" they induce
+        // has a zero right-hand side and cannot verify.
+        let k = ctx.commodities.len();
+        let poison = |ctx: &ScenarioCtx| {
+            let mut slot = ctx.lp.borrow_mut();
+            slot.as_mut()
+                .unwrap()
+                .lp
+                .set_coeff(ConstrId(k), LAMBDA, 1e9);
+        };
+        poison(ctx);
+        assert!(
+            matches!(
+                column_generation(ctx, &mut stats(), PRICE_TOL),
+                Verdict::Infeasible(None)
+            ),
+            "the poisoned LP must be uncertifiable, or this test tests nothing"
+        );
+        let Verdict::Infeasible(Some(cut)) = exact_lp(ctx, &mut st) else {
+            panic!("the cold retry must certify the infeasible scenario");
+        };
+        assert!(cut.is_violated(|_| 0.7 * base));
+        assert_eq!((st.lp_cold_builds, st.lp_cold_retries), (2, 1));
+        // The rebuilt LP replaced the poisoned one for good.
+        assert!(matches!(
+            exact_lp(ctx, &mut st),
+            Verdict::Infeasible(Some(_))
+        ));
+        assert_eq!((st.lp_cold_builds, st.lp_cold_retries), (2, 1));
     }
 
     #[test]

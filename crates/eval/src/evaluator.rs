@@ -31,7 +31,8 @@ pub struct EvalConfig {
     /// Per-scenario verdict pipeline configuration.
     pub check: CheckConfig,
     /// Merge flows by `(src, dst)` (the paper's source aggregation; the
-    /// exact-LP backend additionally aggregates by source alone).
+    /// exact-LP backend additionally prices all of a source's
+    /// commodities off one shortest-path tree).
     pub source_aggregation: bool,
     /// Resume checking from the first previously-failed scenario
     /// (valid because the RL action space only *adds* capacity).
@@ -507,9 +508,11 @@ impl PlanEvaluator {
     }
 
     /// The pipeline ends in the exact LP, whose dual always yields a cut
-    /// on truly infeasible scenarios; reaching here means a numerical
-    /// corner. Escalate by failing loudly rather than looping forever in
-    /// the master.
+    /// on truly infeasible scenarios, and which has already answered an
+    /// unverifiable dual by rebuilding itself from nothing and solving
+    /// again with exact pricing (`lp_cold_retries`); reaching here means
+    /// that failed too. Escalate by failing loudly rather than looping
+    /// forever in the master.
     fn uncertified(idx: usize) -> ! {
         panic!(
             "separator could not certify infeasibility of scenario {idx}; \
@@ -637,9 +640,11 @@ impl PlanEvaluator {
     /// The exact cut-validity rules (DESIGN.md §14):
     ///
     /// * **demand-scale f** — every context survives (commodity demands
-    ///   and witness flows scale in place, warm bases stay structurally
-    ///   valid) and every certificate survives with `rhs *= f`: the rhs
-    ///   `Σ d·dist` is linear in demand at a fixed length function.
+    ///   and witness flows scale in place; the persistent exact LP keeps
+    ///   its paths and basis and reads the new demands into its λ column
+    ///   at the next check) and every certificate survives with
+    ///   `rhs *= f`: the rhs `Σ d·dist` is linear in demand at a fixed
+    ///   length function.
     /// * **link-add** — exactly the scenarios in which the new link is
     ///   *alive* are rebuilt and their certificates dropped (the new
     ///   link can shorten metric distances, so the old bound may be
@@ -648,8 +653,8 @@ impl PlanEvaluator {
     ///   flow on the reduced link set extends with zero capacity on the
     ///   removed link, so the inequality still holds with the removed
     ///   coefficient dropped. Contexts that contained the link are
-    ///   rebuilt; the rest just renumber their link tags and keep warm
-    ///   bases and witnesses.
+    ///   rebuilt; the rest just renumber their link tags and keep their
+    ///   exact LPs (rows are per arc, not per link) and witnesses.
     /// * **failure-add** — one new context is appended (certificate
     ///   `None`); every existing scenario and certificate is untouched.
     /// * **fiber-cost** — feasibility does not mention costs; no-op.
@@ -739,6 +744,7 @@ pub fn caps_fn(caps: &[f64]) -> impl Fn(LinkId) -> f64 + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::exact_lp_verdict;
     use np_topology::{
         generator::{preset_network, GeneratorConfig},
         TopologyPreset,
@@ -1022,6 +1028,72 @@ mod tests {
             }
         }
         assert_matches_cold(&mut ev, &net);
+    }
+
+    /// Every scenario's persistent exact LP, driven through capacities on
+    /// both sides of the boundary, must answer like one built from
+    /// nothing on the perturbed instance.
+    fn assert_exact_lps_match_fresh(ev: &mut PlanEvaluator, net: &Network) {
+        let mut fresh = build_all(net, true);
+        assert_eq!(ev.ctxs.len(), fresh.len());
+        for scale in [0.3, 0.8, 1.0, 1.3, 4.0] {
+            let cap = |l: LinkId| (net.capacity_gbps(l) + 40.0) * scale;
+            for (i, (kept, new)) in ev.ctxs.iter_mut().zip(&mut fresh).enumerate() {
+                kept.refresh(cap);
+                new.refresh(cap);
+                *new.lp.borrow_mut() = None; // cold every time
+                *kept.witness.borrow_mut() = None;
+                let (a, b) = (exact_lp_verdict(kept), exact_lp_verdict(new));
+                assert_eq!(a.is_feasible(), b.is_feasible(), "scenario {i} x{scale}");
+                if let Verdict::Infeasible(Some(cut)) = &a {
+                    assert!(cut.is_violated(cap), "scenario {i} x{scale}: stale cut");
+                }
+                // A witness the LP just stored must fit arc by arc.
+                let witness = kept.witness.borrow_mut().take();
+                for (arc, f) in kept.graph.arcs().iter().zip(witness.iter().flatten()) {
+                    assert!(
+                        a.is_feasible() && *f <= arc.cap + 1e-9,
+                        "scenario {i} x{scale}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An evaluator whose every context holds a converged exact LP.
+    fn evaluator_with_warm_lps(net: &Network) -> PlanEvaluator {
+        let mut ev = PlanEvaluator::new(net, EvalConfig::default());
+        for ctx in &mut ev.ctxs {
+            ctx.refresh(|l| net.capacity_gbps(l) + 40.0);
+            exact_lp_verdict(ctx);
+            assert!(ctx.lp.borrow().is_some());
+        }
+        ev
+    }
+
+    #[test]
+    fn persistent_lps_survive_demand_scale_and_link_removal() {
+        let mut net = preset_network(TopologyPreset::A);
+        let mut ev = evaluator_with_warm_lps(&net);
+        // A link some failure kills: the scenarios where it is dead never
+        // held it, so they are retagged, not rebuilt.
+        let victim = net.impact(np_topology::FailureId::new(0)).dead_links[0];
+        for perturbation in [
+            Perturbation::DemandScale { factor: 1.7 },
+            Perturbation::LinkRemove { link: victim },
+            Perturbation::DemandScale { factor: 0.4 },
+        ] {
+            let delta = net.apply_perturbation(&perturbation).unwrap();
+            ev.apply_perturbation(&net, &delta);
+            let kept = ev.ctxs.iter().filter(|c| c.lp.borrow().is_some()).count();
+            assert_eq!(
+                kept as u64,
+                std::mem::take(&mut ev.stats.perturb_ctx_reused),
+                "{perturbation:?}: exactly the reused contexts keep their LP"
+            );
+            assert!(kept > 0, "{perturbation:?} must carry some LPs over");
+            assert_exact_lps_match_fresh(&mut ev, &net);
+        }
     }
 
     #[test]

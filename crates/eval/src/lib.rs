@@ -23,7 +23,9 @@
 //!
 //! The verdict pipeline per scenario (backend [`Backend::Auto`]) is:
 //! stored cut → degree cuts → greedy witness → MWU (coarse, then fine)
-//! with exact cut verification → exact source-aggregated LP. Every
+//! with exact cut verification → exact LP (max concurrent flow in path
+//! form, solved by column generation on a model that persists per
+//! scenario; the paper's edge formulation is the test oracle). Every
 //! infeasibility answer is certified by an exactly-checked metric
 //! inequality or the LP; every feasibility answer by a primal flow or the
 //! LP — the approximation never decides anything unverified.
@@ -32,6 +34,8 @@
 //! threads) are used when many scenarios must be checked at once.
 
 pub mod checker;
+#[cfg(test)]
+mod edge_oracle;
 pub mod evaluator;
 pub mod scenario;
 pub mod stats;

@@ -32,15 +32,15 @@ pub struct ScenarioCtx {
     /// Demands that must be carried, merged per `(src, dst)` when source
     /// aggregation is on, otherwise one commodity per flow.
     pub commodities: Vec<Commodity>,
-    /// Optimal-basis snapshot of the last exact concurrent-flow LP on
-    /// this scenario. The LP's structure (variables, rows, their order)
-    /// depends only on the fixed graph and commodities — successive
-    /// checks change capacities alone — so the dual simplex re-optimizes
-    /// from here in a handful of pivots instead of a cold two-phase
-    /// solve. Interior mutability keeps `check_scenario`'s shared-borrow
+    /// The scenario's persistent exact LP: the restricted master of the
+    /// path-form concurrent-flow LP with every path generated so far and
+    /// its last optimal basis. Paths stay valid under any capacities and
+    /// demands, so successive checks patch right-hand sides and
+    /// re-optimize in a handful of pivots instead of a cold solve.
+    /// Interior mutability keeps `check_scenario`'s shared-borrow
     /// signature; each scenario is only ever checked by one worker at a
     /// time.
-    pub lp_warm: std::cell::RefCell<Option<np_lp::WarmBasis>>,
+    pub(crate) lp: std::cell::RefCell<Option<crate::checker::PathLp>>,
     /// Per-arc flow of the last *positive* feasibility witness (greedy,
     /// completed MWU, or exact-LP primal). The demands of a scenario are
     /// fixed, so a stored flow that routes them all stays a valid proof
@@ -86,7 +86,7 @@ impl ScenarioCtx {
             graph,
             arc_link,
             commodities,
-            lp_warm: std::cell::RefCell::new(None),
+            lp: std::cell::RefCell::new(None),
             witness: std::cell::RefCell::new(None),
         }
     }

@@ -27,6 +27,18 @@ pub struct EvalStats {
     pub mwu_calls: u64,
     /// Exact LP invocations.
     pub lp_calls: u64,
+    /// Path columns the exact LP generated (seed paths included).
+    pub lp_columns: u64,
+    /// Pricing rounds of the exact LP: one per restricted-master solve,
+    /// each one shortest-path tree per commodity source.
+    pub lp_pricing_rounds: u64,
+    /// Exact LP calls that found no persistent model on the scenario and
+    /// built one (the rest re-optimized a stored one).
+    pub lp_cold_builds: u64,
+    /// Exact LP answers `λ < 1` whose duals did not verify as a violated
+    /// metric inequality, solved once more from scratch with exact
+    /// pricing.
+    pub lp_cold_retries: u64,
     /// Scenario contexts carried through a perturbation unchanged (up to
     /// a link renumbering) — warm bases and witnesses survive.
     pub perturb_ctx_reused: u64,
@@ -57,7 +69,7 @@ impl EvalStats {
     /// This is the bridge into the telemetry layer: serial and parallel
     /// evaluation publish through the same merged block, so they report
     /// the same counter names with the same meanings.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 13] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 17] {
         [
             ("scenario_checks", self.scenario_checks),
             ("stateful_skips", self.stateful_skips),
@@ -68,6 +80,10 @@ impl EvalStats {
             ("greedy_hits", self.greedy_hits),
             ("mwu_calls", self.mwu_calls),
             ("lp_calls", self.lp_calls),
+            ("lp_columns", self.lp_columns),
+            ("lp_pricing_rounds", self.lp_pricing_rounds),
+            ("lp_cold_builds", self.lp_cold_builds),
+            ("lp_cold_retries", self.lp_cold_retries),
             ("perturb_ctx_reused", self.perturb_ctx_reused),
             ("perturb_ctx_rebuilt", self.perturb_ctx_rebuilt),
             ("perturb_certs_retained", self.perturb_certs_retained),
@@ -87,6 +103,10 @@ impl EvalStats {
         self.greedy_hits += other.greedy_hits;
         self.mwu_calls += other.mwu_calls;
         self.lp_calls += other.lp_calls;
+        self.lp_columns += other.lp_columns;
+        self.lp_pricing_rounds += other.lp_pricing_rounds;
+        self.lp_cold_builds += other.lp_cold_builds;
+        self.lp_cold_retries += other.lp_cold_retries;
         self.perturb_ctx_reused += other.perturb_ctx_reused;
         self.perturb_ctx_rebuilt += other.perturb_ctx_rebuilt;
         self.perturb_certs_retained += other.perturb_certs_retained;
@@ -119,5 +139,52 @@ mod tests {
         assert_eq!(a.greedy_hits, 1);
         assert_eq!(a.mwu_calls, 4);
         assert_eq!(a.elapsed, Duration::from_millis(5));
+    }
+
+    /// The `eval.*` counter names are a telemetry schema: dashboards and
+    /// the benchmark ledger key on them. New counters extend the list;
+    /// nothing is renamed or dropped.
+    #[test]
+    fn counter_names_are_pinned_and_every_counter_merges() {
+        let names: Vec<&str> = EvalStats::default()
+            .counter_fields()
+            .iter()
+            .map(|&(n, _)| n)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "scenario_checks",
+                "stateful_skips",
+                "cut_reuse_hits",
+                "witness_reuse_hits",
+                "degree_cut_hits",
+                "greedy_attempts",
+                "greedy_hits",
+                "mwu_calls",
+                "lp_calls",
+                "lp_columns",
+                "lp_pricing_rounds",
+                "lp_cold_builds",
+                "lp_cold_retries",
+                "perturb_ctx_reused",
+                "perturb_ctx_rebuilt",
+                "perturb_certs_retained",
+                "perturb_certs_dropped",
+            ]
+        );
+        // A counter left out of `merge` would vanish from parallel runs.
+        let one = EvalStats {
+            lp_columns: 1,
+            lp_pricing_rounds: 2,
+            lp_cold_builds: 3,
+            lp_cold_retries: 4,
+            ..Default::default()
+        };
+        let mut sum = one.clone();
+        sum.merge(&one);
+        for ((_, twice), (_, once)) in sum.counter_fields().iter().zip(one.counter_fields()) {
+            assert_eq!(*twice, 2 * once);
+        }
     }
 }

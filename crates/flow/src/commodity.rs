@@ -55,6 +55,21 @@ pub fn merge_parallel(commodities: &[Commodity]) -> Vec<Commodity> {
     out
 }
 
+/// Commodity indices grouped by source, groups and members in first-seen
+/// order: everything that routes or prices all of a source's commodities
+/// off one shortest-path tree (the MWU, the exact LP's pricing) walks
+/// these groups.
+pub fn group_by_source(commodities: &[Commodity]) -> Vec<(NodeId, Vec<usize>)> {
+    let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
+    for (i, c) in commodities.iter().enumerate() {
+        match groups.iter_mut().find(|(s, _)| *s == c.src) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((c.src, vec![i])),
+        }
+    }
+    groups
+}
+
 /// Total demand volume.
 pub fn total_demand(commodities: &[Commodity]) -> f64 {
     commodities.iter().map(|c| c.demand).sum()
@@ -63,6 +78,16 @@ pub fn total_demand(commodities: &[Commodity]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn groups_keep_first_seen_order() {
+        let cs = [
+            Commodity::new(2, 1, 5.0),
+            Commodity::new(0, 1, 3.0),
+            Commodity::new(2, 0, 2.0),
+        ];
+        assert_eq!(group_by_source(&cs), vec![(2, vec![0, 2]), (0, vec![1])]);
+    }
 
     #[test]
     fn merge_sums_same_pairs_and_sorts() {

@@ -1,15 +1,16 @@
 //! Single-source shortest paths under arbitrary non-negative arc lengths.
 //!
-//! This is the workhorse of the MWU concurrent-flow solver (one call per
-//! routed path) and of metric-cut evaluation (one call per source), so it
-//! is written to avoid allocation on repeat use: a [`DijkstraWorkspace`]
-//! carries the heap *and* generation-stamped `dist`/`prev` arrays, so a
-//! reused workspace performs no per-call allocation at all. The MWU
-//! routing loop additionally uses [`shortest_path_between`], which stops
-//! as soon as the destination is settled — by then its distance and
-//! predecessor chain are final (all chain nodes settle before it), so
-//! the returned path is identical to the full run's, at a fraction of
-//! the heap work.
+//! This is the workhorse of the MWU concurrent-flow solver, of the exact
+//! LP's column pricing and of metric-cut evaluation (one tree per source
+//! in all three), so it is written to avoid allocation on repeat use: a
+//! [`DijkstraWorkspace`] carries the heap *and* generation-stamped
+//! `dist`/`prev` arrays, and [`DijkstraWorkspace::build_tree`] leaves the
+//! tree readable in place, so a reused workspace performs no per-call
+//! allocation at all. Only the greedy router (`greedy::route_residual`)
+//! wants a single path per run and uses [`shortest_path_between`], which stops as soon as the destination is
+//! settled — by then its distance and predecessor chain are final (all
+//! chain nodes settle before it), so the returned path is identical to
+//! the full run's, at a fraction of the heap work.
 
 use crate::graph::{ArcId, FlowGraph, NodeId};
 use std::cmp::Reverse;

@@ -17,7 +17,7 @@
 //!   dual solution and almost always yield an exactly-verifiable violated
 //!   **metric inequality** via [`crate::metric::extract_cut`].
 
-use crate::commodity::Commodity;
+use crate::commodity::{group_by_source, Commodity};
 use crate::dijkstra::DijkstraWorkspace;
 use crate::graph::FlowGraph;
 
@@ -120,13 +120,7 @@ pub fn max_concurrent_flow(
     // (1+ε)-approximate shortest path *now* — exactly the slack the
     // (1-ε)³ guarantee budgets for. Dijkstra count drops from
     // phases × commodities to roughly phases × distinct sources.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, c) in commodities.iter().enumerate() {
-        match groups.iter_mut().find(|(s, _)| *s == c.src) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((c.src, vec![i])),
-        }
-    }
+    let groups = group_by_source(commodities);
 
     let mut ws = DijkstraWorkspace::default();
     let mut path = Vec::new();

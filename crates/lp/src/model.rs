@@ -146,6 +146,47 @@ impl Model {
         id
     }
 
+    /// Append a variable together with its column: `entries` lists its
+    /// coefficient in each existing row it appears in (column
+    /// generation). The new id is the largest, so each row's
+    /// sorted-by-variable invariant survives a plain push.
+    pub fn add_col(
+        &mut self,
+        name: impl Into<String>,
+        lb: f64,
+        ub: f64,
+        obj: f64,
+        entries: &[(ConstrId, f64)],
+    ) -> VarId {
+        let id = self.add_var(name, lb, ub, obj, false);
+        for &(row, a) in entries {
+            assert!(a.is_finite() && a != 0.0, "column entries must be non-zero");
+            self.constrs[row.0].coeffs.push((id, a));
+        }
+        id
+    }
+
+    /// Replace a constraint's right-hand side in place.
+    pub fn set_rhs(&mut self, id: ConstrId, rhs: f64) {
+        assert!(rhs.is_finite(), "constraint rhs must be finite");
+        self.constrs[id.0].rhs = rhs;
+    }
+
+    /// Set the coefficient of `var` in constraint `id` (zero removes the
+    /// entry), keeping the row sorted by variable.
+    pub fn set_coeff(&mut self, id: ConstrId, var: VarId, coeff: f64) {
+        assert!(var.0 < self.vars.len() && coeff.is_finite());
+        let row = &mut self.constrs[id.0].coeffs;
+        match (row.binary_search_by_key(&var, |&(v, _)| v), coeff != 0.0) {
+            (Ok(k), true) => row[k].1 = coeff,
+            (Ok(k), false) => {
+                row.remove(k);
+            }
+            (Err(k), true) => row.insert(k, (var, coeff)),
+            (Err(_), false) => {}
+        }
+    }
+
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.vars.len()
@@ -269,6 +310,27 @@ mod tests {
         let y = m.add_nonneg("y", 1.0);
         m.add_constr("c", vec![(x, 0.0), (y, 1.0)], Sense::Le, 5.0);
         assert_eq!(m.constrs()[0].coeffs, vec![(y, 1.0)]);
+    }
+
+    #[test]
+    fn columns_and_patches_keep_rows_sorted() {
+        let mut m = Model::new("t");
+        let x = m.add_nonneg("x", 1.0);
+        let z = m.add_nonneg("z", 1.0);
+        let r0 = m.add_constr("r0", vec![(z, 2.0)], Sense::Le, 5.0);
+        let r1 = m.add_constr("r1", vec![], Sense::Ge, 0.0);
+        let y = m.add_col("y", 0.0, 3.0, -1.0, &[(r0, 1.0), (r1, 4.0)]);
+        assert_eq!(m.constrs()[0].coeffs, vec![(z, 2.0), (y, 1.0)]);
+        assert_eq!(m.constrs()[1].coeffs, vec![(y, 4.0)]);
+        assert_eq!((m.var(y).ub, m.var(y).obj), (3.0, -1.0));
+        m.set_coeff(r0, x, 7.0); // insert before z
+        m.set_coeff(r0, y, 9.0); // overwrite
+        m.set_coeff(r0, z, 0.0); // remove
+        m.set_coeff(r1, x, 0.0); // absent and zero: no-op
+        assert_eq!(m.constrs()[0].coeffs, vec![(x, 7.0), (y, 9.0)]);
+        assert_eq!(m.constrs()[1].coeffs, vec![(y, 4.0)]);
+        m.set_rhs(r1, -2.0);
+        assert_eq!(m.constrs()[1].rhs, -2.0);
     }
 
     #[test]

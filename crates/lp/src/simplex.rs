@@ -1669,20 +1669,38 @@ mod tests {
 
     #[test]
     fn warm_start_with_mismatched_shape_falls_back_cold() {
-        let mut m = Model::new("shape");
-        let x = m.add_var("x", 0.0, 5.0, -1.0, false);
-        m.add_constr("c", vec![(x, 1.0)], Sense::Le, 4.0);
+        // The raw entry point (branch & bound's) takes a snapshot only
+        // for the exact column count it was captured on; growing the
+        // column set is `IncrementalLp`'s business, which pads its own
+        // snapshot before it gets here.
+        let model_with = |cols: usize| {
+            let mut m = Model::new("shape");
+            let x = m.add_var("x", 0.0, 5.0, -1.0, false);
+            for _ in 1..cols {
+                m.add_var("y", 0.0, 5.0, -1.0, false);
+            }
+            m.add_constr("c", vec![(x, 1.0)], Sense::Le, 4.0);
+            m
+        };
         let c = cfg_on(LpBackend::Sparse);
-        let first = solve_lp_warm(&m, &c, None);
-        let wb = first.basis.unwrap();
-        // A different model with more structural variables.
-        let mut m2 = Model::new("shape2");
-        let a = m2.add_var("a", 0.0, 5.0, -1.0, false);
-        m2.add_var("b", 0.0, 5.0, -1.0, false);
-        m2.add_constr("c", vec![(a, 1.0)], Sense::Le, 4.0);
-        let out = solve_lp_warm(&m2, &c, Some(&wb));
-        assert_eq!(out.solution.status, LpStatus::Optimal);
-        assert!(!out.solution.stats.warm, "shape mismatch must solve cold");
+        let wb = |cols| solve_lp_warm(&model_with(cols), &c, None).basis.unwrap();
+        let solves_cold = |model: &Model, wb: &WarmBasis, why: &str| {
+            let out = solve_lp_warm(model, &c, Some(wb));
+            assert_eq!(out.solution.status, LpStatus::Optimal, "{why}");
+            assert!(!out.solution.stats.warm, "{why} must solve cold");
+        };
+        solves_cold(&model_with(2), &wb(1), "fewer columns than the model");
+        solves_cold(&model_with(1), &wb(2), "more columns than the model");
+        let mut torn = wb(1);
+        torn.loc_logical.push(Loc::AtLb);
+        solves_cold(&model_with(1), &torn, "logical/basis length mismatch");
+        let mut grown = wb(1);
+        grown.basis.push(WarmCol::Logical(1));
+        grown.loc_logical.push(Loc::Basic);
+        solves_cold(&model_with(1), &grown, "more rows than the model");
+        // The matching shape does warm-start.
+        let out = solve_lp_warm(&model_with(2), &c, Some(&wb(2)));
+        assert!(out.solution.stats.warm);
     }
 
     #[test]

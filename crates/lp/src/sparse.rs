@@ -7,7 +7,7 @@
 //! dense tableau survives behind `NP_LP_BACKEND=dense` as the reference
 //! implementation the equivalence suite checks against.
 
-use crate::model::{Model, Sense, VarId};
+use crate::model::{ConstrId, Model, Sense, VarId};
 use crate::simplex::{Loc, LpSolution, SimplexConfig};
 
 /// Which simplex basis engine a solve uses.
@@ -177,11 +177,20 @@ pub struct WarmBasis {
 /// cut invalidation — at the price of one forced refactorization: the
 /// stored basis indexes rows by position, so any removal drops it and
 /// the next solve is cold.
+///
+/// Columns may be appended too ([`IncrementalLp::add_col`]) and
+/// right-hand sides and coefficients patched in place: the stored basis
+/// names its members by identity, and a column it has never seen rests at
+/// its lower bound. That allowance lives here, not in the simplex — the
+/// raw [`crate::simplex::solve_lp_warm`] (branch & bound's entry) still
+/// rejects a snapshot whose column count differs from the model's.
+#[derive(Clone, Debug)]
 pub struct IncrementalLp {
     model: Model,
     config: SimplexConfig,
     warm: Option<WarmBasis>,
     rows_floor: usize,
+    cols_floor: usize,
     /// Tag of each row (`None` = untagged, never removable), aligned
     /// with the model's constraint indexing.
     row_tags: Vec<Option<u64>>,
@@ -199,12 +208,14 @@ impl IncrementalLp {
     /// Wrap `model` for incremental re-optimization.
     pub fn new(model: Model, config: SimplexConfig) -> IncrementalLp {
         let rows_floor = model.num_constrs();
+        let cols_floor = model.num_vars();
         let row_tags = vec![None; rows_floor];
         IncrementalLp {
             model,
             config,
             warm: None,
             rows_floor,
+            cols_floor,
             row_tags,
             stats: crate::simplex::SolveStats::default(),
             cold_solves: 0,
@@ -239,6 +250,28 @@ impl IncrementalLp {
     ) {
         self.model.add_constr(name, coeffs, sense, rhs);
         self.row_tags.push(None);
+    }
+
+    /// Append a permanent column (see [`Model::add_col`]).
+    pub fn add_col(
+        &mut self,
+        name: impl Into<String>,
+        lb: f64,
+        ub: f64,
+        obj: f64,
+        entries: &[(ConstrId, f64)],
+    ) -> VarId {
+        self.model.add_col(name, lb, ub, obj, entries)
+    }
+
+    /// Replace a row's right-hand side (see [`Model::set_rhs`]).
+    pub fn set_rhs(&mut self, row: ConstrId, rhs: f64) {
+        self.model.set_rhs(row, rhs);
+    }
+
+    /// Replace one coefficient (see [`Model::set_coeff`]).
+    pub fn set_coeff(&mut self, row: ConstrId, var: VarId, coeff: f64) {
+        self.model.set_coeff(row, var, coeff);
     }
 
     /// Append a row carrying a removal tag (e.g. the dense scenario index
@@ -303,6 +336,17 @@ impl IncrementalLp {
             self.rows_floor
         );
         self.rows_floor = self.model.num_constrs();
+        let n = self.model.num_vars();
+        assert!(
+            n >= self.cols_floor,
+            "incremental LP columns must grow monotonically ({n} < {})",
+            self.cols_floor
+        );
+        self.cols_floor = n;
+        if let Some(warm) = &mut self.warm {
+            // Columns appended since the snapshot rest at their lower bound.
+            warm.loc_struct.resize(n, Loc::AtLb);
+        }
         let out = crate::simplex::solve_lp_warm(&self.model, &self.config, self.warm.as_ref());
         self.stats.refactorizations += out.solution.stats.refactorizations;
         self.stats.peak_eta_len += out.solution.stats.peak_eta_len;
@@ -321,7 +365,7 @@ impl IncrementalLp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Model, Sense};
+    use crate::model::{ConstrId, Model, Sense};
     use crate::simplex::LpStatus;
 
     #[test]
@@ -418,6 +462,53 @@ mod tests {
         let s = inc.solve();
         assert!((s.objective - 9.0).abs() < 1e-6);
         assert_eq!(inc.cold_solves, 2, "appends warm-start again");
+    }
+
+    #[test]
+    fn warm_start_after_appended_columns_matches_cold() {
+        // Column generation in miniature: max λ with 3λ routed over
+        // paths; each round appends a path column (and patches a
+        // capacity) and must re-optimize from the stored basis to exactly
+        // what a cold solve of the grown model finds.
+        let mut m = Model::new("colgen");
+        let lambda = m.add_var("lambda", 0.0, 10.0, -1.0, false);
+        let x1 = m.add_nonneg("x1", 0.0);
+        m.add_constr("dem", vec![(x1, 1.0), (lambda, -3.0)], Sense::Ge, 0.0);
+        m.add_constr("cap1", vec![(x1, 1.0)], Sense::Le, 4.0);
+        m.add_constr("cap2", vec![], Sense::Le, 2.0);
+        m.add_constr("cap3", vec![], Sense::Le, 1.0);
+        let cfg = SimplexConfig {
+            backend: LpBackend::Sparse,
+            ..SimplexConfig::default()
+        };
+        let mut inc = IncrementalLp::new(m, cfg);
+        let s0 = inc.solve();
+        assert!((s0.x[lambda.0] - 4.0 / 3.0).abs() < 1e-9);
+        let (dem, cap2, cap3) = (ConstrId(0), ConstrId(2), ConstrId(3));
+        for (round, (row, want)) in [(cap2, 2.0), (cap3, 3.0)].into_iter().enumerate() {
+            inc.add_col("x", 0.0, f64::INFINITY, 0.0, &[(dem, 1.0), (row, 1.0)]);
+            if round == 1 {
+                inc.set_rhs(cap3, 3.0); // 4 + 2 + 3 = 9 = 3λ
+            }
+            let warm = inc.solve();
+            assert!(warm.stats.warm, "round {round} must reuse the basis");
+            let cold = crate::simplex::solve_lp(inc.model(), &cfg);
+            assert_eq!(warm.status, LpStatus::Optimal);
+            assert!((warm.x[lambda.0] - want).abs() < 1e-9, "round {round}");
+            assert!((warm.objective - cold.objective).abs() < 1e-9);
+            for (a, b) in warm.x.iter().zip(&cold.x) {
+                assert!((a - b).abs() < 1e-9, "round {round}: x {a} vs {b}");
+            }
+            for (a, b) in warm.duals.iter().zip(&cold.duals) {
+                assert!((a - b).abs() < 1e-9, "round {round}: dual {a} vs {b}");
+            }
+        }
+        assert_eq!(inc.cold_solves, 1, "appended columns must warm-start");
+        // A coefficient patch keeps the basis too: halve the demand.
+        inc.set_coeff(dem, lambda, -1.5);
+        let s = inc.solve();
+        assert!(s.stats.warm);
+        assert!((s.x[lambda.0] - 6.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,0 +1,50 @@
+//! Bit-identity of a whole evaluator-bound plan (the `plan-golden` CI
+//! job runs this in release).
+//!
+//! `tests/golden/plan_preset_b_quick_w1.json` pins the RL-bound preset-B
+//! plan through the CLI. The evaluator-bound twin is preset C at 8
+//! epochs — the `plan-wan-c` benchmark input — which the CLI cannot
+//! express (it has no epoch flag and `--quick` shrinks under
+//! `debug_assertions`), so the budgets are written out here field by
+//! field and the plan means the same in both build profiles. The golden
+//! was recorded on the commit *before* the exact LP moved from the edge
+//! to the path formulation: the exact oracle may change how it gets its
+//! verdicts, never the plan they lead to.
+
+use neuroplan::{NeuroPlan, NeuroPlanConfig};
+use np_chaos::checkpoint::f64_to_hex;
+use np_topology::generator::{GeneratorConfig, TopologyPreset};
+
+#[test]
+fn preset_c_8_epochs_1_worker_matches_the_recorded_plan() {
+    let mut cfg = NeuroPlanConfig::default();
+    cfg.agent.gnn_hidden = 32;
+    cfg.agent.mlp_hidden = vec![32, 32];
+    cfg.train.epochs = 8;
+    cfg.train.steps_per_epoch = 384;
+    cfg.train.max_traj_len = 128;
+    cfg.mip_node_limit = 20_000;
+    cfg.mip_time_limit_secs = 90.0;
+    cfg.final_rollouts = 4;
+    let cfg = cfg.with_seed(0).with_workers(1);
+    let net = GeneratorConfig::preset(TopologyPreset::C).generate();
+    let result = NeuroPlan::new(cfg).plan(&net);
+    let actual = serde_json::json!({
+        "units": result.final_units,
+        "cost": result.final_cost,
+        "cost_hex": f64_to_hex(result.final_cost),
+        "first_stage_cost": result.first_stage_cost,
+        "first_stage_cost_hex": f64_to_hex(result.first_stage_cost),
+        "quality": result.quality.name(),
+    });
+    let actual = serde_json::to_string_pretty(&actual).expect("json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/plan_preset_c_8ep_w1.json"
+    );
+    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    assert!(
+        golden.trim_end() == actual,
+        "preset-C plan differs from {path}; this run produced:\n{actual}"
+    );
+}
