@@ -3,12 +3,12 @@
 //! simplex, GCN forward/backward and full evaluator checks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use np_eval::{EvalConfig, PlanEvaluator};
+use np_eval::{CheckConfig, EvalConfig, PlanEvaluator, ScenarioCtx};
 use np_flow::mwu::{max_concurrent_flow, MwuConfig};
 use np_flow::{dijkstra, Commodity, FlowGraph};
 use np_lp::{solve_lp, Model, Sense, SimplexConfig};
 use np_neural::{Csr, Gcn, Matrix};
-use np_topology::{generator::preset_network, transform, TopologyPreset};
+use np_topology::{generator::preset_network, transform, FailureId, TopologyPreset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,6 +45,52 @@ fn bench_mwu(c: &mut Criterion) {
     c.bench_function("mwu_concurrent_flow_B", |b| {
         b.iter(|| max_concurrent_flow(&g, &commodities, &MwuConfig::default()))
     });
+}
+
+/// Preset C under its first failure, every link at its generated
+/// capacity plus 200 Gbps: feasible, but only just past the coarse pass.
+fn failure_scenario_c() -> ScenarioCtx {
+    let net = preset_network(TopologyPreset::C);
+    let mut ctx = ScenarioCtx::build(&net, Some(FailureId::new(0)), true);
+    ctx.refresh(|l| net.capacity_gbps(l) + 200.0);
+    ctx
+}
+
+fn bench_tree_c(c: &mut Criterion) {
+    let ctx = failure_scenario_c();
+    let g = ctx.graph.packed();
+    let lengths: Vec<f64> = (0..g.arcs().len()).map(|p| 1.0 + (p % 7) as f64).collect();
+    // The source with the most destinations, as the MWU would grow it.
+    let (src, members) = np_flow::commodity::group_by_source(&ctx.commodities)
+        .into_iter()
+        .max_by_key(|(_, members)| members.len())
+        .expect("demands");
+    let dsts: Vec<usize> = members.iter().map(|&j| ctx.commodities[j].dst).collect();
+    let mut tree = dijkstra::Tree::default();
+    c.bench_function("tree_full_C", |b| {
+        b.iter(|| tree.grow(g, src, [], |p| lengths[p]))
+    });
+    c.bench_function("tree_until_group_settles_C", |b| {
+        b.iter(|| tree.grow(g, src, dsts.iter().copied(), |p| lengths[p]))
+    });
+    c.bench_function("tree_until_last_member_settles_C", |b| {
+        b.iter(|| tree.grow(g, src, dsts.last().copied(), |p| lengths[p]))
+    });
+}
+
+fn bench_mwu_c(c: &mut Criterion) {
+    let ctx = failure_scenario_c();
+    let check = CheckConfig::default();
+    for (name, epsilon) in [("coarse", check.coarse_eps), ("fine", check.fine_eps)] {
+        let cfg = MwuConfig {
+            epsilon,
+            target_lambda: Some(1.0),
+            ..MwuConfig::default()
+        };
+        c.bench_function(&format!("mwu_{name}_C"), |b| {
+            b.iter(|| max_concurrent_flow(&ctx.graph, &ctx.commodities, &cfg))
+        });
+    }
 }
 
 fn bench_simplex(c: &mut Criterion) {
@@ -131,6 +177,8 @@ criterion_group!(
     bench_transform,
     bench_dijkstra,
     bench_mwu,
+    bench_tree_c,
+    bench_mwu_c,
     bench_simplex,
     bench_gcn,
     bench_evaluator,

@@ -8,10 +8,10 @@
 use crate::scenario::ScenarioCtx;
 use crate::stats::EvalStats;
 use np_flow::commodity::group_by_source;
-use np_flow::dijkstra::DijkstraWorkspace;
+use np_flow::dijkstra::Tree;
 use np_flow::metric::{extract_cut, MetricCut};
 use np_flow::mwu::{max_concurrent_flow, MwuConfig};
-use np_flow::{greedy, ArcId, Commodity, FlowGraph};
+use np_flow::{greedy, ArcId, Commodity};
 use np_lp::{ConstrId, IncrementalLp, LpStatus, Model, Sense, SimplexConfig, VarId};
 
 /// Which machinery decides a scenario.
@@ -85,7 +85,7 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
     if ctx.commodities.is_empty() {
         return Verdict::Feasible;
     }
-    if !structurally_connected(&ctx.graph, &ctx.commodities) {
+    if !ctx.connected {
         return Verdict::StructurallyInfeasible;
     }
     match cfg.backend {
@@ -136,32 +136,6 @@ fn witness_still_fits(ctx: &ScenarioCtx, stats: &mut EvalStats) -> bool {
         stats.witness_reuse_hits += 1;
     }
     fits
-}
-
-/// BFS over all alive arcs ignoring capacity: structural reachability.
-fn structurally_connected(graph: &FlowGraph, commodities: &[Commodity]) -> bool {
-    let n = graph.num_nodes();
-    let mut sources: Vec<usize> = commodities.iter().map(|c| c.src).collect();
-    sources.sort_unstable();
-    sources.dedup();
-    for src in sources {
-        let mut seen = vec![false; n];
-        seen[src] = true;
-        let mut stack = vec![src];
-        while let Some(u) = stack.pop() {
-            for &a in graph.out_arcs(u) {
-                let v = graph.arc(a).to;
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        if commodities.iter().any(|c| c.src == src && !seen[c.dst]) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Cheap necessary condition: the demand leaving (entering) a node cannot
@@ -231,6 +205,9 @@ fn mwu_verdict(
         if let Some(t0) = t0 {
             stats.mwu_us += t0.elapsed().as_micros() as u64;
         }
+        stats.mwu_phases += cf.phases;
+        stats.mwu_trees += cf.trees;
+        stats.mwu_routings += cf.routings;
         if cf.is_feasible() {
             // λ ≥ 1: the scaled flow over-routes every demand and is
             // capacity-feasible — keep it as the reusable witness.
@@ -332,6 +309,8 @@ pub(crate) struct PathLp {
     /// Commodity indices sharing a source, in first-seen order: pricing
     /// grows one shortest-path tree per group (source aggregation).
     groups: Vec<(usize, Vec<usize>)>,
+    /// The pricing rounds' shortest-path scratch.
+    tree: Tree,
     /// The generated paths as `(commodity, arcs)`, aligned with variables
     /// `1..`. A path that is already a column never enters again, so
     /// every pricing round either grows the pool or ends the loop.
@@ -356,6 +335,7 @@ impl PathLp {
         PathLp {
             lp: IncrementalLp::new(model, SimplexConfig::default()),
             groups: group_by_source(&ctx.commodities),
+            tree: Tree::default(),
             pool: Vec::new(),
         }
     }
@@ -366,23 +346,29 @@ impl PathLp {
     /// entered.
     fn price(&mut self, ctx: &ScenarioCtx, lengths: &[f64], w: &[f64], tol: f64) -> u64 {
         let k = ctx.commodities.len();
-        let mut ws = DijkstraWorkspace::default();
-        let mut path = Vec::new();
+        let g = ctx.graph.packed();
+        let mut positions = Vec::new();
         let mut added = 0;
         for (src, members) in &self.groups {
-            ws.build_tree(&ctx.graph, *src, |a| lengths[a], |_| true);
+            self.tree.grow(g, *src, [], |p| lengths[g.arc(p)]);
             for &j in members {
                 let dst = ctx.commodities[j].dst;
-                if !(ws.tree_dist(dst) < w[j] - tol && ws.tree_path(&ctx.graph, dst, &mut path)) {
+                if !(self.tree.dist(dst) < w[j] - tol && self.tree.path_to(g, dst, &mut positions))
+                {
                     continue;
                 }
-                if self.pool.iter().any(|(c, p)| *c == j && *p == path) {
+                let path = || positions.iter().map(|&p| g.arc(p as usize));
+                if self
+                    .pool
+                    .iter()
+                    .any(|(c, p)| *c == j && p.iter().copied().eq(path()))
+                {
                     continue; // inside the simplex's tolerance of its dual
                 }
                 let mut entries = vec![(ConstrId(j), 1.0)];
-                entries.extend(path.iter().map(|&a| (ConstrId(k + a), 1.0)));
+                entries.extend(path().map(|a| (ConstrId(k + a), 1.0)));
                 self.lp.add_col("", 0.0, f64::INFINITY, 0.0, &entries);
-                self.pool.push((j, path.clone()));
+                self.pool.push((j, path().collect()));
                 added += 1;
             }
         }
@@ -475,6 +461,7 @@ pub fn exact_lp_verdict(ctx: &ScenarioCtx) -> Verdict {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioCtx;
+    use np_flow::FlowGraph;
     use np_topology::{
         generator::{preset_network, GeneratorConfig},
         LinkId, Network, TopologyPreset,
@@ -571,13 +558,11 @@ mod tests {
 
     #[test]
     fn structural_disconnection_detected() {
-        // Build a scenario ctx then manually strip all arcs by building a
-        // network flow graph with no links alive: simulate via an empty
-        // graph context.
+        // Preset A's commodities over a graph with no arcs at all.
         let net = preset_network(TopologyPreset::A);
-        let mut ctx = ScenarioCtx::build(&net, None, true);
-        ctx.graph = FlowGraph::new(net.sites().len());
-        ctx.arc_link.clear();
+        let built = ScenarioCtx::build(&net, None, true);
+        let empty = FlowGraph::new(net.sites().len());
+        let ctx = ScenarioCtx::from_parts(None, empty, Vec::new(), built.commodities);
         let v = check_scenario(&ctx, &CheckConfig::default(), &mut stats());
         assert!(matches!(v, Verdict::StructurallyInfeasible));
     }
@@ -585,18 +570,14 @@ mod tests {
     #[test]
     fn exact_lp_lambda_threshold_is_sharp() {
         // Single link, one commodity: feasible iff cap >= demand.
-        use np_flow::Commodity;
-        let net = preset_network(TopologyPreset::A);
-        let mut ctx = ScenarioCtx::build(&net, None, true);
-        // Overwrite with a 2-node toy inside the same type.
-        ctx.graph = FlowGraph::new(2);
-        ctx.arc_link.clear();
-        ctx.graph.add_link_arcs(0, 1, 100.0, LinkId::new(0));
-        ctx.arc_link.extend([LinkId::new(0), LinkId::new(0)]);
-        ctx.commodities = vec![Commodity::new(0, 1, 99.0)];
-        assert!(exact_lp_verdict(&ctx).is_feasible());
-        ctx.commodities = vec![Commodity::new(0, 1, 101.0)];
-        let v = exact_lp_verdict(&ctx);
+        let toy = |demand: f64| {
+            let mut graph = FlowGraph::new(2);
+            graph.add_link_arcs(0, 1, 100.0, LinkId::new(0));
+            let demands = vec![Commodity::new(0, 1, demand)];
+            ScenarioCtx::from_parts(None, graph, vec![LinkId::new(0); 2], demands)
+        };
+        assert!(exact_lp_verdict(&toy(99.0)).is_feasible());
+        let v = exact_lp_verdict(&toy(101.0));
         assert!(!v.is_feasible());
         let Verdict::Infeasible(Some(cut)) = v else {
             panic!("exact LP must certify infeasibility with a cut");
@@ -699,17 +680,15 @@ mod tests {
         chords: &[(usize, usize, f64)],
         demands: &[(usize, usize, f64)],
     ) -> ScenarioCtx {
-        let net = preset_network(TopologyPreset::A);
-        let mut ctx = ScenarioCtx::build(&net, None, true);
-        ctx.graph = FlowGraph::new(n);
-        ctx.arc_link.clear();
+        let mut graph = FlowGraph::new(n);
+        let mut arc_link = Vec::new();
         let ring = (0..n).map(|v| (v, (v + 1) % n, 6.0));
         let chords = chords.iter().map(|&(u, v, c)| (u % n, v % n, c));
         for (id, (u, v, cap)) in ring.chain(chords).filter(|(u, v, _)| u != v).enumerate() {
             // Capacities below 1 are dark links.
             let cap = if cap < 1.0 { 0.0 } else { cap };
-            ctx.graph.add_link_arcs(u, v, cap, LinkId::new(id));
-            ctx.arc_link.extend([LinkId::new(id); 2]);
+            graph.add_link_arcs(u, v, cap, LinkId::new(id));
+            arc_link.extend([LinkId::new(id); 2]);
         }
         let raw: Vec<Commodity> = demands
             .iter()
@@ -717,8 +696,8 @@ mod tests {
             .filter(|(s, t, _)| s != t)
             .map(|(s, t, d)| Commodity::new(s, t, d))
             .collect();
-        ctx.commodities = np_flow::commodity::merge_parallel(&raw);
-        ctx
+        let commodities = np_flow::commodity::merge_parallel(&raw);
+        ScenarioCtx::from_parts(None, graph, arc_link, commodities)
     }
 
     proptest::proptest! {

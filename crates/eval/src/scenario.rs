@@ -3,6 +3,8 @@
 //! every evaluation (the paper's "only update the constraints that are
 //! influenced … avoiding building up the model from scratch").
 
+use np_flow::commodity::group_by_source;
+use np_flow::dijkstra::Tree;
 use np_flow::{Commodity, FlowGraph};
 use np_topology::{FailureId, LinkId, Network};
 
@@ -32,6 +34,11 @@ pub struct ScenarioCtx {
     /// Demands that must be carried, merged per `(src, dst)` when source
     /// aggregation is on, otherwise one commodity per flow.
     pub commodities: Vec<Commodity>,
+    /// Whether every commodity's destination can be reached from its
+    /// source over the arcs, whatever their capacities: a fact about the
+    /// arc set and the commodity endpoints, which never change after
+    /// [`ScenarioCtx::from_parts`].
+    pub(crate) connected: bool,
     /// The scenario's persistent exact LP: the restricted master of the
     /// path-form concurrent-flow LP with every path generated so far and
     /// its last optimal basis. Paths stay valid under any capacities and
@@ -81,11 +88,31 @@ impl ScenarioCtx {
         } else {
             raw
         };
+        Self::from_parts(scenario, graph, arc_link, commodities)
+    }
+
+    /// The context of a ready-made graph and commodity list (`arc_link`
+    /// aligned with the graph's arcs), with what follows from their
+    /// structure alone worked out here, once.
+    pub(crate) fn from_parts(
+        scenario: Scenario,
+        graph: FlowGraph,
+        arc_link: Vec<LinkId>,
+        commodities: Vec<Commodity>,
+    ) -> Self {
+        let mut tree = Tree::default();
+        let connected = group_by_source(&commodities).iter().all(|(src, members)| {
+            tree.grow(graph.packed(), *src, [], |_| 0.0);
+            members
+                .iter()
+                .all(|&j| tree.dist(commodities[j].dst) == 0.0)
+        });
         ScenarioCtx {
             scenario,
             graph,
             arc_link,
             commodities,
+            connected,
             lp: std::cell::RefCell::new(None),
             witness: std::cell::RefCell::new(None),
         }

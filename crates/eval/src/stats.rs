@@ -25,6 +25,12 @@ pub struct EvalStats {
     pub greedy_hits: u64,
     /// MWU solver invocations.
     pub mwu_calls: u64,
+    /// Phases the MWU calls completed.
+    pub mwu_phases: u64,
+    /// Shortest-path trees the MWU calls grew.
+    pub mwu_trees: u64,
+    /// Paths the MWU calls routed.
+    pub mwu_routings: u64,
     /// Exact LP invocations.
     pub lp_calls: u64,
     /// Path columns the exact LP generated (seed paths included).
@@ -69,7 +75,7 @@ impl EvalStats {
     /// This is the bridge into the telemetry layer: serial and parallel
     /// evaluation publish through the same merged block, so they report
     /// the same counter names with the same meanings.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 17] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 20] {
         [
             ("scenario_checks", self.scenario_checks),
             ("stateful_skips", self.stateful_skips),
@@ -79,6 +85,9 @@ impl EvalStats {
             ("greedy_attempts", self.greedy_attempts),
             ("greedy_hits", self.greedy_hits),
             ("mwu_calls", self.mwu_calls),
+            ("mwu_phases", self.mwu_phases),
+            ("mwu_trees", self.mwu_trees),
+            ("mwu_routings", self.mwu_routings),
             ("lp_calls", self.lp_calls),
             ("lp_columns", self.lp_columns),
             ("lp_pricing_rounds", self.lp_pricing_rounds),
@@ -102,6 +111,9 @@ impl EvalStats {
         self.greedy_attempts += other.greedy_attempts;
         self.greedy_hits += other.greedy_hits;
         self.mwu_calls += other.mwu_calls;
+        self.mwu_phases += other.mwu_phases;
+        self.mwu_trees += other.mwu_trees;
+        self.mwu_routings += other.mwu_routings;
         self.lp_calls += other.lp_calls;
         self.lp_columns += other.lp_columns;
         self.lp_pricing_rounds += other.lp_pricing_rounds;
@@ -162,6 +174,9 @@ mod tests {
                 "greedy_attempts",
                 "greedy_hits",
                 "mwu_calls",
+                "mwu_phases",
+                "mwu_trees",
+                "mwu_routings",
                 "lp_calls",
                 "lp_columns",
                 "lp_pricing_rounds",
@@ -175,6 +190,9 @@ mod tests {
         );
         // A counter left out of `merge` would vanish from parallel runs.
         let one = EvalStats {
+            mwu_phases: 5,
+            mwu_trees: 6,
+            mwu_routings: 7,
             lp_columns: 1,
             lp_pricing_rounds: 2,
             lp_cold_builds: 3,

@@ -1,20 +1,16 @@
 //! Single-source shortest paths under arbitrary non-negative arc lengths.
 //!
-//! This is the workhorse of the MWU concurrent-flow solver, of the exact
-//! LP's column pricing and of metric-cut evaluation (one tree per source
-//! in all three), so it is written to avoid allocation on repeat use: a
-//! [`DijkstraWorkspace`] carries the heap *and* generation-stamped
-//! `dist`/`prev` arrays, and [`DijkstraWorkspace::build_tree`] leaves the
-//! tree readable in place, so a reused workspace performs no per-call
-//! allocation at all. Only the greedy router (`greedy::route_residual`)
-//! wants a single path per run and uses [`shortest_path_between`], which stops as soon as the destination is
-//! settled — by then its distance and predecessor chain are final (all
-//! chain nodes settle before it), so the returned path is identical to
-//! the full run's, at a fraction of the heap work.
+//! One kernel, [`Tree::grow`], serves every caller: the MWU
+//! concurrent-flow solver, the exact LP's column pricing and metric-cut
+//! evaluation (one tree per source in all three), the greedy router and
+//! Yen's k shortest paths (one destination per run). It walks a
+//! [`Packed`] arc set, reads lengths by position through a closure, and
+//! reuses its arrays from run to run, so a warm [`Tree`] never
+//! allocates. Its contract — pop order, which predecessor wins a tie,
+//! when a run may stop early — is what keeps every plan bit for bit
+//! reproducible and is written down in DESIGN.md §18.
 
-use crate::graph::{ArcId, FlowGraph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::graph::{ArcId, FlowGraph, NodeId, Packed};
 
 /// Result of a shortest-path computation: distances from the source and
 /// the predecessor arc of each reached node.
@@ -45,197 +41,179 @@ impl ShortestPaths {
     }
 }
 
-/// Reusable scratch space for repeated Dijkstra runs: the heap plus
-/// generation-stamped distance/predecessor arrays (bumping `gen`
-/// invalidates every entry in O(1), so reuse never clears memory).
-#[derive(Clone, Debug, Default)]
-pub struct DijkstraWorkspace {
-    heap: BinaryHeap<(Reverse<NotNan>, NodeId)>,
-    dist: Vec<f64>,
-    prev: Vec<Option<ArcId>>,
-    stamp: Vec<u32>,
-    gen: u32,
+/// "No entering arc": the source and every unreached node.
+const NONE: u32 = u32::MAX;
+
+/// A queue entry: a labelled, unsettled node under its tentative distance.
+type Entry = (f64, u32);
+
+/// Queue order: ascending distance, the larger node id first among equals.
+#[inline]
+fn before(a: Entry, b: Entry) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 > b.1)
 }
 
-impl DijkstraWorkspace {
-    /// Start a fresh run over `n` nodes: bump the generation (lazily
-    /// clearing the arrays) and empty the heap.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.dist.resize(n, f64::INFINITY);
-            self.prev.resize(n, None);
-            self.stamp.resize(n, 0);
-        }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Wrapped: stale stamps could collide with the new generation.
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
-        self.heap.clear();
-    }
+/// The shortest-path kernel and its last tree.
+///
+/// The queue is a binary heap with decrease-key (`slot[v]` is where `v`
+/// sits in `heap`): one entry per labelled node, so no stale pops and no
+/// growth past `n`. DESIGN.md §18 has the alternatives it was measured
+/// against.
+#[derive(Clone, Debug, Default)]
+pub struct Tree {
+    dist: Vec<f64>,
+    prev: Vec<u32>,
+    heap: Vec<Entry>,
+    slot: Vec<u32>,
+    wanted: Vec<bool>,
+}
 
-    #[inline]
-    fn dist_of(&self, v: NodeId) -> f64 {
-        if self.stamp[v] == self.gen {
-            self.dist[v]
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, v: NodeId, d: f64, p: Option<ArcId>) {
-        self.stamp[v] = self.gen;
-        self.dist[v] = d;
-        self.prev[v] = p;
-    }
-
-    /// Dijkstra core. With `until = Some(dst)` the loop returns as soon
-    /// as `dst` is settled; the settled prefix (everything popped so
-    /// far) is identical to the full run's, which makes the early exit
-    /// result-transparent for anything derived from `dst`'s chain.
-    fn run(
+impl Tree {
+    /// Grow the tree from `src` over `g`, where the arc at position `p`
+    /// has length `len(p)`; a negative, infinite or NaN length means the
+    /// arc is absent.
+    ///
+    /// Nodes settle by ascending distance, the **larger node id first**
+    /// among equal distances, and a node's predecessor is the first arc
+    /// (in position order of the settling nodes) that strictly improved
+    /// it. The run stops once every node of `wanted` has settled — the
+    /// settled part of the tree is the full run's, so [`Self::dist`] and
+    /// [`Self::path_to`] are then exact for the wanted nodes and for
+    /// them only. An empty `wanted` grows the full tree.
+    pub fn grow(
         &mut self,
-        graph: &FlowGraph,
+        g: &Packed,
         src: NodeId,
-        until: Option<NodeId>,
-        mut length: impl FnMut(ArcId) -> f64,
-        mut usable: impl FnMut(ArcId) -> bool,
+        wanted: impl IntoIterator<Item = NodeId>,
+        len: impl Fn(usize) -> f64,
     ) {
-        self.begin(graph.num_nodes());
-        self.set(src, 0.0, None);
-        self.heap.push((Reverse(NotNan(0.0)), src));
-        while let Some((Reverse(NotNan(d)), u)) = self.heap.pop() {
-            if d > self.dist_of(u) {
-                continue;
+        let n = g.num_nodes();
+        let Tree {
+            dist,
+            prev,
+            heap,
+            slot,
+            wanted: mark,
+        } = self;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        // `prev` and `slot` are written before they are read; `mark` is
+        // all false between runs.
+        prev.resize(n, NONE);
+        slot.resize(n, 0);
+        mark.resize(n, false);
+        let mut need = 0usize;
+        for v in wanted {
+            need += usize::from(!std::mem::replace(&mut mark[v], true));
+        }
+        heap.clear();
+        heap.reserve(n);
+        dist[src] = 0.0;
+        prev[src] = NONE;
+        heap.push((0.0, src as u32));
+        while let Some(&(d, u)) = heap.first() {
+            let last = heap.pop().expect("non-empty");
+            if !heap.is_empty() {
+                sift_down(heap, slot, last);
             }
-            if until == Some(u) {
-                return;
+            let u = u as usize;
+            if std::mem::replace(&mut mark[u], false) {
+                need -= 1;
+                if need == 0 {
+                    return;
+                }
             }
-            for &aid in graph.out_arcs(u) {
-                if !usable(aid) {
-                    continue;
-                }
-                let len = length(aid);
-                if len < 0.0 || !len.is_finite() {
-                    continue;
-                }
-                let v = graph.arc(aid).to;
-                let nd = d + len;
-                if nd < self.dist_of(v) {
-                    self.set(v, nd, Some(aid));
-                    self.heap.push((Reverse(NotNan(nd)), v));
+            for p in g.head[u] as usize..g.head[u + 1] as usize {
+                let l = len(p);
+                let v = g.to[p] as usize;
+                let nd = d + l;
+                if l >= 0.0 && nd < dist[v] {
+                    let at = if dist[v] == f64::INFINITY {
+                        heap.push((nd, v as u32));
+                        heap.len() - 1
+                    } else {
+                        slot[v] as usize
+                    };
+                    dist[v] = nd;
+                    prev[v] = p as u32;
+                    sift_up(heap, slot, at, (nd, v as u32));
                 }
             }
         }
-    }
-
-    /// Run a full single-source shortest-path tree from `src`, leaving
-    /// the result queryable in place via [`Self::tree_dist`] /
-    /// [`Self::tree_path`]. Unlike [`shortest_paths_with`] nothing is
-    /// materialized, so a reused workspace performs no allocation; the
-    /// tree stays valid until the next run on this workspace.
-    pub fn build_tree(
-        &mut self,
-        graph: &FlowGraph,
-        src: NodeId,
-        length: impl FnMut(ArcId) -> f64,
-        usable: impl FnMut(ArcId) -> bool,
-    ) {
-        self.run(graph, src, None, length, usable);
+        if need > 0 {
+            mark.fill(false); // some wanted node is unreachable
+        }
     }
 
     /// Distance of `v` in the last tree (`f64::INFINITY` if unreached).
     #[inline]
-    pub fn tree_dist(&self, v: NodeId) -> f64 {
-        self.dist_of(v)
+    pub fn dist(&self, v: NodeId) -> f64 {
+        self.dist[v]
     }
 
-    /// Extract the last tree's arc path to `dst` into `path` (cleared
-    /// first); returns `false` when `dst` was not reached.
-    pub fn tree_path(&self, graph: &FlowGraph, dst: NodeId, path: &mut Vec<ArcId>) -> bool {
+    /// Write the last tree's path to `dst` into `path` (cleared first) as
+    /// positions of `g`, source end first; `false` if `dst` was not
+    /// reached.
+    pub fn path_to(&self, g: &Packed, dst: NodeId, path: &mut Vec<u32>) -> bool {
         path.clear();
-        if self.dist_of(dst).is_infinite() {
+        if self.dist[dst].is_infinite() {
             return false;
         }
-        // Every node on the chain was written this generation: dst is
-        // fresh (finite distance), and each predecessor settled before
-        // relaxing the arc that set its successor's `prev`.
         let mut at = dst;
-        while let Some(arc) = self.prev[at] {
-            path.push(arc);
-            at = graph.arc(arc).from;
+        while self.prev[at] != NONE {
+            path.push(self.prev[at]);
+            at = g.from[self.prev[at] as usize] as usize;
         }
         path.reverse();
         true
     }
 }
 
-/// Dijkstra from `src` where arc `a` has length `lengths(a)`; arcs with
-/// non-finite or negative length are treated as absent (used to skip
-/// zero-capacity arcs).
-///
-/// `usable` additionally filters arcs (e.g. to skip saturated ones).
-pub fn shortest_paths_with(
-    graph: &FlowGraph,
-    src: NodeId,
-    length: impl FnMut(ArcId) -> f64,
-    usable: impl FnMut(ArcId) -> bool,
-    ws: &mut DijkstraWorkspace,
-) -> ShortestPaths {
-    let n = graph.num_nodes();
-    ws.run(graph, src, None, length, usable);
-    ShortestPaths {
-        dist: (0..n).map(|v| ws.dist_of(v)).collect(),
-        prev: (0..n)
-            .map(|v| {
-                if ws.stamp[v] == ws.gen {
-                    ws.prev[v]
-                } else {
-                    None
-                }
-            })
-            .collect(),
+/// Place `e` at `at` or above, wherever the heap order wants it.
+#[inline]
+fn sift_up(heap: &mut [Entry], slot: &mut [u32], mut at: usize, e: Entry) {
+    while at > 0 && before(e, heap[(at - 1) / 2]) {
+        heap[at] = heap[(at - 1) / 2];
+        slot[heap[at].1 as usize] = at as u32;
+        at = (at - 1) / 2;
     }
+    heap[at] = e;
+    slot[e.1 as usize] = at as u32;
 }
 
-/// Shortest `src → dst` arc path, stopping as soon as `dst` is settled.
-///
-/// Appends the path to `path` (cleared first) and returns `true`, or
-/// returns `false` when `dst` is unreachable. The path is bit-identical
-/// to `shortest_paths_with(..).path_to(graph, dst)`: every node on the
-/// predecessor chain settles before `dst` does, and a settled node's
-/// distance and predecessor can never change afterwards.
-pub fn shortest_path_between(
-    graph: &FlowGraph,
-    src: NodeId,
-    dst: NodeId,
-    length: impl FnMut(ArcId) -> f64,
-    usable: impl FnMut(ArcId) -> bool,
-    ws: &mut DijkstraWorkspace,
-    path: &mut Vec<ArcId>,
-) -> bool {
-    ws.run(graph, src, Some(dst), length, usable);
-    ws.tree_path(graph, dst, path)
+/// Place `e` at the root or below, wherever the heap order wants it.
+#[inline]
+fn sift_down(heap: &mut [Entry], slot: &mut [u32], e: Entry) {
+    let mut at = 0;
+    loop {
+        let mut child = 2 * at + 1;
+        if child + 1 < heap.len() && before(heap[child + 1], heap[child]) {
+            child += 1;
+        }
+        if child >= heap.len() || !before(heap[child], e) {
+            break;
+        }
+        heap[at] = heap[child];
+        slot[heap[at].1 as usize] = at as u32;
+        at = child;
+    }
+    heap[at] = e;
+    slot[e.1 as usize] = at as u32;
 }
 
-/// Dijkstra with a per-arc length slice and no extra filtering.
+/// The full shortest-path tree from `src` where arc `a` has length
+/// `lengths[a]`; arcs with non-finite or negative length are treated as
+/// absent.
 pub fn shortest_paths(graph: &FlowGraph, src: NodeId, lengths: &[f64]) -> ShortestPaths {
-    let mut ws = DijkstraWorkspace::default();
-    shortest_paths_with(graph, src, |a| lengths[a], |_| true, &mut ws)
-}
-
-/// f64 wrapper that asserts no NaN, giving a total order for the heap.
-#[derive(Clone, Copy, Debug, PartialEq, PartialOrd)]
-struct NotNan(f64);
-
-impl Eq for NotNan {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for NotNan {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other).expect("lengths are never NaN")
+    let g = graph.packed();
+    let mut tree = Tree::default();
+    tree.grow(g, src, [], |p| lengths[g.arc(p)]);
+    let prev = tree.prev.iter(); // a new tree's `prev` starts all `NONE`
+    ShortestPaths {
+        prev: prev
+            .map(|&p| (p != NONE).then(|| g.arc(p as usize)))
+            .collect(),
+        dist: tree.dist,
     }
 }
 
@@ -250,6 +228,31 @@ mod tests {
         g.add_arc(1, 2, 1.0, None); // arc 1
         g.add_arc(0, 2, 1.0, None); // arc 2
         g
+    }
+
+    /// 0 → {1, 2} → 3 → {4, 5}, 4 → 5, 1 → 5, and an isolated node 6.
+    fn lattice() -> FlowGraph {
+        let mut g = FlowGraph::new(7);
+        for (u, v) in [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (3, 5),
+            (4, 5),
+            (1, 5),
+        ] {
+            g.add_arc(u, v, 1.0, None);
+        }
+        g
+    }
+
+    /// The arcs of the last tree's path to `dst`, if it was reached.
+    fn arcs_to(tree: &Tree, g: &Packed, dst: NodeId) -> Option<Vec<ArcId>> {
+        let mut positions = Vec::new();
+        tree.path_to(g, dst, &mut positions)
+            .then(|| positions.iter().map(|&p| g.arc(p as usize)).collect())
     }
 
     #[test]
@@ -274,16 +277,19 @@ mod tests {
         g.add_arc(0, 1, 1.0, None);
         let sp = shortest_paths(&g, 0, &[1.0]);
         assert!(sp.dist[2].is_infinite());
+        assert_eq!(sp.prev[2], None);
         assert_eq!(sp.path_to(&g, 2), None);
     }
 
     #[test]
-    fn usable_filter_excludes_arcs() {
+    fn infinite_negative_and_nan_lengths_mean_no_arc() {
         let g = triangle();
-        let mut ws = DijkstraWorkspace::default();
-        // Forbid arc 0: path must go direct.
-        let sp = shortest_paths_with(&g, 0, |_| 1.0, |a| a != 0, &mut ws);
-        assert_eq!(sp.path_to(&g, 2), Some(vec![2]));
+        for absent in [f64::INFINITY, -1.0, f64::NAN] {
+            // Without arc 0 the path must go direct.
+            let sp = shortest_paths(&g, 0, &[absent, 1.0, 5.0]);
+            assert_eq!(sp.path_to(&g, 2), Some(vec![2]));
+            assert!(sp.dist[1].is_infinite());
+        }
     }
 
     #[test]
@@ -302,78 +308,67 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_gives_identical_results() {
-        let g = triangle();
-        let mut ws = DijkstraWorkspace::default();
-        let a = shortest_paths_with(&g, 0, |_| 1.0, |_| true, &mut ws);
-        let b = shortest_paths_with(&g, 0, |_| 1.0, |_| true, &mut ws);
-        assert_eq!(a.dist, b.dist);
+    fn equal_distances_settle_the_larger_node_first() {
+        // Nodes 1 and 2 tie at distance 1. Node 2 settles first and
+        // labels 3 through arc 3; node 1 then offers the same distance,
+        // which is no strict improvement, so arc 3 stays the predecessor.
+        let g = lattice();
+        let sp = shortest_paths(&g, 0, &[1.0; 8]);
+        assert_eq!(sp.prev[3], Some(3));
+        assert_eq!(sp.path_to(&g, 3), Some(vec![1, 3]));
+        // 5 is labelled at distance 2 by node 1 through arc 7; node 3's
+        // later offer of 3 is worse.
+        assert_eq!(sp.path_to(&g, 5), Some(vec![0, 7]));
     }
 
     #[test]
-    fn early_exit_path_matches_full_run() {
-        // A grid-ish graph with ties, run under several length functions
-        // and shared workspace reuse across calls.
-        let mut g = FlowGraph::new(6);
+    fn of_two_parallel_arcs_the_first_strict_improvement_wins() {
+        let mut g = FlowGraph::new(2);
         g.add_arc(0, 1, 1.0, None);
-        g.add_arc(0, 2, 1.0, None);
-        g.add_arc(1, 3, 1.0, None);
-        g.add_arc(2, 3, 1.0, None);
-        g.add_arc(3, 4, 1.0, None);
-        g.add_arc(3, 5, 1.0, None);
-        g.add_arc(4, 5, 1.0, None);
-        g.add_arc(1, 5, 1.0, None);
-        let length_sets: Vec<Vec<f64>> = vec![
-            vec![1.0; 8],
-            vec![1.0, 2.0, 3.0, 1.0, 2.0, 9.0, 1.0, 7.0],
-            vec![0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        ];
-        let mut ws = DijkstraWorkspace::default();
-        let mut path = Vec::new();
+        g.add_arc(0, 1, 1.0, None);
+        assert_eq!(shortest_paths(&g, 0, &[2.0, 2.0]).prev[1], Some(0));
+        assert_eq!(shortest_paths(&g, 0, &[2.0, 1.0]).prev[1], Some(1));
+    }
+
+    #[test]
+    fn a_tree_stopped_early_agrees_with_the_full_tree_on_what_was_wanted() {
+        let g = lattice();
+        let p = g.packed();
+        let length_sets: [[f64; 8]; 3] =
+            [[1.0; 8], [1.0, 2.0, 3.0, 1.0, 2.0, 9.0, 1.0, 7.0], [0.5; 8]];
+        // One tree for everything: reuse must not leak between runs.
+        let (mut full, mut stopped) = (Tree::default(), Tree::default());
         for lens in &length_sets {
-            for dst in 1..6 {
-                let full = shortest_paths(&g, 0, lens).path_to(&g, dst);
-                let found =
-                    shortest_path_between(&g, 0, dst, |a| lens[a], |_| true, &mut ws, &mut path);
-                match full {
-                    Some(p) => {
-                        assert!(found, "dst {dst} reachable in full run");
-                        assert_eq!(path, p, "dst {dst}: early exit must match full run");
-                    }
-                    None => assert!(!found),
+            full.grow(p, 0, [], |q| lens[p.arc(q)]);
+            for wanted in [vec![3], vec![5, 1], vec![4, 4, 2], vec![5, 6]] {
+                stopped.grow(p, 0, wanted.iter().copied(), |q| lens[p.arc(q)]);
+                for &v in &wanted {
+                    assert_eq!(stopped.dist(v).to_bits(), full.dist(v).to_bits());
+                    assert_eq!(arcs_to(&stopped, p, v), arcs_to(&full, p, v));
                 }
             }
         }
-    }
-
-    #[test]
-    fn early_exit_reports_unreachable() {
-        let mut g = FlowGraph::new(3);
-        g.add_arc(0, 1, 1.0, None);
-        let mut ws = DijkstraWorkspace::default();
+        // Node 6 is unreachable: the run exhausts the graph looking for it.
+        assert!(stopped.dist(6).is_infinite());
         let mut path = vec![7]; // stale content must be cleared
-        assert!(!shortest_path_between(
-            &g,
-            0,
-            2,
-            |_| 1.0,
-            |_| true,
-            &mut ws,
-            &mut path
-        ));
+        assert!(!stopped.path_to(p, 6, &mut path));
         assert!(path.is_empty());
+        // ...and the marks it left behind do not stop the next run early.
+        stopped.grow(p, 0, [], |_| 1.0);
+        assert_eq!(stopped.dist(5), 2.0);
     }
 
     #[test]
-    fn stamped_workspace_survives_generation_wrap() {
-        let g = triangle();
-        let mut ws = DijkstraWorkspace {
-            gen: u32::MAX - 1,
-            ..Default::default()
-        };
-        for _ in 0..4 {
-            let sp = shortest_paths_with(&g, 0, |_| 1.0, |_| true, &mut ws);
-            assert_eq!(sp.dist[2], 1.0);
-        }
+    fn a_tree_is_reusable_across_graphs_of_different_sizes() {
+        let (big, small) = (lattice(), triangle());
+        let mut tree = Tree::default();
+        tree.grow(big.packed(), 0, [], |_| 1.0);
+        assert_eq!(tree.dist(4), 3.0);
+        tree.grow(small.packed(), 0, [], |_| 1.0);
+        assert_eq!(tree.dist(2), 1.0);
+        assert_eq!(arcs_to(&tree, small.packed(), 2), Some(vec![2]));
+        tree.grow(big.packed(), 1, [], |_| 1.0);
+        assert!(tree.dist(0).is_infinite() && tree.dist(2).is_infinite());
+        assert_eq!(arcs_to(&tree, big.packed(), 4), Some(vec![2, 4]));
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::error::FlowError;
 use np_topology::LinkId;
+use std::sync::OnceLock;
 
 /// A graph node (a site index in evaluator-built graphs).
 pub type NodeId = usize;
@@ -28,13 +29,71 @@ pub struct Arc {
     pub link: Option<LinkId>,
 }
 
-/// A small dense directed graph in adjacency-list form, optimised for the
-/// repeated Dijkstra / flow computations of the plan evaluator.
+/// A set of arcs in compressed-sparse-row order: the arcs leaving node
+/// `u` occupy the *positions* `head[u]..head[u+1]`, ascending by
+/// [`ArcId`]. The shortest-path kernel ([`crate::dijkstra::Tree`]) walks
+/// these flat arrays; per-arc data a caller wants streamed with them is
+/// kept in the same position order.
+#[derive(Clone, Debug, Default)]
+pub struct Packed {
+    pub(crate) head: Vec<u32>,
+    pub(crate) to: Vec<u32>,
+    pub(crate) from: Vec<u32>,
+    arc: Vec<ArcId>,
+}
+
+impl Packed {
+    /// Pack the arcs of `arcs` that `keep` accepts, over `num_nodes` nodes.
+    pub(crate) fn of(num_nodes: usize, arcs: &[Arc], keep: impl Fn(&Arc) -> bool) -> Packed {
+        assert!(num_nodes.max(arcs.len()) < u32::MAX as usize, "ids are u32");
+        let mut head = vec![0u32; num_nodes + 1];
+        for a in arcs.iter().filter(|a| keep(a)) {
+            head[a.from + 1] += 1;
+        }
+        for u in 0..num_nodes {
+            head[u + 1] += head[u];
+        }
+        let m = head[num_nodes] as usize;
+        let mut next = head.clone();
+        let (mut to, mut from, mut arc) = (vec![0; m], vec![0; m], vec![0; m]);
+        for (id, a) in arcs.iter().enumerate().filter(|(_, a)| keep(a)) {
+            let p = next[a.from] as usize;
+            next[a.from] += 1;
+            (to[p], from[p], arc[p]) = (a.to as u32, a.from as u32, id);
+        }
+        Packed {
+            head,
+            to,
+            from,
+            arc,
+        }
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.head.len() - 1
+    }
+
+    /// The arc at each position.
+    pub fn arcs(&self) -> &[ArcId] {
+        &self.arc
+    }
+
+    /// The arc at position `p`.
+    pub fn arc(&self, p: usize) -> ArcId {
+        self.arc[p]
+    }
+}
+
+/// A small directed graph with arc capacities, optimised for the
+/// repeated shortest-path / flow computations of the plan evaluator.
 #[derive(Clone, Debug, Default)]
 pub struct FlowGraph {
     num_nodes: usize,
     arcs: Vec<Arc>,
-    out: Vec<Vec<ArcId>>,
+    /// All arcs in CSR order, packed on first use; capacities and link
+    /// tags are not part of it, so only adding an arc resets it.
+    packed: OnceLock<Packed>,
 }
 
 impl FlowGraph {
@@ -43,7 +102,7 @@ impl FlowGraph {
         FlowGraph {
             num_nodes,
             arcs: Vec::new(),
-            out: vec![Vec::new(); num_nodes],
+            packed: OnceLock::new(),
         }
     }
 
@@ -67,9 +126,16 @@ impl FlowGraph {
         &self.arcs[id]
     }
 
-    /// Ids of arcs leaving `node`.
+    /// Every arc of the graph in CSR order.
+    pub fn packed(&self) -> &Packed {
+        self.packed
+            .get_or_init(|| Packed::of(self.num_nodes, &self.arcs, |_| true))
+    }
+
+    /// Ids of arcs leaving `node`, ascending.
     pub fn out_arcs(&self, node: NodeId) -> &[ArcId] {
-        &self.out[node]
+        let g = self.packed();
+        &g.arc[g.head[node] as usize..g.head[node + 1] as usize]
     }
 
     /// Add a directed arc; returns its id, or a [`FlowError`] when an
@@ -100,7 +166,7 @@ impl FlowGraph {
             cap,
             link,
         });
-        self.out[from].push(id);
+        self.packed.take();
         Ok(id)
     }
 
@@ -158,7 +224,7 @@ impl FlowGraph {
     /// Total capacity leaving `node` (a cheap cut bound: the net demand
     /// sourced at a node can never exceed this).
     pub fn out_capacity(&self, node: NodeId) -> f64 {
-        self.out[node].iter().map(|&a| self.arcs[a].cap).sum()
+        self.out_arcs(node).iter().map(|&a| self.arcs[a].cap).sum()
     }
 
     /// Total capacity entering `node`.

@@ -9,7 +9,7 @@
 //! complete); callers escalate to [`crate::mwu`] / an exact LP.
 
 use crate::commodity::Commodity;
-use crate::dijkstra::{shortest_path_between, DijkstraWorkspace};
+use crate::dijkstra::Tree;
 use crate::graph::FlowGraph;
 
 /// Outcome of a greedy routing attempt.
@@ -48,7 +48,8 @@ pub fn route_residual(
     let mut flow = vec![0.0; graph.num_arcs()];
     let mut order: Vec<&Commodity> = commodities.iter().collect();
     order.sort_by(|a, b| b.demand.partial_cmp(&a.demand).unwrap());
-    let mut ws = DijkstraWorkspace::default();
+    let g = graph.packed();
+    let mut tree = Tree::default();
     let mut path = Vec::new();
     let max_paths = 1 + graph.num_arcs() / 4;
     for c in order {
@@ -63,32 +64,29 @@ pub fn route_residual(
             }
             paths_used += 1;
             // Length: 1 hop + congestion pressure. `residual/cap` near 0
-            // makes the arc ~expensive; saturated arcs are unusable.
-            // Early-exit Dijkstra: only the path to c.dst matters.
-            let found = shortest_path_between(
-                graph,
-                c.src,
-                c.dst,
-                |a| {
-                    let cap = graph.arc(a).cap;
-                    1.0 + (cap / residual[a].max(EPS)).min(1e6) * 0.25
-                },
-                |a| residual[a] > EPS,
-                &mut ws,
-                &mut path,
-            );
-            if !found {
+            // makes the arc ~expensive; saturated arcs are absent. Only
+            // the path to c.dst matters, so the tree stops there.
+            tree.grow(g, c.src, [c.dst], |p| {
+                let a = g.arc(p);
+                if residual[a] > EPS {
+                    1.0 + (graph.arc(a).cap / residual[a].max(EPS)).min(1e6) * 0.25
+                } else {
+                    f64::INFINITY
+                }
+            });
+            if !tree.path_to(g, c.dst, &mut path) {
                 return GreedyRouting {
                     feasible: false,
                     flow,
                 };
             }
-            let bottleneck = path
-                .iter()
-                .map(|&a| residual[a])
+            let arcs = path.iter().map(|&p| g.arc(p as usize));
+            let bottleneck = arcs
+                .clone()
+                .map(|a| residual[a])
                 .fold(f64::INFINITY, f64::min);
             let send = remaining.min(bottleneck);
-            for &a in &path {
+            for a in arcs {
                 residual[a] -= send;
                 flow[a] += send;
             }

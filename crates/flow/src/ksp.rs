@@ -5,7 +5,7 @@
 //! links") to limit candidate links to those on the k cheapest routes of
 //! each flow, and generally useful substrate for path-based planning.
 
-use crate::dijkstra::{shortest_paths_with, DijkstraWorkspace};
+use crate::dijkstra::Tree;
 use crate::graph::{ArcId, FlowGraph, NodeId};
 
 /// A simple path as a sequence of arcs, with its total length.
@@ -42,31 +42,33 @@ pub fn k_shortest_paths(
     k: usize,
 ) -> Vec<Path> {
     assert_eq!(lengths.len(), graph.num_arcs());
-    let mut ws = DijkstraWorkspace::default();
+    let g = graph.packed();
+    let mut tree = Tree::default();
+    let mut positions = Vec::new();
+    // Shortest `from → dst` path avoiding the banned arcs and nodes, with
+    // its length.
     let mut shortest = |banned_arcs: &[bool], banned_nodes: &[bool], from: NodeId| {
-        shortest_paths_with(
-            graph,
-            from,
-            |a| lengths[a],
-            |a| {
-                !banned_arcs[a]
-                    && !banned_nodes[graph.arc(a).to]
-                    && !banned_nodes[graph.arc(a).from]
-            },
-            &mut ws,
-        )
+        tree.grow(g, from, [dst], |p| {
+            let a = g.arc(p);
+            let arc = graph.arc(a);
+            if banned_arcs[a] || banned_nodes[arc.to] || banned_nodes[arc.from] {
+                f64::INFINITY
+            } else {
+                lengths[a]
+            }
+        });
+        tree.path_to(g, dst, &mut positions).then(|| {
+            let arcs: Vec<ArcId> = positions.iter().map(|&p| g.arc(p as usize)).collect();
+            (arcs, tree.dist(dst))
+        })
     };
     let mut banned_arcs = vec![false; graph.num_arcs()];
     let mut banned_nodes = vec![false; graph.num_nodes()];
 
-    let sp = shortest(&banned_arcs, &banned_nodes, src);
-    let Some(first) = sp.path_to(graph, dst) else {
+    let Some((arcs, length)) = shortest(&banned_arcs, &banned_nodes, src) else {
         return Vec::new();
     };
-    let mut accepted: Vec<Path> = vec![Path {
-        length: sp.dist[dst],
-        arcs: first,
-    }];
+    let mut accepted: Vec<Path> = vec![Path { length, arcs }];
     let mut candidates: Vec<Path> = Vec::new();
 
     while accepted.len() < k {
@@ -96,10 +98,8 @@ pub fn k_shortest_paths(
                 }
                 at = graph.arc(a).to;
             }
-            let sp = shortest(&banned_arcs, &banned_nodes, spur_node);
-            if let Some(spur) = sp.path_to(graph, dst) {
+            if let Some((spur, spur_len)) = shortest(&banned_arcs, &banned_nodes, spur_node) {
                 let mut arcs = root.to_vec();
-                let spur_len = sp.dist[dst];
                 arcs.extend(spur);
                 let cand = Path {
                     length: root_len + spur_len,

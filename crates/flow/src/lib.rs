@@ -9,9 +9,10 @@
 //! provides the from-scratch machinery:
 //!
 //! * [`FlowGraph`] — a small directed graph with arc capacities, built by
-//!   the evaluator from a topology + failure scenario;
-//! * [`dijkstra`] — shortest paths under arbitrary non-negative arc
-//!   lengths (used by everything below);
+//!   the evaluator from a topology + failure scenario, and [`Packed`],
+//!   its arcs in CSR order;
+//! * [`dijkstra`] — the one shortest-path kernel, under arbitrary
+//!   non-negative arc lengths (used by everything below);
 //! * [`dinic`] — exact single-commodity max-flow (fast necessary
 //!   conditions and tests);
 //! * [`greedy`] — a shortest-path multicommodity router; when it succeeds
@@ -44,7 +45,7 @@ pub use commodity::Commodity;
 pub use demand::DemandProfile;
 pub use dijkstra::ShortestPaths;
 pub use error::FlowError;
-pub use graph::{Arc, ArcId, FlowGraph, NodeId};
+pub use graph::{Arc, ArcId, FlowGraph, NodeId, Packed};
 pub use ksp::{k_shortest_paths, Path};
 pub use metric::MetricCut;
 pub use mwu::{ConcurrentFlow, MwuConfig};

@@ -18,8 +18,8 @@
 //!   **metric inequality** via [`crate::metric::extract_cut`].
 
 use crate::commodity::{group_by_source, Commodity};
-use crate::dijkstra::DijkstraWorkspace;
-use crate::graph::FlowGraph;
+use crate::dijkstra::Tree;
+use crate::graph::{FlowGraph, Packed};
 
 /// Tuning parameters for the MWU solver.
 #[derive(Clone, Copy, Debug)]
@@ -66,6 +66,13 @@ pub struct ConcurrentFlow {
     /// Some active commodity had no path at all: infeasible regardless of
     /// capacities (structural disconnection).
     pub disconnected: bool,
+    /// Completed phases (every commodity routed once in full).
+    pub phases: u64,
+    /// Shortest-path trees grown: one per source and phase, plus one per
+    /// stale tree path.
+    pub trees: u64,
+    /// Paths routed.
+    pub routings: u64,
 }
 
 impl ConcurrentFlow {
@@ -93,24 +100,14 @@ pub fn max_concurrent_flow(
     let delta = (m / (1.0 - eps)).powf(-1.0 / eps);
     let scale = (1.0 / delta).ln() / (1.0 + eps).ln(); // log_{1+eps}(1/delta)
 
-    let caps: Vec<f64> = graph.arcs().iter().map(|a| a.cap).collect();
-    let mut lengths: Vec<f64> = caps
-        .iter()
-        .map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY })
-        .collect();
-    let mut flow = vec![0.0; graph.num_arcs()];
+    // Zero-capacity arcs are left out of the packed view, and everything
+    // the loop touches per arc is held in its position order.
+    let g = Packed::of(graph.num_nodes(), graph.arcs(), |a| a.cap > 0.0);
+    let caps: Vec<f64> = g.arcs().iter().map(|&a| graph.arc(a).cap).collect();
+    let mut lengths: Vec<f64> = caps.iter().map(|&c| delta / c).collect();
+    let mut flow = vec![0.0; caps.len()];
     // D(l) = Σ l_a c_a; the algorithm stops when D ≥ 1.
-    let mut d_total = delta * caps.iter().filter(|&&c| c > 0.0).count() as f64;
-
-    if commodities.is_empty() {
-        return ConcurrentFlow {
-            lambda: f64::INFINITY,
-            lengths,
-            flow,
-            routed: Vec::new(),
-            disconnected: false,
-        };
-    }
+    let mut d_total = delta * caps.len() as f64;
     let mut routed = vec![0.0f64; commodities.len()];
 
     // Fleischer's source grouping: all commodities sharing a source are
@@ -121,36 +118,35 @@ pub fn max_concurrent_flow(
     // (1-ε)³ guarantee budgets for. Dijkstra count drops from
     // phases × commodities to roughly phases × distinct sources.
     let groups = group_by_source(commodities);
-
-    let mut ws = DijkstraWorkspace::default();
-    let mut path = Vec::new();
-    let mut phases = 0usize;
-    let mut routings = 0usize;
+    let mut tree = Tree::default();
+    let mut path = Vec::with_capacity(graph.num_nodes());
+    let (mut phases, mut trees, mut routings) = (0u64, 0u64, 0u64);
     let mut disconnected = false;
 
-    'outer: while d_total < 1.0 {
+    'outer: while d_total < 1.0 && !commodities.is_empty() {
         for (src, members) in &groups {
             let mut tree_fresh = false;
-            for &ci in members {
+            for (mi, &ci) in members.iter().enumerate() {
                 let c = &commodities[ci];
                 let mut remaining = c.demand;
                 while remaining > 0.0 && d_total < 1.0 {
-                    if routings >= cfg.max_path_routings {
+                    if routings >= cfg.max_path_routings as u64 {
                         break 'outer;
                     }
                     if !tree_fresh {
-                        // Zero-capacity arcs need no `usable` filter:
-                        // their lengths are INFINITY, which Dijkstra
-                        // already treats as absent.
-                        ws.build_tree(graph, *src, |a| lengths[a], |_| true);
+                        // Members before `mi` are done for this phase:
+                        // the tree is only read for the rest.
+                        let rest = members[mi..].iter().map(|&j| commodities[j].dst);
+                        tree.grow(&g, *src, rest, |p| lengths[p]);
+                        trees += 1;
                         tree_fresh = true;
                     }
-                    if !ws.tree_path(graph, c.dst, &mut path) {
+                    if !tree.path_to(&g, c.dst, &mut path) {
                         disconnected = true;
                         break 'outer;
                     }
-                    let path_len: f64 = path.iter().map(|&a| lengths[a]).sum();
-                    if path_len > (1.0 + eps) * ws.tree_dist(c.dst) {
+                    let path_len: f64 = path.iter().map(|&p| lengths[p as usize]).sum();
+                    if path_len > (1.0 + eps) * tree.dist(c.dst) {
                         // Stale: recompute the tree and retry. The fresh
                         // tree's path equals its distance, so this makes
                         // progress every time.
@@ -158,14 +154,17 @@ pub fn max_concurrent_flow(
                         continue;
                     }
                     routings += 1;
-                    let bottleneck = path.iter().map(|&a| caps[a]).fold(f64::INFINITY, f64::min);
+                    let bottleneck = path
+                        .iter()
+                        .map(|&p| caps[p as usize])
+                        .fold(f64::INFINITY, f64::min);
                     let send = remaining.min(bottleneck);
                     // Σ_a l_a·c_a·(ε·send/c_a) telescopes to ε·send·Σ l_a,
                     // so D(l) advances in one multiply per routing.
                     d_total += eps * send * path_len;
-                    for &a in &path {
-                        flow[a] += send;
-                        lengths[a] *= 1.0 + eps * send / caps[a];
+                    for &p in &path {
+                        flow[p as usize] += send;
+                        lengths[p as usize] *= 1.0 + eps * send / caps[p as usize];
                     }
                     routed[ci] += send;
                     remaining -= send;
@@ -185,22 +184,37 @@ pub fn max_concurrent_flow(
         }
     }
 
-    // Scale the accumulated flow: dividing by log_{1+eps}(1/delta) makes it
-    // capacity-feasible (each arc's flow grew its length by at most a
-    // factor 1/delta), and it routes (phases/scale)·d_j per commodity.
-    for f in &mut flow {
-        *f /= scale;
+    // Back to `ArcId` order. Dividing the accumulated flow by
+    // log_{1+eps}(1/delta) makes it capacity-feasible (each arc's flow
+    // grew its length by at most a factor 1/delta), and it routes
+    // (phases/scale)·d_j per commodity.
+    let mut out = ConcurrentFlow {
+        lambda: match (commodities.is_empty(), disconnected) {
+            (true, _) => f64::INFINITY,
+            (_, true) => 0.0,
+            _ => phases as f64 / scale,
+        },
+        lengths: vec![f64::INFINITY; graph.num_arcs()],
+        flow: vec![0.0; graph.num_arcs()],
+        routed,
+        disconnected,
+        phases,
+        trees,
+        routings,
+    };
+    for (p, &a) in g.arcs().iter().enumerate() {
+        out.lengths[a] = lengths[p];
+        out.flow[a] = flow[p] / scale;
     }
-    for r in &mut routed {
+    if commodities.is_empty() {
+        return out; // nothing was asked: the lengths stay as they started
+    }
+    for r in &mut out.routed {
         *r /= scale;
     }
-    let lambda = if disconnected {
-        0.0
-    } else {
-        phases as f64 / scale
-    };
     // Normalize lengths so the largest finite entry is 1 (pure
     // conditioning; any positive scaling of a metric is the same metric).
+    let lengths = &mut out.lengths;
     let max_len = lengths
         .iter()
         .copied()
@@ -210,7 +224,7 @@ pub fn max_concurrent_flow(
         // Every arc is dark: any uniform metric is as good as another.
         lengths.fill(1.0);
     } else {
-        for l in &mut lengths {
+        for l in lengths.iter_mut() {
             if l.is_finite() {
                 *l /= max_len;
             } else {
@@ -223,13 +237,7 @@ pub fn max_concurrent_flow(
             }
         }
     }
-    ConcurrentFlow {
-        lambda,
-        lengths,
-        flow,
-        routed,
-        disconnected,
-    }
+    out
 }
 
 #[cfg(test)]
