@@ -8,177 +8,103 @@
 //! neuroplan baseline --preset a --method ilp|ilp-heur
 //! ```
 //!
-//! The JSON formats are `np_topology::Network::to_json` for topologies
-//! and a flat `{"units": [u32...], "cost": f64}` object for plans.
+//! Which instance and how to plan it is a [`PlanSpec`]: its field table
+//! (`neuroplan::spec::FIELDS`) defines those flags, and `COMMANDS`
+//! adds each subcommand's run-scoped ones; `neuroplan` alone prints
+//! both. The JSON formats are `np_topology::Network::to_json` for
+//! topologies and a flat `{"units": [u32...], "cost": f64}` object for
+//! plans.
 
 use neuroplan::baselines::{solve_ilp, solve_ilp_heur, BaselineBudget};
-use neuroplan::{validate_plan, NeuroPlan, NeuroPlanConfig, NeuroPlanService, ReplanConfig};
+use neuroplan::service::plan_body;
+use neuroplan::{validate_plan, NeuroPlan, NeuroPlanService, PlanSpec};
 use np_chaos::signals;
-use np_churn::ChurnSpec;
 use np_eval::{EvalConfig, PlanEvaluator};
 use np_telemetry::Telemetry;
-use np_topology::generator::{GeneratorConfig, TopologyPreset};
 use np_topology::Network;
 use std::collections::HashMap;
 use std::process::exit;
 
+/// Run-scoped flags of the subcommands that solve something, and of
+/// those that checkpoint (`<…>` marks a flag that takes a value).
+const OBSERVED: &str =
+    "--topology <file> --telemetry <file> --profile --profile-out <file> --chaos <spec>";
+const CHECKPOINTED: &str = "--checkpoint-dir <dir> --resume --out <file>";
+
+/// Each subcommand with its run-scoped flags. Any other flag must be a
+/// request flag of the spec table.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("generate", &["--topology <file> --out <file>"]),
+    ("plan", &[OBSERVED, CHECKPOINTED]),
+    ("replan", &[OBSERVED, CHECKPOINTED]),
+    ("evaluate", &[OBSERVED, "--plan <file>"]),
+    ("baseline", &[OBSERVED, "--method <ilp|ilp-heur|decompose> --time <secs>"]),
+    ("serve", &[
+        "--addr <host:port> --state-dir <dir> --queue-cap <n> --cache-cap <n>",
+        "--telemetry <file> --profile --profile-out <file> --chaos <spec>",
+    ]),
+    ("request", &[
+        "--addr <host:port> --do <run|submit|status|result|cancel|stats|shutdown>",
+        "--id <n> --timeout <secs> --out <file>",
+    ]),
+];
+
+type Flags = HashMap<String, String>;
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  neuroplan generate [--preset <a..e> | --family <wan|ba|ws|er|grid|\
-         community|clos> [--size-tier <a..f>] [--failure-model <none|cuts|full>]] \
-         [--fill <0..1>] [--long-term] \
-         [--seed <u64>] [--out <file>]\n  neuroplan plan [--preset <a..e> | --family \
-         <name> [--size-tier <a..f>] [--failure-model <m>] | --topology \
-         <file>] [--fill <0..1>] [--alpha <f64>] [--quick|--default] [--seed <u64>] \
-         [--workers <n|auto>] [--stage-budget <secs>] [--max-retries <n>] [--no-degrade] \
-         [--lp-backend <dense|sparse|auto>] \
-         [--telemetry <file>] [--profile [--profile-out <file>]] \
-         [--checkpoint-dir <dir>] [--resume] \
-         [--chaos <spec>] [--out <file>]\n  neuroplan replan \
-         [instance + plan flags as above] --events <spec|file> \
-         [--gap <f64>] [--prune-alpha <f64>] [--flap-seed <u64>]\n  neuroplan evaluate \
-         --topology <file> [--plan <file>] [--workers <n|auto>] [--telemetry <file>] \
-         [--profile [--profile-out <file>]]\n  \
-         neuroplan baseline [--preset <a..e> | --topology <file>] --method \
-         <ilp|ilp-heur|decompose> [--time <secs>] [--workers <n|auto>] \
-         [--telemetry <file>]\n  neuroplan serve \
-         [--addr <host:port>] [--state-dir <dir>] [--workers <n|auto>] \
-         [--queue-cap <n>] [--cache-cap <n>] [--telemetry <file>] [--chaos <spec>]\n  \
-         neuroplan request --addr <host:port> --do \
-         <run|submit|status|result|cancel|stats|shutdown> [--id <n>] \
-         [--timeout <secs>] [instance flags as for plan] [--events <spec>] [--out <file>]"
-    );
+    eprintln!("usage: neuroplan <command> [request flags] [run flags]\n\ncommands and run flags:");
+    for (cmd, run) in COMMANDS {
+        eprintln!("  {cmd:<9} {}", run.join(" "));
+    }
+    eprintln!("\nrequest flags (as JSON spec keys: `_` for `-`, a bare flag is `true`):");
+    for field in neuroplan::spec::FIELDS {
+        eprintln!("  {:<48} {}", field.flag(), field.doc);
+    }
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            eprintln!("unexpected argument {a}");
-            usage();
-        };
-        match key {
-            "long-term" | "quick" | "default" | "resume" | "no-degrade" | "profile" => {
-                map.insert(key.to_string(), "true".to_string());
-            }
-            _ => {
-                let Some(v) = it.next() else {
-                    eprintln!("--{key} needs a value");
-                    usage();
-                };
-                map.insert(key.to_string(), v.clone());
+/// A usage error: nothing has been generated, trained or written yet.
+fn fail(msg: &str) -> ! {
+    eprintln!("neuroplan: {msg} (run `neuroplan` alone for the flag table)");
+    exit(2)
+}
+
+/// A run-scoped flag's parsed value, or `default` when it is absent.
+fn flag_or<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
+    match flags.get(key) {
+        None => default,
+        Some(v) => (v.parse()).unwrap_or_else(|_| fail(&format!("--{key} cannot take `{v}`"))),
+    }
+}
+
+/// `--events` also takes the path of a file holding the churn spec.
+fn inline_events(args: &[String]) -> Vec<String> {
+    let mut args = args.to_vec();
+    for i in 1..args.len() {
+        if args[i - 1] == "--events" {
+            if let Ok(body) = std::fs::read_to_string(&args[i]) {
+                args[i] = body;
             }
         }
     }
-    map
+    args
 }
 
-fn preset_of(flags: &HashMap<String, String>) -> Option<TopologyPreset> {
-    flags
-        .get("preset")
-        .map(|p| match p.to_ascii_lowercase().as_str() {
-            "a" => TopologyPreset::A,
-            "b" => TopologyPreset::B,
-            "c" => TopologyPreset::C,
-            "d" => TopologyPreset::D,
-            "e" => TopologyPreset::E,
-            other => {
-                eprintln!("unknown preset {other}");
-                usage()
-            }
-        })
-}
-
-/// `--family <name>` selects a scenario-matrix generator instead of the
-/// paper-calibrated `--preset` WANs; `--size-tier <a..f>` and
-/// `--failure-model <none|cuts|full>` refine the cell (`--fill` and
-/// `--seed` apply to both generator surfaces).
-fn family_network_of(flags: &HashMap<String, String>) -> Option<Network> {
-    use np_topology::{FailureModel, FamilyConfig, SizeTier, TopologyFamily};
-    let family = flags.get("family").map(|f| {
-        TopologyFamily::parse(f).unwrap_or_else(|| {
-            eprintln!("unknown family {f}; one of: wan ba ws er grid community clos");
-            usage()
-        })
-    })?;
-    let tier = match flags.get("size-tier") {
-        Some(t) => SizeTier::parse(t).unwrap_or_else(|| {
-            eprintln!("unknown size tier {t}; one of: a b c d e f");
-            usage()
-        }),
-        None => SizeTier::B,
+/// The instance: the `--topology` file, else the one the spec names.
+fn load_network(spec: &PlanSpec, flags: &Flags) -> Network {
+    let Some(path) = flags.get("topology") else {
+        return (spec.network()).unwrap_or_else(|e| fail(&format!("{e} (or --topology)")));
     };
-    let mut cfg = FamilyConfig::new(family, tier);
-    if let Some(m) = flags.get("failure-model") {
-        cfg.failure_model = FailureModel::parse(m).unwrap_or_else(|| {
-            eprintln!("unknown failure model {m}; one of: none cuts full");
-            usage()
-        });
+    if spec.names_instance() {
+        fail("--topology conflicts with --preset and --family")
     }
-    if let Some(fill) = flags.get("fill") {
-        cfg.capacity_fill = fill.parse().unwrap_or_else(|_| {
-            eprintln!("--fill takes a number in [0,1]");
-            exit(2)
-        });
-    }
-    if let Some(seed) = flags.get("seed") {
-        cfg.seed = seed.parse().unwrap_or_else(|_| {
-            eprintln!("--seed takes a u64");
-            exit(2)
-        });
-    }
-    Some(cfg.try_generate().unwrap_or_else(|e| {
-        eprintln!("invalid family config: {e}");
+    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
         exit(1)
-    }))
-}
-
-fn load_network(flags: &HashMap<String, String>) -> Network {
-    if let Some(path) = flags.get("topology") {
-        if flags.contains_key("family") {
-            eprintln!("--family conflicts with --topology");
-            usage()
-        }
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        return Network::from_json(&json).unwrap_or_else(|e| {
-            eprintln!("invalid topology file: {e}");
-            exit(1)
-        });
-    }
-    if let Some(net) = family_network_of(flags) {
-        if flags.contains_key("preset") {
-            eprintln!("--family conflicts with --preset");
-            usage()
-        }
-        return net;
-    }
-    let Some(preset) = preset_of(flags) else {
-        eprintln!("need --preset, --family or --topology");
-        usage()
-    };
-    let mut cfg = GeneratorConfig::preset(preset);
-    if let Some(fill) = flags.get("fill") {
-        cfg.capacity_fill = fill.parse().unwrap_or_else(|_| {
-            eprintln!("--fill takes a number in [0,1]");
-            exit(2)
-        });
-    }
-    if flags.contains_key("long-term") {
-        cfg.long_term = true;
-    }
-    if let Some(seed) = flags.get("seed") {
-        cfg.seed = seed.parse().unwrap_or_else(|_| {
-            eprintln!("--seed takes a u64");
-            exit(2)
-        });
-    }
-    cfg.try_generate().unwrap_or_else(|e| {
-        eprintln!("invalid generator config: {e}");
+    });
+    Network::from_json(&json).unwrap_or_else(|e| {
+        eprintln!("invalid topology file: {e}");
         exit(1)
     })
 }
@@ -186,14 +112,11 @@ fn load_network(flags: &HashMap<String, String>) -> Network {
 /// `--chaos <spec>`: validate and install the process-wide fault plan
 /// (see `np_chaos` for the grammar). Must run before any instrumented
 /// code; a malformed spec is a usage error.
-fn install_chaos(flags: &HashMap<String, String>) {
+fn install_chaos(flags: &Flags) {
     let Some(spec) = flags.get("chaos") else {
         return;
     };
-    let plan = np_chaos::FaultPlan::parse(spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
+    let plan = np_chaos::FaultPlan::parse(spec).unwrap_or_else(|e| fail(&e.to_string()));
     if !np_chaos::install(plan) {
         eprintln!("warning: a chaos plan is already installed (NP_CHAOS); --chaos ignored");
     }
@@ -207,45 +130,12 @@ fn finish_chaos() {
     }
 }
 
-/// `--lp-backend <dense|sparse|auto>`: simplex basis engine for every LP
-/// in the run. Also exported as `NP_LP_BACKEND` so code paths that only
-/// see the `Auto` default (baselines, ad-hoc solves) resolve the same
-/// choice. Defaults to `auto` (sparse unless `NP_LP_BACKEND=dense`).
-fn lp_backend_of(flags: &HashMap<String, String>) -> np_lp::LpBackend {
-    let Some(spec) = flags.get("lp-backend") else {
-        return np_lp::LpBackend::Auto;
-    };
-    let Some(backend) = np_lp::LpBackend::parse(spec) else {
-        eprintln!("--lp-backend must be dense, sparse or auto");
-        exit(2)
-    };
-    match backend {
-        np_lp::LpBackend::Dense => std::env::set_var("NP_LP_BACKEND", "dense"),
-        np_lp::LpBackend::Sparse => std::env::set_var("NP_LP_BACKEND", "sparse"),
-        np_lp::LpBackend::Auto => {}
-    }
-    backend
-}
-
-/// `--workers <n|auto>`: thread budget for the parallel execution paths
-/// (`auto` = all available cores). Defaults to 1 (serial) when absent.
-fn workers_of(flags: &HashMap<String, String>) -> usize {
-    match flags.get("workers").map(String::as_str) {
-        None => 1,
-        Some("auto") => np_pool::auto_workers(),
-        Some(n) => n.parse::<usize>().map(|n| n.max(1)).unwrap_or_else(|_| {
-            eprintln!("--workers takes a positive integer or 'auto'");
-            exit(2)
-        }),
-    }
-}
-
 /// `--telemetry <path>`: a JSONL sink at `path`, else the free no-op.
 /// `--profile` needs an enabled handle to aggregate spans into, so it
 /// forces an in-memory sink when `--telemetry` is absent, and flips the
 /// process-global profiling switch that makes the solver layers collect
 /// stage times (timing only — plan costs and counters are unchanged).
-fn telemetry_of(flags: &HashMap<String, String>) -> Telemetry {
+fn telemetry_of(flags: &Flags) -> Telemetry {
     if flags.contains_key("profile") {
         np_telemetry::set_profiling(true);
     }
@@ -263,7 +153,7 @@ fn telemetry_of(flags: &HashMap<String, String>) -> Telemetry {
 /// `--profile`, additionally print the self-time wall breakdown and
 /// write the `np-profile-v1` JSON (default `BENCH_profile.json`,
 /// overridable with `--profile-out`).
-fn finish_telemetry(tel: &Telemetry, flags: &HashMap<String, String>) {
+fn finish_telemetry(tel: &Telemetry, flags: &Flags) {
     if !tel.is_enabled() {
         return;
     }
@@ -287,86 +177,10 @@ fn finish_telemetry(tel: &Telemetry, flags: &HashMap<String, String>) {
     }
 }
 
-/// Build the planner configuration from the shared `plan`/`replan`
-/// flags (`--quick|--default`, `--alpha`, `--seed`, `--workers`,
-/// `--stage-budget`, `--max-retries`, `--no-degrade`, `--lp-backend`).
-fn planner_config(
-    flags: &HashMap<String, String>,
-    lp_backend: np_lp::LpBackend,
-) -> NeuroPlanConfig {
-    let mut cfg = if flags.contains_key("default") {
-        NeuroPlanConfig::default()
-    } else {
-        NeuroPlanConfig::quick()
-    };
-    if let Some(alpha) = flags.get("alpha") {
-        cfg.relax_factor = alpha.parse().unwrap_or_else(|_| {
-            eprintln!("--alpha takes a number >= 1");
-            exit(2)
-        });
-    }
-    if let Some(seed) = flags.get("seed") {
-        cfg = cfg.with_seed(seed.parse().unwrap_or_else(|_| {
-            eprintln!("--seed takes a u64");
-            exit(2)
-        }));
-    }
-    // Only an explicit --workers opts into the multi-actor
-    // determinism contract; results then match at every count.
-    if flags.contains_key("workers") {
-        cfg = cfg.with_workers(workers_of(flags));
-    }
-    if let Some(secs) = flags.get("stage-budget") {
-        let secs: f64 = secs.parse().unwrap_or_else(|_| {
-            eprintln!("--stage-budget takes seconds");
-            exit(2)
-        });
-        if secs < 0.0 {
-            eprintln!("--stage-budget takes seconds >= 0");
-            exit(2)
-        }
-        cfg = cfg.with_stage_budget(secs);
-    }
-    if let Some(n) = flags.get("max-retries") {
-        cfg = cfg.with_max_retries(n.parse().unwrap_or_else(|_| {
-            eprintln!("--max-retries takes a small integer");
-            exit(2)
-        }));
-    }
-    if flags.contains_key("no-degrade") {
-        cfg = cfg.with_degrade(false);
-    }
-    cfg.with_lp_backend(lp_backend)
-}
-
-/// `--events <spec|file>`: an inline churn spec (`seed=7,n=10` or a
-/// `;`-separated event list), or the path of a file holding one.
-fn churn_spec_of(flags: &HashMap<String, String>) -> ChurnSpec {
-    let Some(raw) = flags.get("events") else {
-        eprintln!("replan needs --events <spec|file>");
-        usage()
-    };
-    match ChurnSpec::parse(raw) {
-        Ok(spec) => spec,
-        Err(inline_err) => {
-            let Ok(body) = std::fs::read_to_string(raw) else {
-                eprintln!(
-                    "--events is neither a valid inline spec ({inline_err}) nor a readable file"
-                );
-                exit(2)
-            };
-            ChurnSpec::parse(&body).unwrap_or_else(|e| {
-                eprintln!("invalid churn spec in {raw}: {e}");
-                exit(2)
-            })
-        }
-    }
-}
-
 /// Exclusive claim on `--checkpoint-dir`: two processes appending to one
 /// checkpoint/journal chain corrupt it for both, so refuse up front with
 /// the owner's pid. The guard must stay alive for the whole run.
-fn lock_checkpoint_dir(flags: &HashMap<String, String>) -> Option<np_chaos::DirLock> {
+fn lock_checkpoint_dir(flags: &Flags) -> Option<np_chaos::DirLock> {
     let dir = flags.get("checkpoint-dir")?;
     match np_chaos::DirLock::acquire(std::path::Path::new(dir)) {
         Ok(lock) => Some(lock),
@@ -380,7 +194,7 @@ fn lock_checkpoint_dir(flags: &HashMap<String, String>) -> Option<np_chaos::DirL
 /// A `PlanFailure::Cancelled` after SIGINT/SIGTERM is a graceful stop:
 /// telemetry is flushed, the checkpoint chain ends on a complete epoch,
 /// and the exit code is the conventional `128 + signo` (130/143).
-fn exit_if_signalled(tel: &Telemetry, flags: &HashMap<String, String>) {
+fn exit_if_signalled(tel: &Telemetry, flags: &Flags) {
     if let Some(signo) = signals::received() {
         finish_telemetry(tel, flags);
         finish_chaos();
@@ -391,7 +205,7 @@ fn exit_if_signalled(tel: &Telemetry, flags: &HashMap<String, String>) {
     }
 }
 
-fn write_or_print(flags: &HashMap<String, String>, body: &str) {
+fn write_or_print(flags: &Flags, body: &str) {
     match flags.get("out") {
         Some(path) => {
             std::fs::write(path, body).unwrap_or_else(|e| {
@@ -404,17 +218,34 @@ fn write_or_print(flags: &HashMap<String, String>, body: &str) {
     }
 }
 
+/// The planner of `plan` and `replan`: stops at SIGINT/SIGTERM and
+/// checkpoints under `--checkpoint-dir`.
+fn planner_of(spec: &PlanSpec, flags: &Flags, tel: &Telemetry) -> NeuroPlan {
+    let planner =
+        NeuroPlan::with_telemetry(spec.config(), tel.clone()).with_cancel(signals::install());
+    match flags.get("checkpoint-dir") {
+        Some(dir) => planner.with_checkpoint(dir, flags.contains_key("resume")),
+        None => planner,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage()
     };
-    let flags = parse_flags(rest);
+    let Some((_, run)) = COMMANDS.iter().find(|(name, _)| name == cmd) else {
+        usage()
+    };
+    let (spec, flags) =
+        PlanSpec::from_flags(&inline_events(rest), &run.join(" ")).unwrap_or_else(|e| fail(&e));
+    if flags.contains_key("resume") && !flags.contains_key("checkpoint-dir") {
+        fail("--resume needs --checkpoint-dir")
+    }
     install_chaos(&flags);
-    let lp_backend = lp_backend_of(&flags);
     match cmd.as_str() {
         "generate" => {
-            let net = load_network(&flags);
+            let net = load_network(&spec, &flags);
             eprintln!(
                 "generated: {} sites, {} fibers, {} links, {} flows, {} failures",
                 net.sites().len(),
@@ -426,18 +257,10 @@ fn main() {
             write_or_print(&flags, &net.to_json());
         }
         "plan" => {
-            let net = load_network(&flags);
-            let cfg = planner_config(&flags, lp_backend);
+            let net = load_network(&spec, &flags);
             let tel = telemetry_of(&flags);
             let _lock = lock_checkpoint_dir(&flags);
-            let mut planner =
-                NeuroPlan::with_telemetry(cfg, tel.clone()).with_cancel(signals::install());
-            if let Some(dir) = flags.get("checkpoint-dir") {
-                planner = planner.with_checkpoint(dir, flags.contains_key("resume"));
-            } else if flags.contains_key("resume") {
-                eprintln!("--resume needs --checkpoint-dir");
-                exit(2)
-            }
+            let planner = planner_of(&spec, &flags, &tel);
             let result = planner.try_plan(&net).unwrap_or_else(|e| {
                 exit_if_signalled(&tel, &flags);
                 finish_telemetry(&tel, &flags);
@@ -466,51 +289,25 @@ fn main() {
                 result.supervision.total_retries(),
                 result.supervision.degrades
             );
-            let body = serde_json::json!({
-                "units": result.final_units,
-                "cost": result.final_cost,
-                // Bit-exact cost for cross-process comparisons (the
-                // daemon's results carry the same field).
-                "cost_hex": np_chaos::checkpoint::f64_to_hex(result.final_cost),
-                "first_stage_cost": result.first_stage_cost,
-                "quality": result.quality.name(),
-            });
+            let [units, cost, cost_hex, quality] = plan_body(
+                &result.final_units,
+                result.final_cost,
+                result.quality.name(),
+            );
+            let first_stage = serde_json::json!(result.first_stage_cost);
+            let first_stage = ("first_stage_cost".to_string(), first_stage);
+            let body = serde_json::Value::Object(vec![units, cost, cost_hex, first_stage, quality]);
             write_or_print(&flags, &serde_json::to_string_pretty(&body).expect("json"));
         }
         "replan" => {
-            let net = load_network(&flags);
-            let spec = churn_spec_of(&flags);
-            let events = spec.resolve(&net);
-            let cfg = planner_config(&flags, lp_backend);
-            let mut rcfg = ReplanConfig::default();
-            if let Some(gap) = flags.get("gap") {
-                rcfg.gap_tol = gap.parse().unwrap_or_else(|_| {
-                    eprintln!("--gap takes a number >= 0");
-                    exit(2)
-                });
-            }
-            if let Some(alpha) = flags.get("prune-alpha") {
-                rcfg.prune_alpha = Some(alpha.parse().unwrap_or_else(|_| {
-                    eprintln!("--prune-alpha takes a number >= 1");
-                    exit(2)
-                }));
-            }
-            if let Some(seed) = flags.get("flap-seed") {
-                rcfg.flap_seed = seed.parse().unwrap_or_else(|_| {
-                    eprintln!("--flap-seed takes a u64");
-                    exit(2)
-                });
-            }
+            let net = load_network(&spec, &flags);
+            let Some(events) = spec.events(&net) else {
+                fail("replan needs --events <spec|file>")
+            };
+            let rcfg = spec.replan_config();
             let tel = telemetry_of(&flags);
             let _lock = lock_checkpoint_dir(&flags);
-            let mut planner =
-                NeuroPlan::with_telemetry(cfg, tel.clone()).with_cancel(signals::install());
-            if let Some(dir) = flags.get("checkpoint-dir") {
-                planner = planner.with_checkpoint(dir, flags.contains_key("resume"));
-            } else if flags.contains_key("resume") {
-                eprintln!("--resume needs --checkpoint-dir");
-                exit(2)
-            }
+            let planner = planner_of(&spec, &flags, &tel);
             let report = planner.replan(&net, &events, &rcfg).unwrap_or_else(|e| {
                 exit_if_signalled(&tel, &flags);
                 finish_telemetry(&tel, &flags);
@@ -581,7 +378,7 @@ fn main() {
             write_or_print(&flags, &serde_json::to_string_pretty(&body).expect("json"));
         }
         "evaluate" => {
-            let net = load_network(&flags);
+            let net = load_network(&spec, &flags);
             let units: Vec<u32> = match flags.get("plan") {
                 Some(path) => {
                     let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -600,7 +397,7 @@ fn main() {
                 .collect();
             let tel = telemetry_of(&flags);
             let eval_cfg = EvalConfig {
-                parallel_workers: workers_of(&flags),
+                parallel_workers: spec.workers().unwrap_or(1),
                 ..EvalConfig::default()
             };
             let mut evaluator = PlanEvaluator::with_telemetry(&net, eval_cfg, tel.clone());
@@ -627,21 +424,13 @@ fn main() {
             }
         }
         "baseline" => {
-            let net = load_network(&flags);
-            let time = flags
-                .get("time")
-                .map(|t| {
-                    t.parse().unwrap_or_else(|_| {
-                        eprintln!("--time takes seconds");
-                        exit(2)
-                    })
-                })
-                .unwrap_or(120.0);
+            let net = load_network(&spec, &flags);
+            let time = flag_or(&flags, "time", 120.0);
             let budget = BaselineBudget {
                 node_limit: 50_000,
                 time_limit_secs: time,
             };
-            let workers = workers_of(&flags);
+            let workers = spec.workers().unwrap_or(1);
             let eval_cfg = EvalConfig {
                 parallel_workers: workers,
                 ..EvalConfig::default()
@@ -688,10 +477,7 @@ fn main() {
                         }
                     }
                 }
-                _ => {
-                    eprintln!("--method must be ilp, ilp-heur or decompose");
-                    usage()
-                }
+                _ => fail("--method must be ilp, ilp-heur or decompose"),
             }
             finish_chaos();
         }
@@ -701,23 +487,14 @@ fn main() {
                 .get("state-dir")
                 .cloned()
                 .unwrap_or_else(|| "np-serve-state".to_string());
-            let parse_cap = |key: &str, default: usize| -> usize {
-                match flags.get(key) {
-                    None => default,
-                    Some(v) => v.parse().unwrap_or_else(|_| {
-                        eprintln!("--{key} takes a positive integer");
-                        exit(2)
-                    }),
-                }
-            };
             let cfg = np_serve::ServerConfig {
                 addr: flags
                     .get("addr")
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:0".to_string()),
-                workers: workers_of(&flags),
-                queue_capacity: parse_cap("queue-cap", 16),
-                cache_capacity: parse_cap("cache-cap", 8),
+                workers: spec.workers().unwrap_or(1),
+                queue_capacity: flag_or(&flags, "queue-cap", 16),
+                cache_capacity: flag_or(&flags, "cache-cap", 8),
                 state_dir: state_dir.clone().into(),
                 read_timeout: std::time::Duration::from_secs(30),
             };
@@ -745,8 +522,7 @@ fn main() {
         }
         "request" => {
             let Some(addr) = flags.get("addr") else {
-                eprintln!("request needs --addr <host:port>");
-                usage()
+                fail("request needs --addr <host:port>")
             };
             let action = flags.get("do").map(String::as_str).unwrap_or("run");
             let mut client = np_serve::Client::connect(addr).unwrap_or_else(|e| {
@@ -754,33 +530,17 @@ fn main() {
                 exit(1)
             });
             let id_flag = || -> u64 {
-                flags
-                    .get("id")
-                    .unwrap_or_else(|| {
-                        eprintln!("--do {action} needs --id <n>");
-                        usage()
-                    })
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--id takes an integer");
-                        exit(2)
-                    })
+                if !flags.contains_key("id") {
+                    fail(&format!("--do {action} needs --id <n>"))
+                }
+                flag_or(&flags, "id", 0)
             };
-            let timeout = std::time::Duration::from_secs_f64(
-                flags
-                    .get("timeout")
-                    .map(|t| {
-                        t.parse().unwrap_or_else(|_| {
-                            eprintln!("--timeout takes seconds");
-                            exit(2)
-                        })
-                    })
-                    .unwrap_or(600.0),
-            );
+            let timeout = std::time::Duration::try_from_secs_f64(flag_or(&flags, "timeout", 600.0))
+                .unwrap_or_else(|e| fail(&format!("--timeout: {e}")));
             let reply = match action {
-                "submit" => client.submit(&request_spec_of(&flags)),
+                "submit" => client.submit(&spec.to_json()),
                 "run" => {
-                    let reply = client.submit(&request_spec_of(&flags)).unwrap_or_else(|e| {
+                    let reply = client.submit(&spec.to_json()).unwrap_or_else(|e| {
                         eprintln!("submit failed: {e}");
                         exit(1)
                     });
@@ -797,10 +557,7 @@ fn main() {
                 "cancel" => client.cancel(id_flag()),
                 "stats" => client.stats(),
                 "shutdown" => client.shutdown(),
-                other => {
-                    eprintln!("unknown --do {other}");
-                    usage()
-                }
+                other => fail(&format!("unknown --do {other}")),
             };
             let reply = reply.unwrap_or_else(|e| {
                 eprintln!("request failed: {e}");
@@ -815,47 +572,4 @@ fn main() {
         }
         _ => usage(),
     }
-}
-
-/// Package the plan-request flags into the daemon's JSON spec (the
-/// service-side mirror of `load_network` + `planner_config`).
-fn request_spec_of(flags: &HashMap<String, String>) -> serde_json::Value {
-    let mut fields: Vec<(String, serde_json::Value)> = Vec::new();
-    let put_str = |fields: &mut Vec<(String, serde_json::Value)>, key: &str, spec_key: &str| {
-        if let Some(v) = flags.get(key) {
-            fields.push((spec_key.to_string(), serde_json::Value::Str(v.clone())));
-        }
-    };
-    put_str(&mut fields, "preset", "preset");
-    put_str(&mut fields, "family", "family");
-    put_str(&mut fields, "size-tier", "size_tier");
-    put_str(&mut fields, "failure-model", "failure_model");
-    put_str(&mut fields, "events", "events");
-    for (key, spec_key) in [
-        ("fill", "fill"),
-        ("alpha", "alpha"),
-        ("stage-budget", "stage_budget"),
-    ] {
-        if let Some(v) = flags.get(key) {
-            let num: f64 = v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} takes a number");
-                exit(2)
-            });
-            fields.push((spec_key.to_string(), serde_json::Value::Num(num)));
-        }
-    }
-    if let Some(v) = flags.get("seed") {
-        let num: f64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("--seed takes a u64");
-            exit(2)
-        });
-        fields.push(("seed".to_string(), serde_json::Value::Num(num)));
-    }
-    if flags.contains_key("default") {
-        fields.push(("default".to_string(), serde_json::Value::Bool(true)));
-    }
-    if flags.contains_key("long-term") {
-        fields.push(("long_term".to_string(), serde_json::Value::Bool(true)));
-    }
-    serde_json::Value::Object(fields)
 }

@@ -35,10 +35,10 @@ pub struct NeuroPlanConfig {
     /// Anytime-planning supervision: per-stage budgets, retry policy and
     /// the degradation ladder (DESIGN.md §11).
     pub supervisor: SupervisorConfig,
-    /// Simplex basis engine for every master-problem LP (the CLI's
-    /// `--lp-backend`). `Auto` defers to `NP_LP_BACKEND` and defaults to
-    /// the sparse revised simplex; `Dense` restores the historical
-    /// tableau, kept as the bit-exactness reference (DESIGN.md §12).
+    /// Simplex basis engine for every master-problem LP. `Auto` defers
+    /// to `NP_LP_BACKEND` and defaults to the sparse revised simplex;
+    /// `Dense` restores the historical tableau, kept as the
+    /// bit-exactness reference (DESIGN.md §12).
     pub lp_backend: np_lp::LpBackend,
 }
 
@@ -174,7 +174,7 @@ impl NeuroPlanConfig {
         self
     }
 
-    /// Select the simplex basis engine (the CLI's `--lp-backend`).
+    /// Select the simplex basis engine.
     pub fn with_lp_backend(mut self, backend: np_lp::LpBackend) -> Self {
         self.lp_backend = backend;
         self

@@ -35,6 +35,7 @@ pub mod pipeline;
 pub mod replan;
 pub mod report;
 pub mod service;
+pub mod spec;
 
 pub use analysis::{analyze_plan, PlanAnalysis};
 pub use config::NeuroPlanConfig;
@@ -49,3 +50,4 @@ pub use pipeline::{validate_plan, FirstStage, NeuroPlan, NeuroPlanResult, PlanEr
 pub use replan::{EventReport, ReplanConfig, ReplanReport};
 pub use report::{PhaseReport, PruningReport};
 pub use service::NeuroPlanService;
+pub use spec::PlanSpec;

@@ -22,18 +22,9 @@
 //!
 //! ## Request spec
 //!
-//! ```json
-//! {
-//!   "preset": "a",              // or "family": "grid", "size_tier": "b",
-//!                               //    "failure_model": "cuts"
-//!   "fill": 0.5,                // optional capacity fill
-//!   "seed": 7,                  // optional instance + run seed
-//!   "default": false,           // true = release preset, else quick
-//!   "alpha": 1.5,               // optional relax factor
-//!   "stage_budget": 30.0,       // optional per-stage wall budget, secs
-//!   "events": "seed=3,n=5"      // optional churn spec -> replan path
-//! }
-//! ```
+//! A JSON object read by [`PlanSpec::from_json`]; [`crate::spec::FIELDS`]
+//! is the list of keys, types and ranges (`neuroplan` alone prints it).
+//! `neuroplan request` builds the same object from the same-named flags.
 //!
 //! The result body carries `units`, `cost` (plus `cost_hex` for
 //! bit-exact comparison), `quality`, the `fingerprint`, and whether the
@@ -41,14 +32,11 @@
 
 use crate::checkpoint;
 use crate::pipeline::{validate_plan, NeuroPlan, PlanFailure};
-use crate::replan::ReplanConfig;
-use crate::NeuroPlanConfig;
+use crate::replan::ReplanReport;
+use crate::spec::PlanSpec;
 use np_chaos::checkpoint::f64_to_hex;
-use np_churn::ChurnSpec;
 use np_serve::{PlanService, RequestCtx, ServiceFailure};
 use np_telemetry::{sys, Telemetry};
-use np_topology::generator::{GeneratorConfig, TopologyPreset};
-use np_topology::Network;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 
@@ -75,85 +63,6 @@ fn bad(msg: impl Into<String>) -> ServiceFailure {
     ServiceFailure::Failed(msg.into())
 }
 
-/// Build the instance named by the spec (`preset` or `family` surface,
-/// mirroring the CLI's generator flags).
-fn network_of(spec: &Value) -> Result<Network, ServiceFailure> {
-    let fill = spec.get("fill").and_then(|v| v.as_f64());
-    let seed = spec.get("seed").and_then(|v| v.as_u64());
-    if let Some(name) = spec.get("family").and_then(|v| v.as_str()) {
-        use np_topology::{FailureModel, FamilyConfig, SizeTier, TopologyFamily};
-        let family =
-            TopologyFamily::parse(name).ok_or_else(|| bad(format!("unknown family `{name}`")))?;
-        let tier = match spec.get("size_tier").and_then(|v| v.as_str()) {
-            Some(t) => SizeTier::parse(t).ok_or_else(|| bad(format!("unknown size tier `{t}`")))?,
-            None => SizeTier::B,
-        };
-        let mut cfg = FamilyConfig::new(family, tier);
-        if let Some(m) = spec.get("failure_model").and_then(|v| v.as_str()) {
-            cfg.failure_model = FailureModel::parse(m)
-                .ok_or_else(|| bad(format!("unknown failure model `{m}`")))?;
-        }
-        if let Some(f) = fill {
-            cfg.capacity_fill = f;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        return cfg
-            .try_generate()
-            .map_err(|e| bad(format!("invalid family config: {e}")));
-    }
-    let preset = match spec.get("preset").and_then(|v| v.as_str()) {
-        Some("a") | Some("A") => TopologyPreset::A,
-        Some("b") | Some("B") => TopologyPreset::B,
-        Some("c") | Some("C") => TopologyPreset::C,
-        Some("d") | Some("D") => TopologyPreset::D,
-        Some("e") | Some("E") => TopologyPreset::E,
-        Some(other) => return Err(bad(format!("unknown preset `{other}`"))),
-        None => return Err(bad("spec needs a `preset` or a `family`")),
-    };
-    let mut cfg = GeneratorConfig::preset(preset);
-    if let Some(f) = fill {
-        cfg.capacity_fill = f;
-    }
-    if spec.get("long_term").and_then(|v| v.as_bool()) == Some(true) {
-        cfg.long_term = true;
-    }
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    cfg.try_generate()
-        .map_err(|e| bad(format!("invalid generator config: {e}")))
-}
-
-/// Build the planner configuration from the spec's knobs.
-fn config_of(spec: &Value) -> Result<NeuroPlanConfig, ServiceFailure> {
-    let mut cfg = if spec.get("default").and_then(|v| v.as_bool()) == Some(true) {
-        NeuroPlanConfig::default()
-    } else {
-        NeuroPlanConfig::quick()
-    };
-    if let Some(alpha) = spec.get("alpha").and_then(|v| v.as_f64()) {
-        if alpha < 1.0 {
-            return Err(bad("`alpha` must be >= 1"));
-        }
-        cfg.relax_factor = alpha;
-    }
-    if let Some(seed) = spec.get("seed").and_then(|v| v.as_u64()) {
-        cfg = cfg.with_seed(seed);
-    }
-    if let Some(secs) = spec.get("stage_budget").and_then(|v| v.as_f64()) {
-        if secs < 0.0 {
-            return Err(bad("`stage_budget` must be >= 0"));
-        }
-        cfg = cfg.with_stage_budget(secs);
-    }
-    if let Some(n) = spec.get("workers").and_then(|v| v.as_u64()) {
-        cfg = cfg.with_workers((n as usize).max(1));
-    }
-    Ok(cfg)
-}
-
 fn units_of(blob: &Value) -> Option<Vec<u32>> {
     blob.get("units")?
         .as_array()?
@@ -162,133 +71,95 @@ fn units_of(blob: &Value) -> Option<Vec<u32>> {
         .collect()
 }
 
-fn result_body(
-    id: u64,
-    units: &[u32],
-    cost: f64,
-    quality: &str,
-    fingerprint: &str,
-    cache: &str,
-) -> Value {
-    json!({
-        "id": id,
-        "units": units,
-        "cost": cost,
-        "cost_hex": f64_to_hex(cost),
-        "quality": quality,
-        "fingerprint": fingerprint,
-        "cache": cache,
-    })
+/// The result members every surface reports — `units`, `cost`,
+/// `cost_hex`, `quality`; the CLI and the daemon add their own around
+/// them.
+pub fn plan_body(units: &[u32], cost: f64, quality: &str) -> [(String, Value); 4] {
+    [
+        ("units".to_string(), json!(units)),
+        ("cost".to_string(), json!(cost)),
+        // Bit-exact cost for cross-process comparisons.
+        ("cost_hex".to_string(), json!(f64_to_hex(cost))),
+        ("quality".to_string(), json!(quality)),
+    ]
+}
+
+/// Quality of a re-planned stream: that of its last applied event.
+fn stream_quality(report: &ReplanReport) -> &'static str {
+    (report.events.iter().rev())
+        .find(|e| e.skipped.is_none())
+        .map_or("optimal", |e| e.quality.name())
 }
 
 impl PlanService for NeuroPlanService {
     fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
-        let net = network_of(spec)?;
-        let cfg = config_of(spec)?;
+        let spec = PlanSpec::from_json(spec).map_err(bad)?;
+        let net = spec.network().map_err(bad)?;
+        let cfg = spec.config();
         let fp = checkpoint::fingerprint(&net, &cfg);
-        let events_spec = spec.get("events").and_then(|v| v.as_str());
+        let events = spec.events(&net);
+        let done = |units: &[u32], cost: f64, quality: &str, cache: &str| {
+            let [units, cost, cost_hex, quality] = plan_body(units, cost, quality);
+            let id = ("id".to_string(), json!(ctx.id));
+            let fp = ("fingerprint".to_string(), json!(fp));
+            let cache = ("cache".to_string(), json!(cache));
+            // Exactly sized: the daemon keeps every result it has served.
+            Ok(Value::Object(vec![
+                id, units, cost, cost_hex, quality, fp, cache,
+            ]))
+        };
 
         // Warm path: a cached plan for this exact fingerprint.
         let cached = ctx.cache.lock().unwrap().get(&fp);
-        if let Some(blob) = &cached {
-            if let Some(units) = units_of(blob) {
-                match events_spec {
-                    None => {
-                        // Repeat request: one evaluator validation pass
-                        // instead of a full RL + ILP solve.
-                        if validate_plan(&net, &units).is_ok() {
-                            self.tel.incr(sys::SERVE, "warm_hits", 1);
-                            let cost = blob.get("cost").and_then(|v| v.as_f64()).unwrap_or(0.0);
-                            let quality = blob
-                                .get("quality")
-                                .and_then(|v| v.as_str())
-                                .unwrap_or("incumbent");
-                            return Ok(result_body(ctx.id, &units, cost, quality, &fp, "warm"));
-                        }
-                    }
-                    Some(raw) => {
-                        // Perturbed repeat: carry the cached plan into
-                        // the incremental replan path.
-                        let churn = ChurnSpec::parse(raw)
-                            .map_err(|e| bad(format!("invalid events spec: {e}")))?;
-                        let events = churn.resolve(&net);
-                        let planner = NeuroPlan::with_telemetry(cfg.clone(), self.tel.clone())
-                            .with_cancel(ctx.cancel.clone());
-                        self.tel.incr(sys::SERVE, "warm_hits", 1);
-                        let report = planner
-                            .replan_from(&net, &units, &events, &ReplanConfig::default())
-                            .map_err(|e| match e {
-                                PlanFailure::Cancelled => ServiceFailure::Cancelled,
-                                other => bad(format!("replan failed: {other}")),
-                            })?;
-                        let quality = report
-                            .events
-                            .iter()
-                            .rev()
-                            .find(|e| e.skipped.is_none())
-                            .map(|e| e.quality.name())
-                            .unwrap_or("optimal");
-                        return Ok(result_body(
-                            ctx.id,
-                            &report.final_units,
-                            report.final_cost,
-                            quality,
-                            &fp,
-                            "warm",
-                        ));
-                    }
-                }
+        let carried = cached.as_ref().and_then(units_of);
+        if let (Some(blob), Some(units), None) = (&cached, &carried, &events) {
+            // Repeat request: one evaluator validation pass instead of
+            // a full RL + ILP solve.
+            if validate_plan(&net, units).is_ok() {
+                self.tel.incr(sys::SERVE, "warm_hits", 1);
+                let cost = blob.get("cost").and_then(|v| v.as_f64()).unwrap_or(0.0);
+                let quality = blob.get("quality").and_then(|v| v.as_str());
+                return done(units, cost, quality.unwrap_or("incumbent"), "warm");
             }
+        }
+        let planner =
+            NeuroPlan::with_telemetry(cfg, self.tel.clone()).with_cancel(ctx.cancel.clone());
+        let fail = |what: &str, e: PlanFailure| match e {
+            PlanFailure::Cancelled => ServiceFailure::Cancelled,
+            other => bad(format!("{what} failed: {other}")),
+        };
+        if let (Some(units), Some(events)) = (&carried, &events) {
+            // Perturbed repeat: carry the cached plan into the
+            // incremental replan path.
+            self.tel.incr(sys::SERVE, "warm_hits", 1);
+            let report = planner
+                .replan_from(&net, units, events, &spec.replan_config())
+                .map_err(|e| fail("replan", e))?;
+            let quality = stream_quality(&report);
+            return done(&report.final_units, report.final_cost, quality, "warm");
         }
 
         // Cold path: the full pipeline under this request's own
         // checkpoint chain. Resume mode is unconditional — an empty
         // chain starts fresh, a replayed one continues bit-identically.
         let req_dir = self.state_dir.join(format!("req-{}", ctx.id));
-        let planner = NeuroPlan::with_telemetry(cfg.clone(), self.tel.clone())
-            .with_checkpoint(&req_dir, true)
-            .with_cancel(ctx.cancel.clone());
-        let map_fail = |e: PlanFailure| match e {
-            PlanFailure::Cancelled => ServiceFailure::Cancelled,
-            other => bad(format!("plan failed: {other}")),
+        let planner = planner.with_checkpoint(&req_dir, true);
+        let Some(events) = events else {
+            let result = planner.try_plan(&net).map_err(|e| fail("plan", e))?;
+            let (units, cost) = (result.final_units, result.final_cost);
+            let quality = result.quality.name();
+            // Keep the plan warm for repeats and perturbations. Only the
+            // base (event-free) plan is cached: it is what both warm
+            // paths start from.
+            let blob = json!({"units": units, "cost": cost, "quality": quality});
+            ctx.cache.lock().unwrap().put(&fp, blob);
+            return done(&units, cost, quality, "cold");
         };
-        let (units, cost, quality) = match events_spec {
-            None => {
-                let result = planner.try_plan(&net).map_err(map_fail)?;
-                (result.final_units, result.final_cost, result.quality.name())
-            }
-            Some(raw) => {
-                let churn =
-                    ChurnSpec::parse(raw).map_err(|e| bad(format!("invalid events spec: {e}")))?;
-                let events = churn.resolve(&net);
-                let report = planner
-                    .replan(&net, &events, &ReplanConfig::default())
-                    .map_err(map_fail)?;
-                let quality = report
-                    .events
-                    .iter()
-                    .rev()
-                    .find(|e| e.skipped.is_none())
-                    .map(|e| e.quality.name())
-                    .unwrap_or("optimal");
-                (report.final_units, report.final_cost, quality)
-            }
-        };
-
-        // Keep the plan warm for repeats and perturbations. Only the
-        // base (event-free) plan is cached: it is what both warm paths
-        // start from.
-        if events_spec.is_none() {
-            ctx.cache.lock().unwrap().put(
-                &fp,
-                json!({
-                    "units": units,
-                    "cost": cost,
-                    "quality": quality,
-                }),
-            );
-        }
-        Ok(result_body(ctx.id, &units, cost, quality, &fp, "cold"))
+        let report = planner
+            .replan(&net, &events, &spec.replan_config())
+            .map_err(|e| fail("plan", e))?;
+        let quality = stream_quality(&report);
+        done(&report.final_units, report.final_cost, quality, "cold")
     }
 }
 
@@ -318,23 +189,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("np-svc-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn bad_specs_fail_without_planning() {
-        let cache = Mutex::new(WarmCache::new(4));
-        let svc = NeuroPlanService::new(tmp("bad"), Telemetry::noop());
-        for spec in [
-            json!({}),
-            json!({"preset": "z"}),
-            json!({"family": "nope"}),
-            json!({"preset": "a", "alpha": 0.5}),
-        ] {
-            match svc.execute(&spec, &ctx(&cache, 1)) {
-                Err(ServiceFailure::Failed(_)) => {}
-                other => panic!("expected Failed, got {other:?}"),
-            }
-        }
     }
 
     #[test]

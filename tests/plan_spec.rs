@@ -1,0 +1,441 @@
+//! One `PlanSpec` for flags, wire JSON and the daemon.
+//!
+//! * every row of `spec::FIELDS` survives flags → spec → JSON text →
+//!   spec unchanged, at the edges of its range;
+//! * the fingerprints of the spec shapes that `benchmark/`, the CI
+//!   `serve-smoke` job and `crates/core/tests/serve.rs` send equal the
+//!   values recorded on the commit before `PlanSpec` (through its
+//!   `network_of` + `config_of`), so warm-cache keys and checkpoint
+//!   chains written by older binaries still resolve;
+//! * bad input is the same typed error on both surfaces, and the
+//!   `neuroplan` binary refuses it with exit 2 before writing anything.
+
+use neuroplan::spec::{Field, Kind, FIELDS};
+use neuroplan::{checkpoint, NeuroPlanService, PlanSpec};
+use np_chaos::CancelToken;
+use np_serve::{PlanService, RequestCtx, ServiceFailure, WarmCache};
+use np_telemetry::Telemetry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use serde_json::{json, Value};
+use std::path::PathBuf;
+use std::process::Command;
+use std::sync::Mutex;
+
+fn flags(args: &[&str]) -> Result<PlanSpec, String> {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    PlanSpec::from_flags(&args, "").map(|(spec, _)| spec)
+}
+
+/// Through real wire text, not just the `Value` tree.
+fn over_the_wire(spec: &PlanSpec) -> Result<PlanSpec, String> {
+    let text = serde_json::to_string(&spec.to_json()).expect("json");
+    PlanSpec::from_json(&serde_json::from_str(&text).expect("wire text parses"))
+}
+
+/// Valid values of a row, including both ends of its range.
+fn samples(field: &Field) -> Vec<String> {
+    let own = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    match field.kind {
+        Kind::Switch => own(&[""]),
+        Kind::Choice(names, _) => names.split('|').map(str::to_string).collect(),
+        Kind::Real(lo, hi) => vec![
+            lo.to_string(),
+            hi.to_string(),
+            (lo + (hi.min(2.0) - lo) * (0.5 - 1e-12)).to_string(),
+        ],
+        Kind::Int(max) => vec![
+            "0".to_string(),
+            "7".to_string(),
+            (1u64 << 53).min(max).to_string(),
+            ((1u64 << 53) + 1).min(max).to_string(),
+            max.to_string(),
+        ],
+        Kind::Workers => own(&["1", "4", "auto"]),
+        Kind::Events => own(&["seed=3,n=5", "demand-scale:1.2; link-remove:3"]),
+    }
+}
+
+#[test]
+fn every_row_round_trips_from_flags_through_json() {
+    let mut everything: Vec<String> = Vec::new();
+    for field in FIELDS {
+        let flag = format!("--{}", field.key.replace('_', "-"));
+        for sample in samples(field) {
+            let mut args = vec![flag.as_str()];
+            if !matches!(field.kind, Kind::Switch) {
+                args.push(&sample);
+            }
+            let spec = flags(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_ne!(spec, PlanSpec::default(), "{args:?} was dropped");
+            assert_eq!(over_the_wire(&spec), Ok(spec), "{args:?}");
+            if field.key != "family" {
+                everything.extend(args.iter().map(|a| a.to_string()));
+            }
+        }
+    }
+    // All rows at once (later values win; `family` would conflict with
+    // `preset`).
+    let (spec, _) = PlanSpec::from_flags(&everything, "").expect("all rows together");
+    assert_eq!(over_the_wire(&spec), Ok(spec.clone()));
+    assert_eq!(
+        spec.to_json().as_object().map(Vec::len),
+        Some(FIELDS.len() - 1)
+    );
+}
+
+#[test]
+fn seeds_beyond_2_pow_53_plan_the_same_instance_on_both_surfaces() {
+    let seed = u64::MAX - 1;
+    let spec = flags(&[
+        "--preset",
+        "a",
+        "--seed",
+        &seed.to_string(),
+        "--workers",
+        "3",
+    ])
+    .unwrap();
+    let wire = serde_json::to_string(&spec.to_json()).unwrap();
+    assert_eq!(
+        wire,
+        format!(r#"{{"preset":"a","seed":"{seed}","workers":3}}"#)
+    );
+    let back = over_the_wire(&spec).unwrap();
+    assert_eq!(back.config().seed, seed);
+    assert_eq!(back.config().eval.parallel_workers, 3);
+    assert_eq!(
+        back.network().unwrap().to_json(),
+        spec.network().unwrap().to_json()
+    );
+    // Small integers stay plain numbers: what the benchmark and CI send.
+    let small = flags(&["--preset", "a", "--seed", "3"]).unwrap();
+    assert_eq!(
+        serde_json::to_string(&small.to_json()).unwrap(),
+        r#"{"preset":"a","seed":3}"#
+    );
+    assert_eq!(
+        PlanSpec::from_json(&json!({"preset": "a", "seed": "3"})),
+        Ok(small)
+    );
+}
+
+/// `(wire spec, fingerprint in a debug build, in a release build)`,
+/// printed by the parent commit's `service::{network_of, config_of}`
+/// (the CLI shapes by its `planner_config` call sequence) under the
+/// sparse LP backend. `quick()` budgets differ between the profiles.
+#[rustfmt::skip]
+const PINNED: &[(&str, &str, &str)] = &[
+    // benchmark/src/workloads.rs::spec, jitter 0 and 1
+    (r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5}"#, "73fe13bae0ff8053", "7165e7090ec8138b"),
+    (r#"{"preset":"a","seed":5,"workers":1,"alpha":1.5}"#, "1117d2226094f0b1", "2322d2367a72a97d"),
+    (r#"{"preset":"a","seed":9,"workers":1,"alpha":1.499999999999}"#, "05bbfd7934b4e614", "cb3d9b03d75d474c"),
+    // crates/core/tests/serve.rs and the CI serve-smoke job
+    (r#"{"preset":"a","seed":3}"#, "733dd09ec4fd16a9", "34bddb7a592581eb"),
+    (r#"{"preset":"a","seed":4}"#, "0eb3574fe0e08f5e", "7d5466c607f51802"),
+    (r#"{"preset":"a","seed":7}"#, "9642170720b1c756", "4408471634f3ed4a"),
+    (r#"{"preset":"c","seed":3}"#, "67a53102239fb602", "7d869a564fa49ebe"),
+    (r#"{"preset":"c","seed":9}"#, "8cf23141410dd5a0", "bf926d2034987d78"),
+    (r#"{"preset":"d","seed":3,"fill":0.9}"#, "18a6de3262efaaf3", "61d06ded144c91a1"),
+    // CLI checkpoint chains: plan-golden, the supervisor suite, a family
+    (r#"{"preset":"b","quick":true,"workers":1}"#, "3a9ed2d2c1c3e440", "39ac8d37c084c41e"),
+    (r#"{"preset":"a","fill":0.5,"seed":5,"alpha":2,"workers":4,"stage_budget":30,"max_retries":1,"no_degrade":true}"#,
+     "df11724656c4292c", "290dab68dfc2dea4"),
+    (r#"{"family":"clos","size_tier":"a","failure_model":"full","seed":3,"default":true}"#,
+     "71b214b058c88ce0", "71b214b058c88ce0"),
+];
+
+#[test]
+fn fingerprints_equal_the_parent_commits() {
+    assert_eq!(
+        1.5 - 1e-12,
+        1.499999999999,
+        "the benchmark's jittered alpha"
+    );
+    for (wire, debug, release) in PINNED {
+        let spec = PlanSpec::from_json(&serde_json::from_str(wire).expect("json"))
+            .unwrap_or_else(|e| panic!("{wire}: {e}"));
+        let net = spec.network().expect("instance");
+        // Pinned backend: the fingerprint follows NP_LP_BACKEND otherwise.
+        let cfg = spec.config().with_lp_backend(np_lp::LpBackend::Sparse);
+        let want = if cfg!(debug_assertions) {
+            debug
+        } else {
+            release
+        };
+        assert_eq!(&checkpoint::fingerprint(&net, &cfg), want, "{wire}");
+    }
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("np-spec-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Specs the daemon must fail with `ServiceFailure::Failed` before it
+/// plans anything (the first four were `service.rs`'s own table).
+fn bad_specs() -> Vec<Value> {
+    vec![
+        json!({}),
+        json!({"preset": "z"}),
+        json!({"family": "nope"}),
+        json!({"preset": "a", "alpha": 0.5}),
+        json!({"preset": "a", "aplha": 2}),
+        json!({"preset": "a", "family": "ba"}),
+        json!({"preset": "a", "prune_alpha": 0.99}),
+        json!({"preset": "a", "gap": -1e-9}),
+        json!({"preset": "a", "stage_budget": -1}),
+        json!({"preset": "a", "stage_budget": f64::NAN}),
+        json!({"preset": "a", "fill": 1.0000001}),
+        json!({"preset": "a", "seed": 1.5}),
+        json!({"preset": "a", "seed": -1}),
+        json!({"preset": "a", "seed": 1e19}),
+        json!({"preset": "a", "seed": "18446744073709551616"}),
+        json!({"preset": "a", "flap_seed": "seven"}),
+        json!({"preset": "a", "max_retries": 4294967296u64}),
+        json!({"preset": "a", "workers": "many"}),
+        json!({"preset": "a", "workers": -2}),
+        json!({"preset": "a", "default": 1}),
+        json!({"preset": 7}),
+        json!({"preset": "a", "alpha": "1.5"}),
+        json!({"preset": "a", "events": "bogus:1"}),
+        json!({"preset": "a", "events": "seed=1,n=99999999999"}),
+        json!({"preset": "a", "events": json!(["demand-scale:1.2"])}),
+        json!(["preset", "a"]),
+        json!("preset=a"),
+        json!(null),
+    ]
+}
+
+#[test]
+fn bad_specs_are_typed_failures_and_nothing_is_planned() {
+    let dir = tmp("bad");
+    let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+    let cache = Mutex::new(WarmCache::new(4));
+    for spec in bad_specs() {
+        let parsed = PlanSpec::from_json(&spec).and_then(|s| s.network());
+        assert!(parsed.is_err(), "{spec:?} was accepted");
+        let ctx = RequestCtx {
+            id: 1,
+            resume: false,
+            cancel: CancelToken::new(),
+            cache: &cache,
+        };
+        match svc.execute(&spec, &ctx) {
+            Err(ServiceFailure::Failed(msg)) => assert_eq!(Err(msg), parsed.map(|_| ())),
+            other => panic!("{spec:?}: expected Failed, got {other:?}"),
+        }
+    }
+    assert!(!dir.exists(), "a rejected spec left state behind");
+}
+
+#[test]
+fn bad_flags_are_errors() {
+    for args in [
+        &["--preset", "a", "--alpha", "0.5"][..],
+        &["--preset", "a", "--alpha", "inf"],
+        &["--preset", "a", "--aplha", "2"],
+        &["--preset", "a", "--stage-budget", "nan"],
+        &["--preset", "a", "--fill", "-0.1"],
+        &["--preset", "a", "--seed", "1e3"],
+        &["--preset", "a", "--seed"],
+        &["--preset", "a", "--lp-backend", "dense"],
+        &["--preset", "a", "--family", "ba"],
+        &["--preset", "a", "--out", "plan.json"],
+        &["--preset", "a", "stray"],
+    ] {
+        assert!(flags(args).is_err(), "{args:?} was accepted");
+    }
+    // Run-scoped flags are the caller's: named ones come back, switches
+    // take no value.
+    let args: Vec<String> = ["--resume", "--preset", "a", "--out", "plan.json"]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    let (spec, run) = PlanSpec::from_flags(&args, "--out <file> --resume").expect("run flags");
+    assert_eq!(Ok(spec), flags(&["--preset", "a"]));
+    assert_eq!(run.get("out").map(String::as_str), Some("plan.json"));
+    assert_eq!(run.get("resume").map(String::as_str), Some("true"));
+}
+
+/// A random JSON value: mostly scalars near the interesting edges.
+fn hostile(rng: &mut StdRng, depth: usize) -> Value {
+    const NUMS: [f64; 12] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        1e308,
+        -1e308,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        1.8446744073709552e19,
+        5e-324,
+        4_294_967_296.0,
+    ];
+    const TEXT: [&str; 10] = [
+        "",
+        "a",
+        "A",
+        "auto",
+        "clos",
+        "seed=1",
+        "seed=1,n=0",
+        "18446744073709551615",
+        "demand-scale:nan",
+        "\u{0}\u{1F600}",
+    ];
+    match rng.gen_range(0..if depth == 0 { 6 } else { 8 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen()),
+        2 => Value::Num(NUMS[rng.gen_range(0..NUMS.len())]),
+        3 => Value::Num(f64::from_bits(rng.gen())),
+        4 => Value::Str(TEXT[rng.gen_range(0..TEXT.len())].to_string()),
+        5 => Value::Str("x".repeat(rng.gen_range(0..70_000))),
+        6 => Value::Array(
+            (0..rng.gen_range(0..4))
+                .map(|_| hostile(rng, depth - 1))
+                .collect(),
+        ),
+        _ => hostile_object(rng, depth - 1),
+    }
+}
+
+fn hostile_object(rng: &mut StdRng, depth: usize) -> Value {
+    let members = (0..rng.gen_range(0..5)).map(|_| {
+        let key = match rng.gen_range(0..10) {
+            0 => "sede".to_string(),
+            _ => FIELDS[rng.gen_range(0..FIELDS.len())].key.to_string(),
+        };
+        (key, hostile(rng, depth))
+    });
+    Value::Object(members.collect())
+}
+
+#[test]
+fn hostile_json_yields_only_typed_errors() {
+    let mut rng = StdRng::seed_from_u64(0x5bec);
+    let mut accepted = 0;
+    for round in 0..20_000 {
+        let value = match round % 20 {
+            0 => hostile(&mut rng, 2),
+            _ => hostile_object(&mut rng, 2),
+        };
+        // Must return, never panic; what it accepts must hold up.
+        if let Ok(spec) = PlanSpec::from_json(&value) {
+            accepted += 1;
+            let cfg = spec.config();
+            assert!(cfg.relax_factor >= 1.0 && cfg.relax_factor.is_finite());
+            assert!(cfg.supervisor.budget.wall_secs >= 0.0);
+            let rcfg = spec.replan_config();
+            assert!(rcfg.gap_tol >= 0.0 && rcfg.prune_alpha.is_none_or(|a| a >= 1.0));
+            assert_eq!(over_the_wire(&spec), Ok(spec), "{value:?}");
+        }
+    }
+    assert!(accepted > 100, "the generator never produced a valid spec");
+}
+
+/// The `neuroplan` binary of this test's own build profile. The root
+/// package does not own the binary, so cargo has not necessarily built
+/// it: build it here, once (a no-op when it is fresh).
+fn neuroplan_bin() -> &'static PathBuf {
+    static BIN: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+    BIN.get_or_init(build_neuroplan)
+}
+
+fn build_neuroplan() -> PathBuf {
+    let exe = std::env::current_exe().expect("test executable path");
+    let profile_dir = exe
+        .parent()
+        .and_then(|deps| deps.parent())
+        .expect("target/<profile>/deps");
+    let mut build = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()));
+    build.args([
+        "build",
+        "-q",
+        "--offline",
+        "-p",
+        "neuroplan",
+        "--bin",
+        "neuroplan",
+    ]);
+    build.current_dir(env!("CARGO_MANIFEST_DIR"));
+    if !cfg!(debug_assertions) {
+        build.arg("--release");
+    }
+    assert!(
+        build.status().expect("run cargo").success(),
+        "cargo build of the CLI failed"
+    );
+    profile_dir.join("neuroplan")
+}
+
+#[test]
+fn the_cli_refuses_bad_requests_before_doing_anything() {
+    let bin = neuroplan_bin();
+    let dir = tmp("cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ckpt, out) = (dir.join("ckpt"), dir.join("plan.json"));
+    for bad in [
+        &["--alpha", "0.5"][..],
+        &["--aplha", "2"],
+        &["--stage-budget", "nan"],
+        &["--lp-backend", "dense"],
+        &["--seed", "18446744073709551616"],
+    ] {
+        for cmd in ["plan", "replan", "generate", "request"] {
+            let mut run = Command::new(bin);
+            run.args([cmd, "--preset", "a", "--quick"]).args(bad);
+            match cmd {
+                "plan" | "replan" => run.arg("--checkpoint-dir").arg(&ckpt),
+                "request" => run.args(["--addr", "127.0.0.1:1"]),
+                _ => &mut run,
+            };
+            let done = run
+                .arg("--out")
+                .arg(&out)
+                .output()
+                .expect("spawn neuroplan");
+            let stderr = String::from_utf8_lossy(&done.stderr);
+            assert_eq!(done.status.code(), Some(2), "{cmd} {bad:?}: {stderr}");
+            assert!(
+                !ckpt.exists() && !out.exists(),
+                "{cmd} {bad:?} wrote something"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn request_sends_big_seeds_and_workers_to_the_daemon() {
+    let bin = neuroplan_bin();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    // A daemon that reads the submit frame and hangs up.
+    let daemon = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        np_serve::proto::read_frame(&mut conn).expect("one frame")
+    });
+    let seed = "18446744073709551615";
+    let status = Command::new(bin)
+        .args(["request", "--addr", &addr, "--do", "submit"])
+        .args(["--preset", "a", "--seed", seed, "--workers", "3"])
+        .output()
+        .expect("spawn neuroplan");
+    assert_eq!(
+        status.status.code(),
+        Some(1),
+        "the fake daemon never answers"
+    );
+    let frame = daemon.join().expect("daemon thread");
+    let sent = PlanSpec::from_json(&frame["spec"]).expect("the sent spec is valid");
+    assert_eq!(
+        Ok(sent),
+        flags(&["--preset", "a", "--seed", seed, "--workers", "3"])
+    );
+    assert_eq!(frame["spec"]["seed"].as_str(), Some(seed));
+    assert_eq!(frame["spec"]["workers"].as_u64(), Some(3));
+}
