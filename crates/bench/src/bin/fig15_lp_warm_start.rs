@@ -35,20 +35,15 @@ struct BackendRun {
 fn run(net: &Network, backend: LpBackend, node_limit: usize) -> (BackendRun, Telemetry) {
     let tel = Telemetry::memory();
     let mut evaluator = PlanEvaluator::with_telemetry(net, EvalConfig::default(), tel.clone());
+    // A node budget, not a wall budget: the dense run must walk the
+    // exact same tree so the costs are comparable bit-for-bit.
     let cfg = MasterConfig {
-        upper_bounds: MasterConfig::spectrum_bounds(net),
-        cutoff: None,
-        node_limit,
-        // A node budget, not a wall budget: the dense run must walk the
-        // exact same tree so the costs are comparable bit-for-bit.
-        time_limit_secs: f64::INFINITY,
-        max_cuts_per_round: 8,
-        seed_cuts: vec![],
-        granularity: 1,
-        gap_tol: MasterConfig::DEFAULT_GAP,
-        warm_units: None,
-        polish_final: false,
         lp_backend: backend,
+        ..MasterConfig::new(
+            MasterConfig::spectrum_bounds(net),
+            node_limit,
+            f64::INFINITY,
+        )
     };
     let t0 = Instant::now();
     let out = solve_master_telemetry(net, &mut evaluator, &cfg, &tel);

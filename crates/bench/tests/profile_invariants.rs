@@ -45,17 +45,13 @@ fn run(
         tel.clone(),
     );
     let cfg = MasterConfig {
-        upper_bounds: MasterConfig::spectrum_bounds(net),
-        cutoff: None,
-        node_limit,
-        time_limit_secs: f64::INFINITY,
-        max_cuts_per_round: 8,
-        seed_cuts: vec![],
         granularity,
-        gap_tol: MasterConfig::DEFAULT_GAP,
-        warm_units: None,
-        polish_final: false,
         lp_backend: LpBackend::Sparse,
+        ..MasterConfig::new(
+            MasterConfig::spectrum_bounds(net),
+            node_limit,
+            f64::INFINITY,
+        )
     };
     let out = solve_master_telemetry(net, &mut evaluator, &cfg, &tel);
     np_telemetry::set_profiling(false);

@@ -26,17 +26,8 @@ fn run(net: &Network, backend: LpBackend) -> Run {
     let tel = Telemetry::memory();
     let mut evaluator = PlanEvaluator::with_telemetry(net, EvalConfig::default(), tel.clone());
     let cfg = MasterConfig {
-        upper_bounds: MasterConfig::spectrum_bounds(net),
-        cutoff: None,
-        node_limit: 200,
-        time_limit_secs: f64::INFINITY,
-        max_cuts_per_round: 8,
-        seed_cuts: vec![],
-        granularity: 1,
-        gap_tol: MasterConfig::DEFAULT_GAP,
-        warm_units: None,
-        polish_final: false,
         lp_backend: backend,
+        ..MasterConfig::new(MasterConfig::spectrum_bounds(net), 200, f64::INFINITY)
     };
     let out = solve_master_telemetry(net, &mut evaluator, &cfg, &tel);
     Run {

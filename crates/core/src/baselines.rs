@@ -4,7 +4,7 @@ use crate::greedy::greedy_augment;
 use crate::master::{solve_master, MasterConfig, MasterOutcome};
 use np_eval::{EvalConfig, PlanEvaluator};
 use np_flow::{k_shortest_paths, FlowGraph};
-use np_lp::{LpBackend, MipStatus};
+use np_lp::MipStatus;
 use np_topology::Network;
 use std::time::Instant;
 
@@ -55,17 +55,12 @@ pub fn solve_ilp(net: &Network, eval_cfg: EvalConfig, budget: BaselineBudget) ->
     let t0 = Instant::now();
     let mut evaluator = PlanEvaluator::new(net, eval_cfg);
     let cfg = MasterConfig {
-        upper_bounds: MasterConfig::spectrum_bounds(net),
-        cutoff: None,
-        node_limit: budget.node_limit,
-        time_limit_secs: budget.time_limit_secs,
-        max_cuts_per_round: 8,
-        seed_cuts: vec![],
-        granularity: 1,
-        gap_tol: MasterConfig::DEFAULT_GAP,
-        warm_units: None,
         polish_final: true,
-        lp_backend: LpBackend::Auto,
+        ..MasterConfig::new(
+            MasterConfig::spectrum_bounds(net),
+            budget.node_limit,
+            budget.time_limit_secs,
+        )
     };
     let master = solve_master(net, &mut evaluator, &cfg);
     BaselineOutcome {
@@ -116,14 +111,8 @@ pub fn solve_ilp_heur(
         bounds[l.index()] = bounds[l.index()].max(warm.link(l).capacity_units);
     }
     let cfg = MasterConfig {
-        upper_bounds: bounds,
-        cutoff: warm_cost.map(|c| c * (1.0 + 1e-9) + 1e-9),
-        node_limit: budget.node_limit,
-        time_limit_secs: budget.time_limit_secs,
-        max_cuts_per_round: 8,
-        seed_cuts: vec![],
+        cutoff: warm_cost.map(MasterConfig::cutoff_for),
         granularity,
-        gap_tol: MasterConfig::DEFAULT_GAP,
         // The production posture: the known-good design both warm-starts
         // the solver and is the guaranteed fallback.
         warm_units: warm_cost.is_some().then(|| {
@@ -132,7 +121,7 @@ pub fn solve_ilp_heur(
                 .collect()
         }),
         polish_final: true,
-        lp_backend: LpBackend::Auto,
+        ..MasterConfig::new(bounds, budget.node_limit, budget.time_limit_secs)
     };
     let master = solve_master(net, &mut evaluator, &cfg);
     BaselineOutcome {

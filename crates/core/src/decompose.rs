@@ -17,7 +17,6 @@ use crate::master::{
     apply_units, plan_cost_of, polish_units, solve_master_telemetry, MasterConfig,
 };
 use np_eval::{EvalConfig, PlanEvaluator};
-use np_lp::LpBackend;
 use np_telemetry::{sys, Telemetry};
 use np_topology::{FailureKind, LinkId, Network, SiteId};
 
@@ -131,17 +130,12 @@ pub fn solve_decomposed_telemetry(
                 let mut evaluator =
                     PlanEvaluator::with_telemetry(&sub.net, region_eval_cfg, region_tel.clone());
                 let cfg = MasterConfig {
-                    upper_bounds: MasterConfig::spectrum_bounds(&sub.net),
-                    cutoff: None,
-                    node_limit: 5000,
-                    time_limit_secs: per_region_time_secs,
-                    max_cuts_per_round: 8,
-                    seed_cuts: vec![],
-                    granularity: 1,
-                    gap_tol: MasterConfig::DEFAULT_GAP,
-                    warm_units: None,
                     polish_final: true,
-                    lp_backend: LpBackend::Auto,
+                    ..MasterConfig::new(
+                        MasterConfig::spectrum_bounds(&sub.net),
+                        5000,
+                        per_region_time_secs,
+                    )
                 };
                 let out = solve_master_telemetry(&sub.net, &mut evaluator, &cfg, &region_tel);
                 region_tel.incr(sys::PIPELINE, "regions_solved", 1);
@@ -429,17 +423,8 @@ mod tests {
             &net,
             &mut evaluator,
             &MasterConfig {
-                upper_bounds: MasterConfig::spectrum_bounds(&net),
-                cutoff: None,
-                node_limit: 20_000,
-                time_limit_secs: 60.0,
-                max_cuts_per_round: 8,
-                seed_cuts: vec![],
-                granularity: 1,
-                gap_tol: MasterConfig::DEFAULT_GAP,
-                warm_units: None,
                 polish_final: true,
-                lp_backend: LpBackend::Auto,
+                ..MasterConfig::new(MasterConfig::spectrum_bounds(&net), 20_000, 60.0)
             },
         );
         assert!(global.has_plan());

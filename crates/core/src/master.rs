@@ -70,9 +70,33 @@ impl MasterConfig {
     /// these instances (root LP + GMI closure), so this is where
     /// "optimal" is declared; EXPERIMENTS.md discusses the calibration.
     pub const DEFAULT_GAP: f64 = 0.02;
-}
 
-impl MasterConfig {
+    /// The plain master inside `upper_bounds`: no cutoff, seed cuts or
+    /// warm start, 8 cuts per round, the exact unit lattice,
+    /// [`Self::DEFAULT_GAP`], no final polish, [`LpBackend::Auto`].
+    /// Callers set what they need with struct-update syntax.
+    pub fn new(upper_bounds: Vec<u32>, node_limit: usize, time_limit_secs: f64) -> Self {
+        MasterConfig {
+            upper_bounds,
+            cutoff: None,
+            node_limit,
+            time_limit_secs,
+            max_cuts_per_round: 8,
+            seed_cuts: Vec::new(),
+            granularity: 1,
+            gap_tol: Self::DEFAULT_GAP,
+            warm_units: None,
+            polish_final: false,
+            lp_backend: LpBackend::Auto,
+        }
+    }
+
+    /// The branch-and-bound cutoff that keeps a known plan of `cost`
+    /// reachable: its cost plus slack for ties.
+    pub fn cutoff_for(cost: f64) -> f64 {
+        cost * (1.0 + 1e-9) + 1e-9
+    }
+
     /// Bounds that only enforce spectrum (the unpruned "raw ILP" space).
     pub fn spectrum_bounds(net: &Network) -> Vec<u32> {
         net.link_ids()
@@ -197,8 +221,8 @@ pub fn solve_master_telemetry(
     });
     let mip_cfg = MipConfig {
         cutoff: match (&warm, mip_cfg.cutoff) {
-            (Some((_, wc)), Some(c)) => Some(c.min(wc * (1.0 + 1e-9) + 1e-9)),
-            (Some((_, wc)), None) => Some(wc * (1.0 + 1e-9) + 1e-9),
+            (Some((_, wc)), Some(c)) => Some(c.min(MasterConfig::cutoff_for(*wc))),
+            (Some((_, wc)), None) => Some(MasterConfig::cutoff_for(*wc)),
             (None, c) => c,
         },
         // The warm polish spent part of the master's wall budget; the
@@ -701,17 +725,8 @@ mod tests {
         let net = instance();
         let mut evaluator = PlanEvaluator::new(&net, EvalConfig::default());
         let cfg = MasterConfig {
-            upper_bounds: MasterConfig::spectrum_bounds(&net),
-            cutoff: None,
-            node_limit: 2000,
-            time_limit_secs: 60.0,
-            max_cuts_per_round: 8,
-            seed_cuts: vec![],
-            granularity: 1,
-            gap_tol: MasterConfig::DEFAULT_GAP,
-            warm_units: None,
             polish_final: true,
-            lp_backend: LpBackend::Auto,
+            ..MasterConfig::new(MasterConfig::spectrum_bounds(&net), 2000, 60.0)
         };
         let out = solve_master(&net, &mut evaluator, &cfg);
         assert!(
@@ -751,17 +766,8 @@ mod tests {
         let run = |alpha: f64| {
             let mut evaluator = PlanEvaluator::new(&net, EvalConfig::default());
             let cfg = MasterConfig {
-                upper_bounds: MasterConfig::pruned_bounds(&net, &plan, alpha),
-                cutoff: None,
-                node_limit: 2000,
-                time_limit_secs: 60.0,
-                max_cuts_per_round: 8,
-                seed_cuts: vec![],
-                granularity: 1,
-                gap_tol: MasterConfig::DEFAULT_GAP,
-                warm_units: None,
                 polish_final: true,
-                lp_backend: LpBackend::Auto,
+                ..MasterConfig::new(MasterConfig::pruned_bounds(&net, &plan, alpha), 2000, 60.0)
             };
             solve_master(&net, &mut evaluator, &cfg)
         };
@@ -785,17 +791,8 @@ mod tests {
         let net = instance();
         let mut ev1 = PlanEvaluator::new(&net, EvalConfig::default());
         let base_cfg = MasterConfig {
-            upper_bounds: MasterConfig::spectrum_bounds(&net),
-            cutoff: None,
-            node_limit: 2000,
-            time_limit_secs: 60.0,
-            max_cuts_per_round: 8,
-            seed_cuts: vec![],
-            granularity: 1,
-            gap_tol: MasterConfig::DEFAULT_GAP,
-            warm_units: None,
             polish_final: true,
-            lp_backend: LpBackend::Auto,
+            ..MasterConfig::new(MasterConfig::spectrum_bounds(&net), 2000, 60.0)
         };
         let first = solve_master(&net, &mut ev1, &base_cfg);
         // Re-solve seeding the certificates the first run discovered: same

@@ -13,7 +13,7 @@ use crate::master::{
 };
 use crate::report::PruningReport;
 use np_chaos::checkpoint::{append_record, read_records, Record};
-use np_eval::EvalStats;
+use np_eval::{EvalStats, PlanEvaluator};
 use np_flow::MetricCut;
 use np_lp::MipStatus;
 use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, TrainResume};
@@ -78,8 +78,9 @@ pub struct NeuroPlanResult {
 /// first-stage plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanFailure {
-    /// A stage ran out of budget/retries and `--no-degrade` forbade
-    /// falling back to a lower rung.
+    /// A stage ran out of budget/retries with no lower rung to fall
+    /// back to: `--no-degrade` forbade it, or every lower rung failed
+    /// too. The reason says which.
     StageExhausted {
         /// The stage that gave out.
         stage: String,
@@ -100,10 +101,9 @@ pub enum PlanFailure {
 impl std::fmt::Display for PlanFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlanFailure::StageExhausted { stage, reason } => write!(
-                f,
-                "stage `{stage}` exhausted its budget and degradation is disabled: {reason}"
-            ),
+            PlanFailure::StageExhausted { stage, reason } => {
+                write!(f, "stage `{stage}` failed: {reason}")
+            }
             PlanFailure::Infeasible { reason } => {
                 write!(f, "planning instance is infeasible: {reason}")
             }
@@ -113,6 +113,21 @@ impl std::fmt::Display for PlanFailure {
 }
 
 impl std::error::Error for PlanFailure {}
+
+impl PlanFailure {
+    /// What `stage`'s last error means for the run once no retry and no
+    /// lower rung is left.
+    pub(crate) fn from_stage(stage: &str, err: StageError) -> Self {
+        match err {
+            StageError::Fatal(reason) => PlanFailure::Infeasible { reason },
+            StageError::Cancelled => PlanFailure::Cancelled,
+            StageError::Transient(reason) => PlanFailure::StageExhausted {
+                stage: stage.to_string(),
+                reason,
+            },
+        }
+    }
+}
 
 /// Why [`validate_plan`] rejected a plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -380,14 +395,7 @@ impl NeuroPlan {
                         };
                         self.first_stage_resumable(net, ckpt.as_deref(), recs, chaos, Some(ctx))
                     })
-                    .map_err(|e| match e {
-                        StageError::Fatal(reason) => PlanFailure::Infeasible { reason },
-                        StageError::Cancelled => PlanFailure::Cancelled,
-                        StageError::Transient(reason) => PlanFailure::StageExhausted {
-                            stage: "first_stage".to_string(),
-                            reason,
-                        },
-                    })?;
+                    .map_err(|e| PlanFailure::from_stage("first_stage", e))?;
                 if let Some(path) = &ckpt {
                     self.append(
                         path,
@@ -672,34 +680,31 @@ impl NeuroPlan {
         let bounds = MasterConfig::pruned_bounds(net, first_units, self.cfg.relax_factor);
         let pruning =
             PruningReport::new(net, first_units, &bounds, &spectrum, self.cfg.relax_factor);
-        let mut evaluator =
-            np_eval::PlanEvaluator::with_telemetry(net, self.cfg.eval, self.tel.clone());
+        let mut evaluator = PlanEvaluator::with_telemetry(net, self.cfg.eval, self.tel.clone());
         let cfg = MasterConfig {
-            upper_bounds: bounds,
             // The first-stage plan is feasible inside the pruned bounds, so
             // its cost (plus slack for ties) is a valid cutoff.
-            cutoff: Some(first_cost * (1.0 + 1e-9) + 1e-9),
-            node_limit: self.cfg.mip_node_limit,
-            time_limit_secs: self.cfg.mip_time_limit_secs,
-            max_cuts_per_round: 8,
+            cutoff: Some(MasterConfig::cutoff_for(first_cost)),
             seed_cuts,
-            granularity: 1,
-            gap_tol: MasterConfig::DEFAULT_GAP,
             // Stage 2 starts from the first-stage plan: polish it, use it
             // as the incumbent, never return anything worse.
             warm_units: Some(first_units.to_vec()),
             polish_final: true,
             lp_backend: self.cfg.lp_backend,
+            ..MasterConfig::new(
+                bounds,
+                self.cfg.mip_node_limit,
+                self.cfg.mip_time_limit_secs,
+            )
         };
         let outcome = solve_master_telemetry(net, &mut evaluator, &cfg, &self.tel);
         eval_stats.merge(&evaluator.take_stats());
         (outcome, pruning)
     }
 
-    /// Stage 2 under the supervisor: the α-relaxed MILP with incumbent
-    /// return, then — on hard budget exhaustion — the degradation
-    /// ladder: LP-relaxation rounding, then the first-stage heuristic
-    /// plan. A final budget-aware 1-opt polish runs as its own stage.
+    /// Stage 2 under the supervisor: the ladder inside the α-box around
+    /// the first-stage plan, then a budget-aware 1-opt polish of
+    /// whatever rung won as a stage of its own.
     fn second_stage_supervised(
         &self,
         sup: &Supervisor,
@@ -714,87 +719,23 @@ impl NeuroPlan {
         let bounds = MasterConfig::pruned_bounds(net, first_units, self.cfg.relax_factor);
         let pruning =
             PruningReport::new(net, first_units, &bounds, &spectrum, self.cfg.relax_factor);
-        let mut evaluator =
-            np_eval::PlanEvaluator::with_telemetry(net, self.cfg.eval, self.tel.clone());
-        let budget = self.cfg.supervisor.budget;
-
-        // Rungs 0/1: the α-relaxed MILP. `TimeLimit` with an incumbent is
-        // a *success* here — anytime semantics — so only a solve that
-        // comes back empty-handed is a transient worth retrying (with a
-        // widened node budget, since `Limit` is the usual cause).
-        let master_try = sup.run("master", |ctx| {
-            if ctx.exhausted() {
-                return Err(StageError::Transient(
-                    "stage budget exhausted before the master solve".to_string(),
-                ));
-            }
-            let node_limit = {
-                let scaled = self
-                    .cfg
-                    .mip_node_limit
-                    .saturating_mul(ctx.attempt as usize + 1);
-                match budget.max_nodes {
-                    Some(cap) => scaled.min(cap),
-                    None => scaled,
-                }
-            };
-            let cfg = MasterConfig {
-                upper_bounds: bounds.clone(),
-                cutoff: Some(first_cost * (1.0 + 1e-9) + 1e-9),
-                node_limit,
-                time_limit_secs: self.cfg.mip_time_limit_secs.min(ctx.remaining_secs()),
-                max_cuts_per_round: 8,
-                seed_cuts: seed_cuts.clone(),
-                granularity: 1,
-                gap_tol: MasterConfig::DEFAULT_GAP,
-                warm_units: Some(first_units.to_vec()),
-                // The supervised pipeline polishes in its own budgeted
-                // stage below.
-                polish_final: false,
-                lp_backend: self.cfg.lp_backend,
-            };
-            let outcome = solve_master_telemetry(net, &mut evaluator, &cfg, &self.tel);
-            if outcome.has_plan() {
-                let quality = if outcome.status == MipStatus::Optimal {
-                    PlanQuality::Optimal
-                } else {
-                    PlanQuality::Incumbent
-                };
-                Ok((outcome, quality))
-            } else if outcome.status == MipStatus::Infeasible {
-                Err(StageError::Fatal(
-                    "master proved the pruned instance infeasible".to_string(),
-                ))
-            } else {
-                Err(StageError::Transient(format!(
-                    "master returned no incumbent (status {:?})",
-                    outcome.status
-                )))
-            }
-        });
-
-        let (outcome, quality) = match master_try {
-            Ok(v) => v,
-            // Cancellation never walks the ladder: the point is to free
-            // the worker now, not to hand back a degraded plan.
-            Err(StageError::Cancelled) => return Err(PlanFailure::Cancelled),
-            Err(StageError::Fatal(reason)) => {
-                // A feasible first-stage plan exists, so "infeasible"
-                // here is a solver artifact; the ladder still applies.
-                self.degraded_outcome(sup, net, &mut evaluator, &bounds, first_units, first_cost)
-                    .ok_or(PlanFailure::Infeasible { reason })?
-            }
-            Err(StageError::Transient(reason)) => self
-                .degraded_outcome(sup, net, &mut evaluator, &bounds, first_units, first_cost)
-                .ok_or(PlanFailure::StageExhausted {
-                    stage: "master".to_string(),
-                    reason,
-                })?,
+        let mut evaluator = PlanEvaluator::with_telemetry(net, self.cfg.eval, self.tel.clone());
+        let ladder = Ladder {
+            labels: ["master", "lp_round", "heuristic"],
+            bounds,
+            // The first-stage plan is feasible inside its own α-box, so an
+            // "infeasible" master is a solver artifact, not a reason to
+            // widen.
+            widen: false,
+            carried: Some((first_units, first_cost)),
+            seed_cuts,
+            gap_tol: MasterConfig::DEFAULT_GAP,
+            polish_final: false,
         };
+        let (outcome, quality) = self.walk_ladder(sup, net, &mut evaluator, ladder)?;
 
-        // Final stage: budget-aware 1-opt polish of whatever rung won.
-        // Skipping on an exhausted budget is not a failure — the plan is
-        // already feasible, polish only trims cost.
+        // Skipping the polish on an exhausted budget is not a failure —
+        // the plan is already feasible, polish only trims cost.
         let polished = sup.run("polish", |ctx| {
             let mut m = outcome.clone();
             if m.has_plan() && !ctx.exhausted() {
@@ -815,85 +756,171 @@ impl NeuroPlan {
         });
         let outcome = match polished {
             Ok(m) => m,
+            // The token fired while the master ran: the run stops here,
+            // it does not ship (or checkpoint) the unpolished plan.
+            Err(e @ StageError::Cancelled) => return Err(PlanFailure::from_stage("polish", e)),
             Err(_) => outcome,
         };
         eval_stats.merge(&evaluator.take_stats());
         Ok((outcome, pruning, quality))
     }
 
-    /// Walk the ladder below the incumbent rung: LP-relaxation rounding
-    /// (`Rounded`), then the first-stage plan itself (`Heuristic`).
-    /// `None` when degradation is disabled — the caller turns that into
-    /// the hard error the `--no-degrade` contract demands.
-    fn degraded_outcome(
+    /// The degradation ladder (DESIGN.md §11), for `plan` and `replan`
+    /// alike: the master MILP under the supervisor (rungs 0/1), then
+    /// LP-relaxation rounding (rung 2), then the carried plan (rung 3).
+    pub(crate) fn walk_ladder(
         &self,
         sup: &Supervisor,
         net: &Network,
-        evaluator: &mut np_eval::PlanEvaluator,
-        bounds: &[u32],
-        first_units: &[u32],
-        first_cost: f64,
-    ) -> Option<(MasterOutcome, PlanQuality)> {
-        if !sup.may_degrade() {
-            return None;
-        }
-        // Rung 2: solve the LP relaxation, round up, repair with
-        // separation rounds until the rounded plan verifies.
-        sup.note_degrade("master", PlanQuality::Rounded);
-        let rounded = sup.run("lp_round", |ctx| {
-            if ctx.exhausted() {
-                return Err(StageError::Transient(
-                    "stage budget exhausted before LP rounding".to_string(),
-                ));
+        evaluator: &mut PlanEvaluator,
+        mut ladder: Ladder<'_>,
+    ) -> Result<(MasterOutcome, PlanQuality), PlanFailure> {
+        let [master, lp_round, heuristic] = ladder.labels;
+        let budget = self.cfg.supervisor.budget;
+        let failure = loop {
+            // `TimeLimit` with an incumbent is a *success* here — anytime
+            // semantics — so only a solve that comes back empty-handed is
+            // a transient worth retrying (with a widened node budget,
+            // since `Limit` is the usual cause).
+            let tried = sup.run(master, |ctx| {
+                if ctx.exhausted() {
+                    return Err(StageError::Transient(
+                        "stage budget exhausted before the master solve".to_string(),
+                    ));
+                }
+                let scaled = self
+                    .cfg
+                    .mip_node_limit
+                    .saturating_mul(ctx.attempt as usize + 1);
+                let cfg = MasterConfig {
+                    cutoff: ladder.carried.map(|(_, c)| MasterConfig::cutoff_for(c)),
+                    seed_cuts: ladder.seed_cuts.clone(),
+                    gap_tol: ladder.gap_tol,
+                    warm_units: ladder.carried.map(|(units, _)| units.to_vec()),
+                    polish_final: ladder.polish_final,
+                    lp_backend: self.cfg.lp_backend,
+                    ..MasterConfig::new(
+                        ladder.bounds.clone(),
+                        budget.max_nodes.map_or(scaled, |cap| scaled.min(cap)),
+                        self.cfg.mip_time_limit_secs.min(ctx.remaining_secs()),
+                    )
+                };
+                let outcome = solve_master_telemetry(net, evaluator, &cfg, &self.tel);
+                if outcome.has_plan() {
+                    let quality = if outcome.status == MipStatus::Optimal {
+                        PlanQuality::Optimal
+                    } else {
+                        PlanQuality::Incumbent
+                    };
+                    Ok((outcome, quality))
+                } else if outcome.status == MipStatus::Infeasible {
+                    Err(StageError::Fatal(
+                        "master proved the instance infeasible inside its bounds".to_string(),
+                    ))
+                } else {
+                    Err(StageError::Transient(format!(
+                        "master returned no incumbent (status {:?})",
+                        outcome.status
+                    )))
+                }
+            });
+            match tried {
+                Ok(won) => return Ok(won),
+                Err(StageError::Fatal(_)) if ladder.widen => {
+                    ladder.widen = false;
+                    self.tel.incr(sys::PIPELINE, "replan_prune_fallbacks", 1);
+                    ladder.bounds = MasterConfig::spectrum_bounds(net);
+                }
+                Err(e) => break e,
             }
-            let cfg = MasterConfig {
-                upper_bounds: bounds.to_vec(),
-                cutoff: None,
-                node_limit: self.cfg.mip_node_limit,
-                time_limit_secs: self.cfg.mip_time_limit_secs,
-                max_cuts_per_round: 8,
-                seed_cuts: Vec::new(),
-                granularity: 1,
-                gap_tol: MasterConfig::DEFAULT_GAP,
-                warm_units: None,
-                polish_final: false,
-                lp_backend: self.cfg.lp_backend,
-            };
-            let mut deadline = || ctx.remaining_secs() <= 0.0;
-            match lp_round_plan(net, evaluator, &cfg, &mut deadline, &self.tel) {
-                Some((units, cost)) => Ok(MasterOutcome {
-                    status: MipStatus::TimeLimit,
-                    cost,
-                    units,
-                    nodes: 0,
-                    cuts_added: 0,
-                    best_bound: f64::NEG_INFINITY,
-                    deadline_overshoot_us: 0,
-                }),
-                None => Err(StageError::Transient(
-                    "LP rounding found no verifiable plan".to_string(),
-                )),
+        };
+
+        // Cancellation never walks the ladder — not even to the carried
+        // plan: the point is to free the worker now, not to degrade.
+        if !matches!(failure, StageError::Cancelled) && sup.may_degrade() {
+            sup.note_degrade(master, PlanQuality::Rounded);
+            let rounded = sup.run(lp_round, |ctx| {
+                if ctx.exhausted() {
+                    return Err(StageError::Transient(
+                        "stage budget exhausted before LP rounding".to_string(),
+                    ));
+                }
+                let cfg = MasterConfig {
+                    gap_tol: ladder.gap_tol,
+                    lp_backend: self.cfg.lp_backend,
+                    ..MasterConfig::new(
+                        ladder.bounds.clone(),
+                        self.cfg.mip_node_limit,
+                        self.cfg.mip_time_limit_secs,
+                    )
+                };
+                let mut deadline = || ctx.remaining_secs() <= 0.0;
+                lp_round_plan(net, evaluator, &cfg, &mut deadline, &self.tel).ok_or_else(|| {
+                    StageError::Transient("LP rounding found no verifiable plan".to_string())
+                })
+            });
+            match (rounded, ladder.carried) {
+                (Ok((units, cost)), _) => {
+                    return Ok((degraded(units, cost), PlanQuality::Rounded));
+                }
+                (Err(e @ StageError::Cancelled), _) => {
+                    return Err(PlanFailure::from_stage(lp_round, e));
+                }
+                // The carried plan verifies, so this rung cannot fail.
+                (Err(_), Some((units, cost))) => {
+                    sup.note_degrade(lp_round, PlanQuality::Heuristic);
+                    sup.note_skip(heuristic);
+                    return Ok((degraded(units.to_vec(), cost), PlanQuality::Heuristic));
+                }
+                (Err(_), None) => {}
             }
-        });
-        if let Ok(outcome) = rounded {
-            return Some((outcome, PlanQuality::Rounded));
         }
-        // Rung 3: the first-stage plan is feasible by construction;
-        // return it as-is. This rung cannot fail.
-        sup.note_degrade("lp_round", PlanQuality::Heuristic);
-        sup.note_skip("heuristic");
-        Some((
-            MasterOutcome {
-                status: MipStatus::TimeLimit,
-                cost: first_cost,
-                units: first_units.to_vec(),
-                nodes: 0,
-                cuts_added: 0,
-                best_bound: f64::NEG_INFINITY,
-                deadline_overshoot_us: 0,
-            },
-            PlanQuality::Heuristic,
-        ))
+        let why = if sup.may_degrade() {
+            "LP rounding failed too and no carried plan verifies, so no lower rung is left"
+        } else {
+            "degradation is disabled (no_degrade)"
+        };
+        let failure = match failure {
+            StageError::Transient(reason) => StageError::Transient(format!("{reason}; {why}")),
+            other => other,
+        };
+        Err(PlanFailure::from_stage(master, failure))
+    }
+}
+
+/// What a caller brings to [`NeuroPlan::walk_ladder`]: data, not code.
+pub(crate) struct Ladder<'a> {
+    /// Stage labels of the master, LP-rounding and carried-plan rungs.
+    /// They seed the retry backoff and are what an injected kill names.
+    pub labels: [&'static str; 3],
+    /// The box the master and the rounding rung search.
+    pub bounds: Vec<u32>,
+    /// Retry once in full spectrum bounds when the master proves
+    /// `bounds` infeasible.
+    pub widen: bool,
+    /// A plan that verifies on the instance, with its cost: the master's
+    /// warm start and cutoff, and the last rung. `None` when the
+    /// caller's plan failed its probe — the master may return its warm
+    /// plan as is, so an infeasible one must never reach it.
+    pub carried: Option<(&'a [u32], f64)>,
+    /// Benders cuts known to be valid before the search starts.
+    pub seed_cuts: Vec<MetricCut>,
+    /// Relative optimality gap of the master.
+    pub gap_tol: f64,
+    /// Polish inside the master rather than as a stage of the caller's.
+    pub polish_final: bool,
+}
+
+/// The outcome of a rung below the MILP: a plan and nothing proved.
+fn degraded(units: Vec<u32>, cost: f64) -> MasterOutcome {
+    MasterOutcome {
+        status: MipStatus::TimeLimit,
+        cost,
+        units,
+        nodes: 0,
+        cuts_added: 0,
+        best_bound: f64::NEG_INFINITY,
+        deadline_overshoot_us: 0,
     }
 }
 

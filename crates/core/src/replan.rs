@@ -22,15 +22,14 @@
 //! (no solves, no cut re-derivation) up to the first unrecorded event.
 
 use crate::checkpoint::{self, MetaMatch, ReplanEventRecord};
-use crate::master::{lp_round_plan, plan_cost_of, solve_master_telemetry, MasterConfig};
-use crate::pipeline::{NeuroPlan, PlanFailure};
+use crate::master::{plan_cost_of, MasterConfig};
+use crate::pipeline::{Ladder, NeuroPlan, PlanFailure};
 use np_chaos::checkpoint::read_records;
 use np_chaos::FaultClass;
 use np_churn::ChurnEvent;
 use np_eval::{EvalStats, PlanEvaluator};
 use np_flow::MetricCut;
-use np_lp::MipStatus;
-use np_supervisor::{PlanQuality, StageError, SupervisionReport, Supervisor};
+use np_supervisor::{PlanQuality, SupervisionReport, Supervisor};
 use np_telemetry::sys;
 use np_topology::{LinkId, Network, PerturbDelta, Perturbation};
 
@@ -472,14 +471,9 @@ impl NeuroPlan {
         })
     }
 
-    /// One incremental master solve under the supervisor ladder.
-    ///
-    /// The master is seeded with every certificate that survived the
-    /// perturbations so far and warm-started from the carried plan —
-    /// but only when that plan still verifies: `solve_master` installs
-    /// its warm plan's cost as the branch-and-bound cutoff and may
-    /// return the warm plan itself, so an infeasible carry must probe
-    /// out before it reaches the solver.
+    /// One incremental solve: the §11 ladder, seeded with every
+    /// certificate that survived the perturbations so far and started
+    /// from the carried plan — but only when that plan still verifies.
     fn replan_solve(
         &self,
         sup: &Supervisor,
@@ -488,7 +482,7 @@ impl NeuroPlan {
         carried: &[u32],
         rcfg: &ReplanConfig,
     ) -> Result<(Vec<u32>, f64, PlanQuality), PlanFailure> {
-        let mut bounds = match rcfg.prune_alpha {
+        let bounds = match rcfg.prune_alpha {
             Some(alpha) => MasterConfig::pruned_bounds(net, carried, alpha),
             None => MasterConfig::spectrum_bounds(net),
         };
@@ -496,134 +490,26 @@ impl NeuroPlan {
             .iter()
             .map(|&u| f64::from(u) * net.unit_gbps)
             .collect();
-        let probe = evaluator.check(&caps);
-        let warm_feasible = probe.feasible;
-        let warm_cost = plan_cost_of(net, carried);
+        let verifies = evaluator.check(&caps).feasible;
         let seed_cuts: Vec<MetricCut> = (0..evaluator.num_scenarios())
             .filter_map(|i| evaluator.certificate(i).cloned())
             .collect();
         self.tel
             .incr(sys::PIPELINE, "replan_seed_cuts", seed_cuts.len() as u64);
-        let budget = self.cfg.supervisor.budget;
-
-        // An infeasible *pruned* master is not an infeasible instance —
-        // the α-box around the carried plan can exclude every feasible
-        // point (a demand surge needs more than α× capacity somewhere).
-        // One retry with full spectrum bounds settles which it is.
-        let mut tried_full = rcfg.prune_alpha.is_none();
-        let failure = loop {
-            let master_try = sup.run("replan_master", |ctx| {
-                if ctx.exhausted() {
-                    return Err(StageError::Transient(
-                        "stage budget exhausted before the re-plan master solve".to_string(),
-                    ));
-                }
-                let node_limit = {
-                    let scaled = self
-                        .cfg
-                        .mip_node_limit
-                        .saturating_mul(ctx.attempt as usize + 1);
-                    match budget.max_nodes {
-                        Some(cap) => scaled.min(cap),
-                        None => scaled,
-                    }
-                };
-                let cfg = MasterConfig {
-                    upper_bounds: bounds.clone(),
-                    cutoff: warm_feasible.then_some(warm_cost * (1.0 + 1e-9) + 1e-9),
-                    node_limit,
-                    time_limit_secs: self.cfg.mip_time_limit_secs.min(ctx.remaining_secs()),
-                    max_cuts_per_round: 8,
-                    seed_cuts: seed_cuts.clone(),
-                    granularity: 1,
-                    gap_tol: rcfg.gap_tol,
-                    warm_units: warm_feasible.then(|| carried.to_vec()),
-                    polish_final: true,
-                    lp_backend: self.cfg.lp_backend,
-                };
-                let outcome = solve_master_telemetry(net, evaluator, &cfg, &self.tel);
-                if outcome.has_plan() {
-                    let q = if outcome.status == MipStatus::Optimal {
-                        PlanQuality::Optimal
-                    } else {
-                        PlanQuality::Incumbent
-                    };
-                    Ok((outcome, q))
-                } else if outcome.status == MipStatus::Infeasible {
-                    Err(StageError::Fatal(
-                        "master proved the perturbed instance infeasible".to_string(),
-                    ))
-                } else {
-                    Err(StageError::Transient(format!(
-                        "master returned no incumbent (status {:?})",
-                        outcome.status
-                    )))
-                }
-            });
-            match master_try {
-                Ok((outcome, q)) => return Ok((outcome.units, outcome.cost, q)),
-                Err(StageError::Fatal(_)) if !tried_full => {
-                    tried_full = true;
-                    self.tel.incr(sys::PIPELINE, "replan_prune_fallbacks", 1);
-                    bounds = MasterConfig::spectrum_bounds(net);
-                }
-                Err(e) => break e,
-            }
+        let ladder = Ladder {
+            labels: ["replan_master", "replan_lp_round", "replan_heuristic"],
+            bounds,
+            // An infeasible *pruned* master is not an infeasible instance —
+            // the α-box around the carried plan can exclude every feasible
+            // point (a demand surge needs more than α× capacity somewhere).
+            widen: rcfg.prune_alpha.is_some(),
+            carried: verifies.then(|| (carried, plan_cost_of(net, carried))),
+            seed_cuts,
+            gap_tol: rcfg.gap_tol,
+            polish_final: true,
         };
-
-        // Cancellation never walks the ladder — not even to the carried
-        // plan; the caller asked the run to stop, not to degrade.
-        if matches!(failure, StageError::Cancelled) {
-            return Err(PlanFailure::Cancelled);
-        }
-
-        // The ladder: LP rounding, then the carried plan (when feasible).
-        if sup.may_degrade() {
-            sup.note_degrade("replan_master", PlanQuality::Rounded);
-            let rounded = sup.run("replan_lp_round", |ctx| {
-                if ctx.exhausted() {
-                    return Err(StageError::Transient(
-                        "stage budget exhausted before LP rounding".to_string(),
-                    ));
-                }
-                let cfg = MasterConfig {
-                    upper_bounds: bounds.clone(),
-                    cutoff: None,
-                    node_limit: self.cfg.mip_node_limit,
-                    time_limit_secs: self.cfg.mip_time_limit_secs,
-                    max_cuts_per_round: 8,
-                    seed_cuts: Vec::new(),
-                    granularity: 1,
-                    gap_tol: rcfg.gap_tol,
-                    warm_units: None,
-                    polish_final: false,
-                    lp_backend: self.cfg.lp_backend,
-                };
-                let mut deadline = || ctx.remaining_secs() <= 0.0;
-                match lp_round_plan(net, evaluator, &cfg, &mut deadline, &self.tel) {
-                    Some((units, cost)) => Ok((units, cost)),
-                    None => Err(StageError::Transient(
-                        "LP rounding found no verifiable plan".to_string(),
-                    )),
-                }
-            });
-            if let Ok((units, cost)) = rounded {
-                return Ok((units, cost, PlanQuality::Rounded));
-            }
-            if warm_feasible {
-                sup.note_degrade("replan_lp_round", PlanQuality::Heuristic);
-                sup.note_skip("replan_heuristic");
-                return Ok((carried.to_vec(), warm_cost, PlanQuality::Heuristic));
-            }
-        }
-        Err(match failure {
-            StageError::Fatal(reason) => PlanFailure::Infeasible { reason },
-            StageError::Cancelled => PlanFailure::Cancelled,
-            StageError::Transient(reason) => PlanFailure::StageExhausted {
-                stage: "replan_master".to_string(),
-                reason,
-            },
-        })
+        let (outcome, quality) = self.walk_ladder(sup, net, evaluator, ladder)?;
+        Ok((outcome.units, outcome.cost, quality))
     }
 }
 

@@ -64,17 +64,8 @@ fn exact_rcfg() -> ReplanConfig {
 fn cold_master(net: &Network, eval: EvalConfig) -> MasterOutcome {
     let mut evaluator = PlanEvaluator::new(net, eval);
     let cfg = MasterConfig {
-        upper_bounds: MasterConfig::spectrum_bounds(net),
-        cutoff: None,
-        node_limit: 1_000_000,
-        time_limit_secs: 600.0,
-        max_cuts_per_round: 8,
-        seed_cuts: Vec::new(),
-        granularity: 1,
         gap_tol: 0.0,
-        warm_units: None,
-        polish_final: false,
-        lp_backend: np_lp::LpBackend::Auto,
+        ..MasterConfig::new(MasterConfig::spectrum_bounds(net), 1_000_000, 600.0)
     };
     solve_master(net, &mut evaluator, &cfg)
 }

@@ -5,7 +5,7 @@
 
 use neuroplan::master::{solve_master, solve_master_telemetry, MasterConfig};
 use np_eval::{EvalConfig, PlanEvaluator};
-use np_lp::{solve_mip, LpBackend, MipConfig, MipStatus, Model, Sense, VarId};
+use np_lp::{solve_mip, MipConfig, MipStatus, Model, Sense, VarId};
 use np_telemetry::Telemetry;
 use np_topology::{
     CosClass, CostModel, Failure, FailureKind, Fiber, FiberId, Flow, IpLink, Network,
@@ -204,17 +204,9 @@ fn benders_master_matches_the_joint_formulation() {
     // Benders master with tight gap on the same instance.
     let mut evaluator = PlanEvaluator::new(&net, EvalConfig::default());
     let cfg = MasterConfig {
-        upper_bounds: vec![60; net.links().len()],
-        cutoff: None,
-        node_limit: 200_000,
-        time_limit_secs: 120.0,
-        max_cuts_per_round: 8,
-        seed_cuts: vec![],
-        granularity: 1,
         gap_tol: 1e-6,
-        warm_units: None,
         polish_final: true,
-        lp_backend: LpBackend::Auto,
+        ..MasterConfig::new(vec![60; net.links().len()], 200_000, 120.0)
     };
     let master = solve_master(&net, &mut evaluator, &cfg);
     assert!(master.has_plan(), "master must find a plan");
@@ -268,17 +260,10 @@ fn master_overshoot_accounting_is_identical_across_worker_counts() {
             tel.clone(),
         );
         let cfg = MasterConfig {
-            upper_bounds: vec![60; net.links().len()],
-            cutoff: None,
-            node_limit: 200_000,
-            time_limit_secs: f64::INFINITY,
-            max_cuts_per_round: 8,
-            seed_cuts: vec![],
-            granularity: 1,
             gap_tol: 1e-6,
             warm_units: Some(vec![10; net.links().len()]),
             polish_final: true,
-            lp_backend: LpBackend::Auto,
+            ..MasterConfig::new(vec![60; net.links().len()], 200_000, f64::INFINITY)
         };
         let out = solve_master_telemetry(&net, &mut evaluator, &cfg, &tel);
         let recorded = tel.counter("lp", "deadline_overshoot_us")
@@ -310,17 +295,9 @@ fn master_plan_is_feasible_in_the_joint_model() {
     let net = tiny_instance();
     let mut evaluator = PlanEvaluator::new(&net, EvalConfig::default());
     let cfg = MasterConfig {
-        upper_bounds: vec![60; net.links().len()],
-        cutoff: None,
-        node_limit: 200_000,
-        time_limit_secs: 120.0,
-        max_cuts_per_round: 8,
-        seed_cuts: vec![],
-        granularity: 1,
         gap_tol: 1e-6,
-        warm_units: None,
         polish_final: true,
-        lp_backend: LpBackend::Auto,
+        ..MasterConfig::new(vec![60; net.links().len()], 200_000, 120.0)
     };
     let master = solve_master(&net, &mut evaluator, &cfg);
     // Fix the joint model's capacity variables to the master's plan: the
