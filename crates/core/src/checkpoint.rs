@@ -50,20 +50,58 @@ pub fn fingerprint(net: &Network, cfg: &NeuroPlanConfig) -> String {
         sup.degrade,
         cfg.lp_backend.resolved(),
     );
-    format!(
-        "{:016x}",
-        fnv1a64(format!("{}\n{tag}", net.to_json()).as_bytes())
-    )
+    format!("{:016x}", hashed(net, &tag))
 }
 
-/// Body of the `meta` record.
-pub fn meta_body(fp: &str) -> Value {
-    Value::Object(vec![("fp".to_string(), Value::Str(fp.to_string()))])
+/// FNV-1a of the instance JSON and a config tag.
+fn hashed(net: &Network, tag: &str) -> u64 {
+    fnv1a64(format!("{}\n{tag}", net.to_json()).as_bytes())
 }
 
-/// Whether `body` is a `meta` record matching `fp`.
+/// Key of everything the first stage reads: the [`fingerprint`] minus the
+/// second stage's settings (`relax_factor`, `mip_node_limit`,
+/// `budget.max_nodes`, `degrade`). Runs with equal keys train the same
+/// policy to the same `first_stage` record, so `epoch` and `first_stage`
+/// records may be carried between them. The `fs-` prefix keeps the key
+/// apart from fingerprints where one map holds both.
+pub fn first_stage_key(net: &Network, cfg: &NeuroPlanConfig) -> String {
+    let sup = &cfg.supervisor;
+    let tag = format!(
+        "{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|{:?}",
+        cfg.seed,
+        cfg.train.epochs,
+        cfg.train.steps_per_epoch,
+        cfg.train.num_actors,
+        cfg.max_units_per_step,
+        cfg.final_rollouts,
+        sup.budget.wall_secs.to_bits(),
+        sup.budget.max_epochs,
+        sup.retry.max_retries,
+        cfg.lp_backend.resolved(),
+    );
+    format!("fs-{:016x}", hashed(net, &tag))
+}
+
+/// Body of the `meta` record: the run's [`fingerprint`] and its
+/// [`first_stage_key`].
+pub fn meta_body(fp: &str, first_stage_key: &str) -> Value {
+    Value::Object(vec![
+        ("fp".to_string(), Value::Str(fp.to_string())),
+        ("fs".to_string(), Value::Str(first_stage_key.to_string())),
+    ])
+}
+
+/// Whether `body` is a `meta` record matching `fp`: every record of its
+/// chain belongs to this run.
 pub fn meta_matches(body: &Value, fp: &str) -> bool {
     body.get("fp").and_then(Value::as_str) == Some(fp)
+}
+
+/// Whether `body` is a `meta` record of a run with this first-stage key:
+/// its chain's `epoch` and `first_stage` records are this run's too. A
+/// `meta` written before the key existed matches nothing.
+pub fn meta_first_stage_matches(body: &Value, first_stage_key: &str) -> bool {
+    body.get("fs").and_then(Value::as_str) == Some(first_stage_key)
 }
 
 /// How a checkpoint relates to the instance a resume was asked for.
@@ -494,8 +532,51 @@ mod tests {
             fingerprint(&a, &cfg.clone().with_seed(9)),
             "seed changes it"
         );
-        assert!(meta_matches(&meta_body(&fa), &fa));
-        assert!(!meta_matches(&meta_body(&fa), "0000000000000000"));
+        let key = first_stage_key(&a, &cfg);
+        let meta = meta_body(&fa, &key);
+        assert!(meta_matches(&meta, &fa) && meta_first_stage_matches(&meta, &key));
+        assert!(!meta_matches(&meta, "0000000000000000"));
+        assert!(!meta_first_stage_matches(&meta, &fa));
+        // A `meta` from before the first-stage key carries no claim on it.
+        let legacy = Value::Object(vec![("fp".to_string(), Value::Str(fa.clone()))]);
+        assert!(meta_matches(&legacy, &fa) && !meta_first_stage_matches(&legacy, &key));
+    }
+
+    #[test]
+    fn first_stage_key_ignores_exactly_the_second_stage_settings() {
+        let net = GeneratorConfig::preset(TopologyPreset::A).generate();
+        let cfg = NeuroPlanConfig::quick();
+        let key = first_stage_key(&net, &cfg);
+        assert!(key.starts_with("fs-") && key.len() == 19, "{key}");
+        let mut second = cfg.clone().with_degrade(false);
+        second.relax_factor = 2.0;
+        second.mip_node_limit += 1;
+        second.supervisor.budget.max_nodes = Some(7);
+        assert_eq!(key, first_stage_key(&net, &second));
+        assert_ne!(fingerprint(&net, &cfg), fingerprint(&net, &second));
+        let moved: [fn(&mut NeuroPlanConfig); 9] = [
+            |c| *c = c.clone().with_seed(9),
+            |c| *c = c.clone().with_workers(1),
+            |c| *c = c.clone().with_stage_budget(30.0),
+            |c| *c = c.clone().with_max_retries(7),
+            |c| c.train.epochs += 1,
+            |c| c.train.steps_per_epoch += 1,
+            |c| c.max_units_per_step += 1,
+            |c| c.final_rollouts += 1,
+            |c| c.supervisor.budget.max_epochs = Some(3),
+        ];
+        for (i, edit) in moved.iter().enumerate() {
+            let mut other = cfg.clone();
+            edit(&mut other);
+            assert_ne!(key, first_stage_key(&net, &other), "config change {i}");
+        }
+        let backend = |b| first_stage_key(&net, &cfg.clone().with_lp_backend(b));
+        assert_ne!(
+            backend(np_lp::LpBackend::Dense),
+            backend(np_lp::LpBackend::Sparse)
+        );
+        let b = GeneratorConfig::preset(TopologyPreset::B).generate();
+        assert_ne!(key, first_stage_key(&b, &cfg), "topology changes it");
     }
 
     #[test]

@@ -70,6 +70,29 @@ pub struct NeuroPlanResult {
     pub eval_stats: EvalStats,
     /// The interpretable pruning summary (§4.3).
     pub pruning: PruningReport,
+    /// [`FirstStage::rl_cost`] of the first stage.
+    pub rl_cost: Option<f64>,
+    /// [`FirstStage::reference_cost`] of the first stage.
+    pub reference_cost: f64,
+    /// [`FirstStage::certificates`]: the cuts the second stage started from.
+    pub certificates: Vec<MetricCut>,
+}
+
+impl NeuroPlanResult {
+    /// The first stage this run's second stage started from — what
+    /// [`checkpoint::first_stage_body`] records, so a run under other
+    /// second-stage settings can start from it (evaluator stats aside).
+    pub fn first_stage(&self) -> FirstStage {
+        FirstStage {
+            units: self.first_stage_units.clone(),
+            cost: self.first_stage_cost,
+            rl_cost: self.rl_cost,
+            reference_cost: self.reference_cost,
+            report: self.train_report.clone(),
+            certificates: self.certificates.clone(),
+            stats: EvalStats::default(),
+        }
+    }
 }
 
 /// Why a [`NeuroPlan::try_plan`] run could not produce a plan. With the
@@ -291,6 +314,24 @@ impl NeuroPlan {
         }
     }
 
+    /// Start this run's checkpoint chain from `first_stage`, the record
+    /// body of a run with the same [`checkpoint::first_stage_key`]: the
+    /// resume then goes straight to the second stage. `fp` is this
+    /// run's fingerprint. Returns `false`, with nothing written, when
+    /// the chain already exists — a replayed request continues its own.
+    pub fn seed_first_stage(&self, fp: &str, first_stage_key: &str, first_stage: Value) -> bool {
+        let Some(path) = self.checkpoint_path().filter(|p| !p.exists()) else {
+            return false;
+        };
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        let meta = checkpoint::meta_body(fp, first_stage_key);
+        self.append(&path, "meta", meta, np_chaos::global());
+        self.append(&path, "first_stage", first_stage, np_chaos::global());
+        true
+    }
+
     /// Run both stages on a planning instance.
     ///
     /// Panics if [`NeuroPlan::try_plan`] fails — which with the default
@@ -322,10 +363,21 @@ impl NeuroPlan {
             let fp = checkpoint::fingerprint(net, &self.cfg);
             if self.resume {
                 records = read_records(path);
-                let matches = records
-                    .first()
-                    .is_some_and(|r| r.kind == "meta" && checkpoint::meta_matches(&r.body, &fp));
-                if !matches && !records.is_empty() {
+            }
+            let meta = records.first().filter(|r| r.kind == "meta");
+            if !meta.is_some_and(|r| checkpoint::meta_matches(&r.body, &fp)) {
+                // Not this run's chain. Under an equal first-stage key its
+                // training is still this run's: only the `master` goes.
+                let key = checkpoint::first_stage_key(net, &self.cfg);
+                if meta.is_some_and(|r| checkpoint::meta_first_stage_matches(&r.body, &key)) {
+                    records.retain(|r| r.kind == "epoch" || r.kind == "first_stage");
+                    eprintln!(
+                        "first stage resumed from checkpoint: only second-stage settings \
+                         changed (kept {} epoch/first_stage records, dropped master)",
+                        records.len()
+                    );
+                    self.tel.incr(sys::PIPELINE, "first_stage_reused", 1);
+                } else if !records.is_empty() {
                     eprintln!(
                         "warning: checkpoint in {} does not match this instance/config; \
                          starting fresh",
@@ -333,13 +385,16 @@ impl NeuroPlan {
                     );
                     records.clear();
                 }
-            }
-            if records.is_empty() {
+                // The chain restarts under this run's keys. A kill part-way
+                // leaves a shorter chain of the same run, which resumes.
                 if let Some(dir) = path.parent() {
                     let _ = std::fs::create_dir_all(dir);
                 }
                 let _ = std::fs::remove_file(path);
-                self.append(path, "meta", checkpoint::meta_body(&fp), chaos);
+                self.append(path, "meta", checkpoint::meta_body(&fp, &key), chaos);
+                for r in &records {
+                    self.append(path, &r.kind, r.body.clone(), chaos);
+                }
             }
         }
         let epoch_recs: Vec<checkpoint::EpochRecord> = records
@@ -366,18 +421,15 @@ impl NeuroPlan {
         if let (Some(first), Some((master, quality))) = (&first_rec, master_rec) {
             let pruning = self.pruning_report(net, &first.units);
             return Ok(Self::finish(
-                first.cost,
-                first.units.clone(),
-                first.report.clone(),
+                first.clone(),
                 master,
                 quality,
                 sup.report(),
-                EvalStats::default(),
                 pruning,
             ));
         }
 
-        let first = match first_rec {
+        let mut first = match first_rec {
             Some(first) => first,
             None => {
                 let first = sup
@@ -407,21 +459,13 @@ impl NeuroPlan {
                 first
             }
         };
-        let FirstStage {
-            units: first_units,
-            cost: first_cost,
-            report: train_report,
-            certificates: seed_cuts,
-            stats: mut eval_stats,
-            ..
-        } = first;
         let (master, pruning, quality) = self.second_stage_supervised(
             &sup,
             net,
-            &first_units,
-            first_cost,
-            seed_cuts,
-            &mut eval_stats,
+            &first.units,
+            first.cost,
+            first.certificates.clone(),
+            &mut first.stats,
         )?;
         if let Some(path) = &ckpt {
             self.append(
@@ -431,47 +475,38 @@ impl NeuroPlan {
                 chaos,
             );
         }
-        Ok(Self::finish(
-            first_cost,
-            first_units,
-            train_report,
-            master,
-            quality,
-            sup.report(),
-            eval_stats,
-            pruning,
-        ))
+        Ok(Self::finish(first, master, quality, sup.report(), pruning))
     }
 
     /// Final plan selection: the master incumbent when it beats the
-    /// first stage, otherwise the first-stage plan itself.
-    #[allow(clippy::too_many_arguments)]
+    /// first stage, otherwise the first-stage plan itself. `first.stats`
+    /// holds the evaluator counts of the whole run by now.
     fn finish(
-        first_cost: f64,
-        first_units: Vec<u32>,
-        train_report: TrainReport,
+        first: FirstStage,
         master: MasterOutcome,
         quality: PlanQuality,
         supervision: SupervisionReport,
-        eval_stats: EvalStats,
         pruning: PruningReport,
     ) -> NeuroPlanResult {
-        let (final_cost, final_units) = if master.has_plan() && master.cost < first_cost {
+        let (final_cost, final_units) = if master.has_plan() && master.cost < first.cost {
             (master.cost, master.units.clone())
         } else {
-            (first_cost, first_units.clone())
+            (first.cost, first.units.clone())
         };
         NeuroPlanResult {
-            first_stage_cost: first_cost,
-            first_stage_units: first_units,
+            first_stage_cost: first.cost,
+            first_stage_units: first.units,
             final_cost,
             final_units,
             quality,
             supervision,
-            train_report,
+            train_report: first.report,
             master,
-            eval_stats,
+            eval_stats: first.stats,
             pruning,
+            rl_cost: first.rl_cost,
+            reference_cost: first.reference_cost,
+            certificates: first.certificates,
         }
     }
 

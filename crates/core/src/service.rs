@@ -19,6 +19,12 @@
 //!   few ms); a perturbed request (`events` in the spec) reuses the
 //!   cached base plan as the carried plan of the incremental replan
 //!   path (PR 8) instead of re-planning from scratch.
+//! * **First-stage reuse.** The same cache keeps each trained first
+//!   stage under its [`checkpoint::first_stage_key`]. A request that
+//!   misses on the plan but hits there — only second-stage settings
+//!   such as `alpha` differ — has its chain seeded with that
+//!   `first_stage` record, and the resume above runs the second stage
+//!   alone, to the plan a from-scratch run reaches, bit for bit.
 //!
 //! ## Request spec
 //!
@@ -28,7 +34,8 @@
 //!
 //! The result body carries `units`, `cost` (plus `cost_hex` for
 //! bit-exact comparison), `quality`, the `fingerprint`, and whether the
-//! run was served `"cold"` or `"warm"`.
+//! run was served `"cold"` or `"warm"`; a cold result whose first stage
+//! was not trained for it adds `"first_stage": "reused"`.
 
 use crate::checkpoint;
 use crate::pipeline::{validate_plan, NeuroPlan, PlanFailure};
@@ -98,16 +105,18 @@ impl PlanService for NeuroPlanService {
         let cfg = spec.config();
         let fp = checkpoint::fingerprint(&net, &cfg);
         let events = spec.events(&net);
-        let done = |units: &[u32], cost: f64, quality: &str, cache: &str| {
+        // `served` closes the result: how it was produced.
+        let done = |units: &[u32], cost: f64, quality: &str, served: &[(&str, &str)]| {
             let [units, cost, cost_hex, quality] = plan_body(units, cost, quality);
             let id = ("id".to_string(), json!(ctx.id));
             let fp = ("fingerprint".to_string(), json!(fp));
-            let cache = ("cache".to_string(), json!(cache));
             // Exactly sized: the daemon keeps every result it has served.
-            Ok(Value::Object(vec![
-                id, units, cost, cost_hex, quality, fp, cache,
-            ]))
+            let mut members = Vec::with_capacity(6 + served.len());
+            members.extend([id, units, cost, cost_hex, quality, fp]);
+            members.extend(served.iter().map(|(k, v)| (k.to_string(), json!(*v))));
+            Ok(Value::Object(members))
         };
+        let warm = [("cache", "warm")];
 
         // Warm path: a cached plan for this exact fingerprint.
         let cached = ctx.cache.lock().unwrap().get(&fp);
@@ -119,7 +128,7 @@ impl PlanService for NeuroPlanService {
                 self.tel.incr(sys::SERVE, "warm_hits", 1);
                 let cost = blob.get("cost").and_then(|v| v.as_f64()).unwrap_or(0.0);
                 let quality = blob.get("quality").and_then(|v| v.as_str());
-                return done(units, cost, quality.unwrap_or("incumbent"), "warm");
+                return done(units, cost, quality.unwrap_or("incumbent"), &warm);
             }
         }
         let planner =
@@ -128,15 +137,16 @@ impl PlanService for NeuroPlanService {
             PlanFailure::Cancelled => ServiceFailure::Cancelled,
             other => bad(format!("{what} failed: {other}")),
         };
+        let rcfg = spec.replan_config();
         if let (Some(units), Some(events)) = (&carried, &events) {
             // Perturbed repeat: carry the cached plan into the
             // incremental replan path.
             self.tel.incr(sys::SERVE, "warm_hits", 1);
             let report = planner
-                .replan_from(&net, units, events, &spec.replan_config())
+                .replan_from(&net, units, events, &rcfg)
                 .map_err(|e| fail("replan", e))?;
             let quality = stream_quality(&report);
-            return done(&report.final_units, report.final_cost, quality, "warm");
+            return done(&report.final_units, report.final_cost, quality, &warm);
         }
 
         // Cold path: the full pipeline under this request's own
@@ -144,22 +154,40 @@ impl PlanService for NeuroPlanService {
         // chain starts fresh, a replayed one continues bit-identically.
         let req_dir = self.state_dir.join(format!("req-{}", ctx.id));
         let planner = planner.with_checkpoint(&req_dir, true);
+        // A first stage trained for this (instance, training config, seed)
+        // under other second-stage settings seeds the chain, and the
+        // resume runs the second stage alone.
+        let key = checkpoint::first_stage_key(&net, &planner.cfg);
+        let first = ctx.cache.lock().unwrap().get(&key);
+        let reused = first.is_some_and(|first| planner.seed_first_stage(&fp, &key, first));
+        let cold = [("cache", "cold"), ("first_stage", "reused")];
+        let cold = &cold[..1 + usize::from(reused)];
+        if reused {
+            self.tel.incr(sys::SERVE, "first_stage_hits", 1);
+        }
+        let result = planner.try_plan(&net).map_err(|e| fail("plan", e))?;
+        let (units, cost) = (&result.final_units, result.final_cost);
+        let quality = result.quality.name();
+        // Keep the plan warm for repeats and perturbations, and its first
+        // stage for other second-stage settings. Only the base
+        // (event-free) plan is cached: it is what both warm paths start
+        // from.
+        let blob = json!({"units": units, "cost": cost, "quality": quality});
+        {
+            let mut cache = ctx.cache.lock().unwrap();
+            if !reused {
+                cache.put(&key, checkpoint::first_stage_body(&result.first_stage()));
+            }
+            cache.put(&fp, blob);
+        }
         let Some(events) = events else {
-            let result = planner.try_plan(&net).map_err(|e| fail("plan", e))?;
-            let (units, cost) = (result.final_units, result.final_cost);
-            let quality = result.quality.name();
-            // Keep the plan warm for repeats and perturbations. Only the
-            // base (event-free) plan is cached: it is what both warm
-            // paths start from.
-            let blob = json!({"units": units, "cost": cost, "quality": quality});
-            ctx.cache.lock().unwrap().put(&fp, blob);
-            return done(&units, cost, quality, "cold");
+            return done(units, cost, quality, cold);
         };
         let report = planner
-            .replan(&net, &events, &spec.replan_config())
+            .replan_from(&net, units, &events, &rcfg)
             .map_err(|e| fail("plan", e))?;
         let quality = stream_quality(&report);
-        done(&report.final_units, report.final_cost, quality, "cold")
+        done(&report.final_units, report.final_cost, quality, cold)
     }
 }
 
@@ -221,6 +249,122 @@ mod tests {
             warm_time < cold_time,
             "warm ({warm_time:?}) must beat cold ({cold_time:?})"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn text<'a>(result: &'a Value, key: &str) -> Option<&'a str> {
+        result.get(key).and_then(|v| v.as_str())
+    }
+
+    /// What must be equal bit for bit between two plans of one spec.
+    fn identity(result: &Value) -> (String, Option<&str>, Option<&str>) {
+        let units = serde_json::to_string(result.get("units").unwrap()).unwrap();
+        (units, text(result, "cost_hex"), text(result, "quality"))
+    }
+
+    fn at_alpha(alpha: f64) -> Value {
+        json!({ "preset": "a", "seed": 3, "alpha": alpha })
+    }
+
+    /// `execute` on a cache of its own: nothing to reuse.
+    fn from_scratch(svc: &NeuroPlanService, spec: &Value, id: u64) -> Value {
+        let fresh = Mutex::new(WarmCache::new(8));
+        let scratch = svc.execute(spec, &ctx(&fresh, id)).expect("from scratch");
+        assert_eq!(scratch.get("first_stage"), None);
+        scratch
+    }
+
+    #[test]
+    fn a_new_alpha_reuses_the_trained_first_stage_bit_for_bit() {
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("alpha");
+        let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+        let trained = svc.execute(&at_alpha(1.5), &ctx(&cache, 1)).expect("cold");
+        assert_eq!(text(&trained, "cache"), Some("cold"));
+        assert_eq!(
+            trained.get("first_stage"),
+            None,
+            "a trained result is unchanged"
+        );
+        for (k, alpha) in [1.25, 1.5 - 3e-12, 2.0].into_iter().enumerate() {
+            let reused = svc
+                .execute(&at_alpha(alpha), &ctx(&cache, 2 + k as u64))
+                .expect("reused");
+            assert_eq!(text(&reused, "cache"), Some("cold"), "alpha {alpha}");
+            assert_eq!(
+                text(&reused, "first_stage"),
+                Some("reused"),
+                "alpha {alpha}"
+            );
+            // The same spec where nothing is cached trains its own policy.
+            let scratch = from_scratch(&svc, &at_alpha(alpha), 10 + k as u64);
+            assert_eq!(identity(&reused), identity(&scratch), "alpha {alpha}");
+            assert_eq!(
+                text(&reused, "fingerprint"),
+                text(&scratch, "fingerprint"),
+                "alpha {alpha}"
+            );
+        }
+        // Neither key covers the thread budget: the plan is the same at
+        // every worker count, though the certificates a first stage
+        // harvests are not (a wider evaluator checks more scenarios per
+        // step). A first stage trained on one worker serves four.
+        let workers =
+            |n: u64, alpha: f64| json!({ "preset": "a", "seed": 3, "alpha": alpha, "workers": n });
+        svc.execute(&workers(1, 1.5), &ctx(&cache, 20))
+            .expect("cold");
+        let reused = svc
+            .execute(&workers(4, 2.0), &ctx(&cache, 21))
+            .expect("reused");
+        assert_eq!(text(&reused, "first_stage"), Some("reused"));
+        let scratch = from_scratch(&svc, &workers(4, 2.0), 22);
+        assert_eq!(
+            identity(&reused),
+            identity(&scratch),
+            "across worker counts"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_alpha_sweep_trains_once_even_in_a_small_cache() {
+        // Ten plans pass through four slots; the first stage stays because
+        // every reuse refreshes it.
+        let cache = Mutex::new(WarmCache::new(4));
+        let dir = tmp("sweep");
+        let tel = Telemetry::memory();
+        let svc = NeuroPlanService::new(dir.clone(), tel.clone());
+        let mut epochs = 0;
+        for k in 0..10u64 {
+            let spec = at_alpha(1.25 + 0.05 * k as f64);
+            let result = svc.execute(&spec, &ctx(&cache, 1 + k)).expect("plan");
+            assert_eq!(text(&result, "cache"), Some("cold"));
+            if k == 0 {
+                epochs = tel.counter(sys::RL, "epochs");
+                assert!(epochs > 0, "the first request trains");
+            }
+        }
+        assert_eq!(tel.counter(sys::RL, "epochs"), epochs, "trained once");
+        assert_eq!(tel.counter(sys::SERVE, "first_stage_hits"), 9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cold_request_with_events_caches_its_base_plan() {
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("events");
+        let tel = Telemetry::memory();
+        let svc = NeuroPlanService::new(dir.clone(), tel.clone());
+        let churned = json!({ "preset": "a", "seed": 3, "events": "seed=1,n=5" });
+        let cold = svc.execute(&churned, &ctx(&cache, 1)).expect("cold");
+        assert_eq!(text(&cold, "cache"), Some("cold"));
+        let epochs = tel.counter(sys::RL, "epochs");
+        let again = svc.execute(&churned, &ctx(&cache, 2)).expect("again");
+        assert_eq!(text(&again, "cache"), Some("warm"));
+        assert_eq!(identity(&again), identity(&cold));
+        let base = svc.execute(&tiny_spec(), &ctx(&cache, 3)).expect("base");
+        assert_eq!(text(&base, "cache"), Some("warm"));
+        assert_eq!(tel.counter(sys::RL, "epochs"), epochs, "trained once");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -259,3 +259,172 @@ fn resume_under_a_different_config_starts_fresh() {
     drop(seed1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `plan_args` with `--alpha`, a telemetry file and the checkpoint flags.
+fn alpha_args<'a>(out: &'a str, alpha: &'a str, tel: &'a str, ckpt: &[&'a str]) -> Vec<&'a str> {
+    let mut args = plan_args(out, &["--alpha", alpha, "--telemetry", tel]);
+    args.extend_from_slice(ckpt);
+    args
+}
+
+/// Whether the run whose telemetry is at `tel` trained at all.
+fn trained(tel: &Path) -> bool {
+    logged(tel, r#""sys":"rl","event":"counter","name":"epochs""#)
+}
+
+fn logged(tel: &Path, what: &str) -> bool {
+    std::fs::read_to_string(tel)
+        .expect("telemetry file")
+        .contains(what)
+}
+
+/// A finished α = 1.5 chain resumed at α = 1.25 keeps its training and
+/// re-runs the second stage only — through a kill at the `master`
+/// boundary too — and lands on the uninterrupted α = 1.25 plan.
+#[test]
+fn resume_under_a_new_alpha_keeps_the_first_stage() {
+    let dir = tmp_dir("alpha-resume");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (ckpt, tel) = (path("ckpt"), path("t.jsonl"));
+    let resume = ["--checkpoint-dir", ckpt.as_str(), "--resume"];
+
+    let out = run(
+        &alpha_args(&path("a15.json"), "1.5", &tel, &resume[..2]),
+        None,
+    );
+    assert_plan_written(&out, &dir.join("a15.json"), "alpha 1.5");
+    assert!(trained(Path::new(&tel)));
+
+    // No first stage runs, so the first stage boundary is the master's.
+    let never = path("never.json");
+    let out = run(&alpha_args(&never, "1.25", &tel, &resume), Some("kill@0"));
+    assert!(!out.status.success() && !Path::new(&never).exists());
+    let stderr = stderr_of(&out);
+    assert!(
+        stderr.contains("first stage resumed from checkpoint: only second-stage settings changed")
+            && stderr.contains("chaos: injected kill at stage master")
+            && !stderr.contains("starting fresh"),
+        "stderr: {stderr}"
+    );
+
+    let out = run(
+        &alpha_args(&path("resumed.json"), "1.25", &tel, &resume),
+        None,
+    );
+    assert_plan_written(&out, &dir.join("resumed.json"), "resumed at alpha 1.25");
+    assert!(!trained(Path::new(&tel)), "the resume must not retrain");
+    // ...and must not pass the alpha 1.5 master off as this run's either
+    // (at this seed both alphas reach the same optimum).
+    assert!(logged(Path::new(&tel), r#""name":"second_stage""#));
+    assert!(!stderr_of(&out).contains("starting fresh"));
+
+    let out = run(&alpha_args(&path("full.json"), "1.25", &tel, &[]), None);
+    assert_plan_written(&out, &dir.join("full.json"), "uninterrupted alpha 1.25");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("full.json")).unwrap(),
+        std::fs::read_to_string(dir.join("resumed.json")).unwrap(),
+        "a reused first stage must give the from-scratch plan byte for byte"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A chain written before `meta` carried the first-stage key resumes on
+/// an exact fingerprint match and is discarded on anything else.
+#[test]
+fn a_chain_without_the_first_stage_key_resumes_only_on_its_fingerprint() {
+    use np_chaos::checkpoint::{append_record, read_records};
+    let dir = tmp_dir("legacy-meta");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (ckpt, tel) = (path("ckpt"), path("t.jsonl"));
+    let resume = ["--checkpoint-dir", ckpt.as_str(), "--resume"];
+    let out = run(
+        &alpha_args(&path("a15.json"), "1.5", &tel, &resume[..2]),
+        None,
+    );
+    assert_plan_written(&out, &dir.join("a15.json"), "alpha 1.5");
+
+    // Strip `fs` from the meta record, as an older binary wrote it.
+    let chain = dir.join("ckpt").join("checkpoint.jsonl");
+    let mut records = read_records(&chain);
+    assert!(records[0].kind == "meta" && records[0].body.get("fs").is_some());
+    let fp = records[0].body.get("fp").expect("fp").clone();
+    records[0].body = serde_json::Value::Object(vec![("fp".to_string(), fp)]);
+    std::fs::remove_file(&chain).unwrap();
+    for r in records {
+        append_record(&chain, &r.kind, r.body, &np_chaos::Chaos::disabled()).unwrap();
+    }
+
+    let out = run(&alpha_args(&path("same.json"), "1.5", &tel, &resume), None);
+    assert_plan_written(&out, &dir.join("same.json"), "legacy chain, same config");
+    assert!(!trained(Path::new(&tel)) && !stderr_of(&out).contains("starting fresh"));
+    assert_eq!(
+        std::fs::read_to_string(dir.join("a15.json")).unwrap(),
+        std::fs::read_to_string(dir.join("same.json")).unwrap()
+    );
+
+    let out = run(
+        &alpha_args(&path("other.json"), "1.25", &tel, &resume),
+        None,
+    );
+    assert_plan_written(&out, &dir.join("other.json"), "legacy chain, new alpha");
+    assert!(trained(Path::new(&tel)) && stderr_of(&out).contains("starting fresh"));
+    let out = run(&alpha_args(&path("full.json"), "1.25", &tel, &[]), None);
+    assert_plan_written(&out, &dir.join("full.json"), "uninterrupted alpha 1.25");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("full.json")).unwrap(),
+        std::fs::read_to_string(dir.join("other.json")).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The chain the daemon seeds for a reused first stage — `meta` +
+/// `first_stage` — skips training; with a bit of the `first_stage`
+/// record flipped, the checksum drops it and the run trains. Same plan
+/// both ways.
+#[test]
+fn a_corrupt_seeded_first_stage_is_dropped_and_the_run_trains() {
+    use neuroplan::{checkpoint, NeuroPlan, NeuroPlanConfig};
+    use np_topology::{generator::GeneratorConfig, TopologyPreset};
+
+    let dir = tmp_dir("seeded");
+    let net = GeneratorConfig::preset(TopologyPreset::A).generate();
+    let at = |alpha: f64| {
+        let mut cfg = NeuroPlanConfig::quick().with_seed(5);
+        cfg.relax_factor = alpha;
+        cfg
+    };
+    let donor = NeuroPlan::new(at(1.5)).plan(&net);
+    let clean = NeuroPlan::new(at(1.25)).plan(&net);
+    let (fp, key) = (
+        checkpoint::fingerprint(&net, &at(1.25)),
+        checkpoint::first_stage_key(&net, &at(1.25)),
+    );
+    assert_eq!(key, checkpoint::first_stage_key(&net, &at(1.5)));
+    for flip in [false, true] {
+        let ckpt = dir.join(format!("flip-{flip}"));
+        let planner = NeuroPlan::new(at(1.25)).with_checkpoint(&ckpt, true);
+        let first = checkpoint::first_stage_body(&donor.first_stage());
+        assert!(planner.seed_first_stage(&fp, &key, first.clone()));
+        assert!(
+            !planner.seed_first_stage(&fp, &key, first),
+            "never over a chain"
+        );
+        if flip {
+            let chain = ckpt.join("checkpoint.jsonl");
+            let mut bytes = std::fs::read(&chain).unwrap();
+            let at = bytes.len() - 40;
+            bytes[at] ^= 1;
+            std::fs::write(&chain, bytes).unwrap();
+        }
+        let got = planner.plan(&net);
+        assert_eq!(
+            got.train_report.epochs_run() > 0,
+            flip,
+            "trains iff dropped"
+        );
+        assert_eq!(got.final_units, clean.final_units, "flip {flip}");
+        assert_eq!(got.final_cost.to_bits(), clean.final_cost.to_bits());
+        assert_eq!(got.quality, clean.quality);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

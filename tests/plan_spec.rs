@@ -167,6 +167,103 @@ fn fingerprints_equal_the_parent_commits() {
     }
 }
 
+/// The `first_stage` record of a request — units, cost and every
+/// certificate in hex, so equal text is equal bits — trained once per
+/// distinct input: `first_stage` is a function of the instance and the
+/// config, so rows that reach neither cost nothing.
+fn first_stage_of(
+    trained: &mut Vec<(String, String)>,
+    net: &np_topology::Network,
+    cfg: neuroplan::NeuroPlanConfig,
+) -> String {
+    let inputs = format!("{}\n{cfg:?}", net.to_json());
+    if let Some((_, record)) = trained.iter().find(|(i, _)| *i == inputs) {
+        return record.clone();
+    }
+    let first = neuroplan::NeuroPlan::new(cfg).first_stage(net);
+    let record = serde_json::to_string(&checkpoint::first_stage_body(&first)).expect("json");
+    trained.push((inputs, record.clone()));
+    record
+}
+
+/// The first-stage key can never cover too little: whatever one row of
+/// `FIELDS` changes about a request, either the key changes or the first
+/// stage does not. A row added later that shapes training without
+/// entering `checkpoint::first_stage_key` fails here.
+#[test]
+fn no_row_changes_the_first_stage_behind_the_keys_back() {
+    let mut trained = Vec::new();
+    let mut reruns = 0;
+    let mut check = |base: &[&str], varied: &[&str]| {
+        let [(net, cfg), (varied_net, varied_cfg)] = [base, varied].map(|args| {
+            let spec = flags(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            (spec.network().expect("instance"), spec.config())
+        });
+        let key = checkpoint::first_stage_key(&net, &cfg);
+        if key == checkpoint::first_stage_key(&varied_net, &varied_cfg) {
+            reruns += 1;
+            assert_eq!(
+                first_stage_of(&mut trained, &net, cfg),
+                first_stage_of(&mut trained, &varied_net, varied_cfg),
+                "{varied:?} keeps the key of {base:?}"
+            );
+        }
+    };
+    for field in FIELDS {
+        let base: &[&str] = match field.key {
+            "family" | "size_tier" | "failure_model" => {
+                &["--family", "wan", "--size-tier", "a", "--seed", "3"]
+            }
+            _ => &["--preset", "a", "--seed", "3"],
+        };
+        let flag = format!("--{}", field.key.replace('_', "-"));
+        for sample in samples(field) {
+            // Tier A: the larger instances only make the same point slower.
+            if matches!(field.key, "preset" | "size_tier") && sample.as_str() > "c" {
+                continue;
+            }
+            let mut varied: Vec<&str> = (base.chunks(2))
+                .filter(|pair| pair[0] != flag)
+                .flatten()
+                .copied()
+                .collect();
+            varied.push(&flag);
+            if !matches!(field.kind, Kind::Switch) {
+                varied.push(&sample);
+            }
+            check(base, &varied);
+        }
+    }
+    assert!(reruns >= 4, "alpha and no_degrade share the key");
+}
+
+#[test]
+fn the_first_stage_key_moves_with_training_inputs_only() {
+    let key = |wire: &str| {
+        let spec = PlanSpec::from_json(&serde_json::from_str(wire).expect("json")).expect(wire);
+        checkpoint::first_stage_key(&spec.network().expect("instance"), &spec.config())
+    };
+    let base = key(r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5}"#);
+    for same in [
+        r#"{"preset":"a","seed":4,"workers":1,"alpha":1.499999999999}"#,
+        r#"{"preset":"a","seed":4,"workers":1,"alpha":2,"no_degrade":true}"#,
+        r#"{"preset":"a","seed":4,"workers":4,"quick":true,"events":"seed=1,n=5"}"#,
+    ] {
+        assert_eq!(key(same), base, "{same}");
+    }
+    for moved in [
+        r#"{"preset":"b","seed":4,"workers":1,"alpha":1.5}"#,
+        r#"{"preset":"a","seed":5,"workers":1,"alpha":1.5}"#,
+        r#"{"preset":"a","seed":4,"alpha":1.5}"#,
+        r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5,"default":true}"#,
+        r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5,"stage_budget":30}"#,
+        r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5,"max_retries":7}"#,
+        r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5,"fill":0.9}"#,
+    ] {
+        assert_ne!(key(moved), base, "{moved}");
+    }
+}
+
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("np-spec-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
