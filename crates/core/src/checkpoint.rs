@@ -13,11 +13,12 @@ use crate::config::NeuroPlanConfig;
 use crate::master::MasterOutcome;
 use crate::pipeline::FirstStage;
 use np_chaos::checkpoint::{f64_to_hex, fnv1a64, hex_to_f64};
+use np_eval::evaluator::{decode_cert, encode_cert};
 use np_flow::MetricCut;
 use np_lp::MipStatus;
 use np_rl::{EpochStats, TrainProgress, TrainReport};
 use np_supervisor::PlanQuality;
-use np_topology::{LinkId, Network};
+use np_topology::Network;
 use serde_json::Value;
 
 /// Stable fingerprint of (instance, run-shaping config). A resume under
@@ -372,27 +373,12 @@ pub fn decode_epoch(body: &Value) -> Option<EpochRecord> {
     })
 }
 
-fn encode_cert(c: &MetricCut) -> Value {
-    let mut s = f64_to_hex(c.rhs);
-    for (l, w) in &c.coeff {
-        s.push_str(&format!(";{},{}", l.index(), f64_to_hex(*w)));
-    }
-    Value::Str(s)
-}
-
-fn decode_cert(s: &str) -> Option<MetricCut> {
-    let mut fields = s.split(';');
-    let rhs = fields.next().and_then(hex_to_f64)?;
-    let mut coeff = Vec::new();
-    for f in fields {
-        let (i, w) = f.split_once(',')?;
-        coeff.push((LinkId::new(i.parse().ok()?), hex_to_f64(w)?));
-    }
-    Some(MetricCut { coeff, rhs })
-}
-
 /// Body of the `first_stage` record.
 pub fn first_stage_body(first: &FirstStage) -> Value {
+    let certs = first
+        .certificates
+        .iter()
+        .map(|c| Value::Str(encode_cert(c)));
     Value::Object(vec![
         ("cost".to_string(), Value::Str(f64_to_hex(first.cost))),
         ("units".to_string(), units_value(&first.units)),
@@ -407,10 +393,7 @@ pub fn first_stage_body(first: &FirstStage) -> Value {
             "reference_cost".to_string(),
             Value::Str(f64_to_hex(first.reference_cost)),
         ),
-        (
-            "certs".to_string(),
-            Value::Array(first.certificates.iter().map(encode_cert).collect()),
-        ),
+        ("certs".to_string(), Value::Array(certs.collect())),
     ])
 }
 
@@ -517,7 +500,7 @@ pub fn decode_master(body: &Value) -> Option<(MasterOutcome, PlanQuality)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_topology::{generator::GeneratorConfig, TopologyPreset};
+    use np_topology::{generator::GeneratorConfig, LinkId, TopologyPreset};
 
     #[test]
     fn fingerprint_separates_instances_and_configs() {
@@ -622,6 +605,13 @@ mod tests {
             stats: np_eval::EvalStats::default(),
         };
         let body = first_stage_body(&first);
+        // The bytes older binaries wrote (np-eval pins them).
+        assert_eq!(
+            body.get("certs"),
+            Some(&Value::Array(vec![Value::Str(
+                "0000000000002440;0,000000000000f83f;2,000000000000e0bf".into()
+            )]))
+        );
         let back = decode_first_stage(&body, TrainReport::default()).expect("round trip");
         assert_eq!(back.units, first.units);
         assert_eq!(back.cost.to_bits(), first.cost.to_bits());

@@ -797,9 +797,7 @@ mod tests {
         let first = solve_master(&net, &mut ev1, &base_cfg);
         // Re-solve seeding the certificates the first run discovered: same
         // optimum, fewer lazy rounds.
-        let seeds: Vec<_> = (0..ev1.num_scenarios())
-            .filter_map(|i| ev1.certificate(i).cloned())
-            .collect();
+        let seeds = ev1.certificates();
         assert!(!seeds.is_empty());
         let mut ev2 = PlanEvaluator::new(&net, EvalConfig::default());
         let cfg2 = MasterConfig {

@@ -681,21 +681,17 @@ impl NeuroPlan {
             Some((cost, snap)) if cost <= ref_cost => (cost, snap.as_slice().to_vec()),
             _ => (ref_cost, ref_units),
         };
-        // Harvest every certificate the evaluator collected: free,
-        // already-validated rows for the master.
         let evaluator = env.evaluator_mut();
-        let certs: Vec<MetricCut> = (0..evaluator.num_scenarios())
-            .filter_map(|i| evaluator.certificate(i).cloned())
-            .collect();
-        let stats = evaluator.take_stats();
         Ok(FirstStage {
             units,
             cost,
             rl_cost,
             reference_cost: ref_cost,
             report,
-            certificates: certs,
-            stats,
+            // Every certificate the evaluator collected: free,
+            // already-validated rows for the master.
+            certificates: evaluator.certificates(),
+            stats: evaluator.take_stats(),
         })
     }
 

@@ -28,7 +28,6 @@ use np_chaos::checkpoint::read_records;
 use np_chaos::FaultClass;
 use np_churn::ChurnEvent;
 use np_eval::{EvalStats, PlanEvaluator};
-use np_flow::MetricCut;
 use np_supervisor::{PlanQuality, SupervisionReport, Supervisor};
 use np_telemetry::sys;
 use np_topology::{LinkId, Network, PerturbDelta, Perturbation};
@@ -491,9 +490,7 @@ impl NeuroPlan {
             .map(|&u| f64::from(u) * net.unit_gbps)
             .collect();
         let verifies = evaluator.check(&caps).feasible;
-        let seed_cuts: Vec<MetricCut> = (0..evaluator.num_scenarios())
-            .filter_map(|i| evaluator.certificate(i).cloned())
-            .collect();
+        let seed_cuts = evaluator.certificates();
         self.tel
             .incr(sys::PIPELINE, "replan_seed_cuts", seed_cuts.len() as u64);
         let ladder = Ladder {

@@ -17,8 +17,8 @@ use neuroplan::{NeuroPlan, NeuroPlanConfig, PlanQuality, ReplanConfig, ReplanRep
 use np_churn::ChurnEvent;
 use np_eval::{EvalConfig, PlanEvaluator};
 use np_lp::MipStatus;
-use np_topology::generator::GeneratorConfig;
-use np_topology::Network;
+use np_topology::generator::{preset_network, GeneratorConfig};
+use np_topology::{Network, TopologyPreset};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -148,6 +148,27 @@ proptest! {
             (cold.cost - report.final_cost).abs() <= 1e-6 * cold.cost.abs().max(1.0),
             "incremental {} != cold {}", report.final_cost, cold.cost
         );
+    }
+}
+
+/// `benchmark/README.md` "Known limits" saw the evaluator panic with
+/// "separator could not certify infeasibility" on preset-A churn streams
+/// of seed >= 4, before the exact LP answered an unverifiable dual with a
+/// cold rebuild. Those seeds now replan with no recovery of any kind: a
+/// panic inside a stage would show as a supervisor retry.
+#[test]
+fn preset_a_churn_seeds_4_to_11_replan_without_a_retry() {
+    let net = preset_network(TopologyPreset::A);
+    let planner = NeuroPlan::new(NeuroPlanConfig::quick());
+    let base = planner.plan(&net).final_units;
+    for seed in 4..12 {
+        let events = np_churn::generate_stream(&net, seed, 6);
+        let report = planner
+            .replan_from(&net, &base, &events, &ReplanConfig::default())
+            .unwrap_or_else(|e| panic!("stream seed {seed}: {e}"));
+        neuroplan::validate_plan(&report.net, &report.final_units)
+            .unwrap_or_else(|e| panic!("stream seed {seed}: {e:?}"));
+        assert_eq!(report.supervision.total_retries(), 0, "stream seed {seed}");
     }
 }
 

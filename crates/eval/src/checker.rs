@@ -37,8 +37,6 @@ pub struct CheckConfig {
     pub coarse_eps: f64,
     /// ε for the second (precise) MWU pass.
     pub fine_eps: f64,
-    /// Whether to try the greedy routing witness first.
-    pub greedy_fastpath: bool,
     /// Whether the `Auto` pipeline may escalate to the exact LP. The RL
     /// inner loop turns this off (conservative "infeasible" on the rare
     /// boundary-inconclusive checks is fine there and the LP is the one
@@ -52,7 +50,6 @@ impl Default for CheckConfig {
             backend: Backend::Auto,
             coarse_eps: 0.25,
             fine_eps: 0.12,
-            greedy_fastpath: true,
             allow_exact_lp: true,
         }
     }
@@ -103,14 +100,12 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
             if witness_still_fits(ctx, stats) {
                 return Verdict::Feasible;
             }
-            if cfg.greedy_fastpath {
-                stats.greedy_attempts += 1;
-                let r = greedy::route(&ctx.graph, &ctx.commodities);
-                if r.feasible {
-                    stats.greedy_hits += 1;
-                    *ctx.witness.borrow_mut() = Some(r.flow);
-                    return Verdict::Feasible;
-                }
+            stats.greedy_attempts += 1;
+            let r = greedy::route(&ctx.graph, &ctx.commodities);
+            if r.feasible {
+                stats.greedy_hits += 1;
+                *ctx.witness.borrow_mut() = Some(r.flow);
+                return Verdict::Feasible;
             }
             mwu_verdict(ctx, cfg, stats, cfg.allow_exact_lp)
         }

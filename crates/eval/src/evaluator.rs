@@ -1,26 +1,36 @@
 //! Stateful plan evaluation across all scenarios, with certificate reuse
 //! and parallel failure groups.
 
-use crate::checker::{check_scenario, CheckConfig, Verdict};
+use crate::checker::{check_scenario, Backend, CheckConfig, Verdict};
 use crate::scenario::{build_all, scenario_at, ScenarioCtx};
 use crate::stats::EvalStats;
+use np_chaos::checkpoint::{f64_to_hex, hex_to_f64};
 use np_flow::MetricCut;
 use np_telemetry::{sys, Telemetry};
 use np_topology::{LinkId, Network, PerturbDelta};
 use std::time::Instant;
 
-/// Per-worker result of a parallel scenario scan: the chunk's offset, its
-/// `(index, verdict)` pairs, and the worker's accumulated stats.
-type WorkerScan = (usize, Vec<(usize, Verdict)>, EvalStats);
+/// What a caller of [`PlanEvaluator::scan`] passes in: `check` and
+/// `separate` differ in these values, not in code.
+struct Walk {
+    /// Per-scenario verdict pipeline.
+    check: CheckConfig,
+    /// Answer from a stored certificate while it stays violated.
+    reuse_certificates: bool,
+    /// Findings after which a walk stops (a structural one always ends it).
+    limit: usize,
+    /// Panic on a violation the pipeline could not certify instead of
+    /// reporting it (the master would loop on it forever).
+    certify: bool,
+}
 
-/// One item a separation worker found in its chunk, tagged with the
-/// chunk-local scenario offset. Merging these in (chunk, offset) order
-/// reproduces the serial scan's output exactly.
-enum SepItem {
-    /// A violated metric cut for the scenario at this local offset.
-    Cut(MetricCut),
-    /// The scenario at this local offset is structurally unfixable.
-    Structural(usize),
+/// A scenario a scan found violated, by dense index; `structural` when no
+/// capacity fixes it. Its cut, if one was certified, is in the certificate
+/// store under `idx`.
+#[derive(Clone, Copy, Debug)]
+struct Finding {
+    idx: usize,
+    structural: bool,
 }
 
 /// Evaluator configuration: which paper optimizations are active. The
@@ -197,327 +207,101 @@ impl PlanEvaluator {
     }
 
     /// Evaluate per-link capacities (Gbps, indexed by `LinkId`) against
-    /// all scenarios.
+    /// all scenarios, stopping at the first violated one. A stateful
+    /// evaluator resumes from where the last check stopped.
     pub fn check(&mut self, caps_gbps: &[f64]) -> TrajectoryCheck {
         let _check_span = self.tel.span(sys::EVAL, "check");
-        let t0 = Instant::now();
         let start = if self.cfg.stateful { self.cursor } else { 0 };
         self.stats.stateful_skips += start as u64;
-        let mut outcome = TrajectoryCheck {
-            feasible: true,
-            first_violated: None,
-            structural: false,
+        let walk = Walk {
+            check: self.cfg.check,
+            reuse_certificates: self.cfg.reuse_certificates,
+            limit: 1,
+            certify: false,
         };
-        let total = self.ctxs.len();
-        let mut idx = start;
-        while idx < total {
-            let remaining = total - idx;
-            if self.cfg.parallel_workers > 1 && remaining >= 2 * self.cfg.parallel_workers {
-                // Parallel failure groups: scan the rest in chunks.
-                let result = self.check_parallel(idx, caps_gbps);
-                match result {
-                    None => idx = total,
-                    Some((violated, structural)) => {
-                        outcome.feasible = false;
-                        outcome.first_violated = Some(violated);
-                        outcome.structural = structural;
-                        if self.cfg.stateful {
-                            self.cursor = violated;
-                        }
-                        break;
-                    }
-                }
-                continue;
-            }
-            match self.check_one(idx, caps_gbps) {
-                Verdict::Feasible => {
-                    if self.cfg.stateful {
-                        self.cursor = idx + 1;
-                    }
-                    idx += 1;
-                }
-                Verdict::Infeasible(_) => {
-                    outcome.feasible = false;
-                    outcome.first_violated = Some(idx);
-                    break;
-                }
-                Verdict::StructurallyInfeasible => {
-                    outcome.feasible = false;
-                    outcome.first_violated = Some(idx);
-                    outcome.structural = true;
-                    break;
-                }
-            }
+        let first = self.scan(start, caps_gbps, &walk).pop();
+        if self.cfg.stateful {
+            self.cursor = first.map_or(self.ctxs.len(), |f| f.idx);
         }
-        self.stats.elapsed += t0.elapsed();
-        self.publish_stats();
-        outcome
+        TrajectoryCheck {
+            feasible: first.is_none(),
+            first_violated: first.map(|f| f.idx),
+            structural: first.is_some_and(|f| f.structural),
+        }
     }
 
     /// Convenience: evaluate a network's current capacities.
     pub fn check_network(&mut self, net: &Network) -> TrajectoryCheck {
-        let caps: Vec<f64> = net.link_ids().map(|l| net.capacity_gbps(l)).collect();
-        self.check(&caps)
-    }
-
-    /// Check one scenario; updates certificates and stats.
-    fn check_one(&mut self, idx: usize, caps: &[f64]) -> Verdict {
-        if self.cfg.reuse_certificates {
-            if let Some(cert) = &self.certs[idx] {
-                if cert.is_violated(|l| caps[l.index()]) {
-                    self.stats.cut_reuse_hits += 1;
-                    return Verdict::Infeasible(Some(cert.clone()));
-                }
-            }
-        }
-        self.ctxs[idx].refresh(|l| caps[l.index()]);
-        let verdict = check_scenario(&self.ctxs[idx], &self.cfg.check, &mut self.stats);
-        if let Verdict::Infeasible(Some(cut)) = &verdict {
-            self.certs[idx] = Some(cut.clone());
-        }
-        verdict
-    }
-
-    /// Parallel scan of scenarios `start..`; returns the first violated
-    /// index (+ structural flag) or `None` if all pass.
-    fn check_parallel(&mut self, start: usize, caps: &[f64]) -> Option<(usize, bool)> {
-        let workers = self.cfg.parallel_workers;
-        let cfg = self.cfg;
-        let total = self.ctxs.len();
-        let chunk = np_pool::chunk_len(total - start, workers);
-        let tel = self.tel.clone();
-        let tail = &mut self.ctxs[start..];
-        let certs_tail = &mut self.certs[start..];
-        let tasks: Vec<_> = tail
-            .chunks_mut(chunk)
-            .zip(certs_tail.chunks_mut(chunk))
-            .enumerate()
-            .map(|(w, (ctx_chunk, cert_chunk))| {
-                let caps_ref = &caps;
-                move || {
-                    let mut st = EvalStats::default();
-                    let mut verdicts = Vec::new();
-                    for (k, (ctx, cert)) in
-                        ctx_chunk.iter_mut().zip(cert_chunk.iter_mut()).enumerate()
-                    {
-                        let verdict = if cfg.reuse_certificates
-                            && cert
-                                .as_ref()
-                                .is_some_and(|c| c.is_violated(|l| caps_ref[l.index()]))
-                        {
-                            st.cut_reuse_hits += 1;
-                            Verdict::Infeasible(cert.clone())
-                        } else {
-                            ctx.refresh(|l| caps_ref[l.index()]);
-                            let v = check_scenario(ctx, &cfg.check, &mut st);
-                            if let Verdict::Infeasible(Some(cut)) = &v {
-                                *cert = Some(cut.clone());
-                            }
-                            v
-                        };
-                        let bad = !verdict.is_feasible();
-                        verdicts.push((w * chunk + k, verdict));
-                        if bad {
-                            break; // later scenarios in this chunk can wait
-                        }
-                    }
-                    (w, verdicts, st)
-                }
-            })
-            .collect();
-        let results: Vec<WorkerScan> = np_pool::run_tasks_telemetry(workers, tasks, &tel);
-        let mut first: Option<(usize, bool)> = None;
-        for (_, verdicts, st) in results {
-            self.stats.merge(&st);
-            for (off, v) in verdicts {
-                if !v.is_feasible() {
-                    let idx = start + off;
-                    let structural = matches!(v, Verdict::StructurallyInfeasible);
-                    if first.is_none_or(|(f, _)| idx < f) {
-                        first = Some((idx, structural));
-                    }
-                }
-            }
-        }
-        if first.is_none() && self.cfg.stateful {
-            self.cursor = total;
-        }
-        first
+        self.check(&caps_of(net))
     }
 
     /// Benders separation for the ILP master: scan **all** scenarios under
     /// the candidate capacities and return violated cuts (up to
-    /// `max_cuts`). Uses the exact-capable Auto pipeline regardless of the
-    /// RL-loop backend, so the master's acceptance is never approximate.
-    ///
-    /// With `parallel_workers > 1` the scan fans out over fixed contiguous
-    /// chunks and the per-chunk findings are merged in scenario order, so
-    /// the returned [`Separation`] — cuts, their order, or the structural
-    /// index — is identical at every worker count. Workers past the point
-    /// where the serial scan would stop may do extra (never wasted:
-    /// certificates are valid forever) work, the same asymmetry as
-    /// [`PlanEvaluator::check`].
+    /// `max_cuts`, at least one). Uses the exact-capable Auto pipeline
+    /// regardless of the RL-loop backend, so the master's acceptance is
+    /// never approximate, and always reuses stored certificates. The
+    /// returned [`Separation`] — cuts, their order, or the structural
+    /// index — is identical at every worker count.
     pub fn separate(&mut self, caps_gbps: &[f64], max_cuts: usize) -> Separation {
         let _separate_span = self.tel.span(sys::EVAL, "separate");
+        let walk = Walk {
+            check: CheckConfig {
+                backend: Backend::Auto,
+                allow_exact_lp: true,
+                ..self.cfg.check
+            },
+            reuse_certificates: true,
+            limit: max_cuts.max(1),
+            certify: true,
+        };
+        let found = self.scan(0, caps_gbps, &walk);
+        let cut = |f: &Finding| self.certs[f.idx].clone().expect("certified, so stored");
+        match found.last() {
+            None => Separation::Feasible,
+            Some(last) if last.structural => Separation::StructurallyInfeasible(last.idx),
+            Some(_) => Separation::Cuts(found.iter().map(cut).collect()),
+        }
+    }
+
+    /// The one scenario walk (DESIGN.md §9): scenarios `start..` in fixed
+    /// contiguous chunks — `np_pool::chunk_len` of them on the pool when
+    /// there are at least two per worker, otherwise one chunk on the
+    /// caller's thread — each stopping as `walk` says; worker stats and
+    /// findings merge in chunk order and the findings are cut off where a
+    /// single in-order walk would have stopped (work past that point is
+    /// extra, never wasted: a certificate holds for every capacity vector).
+    fn scan(&mut self, start: usize, caps: &[f64], walk: &Walk) -> Vec<Finding> {
         let t0 = Instant::now();
         let workers = self.cfg.parallel_workers;
-        let out = if workers > 1 && self.ctxs.len() >= 2 * workers {
-            self.separate_parallel(caps_gbps, max_cuts, workers)
+        let (ctxs, certs) = (&mut self.ctxs[start..], &mut self.certs[start..]);
+        let found = if workers > 1 && ctxs.len() >= 2 * workers {
+            let chunk = np_pool::chunk_len(ctxs.len(), workers);
+            let tasks: Vec<_> = ctxs
+                .chunks_mut(chunk)
+                .zip(certs.chunks_mut(chunk))
+                .enumerate()
+                .map(|(w, (ctxs, certs))| {
+                    move || {
+                        let mut st = EvalStats::default();
+                        let base = start + w * chunk;
+                        (walk_chunk(ctxs, certs, base, caps, walk, &mut st), st)
+                    }
+                })
+                .collect();
+            let mut merged = Vec::new();
+            for (found, st) in np_pool::run_tasks_telemetry(workers, tasks, &self.tel) {
+                self.stats.merge(&st);
+                merged.extend(found);
+            }
+            let structural = merged.iter().position(|f| f.structural);
+            merged.truncate(structural.map_or(walk.limit, |p| walk.limit.min(p + 1)));
+            merged
         } else {
-            self.separate_serial(caps_gbps, max_cuts)
+            walk_chunk(ctxs, certs, start, caps, walk, &mut self.stats)
         };
         self.stats.elapsed += t0.elapsed();
         self.publish_stats();
-        out
-    }
-
-    fn separate_serial(&mut self, caps_gbps: &[f64], max_cuts: usize) -> Separation {
-        let mut cuts = Vec::new();
-        for idx in 0..self.ctxs.len() {
-            // Certificate fast path.
-            if let Some(cert) = &self.certs[idx] {
-                if cert.is_violated(|l| caps_gbps[l.index()]) {
-                    self.stats.cut_reuse_hits += 1;
-                    cuts.push(cert.clone());
-                    if cuts.len() >= max_cuts {
-                        break;
-                    }
-                    continue;
-                }
-            }
-            self.ctxs[idx].refresh(|l| caps_gbps[l.index()]);
-            let check = Self::exact_check(&self.cfg);
-            match check_scenario(&self.ctxs[idx], &check, &mut self.stats) {
-                Verdict::Feasible => {}
-                Verdict::StructurallyInfeasible => {
-                    return Separation::StructurallyInfeasible(idx);
-                }
-                Verdict::Infeasible(Some(cut)) => {
-                    self.certs[idx] = Some(cut.clone());
-                    cuts.push(cut);
-                    if cuts.len() >= max_cuts {
-                        break;
-                    }
-                }
-                Verdict::Infeasible(None) => Self::uncertified(idx),
-            }
-        }
-        if cuts.is_empty() {
-            Separation::Feasible
-        } else {
-            Separation::Cuts(cuts)
-        }
-    }
-
-    /// Parallel separation over fixed contiguous chunks. Each worker runs
-    /// the serial per-scenario logic on its chunk, stopping after
-    /// `max_cuts` own cuts or its first structural scenario; the merge
-    /// walks chunks in index order and truncates exactly where the serial
-    /// scan would have stopped.
-    fn separate_parallel(&mut self, caps: &[f64], max_cuts: usize, workers: usize) -> Separation {
-        let chunk = np_pool::chunk_len(self.ctxs.len(), workers);
-        let check = Self::exact_check(&self.cfg);
-        let tel = self.tel.clone();
-        let tasks: Vec<_> = self
-            .ctxs
-            .chunks_mut(chunk)
-            .zip(self.certs.chunks_mut(chunk))
-            .enumerate()
-            .map(|(w, (ctx_chunk, cert_chunk))| {
-                let caps_ref = &caps;
-                move || {
-                    let mut st = EvalStats::default();
-                    let mut items = Vec::new();
-                    let mut own_cuts = 0usize;
-                    for (k, (ctx, cert)) in
-                        ctx_chunk.iter_mut().zip(cert_chunk.iter_mut()).enumerate()
-                    {
-                        if let Some(c) = cert
-                            .as_ref()
-                            .filter(|c| c.is_violated(|l| caps_ref[l.index()]))
-                        {
-                            st.cut_reuse_hits += 1;
-                            items.push(SepItem::Cut(c.clone()));
-                            own_cuts += 1;
-                            if own_cuts >= max_cuts {
-                                break;
-                            }
-                            continue;
-                        }
-                        ctx.refresh(|l| caps_ref[l.index()]);
-                        match check_scenario(ctx, &check, &mut st) {
-                            Verdict::Feasible => {}
-                            Verdict::StructurallyInfeasible => {
-                                items.push(SepItem::Structural(k));
-                                break;
-                            }
-                            Verdict::Infeasible(Some(cut)) => {
-                                *cert = Some(cut.clone());
-                                items.push(SepItem::Cut(cut));
-                                own_cuts += 1;
-                                if own_cuts >= max_cuts {
-                                    break;
-                                }
-                            }
-                            Verdict::Infeasible(None) => Self::uncertified(w * chunk + k),
-                        }
-                    }
-                    (items, st)
-                }
-            })
-            .collect();
-        let results = np_pool::run_tasks_telemetry(workers, tasks, &tel);
-        // Merge every worker's stats first (telemetry stays associative and
-        // worker-order independent), then walk findings in scenario order.
-        let mut item_lists = Vec::with_capacity(results.len());
-        for (w, (items, st)) in results.into_iter().enumerate() {
-            self.stats.merge(&st);
-            item_lists.push((w, items));
-        }
-        let mut cuts = Vec::new();
-        for (w, items) in item_lists {
-            for item in items {
-                match item {
-                    SepItem::Cut(cut) => {
-                        cuts.push(cut);
-                        if cuts.len() >= max_cuts {
-                            return Separation::Cuts(cuts);
-                        }
-                    }
-                    SepItem::Structural(k) => {
-                        return Separation::StructurallyInfeasible(w * chunk + k);
-                    }
-                }
-            }
-        }
-        if cuts.is_empty() {
-            Separation::Feasible
-        } else {
-            Separation::Cuts(cuts)
-        }
-    }
-
-    /// The separation-time check config: exact-capable Auto pipeline
-    /// regardless of the RL-loop backend.
-    fn exact_check(cfg: &EvalConfig) -> CheckConfig {
-        CheckConfig {
-            backend: crate::Backend::Auto,
-            allow_exact_lp: true,
-            ..cfg.check
-        }
-    }
-
-    /// The pipeline ends in the exact LP, whose dual always yields a cut
-    /// on truly infeasible scenarios, and which has already answered an
-    /// unverifiable dual by rebuilding itself from nothing and solving
-    /// again with exact pricing (`lp_cold_retries`); reaching here means
-    /// that failed too. Escalate by failing loudly rather than looping
-    /// forever in the master.
-    fn uncertified(idx: usize) -> ! {
-        panic!(
-            "separator could not certify infeasibility of scenario {idx}; \
-             numerical breakdown in the LP duals"
-        );
+        found
     }
 
     /// The stateful scan cursor: the next scenario index a stateful
@@ -568,24 +352,24 @@ impl PlanEvaluator {
         self.certs[scenario_idx].as_ref()
     }
 
+    /// Every stored certificate, in scenario order: free, already-validated
+    /// rows for a master.
+    pub fn certificates(&self) -> Vec<MetricCut> {
+        self.certs.iter().flatten().cloned().collect()
+    }
+
     /// Serialize the evaluator state a checkpoint must carry: the
     /// stateful cursor and the certificate store (certificates feed the
     /// master's seed cuts, so resuming without them would change the
     /// second stage). Floats travel as little-endian hex for bit-exact
     /// restoration.
     pub fn snapshot_state(&self) -> String {
-        use np_chaos::checkpoint::f64_to_hex;
         let mut s = format!("1|{}|{}", self.cursor, self.certs.len());
         for cert in &self.certs {
             s.push('|');
             match cert {
                 None => s.push('-'),
-                Some(c) => {
-                    s.push_str(&f64_to_hex(c.rhs));
-                    for (l, w) in &c.coeff {
-                        s.push_str(&format!(";{},{}", l.index(), f64_to_hex(*w)));
-                    }
-                }
+                Some(c) => s.push_str(&encode_cert(c)),
             }
         }
         s
@@ -595,7 +379,6 @@ impl PlanEvaluator {
     /// Returns `false` (leaving the evaluator untouched) if the blob's
     /// version or scenario count does not match this instance.
     pub fn restore_state(&mut self, blob: &str) -> bool {
-        use np_chaos::checkpoint::hex_to_f64;
         let parts: Vec<&str> = blob.split('|').collect();
         if parts.len() < 3 || parts[0] != "1" {
             return false;
@@ -606,28 +389,16 @@ impl PlanEvaluator {
         if n != self.certs.len() || parts.len() != 3 + n || cursor > self.ctxs.len() {
             return false;
         }
-        let mut certs = Vec::with_capacity(n);
-        for p in &parts[3..] {
-            if *p == "-" {
-                certs.push(None);
-                continue;
-            }
-            let mut fields = p.split(';');
-            let Some(rhs) = fields.next().and_then(hex_to_f64) else {
-                return false;
-            };
-            let mut coeff = Vec::new();
-            for f in fields {
-                let Some((i, w)) = f.split_once(',') else {
-                    return false;
-                };
-                let (Ok(i), Some(w)) = (i.parse::<usize>(), hex_to_f64(w)) else {
-                    return false;
-                };
-                coeff.push((LinkId::new(i), w));
-            }
-            certs.push(Some(MetricCut { coeff, rhs }));
-        }
+        let certs: Option<Vec<_>> = parts[3..]
+            .iter()
+            .map(|&p| match p {
+                "-" => Some(None),
+                text => decode_cert(text).map(Some),
+            })
+            .collect();
+        let Some(certs) = certs else {
+            return false;
+        };
         self.certs = certs;
         self.cursor = cursor;
         true
@@ -728,6 +499,82 @@ impl PlanEvaluator {
         self.cursor = 0;
         self.publish_stats();
     }
+}
+
+/// Walk one contiguous chunk whose first scenario has dense index `base`:
+/// a stored certificate that is still violated answers without a check,
+/// anything else is refreshed, checked, and its cut (if any) stored.
+fn walk_chunk(
+    ctxs: &mut [ScenarioCtx],
+    certs: &mut [Option<MetricCut>],
+    base: usize,
+    caps: &[f64],
+    walk: &Walk,
+    stats: &mut EvalStats,
+) -> Vec<Finding> {
+    let mut found = Vec::new();
+    for (k, (ctx, cert)) in ctxs.iter_mut().zip(certs).enumerate() {
+        let idx = base + k;
+        let stored =
+            walk.reuse_certificates && cert.as_ref().is_some_and(|c| c.is_violated(caps_fn(caps)));
+        let structural = if stored {
+            stats.cut_reuse_hits += 1;
+            false
+        } else {
+            ctx.refresh(caps_fn(caps));
+            match check_scenario(ctx, &walk.check, stats) {
+                Verdict::Feasible => continue,
+                Verdict::StructurallyInfeasible => true,
+                Verdict::Infeasible(None) if walk.certify => uncertified(idx),
+                Verdict::Infeasible(None) => false,
+                Verdict::Infeasible(cut) => {
+                    *cert = cut;
+                    false
+                }
+            }
+        };
+        found.push(Finding { idx, structural });
+        if structural || found.len() >= walk.limit {
+            break;
+        }
+    }
+    found
+}
+
+/// The pipeline ends in the exact LP, whose dual always yields a cut
+/// on truly infeasible scenarios, and which has already answered an
+/// unverifiable dual by rebuilding itself from nothing and solving
+/// again with exact pricing (`lp_cold_retries`); reaching here means
+/// that failed too. Escalate by failing loudly rather than looping
+/// forever in the master.
+fn uncertified(idx: usize) -> ! {
+    panic!(
+        "separator could not certify infeasibility of scenario {idx}; \
+         numerical breakdown in the LP duals"
+    );
+}
+
+/// The text form of a certificate wherever one is persisted (evaluator
+/// snapshots, `first_stage` checkpoint records): `hex(rhs);link,hex(w);…`,
+/// floats as little-endian hex so they restore bit for bit.
+pub fn encode_cert(c: &MetricCut) -> String {
+    let mut s = f64_to_hex(c.rhs);
+    for (l, w) in &c.coeff {
+        s.push_str(&format!(";{},{}", l.index(), f64_to_hex(*w)));
+    }
+    s
+}
+
+/// Inverse of [`encode_cert`]; `None` on malformed text.
+pub fn decode_cert(s: &str) -> Option<MetricCut> {
+    let mut fields = s.split(';');
+    let rhs = fields.next().and_then(hex_to_f64)?;
+    let mut coeff = Vec::new();
+    for f in fields {
+        let (i, w) = f.split_once(',')?;
+        coeff.push((LinkId::new(i.parse().ok()?), hex_to_f64(w)?));
+    }
+    Some(MetricCut { coeff, rhs })
 }
 
 /// Helper for tests and harnesses: capacities of a network as a dense
@@ -893,6 +740,35 @@ mod tests {
         assert_eq!(fresh.stats.scenario_checks, 0);
     }
 
+    /// Both persisted forms — a snapshot's certificate slots and the
+    /// `certs` of a `first_stage` record — are this text, recorded on the
+    /// commit that still had one encoder per form: chains and `eval`
+    /// blobs written by older binaries must keep resuming.
+    #[test]
+    fn certificate_text_is_the_bytes_older_binaries_wrote() {
+        let cut = MetricCut {
+            coeff: vec![(LinkId::new(0), 1.5), (LinkId::new(2), -0.5)],
+            rhs: 10.0,
+        };
+        let text = "0000000000002440;0,000000000000f83f;2,000000000000e0bf";
+        assert_eq!(encode_cert(&cut), text);
+        assert_eq!(decode_cert(text), Some(cut.clone()));
+        for bad in [
+            "",
+            "zz",
+            "0000000000002440;0",
+            "0000000000002440;x,000000000000f83f",
+        ] {
+            assert_eq!(decode_cert(bad), None, "{bad:?}");
+        }
+        let net = preset_network(TopologyPreset::A);
+        let mut ev = PlanEvaluator::new(&net, EvalConfig::default());
+        let n = ev.num_scenarios();
+        assert!(ev.restore_state(&format!("1|0|{n}|-|{text}{}", "|-".repeat(n - 2))));
+        assert_eq!(ev.certificates(), [cut]);
+        assert_eq!(ev.snapshot_state().split('|').nth(4), Some(text));
+    }
+
     #[test]
     fn restore_rejects_foreign_snapshots() {
         let net_a = preset_network(TopologyPreset::A);
@@ -904,6 +780,53 @@ mod tests {
         }
         assert!(!ev_a.restore_state("garbage"));
         assert!(!ev_a.restore_state("2|0|0"));
+    }
+
+    /// What the approximate backend cannot certify (here a scenario whose
+    /// dark links leave MWU no lengths to verify), `check` reports as a
+    /// violation without a certificate and `separate`'s walk refuses on
+    /// the spot: the panic names the scenario's dense index and no later
+    /// scenario of the chunk is checked first.
+    #[test]
+    fn an_uncertified_violation_is_reported_or_refused_inside_the_walk() {
+        let net = preset_network(TopologyPreset::A);
+        let caps = caps_of(&net);
+        let approximate = |certify| Walk {
+            check: CheckConfig {
+                backend: Backend::Mwu,
+                ..CheckConfig::default()
+            },
+            reuse_certificates: true,
+            limit: usize::MAX,
+            certify,
+        };
+        let mut ev = PlanEvaluator::new(&net, EvalConfig::default());
+        let (ctxs, certs, st) = (&mut ev.ctxs, &mut ev.certs, &mut ev.stats);
+        let found = walk_chunk(ctxs, certs, 0, &caps, &approximate(false), st);
+        let k = found
+            .iter()
+            .position(|f| !f.structural && certs[f.idx].is_none())
+            .expect("preset A as generated leaves MWU a scenario it cannot certify");
+        assert!(k + 1 < found.len(), "the reporting walk went on past it");
+
+        let mut ev = PlanEvaluator::new(&net, EvalConfig::default());
+        let (ctxs, certs, st) = (&mut ev.ctxs, &mut ev.certs, &mut ev.stats);
+        let base = 3;
+        let refusal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            walk_chunk(ctxs, certs, base, &caps, &approximate(true), st)
+        }))
+        .expect_err("a certifying walk must refuse");
+        assert_eq!(
+            refusal
+                .downcast_ref::<String>()
+                .expect("a formatted message"),
+            &format!(
+                "separator could not certify infeasibility of scenario {}; \
+                 numerical breakdown in the LP duals",
+                base + found[k].idx
+            )
+        );
+        assert_eq!(ev.stats.scenario_checks as usize, found[k].idx + 1);
     }
 
     #[test]

@@ -296,6 +296,22 @@ fn structural_infeasibility_leaves_identical_state() {
             "workers={w}: separation must pinpoint the same scenario"
         );
     }
+    // The mixed case: below the Gold demand scenario 0 yields a cut and
+    // every later scenario is structural, so where the walk stops is
+    // decided by the cap on cuts alone.
+    let starved = vec![10.0; net.links().len()];
+    for &w in &counts {
+        let mut ev = evaluator(&net, w, Telemetry::noop());
+        match ev.separate(&starved, 1) {
+            Separation::Cuts(cuts) => assert_eq!(cuts.len(), 1, "workers={w}"),
+            other => panic!("workers={w}: a full cap must end the walk, got {other:?}"),
+        }
+        assert_eq!(
+            ev.separate(&starved, 4),
+            Separation::StructurallyInfeasible(1),
+            "workers={w}: cuts found before a structural scenario are dropped"
+        );
+    }
 }
 
 #[test]

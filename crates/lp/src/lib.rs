@@ -52,7 +52,6 @@ pub use milp::{
     solve_mip, solve_mip_telemetry, Cut, MipConfig, MipSolution, MipStatus, SeparatorFn,
 };
 pub use model::{ConstrId, Model, Sense, VarId};
-pub use presolve::{presolve, PresolveReport};
 pub use simplex::{
     solve_lp, solve_lp_tableau, solve_lp_tableau_chaos, solve_lp_warm, solve_lp_warm_chaos,
     LpOutcome, LpSolution, LpStatus, SimplexConfig, SolveStats, TableauView,

@@ -18,7 +18,7 @@ use crate::model::{Model, Sense};
 
 /// What a presolve pass did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PresolveReport {
+pub(crate) struct PresolveReport {
     /// Rows removed as redundant.
     pub redundant_rows: usize,
     /// Singleton rows converted into bounds.
@@ -67,7 +67,7 @@ pub fn tighten_bounds(model: &mut Model) -> (usize, bool) {
 
 /// Run presolve in place. Constraints may be removed and variable bounds
 /// tightened; variable indices are preserved.
-pub fn presolve(model: &mut Model) -> PresolveReport {
+pub(crate) fn presolve(model: &mut Model) -> PresolveReport {
     let mut report = PresolveReport::default();
     for round in 0..8 {
         report.rounds = round + 1;

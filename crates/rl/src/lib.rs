@@ -20,13 +20,11 @@
 pub mod agent;
 pub mod buffer;
 pub mod env;
-pub mod evaluate;
 pub mod trainer;
 
 pub use agent::{ActorCritic, AgentConfig, Encoder};
 pub use buffer::{EpochBuffer, StepRecord};
 pub use env::{GraphEnv, Observation};
-pub use evaluate::{evaluate, EvalRollouts};
 pub use trainer::{
     train, train_resumable, train_telemetry, EpochHook, EpochStats, TrainConfig, TrainProgress,
     TrainReport, TrainResume,

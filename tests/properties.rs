@@ -60,9 +60,7 @@ proptest! {
         // Generate certificates by checking the empty plan.
         let zeros = vec![0.0; net.links().len()];
         let _ = evaluator.check(&zeros);
-        let certs: Vec<_> = (0..evaluator.num_scenarios())
-            .filter_map(|i| evaluator.certificate(i).cloned())
-            .collect();
+        let certs = evaluator.certificates();
         prop_assume!(!certs.is_empty());
         // A feasible plan (greedy-augmented network).
         let mut feas = net.clone();
