@@ -15,10 +15,12 @@
 //!   the next supervisor stage / trainer epoch boundary.
 //! * **Warm cache.** Results are cached under the same
 //!   [`checkpoint::fingerprint`] that keys checkpoint chains. A repeat
-//!   request skips the solve entirely (one evaluator validation pass, a
-//!   few ms); a perturbed request (`events` in the spec) reuses the
-//!   cached base plan as the carried plan of the incremental replan
-//!   path (PR 8) instead of re-planning from scratch.
+//!   request skips the solve entirely (one evaluator validation pass,
+//!   [`NeuroPlanService::repeat`]) and, needing no worker, is answered
+//!   at admission through [`PlanService::warm`]; a perturbed request
+//!   (`events` in the spec) reuses the cached base plan as the carried
+//!   plan of the incremental replan path (PR 8) instead of re-planning
+//!   from scratch.
 //! * **First-stage reuse.** The same cache keeps each trained first
 //!   stage under its [`checkpoint::first_stage_key`]. A request that
 //!   misses on the plan but hits there — only second-stage settings
@@ -41,9 +43,11 @@ use crate::checkpoint;
 use crate::pipeline::{validate_plan, NeuroPlan, PlanFailure};
 use crate::replan::ReplanReport;
 use crate::spec::PlanSpec;
+use crate::NeuroPlanConfig;
 use np_chaos::checkpoint::f64_to_hex;
-use np_serve::{PlanService, RequestCtx, ServiceFailure};
+use np_serve::{lock, PlanService, RequestCtx, ServiceFailure};
 use np_telemetry::{sys, Telemetry};
+use np_topology::Network;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 
@@ -98,39 +102,94 @@ fn stream_quality(report: &ReplanReport) -> &'static str {
         .map_or("optimal", |e| e.quality.name())
 }
 
-impl PlanService for NeuroPlanService {
-    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
-        let spec = PlanSpec::from_json(spec).map_err(bad)?;
-        let net = spec.network().map_err(bad)?;
-        let cfg = spec.config();
-        let fp = checkpoint::fingerprint(&net, &cfg);
-        let events = spec.events(&net);
-        // `served` closes the result: how it was produced.
-        let done = |units: &[u32], cost: f64, quality: &str, served: &[(&str, &str)]| {
-            let [units, cost, cost_hex, quality] = plan_body(units, cost, quality);
-            let id = ("id".to_string(), json!(ctx.id));
-            let fp = ("fingerprint".to_string(), json!(fp));
-            // Exactly sized: the daemon keeps every result it has served.
-            let mut members = Vec::with_capacity(6 + served.len());
-            members.extend([id, units, cost, cost_hex, quality, fp]);
-            members.extend(served.iter().map(|(k, v)| (k.to_string(), json!(*v))));
-            Ok(Value::Object(members))
-        };
-        let warm = [("cache", "warm")];
+/// What both lanes read off a wire spec before deciding anything: the
+/// request, its instance, its planner configuration and the fingerprint
+/// of the pair.
+fn read(spec: &Value) -> Result<(PlanSpec, Network, NeuroPlanConfig, String), String> {
+    let spec = PlanSpec::from_json(spec)?;
+    let net = spec.network()?;
+    let cfg = spec.config();
+    let fp = checkpoint::fingerprint(&net, &cfg);
+    Ok((spec, net, cfg, fp))
+}
 
-        // Warm path: a cached plan for this exact fingerprint.
-        let cached = ctx.cache.lock().unwrap().get(&fp);
-        let carried = cached.as_ref().and_then(units_of);
-        if let (Some(blob), Some(units), None) = (&cached, &carried, &events) {
-            // Repeat request: one evaluator validation pass instead of
-            // a full RL + ILP solve.
-            if validate_plan(&net, units).is_ok() {
-                self.tel.incr(sys::SERVE, "warm_hits", 1);
-                let cost = blob.get("cost").and_then(|v| v.as_f64()).unwrap_or(0.0);
-                let quality = blob.get("quality").and_then(|v| v.as_str());
-                return done(units, cost, quality.unwrap_or("incumbent"), &warm);
+/// The result body of request `id`; `served` closes it: how the plan was
+/// produced.
+fn result_body(
+    id: u64,
+    fp: &str,
+    units: &[u32],
+    cost: f64,
+    quality: &str,
+    served: &[(&str, &str)],
+) -> Value {
+    let [units, cost, cost_hex, quality] = plan_body(units, cost, quality);
+    let id = ("id".to_string(), json!(id));
+    let fp = ("fingerprint".to_string(), json!(fp));
+    // Exactly sized: the daemon keeps every result it has served.
+    let mut members = Vec::with_capacity(6 + served.len());
+    members.extend([id, units, cost, cost_hex, quality, fp]);
+    members.extend(served.iter().map(|(k, v)| (k.to_string(), json!(*v))));
+    Value::Object(members)
+}
+
+const WARM: [(&str, &str); 1] = [("cache", "warm")];
+
+impl NeuroPlanService {
+    /// The warm hit, on either lane: `blob` is the plan cached under the
+    /// fingerprint of an event-free request for `net`. One evaluator
+    /// validation pass instead of a full RL + ILP solve; a cached plan
+    /// that no longer validates is no answer.
+    fn repeat(&self, id: u64, net: &Network, fp: &str, blob: &Value) -> Option<Value> {
+        let units = units_of(blob)?;
+        validate_plan(net, &units).ok()?;
+        self.tel.incr(sys::SERVE, "warm_hits", 1);
+        let cost = blob.get("cost").and_then(|v| v.as_f64()).unwrap_or(0.0);
+        let quality = blob.get("quality").and_then(|v| v.as_str());
+        let quality = quality.unwrap_or("incumbent");
+        Some(result_body(id, fp, &units, cost, quality, &WARM))
+    }
+}
+
+impl PlanService for NeuroPlanService {
+    /// A repeat of a cached, event-free request: everything else solves
+    /// (`events` re-plans, a new fingerprint plans at least a second
+    /// stage) and belongs to a worker.
+    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
+        // Asked of the wire object: resolving a churn stream to learn
+        // that there is one costs more than the answer.
+        if spec.get("events").is_some() {
+            return None;
+        }
+        let (_, net, _, fp) = read(spec).ok()?;
+        let blob = {
+            let mut cache = lock(ctx.cache);
+            // A miss is not counted here: the worker that plans the
+            // request looks the fingerprint up again, and counts it once.
+            if !cache.contains(&fp) {
+                return None;
+            }
+            cache.get(&fp)?
+        };
+        self.repeat(ctx.id, &net, &fp, &blob)
+    }
+
+    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
+        let (spec, net, cfg, fp) = read(spec).map_err(bad)?;
+        let events = spec.events(&net);
+        let done = |units: &[u32], cost: f64, quality: &str, served: &[(&str, &str)]| {
+            Ok(result_body(ctx.id, &fp, units, cost, quality, served))
+        };
+
+        // Warm path: a cached plan for this exact fingerprint — cached
+        // after admission, or the request is a journal replay.
+        let cached = lock(ctx.cache).get(&fp);
+        if let (Some(blob), None) = (&cached, &events) {
+            if let Some(body) = self.repeat(ctx.id, &net, &fp, blob) {
+                return Ok(body);
             }
         }
+        let carried = cached.as_ref().and_then(units_of);
         let planner =
             NeuroPlan::with_telemetry(cfg, self.tel.clone()).with_cancel(ctx.cancel.clone());
         let fail = |what: &str, e: PlanFailure| match e {
@@ -146,7 +205,7 @@ impl PlanService for NeuroPlanService {
                 .replan_from(&net, units, events, &rcfg)
                 .map_err(|e| fail("replan", e))?;
             let quality = stream_quality(&report);
-            return done(&report.final_units, report.final_cost, quality, &warm);
+            return done(&report.final_units, report.final_cost, quality, &WARM);
         }
 
         // Cold path: the full pipeline under this request's own
@@ -158,7 +217,7 @@ impl PlanService for NeuroPlanService {
         // under other second-stage settings seeds the chain, and the
         // resume runs the second stage alone.
         let key = checkpoint::first_stage_key(&net, &planner.cfg);
-        let first = ctx.cache.lock().unwrap().get(&key);
+        let first = lock(ctx.cache).get(&key);
         let reused = first.is_some_and(|first| planner.seed_first_stage(&fp, &key, first));
         let cold = [("cache", "cold"), ("first_stage", "reused")];
         let cold = &cold[..1 + usize::from(reused)];
@@ -174,7 +233,7 @@ impl PlanService for NeuroPlanService {
         // from.
         let blob = json!({"units": units, "cost": cost, "quality": quality});
         {
-            let mut cache = ctx.cache.lock().unwrap();
+            let mut cache = lock(ctx.cache);
             if !reused {
                 cache.put(&key, checkpoint::first_stage_body(&result.first_stage()));
             }
@@ -226,6 +285,11 @@ mod tests {
         let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
         let spec = tiny_spec();
 
+        // Nothing is cached: the admission lane has no answer, and leaves
+        // the counting of the miss to the worker.
+        assert_eq!(svc.warm(&spec, &ctx(&cache, 1)), None);
+        assert_eq!(cache.lock().unwrap().stats(), (0, 0, 0));
+
         let t0 = std::time::Instant::now();
         let cold = svc.execute(&spec, &ctx(&cache, 1)).expect("cold plan");
         let cold_time = t0.elapsed();
@@ -249,6 +313,15 @@ mod tests {
             warm_time < cold_time,
             "warm ({warm_time:?}) must beat cold ({cold_time:?})"
         );
+
+        // The admission lane gives the worker's warm answer, and only
+        // that: whatever has to solve is `None` there.
+        assert_eq!(svc.warm(&spec, &ctx(&cache, 2)), Some(warm));
+        let churned = json!({ "preset": "a", "seed": 3, "events": "seed=1,n=2" });
+        assert_eq!(svc.warm(&churned, &ctx(&cache, 3)), None);
+        assert_eq!(svc.warm(&at_alpha(1.25), &ctx(&cache, 3)), None);
+        assert_eq!(svc.warm(&json!({ "preset": "zz" }), &ctx(&cache, 3)), None);
+        assert_eq!(cache.lock().unwrap().stats().0, 2, "two hits, both warm");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -142,6 +142,31 @@ fn daemon_round_trip_over_the_binary() {
     assert_eq!(state_of(&result), "done");
     let (units, cost_hex) = plan_identity(&result);
     assert!(!units.is_empty() && !cost_hex.is_empty());
+
+    // The same request again needs no worker: the submit reply already
+    // says `done`, and the result is the cold plan served warm.
+    let again = client.submit(&fast_spec(3)).expect("repeat");
+    assert_eq!(state_of(&again), "done", "{again:?}");
+    let id = np_serve::client::submit_id(&again).expect("admitted");
+    let warm = client.result(id).expect("result");
+    let served = warm.get("result").and_then(|r| r.get("cache"));
+    assert_eq!(served.and_then(|v| v.as_str()), Some("warm"));
+    assert_eq!(plan_identity(&warm), (units, cost_hex));
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("inline_hits").and_then(|v| v.as_u64()), Some(1));
+
+    // Whatever solves still queues: a churn stream over the cached plan,
+    // and a new alpha (its second stage).
+    for spec in [
+        json!({"preset": "a", "seed": 3, "events": "seed=1,n=2"}),
+        json!({"preset": "a", "seed": 3, "alpha": 1.25}),
+    ] {
+        let reply = client.submit(&spec).expect("submit");
+        assert_eq!(state_of(&reply), "queued", "{reply:?}");
+        let id = np_serve::client::submit_id(&reply).expect("admitted");
+        let result = client.wait(id, Duration::from_secs(120)).expect("wait");
+        assert_eq!(state_of(&result), "done");
+    }
     daemon.shutdown();
 }
 

@@ -30,8 +30,9 @@ impl Client {
         proto::read_frame(&mut self.stream)
     }
 
-    /// Submit a plan request. On admission returns the assigned id.
-    /// A 429 (load shed) or 503 (shutting down) comes back as the
+    /// Submit a plan request. On admission returns the assigned id and
+    /// its `state`: `queued`, or `done` when the daemon answered it at
+    /// admission and `result` is ready. A 429 (load shed) or 503 (shutting down) comes back as the
     /// error-envelope `Value`, not an `Err` — inspect `ok`/`code`.
     pub fn submit(&mut self, spec: &Value) -> Result<Value> {
         self.call(&proto::obj(vec![

@@ -18,7 +18,9 @@
 //!    bit-identically from their own checkpoints.
 //! 2. **Admission control.** The queue is bounded; beyond it, submits
 //!    are shed with an explicit 429-style rejection instead of latency
-//!    collapse.
+//!    collapse. The bound is on requests that need a worker: one the
+//!    service can answer without solving ([`PlanService::warm`]) is
+//!    answered by its connection thread at admission and never queues.
 //! 3. **Cancellation.** `cancel` flips the request's
 //!    [`np_chaos::CancelToken`]; the planning stack polls it at stage
 //!    and epoch boundaries, so the worker frees within one boundary.
@@ -41,7 +43,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How a request run can end, as reported by the service.
@@ -75,6 +77,16 @@ pub trait PlanService: Send + Sync + 'static {
     /// value is the result body handed verbatim to clients and the
     /// journal, so it must be self-contained JSON.
     fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure>;
+
+    /// The result body of a request that needs no solve (a cached plan
+    /// that still validates), or `None` for one that has to run. The
+    /// daemon calls this on the submitting connection's thread before the
+    /// request is admitted: `Some` is journaled and answered there, `None`
+    /// goes to the queue and [`PlanService::execute`]. Must return within
+    /// the time of a cache lookup and a check, and must not solve.
+    fn warm(&self, _spec: &Value, _ctx: &RequestCtx<'_>) -> Option<Value> {
+        None
+    }
 }
 
 /// Shared services work unchanged (tests hold one side to observe).
@@ -82,6 +94,19 @@ impl<T: PlanService> PlanService for Arc<T> {
     fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
         self.as_ref().execute(spec, ctx)
     }
+
+    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
+        self.as_ref().warm(spec, ctx)
+    }
+}
+
+/// Lock `m`, taking the guard back from a panic that poisoned it. The
+/// data behind the daemon's locks (request table, queue, counters, the
+/// LRU map) is valid between any two statements of a critical section,
+/// so what a panic leaves behind is usable, and one panic must not turn
+/// every later op into another.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Daemon configuration.
@@ -154,6 +179,7 @@ impl ReqState {
 }
 
 struct Request {
+    /// What the worker runs; `Null` once terminal (the journal keeps it).
     spec: Value,
     state: ReqState,
     /// Result body (Done) or error string (Failed).
@@ -169,12 +195,28 @@ struct Request {
     requeued: bool,
 }
 
+impl Request {
+    fn new(spec: Value, state: ReqState, outcome: Option<Value>) -> Request {
+        Request {
+            spec,
+            state,
+            outcome,
+            stop: CancelToken::new(),
+            user_cancelled: false,
+            resume: false,
+            requeued: false,
+        }
+    }
+}
+
 struct State {
     queue: VecDeque<u64>,
     requests: HashMap<u64, Request>,
     next_id: u64,
     draining: bool,
     running: usize,
+    /// Requests answered at admission, which no worker ever saw.
+    inline_hits: u64,
 }
 
 struct Inner<S: PlanService> {
@@ -234,6 +276,7 @@ impl<S: PlanService> Server<S> {
             next_id,
             draining: false,
             running: 0,
+            inline_hits: 0,
         };
         let mut resumed = 0u64;
         for r in replayed {
@@ -243,16 +286,13 @@ impl<S: PlanService> Server<S> {
                 Some((journal::K_CANCELLED, _)) => (ReqState::Cancelled, None, false),
                 Some((_, payload)) => (ReqState::Failed, Some(payload.clone()), false),
             };
+            // Only a request that will run again needs its spec.
+            let spec = if pending { r.spec } else { Value::Null };
             state.requests.insert(
                 r.id,
                 Request {
-                    spec: r.spec,
-                    state: req_state,
-                    outcome,
-                    stop: CancelToken::new(),
-                    user_cancelled: false,
                     resume: pending,
-                    requeued: false,
+                    ..Request::new(spec, req_state, outcome)
                 },
             );
             if pending {
@@ -294,14 +334,7 @@ impl<S: PlanService> Server<S> {
                         while !inn.shutdown.is_cancelled() {
                             std::thread::sleep(Duration::from_millis(50));
                         }
-                        let st = inn.state.lock().unwrap();
-                        for req in st.requests.values() {
-                            if req.state == ReqState::Running {
-                                req.stop.cancel();
-                            }
-                        }
-                        drop(st);
-                        inn.work_cv.notify_all();
+                        inn.interrupt();
                     })
                     .expect("spawn shutdown watcher"),
             );
@@ -354,17 +387,39 @@ impl<S: PlanService> Server<S> {
     /// graceful shutdown is deliberately a flushed, resumable crash.
     pub fn shutdown_and_wait(self) {
         self.inner.shutdown.cancel();
-        // Wake workers parked on the queue and interrupt running solves.
-        {
-            let st = self.inner.state.lock().unwrap();
-            for req in st.requests.values() {
-                if req.state == ReqState::Running {
-                    req.stop.cancel();
-                }
+        self.inner.interrupt();
+        self.wait();
+    }
+}
+
+impl<S: PlanService> Inner<S> {
+    /// After the shutdown token fired: interrupt running solves and wake
+    /// the workers parked on the queue.
+    fn interrupt(&self) {
+        for req in lock(&self.state).requests.values() {
+            if req.state == ReqState::Running {
+                req.stop.cancel();
             }
         }
-        self.inner.work_cv.notify_all();
-        self.wait();
+        self.work_cv.notify_all();
+    }
+
+    /// Close request `id`. Journal-first: the terminal record is durable
+    /// before the state flips, so before any client can observe it. The
+    /// spec was needed to run the request and stays in the journal; a
+    /// closed request keeps only its outcome.
+    fn close(&self, id: u64, req: &mut Request, state: ReqState, outcome: Option<Value>) {
+        let (kind, counter) = match state {
+            ReqState::Done => (journal::K_DONE, "completions"),
+            ReqState::Failed => (journal::K_FAILED, "failures"),
+            _ => (journal::K_CANCELLED, "cancels"),
+        };
+        let payload = outcome.clone().unwrap_or(Value::Null);
+        let _ = self.journal.terminal(kind, id, payload, &self.chaos);
+        req.state = state;
+        req.outcome = outcome;
+        req.spec = Value::Null;
+        self.tel.incr(sys::SERVE, counter, 1);
     }
 }
 
@@ -372,7 +427,7 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
     let chaos = &inn.chaos;
     loop {
         let (id, spec, stop, resume) = {
-            let mut st = inn.state.lock().unwrap();
+            let mut st = lock(&inn.state);
             loop {
                 if inn.shutdown.is_cancelled() {
                     return;
@@ -384,14 +439,14 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                         continue;
                     }
                     req.state = ReqState::Running;
+                    let claimed = (id, req.spec.clone(), req.stop.clone(), req.resume);
                     st.running += 1;
-                    let req = st.requests.get(&id).unwrap();
-                    break (id, req.spec.clone(), req.stop.clone(), req.resume);
+                    break claimed;
                 }
                 st = inn
                     .work_cv
                     .wait_timeout(st, Duration::from_millis(200))
-                    .unwrap()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
         };
@@ -412,27 +467,14 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
             inn.service.execute(&spec, &ctx)
         }));
 
-        let mut st = inn.state.lock().unwrap();
+        let mut st = lock(&inn.state);
         st.running -= 1;
         let req = st.requests.get_mut(&id).expect("running id exists");
         match run {
-            Ok(Ok(body)) => {
-                // Journal-first: the terminal is durable before any
-                // client can observe it.
-                let _ = inn
-                    .journal
-                    .terminal(journal::K_DONE, id, body.clone(), chaos);
-                req.state = ReqState::Done;
-                req.outcome = Some(body);
-                inn.tel.incr(sys::SERVE, "completions", 1);
-            }
+            Ok(Ok(body)) => inn.close(id, req, ReqState::Done, Some(body)),
             Ok(Err(ServiceFailure::Cancelled)) => {
                 if req.user_cancelled {
-                    let _ = inn
-                        .journal
-                        .terminal(journal::K_CANCELLED, id, Value::Null, chaos);
-                    req.state = ReqState::Cancelled;
-                    inn.tel.incr(sys::SERVE, "cancels", 1);
+                    inn.close(id, req, ReqState::Cancelled, None);
                 } else {
                     // Shutdown interruption: no terminal record, so the
                     // next start replays this request with resume set.
@@ -442,13 +484,7 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                 }
             }
             Ok(Err(ServiceFailure::Failed(msg))) => {
-                let payload = Value::Str(msg);
-                let _ = inn
-                    .journal
-                    .terminal(journal::K_FAILED, id, payload.clone(), chaos);
-                req.state = ReqState::Failed;
-                req.outcome = Some(payload);
-                inn.tel.incr(sys::SERVE, "failures", 1);
+                inn.close(id, req, ReqState::Failed, Some(Value::Str(msg)));
             }
             Err(_panic) => {
                 inn.tel.incr(sys::SERVE, "worker_deaths", 1);
@@ -461,13 +497,8 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                     st.queue.push_back(id);
                     inn.work_cv.notify_one();
                 } else {
-                    let payload = Value::Str("worker died twice; giving up".to_string());
-                    let _ = inn
-                        .journal
-                        .terminal(journal::K_FAILED, id, payload.clone(), chaos);
-                    req.state = ReqState::Failed;
-                    req.outcome = Some(payload);
-                    inn.tel.incr(sys::SERVE, "failures", 1);
+                    let why = Value::Str("worker died twice; giving up".to_string());
+                    inn.close(id, req, ReqState::Failed, Some(why));
                 }
             }
         }
@@ -550,15 +581,7 @@ fn handle_op<S: PlanService>(inn: &Inner<S>, frame: &Value) -> (Value, bool) {
         "stats" => (op_stats(inn), false),
         "shutdown" => {
             inn.shutdown.cancel();
-            {
-                let st = inn.state.lock().unwrap();
-                for req in st.requests.values() {
-                    if req.state == ReqState::Running {
-                        req.stop.cancel();
-                    }
-                }
-            }
-            inn.work_cv.notify_all();
+            inn.interrupt();
             (proto::ok(vec![]), true)
         }
         _ => (
@@ -572,45 +595,74 @@ fn op_submit<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
     let Some(spec) = frame.get("spec") else {
         return proto::err(proto::code::BAD_REQUEST, "submit requires a `spec`");
     };
-    let chaos = &inn.chaos;
-    let mut st = inn.state.lock().unwrap();
-    if inn.shutdown.is_cancelled() || st.draining {
-        return proto::err(proto::code::SHUTTING_DOWN, "daemon is shutting down");
-    }
-    // Admission control: bound the queue, shed the excess explicitly.
-    if st.queue.len() >= inn.cfg.queue_capacity {
+    let id = {
+        let mut st = lock(&inn.state);
+        if inn.shutdown.is_cancelled() || st.draining {
+            return proto::err(proto::code::SHUTTING_DOWN, "daemon is shutting down");
+        }
+        let id = st.next_id;
+        st.next_id += 1;
+        id
+    };
+    // The fast lane: what the service can answer without solving is
+    // answered here, on the connection's thread and outside the state
+    // lock, so a repeat neither waits behind queued solves nor wakes a
+    // worker. Nothing is journaled yet, so a panic in the attempt leaves
+    // no request without an owner: it falls through to the queue, where
+    // the worker's own containment and retry apply.
+    let ctx = RequestCtx {
+        id,
+        resume: false,
+        cancel: CancelToken::new(),
+        cache: &inn.cache,
+    };
+    let attempt = std::panic::AssertUnwindSafe(|| inn.service.warm(spec, &ctx));
+    let answer = std::panic::catch_unwind(attempt).unwrap_or_else(|_panic| {
+        inn.tel.incr(sys::SERVE, "inline_panics", 1);
+        None
+    });
+
+    let mut st = lock(&inn.state);
+    // Admission control bounds the requests that need a worker: an
+    // answered one takes no queue slot, the excess of the rest is shed
+    // explicitly.
+    if answer.is_none() && st.queue.len() >= inn.cfg.queue_capacity {
         inn.tel.incr(sys::SERVE, "sheds", 1);
         return proto::err(proto::code::OVERLOADED, "queue full; retry with backoff");
     }
-    let id = st.next_id;
-    st.next_id += 1;
-    // Journal-first admission: if this append fails, the client hears
+    // Journal-first admission, on both lanes: every record of the reply
+    // below is appended before it. If this append fails, the client hears
     // an error and the daemon keeps no ghost request.
-    if let Err(e) = inn.journal.submitted(id, spec, chaos) {
+    if let Err(e) = inn.journal.submitted(id, spec, &inn.chaos) {
         return proto::err(
             proto::code::BAD_REQUEST,
             &format!("journal write failed: {e}"),
         );
     }
-    st.requests.insert(
-        id,
-        Request {
-            spec: spec.clone(),
-            state: ReqState::Queued,
-            outcome: None,
-            stop: CancelToken::new(),
-            user_cancelled: false,
-            resume: false,
-            requeued: false,
-        },
-    );
-    st.queue.push_back(id);
-    drop(st);
-    inn.work_cv.notify_one();
     inn.tel.incr(sys::SERVE, "submits", 1);
+    let state = match answer {
+        Some(body) => {
+            let mut req = Request::new(Value::Null, ReqState::Queued, None);
+            inn.close(id, &mut req, ReqState::Done, Some(body));
+            st.requests.insert(id, req);
+            st.inline_hits += 1;
+            inn.tel.incr(sys::SERVE, "inline_hits", 1);
+            ReqState::Done
+        }
+        None => {
+            let req = Request::new(spec.clone(), ReqState::Queued, None);
+            st.requests.insert(id, req);
+            st.queue.push_back(id);
+            ReqState::Queued
+        }
+    };
+    drop(st);
+    if state == ReqState::Queued {
+        inn.work_cv.notify_one();
+    }
     proto::ok(vec![
         ("id", Value::Num(id as f64)),
-        ("state", Value::Str("queued".into())),
+        ("state", Value::Str(state.name().into())),
     ])
 }
 
@@ -618,7 +670,7 @@ fn op_status<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
     let Some(id) = frame.get("id").and_then(|v| v.as_u64()) else {
         return proto::err(proto::code::BAD_REQUEST, "status requires an `id`");
     };
-    let st = inn.state.lock().unwrap();
+    let st = lock(&inn.state);
     match st.requests.get(&id) {
         Some(req) => proto::ok(vec![
             ("id", Value::Num(id as f64)),
@@ -632,7 +684,7 @@ fn op_result<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
     let Some(id) = frame.get("id").and_then(|v| v.as_u64()) else {
         return proto::err(proto::code::BAD_REQUEST, "result requires an `id`");
     };
-    let st = inn.state.lock().unwrap();
+    let st = lock(&inn.state);
     let Some(req) = st.requests.get(&id) else {
         return proto::err(proto::code::NOT_FOUND, &format!("unknown request {id}"));
     };
@@ -662,22 +714,16 @@ fn op_cancel<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
     let Some(id) = frame.get("id").and_then(|v| v.as_u64()) else {
         return proto::err(proto::code::BAD_REQUEST, "cancel requires an `id`");
     };
-    let chaos = &inn.chaos;
-    let mut st = inn.state.lock().unwrap();
+    let mut st = lock(&inn.state);
     let Some(req) = st.requests.get_mut(&id) else {
         return proto::err(proto::code::NOT_FOUND, &format!("unknown request {id}"));
     };
     let state = match req.state {
         ReqState::Queued => {
             // Never ran: terminal immediately, drop it from the queue.
-            req.state = ReqState::Cancelled;
             req.user_cancelled = true;
-            let _ = inn
-                .journal
-                .terminal(journal::K_CANCELLED, id, Value::Null, chaos);
-            inn.tel.incr(sys::SERVE, "cancels", 1);
-            let queue = &mut st.queue;
-            queue.retain(|&q| q != id);
+            inn.close(id, req, ReqState::Cancelled, None);
+            st.queue.retain(|&q| q != id);
             ReqState::Cancelled
         }
         ReqState::Running => {
@@ -697,8 +743,8 @@ fn op_cancel<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
 }
 
 fn op_stats<S: PlanService>(inn: &Inner<S>) -> Value {
-    let st = inn.state.lock().unwrap();
-    let (hits, misses, evictions) = inn.cache.lock().unwrap().stats();
+    let st = lock(&inn.state);
+    let (hits, misses, evictions) = lock(&inn.cache).stats();
     let count = |s: ReqState| st.requests.values().filter(|r| r.state == s).count() as f64;
     proto::ok(vec![
         ("queued", Value::Num(st.queue.len() as f64)),
@@ -709,6 +755,7 @@ fn op_stats<S: PlanService>(inn: &Inner<S>) -> Value {
         ("queue_capacity", Value::Num(inn.cfg.queue_capacity as f64)),
         ("workers", Value::Num(inn.cfg.workers as f64)),
         ("cache_hits", Value::Num(hits as f64)),
+        ("inline_hits", Value::Num(st.inline_hits as f64)),
         ("cache_misses", Value::Num(misses as f64)),
         ("cache_evictions", Value::Num(evictions as f64)),
     ])

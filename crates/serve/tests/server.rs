@@ -6,11 +6,11 @@
 use np_chaos::{CancelToken, Chaos, FaultPlan};
 use np_serve::client::submit_id;
 use np_serve::{Client, PlanService, RequestCtx, Server, ServerConfig, ServiceFailure};
-use np_telemetry::Telemetry;
+use np_telemetry::{sys, Telemetry};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
@@ -80,22 +80,39 @@ fn start(
     )
 }
 
-fn start_in(
+fn start_in<S: PlanService>(
     dir: &Path,
     workers: usize,
     queue_capacity: usize,
-    service: Arc<SliceService>,
+    service: S,
     chaos: Chaos,
-) -> (Server<Arc<SliceService>>, String) {
+) -> (Server<S>, String) {
+    start_observed(
+        dir,
+        workers,
+        queue_capacity,
+        service,
+        chaos,
+        Telemetry::noop(),
+    )
+}
+
+fn start_observed<S: PlanService>(
+    dir: &Path,
+    workers: usize,
+    queue_capacity: usize,
+    service: S,
+    chaos: Chaos,
+    tel: Telemetry,
+) -> (Server<S>, String) {
     let cfg = ServerConfig {
         workers,
         queue_capacity,
         read_timeout: Duration::from_secs(2),
         ..ServerConfig::local(dir.to_path_buf())
     };
-    let server =
-        Server::start_with_chaos(cfg, service, Telemetry::noop(), CancelToken::new(), chaos)
-            .expect("server starts");
+    let server = Server::start_with_chaos(cfg, service, tel, CancelToken::new(), chaos)
+        .expect("server starts");
     let addr = server.addr().to_string();
     (server, addr)
 }
@@ -413,5 +430,260 @@ fn two_daemons_cannot_share_a_state_dir() {
         ),
         Ok(_) => panic!("second daemon must not start over a live state dir"),
     }
+    server.shutdown_and_wait();
+}
+
+/// A service with both lanes. `warm` answers every spec tagged `warm…`
+/// at once; `execute` reports the id it was handed and parks until the
+/// test opens the gate, so a test decides what the worker and the queue
+/// hold without sleeping.
+struct LaneService {
+    open: Mutex<bool>,
+    gate: Condvar,
+    started: Mutex<mpsc::Sender<u64>>,
+    /// One panic still to inject on each lane.
+    warm_panics: AtomicBool,
+    execute_panics: AtomicBool,
+    warm_answers: AtomicU64,
+}
+
+impl LaneService {
+    fn new(panics: bool) -> (Arc<LaneService>, mpsc::Receiver<u64>) {
+        let (started, starts) = mpsc::channel();
+        let svc = LaneService {
+            open: Mutex::new(false),
+            gate: Condvar::new(),
+            started: Mutex::new(started),
+            warm_panics: AtomicBool::new(panics),
+            execute_panics: AtomicBool::new(panics),
+            warm_answers: AtomicU64::new(0),
+        };
+        (Arc::new(svc), starts)
+    }
+
+    fn open_gate(&self) {
+        *self.open.lock().unwrap() = true;
+        self.gate.notify_all();
+    }
+
+    fn body(lane: &str, spec: &Value, id: u64) -> Value {
+        Value::Object(vec![
+            ("lane".to_string(), Value::Str(lane.to_string())),
+            ("echo".to_string(), spec.clone()),
+            ("id".to_string(), Value::Num(id as f64)),
+        ])
+    }
+}
+
+impl PlanService for LaneService {
+    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
+        if self.warm_panics.swap(false, Ordering::SeqCst) {
+            // The worst place for it: the shared cache's lock is held.
+            let _cache = ctx.cache.lock().unwrap();
+            panic!("injected: the inline attempt dies holding the cache lock");
+        }
+        let tag = spec.get("tag").and_then(|v| v.as_str())?;
+        tag.starts_with("warm").then(|| {
+            self.warm_answers.fetch_add(1, Ordering::SeqCst);
+            LaneService::body("inline", spec, ctx.id)
+        })
+    }
+
+    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
+        if self.execute_panics.swap(false, Ordering::SeqCst) {
+            panic!("injected: the worker dies in the service");
+        }
+        let _ = self.started.lock().unwrap().send(ctx.id);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            if ctx.cancel.is_cancelled() {
+                return Err(ServiceFailure::Cancelled);
+            }
+            open = self
+                .gate
+                .wait_timeout(open, Duration::from_millis(5))
+                .unwrap()
+                .0;
+        }
+        Ok(LaneService::body("worker", spec, ctx.id))
+    }
+}
+
+fn text<'a>(reply: &'a Value, key: &str) -> Option<&'a str> {
+    reply.get(key).and_then(|v| v.as_str())
+}
+
+fn number(reply: &Value, key: &str) -> Option<u64> {
+    reply.get(key).and_then(|v| v.as_u64())
+}
+
+#[test]
+fn a_warm_answer_passes_a_busy_worker_and_a_full_queue() {
+    let (svc, starts) = LaneService::new(false);
+    let tel = Telemetry::memory();
+    let dir = tmp("lanes");
+    let (server, addr) =
+        start_observed(&dir, 1, 1, Arc::clone(&svc), Chaos::disabled(), tel.clone());
+    let mut c = Client::connect(&addr).unwrap();
+    // The only worker holds `running`, the only queue slot holds `waiting`.
+    let running = submit_id(&c.submit(&spec("cold-running")).unwrap()).unwrap();
+    assert_eq!(starts.recv_timeout(Duration::from_secs(5)), Ok(running));
+    let waiting = c.submit(&spec("cold-waiting")).unwrap();
+    assert_eq!(text(&waiting, "state"), Some("queued"));
+
+    // A request the service can answer is answered in the submit reply.
+    let reply = c.submit(&spec("warm-1")).unwrap();
+    assert_eq!(text(&reply, "state"), Some("done"), "{reply:?}");
+    let id = submit_id(&reply).expect("answered, not shed");
+    let result = c.result(id).unwrap();
+    let body = result.get("result").expect("a result body");
+    assert_eq!(text(body, "lane"), Some("inline"));
+    assert_eq!(number(body, "id"), Some(id));
+    assert_eq!(tel.counter(sys::SERVE, "sheds"), 0);
+    assert_eq!(tel.counter(sys::SERVE, "inline_hits"), 1);
+    let stats = c.stats().unwrap();
+    assert_eq!(number(&stats, "inline_hits"), Some(1));
+    assert_eq!(number(&stats, "queued"), Some(1), "it took no queue slot");
+    assert_eq!(number(&stats, "running"), Some(1), "and no worker");
+    assert_eq!(number(&stats, "done"), Some(1));
+
+    // One that needs a worker still meets the bound.
+    let shed = c.submit(&spec("cold-excess")).unwrap();
+    assert_eq!(number(&shed, "code"), Some(429), "{shed:?}");
+    assert_eq!(tel.counter(sys::SERVE, "sheds"), 1);
+
+    // Cancelling an answered request is the idempotent terminal reply.
+    let ack = c.cancel(id).unwrap();
+    assert_eq!(text(&ack, "state"), Some("done"));
+    assert_eq!(ack.get("cancelling").and_then(|v| v.as_bool()), Some(false));
+    assert_eq!(
+        serde_json::to_string(&c.result(id).unwrap()).unwrap(),
+        serde_json::to_string(&result).unwrap(),
+        "and leaves its result alone"
+    );
+
+    svc.open_gate();
+    for id in [running, submit_id(&waiting).unwrap()] {
+        let result = c.wait(id, Duration::from_secs(10)).unwrap();
+        assert_eq!(text(&result, "state"), Some("done"));
+        let body = result.get("result").unwrap();
+        assert_eq!(text(body, "lane"), Some("worker"));
+    }
+    server.shutdown_and_wait();
+}
+
+#[test]
+fn an_inline_answer_survives_a_restart() {
+    let dir = tmp("inline-replay");
+    let (svc, _starts) = LaneService::new(false);
+    let (server, addr) = start_in(&dir, 1, 8, Arc::clone(&svc), Chaos::disabled());
+    let mut c = Client::connect(&addr).unwrap();
+    let reply = c.submit(&spec("warm-keep")).unwrap();
+    assert_eq!(text(&reply, "state"), Some("done"));
+    let id = submit_id(&reply).unwrap();
+    let before = c.result(id).unwrap();
+    drop(c);
+    server.shutdown_and_wait();
+
+    // The journal holds the two records a worker's run leaves.
+    let records = np_chaos::checkpoint::read_records(&dir.join("journal.jsonl"));
+    let kinds: Vec<&str> = records.iter().map(|r| r.kind.as_str()).collect();
+    assert_eq!(kinds, ["submitted", "done"]);
+
+    let (svc2, _starts2) = LaneService::new(false);
+    let (server2, addr2) = start_in(&dir, 1, 8, Arc::clone(&svc2), Chaos::disabled());
+    let mut c2 = Client::connect(&addr2).unwrap();
+    assert_eq!(
+        serde_json::to_string(&c2.result(id).unwrap()).unwrap(),
+        serde_json::to_string(&before).unwrap(),
+        "byte-identical across restarts, like a worker's result"
+    );
+    assert_eq!(
+        svc2.warm_answers.load(Ordering::SeqCst),
+        0,
+        "served from the journal, not answered again"
+    );
+    // Ids keep counting from the highest the journal has seen.
+    let next = c2.submit(&spec("warm-next")).unwrap();
+    assert_eq!(submit_id(&next), Some(id + 1));
+    assert_eq!(text(&next, "state"), Some("done"));
+    server2.shutdown_and_wait();
+}
+
+#[test]
+fn a_service_without_a_warm_lane_sees_the_daemon_it_always_saw() {
+    // `SliceService` has no `warm`. Replies and journal of this session
+    // were recorded on the commit before the fast lane existed.
+    let dir = tmp("no-lane");
+    let svc = Arc::new(SliceService::new(Duration::from_millis(5)));
+    let (server, addr) = start_in(&dir, 1, 8, Arc::clone(&svc), Chaos::disabled());
+    let mut c = Client::connect(&addr).unwrap();
+    let replies = [
+        c.submit(&spec("a")).unwrap(),
+        c.wait(1, Duration::from_secs(5)).unwrap(),
+        c.submit(&spec("b")).unwrap(),
+        c.wait(2, Duration::from_secs(5)).unwrap(),
+        c.cancel(1).unwrap(),
+        c.status(2).unwrap(),
+    ];
+    assert_eq!(number(&c.stats().unwrap(), "inline_hits"), Some(0));
+    drop(c);
+    server.shutdown_and_wait();
+    let recorded = [
+        r#"{"ok":true,"id":1,"state":"queued"}"#,
+        r#"{"ok":true,"id":1,"state":"done","result":{"echo":{"tag":"a"},"id":1}}"#,
+        r#"{"ok":true,"id":2,"state":"queued"}"#,
+        r#"{"ok":true,"id":2,"state":"done","result":{"echo":{"tag":"b"},"id":2}}"#,
+        r#"{"ok":true,"id":1,"state":"done","cancelling":false}"#,
+        r#"{"ok":true,"id":2,"state":"done"}"#,
+    ];
+    for (reply, recorded) in replies.iter().zip(recorded) {
+        assert_eq!(serde_json::to_string(reply).unwrap(), recorded);
+    }
+    let journal = concat!(
+        r#"{"sum":"b016a1be9ead2d49","rec":{"v":1,"kind":"submitted","body":{"id":1,"spec":{"tag":"a"}}}}"#,
+        "\n",
+        r#"{"sum":"ad1a4b3e7aebfd86","rec":{"v":1,"kind":"done","body":{"id":1,"payload":{"echo":{"tag":"a"},"id":1}}}}"#,
+        "\n",
+        r#"{"sum":"3d10162a5358b59f","rec":{"v":1,"kind":"submitted","body":{"id":2,"spec":{"tag":"b"}}}}"#,
+        "\n",
+        r#"{"sum":"e193a1013257b711","rec":{"v":1,"kind":"done","body":{"id":2,"payload":{"echo":{"tag":"b"},"id":2}}}}"#,
+        "\n",
+    );
+    assert_eq!(
+        std::fs::read_to_string(dir.join("journal.jsonl")).unwrap(),
+        journal
+    );
+}
+
+#[test]
+fn a_panic_on_either_lane_costs_one_attempt_not_the_daemon() {
+    let (svc, starts) = LaneService::new(true);
+    let tel = Telemetry::memory();
+    let dir = tmp("lane-panics");
+    let (server, addr) =
+        start_observed(&dir, 1, 8, Arc::clone(&svc), Chaos::disabled(), tel.clone());
+    svc.open_gate();
+    let mut c = Client::connect(&addr).unwrap();
+    // The inline attempt panics: the request is queued like any other.
+    // Its first worker panics in `execute`: one retry, with resume.
+    let reply = c.submit(&spec("warm-unlucky")).unwrap();
+    assert_eq!(text(&reply, "state"), Some("queued"), "{reply:?}");
+    let id = submit_id(&reply).unwrap();
+    let result = c.wait(id, Duration::from_secs(10)).unwrap();
+    assert_eq!(text(&result, "state"), Some("done"), "{result:?}");
+    assert_eq!(text(result.get("result").unwrap(), "lane"), Some("worker"));
+    assert_eq!(starts.try_iter().collect::<Vec<_>>(), vec![id]);
+    assert_eq!(tel.counter(sys::SERVE, "inline_panics"), 1);
+    assert_eq!(tel.counter(sys::SERVE, "worker_deaths"), 1);
+    // The first panic poisoned the cache lock; every op that takes it
+    // still answers, and both lanes serve as if nothing had happened.
+    let stats = c.stats().unwrap();
+    assert_eq!(number(&stats, "done"), Some(1), "{stats:?}");
+    let reply = c.submit(&spec("warm-after")).unwrap();
+    assert_eq!(text(&reply, "state"), Some("done"));
+    let cold = submit_id(&c.submit(&spec("cold-after")).unwrap()).unwrap();
+    let result = c.wait(cold, Duration::from_secs(10)).unwrap();
+    assert_eq!(text(&result, "state"), Some("done"));
     server.shutdown_and_wait();
 }
