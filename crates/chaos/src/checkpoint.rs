@@ -20,7 +20,7 @@
 //! value including negative zero and the full subnormal range.
 
 use crate::{Chaos, FaultClass};
-use serde_json::Value;
+pub use serde_json::Value;
 use std::io::Write;
 use std::path::Path;
 
@@ -100,13 +100,244 @@ pub fn hex_to_f64s(s: &str) -> Option<Vec<f64>> {
         .collect()
 }
 
-/// One verified checkpoint record.
+/// One verified record of a chain, its body still untyped.
 #[derive(Clone, Debug)]
 pub struct Record {
     /// The record kind (e.g. `"epoch"`, `"first_stage"`, `"master"`).
     pub kind: String,
     /// The kind-specific payload.
     pub body: Value,
+}
+
+impl Record {
+    /// `rec` as it goes to disk.
+    pub fn of<R: Typed>(rec: R) -> Record {
+        Record {
+            kind: R::KIND.to_string(),
+            body: body_of(rec),
+        }
+    }
+
+    /// Whether this is a record of `R`'s kind.
+    pub fn is<R: Typed>(&self) -> bool {
+        self.kind == R::KIND
+    }
+
+    /// The typed record, when the kind is `R`'s and every row reads back.
+    pub fn decode<R: Typed>(&self) -> Option<R> {
+        self.is::<R>().then(|| read_body(&self.body))?
+    }
+}
+
+/// A record body on its way out or in. A record lists its rows once
+/// ([`Rows::rows`]); the same pass writes them or reads them back.
+pub enum Io<'a> {
+    /// Writing: the members so far, in wire order.
+    Put(&'a mut Vec<(String, Value)>),
+    /// Reading from this body.
+    Take(&'a Value),
+}
+
+impl Io<'_> {
+    /// One row. Writing appends member `key` = `enc(x)`; reading sets `x`
+    /// to `dec` of that member, and a missing or misshapen member
+    /// refuses the whole record — a reader ignores what it cannot fully
+    /// trust.
+    pub fn row<T>(
+        &mut self,
+        key: &str,
+        x: &mut T,
+        enc: impl FnOnce(&mut T) -> Value,
+        dec: impl FnOnce(&Value) -> Option<T>,
+    ) -> Option<()> {
+        match self {
+            Io::Put(out) => out.push((key.to_string(), enc(x))),
+            Io::Take(body) => *x = dec(body.get(key)?)?,
+        }
+        Some(())
+    }
+}
+
+/// A struct that travels as a record body: the one place its wire keys
+/// and codecs are written.
+pub trait Rows: Default {
+    /// Every wired field as `codec(io, "key", &mut self.field)?`, in wire
+    /// order ([`record!`](crate::record) writes it from a table). Reading
+    /// starts from `Self::default()`.
+    fn rows(&mut self, io: &mut Io<'_>) -> Option<()>;
+}
+
+/// [`Rows`] that are the whole body of one record kind.
+pub trait Typed: Rows {
+    /// The `kind` member of the record.
+    const KIND: &'static str;
+}
+
+/// A record's rows as a table — `codec "wire key" => field,` (or
+/// `codec(inner) "wire key" => field,`) in wire order — from which both
+/// its encoder and its decoder come. `= "kind"` makes it [`Typed`].
+#[macro_export]
+macro_rules! record {
+    ($ty:ty $(= $kind:literal)? { $($codec:ident $(($inner:ident))? $key:literal => $($field:ident).+,)* }) => {
+        $(impl $crate::checkpoint::Typed for $ty {
+            const KIND: &'static str = $kind;
+        })?
+
+        impl $crate::checkpoint::Rows for $ty {
+            fn rows(&mut self, io: &mut $crate::checkpoint::Io<'_>) -> Option<()> {
+                $($codec(io, $key, &mut self.$($field).+ $(, $inner)?)?;)*
+                Some(())
+            }
+        }
+    };
+}
+
+/// The body `rec` writes. Text and JSON fields are moved out of it.
+pub fn body_of(mut rec: impl Rows) -> Value {
+    let mut members = Vec::new();
+    rec.rows(&mut Io::Put(&mut members))
+        .expect("writing a row cannot fail");
+    Value::Object(members)
+}
+
+/// The `R` that `body` holds, unless some row does not read back.
+pub fn read_body<R: Rows>(body: &Value) -> Option<R> {
+    let mut rec = R::default();
+    rec.rows(&mut Io::Take(body))?;
+    Some(rec)
+}
+
+/// Row codec: a small unsigned counter as a plain JSON number.
+pub fn num<T: Copy + TryInto<u64> + TryFrom<u64>>(
+    io: &mut Io<'_>,
+    key: &str,
+    x: &mut T,
+) -> Option<()> {
+    let enc = |x: &mut T| Value::Num((*x).try_into().unwrap_or(u64::MAX) as f64);
+    io.row(key, x, enc, |v| T::try_from(v.as_u64()?).ok())
+}
+
+/// Row codec: an `f64` that must survive bit-exactly, as [`f64_to_hex`].
+pub fn hex(io: &mut Io<'_>, key: &str, x: &mut f64) -> Option<()> {
+    io.row(
+        key,
+        x,
+        |x| Value::Str(f64_to_hex(*x)),
+        |v| hex_to_f64(v.as_str()?),
+    )
+}
+
+/// Row codec: a string.
+pub fn text(io: &mut Io<'_>, key: &str, x: &mut String) -> Option<()> {
+    let dec = |v: &Value| Some(v.as_str()?.to_string());
+    io.row(key, x, |x| Value::Str(std::mem::take(x)), dec)
+}
+
+/// Row codec: any JSON value.
+pub fn json(io: &mut Io<'_>, key: &str, x: &mut Value) -> Option<()> {
+    io.row(key, x, std::mem::take, |v| Some(v.clone()))
+}
+
+/// Row codec: a `bool` as `0`/`1`.
+pub fn flag(io: &mut Io<'_>, key: &str, x: &mut bool) -> Option<()> {
+    let enc = |x: &mut bool| Value::Num(f64::from(u8::from(*x)));
+    io.row(key, x, enc, |v| Some(v.as_u64()? != 0))
+}
+
+/// Row codec: units per link as an array of numbers.
+pub fn units(io: &mut Io<'_>, key: &str, x: &mut Vec<u32>) -> Option<()> {
+    let enc =
+        |x: &mut Vec<u32>| Value::Array(x.iter().map(|&u| Value::Num(f64::from(u))).collect());
+    let unit = |v: &Value| u32::try_from(v.as_u64()?).ok();
+    io.row(key, x, enc, |v| v.as_array()?.iter().map(unit).collect())
+}
+
+/// Row codec: `null` for `None`, otherwise what `some` writes.
+pub fn nullable<T: Default>(
+    io: &mut Io<'_>,
+    key: &str,
+    x: &mut Option<T>,
+    some: fn(&mut Io<'_>, &str, &mut T) -> Option<()>,
+) -> Option<()> {
+    match (&mut *io, x.as_mut()) {
+        (Io::Put(out), None) => out.push((key.to_string(), Value::Null)),
+        (Io::Put(_), Some(inner)) => some(io, key, inner)?,
+        (Io::Take(body), _) => {
+            *x = None;
+            if !body.get(key)?.is_null() {
+                some(io, key, x.insert(T::default()))?;
+            }
+        }
+    }
+    Some(())
+}
+
+/// Row codec for a member older writers did not write: always written,
+/// and when it is absent (or unreadable) `x` keeps the value it has.
+pub fn since<T>(
+    io: &mut Io<'_>,
+    key: &str,
+    x: &mut T,
+    codec: fn(&mut Io<'_>, &str, &mut T) -> Option<()>,
+) -> Option<()> {
+    match io {
+        Io::Put(_) => codec(io, key, x),
+        Io::Take(_) => codec(io, key, x).or(Some(())),
+    }
+}
+
+/// One chain file and the fault plan its writes consult: the handle
+/// every reader and writer of a chain goes through.
+#[derive(Clone, Copy)]
+pub struct Chain<'a> {
+    path: &'a Path,
+    chaos: &'a Chaos,
+}
+
+impl<'a> Chain<'a> {
+    /// The chain at `path`.
+    pub fn new(path: &'a Path, chaos: &'a Chaos) -> Self {
+        Chain { path, chaos }
+    }
+
+    /// The chain file.
+    pub fn path(&self) -> &'a Path {
+        self.path
+    }
+
+    /// [`read_records`] of this chain.
+    pub fn read(&self) -> Vec<Record> {
+        read_records(self.path)
+    }
+
+    /// Append one typed record ([`append_record`]).
+    pub fn append<R: Typed>(&self, rec: R) -> std::io::Result<()> {
+        self.append_as(R::KIND, rec)
+    }
+
+    /// Append `rec` under a kind chosen at run time, for a layout that
+    /// several kinds share.
+    pub fn append_as(&self, kind: &str, rec: impl Rows) -> std::io::Result<()> {
+        append_record(self.path, kind, body_of(rec), self.chaos)
+    }
+
+    /// Replace the chain by `records`, one [`append_record`] each. The
+    /// new chain is written beside the old one and renamed over it, so a
+    /// death part-way leaves the old chain whole.
+    pub fn restart(&self, records: impl IntoIterator<Item = Record>) -> std::io::Result<()> {
+        if let Some(dir) = self.path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut next = self.path.as_os_str().to_owned();
+        next.push(".next");
+        let next = Path::new(&next);
+        // Truncates what a restart that died here left behind.
+        std::fs::File::create(next)?;
+        for r in records {
+            append_record(next, &r.kind, r.body, self.chaos)?;
+        }
+        std::fs::rename(next, self.path)
+    }
 }
 
 /// Append one record to `path` (created if missing) and flush it to the
@@ -137,27 +368,21 @@ pub fn append_record(path: &Path, kind: &str, body: Value, chaos: &Chaos) -> std
 }
 
 /// Read every valid record of `path`, stopping at (and dropping) the
-/// first invalid line. A missing file reads as no records.
+/// first invalid line. Bytes that are not UTF-8 damage their own line
+/// only — they read as U+FFFD, which no checksum covers — so the records
+/// before it survive. A missing file reads as no records.
 pub fn read_records(path: &Path) -> Vec<Record> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(record) = verify_line(line) else {
-            break;
-        };
-        out.push(record);
-    }
-    out
+    let bytes = std::fs::read(path).unwrap_or_default();
+    let text = String::from_utf8_lossy(&bytes);
+    text.lines().map_while(verify_line).collect()
 }
 
 fn verify_line(line: &str) -> Option<Record> {
     let value: Value = serde_json::from_str(line).ok()?;
-    let sum = u64::from_str_radix(value.get("sum")?.as_str()?, 16).ok()?;
     let rec = value.get("rec")?;
     let payload = serde_json::to_string(rec).ok()?;
-    if fnv1a64(payload.as_bytes()) != sum {
+    // The writer's digits exactly: no other spelling of the sum passes.
+    if value.get("sum")?.as_str()? != format!("{:016x}", fnv1a64(payload.as_bytes())) {
         return None;
     }
     if rec.get("v")?.as_u64()? != FORMAT_VERSION {
@@ -326,6 +551,33 @@ mod tests {
         // never the records before it.
         append_record(&path, "epoch", json!({"epoch": 3}), &chaos).unwrap();
         assert_eq!(read_records(&path).len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_restart_that_dies_part_way_leaves_the_old_chain_whole() {
+        let path = tmp("restart");
+        let chaos = Chaos::disabled();
+        let chain = Chain::new(&path, &chaos);
+        for i in 0..3 {
+            append_record(&path, "epoch", json!({ "epoch": i }), &chaos).unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        let died = std::panic::catch_unwind(|| {
+            let records = chain.read().into_iter().enumerate();
+            chain.restart(records.map(|(i, r)| {
+                assert!(i < 2, "killed while rewriting record {i}");
+                r
+            }))
+        });
+        assert!(died.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before, "nothing lost");
+        // The next restart starts over what the dead one left behind.
+        chain.restart(chain.read().into_iter().skip(1)).unwrap();
+        let kept = chain.read();
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept[0].body.get("epoch").unwrap().as_u64(), Some(1));
+        assert!(!path.with_extension("next").exists(), "renamed into place");
         let _ = std::fs::remove_file(&path);
     }
 

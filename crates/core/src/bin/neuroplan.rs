@@ -61,6 +61,9 @@ fn usage() -> ! {
     for field in neuroplan::spec::FIELDS {
         eprintln!("  {:<48} {}", field.flag(), field.doc);
     }
+    eprintln!(
+        "\n--profile prints the self-time table to stderr; its JSON goes to --profile-out only"
+    );
     exit(2)
 }
 
@@ -150,9 +153,9 @@ fn telemetry_of(flags: &Flags) -> Telemetry {
 }
 
 /// Flush the sink and print the per-phase breakdown to stderr. Under
-/// `--profile`, additionally print the self-time wall breakdown and
-/// write the `np-profile-v1` JSON (default `BENCH_profile.json`,
-/// overridable with `--profile-out`).
+/// `--profile`, additionally print the self-time wall breakdown, and
+/// write the `np-profile-v1` JSON where `--profile-out` says — nowhere
+/// without it.
 fn finish_telemetry(tel: &Telemetry, flags: &Flags) {
     if !tel.is_enabled() {
         return;
@@ -165,14 +168,12 @@ fn finish_telemetry(tel: &Telemetry, flags: &Flags) {
     if flags.contains_key("profile") {
         let report = np_telemetry::profile::ProfileReport::from_telemetry(tel, tel.elapsed_us());
         eprint!("{}", report.render_table());
-        let out = flags
-            .get("profile-out")
-            .map(String::as_str)
-            .unwrap_or("BENCH_profile.json");
-        let body = serde_json::to_string_pretty(&report.to_json()).expect("profile json");
-        match std::fs::write(out, format!("{body}\n")) {
-            Ok(()) => eprintln!("profile written to {out}"),
-            Err(e) => eprintln!("cannot write profile file {out}: {e}"),
+        if let Some(out) = flags.get("profile-out") {
+            let body = serde_json::to_string_pretty(&report.to_json()).expect("profile json");
+            match std::fs::write(out, format!("{body}\n")) {
+                Ok(()) => eprintln!("profile written to {out}"),
+                Err(e) => eprintln!("cannot write profile file {out}: {e}"),
+            }
         }
     }
 }

@@ -155,6 +155,21 @@ pub struct MasterOutcome {
     pub deadline_overshoot_us: u64,
 }
 
+impl Default for MasterOutcome {
+    /// A solve that found nothing and proved nothing.
+    fn default() -> Self {
+        MasterOutcome {
+            status: MipStatus::Limit,
+            cost: f64::INFINITY,
+            units: Vec::new(),
+            nodes: 0,
+            cuts_added: 0,
+            best_bound: f64::NEG_INFINITY,
+            deadline_overshoot_us: 0,
+        }
+    }
+}
+
 impl MasterOutcome {
     /// Whether an implementable plan came back.
     pub fn has_plan(&self) -> bool {

@@ -3,7 +3,7 @@
 //! retried with seeded backoff, and hard budget exhaustion walks the
 //! degradation ladder instead of failing (DESIGN.md §11).
 
-use crate::checkpoint;
+use crate::checkpoint::{self, EpochRecord, MasterRecord, Meta};
 use crate::config::NeuroPlanConfig;
 use crate::env::PlanningEnv;
 use crate::greedy::greedy_augment;
@@ -12,7 +12,7 @@ use crate::master::{
     MasterConfig, MasterOutcome,
 };
 use crate::report::PruningReport;
-use np_chaos::checkpoint::{append_record, read_records, Record};
+use np_chaos::checkpoint::{Chain, Record, Typed};
 use np_eval::{EvalStats, PlanEvaluator};
 use np_flow::MetricCut;
 use np_lp::MipStatus;
@@ -20,12 +20,11 @@ use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, 
 use np_supervisor::{PlanQuality, StageCtx, StageError, SupervisionReport, Supervisor};
 use np_telemetry::{sys, Telemetry};
 use np_topology::{Network, TopologyError};
-use serde_json::Value;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Outputs of the RL stage.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FirstStage {
     /// Units per link of the initial plan handed to stage 2 (the best RL
     /// plan, or the greedy reference when RL never completed a
@@ -79,9 +78,17 @@ pub struct NeuroPlanResult {
 }
 
 impl NeuroPlanResult {
-    /// The first stage this run's second stage started from — what
-    /// [`checkpoint::first_stage_body`] records, so a run under other
-    /// second-stage settings can start from it (evaluator stats aside).
+    /// Whether the first stage was trained by another run and seeded
+    /// into this one's chain ([`NeuroPlan::seed_first_stage`]): such a
+    /// chain holds a `first_stage` record and no `epoch` record, so the
+    /// report a resume reassembles from it is empty.
+    pub fn first_stage_reused(&self) -> bool {
+        self.train_report.epochs.is_empty()
+    }
+
+    /// The first stage this run's second stage started from — the
+    /// `first_stage` record, so a run under other second-stage settings
+    /// can start from it (evaluator stats aside).
     pub fn first_stage(&self) -> FirstStage {
         FirstStage {
             units: self.first_stage_units.clone(),
@@ -300,10 +307,16 @@ impl NeuroPlan {
 
     /// Best-effort record append: a full disk must degrade the run to
     /// "unresumable", never kill it.
-    pub(crate) fn append(&self, path: &Path, kind: &str, body: Value, chaos: &np_chaos::Chaos) {
+    pub(crate) fn append<R: Typed>(&self, chain: Chain<'_>, rec: R) {
+        self.chain_io(R::KIND, || chain.append(rec));
+    }
+
+    /// A chain write ([`Chain::append`], [`Chain::restart`]), best-effort
+    /// likewise and timed under `--profile`.
+    pub(crate) fn chain_io(&self, what: &str, write: impl FnOnce() -> std::io::Result<()>) {
         let t0 = np_telemetry::profiling().then(std::time::Instant::now);
-        if let Err(e) = append_record(path, kind, body, chaos) {
-            eprintln!("warning: failed to write checkpoint record `{kind}`: {e}");
+        if let Err(e) = write() {
+            eprintln!("warning: failed to write checkpoint record `{what}`: {e}");
         }
         if let Some(t0) = t0 {
             self.tel.record_span(
@@ -315,20 +328,26 @@ impl NeuroPlan {
     }
 
     /// Start this run's checkpoint chain from `first_stage`, the record
-    /// body of a run with the same [`checkpoint::first_stage_key`]: the
+    /// of a run with the same [`checkpoint::first_stage_key`]: the
     /// resume then goes straight to the second stage. `fp` is this
     /// run's fingerprint. Returns `false`, with nothing written, when
     /// the chain already exists — a replayed request continues its own.
-    pub fn seed_first_stage(&self, fp: &str, first_stage_key: &str, first_stage: Value) -> bool {
+    pub fn seed_first_stage(
+        &self,
+        fp: &str,
+        first_stage_key: &str,
+        first_stage: FirstStage,
+    ) -> bool {
         let Some(path) = self.checkpoint_path().filter(|p| !p.exists()) else {
             return false;
         };
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let meta = checkpoint::meta_body(fp, first_stage_key);
-        self.append(&path, "meta", meta, np_chaos::global());
-        self.append(&path, "first_stage", first_stage, np_chaos::global());
+        let meta = Meta {
+            fp: fp.to_string(),
+            fs: first_stage_key.to_string(),
+        };
+        let records = [Record::of(meta), Record::of(first_stage)];
+        let chain = Chain::new(&path, np_chaos::global());
+        self.chain_io("restart", || chain.restart(records));
         true
     }
 
@@ -357,20 +376,21 @@ impl NeuroPlan {
         let chaos = np_chaos::global();
         let sup =
             Supervisor::new(self.cfg.supervisor, self.tel.clone()).with_cancel(self.cancel.clone());
-        let ckpt = self.checkpoint_path();
+        let ckpt_path = self.checkpoint_path();
+        let ckpt = ckpt_path.as_deref().map(|p| Chain::new(p, chaos));
         let mut records: Vec<Record> = Vec::new();
-        if let Some(path) = &ckpt {
+        if let Some(chain) = ckpt {
             let fp = checkpoint::fingerprint(net, &self.cfg);
             if self.resume {
-                records = read_records(path);
+                records = chain.read();
             }
-            let meta = records.first().filter(|r| r.kind == "meta");
-            if !meta.is_some_and(|r| checkpoint::meta_matches(&r.body, &fp)) {
+            let meta: Option<Meta> = records.first().and_then(Record::decode);
+            if meta.as_ref().is_none_or(|m| m.fp != fp) {
                 // Not this run's chain. Under an equal first-stage key its
                 // training is still this run's: only the `master` goes.
                 let key = checkpoint::first_stage_key(net, &self.cfg);
-                if meta.is_some_and(|r| checkpoint::meta_first_stage_matches(&r.body, &key)) {
-                    records.retain(|r| r.kind == "epoch" || r.kind == "first_stage");
+                if meta.is_some_and(|m| m.fs == key) {
+                    records.retain(|r| r.is::<EpochRecord>() || r.is::<FirstStage>());
                     eprintln!(
                         "first stage resumed from checkpoint: only second-stage settings \
                          changed (kept {} epoch/first_stage records, dropped master)",
@@ -381,49 +401,37 @@ impl NeuroPlan {
                     eprintln!(
                         "warning: checkpoint in {} does not match this instance/config; \
                          starting fresh",
-                        path.display()
+                        chain.path().display()
                     );
                     records.clear();
                 }
-                // The chain restarts under this run's keys. A kill part-way
-                // leaves a shorter chain of the same run, which resumes.
-                if let Some(dir) = path.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                let _ = std::fs::remove_file(path);
-                self.append(path, "meta", checkpoint::meta_body(&fp, &key), chaos);
-                for r in &records {
-                    self.append(path, &r.kind, r.body.clone(), chaos);
-                }
+                // The chain restarts under this run's keys.
+                records.insert(0, Record::of(Meta { fp, fs: key }));
+                self.chain_io("restart", || chain.restart(records.clone()));
             }
         }
-        let epoch_recs: Vec<checkpoint::EpochRecord> = records
-            .iter()
-            .filter(|r| r.kind == "epoch")
-            .filter_map(|r| checkpoint::decode_epoch(&r.body))
-            .collect();
-        let epoch_stats = TrainReport {
+        let epochs_of = |records: &[Record]| -> Vec<EpochRecord> {
+            records.iter().filter_map(Record::decode).collect()
+        };
+        let epoch_recs = epochs_of(&records);
+        let report = TrainReport {
             epochs: epoch_recs.iter().map(|e| e.stats.clone()).collect(),
         };
-        let first_rec = records
-            .iter()
-            .find(|r| r.kind == "first_stage")
-            .and_then(|r| checkpoint::decode_first_stage(&r.body, epoch_stats));
-        let master_rec = records
-            .iter()
-            .find(|r| r.kind == "master")
-            .and_then(|r| checkpoint::decode_master(&r.body));
+        let first_rec = (records.iter())
+            .find_map(Record::decode::<FirstStage>)
+            .map(|first| FirstStage { report, ..first });
+        let master_rec = records.iter().find_map(Record::decode::<MasterRecord>);
 
         // A run that already finished resumes straight to its recorded
         // result, including the ladder rung the original run settled on.
         // The pruning report is a pure function of the first-stage plan,
         // so it is recomputed rather than stored.
-        if let (Some(first), Some((master, quality))) = (&first_rec, master_rec) {
+        if let (Some(first), Some(master)) = (&first_rec, master_rec) {
             let pruning = self.pruning_report(net, &first.units);
             return Ok(Self::finish(
                 first.clone(),
-                master,
-                quality,
+                master.outcome,
+                master.quality,
                 sup.report(),
                 pruning,
             ));
@@ -437,24 +445,15 @@ impl NeuroPlan {
                         // A retry after a mid-training panic must resume
                         // from the records the failed attempt managed to
                         // append, not from the stale pre-attempt view.
-                        let recs = match (&ckpt, ctx.attempt) {
-                            (Some(path), a) if a > 0 => read_records(path)
-                                .iter()
-                                .filter(|r| r.kind == "epoch")
-                                .filter_map(|r| checkpoint::decode_epoch(&r.body))
-                                .collect(),
+                        let recs = match (ckpt, ctx.attempt) {
+                            (Some(chain), a) if a > 0 => epochs_of(&chain.read()),
                             _ => epoch_recs.clone(),
                         };
-                        self.first_stage_resumable(net, ckpt.as_deref(), recs, chaos, Some(ctx))
+                        self.first_stage_resumable(net, ckpt, recs, chaos, Some(ctx))
                     })
                     .map_err(|e| PlanFailure::from_stage("first_stage", e))?;
-                if let Some(path) = &ckpt {
-                    self.append(
-                        path,
-                        "first_stage",
-                        checkpoint::first_stage_body(&first),
-                        chaos,
-                    );
+                if let Some(chain) = ckpt {
+                    self.append(chain, first.clone());
                 }
                 first
             }
@@ -467,13 +466,9 @@ impl NeuroPlan {
             first.certificates.clone(),
             &mut first.stats,
         )?;
-        if let Some(path) = &ckpt {
-            self.append(
-                path,
-                "master",
-                checkpoint::master_body(&master, quality),
-                chaos,
-            );
+        if let Some(chain) = ckpt {
+            let outcome = master.clone();
+            self.append(chain, MasterRecord { outcome, quality });
         }
         Ok(Self::finish(first, master, quality, sup.report(), pruning))
     }
@@ -538,8 +533,8 @@ impl NeuroPlan {
     fn first_stage_resumable(
         &self,
         net: &Network,
-        ckpt: Option<&Path>,
-        epoch_recs: Vec<checkpoint::EpochRecord>,
+        ckpt: Option<Chain<'_>>,
+        epoch_recs: Vec<EpochRecord>,
         chaos: &np_chaos::Chaos,
         ctx: Option<&StageCtx>,
     ) -> Result<FirstStage, StageError> {
@@ -612,17 +607,19 @@ impl NeuroPlan {
             }
         }
         let report = match ckpt {
-            Some(path) => {
+            Some(chain) => {
                 let mut hook =
                     |agent: &mut ActorCritic, env: &mut dyn GraphEnv, p: &TrainProgress<'_>| {
-                        let agent_blob = agent.export_state();
-                        let env_blob = env.state_json().unwrap_or_default();
-                        self.append(
-                            path,
-                            "epoch",
-                            checkpoint::epoch_body(p, &agent_blob, &env_blob),
-                            chaos,
-                        );
+                        let rec = EpochRecord {
+                            stats: p.stats.clone(),
+                            next_epoch: p.next_epoch,
+                            converged_run: p.converged_run,
+                            prev_return: p.prev_return,
+                            recovery_nonce: p.recovery_nonce,
+                            agent: agent.export_state(),
+                            env: env.state_json().unwrap_or_default(),
+                        };
+                        self.append(chain, rec);
                     };
                 train_resumable(
                     &mut env,
@@ -948,10 +945,7 @@ fn degraded(units: Vec<u32>, cost: f64) -> MasterOutcome {
         status: MipStatus::TimeLimit,
         cost,
         units,
-        nodes: 0,
-        cuts_added: 0,
-        best_bound: f64::NEG_INFINITY,
-        deadline_overshoot_us: 0,
+        ..MasterOutcome::default()
     }
 }
 

@@ -21,10 +21,10 @@
 //! the current instance in that chain and replaying only perturbations
 //! (no solves, no cut re-derivation) up to the first unrecorded event.
 
-use crate::checkpoint::{self, MetaMatch, ReplanEventRecord};
+use crate::checkpoint::{self, MetaMatch, ReplanEventRecord, ReplanMeta};
 use crate::master::{plan_cost_of, MasterConfig};
 use crate::pipeline::{Ladder, NeuroPlan, PlanFailure};
-use np_chaos::checkpoint::read_records;
+use np_chaos::checkpoint::{Chain, Record};
 use np_chaos::FaultClass;
 use np_churn::ChurnEvent;
 use np_eval::{EvalStats, PlanEvaluator};
@@ -61,7 +61,7 @@ impl Default for ReplanConfig {
 }
 
 /// What happened at one event of the stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EventReport {
     /// 0-based position in the stream.
     pub index: usize,
@@ -189,7 +189,8 @@ impl NeuroPlan {
         let mut reports: Vec<EventReport> = Vec::with_capacity(events.len());
 
         // ---- checkpoint: locate ourselves in the recorded chain ------
-        let ckpt = self.checkpoint_dir.as_ref().map(|d| d.join("replan.jsonl"));
+        let ckpt_path = self.checkpoint_dir.as_ref().map(|d| d.join("replan.jsonl"));
+        let ckpt = ckpt_path.as_deref().map(|p| Chain::new(p, chaos));
         let event_strs: Vec<String> = events.iter().map(|e| e.to_string()).collect();
         let knob_bits = [
             rcfg.gap_tol.to_bits(),
@@ -199,27 +200,26 @@ impl NeuroPlan {
         let stream = checkpoint::replan_stream_tag(&event_strs, initial_units, &knob_bits);
         let mut start = 0usize;
         let mut eval_blob: Option<String> = None;
-        if let Some(path) = &ckpt {
+        if let Some(chain) = ckpt {
             let fp_now = checkpoint::fingerprint(&cur, &self.cfg);
             let mut kept: Vec<ReplanEventRecord> = Vec::new();
             let mut total_decoded = 0usize;
-            let mut meta_ok = false;
-            let mut meta_body: Option<serde_json::Value> = None;
+            // The chain's `replan_meta`, once the chain proves to be ours.
+            let mut own_meta: Option<ReplanMeta> = None;
             if self.resume {
-                let records = read_records(path);
+                let records = chain.read();
                 let decoded: Vec<ReplanEventRecord> = records
                     .iter()
                     .skip(1)
-                    .take_while(|r| r.kind == "replan_event")
-                    .filter_map(|r| checkpoint::decode_replan_event(&r.body))
+                    .take_while(|r| r.is::<ReplanEventRecord>())
+                    .filter_map(Record::decode)
                     .collect();
                 total_decoded = decoded.len();
-                let meta = records.first().filter(|r| r.kind == "replan_meta");
+                let meta: Option<ReplanMeta> = records.first().and_then(Record::decode);
                 let fps: Vec<String> = decoded.iter().map(|r| r.fp.clone()).collect();
-                let class = match meta {
-                    Some(m) => checkpoint::classify_replan_meta(&m.body, &stream, &fp_now, &fps),
-                    None => MetaMatch::Mismatch,
-                };
+                let class = meta
+                    .as_ref()
+                    .map_or(MetaMatch::Mismatch, |m| m.classify(&stream, &fp_now, &fps));
                 let replay_from = match class {
                     MetaMatch::Exact => Some(0),
                     // The instance we hold *is* the state record `i`
@@ -228,18 +228,15 @@ impl NeuroPlan {
                     // the meta record — the caller no longer holds the
                     // instance it was computed on.
                     MetaMatch::Ancestor(i) => {
-                        for rec in &decoded[..=i] {
-                            reports.push(report_of(rec, true));
-                        }
-                        if let Some(c0) = meta.and_then(|m| checkpoint::replan_meta_cost0(&m.body))
-                        {
-                            initial_cost = c0;
+                        reports.extend(decoded[..=i].iter().map(restored));
+                        if let Some(m) = &meta {
+                            initial_cost = m.cost0;
                         }
                         units = decoded[i].units.clone();
-                        cost = decoded[i].cost;
-                        quality = decoded[i].quality;
+                        cost = decoded[i].report.cost;
+                        quality = decoded[i].report.quality;
                         eval_blob = Some(decoded[i].eval.clone());
-                        start = decoded[i].index + 1;
+                        start = decoded[i].report.index + 1;
                         Some(i + 1)
                     }
                     MetaMatch::Mismatch => {
@@ -247,61 +244,49 @@ impl NeuroPlan {
                             eprintln!(
                                 "warning: replan checkpoint in {} does not match this \
                                  instance/stream; starting fresh",
-                                path.display()
+                                chain.path().display()
                             );
                         }
                         None
                     }
                 };
                 if let Some(from) = replay_from {
-                    meta_ok = true;
-                    meta_body = meta.map(|m| m.body.clone());
+                    own_meta = meta;
                     kept = decoded[..from].to_vec();
                     for rec in &decoded[from..] {
                         if !replay_record(&mut cur, rec, &event_strs, rcfg, &self.cfg) {
                             break;
                         }
                         units = rec.units.clone();
-                        cost = rec.cost;
-                        quality = rec.quality;
+                        cost = rec.report.cost;
+                        quality = rec.report.quality;
                         eval_blob = Some(rec.eval.clone());
-                        start = rec.index + 1;
-                        reports.push(report_of(rec, true));
+                        start = rec.report.index + 1;
+                        reports.push(restored(rec));
                         kept.push(rec.clone());
                     }
                 }
             }
-            if !meta_ok {
-                if lengths_ok {
-                    if let Some(dir) = path.parent() {
-                        let _ = std::fs::create_dir_all(dir);
-                    }
-                    let _ = std::fs::remove_file(path);
-                    self.append(
-                        path,
-                        "replan_meta",
-                        checkpoint::replan_meta_body(&fp_now, &stream, initial_cost),
-                        chaos,
-                    );
+            match own_meta {
+                None if lengths_ok => {
+                    let meta = ReplanMeta {
+                        fp: fp_now,
+                        stream,
+                        cost0: initial_cost,
+                    };
+                    self.chain_io("restart", || chain.restart([Record::of(meta)]));
                 }
-            } else if kept.len() < total_decoded {
                 // Some trailing records were rejected (stale chain after
                 // an earlier divergence): rewrite the file — keeping the
                 // original meta record, which anchors the chain at the
                 // stream's true start — so the next resume never sees
                 // duplicate event indices.
-                if let Some(body) = meta_body {
-                    let _ = std::fs::remove_file(path);
-                    self.append(path, "replan_meta", body, chaos);
-                    for rec in &kept {
-                        self.append(
-                            path,
-                            "replan_event",
-                            checkpoint::replan_event_body(rec),
-                            chaos,
-                        );
-                    }
+                Some(meta) if kept.len() < total_decoded => {
+                    let kept = kept.into_iter().map(Record::of);
+                    let records = std::iter::once(Record::of(meta)).chain(kept);
+                    self.chain_io("restart", || chain.restart(records));
                 }
+                _ => {}
             }
         }
         if units.len() != cur.link_ids().count() {
@@ -412,37 +397,9 @@ impl NeuroPlan {
                 .map(|(&a, &b)| u64::from(a.abs_diff(b)))
                 .sum();
             let delta_stats = evaluator.take_stats();
-            let (retained, dropped) = (
-                delta_stats.perturb_certs_retained,
-                delta_stats.perturb_certs_dropped,
-            );
             eval_stats.merge(&delta_stats);
 
-            if let (Some(path), Some(afp)) = (&ckpt, afp) {
-                let rec = ReplanEventRecord {
-                    index: k,
-                    class: ev.class().to_string(),
-                    event: event_strs[k].clone(),
-                    ancestor_fp: afp,
-                    fp: checkpoint::fingerprint(&cur, &self.cfg),
-                    cost,
-                    units: units.clone(),
-                    eval: evaluator.snapshot_state(),
-                    quality,
-                    skipped: skipped.clone(),
-                    churn,
-                    retained,
-                    dropped,
-                    flapped,
-                };
-                self.append(
-                    path,
-                    "replan_event",
-                    checkpoint::replan_event_body(&rec),
-                    chaos,
-                );
-            }
-            reports.push(EventReport {
+            let mut report = EventReport {
                 index: k,
                 class: ev.class().to_string(),
                 event: event_strs[k].clone(),
@@ -450,12 +407,24 @@ impl NeuroPlan {
                 cost,
                 quality,
                 churn,
-                certs_retained: retained,
-                certs_dropped: dropped,
+                certs_retained: delta_stats.perturb_certs_retained,
+                certs_dropped: delta_stats.perturb_certs_dropped,
                 flapped,
                 resumed: false,
-                millis: event_t0.elapsed().as_secs_f64() * 1e3,
-            });
+                millis: 0.0,
+            };
+            if let (Some(chain), Some(ancestor_fp)) = (ckpt, afp) {
+                let rec = ReplanEventRecord {
+                    report: report.clone(),
+                    ancestor_fp,
+                    fp: checkpoint::fingerprint(&cur, &self.cfg),
+                    units: units.clone(),
+                    eval: evaluator.snapshot_state(),
+                };
+                self.append(chain, rec);
+            }
+            report.millis = event_t0.elapsed().as_secs_f64() * 1e3;
+            reports.push(report);
         }
 
         Ok(ReplanReport {
@@ -510,20 +479,11 @@ impl NeuroPlan {
     }
 }
 
-fn report_of(rec: &ReplanEventRecord, resumed: bool) -> EventReport {
+/// The report of an event restored from its record, not re-solved.
+fn restored(rec: &ReplanEventRecord) -> EventReport {
     EventReport {
-        index: rec.index,
-        class: rec.class.clone(),
-        event: rec.event.clone(),
-        skipped: rec.skipped.clone(),
-        cost: rec.cost,
-        quality: rec.quality,
-        churn: rec.churn,
-        certs_retained: rec.retained,
-        certs_dropped: rec.dropped,
-        flapped: rec.flapped,
-        resumed,
-        millis: 0.0,
+        resumed: true,
+        ..rec.report.clone()
     }
 }
 
@@ -539,19 +499,19 @@ fn replay_record(
     rcfg: &ReplanConfig,
     cfg: &crate::config::NeuroPlanConfig,
 ) -> bool {
-    let k = rec.index;
-    if k >= event_strs.len() || rec.event != event_strs[k] {
+    let k = rec.report.index;
+    if k >= event_strs.len() || rec.report.event != event_strs[k] {
         return false;
     }
     if rec.ancestor_fp != checkpoint::fingerprint(cur, cfg) {
         return false;
     }
     let mut next = cur.clone();
-    if rec.flapped && !replay_flap(&mut next, rcfg.flap_seed, k) {
+    if rec.report.flapped && !replay_flap(&mut next, rcfg.flap_seed, k) {
         return false;
     }
-    if rec.skipped.is_none() {
-        let Ok(ev) = ChurnEvent::parse(&rec.event) else {
+    if rec.report.skipped.is_none() {
+        let Ok(ev) = ChurnEvent::parse(&rec.report.event) else {
             return false;
         };
         let Ok(p) = ev.to_perturbation(&next) else {

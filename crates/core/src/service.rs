@@ -40,11 +40,11 @@
 //! was not trained for it adds `"first_stage": "reused"`.
 
 use crate::checkpoint;
-use crate::pipeline::{validate_plan, NeuroPlan, PlanFailure};
+use crate::pipeline::{validate_plan, FirstStage, NeuroPlan, PlanFailure};
 use crate::replan::ReplanReport;
 use crate::spec::PlanSpec;
 use crate::NeuroPlanConfig;
-use np_chaos::checkpoint::f64_to_hex;
+use np_chaos::checkpoint::{body_of, f64_to_hex, read_body};
 use np_serve::{lock, PlanService, RequestCtx, ServiceFailure};
 use np_telemetry::{sys, Telemetry};
 use np_topology::Network;
@@ -218,13 +218,17 @@ impl PlanService for NeuroPlanService {
         // resume runs the second stage alone.
         let key = checkpoint::first_stage_key(&net, &planner.cfg);
         let first = lock(ctx.cache).get(&key);
-        let reused = first.is_some_and(|first| planner.seed_first_stage(&fp, &key, first));
-        let cold = [("cache", "cold"), ("first_stage", "reused")];
-        let cold = &cold[..1 + usize::from(reused)];
-        if reused {
+        let first = first.and_then(|body| read_body::<FirstStage>(&body));
+        let seeded = first.is_some_and(|first| planner.seed_first_stage(&fp, &key, first));
+        if seeded {
             self.tel.incr(sys::SERVE, "first_stage_hits", 1);
         }
         let result = planner.try_plan(&net).map_err(|e| fail("plan", e))?;
+        // Read off the chain the plan came from, not off `seeded`: a
+        // request replayed after a restart finds its seeded chain in
+        // place and must report what it reported before.
+        let cold = [("cache", "cold"), ("first_stage", "reused")];
+        let cold = &cold[..1 + usize::from(result.first_stage_reused())];
         let (units, cost) = (&result.final_units, result.final_cost);
         let quality = result.quality.name();
         // Keep the plan warm for repeats and perturbations, and its first
@@ -234,8 +238,8 @@ impl PlanService for NeuroPlanService {
         let blob = json!({"units": units, "cost": cost, "quality": quality});
         {
             let mut cache = lock(ctx.cache);
-            if !reused {
-                cache.put(&key, checkpoint::first_stage_body(&result.first_stage()));
+            if !seeded {
+                cache.put(&key, body_of(result.first_stage()));
             }
             cache.put(&fp, blob);
         }
@@ -396,6 +400,52 @@ mod tests {
             identity(&scratch),
             "across worker counts"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reused_first_stage_says_so_again_after_a_restart() {
+        use crate::checkpoint::MasterRecord;
+        use np_chaos::checkpoint::Chain;
+
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("restart");
+        let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+        svc.execute(&at_alpha(1.5), &ctx(&cache, 1)).expect("cold");
+        let before = svc.execute(&at_alpha(1.25), &ctx(&cache, 2));
+        let before = serde_json::to_string(&before.expect("reused")).unwrap();
+        assert!(before.contains(r#""first_stage":"reused""#), "{before}");
+
+        // A new daemon on the state directory replays the request: nothing
+        // is cached, its seeded chain is where the dead daemon left it —
+        // finished, or (the `master` record dropped) killed mid-solve.
+        for killed_mid_solve in [false, true] {
+            let file = dir.join("req-2").join("checkpoint.jsonl");
+            let chain = Chain::new(&file, np_chaos::global());
+            if killed_mid_solve {
+                let records = chain.read();
+                let kept = records.into_iter().filter(|r| !r.is::<MasterRecord>());
+                chain.restart(kept).unwrap();
+                assert_eq!(chain.read().len(), 2, "meta + first_stage");
+            }
+            let restarted = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+            let empty = Mutex::new(WarmCache::new(8));
+            let replayed = RequestCtx {
+                resume: true,
+                ..ctx(&empty, 2)
+            };
+            let after = restarted
+                .execute(&at_alpha(1.25), &replayed)
+                .expect("replayed");
+            assert_eq!(serde_json::to_string(&after).unwrap(), before);
+        }
+        // A chain that trained its own first stage never claims otherwise.
+        let restarted = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+        let empty = Mutex::new(WarmCache::new(8));
+        let own = restarted
+            .execute(&at_alpha(1.5), &ctx(&empty, 1))
+            .expect("own");
+        assert_eq!(own.get("first_stage"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -295,10 +295,17 @@ fn resume_under_a_new_alpha_keeps_the_first_stage() {
     assert_plan_written(&out, &dir.join("a15.json"), "alpha 1.5");
     assert!(trained(Path::new(&tel)));
 
+    // What a chain restart killed part-way leaves behind: the old chain
+    // whole, the beginning of the new one beside it.
+    let stale = dir.join("ckpt").join("checkpoint.jsonl.next");
+    let whole = std::fs::read(dir.join("ckpt").join("checkpoint.jsonl")).unwrap();
+    std::fs::write(&stale, &whole[..whole.len() / 3]).unwrap();
+
     // No first stage runs, so the first stage boundary is the master's.
     let never = path("never.json");
     let out = run(&alpha_args(&never, "1.25", &tel, &resume), Some("kill@0"));
     assert!(!out.status.success() && !Path::new(&never).exists());
+    assert!(!stale.exists(), "the restart that completed replaced it");
     let stderr = stderr_of(&out);
     assert!(
         stderr.contains("first stage resumed from checkpoint: only second-stage settings changed")
@@ -332,7 +339,8 @@ fn resume_under_a_new_alpha_keeps_the_first_stage() {
 /// an exact fingerprint match and is discarded on anything else.
 #[test]
 fn a_chain_without_the_first_stage_key_resumes_only_on_its_fingerprint() {
-    use np_chaos::checkpoint::{append_record, read_records};
+    use neuroplan::checkpoint::Meta;
+    use np_chaos::checkpoint::Chain;
     let dir = tmp_dir("legacy-meta");
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let (ckpt, tel) = (path("ckpt"), path("t.jsonl"));
@@ -344,15 +352,17 @@ fn a_chain_without_the_first_stage_key_resumes_only_on_its_fingerprint() {
     assert_plan_written(&out, &dir.join("a15.json"), "alpha 1.5");
 
     // Strip `fs` from the meta record, as an older binary wrote it.
-    let chain = dir.join("ckpt").join("checkpoint.jsonl");
-    let mut records = read_records(&chain);
-    assert!(records[0].kind == "meta" && records[0].body.get("fs").is_some());
-    let fp = records[0].body.get("fp").expect("fp").clone();
-    records[0].body = serde_json::Value::Object(vec![("fp".to_string(), fp)]);
-    std::fs::remove_file(&chain).unwrap();
-    for r in records {
-        append_record(&chain, &r.kind, r.body, &np_chaos::Chaos::disabled()).unwrap();
-    }
+    let chaos = np_chaos::Chaos::disabled();
+    let file = dir.join("ckpt").join("checkpoint.jsonl");
+    let chain = Chain::new(&file, &chaos);
+    let mut records = chain.read();
+    let meta: Meta = records[0].decode().expect("meta first");
+    assert!(meta.fs.starts_with("fs-"));
+    let serde_json::Value::Object(members) = &mut records[0].body else {
+        panic!("a record body is an object");
+    };
+    members.retain(|(key, _)| key != "fs");
+    chain.restart(records).unwrap();
 
     let out = run(&alpha_args(&path("same.json"), "1.5", &tel, &resume), None);
     assert_plan_written(&out, &dir.join("same.json"), "legacy chain, same config");
@@ -403,7 +413,7 @@ fn a_corrupt_seeded_first_stage_is_dropped_and_the_run_trains() {
     for flip in [false, true] {
         let ckpt = dir.join(format!("flip-{flip}"));
         let planner = NeuroPlan::new(at(1.25)).with_checkpoint(&ckpt, true);
-        let first = checkpoint::first_stage_body(&donor.first_stage());
+        let first = donor.first_stage();
         assert!(planner.seed_first_stage(&fp, &key, first.clone()));
         assert!(
             !planner.seed_first_stage(&fp, &key, first),
@@ -425,6 +435,87 @@ fn a_corrupt_seeded_first_stage_is_dropped_and_the_run_trains() {
         assert_eq!(got.final_units, clean.final_units, "flip {flip}");
         assert_eq!(got.final_cost.to_bits(), clean.final_cost.to_bits());
         assert_eq!(got.quality, clean.quality);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One flipped bit in one record of each kind of a real chain: the
+/// checksum drops that record and everything after it, the resume redoes
+/// what was dropped, and the plan is the uninterrupted one. The
+/// positions are seeded (FNV of the kind), not searched for.
+#[test]
+fn one_flipped_bit_per_record_kind_resumes_to_the_uninterrupted_plan() {
+    use neuroplan::{NeuroPlan, NeuroPlanConfig, ReplanConfig};
+    use np_chaos::checkpoint::{fnv1a64, Chain};
+    use np_topology::generator::GeneratorConfig;
+
+    /// Flip one bit inside the middle record of `kind` in `file`.
+    fn flip(file: &Path, kind: &str) {
+        let chain = Chain::new(file, np_chaos::global()).read();
+        let of_kind: Vec<usize> = (0..chain.len())
+            .filter(|&i| chain[i].kind == kind)
+            .collect();
+        let line = of_kind[of_kind.len() / 2];
+        let mut bytes = std::fs::read(file).unwrap();
+        let starts: Vec<usize> = std::iter::once(0)
+            .chain(
+                (0..bytes.len())
+                    .filter(|&i| bytes[i] == b'\n')
+                    .map(|i| i + 1),
+            )
+            .collect();
+        let len = starts[line + 1] - starts[line] - 1;
+        let seed = fnv1a64(kind.as_bytes());
+        bytes[starts[line] + (seed % len as u64) as usize] ^= 1 << ((seed >> 32) % 8);
+        std::fs::write(file, bytes).unwrap();
+        let kept = Chain::new(file, np_chaos::global()).read().len();
+        assert_eq!(kept, line, "{kind}: the chain now ends before the flip");
+    }
+
+    let dir = tmp_dir("flips");
+    let net = GeneratorConfig::a_variant(0.5).generate();
+    let planner = |ckpt: &Path| {
+        NeuroPlan::new(NeuroPlanConfig::quick().with_seed(5)).with_checkpoint(ckpt, true)
+    };
+    let events = np_churn::generate_stream(&net, 5, 4);
+    let rcfg = ReplanConfig::default();
+    let clean_dir = dir.join("clean");
+    let clean = planner(&clean_dir)
+        .replan(&net, &events, &rcfg)
+        .expect("uninterrupted");
+    for (file, kind) in [
+        ("checkpoint.jsonl", "meta"),
+        ("checkpoint.jsonl", "epoch"),
+        ("checkpoint.jsonl", "first_stage"),
+        ("checkpoint.jsonl", "master"),
+        ("replan.jsonl", "replan_meta"),
+        ("replan.jsonl", "replan_event"),
+    ] {
+        let ckpt = dir.join(kind);
+        std::fs::create_dir_all(&ckpt).unwrap();
+        for name in ["checkpoint.jsonl", "replan.jsonl"] {
+            std::fs::copy(clean_dir.join(name), ckpt.join(name)).unwrap();
+        }
+        flip(&ckpt.join(file), kind);
+        let got = planner(&ckpt)
+            .replan(&net, &events, &rcfg)
+            .expect("resumed");
+        assert_eq!(got.final_units, clean.final_units, "{kind}");
+        assert_eq!(
+            got.final_cost.to_bits(),
+            clean.final_cost.to_bits(),
+            "{kind}"
+        );
+        let costs = |r: &neuroplan::ReplanReport| -> Vec<u64> {
+            r.events.iter().map(|e| e.cost.to_bits()).collect()
+        };
+        assert_eq!(costs(&got), costs(&clean), "{kind}");
+        let want = match kind {
+            "replan_meta" => 0,
+            "replan_event" => events.len() / 2,
+            _ => events.len(),
+        };
+        assert_eq!(got.resumed, want, "{kind}: events restored, not re-solved");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -84,7 +84,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch training statistics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EpochStats {
     /// Epoch index.
     pub epoch: usize,

@@ -23,8 +23,9 @@ pub use serde_derive::{Deserialize, Serialize};
 
 /// A JSON-shaped tree. All numbers are `f64`, as in JSON itself;
 /// integer deserialization checks integrality and range.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum Value {
+    #[default]
     Null,
     Bool(bool),
     Num(f64),

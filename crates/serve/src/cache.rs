@@ -2,11 +2,11 @@
 //!
 //! Repeat and perturbed requests should not pay for a full RL + ILP
 //! solve when a near-identical instance was just planned. The cache
-//! maps a topology/config fingerprint (the same
-//! `np_core::checkpoint::fingerprint` string the checkpoint chain is
-//! keyed by) to an opaque blob the planning service chooses — trained
-//! policy state, evaluator snapshot, incumbent plan — so a warm request
-//! can take the incremental replan path in milliseconds.
+//! maps a key the planning service chooses to a JSON blob it chooses.
+//! The planner binding keeps two kinds: a base plan (units, cost,
+//! quality) under the `neuroplan::checkpoint::fingerprint` that also
+//! keys the request's checkpoint chain, and a `first_stage` record body
+//! under its `first_stage_key` (DESIGN.md §15).
 //!
 //! Eviction is deterministic: a monotone access sequence (not wall
 //! time) orders entries, and ties cannot arise because the counter is

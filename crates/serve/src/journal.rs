@@ -15,8 +15,8 @@
 //! reconnecting clients. Torn tails — the crash landed mid-append — are
 //! dropped by the checksum exactly as checkpoint reads drop them.
 
-use np_chaos::checkpoint::{append_record, read_records};
-use np_chaos::Chaos;
+use np_chaos::checkpoint::{json, num, read_body, read_records, Chain};
+use np_chaos::{record, Chaos};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -24,14 +24,37 @@ use std::path::{Path, PathBuf};
 /// Journal file name inside the daemon's state directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 
-/// Record kinds. `submitted` opens a request; the other three close it.
-pub const K_SUBMITTED: &str = "submitted";
 /// Terminal: the run produced a plan.
 pub const K_DONE: &str = "done";
 /// Terminal: the run failed (infeasible / budget exhausted).
 pub const K_FAILED: &str = "failed";
 /// Terminal: the run was cancelled.
 pub const K_CANCELLED: &str = "cancelled";
+
+/// The `submitted` record that opens a request.
+#[derive(Default)]
+struct Submitted {
+    id: u64,
+    spec: Value,
+}
+
+record! { Submitted = "submitted" {
+    num "id" => id,
+    json "spec" => spec,
+}}
+
+/// The record that closes a request, under one of the three terminal
+/// kinds: `payload` is the result body or the error string.
+#[derive(Default)]
+struct Closed {
+    id: u64,
+    payload: Value,
+}
+
+record! { Closed {
+    num "id" => id,
+    json "payload" => payload,
+}}
 
 /// Append-only writer over the journal file.
 pub struct Journal {
@@ -55,15 +78,8 @@ impl Journal {
     /// Record an admission. Must complete before the client is told
     /// "queued" — this write is the durability point of admission.
     pub fn submitted(&self, id: u64, spec: &Value, chaos: &Chaos) -> std::io::Result<()> {
-        append_record(
-            &self.path,
-            K_SUBMITTED,
-            Value::Object(vec![
-                ("id".to_string(), Value::Num(id as f64)),
-                ("spec".to_string(), spec.clone()),
-            ]),
-            chaos,
-        )
+        let spec = spec.clone();
+        Chain::new(&self.path, chaos).append(Submitted { id, spec })
     }
 
     /// Record a terminal transition (`done`/`failed`/`cancelled`) with
@@ -76,15 +92,7 @@ impl Journal {
         chaos: &Chaos,
     ) -> std::io::Result<()> {
         debug_assert!(matches!(kind, K_DONE | K_FAILED | K_CANCELLED));
-        append_record(
-            &self.path,
-            kind,
-            Value::Object(vec![
-                ("id".to_string(), Value::Num(id as f64)),
-                ("payload".to_string(), payload),
-            ]),
-            chaos,
-        )
+        Chain::new(&self.path, chaos).append_as(kind, Closed { id, payload })
     }
 }
 
@@ -113,36 +121,23 @@ pub fn replay(path: &Path) -> (Vec<ReplayedRequest>, u64) {
     let mut order: Vec<u64> = Vec::new();
     let mut by_id: HashMap<u64, ReplayedRequest> = HashMap::new();
     for rec in read_records(path) {
-        let Some(id) = rec.body.get("id").and_then(|v| v.as_u64()) else {
-            continue;
-        };
-        match rec.kind.as_str() {
-            K_SUBMITTED => {
-                let spec = rec.body.get("spec").cloned().unwrap_or(Value::Null);
-                if !by_id.contains_key(&id) {
-                    order.push(id);
-                }
-                by_id.insert(
-                    id,
-                    ReplayedRequest {
-                        id,
-                        spec,
-                        terminal: None,
-                    },
-                );
+        if let Some(Submitted { id, spec }) = rec.decode() {
+            let terminal = None;
+            if by_id
+                .insert(id, ReplayedRequest { id, spec, terminal })
+                .is_none()
+            {
+                order.push(id);
             }
-            kind @ (K_DONE | K_FAILED | K_CANCELLED) => {
+        } else if let Some(kind) = [K_DONE, K_FAILED, K_CANCELLED]
+            .into_iter()
+            .find(|k| *k == rec.kind)
+        {
+            if let Some(Closed { id, payload }) = read_body(&rec.body) {
                 if let Some(req) = by_id.get_mut(&id) {
-                    let payload = rec.body.get("payload").cloned().unwrap_or(Value::Null);
-                    let k = match kind {
-                        K_DONE => K_DONE,
-                        K_FAILED => K_FAILED,
-                        _ => K_CANCELLED,
-                    };
-                    req.terminal = Some((k, payload));
+                    req.terminal = Some((kind, payload));
                 }
             }
-            _ => {}
         }
     }
     let next_id = order.iter().max().map_or(1, |m| m + 1);

@@ -36,9 +36,10 @@ pub const KILL_MARKER: &str = "chaos: injected kill";
 
 /// Provenance of a returned plan: which rung of the degradation ladder
 /// produced it. Ordering is by decreasing quality.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PlanQuality {
     /// The α-relaxed MILP ran to a proven optimum within budget.
+    #[default]
     Optimal,
     /// The MILP hit a budget but returned its best incumbent.
     Incumbent,

@@ -7,7 +7,7 @@
 //! report renders two ways:
 //!
 //! - [`ProfileReport::to_json`] — the stable `np-profile-v1` schema
-//!   written to `BENCH_profile.json` (golden-tested in
+//!   the CLI writes to `--profile-out` (golden-tested in
 //!   `crates/bench/tests/profile_schema.rs`);
 //! - [`ProfileReport::render_table`] — the sorted stderr table behind
 //!   the CLI's `--profile` flag.

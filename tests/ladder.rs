@@ -15,11 +15,12 @@
 //! without it the planner takes its legacy single-stream path. The
 //! expectations are the same either way.
 
+use neuroplan::checkpoint::MasterRecord;
 use neuroplan::{
     validate_plan, NeuroPlan, NeuroPlanConfig, NeuroPlanResult, PlanFailure, PlanQuality,
     ReplanConfig, SupervisionReport,
 };
-use np_chaos::checkpoint::{f64_to_hex, read_records};
+use np_chaos::checkpoint::{f64_to_hex, Chain};
 use np_chaos::{CancelToken, FaultPlan};
 use np_churn::ChurnEvent;
 use np_telemetry::Telemetry;
@@ -390,10 +391,11 @@ fn a_cancel_that_lands_during_the_master_is_never_swallowed() {
         outcome
     });
 
-    let chain = read_records(&dir.join("checkpoint.jsonl"));
+    let chain = dir.join("checkpoint.jsonl");
+    let chain = Chain::new(&chain, np_chaos::global()).read();
     match outcome {
         Err(PlanFailure::Cancelled) => assert!(
-            chain.iter().all(|r| r.kind != "master"),
+            !chain.iter().any(|r| r.is::<MasterRecord>()),
             "a cancelled run must not record a finished second stage"
         ),
         Ok(result) => {

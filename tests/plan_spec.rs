@@ -12,6 +12,7 @@
 
 use neuroplan::spec::{Field, Kind, FIELDS};
 use neuroplan::{checkpoint, NeuroPlanService, PlanSpec};
+use np_chaos::checkpoint::body_of;
 use np_chaos::CancelToken;
 use np_serve::{PlanService, RequestCtx, ServiceFailure, WarmCache};
 use np_telemetry::Telemetry;
@@ -181,7 +182,7 @@ fn first_stage_of(
         return record.clone();
     }
     let first = neuroplan::NeuroPlan::new(cfg).first_stage(net);
-    let record = serde_json::to_string(&checkpoint::first_stage_body(&first)).expect("json");
+    let record = serde_json::to_string(&body_of(first)).expect("json");
     trained.push((inputs, record.clone()));
     record
 }
@@ -503,6 +504,33 @@ fn the_cli_refuses_bad_requests_before_doing_anything() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--profile` alone reports on stderr and leaves the working directory
+/// as it found it (it used to drop `BENCH_profile.json` there, over the
+/// committed one when run from the checkout root).
+#[test]
+fn profile_writes_a_file_only_where_profile_out_says() {
+    let bin = neuroplan_bin();
+    let dir = tmp("profile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let plan = |extra: &[&str]| {
+        let done = Command::new(bin)
+            .args(["plan", "--preset", "a", "--quick", "--profile"])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn neuroplan");
+        let stderr = String::from_utf8_lossy(&done.stderr).into_owned();
+        assert!(done.status.success(), "{stderr}");
+        assert!(stderr.contains("profile: total wall"), "{stderr}");
+        std::fs::read_dir(&dir).unwrap().count()
+    };
+    assert_eq!(plan(&[]), 0, "nothing written without --profile-out");
+    assert_eq!(plan(&["--profile-out", "p.json"]), 1);
+    let report = std::fs::read_to_string(dir.join("p.json")).unwrap();
+    assert!(report.contains("np-profile-v1"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
