@@ -93,13 +93,12 @@ fn client_loop(addr: &str, seeds: &[u64]) -> Vec<f64> {
     for &seed in seeds {
         let t0 = Instant::now();
         let reply = client.submit(&spec(seed)).expect("submit");
-        let id = np_serve::client::submit_id(&reply)
-            .unwrap_or_else(|| panic!("request not admitted: {reply:?}"));
-        let result = client.wait(id, Duration::from_secs(600)).expect("wait");
+        let result = client.outcome(&reply, Duration::from_secs(600));
+        let result = result.expect("outcome");
         assert_eq!(
             result.get("state").and_then(|v| v.as_str()),
             Some("done"),
-            "request {id} did not finish: {result:?}"
+            "request did not finish: {result:?} (submit said {reply:?})"
         );
         latencies.push(t0.elapsed().as_secs_f64() * 1e3);
     }

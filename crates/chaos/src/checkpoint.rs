@@ -321,9 +321,10 @@ impl<'a> Chain<'a> {
         append_record(self.path, kind, body_of(rec), self.chaos)
     }
 
-    /// Replace the chain by `records`, one [`append_record`] each. The
-    /// new chain is written beside the old one and renamed over it, so a
-    /// death part-way leaves the old chain whole.
+    /// Replace the chain by `records`, each the line [`append_record`]
+    /// writes (and one `truncate-checkpoint` draw each), through one
+    /// handle. The new chain is written beside the old one and renamed
+    /// over it, so a death part-way leaves the old chain whole.
     pub fn restart(&self, records: impl IntoIterator<Item = Record>) -> std::io::Result<()> {
         if let Some(dir) = self.path.parent() {
             std::fs::create_dir_all(dir)?;
@@ -332,19 +333,24 @@ impl<'a> Chain<'a> {
         next.push(".next");
         let next = Path::new(&next);
         // Truncates what a restart that died here left behind.
-        std::fs::File::create(next)?;
+        let mut file = std::io::BufWriter::with_capacity(1 << 16, std::fs::File::create(next)?);
         for r in records {
-            append_record(next, &r.kind, r.body, self.chaos)?;
+            write_record(&mut file, &r.kind, r.body, self.chaos)?;
         }
+        file.flush()?;
+        drop(file);
         std::fs::rename(next, self.path)
     }
 }
 
-/// Append one record to `path` (created if missing) and flush it to the
-/// OS. When the chaos plan's `truncate-checkpoint` trigger fires, only
-/// the first half of the line is written (no newline) — a simulated torn
-/// write that the reader must survive.
-pub fn append_record(path: &Path, kind: &str, body: Value, chaos: &Chaos) -> std::io::Result<()> {
+/// One record as its line, or as the torn half of it when the chaos
+/// plan's `truncate-checkpoint` trigger fires.
+fn write_record(
+    out: &mut impl Write,
+    kind: &str,
+    body: Value,
+    chaos: &Chaos,
+) -> std::io::Result<()> {
     let rec = Value::Object(vec![
         ("v".to_string(), Value::Num(FORMAT_VERSION as f64)),
         ("kind".to_string(), Value::Str(kind.to_string())),
@@ -355,15 +361,23 @@ pub fn append_record(path: &Path, kind: &str, body: Value, chaos: &Chaos) -> std
         "{{\"sum\":\"{:016x}\",\"rec\":{payload}}}\n",
         fnv1a64(payload.as_bytes())
     );
+    if chaos.should_fire(FaultClass::TruncateCheckpoint) {
+        out.write_all(&line.as_bytes()[..line.len() / 2])
+    } else {
+        out.write_all(line.as_bytes())
+    }
+}
+
+/// Append one record to `path` (created if missing) and flush it to the
+/// OS. When the chaos plan's `truncate-checkpoint` trigger fires, only
+/// the first half of the line is written (no newline) — a simulated torn
+/// write that the reader must survive.
+pub fn append_record(path: &Path, kind: &str, body: Value, chaos: &Chaos) -> std::io::Result<()> {
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
-    if chaos.should_fire(FaultClass::TruncateCheckpoint) {
-        file.write_all(&line.as_bytes()[..line.len() / 2])?;
-    } else {
-        file.write_all(line.as_bytes())?;
-    }
+    write_record(&mut file, kind, body, chaos)?;
     file.flush()
 }
 

@@ -64,8 +64,15 @@ fn usage() -> ! {
     eprintln!(
         "\n--profile prints the self-time table to stderr; its JSON goes to --profile-out only"
     );
+    eprintln!(
+        "request exits {EXPIRED} (\"request <id> expired: ...\") for an --id the daemon issued but no longer keeps (410)"
+    );
     exit(2)
 }
+
+/// Exit code of `request` for an id whose result has expired (`410`):
+/// apart from 1, a request that failed or was refused, and 2, usage.
+const EXPIRED: i32 = 3;
 
 /// A usage error: nothing has been generated, trained or written yet.
 fn fail(msg: &str) -> ! {
@@ -545,13 +552,11 @@ fn main() {
                         eprintln!("submit failed: {e}");
                         exit(1)
                     });
-                    match np_serve::client::submit_id(&reply) {
-                        Some(id) => {
-                            eprintln!("request {id} admitted; waiting...");
-                            client.wait(id, timeout)
-                        }
-                        None => Ok(reply), // shed/rejected: print the envelope
+                    if let Some(id) = np_serve::client::submit_id(&reply) {
+                        eprintln!("request {id} admitted; waiting...");
                     }
+                    // Shed or rejected: the envelope itself is printed.
+                    client.outcome(&reply, timeout)
                 }
                 "status" => client.status(id_flag()),
                 "result" => client.result(id_flag()),
@@ -566,6 +571,12 @@ fn main() {
             });
             let ok = reply.get("ok").and_then(|v| v.as_bool()) == Some(true);
             let state = reply.get("state").and_then(|v| v.as_str()).unwrap_or("");
+            let code = reply.get("code").and_then(|v| v.as_u64());
+            if code == Some(np_serve::proto::code::GONE.into()) {
+                let why = reply.get("error").and_then(|v| v.as_str());
+                eprintln!("neuroplan: {}", why.unwrap_or("request expired"));
+                exit(EXPIRED)
+            }
             write_or_print(&flags, &serde_json::to_string_pretty(&reply).expect("json"));
             if !ok || state == "failed" {
                 exit(1)

@@ -9,7 +9,10 @@
 //!   resume mode: a fresh request finds no records and starts clean, a
 //!   journal-replayed or worker-death-retried request continues from
 //!   whatever epochs the dead run flushed — the same bit-identical
-//!   resume contract the CLI `--resume` path has (DESIGN.md §10).
+//!   resume contract the CLI `--resume` path has (DESIGN.md §10). The
+//!   chain is there to resume from and goes once the request has closed
+//!   ([`PlanService::closed`]): a state directory holds the chains of
+//!   the requests in flight and no others.
 //! * **Cancellation.** The daemon's per-request token goes straight
 //!   into [`NeuroPlan::with_cancel`], so `cancel` frees the worker at
 //!   the next supervisor stage / trainer epoch boundary.
@@ -126,7 +129,7 @@ fn result_body(
     let [units, cost, cost_hex, quality] = plan_body(units, cost, quality);
     let id = ("id".to_string(), json!(id));
     let fp = ("fingerprint".to_string(), json!(fp));
-    // Exactly sized: the daemon keeps every result it has served.
+    // Exactly sized: the daemon keeps the last few thousand it served.
     let mut members = Vec::with_capacity(6 + served.len());
     members.extend([id, units, cost, cost_hex, quality, fp]);
     members.extend(served.iter().map(|(k, v)| (k.to_string(), json!(*v))));
@@ -136,6 +139,11 @@ fn result_body(
 const WARM: [(&str, &str); 1] = [("cache", "warm")];
 
 impl NeuroPlanService {
+    /// Where request `id` keeps its checkpoint chain while it runs.
+    fn req_dir(&self, id: u64) -> PathBuf {
+        self.state_dir.join(format!("req-{id}"))
+    }
+
     /// The warm hit, on either lane: `blob` is the plan cached under the
     /// fingerprint of an event-free request for `net`. One evaluator
     /// validation pass instead of a full RL + ILP solve; a cached plan
@@ -211,8 +219,7 @@ impl PlanService for NeuroPlanService {
         // Cold path: the full pipeline under this request's own
         // checkpoint chain. Resume mode is unconditional — an empty
         // chain starts fresh, a replayed one continues bit-identically.
-        let req_dir = self.state_dir.join(format!("req-{}", ctx.id));
-        let planner = planner.with_checkpoint(&req_dir, true);
+        let planner = planner.with_checkpoint(self.req_dir(ctx.id), true);
         // A first stage trained for this (instance, training config, seed)
         // under other second-stage settings seeds the chain, and the
         // resume runs the second stage alone.
@@ -251,6 +258,12 @@ impl PlanService for NeuroPlanService {
             .map_err(|e| fail("plan", e))?;
         let quality = stream_quality(&report);
         done(&report.final_units, report.final_cost, quality, cold)
+    }
+
+    /// The result is in the journal: nothing will resume this request's
+    /// chain again. First-stage reuse reads the LRU, never a chain.
+    fn closed(&self, id: u64) {
+        let _ = std::fs::remove_dir_all(self.req_dir(id));
     }
 }
 
@@ -446,6 +459,28 @@ mod tests {
             .execute(&at_alpha(1.5), &ctx(&empty, 1))
             .expect("own");
         assert_eq!(own.get("first_stage"), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_closed_request_leaves_no_chain_and_reuse_does_not_need_one() {
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("closed");
+        let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+        svc.execute(&at_alpha(1.5), &ctx(&cache, 1)).expect("cold");
+        std::fs::create_dir_all(dir.join("req-2")).unwrap();
+        assert!(dir.join("req-1").join("checkpoint.jsonl").exists());
+        svc.closed(1);
+        svc.closed(7);
+        assert!(!dir.join("req-1").exists(), "the closed request's chain");
+        assert!(dir.join("req-2").exists(), "and no other");
+        // The first stage it trained serves another alpha from the LRU.
+        let reused = svc
+            .execute(&at_alpha(1.25), &ctx(&cache, 3))
+            .expect("reused");
+        assert_eq!(text(&reused, "first_stage"), Some("reused"));
+        let scratch = from_scratch(&svc, &at_alpha(1.25), 4);
+        assert_eq!(identity(&reused), identity(&scratch));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

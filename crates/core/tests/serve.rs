@@ -78,6 +78,29 @@ impl Drop for Daemon {
     }
 }
 
+/// A relay in front of the daemon at `addr` for one connection: its
+/// address, and (once that connection has closed) the `op` of every
+/// frame the client sent.
+fn counting_proxy(addr: &str) -> (String, std::thread::JoinHandle<Vec<String>>) {
+    use np_serve::proto::{read_frame, write_frame};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let proxy = listener.local_addr().expect("proxy address").to_string();
+    let mut upstream = std::net::TcpStream::connect(addr).expect("connect upstream");
+    let relay = std::thread::spawn(move || {
+        let (mut client, _) = listener.accept().expect("one client");
+        let mut ops = Vec::new();
+        while let Ok(frame) = read_frame(&mut client) {
+            let op = frame.get("op").and_then(|v| v.as_str()).unwrap_or("?");
+            ops.push(op.to_string());
+            write_frame(&mut upstream, &frame).expect("relay request");
+            let reply = read_frame(&mut upstream).expect("daemon reply");
+            write_frame(&mut client, &reply).expect("relay reply");
+        }
+        ops
+    });
+    (proxy, relay)
+}
+
 /// Spec that solves in well under a second even in debug builds.
 fn fast_spec(seed: u64) -> Value {
     json!({"preset": "a", "seed": seed})
@@ -155,6 +178,57 @@ fn daemon_round_trip_over_the_binary() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.get("inline_hits").and_then(|v| v.as_u64()), Some(1));
 
+    // `request --do run` of the repeat is those two frames and no more:
+    // the submit reply said `done`, so nothing is left to poll for.
+    let (proxy, frames) = counting_proxy(&daemon.addr);
+    let run = Command::new(BIN)
+        .args(["request", "--addr", &proxy, "--do", "run"])
+        .args(["--preset", "a", "--seed", "3"])
+        .output()
+        .expect("run request");
+    assert!(run.status.success(), "{run:?}");
+    let printed = String::from_utf8(run.stdout).expect("text");
+    let printed: Value = serde_json::from_str(&printed).expect("a result frame");
+    assert_eq!(plan_identity(&printed), plan_identity(&warm));
+    let ops = frames.join().expect("proxy");
+    assert_eq!(ops, ["submit", "result"], "a repeat costs two frames");
+    // The same through the library, by what the daemon was asked.
+    let again = client.submit(&fast_spec(3)).expect("repeat");
+    let outcome = client.outcome(&again, Duration::from_secs(60));
+    assert_eq!(
+        plan_identity(&outcome.expect("outcome")),
+        plan_identity(&warm)
+    );
+
+    // An id the daemon never issued is unknown, not expired; the CLI
+    // tells the two apart by exit code.
+    let unknown = client.status(1_000_000).expect("status");
+    assert_eq!(unknown.get("code").and_then(|v| v.as_u64()), Some(404));
+    let asked = Command::new(BIN)
+        .args(["request", "--addr", &daemon.addr, "--do", "result"])
+        .args(["--id", "1000000"])
+        .output()
+        .expect("run request");
+    assert_eq!(asked.status.code(), Some(1), "{asked:?}");
+
+    // A repeat from before the newest 1024 has expired: `410`, which
+    // the CLI reports as such (exit 3, no envelope on stdout).
+    for _ in 0..1_024 {
+        let reply = client.submit(&fast_spec(3)).expect("repeat");
+        assert_eq!(state_of(&reply), "done", "{reply:?}");
+    }
+    let expired = client.result(id).expect("result");
+    assert_eq!(expired.get("code").and_then(|v| v.as_u64()), Some(410));
+    let asked = Command::new(BIN)
+        .args(["request", "--addr", &daemon.addr, "--do", "result"])
+        .args(["--id", &id.to_string()])
+        .output()
+        .expect("run request");
+    assert_eq!(asked.status.code(), Some(3), "{asked:?}");
+    assert!(asked.stdout.is_empty(), "{asked:?}");
+    let said = String::from_utf8_lossy(&asked.stderr);
+    assert!(said.contains(&format!("request {id} expired")), "{said}");
+
     // Whatever solves still queues: a churn stream over the cached plan,
     // and a new alpha (its second stage).
     for spec in [
@@ -168,6 +242,14 @@ fn daemon_round_trip_over_the_binary() {
         assert_eq!(state_of(&result), "done");
     }
     daemon.shutdown();
+    // Three solves ran, each under a chain of its own; a closed request
+    // has nothing to resume, so none is left.
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("state dir")
+        .map(|entry| entry.expect("entry").file_name())
+        .filter(|name| name.to_string_lossy().starts_with("req-"))
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
 }
 
 #[test]

@@ -170,12 +170,20 @@ fn indent(out: &mut String, depth: usize) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
+
+/// Deepest nesting the parser follows (as in the real `serde_json`): the
+/// descent is recursive, and input is not always a friend's — a frame of
+/// nothing but `[` must be an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
 
 fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -229,12 +237,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deep"));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -406,6 +424,19 @@ mod tests {
         assert_eq!(to_string(&v).unwrap(), text);
         assert_eq!(v["a"][2]["b"].as_str(), Some("x"));
         assert_eq!(v["missing"], Value::Null);
+    }
+
+    #[test]
+    fn nesting_has_a_limit_instead_of_a_stack() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
+        // Siblings do not add up.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 4].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]

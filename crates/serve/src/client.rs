@@ -3,7 +3,10 @@
 //! One [`Client`] wraps one TCP connection; every method is a single
 //! request/response frame exchange. The daemon keeps request state
 //! server-side (journal-backed), so a client may disconnect, crash, or
-//! reconnect from a different process and still poll its request by id.
+//! reconnect from a different process and still poll its request by id
+//! — within the retention window: the daemon keeps every request in
+//! flight and the newest 1024 closed ones per lane, and answers an older
+//! id with a `410` envelope ("expired").
 
 use crate::proto;
 use serde_json::Value;
@@ -76,29 +79,51 @@ impl Client {
         self.call(&proto::obj(vec![("op", Value::Str("shutdown".into()))]))
     }
 
+    /// The outcome of the request a `submit` reply admitted: its
+    /// `result` frame, fetched at once when the reply already says it
+    /// closed (answered at admission: two frames in all, no `status`),
+    /// after [`Client::wait`] otherwise. A reply that admitted nothing
+    /// comes back as it is.
+    pub fn outcome(&mut self, submitted: &Value, timeout: Duration) -> Result<Value> {
+        match submit_id(submitted) {
+            None => Ok(submitted.clone()),
+            Some(id) if closed(submitted) => self.result(id),
+            Some(id) => self.wait(id, timeout),
+        }
+    }
+
     /// Poll `status` until the request reaches a terminal state, then
-    /// return `result`. Polling interval grows 10ms → 200ms.
+    /// return `result`. Polling interval grows 10ms → 200ms. A `status`
+    /// the daemon refuses (`404`, or `410` for an id that has expired)
+    /// ends the wait with that envelope.
     pub fn wait(&mut self, id: u64, timeout: Duration) -> Result<Value> {
         let deadline = Instant::now() + timeout;
         let mut pause = Duration::from_millis(10);
         loop {
             let status = self.status(id)?;
-            let state = status.get("state").and_then(|v| v.as_str()).unwrap_or("");
-            match state {
-                "done" | "failed" | "cancelled" => return self.result(id),
-                _ if Instant::now() >= deadline => {
-                    return Err(Error::new(
-                        ErrorKind::TimedOut,
-                        format!("request {id} still `{state}` after {timeout:?}"),
-                    ));
-                }
-                _ => {
-                    std::thread::sleep(pause);
-                    pause = (pause * 2).min(Duration::from_millis(200));
-                }
+            if closed(&status) {
+                return self.result(id);
             }
+            if status.get("ok").and_then(|v| v.as_bool()) != Some(true) {
+                return Ok(status);
+            }
+            if Instant::now() >= deadline {
+                let state = status.get("state").and_then(|v| v.as_str()).unwrap_or("");
+                return Err(Error::new(
+                    ErrorKind::TimedOut,
+                    format!("request {id} still `{state}` after {timeout:?}"),
+                ));
+            }
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(Duration::from_millis(200));
         }
     }
+}
+
+/// Whether a `submit` or `status` reply reports a terminal state.
+fn closed(reply: &Value) -> bool {
+    let state = reply.get("state").and_then(|v| v.as_str());
+    matches!(state, Some("done" | "failed" | "cancelled"))
 }
 
 /// Extract `id` from a successful submit reply.

@@ -13,9 +13,12 @@
 //! 1. **Crash safety.** Admission is durable before the client hears
 //!    "queued" (journal-first), terminals are durable before they are
 //!    observable, and a daemon killed with `kill -9` replays the
-//!    journal on restart: finished requests stay retrievable, in-flight
-//!    ones re-enqueue with `resume` set so the service continues them
-//!    bit-identically from their own checkpoints.
+//!    journal on restart: finished requests stay retrievable within the
+//!    retention window (the newest 1024 closes per lane; an older id
+//!    answers `410`), in-flight ones re-enqueue with `resume`
+//!    set so the service continues them bit-identically from their own
+//!    checkpoints. Table, journal and state directory are bounded by
+//!    what is retained, not by what was ever served.
 //! 2. **Admission control.** The queue is bounded; beyond it, submits
 //!    are shed with an explicit 429-style rejection instead of latency
 //!    collapse. The bound is on requests that need a worker: one the
@@ -36,6 +39,7 @@ pub mod proto;
 pub use cache::WarmCache;
 pub use client::Client;
 
+use journal::Totals;
 use np_chaos::{CancelToken, DirLock, FaultClass};
 use np_telemetry::{sys, Telemetry};
 use serde_json::Value;
@@ -87,6 +91,16 @@ pub trait PlanService: Send + Sync + 'static {
     fn warm(&self, _spec: &Value, _ctx: &RequestCtx<'_>) -> Option<Value> {
         None
     }
+
+    /// Request `id` has closed: its terminal record is durable and its
+    /// clients can see the outcome, so whatever the service kept to be
+    /// able to resume it (a checkpoint chain) can go. Called once per
+    /// request that queued — on the thread that closed it, outside the
+    /// daemon's locks — and again at start for every closed request the
+    /// journal still holds, in case the daemon died in between. A
+    /// request [`PlanService::warm`] answered never ran and is not
+    /// announced.
+    fn closed(&self, _id: u64) {}
 }
 
 /// Shared services work unchanged (tests hold one side to observe).
@@ -97,6 +111,10 @@ impl<T: PlanService> PlanService for Arc<T> {
 
     fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
         self.as_ref().warm(spec, ctx)
+    }
+
+    fn closed(&self, id: u64) {
+        self.as_ref().closed(id)
     }
 }
 
@@ -178,8 +196,31 @@ impl ReqState {
     }
 }
 
+/// Terminal requests the table keeps per lane. Everything a request
+/// costs the daemon — table entry, journal records, replay time — is
+/// bounded by this and the requests in flight, for any uptime.
+///
+/// The two lanes are bounded apart so that repeats cannot push a solved
+/// plan out: a request that queued outlives 1024 later *queued* closes
+/// (solves, and the cancels of queued requests), however many requests
+/// were answered at admission meanwhile. For those 1024 is a time
+/// bound: their client read `done` in the submit reply and fetches the
+/// result at once, and even one on [`Client::wait`]'s slowest poll (200
+/// ms) is inside the window at the ~3.4k warm requests/s one daemon
+/// has been measured to answer (680 closes per poll).
+const RETAINED: usize = 1024;
+
+/// Which of the two retention rings a closed request is in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lane {
+    /// It took a queue slot: a worker closed it, or a cancel did.
+    Queued = 0,
+    /// It was answered at admission.
+    Answered = 1,
+}
+
 struct Request {
-    /// What the worker runs; `Null` once terminal (the journal keeps it).
+    /// What the worker runs, and what a compaction writes back.
     spec: Value,
     state: ReqState,
     /// Result body (Done) or error string (Failed).
@@ -193,30 +234,93 @@ struct Request {
     resume: bool,
     /// A worker-death retry has already been spent.
     requeued: bool,
+    /// The ring it goes to when it closes.
+    lane: Lane,
 }
 
 impl Request {
-    fn new(spec: Value, state: ReqState, outcome: Option<Value>) -> Request {
+    fn new(spec: Value) -> Request {
         Request {
             spec,
-            state,
-            outcome,
+            state: ReqState::Queued,
+            outcome: None,
             stop: CancelToken::new(),
             user_cancelled: false,
             resume: false,
             requeued: false,
+            lane: Lane::Queued,
         }
+    }
+
+    /// The terminal kind and payload of a closed request's record.
+    fn terminal(&self) -> Option<(&'static str, &Value)> {
+        let kind = match self.state {
+            ReqState::Done => journal::K_DONE,
+            ReqState::Failed => journal::K_FAILED,
+            ReqState::Cancelled => journal::K_CANCELLED,
+            ReqState::Queued | ReqState::Running => return None,
+        };
+        Some((kind, self.outcome.as_ref().unwrap_or(&Value::Null)))
+    }
+
+    /// Journal lines this request accounts for: its `submitted`, and
+    /// its terminal record once closed.
+    fn lines(&self) -> usize {
+        1 + usize::from(self.state.terminal())
     }
 }
 
 struct State {
     queue: VecDeque<u64>,
+    /// Every request in flight and the newest closed ones (`rings`).
     requests: HashMap<u64, Request>,
     next_id: u64,
     draining: bool,
     running: usize,
     /// Requests answered at admission, which no worker ever saw.
     inline_hits: u64,
+    /// The closed requests in the table, oldest close first, by
+    /// [`Lane`]: at most [`RETAINED`] each.
+    rings: [VecDeque<u64>; 2],
+    /// Outcomes of every request ever closed.
+    closed: Totals,
+    /// Outcomes of those among them that have left the table.
+    expired: Totals,
+    /// Journal lines of the requests in the table.
+    live_lines: usize,
+    /// Every other line of the journal.
+    dead_lines: usize,
+}
+
+impl State {
+    /// Put request `id`, just closed under terminal kind `kind`, in its
+    /// lane's ring. The ring's oldest request leaves the table when that
+    /// makes one too many.
+    fn retain(&mut self, id: u64, lane: Lane, kind: &str) {
+        self.closed.count(kind);
+        let ring = &mut self.rings[lane as usize];
+        ring.push_back(id);
+        if ring.len() <= RETAINED {
+            return;
+        }
+        let oldest = ring.pop_front().and_then(|id| self.requests.remove(&id));
+        let oldest = oldest.expect("a ring holds ids of the table");
+        let (kind, _) = oldest.terminal().expect("a ring holds closed requests");
+        self.expired.count(kind);
+        self.live_lines -= oldest.lines();
+        self.dead_lines += oldest.lines();
+    }
+
+    /// Why `id` is not in the table: it was issued and has expired since
+    /// (410), or it never was (404).
+    fn missing(&self, id: u64) -> Value {
+        if (1..self.next_id).contains(&id) {
+            let msg = format!("request {id} expired: it closed longer ago than results are kept");
+            proto::err(proto::code::GONE, &msg)
+        } else {
+            proto::err(proto::code::NOT_FOUND, &format!("unknown request {id}"))
+        }
+    }
 }
 
 struct Inner<S: PlanService> {
@@ -263,45 +367,62 @@ impl<S: PlanService> Server<S> {
         shutdown: CancelToken,
         chaos: np_chaos::Chaos,
     ) -> std::io::Result<Server<S>> {
-        let lock = DirLock::acquire(&cfg.state_dir)
+        let dir_lock = DirLock::acquire(&cfg.state_dir)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::AddrInUse, e.to_string()))?;
         let journal = journal::Journal::in_dir(&cfg.state_dir)?;
 
-        // Journal replay: finished requests stay retrievable, in-flight
-        // ones re-enqueue with resume set.
-        let (replayed, next_id) = journal::replay(journal.path());
+        // Journal replay: in-flight requests re-enqueue with resume set,
+        // closed ones go through the rings in the order they closed —
+        // the table a daemon that never stopped would hold.
+        let replay = journal::Replay::of(journal.path());
         let mut state = State {
             queue: VecDeque::new(),
             requests: HashMap::new(),
-            next_id,
+            next_id: replay.next_id(),
             draining: false,
             running: 0,
             inline_hits: 0,
+            rings: Default::default(),
+            closed: replay.head.expired,
+            expired: replay.head.expired,
+            live_lines: 0,
+            dead_lines: replay.lines,
         };
-        let mut resumed = 0u64;
-        for r in replayed {
-            let (req_state, outcome, pending) = match &r.terminal {
-                None => (ReqState::Queued, None, true),
-                Some((journal::K_DONE, payload)) => (ReqState::Done, Some(payload.clone()), false),
-                Some((journal::K_CANCELLED, _)) => (ReqState::Cancelled, None, false),
-                Some((_, payload)) => (ReqState::Failed, Some(payload.clone()), false),
-            };
-            // Only a request that will run again needs its spec.
-            let spec = if pending { r.spec } else { Value::Null };
-            state.requests.insert(
-                r.id,
-                Request {
-                    resume: pending,
-                    ..Request::new(spec, req_state, outcome)
-                },
-            );
-            if pending {
-                state.queue.push_back(r.id);
-                resumed += 1;
+        for r in replay.requests {
+            let mut req = Request::new(r.spec);
+            match r.terminal {
+                None => {
+                    req.resume = true;
+                    state.queue.push_back(r.id);
+                }
+                Some((kind, payload)) => {
+                    req.state = match kind {
+                        journal::K_DONE => ReqState::Done,
+                        journal::K_CANCELLED => ReqState::Cancelled,
+                        _ => ReqState::Failed,
+                    };
+                    // A cancel has no payload to keep.
+                    req.outcome = (kind != journal::K_CANCELLED).then_some(payload);
+                    if r.answered {
+                        req.lane = Lane::Answered;
+                    }
+                }
             }
+            state.live_lines += req.lines();
+            state.dead_lines -= req.lines();
+            state.requests.insert(r.id, req);
         }
-        if resumed > 0 {
-            tel.incr(sys::SERVE, "journal_resumes", resumed);
+        if !state.queue.is_empty() {
+            tel.incr(sys::SERVE, "journal_resumes", state.queue.len() as u64);
+        }
+        for &id in &replay.closed {
+            let req = &state.requests[&id];
+            let (lane, (kind, _)) = (req.lane, req.terminal().expect("closed"));
+            // The daemon may have died before it could say so.
+            if lane == Lane::Queued {
+                service.closed(id);
+            }
+            state.retain(id, lane, kind);
         }
 
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -320,6 +441,9 @@ impl<S: PlanService> Server<S> {
             chaos,
             shutdown,
         });
+        // A journal from before compaction, or one a dying daemon left
+        // more than half stale, is cut down before it is served from.
+        inner.compact_if_due(&mut lock(&inner.state));
 
         let mut threads = Vec::new();
         // Shutdown watcher: the daemon-wide token may be fired by a
@@ -364,7 +488,7 @@ impl<S: PlanService> Server<S> {
             inner,
             addr,
             threads,
-            _lock: lock,
+            _lock: dir_lock,
         })
     }
 
@@ -405,21 +529,67 @@ impl<S: PlanService> Inner<S> {
     }
 
     /// Close request `id`. Journal-first: the terminal record is durable
-    /// before the state flips, so before any client can observe it. The
-    /// spec was needed to run the request and stays in the journal; a
-    /// closed request keeps only its outcome.
-    fn close(&self, id: u64, req: &mut Request, state: ReqState, outcome: Option<Value>) {
+    /// before the state flips, so before any client can observe it. This
+    /// is also where the table and the journal are kept bounded: the
+    /// closed request may push the oldest of its lane out of the table,
+    /// and the records of those pushed out, out of the journal.
+    fn close(&self, st: &mut State, id: u64, state: ReqState, outcome: Option<Value>) {
         let (kind, counter) = match state {
             ReqState::Done => (journal::K_DONE, "completions"),
             ReqState::Failed => (journal::K_FAILED, "failures"),
             _ => (journal::K_CANCELLED, "cancels"),
         };
+        let req = st.requests.get_mut(&id).expect("closing id exists");
         let payload = outcome.clone().unwrap_or(Value::Null);
-        let _ = self.journal.terminal(kind, id, payload, &self.chaos);
+        let _ = match req.lane {
+            Lane::Queued => self.journal.terminal(kind, id, payload, &self.chaos),
+            Lane::Answered => self.journal.answered(id, payload, &self.chaos),
+        };
         req.state = state;
         req.outcome = outcome;
-        req.spec = Value::Null;
+        let lane = req.lane;
+        st.live_lines += 1;
+        st.retain(id, lane, kind);
         self.tel.incr(sys::SERVE, counter, 1);
+        self.compact_if_due(st);
+    }
+
+    /// Rewrite the journal to the requests in the table once the records
+    /// of the others outnumber theirs, which makes a rewrite of `n`
+    /// records happen once in `n / 2` closes at most. The caller holds
+    /// the state lock, under which every journal write happens, so this
+    /// is the only writer; a failed (or killed) rewrite leaves the old
+    /// journal in place and the next close tries again.
+    fn compact_if_due(&self, st: &mut State) {
+        if st.dead_lines <= st.live_lines {
+            return;
+        }
+        let head = journal::Head {
+            floor: st.next_id,
+            expired: st.expired,
+        };
+        // Each ring in its own order, which is all a replay needs to
+        // rebuild it, then what is in flight in admission order.
+        let mut pending: Vec<u64> = (st.requests.iter())
+            .filter(|(_, r)| !r.state.terminal())
+            .map(|(&id, _)| id)
+            .collect();
+        pending.sort_unstable();
+        let ids = st.rings.iter().flatten().chain(&pending);
+        let kept = ids.map(|&id| {
+            let req = &st.requests[&id];
+            journal::Kept {
+                id,
+                spec: &req.spec,
+                terminal: req.terminal(),
+                answered: req.lane == Lane::Answered,
+            }
+        });
+        if let Ok(lines) = self.journal.compact(head, kept, &self.chaos) {
+            st.live_lines = lines - 1;
+            st.dead_lines = 0;
+            self.tel.incr(sys::SERVE, "compactions", 1);
+        }
     }
 }
 
@@ -471,10 +641,10 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
         st.running -= 1;
         let req = st.requests.get_mut(&id).expect("running id exists");
         match run {
-            Ok(Ok(body)) => inn.close(id, req, ReqState::Done, Some(body)),
+            Ok(Ok(body)) => inn.close(&mut st, id, ReqState::Done, Some(body)),
             Ok(Err(ServiceFailure::Cancelled)) => {
                 if req.user_cancelled {
-                    inn.close(id, req, ReqState::Cancelled, None);
+                    inn.close(&mut st, id, ReqState::Cancelled, None);
                 } else {
                     // Shutdown interruption: no terminal record, so the
                     // next start replays this request with resume set.
@@ -484,7 +654,7 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                 }
             }
             Ok(Err(ServiceFailure::Failed(msg))) => {
-                inn.close(id, req, ReqState::Failed, Some(Value::Str(msg)));
+                inn.close(&mut st, id, ReqState::Failed, Some(Value::Str(msg)));
             }
             Err(_panic) => {
                 inn.tel.incr(sys::SERVE, "worker_deaths", 1);
@@ -498,9 +668,15 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                     inn.work_cv.notify_one();
                 } else {
                     let why = Value::Str("worker died twice; giving up".to_string());
-                    inn.close(id, req, ReqState::Failed, Some(why));
+                    inn.close(&mut st, id, ReqState::Failed, Some(why));
                 }
             }
+        }
+        // Still in the table: the newest close of its lane.
+        let closed = st.requests[&id].state.terminal();
+        drop(st);
+        if closed {
+            inn.service.closed(id);
         }
     }
 }
@@ -640,17 +816,18 @@ fn op_submit<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
         );
     }
     inn.tel.incr(sys::SERVE, "submits", 1);
+    st.live_lines += 1;
+    let mut req = Request::new(spec.clone());
     let state = match answer {
         Some(body) => {
-            let mut req = Request::new(Value::Null, ReqState::Queued, None);
-            inn.close(id, &mut req, ReqState::Done, Some(body));
+            req.lane = Lane::Answered;
             st.requests.insert(id, req);
+            inn.close(&mut st, id, ReqState::Done, Some(body));
             st.inline_hits += 1;
             inn.tel.incr(sys::SERVE, "inline_hits", 1);
             ReqState::Done
         }
         None => {
-            let req = Request::new(spec.clone(), ReqState::Queued, None);
             st.requests.insert(id, req);
             st.queue.push_back(id);
             ReqState::Queued
@@ -676,7 +853,7 @@ fn op_status<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
             ("id", Value::Num(id as f64)),
             ("state", Value::Str(req.state.name().into())),
         ]),
-        None => proto::err(proto::code::NOT_FOUND, &format!("unknown request {id}")),
+        None => st.missing(id),
     }
 }
 
@@ -686,7 +863,7 @@ fn op_result<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
     };
     let st = lock(&inn.state);
     let Some(req) = st.requests.get(&id) else {
-        return proto::err(proto::code::NOT_FOUND, &format!("unknown request {id}"));
+        return st.missing(id);
     };
     match req.state {
         ReqState::Done => proto::ok(vec![
@@ -716,14 +893,16 @@ fn op_cancel<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
     };
     let mut st = lock(&inn.state);
     let Some(req) = st.requests.get_mut(&id) else {
-        return proto::err(proto::code::NOT_FOUND, &format!("unknown request {id}"));
+        return st.missing(id);
     };
     let state = match req.state {
         ReqState::Queued => {
-            // Never ran: terminal immediately, drop it from the queue.
+            // Not running: terminal immediately, drop it from the queue.
             req.user_cancelled = true;
-            inn.close(id, req, ReqState::Cancelled, None);
+            inn.close(&mut st, id, ReqState::Cancelled, None);
             st.queue.retain(|&q| q != id);
+            drop(st);
+            inn.service.closed(id);
             ReqState::Cancelled
         }
         ReqState::Running => {
@@ -745,13 +924,17 @@ fn op_cancel<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
 fn op_stats<S: PlanService>(inn: &Inner<S>) -> Value {
     let st = lock(&inn.state);
     let (hits, misses, evictions) = lock(&inn.cache).stats();
-    let count = |s: ReqState| st.requests.values().filter(|r| r.state == s).count() as f64;
+    // Counters only: nothing here grows with the table. The outcome
+    // counts are of every request ever closed; `retained` of them (and
+    // of those in flight) are in the table, `expired` no longer.
     proto::ok(vec![
         ("queued", Value::Num(st.queue.len() as f64)),
         ("running", Value::Num(st.running as f64)),
-        ("done", Value::Num(count(ReqState::Done))),
-        ("failed", Value::Num(count(ReqState::Failed))),
-        ("cancelled", Value::Num(count(ReqState::Cancelled))),
+        ("done", Value::Num(st.closed.done as f64)),
+        ("failed", Value::Num(st.closed.failed as f64)),
+        ("cancelled", Value::Num(st.closed.cancelled as f64)),
+        ("retained", Value::Num(st.requests.len() as f64)),
+        ("expired", Value::Num(st.expired.sum() as f64)),
         ("queue_capacity", Value::Num(inn.cfg.queue_capacity as f64)),
         ("workers", Value::Num(inn.cfg.workers as f64)),
         ("cache_hits", Value::Num(hits as f64)),

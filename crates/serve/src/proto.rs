@@ -83,10 +83,13 @@ pub fn err(code: u32, msg: &str) -> Value {
 pub mod code {
     /// Malformed request.
     pub const BAD_REQUEST: u32 = 400;
-    /// Unknown request id.
+    /// A request id the daemon never issued.
     pub const NOT_FOUND: u32 = 404;
     /// Result asked for before the run finished.
     pub const NOT_READY: u32 = 409;
+    /// The id was issued, but the request closed long enough ago to have
+    /// left the daemon's retention window: its result has expired.
+    pub const GONE: u32 = 410;
     /// Admission control shed the request (queue full).
     pub const OVERLOADED: u32 = 429;
     /// The daemon is shutting down.

@@ -5,7 +5,10 @@
 //! functions, PR 21). Each is held both ways: the typed record encodes
 //! to exactly that line, and that line decodes to exactly that record —
 //! so a chain or journal written by any earlier binary still resumes.
-//! The second half damages such files one bit at a time.
+//! The second half damages such files one bit at a time. The journal's
+//! two younger lines — the `head` of a compacted journal and the `done`
+//! of a request answered at admission (PR 23) — are held the same way,
+//! as first written.
 
 use neuroplan::checkpoint::{
     replan_stream_tag, EpochRecord, MasterRecord, Meta, MetaMatch, ReplanEventRecord, ReplanMeta,
@@ -18,7 +21,7 @@ use np_chaos::Chaos;
 use np_flow::MetricCut;
 use np_lp::MipStatus;
 use np_rl::{EpochStats, TrainReport};
-use np_serve::journal::{self, Journal, K_CANCELLED, K_DONE, K_FAILED};
+use np_serve::journal::{self, Head, Journal, Kept, Replay, Totals, K_CANCELLED, K_DONE, K_FAILED};
 use np_supervisor::PlanQuality;
 use np_topology::LinkId;
 use serde_json::{json, Value};
@@ -46,6 +49,11 @@ const JOURNAL: [&str; 6] = [
     r#"{"sum":"a186ba44b20e8df1","rec":{"v":1,"kind":"submitted","body":{"id":9,"spec":{"preset":"b"}}}}"#,
     r#"{"sum":"e66acdac02d87e36","rec":{"v":1,"kind":"cancelled","body":{"id":9,"payload":null}}}"#,
 ];
+
+/// The first record of a compacted journal.
+const JOURNAL_HEAD: &str = r#"{"sum":"137db3fe384eb4dc","rec":{"v":1,"kind":"head","body":{"floor":2301,"done":5,"failed":1,"cancelled":2}}}"#;
+/// A `done` that says its request never queued.
+const JOURNAL_ANSWERED: &str = r#"{"sum":"e34ea384c5f37b1f","rec":{"v":1,"kind":"done","body":{"id":10,"payload":{"id":10,"units":[1,2],"cost":1.5,"cost_hex":"000000000000f83f"},"answered":1}}}"#;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("np-persistence-{}-{name}", std::process::id()));
@@ -343,6 +351,73 @@ fn the_journal_is_the_bytes_the_parent_commit_wrote() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_compacted_journal_is_a_head_and_the_lines_the_requests_were_journaled_with() {
+    let expired = Totals {
+        done: 5,
+        failed: 1,
+        cancelled: 2,
+    };
+    let head = Head {
+        floor: 2301,
+        expired,
+    };
+    holds("journal-head", head, JOURNAL_HEAD);
+
+    // Requests 7 and 9 of the journal above and an answered 10, kept; 8
+    // dropped. Every line but the head is a line an append wrote.
+    let dir = tmp("compacted");
+    let chaos = Chaos::disabled();
+    let j = write_journal(&dir);
+    let spec = json!({"preset": "a", "seed": 3});
+    j.submitted(10, &spec, &chaos).unwrap();
+    let done =
+        |id: u64| json!({"id": id, "units": [1, 2], "cost": 1.5, "cost_hex": "000000000000f83f"});
+    j.answered(10, done(10), &chaos).unwrap();
+    let appended = std::fs::read_to_string(j.path()).unwrap();
+    let appended: Vec<&str> = appended.lines().collect();
+    assert_eq!(appended[..6], JOURNAL);
+    assert_eq!(appended[7], JOURNAL_ANSWERED);
+    let (done7, done10, b) = (done(7), done(10), json!({"preset": "b"}));
+    let kept = |id, spec, terminal, answered| Kept {
+        id,
+        spec,
+        terminal,
+        answered,
+    };
+    let kept = [
+        kept(7, &spec, Some((K_DONE, &done7)), false),
+        kept(10, &spec, Some((K_DONE, &done10)), true),
+        kept(9, &b, Some((K_CANCELLED, &Value::Null)), false),
+    ];
+    assert_eq!(j.compact(head, kept, &chaos).unwrap(), 7);
+    let compacted = std::fs::read_to_string(j.path()).unwrap();
+    let lines = [
+        JOURNAL_HEAD,
+        JOURNAL[0],
+        JOURNAL[1],
+        appended[6],
+        JOURNAL_ANSWERED,
+        JOURNAL[4],
+        JOURNAL[5],
+    ];
+    assert_eq!(compacted, lines.map(|l| format!("{l}\n")).concat());
+
+    // And back: the head's floor and counts, the flag on request 10 only.
+    let replay = Replay::of(j.path());
+    assert_eq!(replay.head, head);
+    assert_eq!(replay.next_id(), 2301);
+    assert_eq!(replay.closed, [7, 10, 9]);
+    let answered: Vec<bool> = replay.requests.iter().map(|r| r.answered).collect();
+    assert_eq!(answered, [false, true, false]);
+    // A journal without a head has no floor but its own ids, and a
+    // reader from before the head skips it as a record of no request.
+    std::fs::write(j.path(), format!("{}\n", JOURNAL.join("\n"))).unwrap();
+    assert_eq!(Replay::of(j.path()).head, Head::default());
+    assert_eq!(Replay::of(j.path()).next_id(), 10);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every typed decoder over every record: none may panic on whatever a
 /// damaged file still yields.
 fn decode_all(records: &[Record]) {
@@ -422,4 +497,6 @@ fn bit_flips_in_a_replan_chain_drop_exactly_the_tail() {
 #[test]
 fn bit_flips_in_a_journal_drop_exactly_the_tail() {
     every_bit_flip_drops_exactly_the_tail("flip-journal", &JOURNAL);
+    let compacted = [JOURNAL_HEAD, JOURNAL[0], JOURNAL_ANSWERED, JOURNAL[2]];
+    every_bit_flip_drops_exactly_the_tail("flip-compacted", &compacted);
 }
