@@ -33,7 +33,10 @@ pub struct DecomposedOutcome {
     pub inter_region_links: usize,
 }
 
-/// Assign each site to one of `k` contiguous angular sectors.
+/// Assign each site to one of `k` contiguous angular sectors — the same
+/// centroid / `atan2` / `total_cmp`-then-index order in which
+/// `np_topology`'s `Builder::ring_and_spurs` lays the fiber ring, kept in
+/// step by hand because this one runs on a finished [`Network`].
 pub fn angular_regions(net: &Network, k: usize) -> Vec<usize> {
     let n = net.sites().len();
     if n == 0 {

@@ -7,7 +7,8 @@
 //! Barabási-Albert, Watts-Strogatz and Erdős-Rényi graphs precisely
 //! because results on one family do not transfer to another. This module
 //! generalizes the generator to a [`TopologyFamily`] enum with seeded,
-//! deterministic builders for seven families, each producing the same
+//! deterministic fiber plants for seven families, each run through the
+//! crate's one instance builder to the same
 //! [`Network`] surface (sites, fibers, IP overlay, gravity or east-west
 //! traffic, connectivity-preserving failure sets, cost model) the rest
 //! of the pipeline consumes, at six [`SizeTier`]s: the paper's A–E
@@ -19,22 +20,20 @@
 //! Every random draw flows through one seeded `StdRng` in a fixed
 //! order, and no iteration ever walks a hash map.
 
-use crate::cost::CostModel;
+use crate::builder::Builder;
 use crate::error::TopologyError;
-use crate::ids::{FiberId, SiteId};
-use crate::model::{CosClass, Failure, FailureKind, Fiber, Flow, IpLink, Site};
+use crate::model::Site;
 use crate::network::Network;
-use crate::policy::ReliabilityPolicy;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashSet};
 
 /// The generator family: what graph process produces the fiber plant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TopologyFamily {
     /// Metro-clustered continental WAN: angular ring + nearest-neighbour
-    /// spurs + datacenter chords (the structure of [`crate::generator`]).
+    /// spurs + datacenter chords — the structure of the
+    /// [`crate::generator`] presets, not their instances (seed,
+    /// datacenter count and chord draws differ).
     Wan,
     /// Barabási-Albert preferential attachment: scale-free, hub-heavy.
     BarabasiAlbert,
@@ -155,30 +154,47 @@ impl SizeTier {
 
     /// Number of sites at this tier.
     pub fn num_sites(self) -> usize {
-        match self {
-            SizeTier::A => 8,
-            SizeTier::B => 12,
-            SizeTier::C => 20,
-            SizeTier::D => 28,
-            SizeTier::E => 38,
-            SizeTier::F => 380,
-        }
+        self.counts().sites
     }
 
-    /// (flows, multihop links, parallel links, fiber cuts, site
-    /// failures, SRLGs) — the non-site scale knobs, matching the A–E
-    /// calibration of [`crate::generator::GeneratorConfig::preset`] and
-    /// scaling each 10× for tier F.
-    fn knobs(self) -> (usize, usize, usize, usize, usize, usize) {
-        match self {
-            SizeTier::A => (24, 4, 2, 8, 1, 1),
-            SizeTier::B => (60, 8, 4, 20, 4, 6),
-            SizeTier::C => (150, 16, 7, 34, 8, 14),
-            SizeTier::D => (330, 24, 10, 46, 12, 30),
-            SizeTier::E => (620, 36, 14, 58, 18, 52),
-            SizeTier::F => (6200, 360, 140, 580, 180, 520),
+    /// The scale of this tier — the paper's A–E calibration, which
+    /// [`crate::generator::GeneratorConfig::preset`] reads from here too,
+    /// and 10× tier E for tier F.
+    pub(crate) fn counts(self) -> TierCounts {
+        let [sites, flows, multihop, parallel, cuts, site_failures, srlgs] = match self {
+            SizeTier::A => [8, 24, 4, 2, 8, 1, 1],
+            SizeTier::B => [12, 60, 8, 4, 20, 4, 6],
+            SizeTier::C => [20, 150, 16, 7, 34, 8, 14],
+            SizeTier::D => [28, 330, 24, 10, 46, 12, 30],
+            SizeTier::E => [38, 620, 36, 14, 58, 18, 52],
+            SizeTier::F => [380, 6200, 360, 140, 580, 180, 520],
+        };
+        TierCounts {
+            sites,
+            flows,
+            multihop,
+            parallel,
+            cuts,
+            site_failures,
+            srlgs,
         }
     }
+}
+
+/// How many of each thing an instance of one [`SizeTier`] has.
+pub(crate) struct TierCounts {
+    pub(crate) sites: usize,
+    /// Class-of-service flow components.
+    pub(crate) flows: usize,
+    /// Multi-hop express IP links beyond the one-per-fiber directs.
+    pub(crate) multihop: usize,
+    /// Parallel IP links over fiber-disjoint alternates.
+    pub(crate) parallel: usize,
+    /// Single-fiber-cut scenarios.
+    pub(crate) cuts: usize,
+    pub(crate) site_failures: usize,
+    /// Two-fiber SRLG scenarios.
+    pub(crate) srlgs: usize,
 }
 
 impl std::fmt::Display for SizeTier {
@@ -359,7 +375,39 @@ impl FamilyConfig {
     /// Generate the network, validating the configuration first.
     pub fn try_generate(&self) -> Result<Network, TopologyError> {
         self.validate()?;
-        FamilyBuilder::new(self.clone()).run()
+        let mut b = Builder::new(self.seed, self.unit_gbps);
+        match self.family {
+            TopologyFamily::Wan => b.build_wan(self),
+            TopologyFamily::BarabasiAlbert => b.build_ba(self),
+            TopologyFamily::WattsStrogatz => b.build_ws(self),
+            TopologyFamily::ErdosRenyi => b.build_er(self),
+            TopologyFamily::Grid2d => b.build_grid(self),
+            TopologyFamily::Community => b.build_community(self),
+            TopologyFamily::FatTree => b.build_fat_tree(self),
+        }
+        b.ensure_connected();
+        // The stock C-band; `size_spectrum` raises it where needed.
+        b.materialize_fibers(4800.0);
+        let counts = self.tier.counts();
+        b.build_ip_overlay(counts.multihop, counts.parallel);
+        // WAN-like families use the gravity model with datacenter
+        // weighting; the Clos fabric's ToR switches talk east-west.
+        match self.family {
+            TopologyFamily::FatTree => b.east_west_traffic(counts.flows, self.mean_demand_gbps),
+            _ => b.gravity_traffic(counts.flows, self.mean_demand_gbps),
+        }
+        let reference = b.provision_baseline(self.capacity_fill);
+        b.size_spectrum(&reference, self.capacity_fill);
+        if self.failure_model != FailureModel::None {
+            b.cut_failures(counts.cuts);
+        }
+        if self.failure_model == FailureModel::Full {
+            let want = counts.site_failures;
+            b.site_and_srlg_failures(want, counts.srlgs, |k, pops| {
+                k * (pops / want).max(1) % pops
+            });
+        }
+        b.finish()
     }
 
     /// Generate the network; panics on a malformed configuration
@@ -377,126 +425,16 @@ pub fn family_network(family: TopologyFamily, tier: SizeTier) -> Network {
 
 // ---------------------------------------------------------------------------
 
-/// Shared construction machinery. Unlike [`crate::generator`]'s naive
-/// all-edges scans (fine at 38 sites, hopeless at 380), every graph walk
-/// here runs on adjacency lists, so tier-F instances generate in
-/// milliseconds.
-struct FamilyBuilder {
-    cfg: FamilyConfig,
-    rng: StdRng,
-    sites: Vec<Site>,
-    /// Canonical (a < b) fiber endpoint pairs, in insertion order.
-    edges: Vec<(usize, usize)>,
-    /// Membership index over `edges`; never iterated (determinism).
-    edge_set: HashSet<(usize, usize)>,
-    fibers: Vec<Fiber>,
-    links: Vec<IpLink>,
-    flows: Vec<Flow>,
-    failures: Vec<Failure>,
-}
-
-impl FamilyBuilder {
-    fn new(cfg: FamilyConfig) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        FamilyBuilder {
-            cfg,
-            rng,
-            sites: Vec::new(),
-            edges: Vec::new(),
-            edge_set: HashSet::new(),
-            fibers: Vec::new(),
-            links: Vec::new(),
-            flows: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
-    fn run(mut self) -> Result<Network, TopologyError> {
-        match self.cfg.family {
-            TopologyFamily::Wan => self.build_wan(),
-            TopologyFamily::BarabasiAlbert => self.build_ba(),
-            TopologyFamily::WattsStrogatz => self.build_ws(),
-            TopologyFamily::ErdosRenyi => self.build_er(),
-            TopologyFamily::Grid2d => self.build_grid(),
-            TopologyFamily::Community => self.build_community(),
-            TopologyFamily::FatTree => self.build_fat_tree(),
-        }
-        self.ensure_connected();
-        self.materialize_fibers();
-        self.build_ip_overlay();
-        self.build_traffic();
-        self.provision_baseline_and_spectrum();
-        self.build_failures();
-        Network::new(
-            self.sites,
-            self.fibers,
-            self.links,
-            self.flows,
-            self.failures,
-            ReliabilityPolicy::default(),
-            CostModel::default(),
-            self.cfg.unit_gbps,
-        )
-    }
-
-    // -- family-specific plants ---------------------------------------------
-
+/// The family-specific plants: each places its sites and draws its edges.
+impl Builder {
     /// Metro-clustered WAN: sites scattered around metro centres, an
     /// angular ring, nearest-neighbour spurs, and datacenter chords
     /// (ring-of-neighbours at tier F to keep the chord count linear).
-    fn build_wan(&mut self) {
-        let n = self.cfg.tier.num_sites();
-        let num_metros = (n / 4).clamp(2, 12);
-        let metros: Vec<(f64, f64)> = (0..num_metros)
-            .map(|_| {
-                (
-                    self.rng.gen_range(0.0..5000.0),
-                    self.rng.gen_range(0.0..5000.0),
-                )
-            })
-            .collect();
+    fn build_wan(&mut self, cfg: &FamilyConfig) {
+        let n = cfg.tier.num_sites();
         let num_dcs = (n / 4).max(1);
-        for i in 0..n {
-            let metro = metros[i % num_metros];
-            let pos = (
-                metro.0 + self.rng.gen_range(-400.0..400.0),
-                metro.1 + self.rng.gen_range(-400.0..400.0),
-            );
-            let is_dc = i < num_dcs;
-            let name = if is_dc {
-                format!("dc{i:03}")
-            } else {
-                format!("pop{:03}", i - num_dcs)
-            };
-            self.sites.push(Site {
-                name,
-                pos,
-                is_datacenter: is_dc,
-            });
-        }
-        // Ring in angular order around the centroid.
-        let order = self.angular_order();
-        for i in 0..n {
-            self.add_edge(order[i], order[(i + 1) % n]);
-        }
-        // Nearest-neighbour spurs.
-        for a in 0..n {
-            let mut best: Option<(f64, usize)> = None;
-            for b in 0..n {
-                if a == b || self.has_edge(a, b) {
-                    continue;
-                }
-                let d = self.site_distance(a, b);
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, b));
-                }
-            }
-            if let Some((_, b)) = best {
-                if self.rng.gen_bool(0.6) {
-                    self.add_edge(a, b);
-                }
-            }
-        }
+        self.metro_sites(n, (n / 4).clamp(2, 12), num_dcs, 3);
+        self.ring_and_spurs();
         // Datacenter express chords: all pairs while that stays small,
         // a next-two ring beyond (tier F would otherwise build ~4500
         // chord fibers).
@@ -522,9 +460,9 @@ impl FamilyBuilder {
     /// Barabási-Albert preferential attachment from an (m+1)-clique
     /// seed. The clique nodes become the traffic-heavy "datacenters" —
     /// they are the oldest and therefore highest-degree hubs.
-    fn build_ba(&mut self) {
-        let n = self.cfg.tier.num_sites();
-        let m = self.cfg.ba_attach.min(n.saturating_sub(1)).max(1);
+    fn build_ba(&mut self, cfg: &FamilyConfig) {
+        let n = cfg.tier.num_sites();
+        let m = cfg.ba_attach.min(n.saturating_sub(1)).max(1);
         for i in 0..n {
             let pos = (
                 self.rng.gen_range(0.0..5000.0),
@@ -552,7 +490,7 @@ impl FamilyBuilder {
         // multiset (each edge contributes both ends), so P(target) is
         // proportional to degree.
         let mut endpoints: Vec<usize> = Vec::with_capacity(2 * m * n);
-        for &(a, b) in &self.edges {
+        for &(a, b) in self.edges() {
             endpoints.push(a);
             endpoints.push(b);
         }
@@ -584,9 +522,9 @@ impl FamilyBuilder {
 
     /// Watts-Strogatz: ring lattice (k/2 neighbours each side) with each
     /// edge's far end rewired to a uniform random node w.p. β.
-    fn build_ws(&mut self) {
-        let n = self.cfg.tier.num_sites();
-        let k = self.cfg.ws_neighbors;
+    fn build_ws(&mut self, cfg: &FamilyConfig) {
+        let n = cfg.tier.num_sites();
+        let k = cfg.ws_neighbors;
         let radius = 1800.0 + 3.0 * n as f64;
         for i in 0..n {
             let theta = std::f64::consts::TAU * i as f64 / n as f64;
@@ -602,18 +540,15 @@ impl FamilyBuilder {
             }
         }
         // Rewire pass, in edge order.
-        for idx in 0..self.edges.len() {
-            if !self.rng.gen_bool(self.cfg.ws_rewire) {
+        for idx in 0..self.edges().len() {
+            if !self.rng.gen_bool(cfg.ws_rewire) {
                 continue;
             }
-            let (u, v) = self.edges[idx];
+            let (u, v) = self.edges()[idx];
             for _ in 0..20 {
                 let w = self.rng.gen_range(0..n);
                 if w != u && w != v && !self.has_edge(u, w) {
-                    self.edge_set.remove(&(u.min(v), u.max(v)));
-                    let e = (u.min(w), u.max(w));
-                    self.edges[idx] = e;
-                    self.edge_set.insert(e);
+                    self.replace_edge(idx, u, w);
                     break;
                 }
             }
@@ -621,9 +556,9 @@ impl FamilyBuilder {
     }
 
     /// Erdős-Rényi G(n, p) with p derived from the target mean degree.
-    fn build_er(&mut self) {
-        let n = self.cfg.tier.num_sites();
-        let p = (self.cfg.er_degree / (n.saturating_sub(1)).max(1) as f64).min(1.0);
+    fn build_er(&mut self, cfg: &FamilyConfig) {
+        let n = cfg.tier.num_sites();
+        let p = (cfg.er_degree / (n.saturating_sub(1)).max(1) as f64).min(1.0);
         for i in 0..n {
             self.sites.push(Site {
                 name: format!("r{i:03}"),
@@ -644,8 +579,8 @@ impl FamilyBuilder {
     }
 
     /// 2-D lattice, row-major, ~square.
-    fn build_grid(&mut self) {
-        let n = self.cfg.tier.num_sites();
+    fn build_grid(&mut self, cfg: &FamilyConfig) {
+        let n = cfg.tier.num_sites();
         let rows = (n as f64).sqrt().floor().max(1.0) as usize;
         let cols = n.div_ceil(rows);
         let spacing = 300.0;
@@ -670,10 +605,10 @@ impl FamilyBuilder {
 
     /// Planted partition: dense intra-community clusters (ring + hub
     /// star + random chords) joined by a sparse hub backbone.
-    fn build_community(&mut self) {
-        let n = self.cfg.tier.num_sites();
-        let q = if self.cfg.communities > 0 {
-            self.cfg.communities.min(n / 2).max(2)
+    fn build_community(&mut self, cfg: &FamilyConfig) {
+        let n = cfg.tier.num_sites();
+        let q = if cfg.communities > 0 {
+            cfg.communities.min(n / 2).max(2)
         } else {
             (n / 6).clamp(2, 16)
         };
@@ -752,8 +687,8 @@ impl FamilyBuilder {
     /// ToRs source/sink the east-west traffic. Every ToR uplinks to both
     /// pod aggs and every agg to ≥ 2 cores, so the fabric is
     /// 2-edge-connected by construction.
-    fn build_fat_tree(&mut self) {
-        let n = self.cfg.tier.num_sites();
+    fn build_fat_tree(&mut self, cfg: &FamilyConfig) {
+        let n = cfg.tier.num_sites();
         let core = (n / 10).max(2).min(n.saturating_sub(4).max(2));
         let rest = n - core;
         // Each pod needs at least 2 aggs + 1 ToR.
@@ -825,522 +760,12 @@ impl FamilyBuilder {
             }
         }
     }
-
-    // -- shared machinery ---------------------------------------------------
-
-    fn site_distance(&self, a: usize, b: usize) -> f64 {
-        self.sites[a].distance_km(&self.sites[b]).max(10.0)
-    }
-
-    fn has_edge(&self, a: usize, b: usize) -> bool {
-        self.edge_set.contains(&(a.min(b), a.max(b)))
-    }
-
-    fn add_edge(&mut self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        let e = (a.min(b), a.max(b));
-        if self.edge_set.insert(e) {
-            self.edges.push(e);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Site indices sorted by angle around the centroid (total order —
-    /// degenerate/co-located coordinates tie-break by index).
-    fn angular_order(&self) -> Vec<usize> {
-        let n = self.sites.len();
-        let cx = self.sites.iter().map(|s| s.pos.0).sum::<f64>() / n as f64;
-        let cy = self.sites.iter().map(|s| s.pos.1).sum::<f64>() / n as f64;
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let ta = (self.sites[a].pos.1 - cy).atan2(self.sites[a].pos.0 - cx);
-            let tb = (self.sites[b].pos.1 - cy).atan2(self.sites[b].pos.0 - cx);
-            ta.total_cmp(&tb).then(a.cmp(&b))
-        });
-        order
-    }
-
-    /// Join stray components to the main one with a geometric repair
-    /// edge per component (lowest-index stray site to its nearest
-    /// already-connected site), so every family is connected regardless
-    /// of how sparse its random draw came out.
-    fn ensure_connected(&mut self) {
-        let n = self.sites.len();
-        if n == 0 {
-            return;
-        }
-        loop {
-            let adj = adjacency(n, &self.edges);
-            let mut seen = vec![false; n];
-            let mut stack = vec![0usize];
-            seen[0] = true;
-            while let Some(u) = stack.pop() {
-                for &v in &adj[u] {
-                    if !seen[v] {
-                        seen[v] = true;
-                        stack.push(v);
-                    }
-                }
-            }
-            let Some(stray) = (0..n).find(|&i| !seen[i]) else {
-                return;
-            };
-            let nearest = (0..n)
-                .filter(|&i| seen[i])
-                .min_by(|&a, &b| {
-                    self.site_distance(stray, a)
-                        .total_cmp(&self.site_distance(stray, b))
-                        .then(a.cmp(&b))
-                })
-                .expect("component 0 is non-empty");
-            self.add_edge(stray, nearest);
-        }
-    }
-
-    fn materialize_fibers(&mut self) {
-        for &(a, b) in &self.edges {
-            let length = self.sites[a].distance_km(&self.sites[b]).max(10.0);
-            self.fibers.push(Fiber {
-                endpoints: (SiteId::new(a), SiteId::new(b)),
-                length_km: length,
-                spectrum_ghz: 4800.0,
-                build_cost: 2.0 + length * 0.004,
-            });
-        }
-    }
-
-    /// GHz of spectrum one capacity unit consumes on `fiber` (longer
-    /// spans need lower-order modulation) — same calibration as
-    /// [`crate::generator`].
-    fn ghz_per_unit(&self, fiber: usize) -> f64 {
-        let len = self.fibers[fiber].length_km;
-        let base = 37.5 * self.cfg.unit_gbps / 100.0;
-        base * (1.0 + (len / 4000.0).min(1.0))
-    }
-
-    /// Dijkstra over the fiber plant by span length, optionally
-    /// forbidding one fiber; returns the fiber index path.
-    fn fiber_shortest_path(
-        &self,
-        src: usize,
-        dst: usize,
-        avoid: Option<usize>,
-    ) -> Option<Vec<usize>> {
-        let n = self.sites.len();
-        // Adjacency over fibers: (neighbour, fiber index).
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for (i, f) in self.fibers.iter().enumerate() {
-            if avoid == Some(i) {
-                continue;
-            }
-            let (a, b) = (f.endpoints.0.index(), f.endpoints.1.index());
-            adj[a].push((b, i));
-            adj[b].push((a, i));
-        }
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src] = 0.0;
-        heap.push((std::cmp::Reverse(0u64), src));
-        while let Some((std::cmp::Reverse(dbits), u)) = heap.pop() {
-            let d = f64::from_bits(dbits);
-            if d > dist[u] {
-                continue;
-            }
-            if u == dst {
-                break;
-            }
-            for &(v, fi) in &adj[u] {
-                let nd = d + self.fibers[fi].length_km;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = Some((u, fi));
-                    heap.push((std::cmp::Reverse(nd.to_bits()), v));
-                }
-            }
-        }
-        if dist[dst].is_infinite() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut at = dst;
-        while at != src {
-            let (p, fi) = prev[at].expect("reached node has predecessor");
-            path.push(fi);
-            at = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    fn add_ip_link(&mut self, src: usize, dst: usize, path: Vec<usize>) {
-        let fiber_path: Vec<(FiberId, f64)> = path
-            .iter()
-            .map(|&f| (FiberId::new(f), self.ghz_per_unit(f)))
-            .collect();
-        let length_km = path.iter().map(|&f| self.fibers[f].length_km).sum();
-        self.links.push(IpLink {
-            src: SiteId::new(src),
-            dst: SiteId::new(dst),
-            fiber_path,
-            capacity_units: 0,
-            min_units: 0,
-            length_km,
-        });
-    }
-
-    /// One direct IP link per fiber, then multi-hop express links, then
-    /// parallel links over fiber-disjoint alternates.
-    fn build_ip_overlay(&mut self) {
-        let (_, num_multihop, num_parallel, ..) = self.cfg.tier.knobs();
-        for i in 0..self.fibers.len() {
-            let (a, b) = self.fibers[i].endpoints;
-            self.add_ip_link(a.index(), b.index(), vec![i]);
-        }
-        let n = self.sites.len();
-        let mut linked: HashSet<(usize, usize)> = self
-            .links
-            .iter()
-            .map(|l| canonical(l.src.index(), l.dst.index()))
-            .collect();
-        let mut added = 0usize;
-        let mut attempts = 0usize;
-        while added < num_multihop && attempts < 50 * num_multihop.max(1) {
-            attempts += 1;
-            let a = self.rng.gen_range(0..n);
-            let b = self.rng.gen_range(0..n);
-            if a == b || self.has_edge(a, b) || linked.contains(&canonical(a, b)) {
-                continue;
-            }
-            if let Some(path) = self.fiber_shortest_path(a, b, None) {
-                if path.len() >= 2 {
-                    self.add_ip_link(a, b, path);
-                    linked.insert(canonical(a, b));
-                    added += 1;
-                }
-            }
-        }
-        let mut added = 0usize;
-        let mut fiber_idx = 0usize;
-        while added < num_parallel && fiber_idx < self.fibers.len() {
-            let (a, b) = self.fibers[fiber_idx].endpoints;
-            if let Some(path) = self.fiber_shortest_path(a.index(), b.index(), Some(fiber_idx)) {
-                self.add_ip_link(a.index(), b.index(), path);
-                added += 1;
-            }
-            fiber_idx += 1;
-        }
-    }
-
-    /// Traffic matrix. WAN-like families use the gravity model with
-    /// datacenter weighting; the Clos fabric uses uniform east-west
-    /// pairs between ToR switches. `num_flows` counts class-of-service
-    /// components, as in [`crate::generator`].
-    fn build_traffic(&mut self) {
-        let (num_flows, ..) = self.cfg.tier.knobs();
-        match self.cfg.family {
-            TopologyFamily::FatTree => self.east_west_traffic(num_flows),
-            _ => self.gravity_traffic(num_flows),
-        }
-    }
-
-    fn push_flow_components(&mut self, i: usize, a: usize, b: usize, demand: f64, cap: usize) {
-        let split: &[(CosClass, f64)] = match i % 3 {
-            0 => &[(CosClass::Gold, 1.0)],
-            1 => &[(CosClass::Gold, 0.6), (CosClass::Bronze, 0.4)],
-            _ => &[
-                (CosClass::Gold, 0.4),
-                (CosClass::Silver, 0.35),
-                (CosClass::Bronze, 0.25),
-            ],
-        };
-        for &(cos, share) in split {
-            if self.flows.len() >= cap {
-                break;
-            }
-            self.flows.push(Flow {
-                src: SiteId::new(a),
-                dst: SiteId::new(b),
-                demand_gbps: (demand * share).round().max(1.0),
-                cos,
-            });
-        }
-    }
-
-    fn gravity_traffic(&mut self, num_flows: usize) {
-        let n = self.sites.len();
-        let weight = |s: &Site| if s.is_datacenter { 4.0 } else { 1.0 };
-        let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * n);
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let g = weight(&self.sites[a]) * weight(&self.sites[b])
-                    / (1.0 + self.site_distance(a, b) / 5000.0);
-                let g = g * self.rng.gen_range(0.5..1.5);
-                pairs.push((g, a, b));
-            }
-        }
-        pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then((x.1, x.2).cmp(&(y.1, y.2))));
-        let max_g = pairs.first().map(|p| p.0).unwrap_or(1.0);
-        for (i, &(g, a, b)) in pairs.iter().enumerate() {
-            if self.flows.len() >= num_flows {
-                break;
-            }
-            let demand = (self.cfg.mean_demand_gbps * (0.25 + 1.5 * g / max_g)).round();
-            self.push_flow_components(i, a, b, demand, num_flows);
-        }
-    }
-
-    fn east_west_traffic(&mut self, num_flows: usize) {
-        let tors: Vec<usize> = (0..self.sites.len())
-            .filter(|&i| !self.sites[i].is_datacenter)
-            .collect();
-        if tors.len() < 2 {
-            return;
-        }
-        let mut i = 0usize;
-        while self.flows.len() < num_flows {
-            let a = tors[self.rng.gen_range(0..tors.len())];
-            let b = tors[self.rng.gen_range(0..tors.len())];
-            if a == b {
-                continue;
-            }
-            let jitter: f64 = self.rng.gen_range(0.5..1.5);
-            let demand = (self.cfg.mean_demand_gbps * jitter).round();
-            self.push_flow_components(i, a, b, demand, num_flows);
-            i += 1;
-        }
-    }
-
-    /// Reference per-link units (shortest-path routing of all flows plus
-    /// 30% failover headroom), baseline fill, and per-fiber spectrum
-    /// sizing with planning headroom. Runs one Dijkstra per *distinct
-    /// flow source* (cached), so tier F stays fast.
-    fn provision_baseline_and_spectrum(&mut self) {
-        let n = self.sites.len();
-        // IP adjacency: (neighbour, link index, length).
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for (i, l) in self.links.iter().enumerate() {
-            adj[l.src.index()].push((l.dst.index(), i));
-            adj[l.dst.index()].push((l.src.index(), i));
-        }
-        let mut gbps = vec![0.0f64; self.links.len()];
-        // Predecessor tree of one Dijkstra: per node, (parent, link index).
-        type PrevTree = Vec<Option<(usize, usize)>>;
-        let mut cache: Vec<Option<PrevTree>> = vec![None; n];
-        for fi in 0..self.flows.len() {
-            let (src, dst, demand) = {
-                let f = &self.flows[fi];
-                (f.src.index(), f.dst.index(), f.demand_gbps)
-            };
-            if cache[src].is_none() {
-                cache[src] = Some(self.ip_shortest_tree(src, &adj));
-            }
-            let prev = cache[src].as_ref().unwrap();
-            let mut at = dst;
-            while at != src {
-                let Some((p, link)) = prev[at] else {
-                    break; // unreachable flow endpoint (cannot happen: connected)
-                };
-                gbps[link] += demand;
-                at = p;
-            }
-        }
-        let fill = self.cfg.capacity_fill;
-        let unit = self.cfg.unit_gbps;
-        let reference: Vec<u32> = gbps
-            .iter()
-            .map(|&g| ((g * 1.3) / unit).ceil() as u32)
-            .collect();
-        for (l, &units) in self.links.iter_mut().zip(&reference) {
-            let filled = (f64::from(units) * fill).round() as u32;
-            l.capacity_units = filled;
-            l.min_units = filled;
-        }
-        // Spectrum: every fiber gets at least the stock C-band, raised
-        // where the reference load needs more, with ≥ 4× headroom (and
-        // enough for any capacity_fill ≥ 1) so planning never runs out
-        // of spectrum before reaching feasibility.
-        let headroom = 4.0f64.max(fill * 1.5 + 1.0);
-        let mut fiber_ref_ghz = vec![0.0f64; self.fibers.len()];
-        let mut fiber_max_unit_ghz = vec![0.0f64; self.fibers.len()];
-        for (li, link) in self.links.iter().enumerate() {
-            for &(f, ghz) in &link.fiber_path {
-                fiber_ref_ghz[f.index()] += f64::from(reference[li]) * ghz;
-                fiber_max_unit_ghz[f.index()] = fiber_max_unit_ghz[f.index()].max(ghz);
-            }
-        }
-        for (i, fiber) in self.fibers.iter_mut().enumerate() {
-            let need = headroom * fiber_ref_ghz[i] + 8.0 * fiber_max_unit_ghz[i];
-            fiber.spectrum_ghz = fiber.spectrum_ghz.max(need.ceil());
-        }
-    }
-
-    /// Shortest-path tree over the IP overlay from `src`:
-    /// `prev[v] = (parent, link index)`.
-    fn ip_shortest_tree(
-        &self,
-        src: usize,
-        adj: &[Vec<(usize, usize)>],
-    ) -> Vec<Option<(usize, usize)>> {
-        let n = self.sites.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src] = 0.0;
-        heap.push((std::cmp::Reverse(0u64), src));
-        while let Some((std::cmp::Reverse(dbits), u)) = heap.pop() {
-            let d = f64::from_bits(dbits);
-            if d > dist[u] {
-                continue;
-            }
-            for &(v, li) in &adj[u] {
-                let nd = d + self.links[li].length_km;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = Some((u, li));
-                    heap.push((std::cmp::Reverse(nd.to_bits()), v));
-                }
-            }
-        }
-        prev
-    }
-
-    /// Failure set under the configured [`FailureModel`]. Every emitted
-    /// scenario provably keeps the fiber plant connected among surviving
-    /// sites, so a feasible plan always exists for protected traffic —
-    /// the same promise [`crate::generator`] makes.
-    fn build_failures(&mut self) {
-        if self.cfg.failure_model == FailureModel::None {
-            return;
-        }
-        let (.., num_cuts, num_site, num_srlg) = self.cfg.tier.knobs();
-        let nf = self.fibers.len();
-        // Single cuts: deterministic shuffle, skip bridges.
-        let mut cut_order: Vec<usize> = (0..nf).collect();
-        for i in (1..cut_order.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
-            cut_order.swap(i, j);
-        }
-        let mut cuts = 0usize;
-        for &f in &cut_order {
-            if cuts >= num_cuts {
-                break;
-            }
-            if self.plant_connected_without(&[f], None) {
-                self.failures.push(Failure {
-                    name: format!("cut:f{f}"),
-                    kind: FailureKind::FiberCut(FiberId::new(f)),
-                });
-                cuts += 1;
-            }
-        }
-        if self.cfg.failure_model == FailureModel::SingleCut {
-            return;
-        }
-        // Site losses: non-datacenter sites whose removal keeps the rest
-        // of the plant connected, spread evenly over the candidate list.
-        let pops: Vec<usize> = (0..self.sites.len())
-            .filter(|&i| !self.sites[i].is_datacenter)
-            .collect();
-        let mut sited = 0usize;
-        if !pops.is_empty() {
-            let stride = (pops.len() / num_site.max(1)).max(1);
-            let mut k = 0usize;
-            while sited < num_site && k < pops.len() {
-                let s = pops[(k * stride) % pops.len()];
-                k += 1;
-                let duplicate = self
-                    .failures
-                    .iter()
-                    .any(|f| matches!(&f.kind, FailureKind::SiteDown(x) if x.index() == s));
-                if duplicate || !self.plant_connected_without(&[], Some(s)) {
-                    continue;
-                }
-                self.failures.push(Failure {
-                    name: format!("down:s{s}"),
-                    kind: FailureKind::SiteDown(SiteId::new(s)),
-                });
-                sited += 1;
-            }
-        }
-        // SRLG pairs, connectivity-checked.
-        let mut srlgs = 0usize;
-        let mut attempts = 0usize;
-        while srlgs < num_srlg && attempts < 100 * num_srlg.max(1) {
-            attempts += 1;
-            let a = self.rng.gen_range(0..nf);
-            let b = self.rng.gen_range(0..nf);
-            if a == b {
-                continue;
-            }
-            if self.plant_connected_without(&[a, b], None) {
-                self.failures.push(Failure {
-                    name: format!("srlg:f{a}+f{b}"),
-                    kind: FailureKind::Srlg(vec![FiberId::new(a), FiberId::new(b)]),
-                });
-                srlgs += 1;
-            }
-        }
-    }
-
-    /// BFS connectivity of the fiber plant after removing `dead_fibers`
-    /// and (optionally) one site with everything touching it.
-    fn plant_connected_without(&self, dead_fibers: &[usize], dead_site: Option<usize>) -> bool {
-        let n = self.sites.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, f) in self.fibers.iter().enumerate() {
-            if dead_fibers.contains(&i) {
-                continue;
-            }
-            let (a, b) = (f.endpoints.0.index(), f.endpoints.1.index());
-            if dead_site == Some(a) || dead_site == Some(b) {
-                continue;
-            }
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let alive = |s: usize| dead_site != Some(s);
-        let Some(start) = (0..n).find(|&s| alive(s)) else {
-            return true;
-        };
-        let mut seen = vec![false; n];
-        seen[start] = true;
-        let mut stack = vec![start];
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        (0..n).all(|s| seen[s] || !alive(s))
-    }
-}
-
-fn canonical(a: usize, b: usize) -> (usize, usize) {
-    (a.min(b), a.max(b))
-}
-
-fn adjacency(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        adj[a].push(b);
-        adj[b].push(a);
-    }
-    adj
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FailureKind, SiteId};
 
     #[test]
     fn every_family_generates_at_small_tiers() {
@@ -1512,8 +937,6 @@ mod tests {
     #[test]
     fn tier_f_is_ten_x_tier_e() {
         assert_eq!(SizeTier::F.num_sites(), 10 * SizeTier::E.num_sites());
-        let (fe, ..) = SizeTier::E.knobs();
-        let (ff, ..) = SizeTier::F.knobs();
-        assert_eq!(ff, 10 * fe);
+        assert_eq!(SizeTier::F.counts().flows, 10 * SizeTier::E.counts().flows);
     }
 }

@@ -13,16 +13,12 @@
 //! Everything is driven by a single `u64` seed, so every experiment in the
 //! repository is exactly reproducible.
 
-use crate::cost::CostModel;
+use crate::builder::Builder;
 use crate::error::TopologyError;
-use crate::ids::{FiberId, SiteId};
-use crate::model::{CosClass, Failure, FailureKind, Fiber, Flow, IpLink, Site};
+use crate::family::SizeTier;
 use crate::network::Network;
-use crate::policy::ReliabilityPolicy;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// The five evaluation topologies of §6, in ascending size order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -98,25 +94,20 @@ pub struct GeneratorConfig {
 }
 
 impl GeneratorConfig {
-    /// The calibrated configuration for one of the paper's topologies.
+    /// The calibrated configuration for one of the paper's topologies: the
+    /// counts of the [`SizeTier`] of the same letter.
     pub fn preset(preset: TopologyPreset) -> Self {
-        let (num_sites, num_multihop, num_parallel, num_flows, cuts, sitef, srlg) = match preset {
-            TopologyPreset::A => (8, 4, 2, 24, 8, 1, 1),
-            TopologyPreset::B => (12, 8, 4, 60, 20, 4, 6),
-            TopologyPreset::C => (20, 16, 7, 150, 34, 8, 14),
-            TopologyPreset::D => (28, 24, 10, 330, 46, 12, 30),
-            TopologyPreset::E => (38, 36, 14, 620, 58, 18, 52),
-        };
+        let counts = SizeTier::ALL[preset as usize].counts();
         GeneratorConfig {
             seed: 0x5eed_0000 + preset as u64,
-            num_sites,
+            num_sites: counts.sites,
             datacenter_fraction: 0.25,
-            num_multihop_links: num_multihop,
-            num_parallel_links: num_parallel,
-            num_flows,
-            num_fiber_cuts: cuts,
-            num_site_failures: sitef,
-            num_srlgs: srlg,
+            num_multihop_links: counts.multihop,
+            num_parallel_links: counts.parallel,
+            num_flows: counts.flows,
+            num_fiber_cuts: counts.cuts,
+            num_site_failures: counts.site_failures,
+            num_srlgs: counts.srlgs,
             mean_demand_gbps: 250.0,
             unit_gbps: 100.0,
             spectrum_ghz: 4800.0,
@@ -177,10 +168,66 @@ impl GeneratorConfig {
         }
     }
 
-    /// Generate the network, validating the configuration first.
+    /// Generate the network, validating the configuration first and the
+    /// built instance last: a config whose baseline does not fit its
+    /// `spectrum_ghz` (preset E at `capacity_fill = 1` under some seeds) is
+    /// an error, not a panic.
+    ///
+    /// The failure set — sampled single fiber cuts, non-datacenter site
+    /// losses spread evenly over the candidates, SRLG pairs — provably
+    /// keeps the fiber plant connected, so a feasible plan always exists
+    /// for Gold traffic. Bridges and repeated site losses are passed over;
+    /// the ring leaves none to pass over from three sites up, so only
+    /// `num_sites = 2` (whose one fiber used to be listed as a cut) and
+    /// `num_site_failures` above the non-datacenter count (which used to
+    /// list a site twice) generate differently than before the shared
+    /// builder.
     pub fn try_generate(&self) -> Result<Network, TopologyError> {
         self.validate()?;
-        Ok(Generator::new(self.clone()).run())
+        let n = self.num_sites;
+        let mut b = Builder::new(self.seed, self.unit_gbps);
+        let num_dcs = ((n as f64 * self.datacenter_fraction).round() as usize).max(1);
+        b.metro_sites(n, (n / 4).clamp(2, 8), num_dcs, 2);
+        b.ring_and_spurs();
+        // Long-haul chords between datacenters for express capacity; a
+        // pair the ring or a spur already joined draws nothing.
+        for i in 0..num_dcs {
+            for j in i + 1..num_dcs {
+                if !b.has_edge(i, j) && b.rng.gen_bool(0.5) {
+                    b.add_edge(i, j);
+                }
+            }
+        }
+        b.materialize_fibers(self.spectrum_ghz);
+        b.build_ip_overlay(self.num_multihop_links, self.num_parallel_links);
+        b.gravity_traffic(self.num_flows, self.mean_demand_gbps);
+        b.provision_baseline(self.capacity_fill);
+        b.cut_failures(self.num_fiber_cuts);
+        let want = self.num_site_failures;
+        b.site_and_srlg_failures(want, self.num_srlgs, |k, pops| k * pops / want % pops);
+        if self.long_term {
+            self.add_dark_candidates(&mut b);
+        }
+        b.finish()
+    }
+
+    /// Long-term planning: dark candidate fibers between a few random
+    /// non-adjacent pairs, each with a zero-capacity candidate IP link.
+    /// Their build cost is only charged if the plan lights them (Eq. 1).
+    fn add_dark_candidates(&self, b: &mut Builder) {
+        let n = self.num_sites;
+        let want = (n / 3).max(2);
+        let mut added = 0usize;
+        let mut attempts = 0usize;
+        while added < want && attempts < 100 * want {
+            attempts += 1;
+            let (x, y) = (b.rng.gen_range(0..n), b.rng.gen_range(0..n));
+            if b.add_edge(x, y) {
+                b.materialize_fibers(self.spectrum_ghz);
+                b.add_ip_link(x, y, vec![b.edges().len() - 1]);
+                added += 1;
+            }
+        }
     }
 
     /// Generate the network for this configuration; panics on a malformed
@@ -194,522 +241,6 @@ impl GeneratorConfig {
 /// Convenience: the calibrated network for a preset.
 pub fn preset_network(preset: TopologyPreset) -> Network {
     GeneratorConfig::preset(preset).generate()
-}
-
-// ---------------------------------------------------------------------------
-
-struct Generator {
-    cfg: GeneratorConfig,
-    rng: StdRng,
-    sites: Vec<Site>,
-    fibers: Vec<Fiber>,
-    links: Vec<IpLink>,
-    flows: Vec<Flow>,
-    failures: Vec<Failure>,
-}
-
-impl Generator {
-    fn new(cfg: GeneratorConfig) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        Generator {
-            cfg,
-            rng,
-            sites: Vec::new(),
-            fibers: Vec::new(),
-            links: Vec::new(),
-            flows: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
-    fn run(mut self) -> Network {
-        self.place_sites();
-        self.build_fiber_plant();
-        self.build_ip_overlay();
-        self.build_traffic();
-        self.provision_baseline();
-        self.build_failures();
-        if self.cfg.long_term {
-            self.add_dark_candidates();
-        }
-        Network::new(
-            self.sites,
-            self.fibers,
-            self.links,
-            self.flows,
-            self.failures,
-            ReliabilityPolicy::default(),
-            CostModel::default(),
-            self.cfg.unit_gbps,
-        )
-        .expect("generated network must validate")
-    }
-
-    /// Sites are scattered around a handful of metro cluster centres on a
-    /// ~5000 km square, mimicking continental PoP placement.
-    fn place_sites(&mut self) {
-        let n = self.cfg.num_sites;
-        let num_metros = (n / 4).clamp(2, 8);
-        let metros: Vec<(f64, f64)> = (0..num_metros)
-            .map(|_| {
-                (
-                    self.rng.gen_range(0.0..5000.0),
-                    self.rng.gen_range(0.0..5000.0),
-                )
-            })
-            .collect();
-        let num_dcs = ((n as f64 * self.cfg.datacenter_fraction).round() as usize).max(1);
-        for i in 0..n {
-            let metro = metros[i % num_metros];
-            let pos = (
-                metro.0 + self.rng.gen_range(-400.0..400.0),
-                metro.1 + self.rng.gen_range(-400.0..400.0),
-            );
-            let is_dc = i < num_dcs;
-            let name = if is_dc {
-                format!("dc{:02}", i)
-            } else {
-                format!("pop{:02}", i - num_dcs)
-            };
-            self.sites.push(Site {
-                name,
-                pos,
-                is_datacenter: is_dc,
-            });
-        }
-    }
-
-    fn site_distance(&self, a: usize, b: usize) -> f64 {
-        self.sites[a].distance_km(&self.sites[b]).max(10.0)
-    }
-
-    fn has_fiber(&self, a: usize, b: usize) -> bool {
-        let (a, b) = (a.min(b), a.max(b));
-        self.fibers
-            .iter()
-            .any(|f| f.endpoints == (SiteId::new(a), SiteId::new(b)))
-    }
-
-    fn add_fiber(&mut self, a: usize, b: usize) -> FiberId {
-        let (a, b) = (a.min(b), a.max(b));
-        let length = self.site_distance(a, b);
-        let id = FiberId::new(self.fibers.len());
-        self.fibers.push(Fiber {
-            endpoints: (SiteId::new(a), SiteId::new(b)),
-            length_km: length,
-            spectrum_ghz: self.cfg.spectrum_ghz,
-            // One-time build/light cost grows with span length, with a fixed
-            // terminal-equipment floor.
-            build_cost: 2.0 + length * 0.004,
-        });
-        id
-    }
-
-    /// Fiber plant = geographic ring (guarantees 2-edge-connectivity, so
-    /// every single fiber cut and single site loss leaves the plant
-    /// connected) + nearest-neighbour spurs + a few long-haul chords.
-    fn build_fiber_plant(&mut self) {
-        let n = self.cfg.num_sites;
-        // Ring in angular order around the centroid.
-        let cx = self.sites.iter().map(|s| s.pos.0).sum::<f64>() / n as f64;
-        let cy = self.sites.iter().map(|s| s.pos.1).sum::<f64>() / n as f64;
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let ta = (self.sites[a].pos.1 - cy).atan2(self.sites[a].pos.0 - cx);
-            let tb = (self.sites[b].pos.1 - cy).atan2(self.sites[b].pos.0 - cx);
-            ta.partial_cmp(&tb).unwrap()
-        });
-        for i in 0..n {
-            let a = order[i];
-            let b = order[(i + 1) % n];
-            if !self.has_fiber(a, b) {
-                self.add_fiber(a, b);
-            }
-        }
-        // Nearest-neighbour spurs: each site to its closest non-ring peer.
-        for a in 0..n {
-            let mut best: Option<(f64, usize)> = None;
-            for b in 0..n {
-                if a == b || self.has_fiber(a, b) {
-                    continue;
-                }
-                let d = self.site_distance(a, b);
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, b));
-                }
-            }
-            if let Some((_, b)) = best {
-                if self.rng.gen_bool(0.6) {
-                    self.add_fiber(a, b);
-                }
-            }
-        }
-        // Long-haul chords between datacenters for express capacity.
-        let dcs: Vec<usize> = (0..n).filter(|&i| self.sites[i].is_datacenter).collect();
-        for i in 0..dcs.len() {
-            for j in i + 1..dcs.len() {
-                if !self.has_fiber(dcs[i], dcs[j]) && self.rng.gen_bool(0.5) {
-                    self.add_fiber(dcs[i], dcs[j]);
-                }
-            }
-        }
-    }
-
-    /// Spectral efficiency of a capacity unit on a span: longer spans force
-    /// lower-order modulation, costing more GHz per Gbps.
-    fn ghz_per_unit(&self, fiber: FiberId) -> f64 {
-        let len = self.fibers[fiber.index()].length_km;
-        // 100 Gbps in ~37.5 GHz at short reach, degrading ~linearly to
-        // ~75 GHz for trans-continental spans.
-        let base = 37.5 * self.cfg.unit_gbps / 100.0;
-        base * (1.0 + (len / 4000.0).min(1.0))
-    }
-
-    /// Dijkstra over the fiber plant, optionally forbidding some fibers.
-    /// Returns the fiber path site-by-site from `src` to `dst`.
-    fn fiber_shortest_path(
-        &self,
-        src: usize,
-        dst: usize,
-        forbidden: &[FiberId],
-    ) -> Option<Vec<FiberId>> {
-        let n = self.sites.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(usize, FiberId)>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src] = 0.0;
-        heap.push((std::cmp::Reverse(ordered(0.0)), src));
-        while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
-            let d = d.0;
-            if d > dist[u] {
-                continue;
-            }
-            if u == dst {
-                break;
-            }
-            for (i, fiber) in self.fibers.iter().enumerate() {
-                let fid = FiberId::new(i);
-                if forbidden.contains(&fid) || !fiber.touches(SiteId::new(u)) {
-                    continue;
-                }
-                let v = if fiber.endpoints.0.index() == u {
-                    fiber.endpoints.1.index()
-                } else {
-                    fiber.endpoints.0.index()
-                };
-                let nd = d + fiber.length_km;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = Some((u, fid));
-                    heap.push((std::cmp::Reverse(ordered(nd)), v));
-                }
-            }
-        }
-        if dist[dst].is_infinite() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut at = dst;
-        while at != src {
-            let (p, fid) = prev[at].expect("reached node has predecessor");
-            path.push(fid);
-            at = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    fn add_ip_link(&mut self, src: usize, dst: usize, path: Vec<FiberId>) {
-        let fiber_path: Vec<(FiberId, f64)> =
-            path.iter().map(|&f| (f, self.ghz_per_unit(f))).collect();
-        let length_km = path.iter().map(|f| self.fibers[f.index()].length_km).sum();
-        self.links.push(IpLink {
-            src: SiteId::new(src),
-            dst: SiteId::new(dst),
-            fiber_path,
-            capacity_units: 0,
-            min_units: 0,
-            length_km,
-        });
-    }
-
-    /// IP overlay: one direct link per fiber, then multi-hop express links
-    /// between distant site pairs, then parallel links over fiber-disjoint
-    /// alternates for the busiest directs.
-    fn build_ip_overlay(&mut self) {
-        for i in 0..self.fibers.len() {
-            let (a, b) = self.fibers[i].endpoints;
-            self.add_ip_link(a.index(), b.index(), vec![FiberId::new(i)]);
-        }
-        let n = self.cfg.num_sites;
-        let mut added = 0usize;
-        let mut attempts = 0usize;
-        while added < self.cfg.num_multihop_links && attempts < 50 * self.cfg.num_multihop_links {
-            attempts += 1;
-            let a = self.rng.gen_range(0..n);
-            let b = self.rng.gen_range(0..n);
-            if a == b || self.has_fiber(a, b) {
-                continue;
-            }
-            if let Some(path) = self.fiber_shortest_path(a, b, &[]) {
-                if path.len() >= 2
-                    && !self
-                        .links
-                        .iter()
-                        .any(|l| l.touches(SiteId::new(a)) && l.touches(SiteId::new(b)))
-                {
-                    self.add_ip_link(a, b, path);
-                    added += 1;
-                }
-            }
-        }
-        // Parallel links: re-route the direct link's site pair over a path
-        // avoiding the original fiber, giving a second failure domain.
-        let mut added = 0usize;
-        let mut fiber_idx = 0usize;
-        while added < self.cfg.num_parallel_links && fiber_idx < self.fibers.len() {
-            let (a, b) = self.fibers[fiber_idx].endpoints;
-            let avoid = [FiberId::new(fiber_idx)];
-            if let Some(path) = self.fiber_shortest_path(a.index(), b.index(), &avoid) {
-                self.add_ip_link(a.index(), b.index(), path);
-                added += 1;
-            }
-            fiber_idx += 1;
-        }
-    }
-
-    /// Gravity-model traffic: weight ∝ (datacenter ? 4 : 1), demand of a
-    /// pair ∝ w_i·w_j with mild distance decay. Each selected pair's
-    /// demand is split into one to three **Class-of-Service components**
-    /// (the paper's "flows between different sites with various Classes
-    /// of Services") — this is what the evaluator's source aggregation
-    /// later collapses. `num_flows` counts components.
-    fn build_traffic(&mut self) {
-        let n = self.cfg.num_sites;
-        let weight = |s: &Site| if s.is_datacenter { 4.0 } else { 1.0 };
-        let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let g = weight(&self.sites[a]) * weight(&self.sites[b])
-                    / (1.0 + self.site_distance(a, b) / 5000.0);
-                // Jitter so ties break differently per seed.
-                let g = g * self.rng.gen_range(0.5..1.5);
-                pairs.push((g, a, b));
-            }
-        }
-        pairs.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap());
-        let max_g = pairs.first().map(|p| p.0).unwrap_or(1.0);
-        for (i, (g, a, b)) in pairs.into_iter().enumerate() {
-            if self.flows.len() >= self.cfg.num_flows {
-                break;
-            }
-            let demand = (self.cfg.mean_demand_gbps * (0.25 + 1.5 * g / max_g)).round();
-            let split: &[(CosClass, f64)] = match i % 3 {
-                0 => &[(CosClass::Gold, 1.0)],
-                1 => &[(CosClass::Gold, 0.6), (CosClass::Bronze, 0.4)],
-                _ => &[
-                    (CosClass::Gold, 0.4),
-                    (CosClass::Silver, 0.35),
-                    (CosClass::Bronze, 0.25),
-                ],
-            };
-            for &(cos, share) in split {
-                if self.flows.len() >= self.cfg.num_flows {
-                    break;
-                }
-                let part = (demand * share).round().max(1.0);
-                self.flows.push(Flow {
-                    src: SiteId::new(a),
-                    dst: SiteId::new(b),
-                    demand_gbps: part,
-                    cos,
-                });
-            }
-        }
-    }
-
-    /// Baseline capacities: route every flow on its shortest IP path (by
-    /// length), accumulate per-link Gbps, convert to units and scale by
-    /// `capacity_fill`. `min_units` is pinned to the baseline (Eq. 5's
-    /// short-term constraint); `capacity_fill = 0` yields the long-term
-    /// regime where everything starts dark.
-    fn provision_baseline(&mut self) {
-        let reference = self.reference_units();
-        for (l, &units) in self.links.iter_mut().zip(&reference) {
-            let filled = (f64::from(units) * self.cfg.capacity_fill).round() as u32;
-            l.capacity_units = filled;
-            l.min_units = filled;
-        }
-    }
-
-    /// Reference per-link capacity: shortest-path routing of all flows plus
-    /// 30% failover headroom.
-    fn reference_units(&self) -> Vec<u32> {
-        let mut gbps = vec![0.0f64; self.links.len()];
-        for flow in &self.flows {
-            if let Some(path) = self.ip_shortest_path(flow.src.index(), flow.dst.index()) {
-                for l in path {
-                    gbps[l] += flow.demand_gbps;
-                }
-            }
-        }
-        gbps.iter()
-            .map(|&g| ((g * 1.3) / self.cfg.unit_gbps).ceil() as u32)
-            .collect()
-    }
-
-    /// Dijkstra over the IP overlay by link length; returns link indices.
-    fn ip_shortest_path(&self, src: usize, dst: usize) -> Option<Vec<usize>> {
-        let n = self.sites.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src] = 0.0;
-        heap.push((std::cmp::Reverse(ordered(0.0)), src));
-        while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
-            let d = d.0;
-            if d > dist[u] {
-                continue;
-            }
-            for (i, link) in self.links.iter().enumerate() {
-                if !link.touches(SiteId::new(u)) {
-                    continue;
-                }
-                let v = link.opposite(SiteId::new(u)).unwrap().index();
-                let nd = d + link.length_km;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = Some((u, i));
-                    heap.push((std::cmp::Reverse(ordered(nd)), v));
-                }
-            }
-        }
-        if dist[dst].is_infinite() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut at = dst;
-        while at != src {
-            let (p, l) = prev[at]?;
-            path.push(l);
-            at = p;
-        }
-        Some(path)
-    }
-
-    /// Failure set: sampled single fiber cuts, non-datacenter site losses,
-    /// and SRLG pairs that provably keep the fiber plant connected (so a
-    /// feasible plan always exists for Gold traffic).
-    fn build_failures(&mut self) {
-        let nf = self.fibers.len();
-        let mut cut_order: Vec<usize> = (0..nf).collect();
-        // Deterministic shuffle.
-        for i in (1..cut_order.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
-            cut_order.swap(i, j);
-        }
-        for &f in cut_order.iter().take(self.cfg.num_fiber_cuts.min(nf)) {
-            self.failures.push(Failure {
-                name: format!("cut:f{f}"),
-                kind: FailureKind::FiberCut(FiberId::new(f)),
-            });
-        }
-        let pops: Vec<usize> = (0..self.sites.len())
-            .filter(|&i| !self.sites[i].is_datacenter)
-            .collect();
-        for k in 0..self.cfg.num_site_failures.min(pops.len()) {
-            let s = pops[k * pops.len() / self.cfg.num_site_failures.max(1) % pops.len()];
-            self.failures.push(Failure {
-                name: format!("down:s{s}"),
-                kind: FailureKind::SiteDown(SiteId::new(s)),
-            });
-        }
-        let mut srlgs = 0usize;
-        let mut attempts = 0usize;
-        while srlgs < self.cfg.num_srlgs && attempts < 100 * self.cfg.num_srlgs.max(1) {
-            attempts += 1;
-            let a = self.rng.gen_range(0..nf);
-            let b = self.rng.gen_range(0..nf);
-            if a == b {
-                continue;
-            }
-            let group = vec![FiberId::new(a), FiberId::new(b)];
-            if self.plant_connected_without(&group) {
-                self.failures.push(Failure {
-                    name: format!("srlg:f{a}+f{b}"),
-                    kind: FailureKind::Srlg(group),
-                });
-                srlgs += 1;
-            }
-        }
-    }
-
-    /// BFS connectivity of the fiber plant after removing `dead` fibers.
-    fn plant_connected_without(&self, dead: &[FiberId]) -> bool {
-        let n = self.sites.len();
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(u) = stack.pop() {
-            for (i, fiber) in self.fibers.iter().enumerate() {
-                if dead.contains(&FiberId::new(i)) || !fiber.touches(SiteId::new(u)) {
-                    continue;
-                }
-                let v = if fiber.endpoints.0.index() == u {
-                    fiber.endpoints.1.index()
-                } else {
-                    fiber.endpoints.0.index()
-                };
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        seen.iter().all(|&s| s)
-    }
-
-    /// Long-term planning: dark candidate fibers between a few random
-    /// non-adjacent pairs, each with a zero-capacity candidate IP link.
-    /// Their build cost is only charged if the plan lights them (Eq. 1).
-    fn add_dark_candidates(&mut self) {
-        let n = self.cfg.num_sites;
-        let want = (n / 3).max(2);
-        let mut added = 0usize;
-        let mut attempts = 0usize;
-        while added < want && attempts < 100 * want {
-            attempts += 1;
-            let a = self.rng.gen_range(0..n);
-            let b = self.rng.gen_range(0..n);
-            if a == b || self.has_fiber(a, b) {
-                continue;
-            }
-            let fid = self.add_fiber(a, b);
-            self.add_ip_link(a, b, vec![fid]);
-            added += 1;
-        }
-    }
-}
-
-/// Total-order wrapper for non-NaN f64 keys in the binary heaps.
-fn ordered(x: f64) -> OrderedF64 {
-    debug_assert!(!x.is_nan());
-    OrderedF64(x)
-}
-
-#[derive(PartialEq, PartialOrd)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other).expect("no NaN distances")
-    }
 }
 
 #[cfg(test)]
@@ -757,6 +288,52 @@ mod tests {
                 "unexpected error {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_baseline_beyond_the_spectrum_is_an_error_not_a_panic() {
+        let cfg = GeneratorConfig {
+            seed: 4,
+            capacity_fill: 1.0,
+            ..GeneratorConfig::preset(TopologyPreset::E)
+        };
+        let err = cfg
+            .try_generate()
+            .expect_err("f62 cannot carry its baseline");
+        assert_eq!(
+            err.to_string(),
+            "invalid topology: initial capacities exceed spectrum of f62"
+        );
+    }
+
+    #[test]
+    fn the_one_fiber_of_a_two_site_plant_is_never_cut() {
+        for seed in 0..50 {
+            let cfg = GeneratorConfig {
+                seed,
+                num_sites: 2,
+                ..GeneratorConfig::preset(TopologyPreset::A)
+            };
+            let net = cfg.generate();
+            assert_eq!(net.fibers().len(), 1);
+            let names: Vec<&str> = net.failures().iter().map(|f| f.name.as_str()).collect();
+            assert_eq!(names, ["down:s1"], "seed {seed}: f0 is a bridge");
+        }
+    }
+
+    #[test]
+    fn no_site_is_lost_twice() {
+        let cfg = GeneratorConfig {
+            num_sites: 4,
+            num_site_failures: 5,
+            ..GeneratorConfig::preset(TopologyPreset::A)
+        };
+        let net = cfg.generate();
+        let down: Vec<&str> = (net.failures().iter())
+            .map(|f| f.name.as_str())
+            .filter(|name| name.starts_with("down:"))
+            .collect();
+        assert_eq!(down, ["down:s1", "down:s2"], "used to list s1 twice");
     }
 
     #[test]

@@ -17,12 +17,15 @@
 //! * a [`CostModel`] implementing the paper's Eq. 1 objective.
 //!
 //! The crate also provides the paper's **node-link transformation**
-//! (§4.2, Fig. 5) used to feed the topology to a GNN, and deterministic
-//! synthetic [`generator`]s calibrated to the paper's production
-//! topologies A–E. The [`family`] module generalizes generation to a
-//! whole scenario matrix: seven [`TopologyFamily`] graph processes ×
-//! six [`SizeTier`]s (A–E plus a 10× "F") × three [`FailureModel`]s.
+//! (§4.2, Fig. 5) used to feed the topology to a GNN, and one seeded,
+//! deterministic instance builder behind two config front-ends:
+//! [`generator`] holds the presets calibrated to the paper's production
+//! topologies A–E, [`family`] a whole scenario matrix of seven
+//! [`TopologyFamily`] graph processes × six [`SizeTier`]s (A–E plus a
+//! 10× "F") × three [`FailureModel`]s. A front-end draws its own fiber
+//! plant; every step from fibers to failures is shared.
 
+mod builder;
 pub mod cost;
 pub mod error;
 pub mod family;

@@ -286,6 +286,8 @@ fn bad_specs() -> Vec<Value> {
         json!({"preset": "a", "stage_budget": -1}),
         json!({"preset": "a", "stage_budget": f64::NAN}),
         json!({"preset": "a", "fill": 1.0000001}),
+        // every knob in range, yet the baseline overflows a fiber's spectrum
+        json!({"preset": "e", "seed": 4, "fill": 1}),
         json!({"preset": "a", "seed": 1.5}),
         json!({"preset": "a", "seed": -1}),
         json!({"preset": "a", "seed": 1e19}),
