@@ -197,9 +197,18 @@ impl PlanSpec {
         Ok((spec.checked()?, rest))
     }
 
+    /// Refuse a key the named generator never reads: it would be accepted
+    /// and ignored ([`PlanSpec::network`]).
     fn checked(self) -> Result<PlanSpec, String> {
-        match self.text("preset").and(self.text("family")) {
-            Some(_) => Err("`family` conflicts with `preset`".to_string()),
+        let conflicts = [
+            ("family", "preset"),
+            ("size_tier", "preset"),
+            ("failure_model", "preset"),
+            ("long_term", "family"),
+        ];
+        let unread = (conflicts.into_iter()).find(|(a, b)| self.get(a).and(self.get(b)).is_some());
+        match unread {
+            Some((a, b)) => Err(format!("`{a}` conflicts with `{b}`")),
             None => Ok(self),
         }
     }

@@ -138,9 +138,10 @@ impl Matrix {
     /// Elementwise in-place addition.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        widest(
+            #[inline(always)]
+            |_| add(&mut self.data, &other.data),
+        );
     }
 
     /// Elementwise in-place scaled addition `self += alpha · other`.
@@ -155,24 +156,20 @@ impl Matrix {
     pub fn add_row_broadcast(&mut self, bias: &Matrix) {
         assert_eq!(bias.rows, 1);
         assert_eq!(bias.cols, self.cols);
-        for r in 0..self.rows {
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, &b) in dst.iter_mut().zip(&bias.data) {
-                *d += b;
-            }
-        }
+        widest(
+            #[inline(always)]
+            |_| add_row(&mut self.data, &bias.data),
+        );
     }
 
     /// `out` = column sums as a `1 × cols` row (the bias gradient), rows
     /// added in ascending order.
     pub fn sum_rows_into(&self, out: &mut Matrix) {
         out.resize(1, self.cols);
-        out.fill(0.0);
-        for row in self.data.chunks_exact(self.cols.max(1)) {
-            for (o, &v) in out.data.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
+        widest(
+            #[inline(always)]
+            |_| sum_rows(&self.data, &mut out.data),
+        );
     }
 
     /// `out` = mean over rows as a `1 × cols` row (the critic's pooling).
@@ -186,9 +183,10 @@ impl Matrix {
 
     /// `max(0, x)` elementwise, in place.
     pub fn relu_in_place(&mut self) {
-        for v in &mut self.data {
-            *v = v.max(0.0);
-        }
+        widest(
+            #[inline(always)]
+            |_| relu(&mut self.data),
+        );
     }
 
     /// ReLU backward, in place on the gradient: zero it wherever the
@@ -196,11 +194,10 @@ impl Matrix {
     /// when the pre-activation was).
     pub fn relu_gate(&mut self, post: &Matrix) {
         assert_eq!((self.rows, self.cols), (post.rows, post.cols));
-        for (g, &y) in self.data.iter_mut().zip(&post.data) {
-            if y <= 0.0 {
-                *g = 0.0;
-            }
-        }
+        widest(
+            #[inline(always)]
+            |_| gate(&mut self.data, &post.data),
+        );
     }
 
     /// Elementwise map into a new matrix.
@@ -225,6 +222,42 @@ impl Matrix {
     }
 }
 
+/// Runs `kernel` in the widest build this CPU can execute: compiled with
+/// AVX2 where `std` detects it (the answer is cached), as the crate is
+/// compiled everywhere else. `kernel` receives that build's strip width
+/// for [`add_scaled_rows`]. It must be an `#[inline(always)]` closure over
+/// `#[inline(always)]` code: only code inlined into a build takes its
+/// instruction set. Every build performs the same IEEE operations in the
+/// same order (DESIGN.md "neural kernel contract"); FMA is never enabled.
+#[inline(always)]
+pub(crate) fn widest<R>(kernel: impl FnOnce(usize) -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU running this has AVX2, checked on the line above.
+        return unsafe { avx2(kernel) };
+    }
+    baseline(kernel)
+}
+
+/// `kernel` as the crate is compiled: a 16-column strip is eight SSE2
+/// registers on baseline x86-64.
+#[inline(always)]
+fn baseline<R>(kernel: impl FnOnce(usize) -> R) -> R {
+    kernel(16)
+}
+
+/// `kernel` compiled with AVX2, whose sixteen 4-lane registers hold a
+/// 32-column strip in eight.
+///
+/// # Safety
+///
+/// The CPU running this must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2<R>(kernel: impl FnOnce(usize) -> R) -> R {
+    kernel(32)
+}
+
 /// Depth entries whose non-zero multipliers are gathered (on the stack)
 /// before the output strips sweep over them.
 const DEPTH_CHUNK: usize = 128;
@@ -247,6 +280,14 @@ struct Lhs<'a> {
 /// factors of a row are gathered first, so the sweep over them is
 /// branch-free however the zeros (ReLU outputs, masked gradients) fall.
 fn accumulate(lhs: Lhs<'_>, depth: usize, b: &[f64], m: usize, out: &mut [f64]) {
+    widest(
+        #[inline(always)]
+        |strip| accumulate_body(strip, lhs, depth, b, m, out),
+    );
+}
+
+#[inline(always)]
+fn accumulate_body(strip: usize, lhs: Lhs<'_>, depth: usize, b: &[f64], m: usize, out: &mut [f64]) {
     out.fill(0.0);
     if m == 0 {
         return;
@@ -262,7 +303,7 @@ fn accumulate(lhs: Lhs<'_>, depth: usize, b: &[f64], m: usize, out: &mut [f64]) 
                 nz_a[cnt] = a;
                 cnt += usize::from(a != 0.0);
             }
-            add_scaled_rows(&nz_p[..cnt], &nz_a[..cnt], b, orow);
+            add_scaled_rows(strip, &nz_p[..cnt], &nz_a[..cnt], b, orow);
         }
     }
 }
@@ -270,11 +311,21 @@ fn accumulate(lhs: Lhs<'_>, depth: usize, b: &[f64], m: usize, out: &mut [f64]) 
 /// `dst[j] += Σ_t scales[t] · b[rows[t], j]` with `b` of `dst`'s width:
 /// each element of `dst` adds its terms in slice order, one rounding
 /// each. Shared by the dense and the CSR product. A strip of `dst` sits
-/// in registers while the terms stream past — 16 `f64` (eight SSE2
-/// registers on the baseline x86-64 target) at a time, then 8/4/2/1 for
-/// what is left of a narrow or ragged row.
-pub(crate) fn add_scaled_rows(rows: &[usize], scales: &[f64], b: &[f64], dst: &mut [f64]) {
-    let j = add_strips::<16>(rows, scales, b, dst, 0);
+/// in registers while the terms stream past — `strip` (16 or 32) `f64`
+/// at a time, then 16/8/4/2/1 for what is left of a narrow or ragged row.
+#[inline(always)]
+pub(crate) fn add_scaled_rows(
+    strip: usize,
+    rows: &[usize],
+    scales: &[f64],
+    b: &[f64],
+    dst: &mut [f64],
+) {
+    let mut j = 0;
+    if strip == 32 {
+        j = add_strips::<32>(rows, scales, b, dst, j);
+    }
+    let j = add_strips::<16>(rows, scales, b, dst, j);
     let j = add_strips::<8>(rows, scales, b, dst, j);
     let j = add_strips::<4>(rows, scales, b, dst, j);
     let j = add_strips::<2>(rows, scales, b, dst, j);
@@ -282,6 +333,7 @@ pub(crate) fn add_scaled_rows(rows: &[usize], scales: &[f64], b: &[f64], dst: &m
 }
 
 /// The `W`-wide strips of `dst[j0..]`; returns where they end.
+#[inline(always)]
 fn add_strips<const W: usize>(
     rows: &[usize],
     scales: &[f64],
@@ -305,6 +357,48 @@ fn add_strips<const W: usize>(
     j0
 }
 
+/// `dst += src`, elementwise.
+#[inline(always)]
+fn add(dst: &mut [f64], src: &[f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// `row` added to every row of `dst` (row-major, `row.len()` wide).
+#[inline(always)]
+fn add_row(dst: &mut [f64], row: &[f64]) {
+    for d in dst.chunks_exact_mut(row.len().max(1)) {
+        add(d, row);
+    }
+}
+
+/// Column sums of `src` (row-major, `out.len()` wide), rows in order.
+#[inline(always)]
+fn sum_rows(src: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for row in src.chunks_exact(out.len().max(1)) {
+        add(out, row);
+    }
+}
+
+#[inline(always)]
+fn relu(v: &mut [f64]) {
+    for x in v {
+        *x = x.max(0.0);
+    }
+}
+
+/// Zero `g` where `post` is not positive. A select, not a branch: the
+/// store is unconditional, so the loop vectorizes at any width instead of
+/// mispredicting on the ReLU pattern.
+#[inline(always)]
+fn gate(g: &mut [f64], post: &[f64]) {
+    for (g, &y) in g.iter_mut().zip(post) {
+        *g = if y <= 0.0 { 0.0 } else { *g };
+    }
+}
+
 /// Standard normal sample via Box-Muller (keeps us off rand_distr).
 pub fn gauss(rng: &mut impl Rng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -313,10 +407,225 @@ pub fn gauss(rng: &mut impl Rng) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The builds of the kernels this CPU can run: the baseline body, then
+    /// each wrapper the CPU supports. Says which run and which are skipped.
+    pub(crate) fn builds(test: &str) -> Vec<&'static str> {
+        let mut run = vec!["baseline"];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            run.push("avx2");
+        } else {
+            println!("{test}: avx2 skipped, the CPU lacks it");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("{test}: avx2 skipped, not an x86-64 target");
+        println!("{test}: ran {run:?}");
+        run
+    }
+
+    /// `kernel` in the named build of [`builds`]; like every caller of
+    /// [`widest`], it must be an `#[inline(always)]` closure.
+    pub(crate) fn in_build<R>(build: &str, kernel: impl FnOnce(usize) -> R) -> R {
+        match build {
+            "baseline" => baseline(kernel),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `builds` names avx2 only when the CPU has it.
+            "avx2" => unsafe { avx2(kernel) },
+            _ => unreachable!("no build {build}"),
+        }
+    }
+
+    /// The value generator of `tests/kernel_bits.rs`: ReLU-like zeros
+    /// (whole rows of them), `-0.0` and the odd huge magnitude.
+    pub(crate) fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            let zero_row = rng.gen_range(0..6) == 0;
+            for c in 0..cols {
+                let v = match rng.gen_range(0..10) {
+                    _ if zero_row => 0.0,
+                    0..=2 => 0.0,
+                    3 => -0.0,
+                    4 => rng.gen_range(-1.0..1.0) * 1e100,
+                    _ => rng.gen_range(-2.0..2.0),
+                };
+                m.set(r, c, v);
+            }
+        }
+        m
+    }
+
+    /// The shape generator of `tests/kernel_bits.rs` (`n × k` by `k × m`):
+    /// widths below, at and off every strip width, depths beyond one
+    /// gather chunk.
+    pub(crate) fn random_shape(rng: &mut StdRng) -> (usize, usize, usize) {
+        let widths = [1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 48, 64, 70];
+        let depths = [1, 2, 5, 32, 64, 127, 128, 129, 300];
+        (
+            rng.gen_range(1..12),
+            depths[rng.gen_range(0..depths.len())],
+            widths[rng.gen_range(0..widths.len())],
+        )
+    }
+
+    pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_build_of_the_dense_kernel_is_the_naive_loop_bit_for_bit() {
+        let builds = builds("dense kernel");
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, k, m) = random_shape(&mut rng);
+            let a = random_matrix(n, k, &mut rng);
+            let b = random_matrix(k, m, &mut rng);
+            // Naive `ikj`: ascending `p`, exact-zero left factors skipped.
+            let mut want = vec![0.0; n * m];
+            for i in 0..n {
+                for p in (0..k).filter(|&p| a.get(i, p) != 0.0) {
+                    for j in 0..m {
+                        want[i * m + j] += a.get(i, p) * b.get(p, j);
+                    }
+                }
+            }
+            let mut at = Matrix::zeros(0, 0);
+            a.transpose_into(&mut at);
+            let as_a = Lhs {
+                data: a.as_slice(),
+                row_stride: k,
+                depth_stride: 1,
+            };
+            let as_at = Lhs {
+                data: at.as_slice(),
+                row_stride: 1,
+                depth_stride: n,
+            };
+            for build in &builds {
+                for lhs in [as_a, as_at] {
+                    let mut out = vec![f64::NAN; n * m];
+                    in_build(
+                        build,
+                        #[inline(always)]
+                        |strip| accumulate_body(strip, lhs, k, b.as_slice(), m, &mut out),
+                    );
+                    assert_eq!(bits(&out), bits(&want), "{build}, seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_build_fuses_a_multiply_with_its_add() {
+        // (1 + 2⁻³⁰)² rounds to 1 + 2⁻²⁹, which cancels the first term to
+        // +0.0; a fused multiply-add keeps the 2⁻⁶⁰ the rounding drops.
+        let (x, y) = (1.0 + 2f64.powi(-30), -(1.0 + 2f64.powi(-29)));
+        let lhs = [1.0, x];
+        for build in builds("fma sentinel") {
+            for m in (1..=40).chain([63, 64, 65]) {
+                let b: Vec<f64> = [y, x].iter().flat_map(|&v| vec![v; m]).collect();
+                let mut out = vec![f64::NAN; m];
+                let lhs = Lhs {
+                    data: &lhs,
+                    row_stride: 2,
+                    depth_stride: 1,
+                };
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |strip| accumulate_body(strip, lhs, 2, &b, m, &mut out),
+                );
+                assert_eq!(bits(&out), vec![0; m], "{build}, width {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_build_of_the_elementwise_passes_is_the_naive_loop_bit_for_bit() {
+        let builds = builds("elementwise passes");
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, _, m) = random_shape(&mut rng);
+            let mut x = random_matrix(n, m, &mut rng);
+            let y = random_matrix(n, m, &mut rng);
+            for v in x.as_mut_slice() {
+                match rng.gen_range(0..40) {
+                    0 => *v = f64::NAN,
+                    1 => *v = f64::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+            let (x, y) = (x.as_slice(), y.as_slice());
+            let row = &y[..m];
+            // The loops as written before any of them was dispatched.
+            let mut sum = x.to_vec();
+            for (a, &b) in sum.iter_mut().zip(y) {
+                *a += b;
+            }
+            let mut broadcast = x.to_vec();
+            for r in 0..n {
+                for (d, &b) in broadcast[r * m..(r + 1) * m].iter_mut().zip(row) {
+                    *d += b;
+                }
+            }
+            let mut col_sums = vec![0.0; m];
+            for r in x.chunks_exact(m) {
+                for (o, &v) in col_sums.iter_mut().zip(r) {
+                    *o += v;
+                }
+            }
+            let relu_want: Vec<f64> = x.iter().map(|v| v.max(0.0)).collect();
+            let mut gated = y.to_vec();
+            for (g, &p) in gated.iter_mut().zip(x) {
+                if p <= 0.0 {
+                    *g = 0.0;
+                }
+            }
+            for build in &builds {
+                let at = |what: &str| format!("{what}: {build}, seed {seed}");
+                let mut out = x.to_vec();
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |_| add(&mut out, y),
+                );
+                assert_eq!(bits(&out), bits(&sum), "{}", at("add"));
+                let mut out = x.to_vec();
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |_| add_row(&mut out, row),
+                );
+                assert_eq!(bits(&out), bits(&broadcast), "{}", at("add_row"));
+                let mut out = vec![f64::NAN; m];
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |_| sum_rows(x, &mut out),
+                );
+                assert_eq!(bits(&out), bits(&col_sums), "{}", at("sum_rows"));
+                let mut out = x.to_vec();
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |_| relu(&mut out),
+                );
+                assert_eq!(bits(&out), bits(&relu_want), "{}", at("relu"));
+                let mut out = y.to_vec();
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |_| gate(&mut out, x),
+                );
+                assert_eq!(bits(&out), bits(&gated), "{}", at("gate"));
+            }
+        }
+    }
 
     fn m23() -> Matrix {
         Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

@@ -1,6 +1,6 @@
 //! CSR sparse matrices for the GCN propagation operator `Â`.
 
-use crate::matrix::{add_scaled_rows, Matrix};
+use crate::matrix::{add_scaled_rows, widest, Matrix};
 
 /// A square sparse matrix in compressed-sparse-row form.
 ///
@@ -74,16 +74,26 @@ impl Csr {
         assert_eq!(self.n, dense.rows(), "spmm shape mismatch");
         let m = dense.cols();
         out.resize(self.n, m);
+        widest(
+            #[inline(always)]
+            |strip| self.spmm_body(strip, dense.as_slice(), m, out.as_mut_slice()),
+        );
+    }
+
+    /// `out = self · dense` for a row-major `dense` of width `m`.
+    #[inline(always)]
+    fn spmm_body(&self, strip: usize, dense: &[f64], m: usize, out: &mut [f64]) {
         out.fill(0.0);
         if m == 0 {
             return;
         }
-        for (r, orow) in out.as_mut_slice().chunks_exact_mut(m).enumerate() {
+        for (r, orow) in out.chunks_exact_mut(m).enumerate() {
             let entries = self.row_ptr[r]..self.row_ptr[r + 1];
             add_scaled_rows(
+                strip,
                 &self.col_idx[entries.clone()],
                 &self.values[entries],
-                dense.as_slice(),
+                dense,
                 orow,
             );
         }
@@ -132,6 +142,9 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tests::{bits, builds, in_build, random_matrix, random_shape};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn from_triples_and_get() {
@@ -164,6 +177,68 @@ mod tests {
         let mut out = Matrix::zeros(0, 0);
         Csr::identity(3).matmul_dense_into(&h, &mut out);
         assert_eq!(out, h);
+    }
+
+    #[test]
+    fn every_build_of_the_sparse_product_is_the_naive_loop_bit_for_bit() {
+        let builds = builds("sparse product");
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_, _, m) = random_shape(&mut rng);
+            let n = rng.gen_range(1..20);
+            let mut triples = Vec::new();
+            for r in 0..n {
+                for c in 0..n {
+                    if rng.gen_range(0..3) == 0 {
+                        // Stored zeros are *not* skipped by the sparse product.
+                        let v = if rng.gen_range(0..8) == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(-1.0..1.0)
+                        };
+                        triples.push((r, c, v));
+                    }
+                }
+            }
+            let adj = Csr::from_triples(n, &triples);
+            let h = random_matrix(n, m, &mut rng);
+            let mut want = vec![0.0; n * m];
+            for r in 0..n {
+                for k in adj.row_ptr[r]..adj.row_ptr[r + 1] {
+                    for j in 0..m {
+                        want[r * m + j] += adj.values[k] * h.get(adj.col_idx[k], j);
+                    }
+                }
+            }
+            for build in &builds {
+                let mut out = vec![f64::NAN; n * m];
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |strip| adj.spmm_body(strip, h.as_slice(), m, &mut out),
+                );
+                assert_eq!(bits(&out), bits(&want), "{build}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_build_of_the_sparse_product_fuses_a_multiply_with_its_add() {
+        // See the dense kernel's sentinel: +0.0 unfused, 2⁻⁶⁰ fused.
+        let (x, y) = (1.0 + 2f64.powi(-30), -(1.0 + 2f64.powi(-29)));
+        let a = Csr::from_triples(2, &[(0, 0, 1.0), (0, 1, x)]);
+        for build in builds("sparse fma sentinel") {
+            for m in (1..=40).chain([63, 64, 65]) {
+                let h: Vec<f64> = [y, x].iter().flat_map(|&v| vec![v; m]).collect();
+                let mut out = vec![f64::NAN; 2 * m];
+                in_build(
+                    build,
+                    #[inline(always)]
+                    |strip| a.spmm_body(strip, &h, m, &mut out),
+                );
+                assert_eq!(bits(&out), vec![0; 2 * m], "{build}, width {m}");
+            }
+        }
     }
 
     #[test]

@@ -370,6 +370,7 @@ impl<S: PlanService> Server<S> {
         let dir_lock = DirLock::acquire(&cfg.state_dir)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::AddrInUse, e.to_string()))?;
         let journal = journal::Journal::in_dir(&cfg.state_dir)?;
+        journal.cut_torn_tail(&chaos)?;
 
         // Journal replay: in-flight requests re-enqueue with resume set,
         // closed ones go through the rings in the order they closed —

@@ -363,6 +363,59 @@ fn ids_never_go_backwards_across_a_compaction() {
 }
 
 #[test]
+fn what_a_daemon_admits_after_a_torn_journal_tail_survives_the_next_restart() {
+    let dir = tmp("torn");
+    let j = Journal::in_dir(&dir).unwrap();
+    let quiet = Chaos::disabled();
+    let first = spec("cold-0");
+    j.submitted(1, &first, &quiet).unwrap();
+    let done = GatedService::body("worker", &first, 1);
+    j.terminal(journal::K_DONE, 1, done, &quiet).unwrap();
+    let whole = std::fs::read(j.path()).unwrap();
+
+    // A start over a journal without a tear leaves it as it was.
+    let (svc, _starts) = GatedService::new();
+    let (server, _addr, stop) = start(&dir, 1, 8, svc);
+    assert_eq!(std::fs::read(j.path()).unwrap(), whole);
+    drop(server);
+    stop.cancel();
+
+    // The daemon died half-way through its next append.
+    let mut torn = whole.clone();
+    torn.extend_from_slice(br#"{"sum":"0123456789abcdef","rec":{"v":1,"ki"#);
+    std::fs::write(j.path(), &torn).unwrap();
+    let (svc, starts) = GatedService::new();
+    let (server, addr, stop) = start(&dir, 1, 8, Arc::clone(&svc));
+    let mut c = Client::connect(&addr).unwrap();
+    let solve = submit_id(&c.submit(&spec("cold-1")).unwrap()).unwrap();
+    assert_eq!(starts.recv_timeout(Duration::from_secs(10)), Ok(solve));
+    svc.release(1);
+    c.wait(solve, Duration::from_secs(10)).unwrap();
+    let repeat = c.submit(&spec("warm-1")).unwrap();
+    assert_eq!(text(&repeat, "state"), Some("done"), "{repeat:?}");
+    let ids = [1, solve, submit_id(&repeat).unwrap()];
+    let answers = |c: &mut Client| -> Vec<String> {
+        let replies = ids.iter().flat_map(|&id| [c.status(id), c.result(id)]);
+        replies.map(|reply| bytes(&reply.unwrap())).collect()
+    };
+    let before = answers(&mut c);
+    assert!(
+        before.iter().all(|a| a.contains(r#""ok":true"#)),
+        "{before:?}"
+    );
+
+    drop(c);
+    drop(server);
+    let (svc2, _starts2) = GatedService::new();
+    let (server2, addr2, _stop2) = start(&dir, 1, 8, svc2);
+    let mut c = Client::connect(&addr2).unwrap();
+    assert_eq!(answers(&mut c), before, "every id answers as it did");
+    server2.shutdown_and_wait();
+    stop.cancel();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_compaction_killed_at_any_record_leaves_the_old_journal_or_the_new() {
     let dir = tmp("killed");
     let j = Journal::in_dir(&dir).unwrap();

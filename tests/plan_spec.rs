@@ -59,7 +59,7 @@ fn samples(field: &Field) -> Vec<String> {
 
 #[test]
 fn every_row_round_trips_from_flags_through_json() {
-    let mut everything: Vec<String> = Vec::new();
+    let mut everything: Vec<(&str, String)> = Vec::new();
     for field in FIELDS {
         let flag = format!("--{}", field.key.replace('_', "-"));
         for sample in samples(field) {
@@ -70,19 +70,26 @@ fn every_row_round_trips_from_flags_through_json() {
             let spec = flags(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
             assert_ne!(spec, PlanSpec::default(), "{args:?} was dropped");
             assert_eq!(over_the_wire(&spec), Ok(spec), "{args:?}");
-            if field.key != "family" {
-                everything.extend(args.iter().map(|a| a.to_string()));
-            }
+            everything.extend(args.iter().map(|a| (field.key, a.to_string())));
         }
     }
-    // All rows at once (later values win; `family` would conflict with
-    // `preset`).
-    let (spec, _) = PlanSpec::from_flags(&everything, "").expect("all rows together");
-    assert_eq!(over_the_wire(&spec), Ok(spec.clone()));
-    assert_eq!(
-        spec.to_json().as_object().map(Vec::len),
-        Some(FIELDS.len() - 1)
-    );
+    // All rows at once (later values win), once per generator: the keys
+    // only the other one reads conflict with it.
+    for other in [
+        &["family", "size_tier", "failure_model"][..],
+        &["preset", "long_term"],
+    ] {
+        let args: Vec<String> = (everything.iter())
+            .filter(|(key, _)| !other.contains(key))
+            .map(|(_, arg)| arg.clone())
+            .collect();
+        let (spec, _) = PlanSpec::from_flags(&args, "").expect("all rows together");
+        assert_eq!(over_the_wire(&spec), Ok(spec.clone()));
+        assert_eq!(
+            spec.to_json().as_object().map(Vec::len),
+            Some(FIELDS.len() - other.len())
+        );
+    }
 }
 
 #[test]
@@ -281,6 +288,10 @@ fn bad_specs() -> Vec<Value> {
         json!({"preset": "a", "alpha": 0.5}),
         json!({"preset": "a", "aplha": 2}),
         json!({"preset": "a", "family": "ba"}),
+        // keys the named generator never reads
+        json!({"preset": "a", "size_tier": "c"}),
+        json!({"preset": "a", "failure_model": "none"}),
+        json!({"family": "ba", "long_term": true}),
         json!({"preset": "a", "prune_alpha": 0.99}),
         json!({"preset": "a", "gap": -1e-9}),
         json!({"preset": "a", "stage_budget": -1}),
@@ -484,6 +495,7 @@ fn the_cli_refuses_bad_requests_before_doing_anything() {
         &["--stage-budget", "nan"],
         &["--lp-backend", "dense"],
         &["--seed", "18446744073709551616"],
+        &["--size-tier", "c"],
     ] {
         for cmd in ["plan", "replan", "generate", "request"] {
             let mut run = Command::new(bin);
