@@ -1,6 +1,5 @@
-//! Parallel worker scaling on the three parallelized hot loops:
-//! scenario checking, separation for the ILP master, and the
-//! decomposition's region solves.
+//! Parallel worker scaling on the two parallelized evaluator loops:
+//! scenario checking and separation for the ILP master.
 //!
 //! Every path is bit-deterministic in the worker count — this binary
 //! asserts that while it measures, so a speedup can never come from
@@ -8,7 +7,6 @@
 //! run; on a single-core host the scoped-thread pool degrades to a
 //! small coordination overhead and the honest ratio is ~1.0x.
 
-use neuroplan::solve_decomposed;
 use np_bench::{cell, ExpArgs, Table};
 use np_eval::{EvalConfig, PlanEvaluator, Separation};
 use np_topology::generator::preset_network;
@@ -72,16 +70,9 @@ fn bench_separate(net: &Network, plans: &[Vec<f64>], workers: usize) -> (Vec<usi
     (counts, t0.elapsed().as_secs_f64())
 }
 
-fn bench_decompose(net: &Network, workers: usize, budget: f64) -> (Vec<u32>, f64) {
-    let t0 = Instant::now();
-    let out = solve_decomposed(net, EvalConfig::default(), budget, 3, workers)
-        .expect("decomposition must produce a plan");
-    (out.units, t0.elapsed().as_secs_f64())
-}
-
 fn main() {
     let args = ExpArgs::parse();
-    let (rounds, budget) = if args.quick { (24, 5.0) } else { (96, 20.0) };
+    let rounds = if args.quick { 24 } else { 96 };
     let net = preset_network(TopologyPreset::B);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -128,19 +119,6 @@ fn main() {
     }
     rows.push(("separate", sep_times));
 
-    let mut dec_times = Vec::new();
-    let mut dec_base: Option<Vec<u32>> = None;
-    for &w in &WORKER_COUNTS {
-        let (units, secs) = bench_decompose(&net, w, budget);
-        let base = dec_base.get_or_insert(units.clone());
-        assert_eq!(
-            base, &units,
-            "decomposed plans must be worker-count independent"
-        );
-        dec_times.push(secs);
-    }
-    rows.push(("decompose", dec_times));
-
     for (name, times) in &rows {
         table.row(vec![
             cell(name),
@@ -159,5 +137,5 @@ fn main() {
              exceed ~1.0x here; re-run on a >=4-core host for the scaling figure."
         );
     }
-    println!("all three loops returned identical results at 1, 2 and 4 workers.");
+    println!("both loops returned identical results at 1, 2 and 4 workers.");
 }

@@ -341,6 +341,21 @@ impl<'a> Chain<'a> {
         drop(file);
         std::fs::rename(next, self.path)
     }
+
+    /// Cut the chain back to its valid records when bytes follow them (a
+    /// writer that died mid-append). The next append would otherwise be
+    /// glued onto those bytes, and it and every record after it would be
+    /// dropped by the next read. A chain that is nothing but valid
+    /// records, one per line, is not touched; a cut is a [`Chain::restart`].
+    pub fn cut_torn_tail(&self) -> std::io::Result<()> {
+        let records = self.read();
+        let bytes = std::fs::read(self.path).unwrap_or_default();
+        let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+        if lines == records.len() && bytes.last().is_none_or(|&b| b == b'\n') {
+            return Ok(());
+        }
+        self.restart(records)
+    }
 }
 
 /// One record as its line, or as the torn half of it when the chaos

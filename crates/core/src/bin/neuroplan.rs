@@ -39,7 +39,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
     ("plan", &[OBSERVED, CHECKPOINTED]),
     ("replan", &[OBSERVED, CHECKPOINTED]),
     ("evaluate", &[OBSERVED, "--plan <file>"]),
-    ("baseline", &[OBSERVED, "--method <ilp|ilp-heur|decompose> --time <secs>"]),
+    ("baseline", &["--topology <file> --chaos <spec> --method <ilp|ilp-heur> --time <secs>"]),
     ("serve", &[
         "--addr <host:port> --state-dir <dir> --queue-cap <n> --cache-cap <n>",
         "--telemetry <file> --profile --profile-out <file> --chaos <spec>",
@@ -459,33 +459,7 @@ fn main() {
                     let out = solve_ilp_heur(&net, eval_cfg, budget, 4);
                     println!("ILP-heur: cost {:.1}, {:.1}s", out.cost(), out.elapsed_secs);
                 }
-                Some("decompose") => {
-                    let t0 = std::time::Instant::now();
-                    let tel = telemetry_of(&flags);
-                    let solved = neuroplan::solve_decomposed_telemetry(
-                        &net,
-                        eval_cfg,
-                        time / 4.0,
-                        3,
-                        workers,
-                        &tel,
-                    );
-                    finish_telemetry(&tel, &flags);
-                    match solved {
-                        Ok(out) => println!(
-                            "decomposed: cost {:.1} over {} regions ({} inter-region links), {:.1}s",
-                            out.cost,
-                            out.regions,
-                            out.inter_region_links,
-                            t0.elapsed().as_secs_f64()
-                        ),
-                        Err(e) => {
-                            eprintln!("decomposition failed: {e}");
-                            exit(1);
-                        }
-                    }
-                }
-                _ => fail("--method must be ilp, ilp-heur or decompose"),
+                _ => fail("--method must be ilp or ilp-heur"),
             }
             finish_chaos();
         }

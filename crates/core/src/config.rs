@@ -46,7 +46,6 @@ impl Default for NeuroPlanConfig {
     fn default() -> Self {
         NeuroPlanConfig {
             agent: AgentConfig {
-                encoder: np_rl::Encoder::Gcn,
                 gnn_layers: 2,
                 gnn_hidden: 64,
                 mlp_hidden: vec![64, 64],
@@ -131,8 +130,8 @@ impl NeuroPlanConfig {
     }
 
     /// Run the parallel execution paths on `workers` threads (the CLI's
-    /// `--workers`): scenario evaluation, rollout collection and the
-    /// decomposition's region loop all share this budget.
+    /// `--workers`): scenario evaluation and rollout collection share
+    /// this budget.
     ///
     /// Requesting workers — at *any* count, including 1 — also switches
     /// training to a fixed pool of 4 logical actors with per-actor RNG

@@ -27,7 +27,6 @@ pub mod analysis;
 pub mod baselines;
 pub mod checkpoint;
 pub mod config;
-pub mod decompose;
 pub mod env;
 pub mod greedy;
 pub mod master;
@@ -39,9 +38,6 @@ pub mod spec;
 
 pub use analysis::{analyze_plan, PlanAnalysis};
 pub use config::NeuroPlanConfig;
-pub use decompose::{
-    angular_regions, solve_decomposed, solve_decomposed_telemetry, DecomposedOutcome,
-};
 pub use env::PlanningEnv;
 pub use greedy::greedy_augment;
 pub use master::{solve_master, solve_master_telemetry, MasterConfig, MasterOutcome};

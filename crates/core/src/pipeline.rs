@@ -382,6 +382,8 @@ impl NeuroPlan {
         if let Some(chain) = ckpt {
             let fp = checkpoint::fingerprint(net, &self.cfg);
             if self.resume {
+                // Appends after a torn tail would be lost to the next read.
+                self.chain_io("restart", || chain.cut_torn_tail());
                 records = chain.read();
             }
             let meta: Option<Meta> = records.first().and_then(Record::decode);

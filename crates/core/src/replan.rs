@@ -207,6 +207,8 @@ impl NeuroPlan {
             // The chain's `replan_meta`, once the chain proves to be ours.
             let mut own_meta: Option<ReplanMeta> = None;
             if self.resume {
+                // Appends after a torn tail would be lost to the next read.
+                self.chain_io("restart", || chain.cut_torn_tail());
                 let records = chain.read();
                 let decoded: Vec<ReplanEventRecord> = records
                     .iter()

@@ -5,12 +5,9 @@
 //! failure model, planned under a deliberately tight stage budget. The
 //! supervisor is allowed to degrade (that is the point of the ladder) —
 //! what it is *not* allowed to do is fail outright or emit a plan that
-//! `validate_plan` rejects. A second pass checks the angular
-//! decomposition handles every family's geometry, including the layered
-//! Clos placement and the co-linear grid rows that used to be able to
-//! panic `angular_regions`.
+//! `validate_plan` rejects.
 
-use neuroplan::{angular_regions, validate_plan, NeuroPlan, NeuroPlanConfig};
+use neuroplan::{validate_plan, NeuroPlan, NeuroPlanConfig};
 use np_topology::{FamilyConfig, SizeTier, TopologyFamily};
 
 /// Small enough that the whole 7-family matrix runs in a debug-mode
@@ -79,16 +76,4 @@ fn er_tier_b_no_longer_degrades_to_incumbent() {
         result.quality.rung(),
         result.quality
     );
-}
-
-#[test]
-fn every_family_decomposes_without_panicking() {
-    for family in TopologyFamily::ALL {
-        for k in [1, 2, 4] {
-            let net = FamilyConfig::new(family, SizeTier::B).generate();
-            let region = angular_regions(&net, k);
-            assert_eq!(region.len(), net.sites().len(), "{family} k={k}");
-            assert!(region.iter().all(|&r| r < k), "{family} k={k}");
-        }
-    }
 }

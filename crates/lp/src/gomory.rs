@@ -242,12 +242,17 @@ fn is_integer_bound(view: &TableauView, j: usize) -> bool {
 mod tests {
     use super::*;
     use crate::model::Model;
-    use crate::simplex::{solve_lp_tableau, LpStatus, SimplexConfig};
+    use crate::simplex::{solve_lp_warm_chaos, LpOutcome, LpStatus, SimplexConfig};
 
     fn lp_and_view(model: &Model) -> (Vec<f64>, TableauView) {
-        let (sol, view) = solve_lp_tableau(model, &SimplexConfig::default());
-        assert_eq!(sol.status, LpStatus::Optimal);
-        (sol.x, view.expect("optimal gives a view"))
+        let LpOutcome { solution, view, .. } = tableau_solve(model);
+        assert_eq!(solution.status, LpStatus::Optimal);
+        (solution.x, view.expect("optimal gives a view"))
+    }
+
+    fn tableau_solve(model: &Model) -> LpOutcome {
+        let cfg = SimplexConfig::default();
+        solve_lp_warm_chaos(model, &cfg, None, true, np_chaos::global())
     }
 
     /// min x, 2x ≥ 3, x integer: LP gives 1.5; a GMI cut must enforce
@@ -370,7 +375,11 @@ mod tests {
                 let rhs = worth * rng.gen_range(0.8..2.4);
                 m.add_constr(format!("r{k}"), coeffs, sense, rhs);
             }
-            let (sol, view) = solve_lp_tableau(&m, &SimplexConfig::default());
+            let LpOutcome {
+                solution: sol,
+                view,
+                ..
+            } = tableau_solve(&m);
             if sol.status != LpStatus::Optimal {
                 continue;
             }

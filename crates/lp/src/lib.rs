@@ -43,7 +43,7 @@ pub mod factor;
 pub mod gomory;
 pub mod milp;
 pub mod model;
-pub mod presolve;
+mod presolve;
 pub mod simplex;
 pub mod sparse;
 
@@ -53,7 +53,7 @@ pub use milp::{
 };
 pub use model::{ConstrId, Model, Sense, VarId};
 pub use simplex::{
-    solve_lp, solve_lp_tableau, solve_lp_tableau_chaos, solve_lp_warm, solve_lp_warm_chaos,
-    LpOutcome, LpSolution, LpStatus, SimplexConfig, SolveStats, TableauView,
+    solve_lp, solve_lp_warm, solve_lp_warm_chaos, LpOutcome, LpSolution, LpStatus, SimplexConfig,
+    SolveStats, TableauView,
 };
 pub use sparse::{CscMatrix, IncrementalLp, LpBackend, ResolvedBackend, WarmBasis, WarmCol};

@@ -1051,33 +1051,6 @@ pub fn solve_lp(model: &Model, config: &SimplexConfig) -> LpSolution {
     solve_lp_warm_chaos(model, config, None, false, np_chaos::global()).solution
 }
 
-/// Like [`solve_lp`] but also returns the optimal tableau snapshot (only
-/// when the status is `Optimal`), for cut generation.
-///
-/// Singular-basis recovery: when a factorization fails mid-solve (or an
-/// injected `lp-singular` fault pretends it did), the solve is retried
-/// with deterministically perturbed bounds to break the degeneracy, then
-/// with Bland's rule from the first pivot on the exact problem. Only if
-/// every rung fails is [`LpStatus::NumericalFailure`] reported.
-pub fn solve_lp_tableau(
-    model: &Model,
-    config: &SimplexConfig,
-) -> (LpSolution, Option<TableauView>) {
-    solve_lp_tableau_chaos(model, config, np_chaos::global())
-}
-
-/// [`solve_lp_tableau`] with an explicit fault-injection handle, so
-/// tests can force singular bases without touching the process-wide
-/// chaos plan.
-pub fn solve_lp_tableau_chaos(
-    model: &Model,
-    config: &SimplexConfig,
-    chaos: &np_chaos::Chaos,
-) -> (LpSolution, Option<TableauView>) {
-    let out = solve_lp_warm_chaos(model, config, None, true, chaos);
-    (out.solution, out.view)
-}
-
 /// Warm-capable LP solve: on the sparse backend, a supplied basis
 /// snapshot is reinstalled and re-optimized with the dual simplex; any
 /// warm-path failure (shape mismatch, singular reinstall, iteration cap,
@@ -1090,6 +1063,14 @@ pub fn solve_lp_warm(model: &Model, config: &SimplexConfig, warm: Option<&WarmBa
 
 /// [`solve_lp_warm`] with a tableau-view request and an explicit chaos
 /// handle — the full-control entry point the MILP and Benders layers use.
+/// `want_view` asks for the optimal tableau snapshot (only when the
+/// status is `Optimal`), for cut generation.
+///
+/// Singular-basis recovery: when a factorization fails mid-solve (or an
+/// injected `lp-singular` fault pretends it did), the solve is retried
+/// with deterministically perturbed bounds to break the degeneracy, then
+/// with Bland's rule from the first pivot on the exact problem. Only if
+/// every rung fails is [`LpStatus::NumericalFailure`] reported.
 pub fn solve_lp_warm_chaos(
     model: &Model,
     config: &SimplexConfig,
@@ -1405,7 +1386,11 @@ mod tests {
             // The chaos plan declares the first solve attempt singular; the
             // perturbed retry must land on the same optimum.
             let chaos = Chaos::new(FaultPlan::parse("lp-singular@0").unwrap());
-            let (sol, view) = solve_lp_tableau_chaos(&m, &c, &chaos);
+            let LpOutcome {
+                solution: sol,
+                view,
+                ..
+            } = solve_lp_warm_chaos(&m, &c, None, true, &chaos);
             assert_eq!(chaos.fired(FaultClass::LpSingular), 1);
             assert_eq!(sol.status, LpStatus::Optimal);
             assert!(

@@ -20,8 +20,6 @@
 //! * [`layers`] — `Linear` and `Gcn` layers with forward/backward;
 //! * [`scratch`] — the reusable-buffer wrapper that keeps workspaces out
 //!   of a layer's cloned, exported or checkpointed state;
-//! * [`gat`] — the graph-attention alternative encoder the paper
-//!   compared against (and found weaker than) the GCN;
 //! * [`mlp`] — a multi-layer perceptron assembled from those layers;
 //! * [`ops`] — masked softmax / log-softmax, categorical sampling,
 //!   policy-gradient and value-loss gradients;
@@ -29,7 +27,6 @@
 //! * [`gradcheck`] — finite-difference gradient verification used by the
 //!   test-suite on every layer type.
 
-pub mod gat;
 pub mod gradcheck;
 pub mod layers;
 pub mod matrix;
@@ -40,7 +37,6 @@ pub mod param;
 pub mod scratch;
 pub mod sparse;
 
-pub use gat::Gat;
 pub use layers::{Gcn, Linear};
 pub use matrix::Matrix;
 pub use mlp::Mlp;

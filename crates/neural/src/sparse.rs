@@ -115,20 +115,6 @@ impl Csr {
         true
     }
 
-    /// Off-diagonal neighbour lists (for attention-style layers that want
-    /// raw adjacency rather than the normalized operator).
-    pub fn neighbor_lists(&self) -> Vec<Vec<usize>> {
-        (0..self.n)
-            .map(|r| {
-                self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
-                    .iter()
-                    .copied()
-                    .filter(|&c| c != r)
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Entry accessor (binary search within the row).
     pub fn get(&self, r: usize, c: usize) -> f64 {
         let row = &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]];

@@ -13,26 +13,14 @@
 
 use crate::buffer::StepRecord;
 use np_neural::ops::{log_prob, masked_softmax_into, policy_logit_grad, sample_categorical};
-use np_neural::{Adam, Csr, Gat, Gcn, Matrix, Mlp, Param, Scratch};
+use np_neural::{Adam, Csr, Gcn, Matrix, Mlp, Param, Scratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Which graph encoder the agent uses (§4.2 compares both and finds the
-/// GCN stronger for this problem; the GAT is kept for the ablation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Encoder {
-    /// Graph convolution (Eq. 7) over the normalized adjacency.
-    Gcn,
-    /// Single-head graph attention.
-    Gat,
-}
 
 /// Agent hyperparameters (Table 2).
 #[derive(Clone, Debug)]
 pub struct AgentConfig {
-    /// Graph encoder type.
-    pub encoder: Encoder,
-    /// Number of GNN layers (0, 2 or 4 in the paper's sensitivity study).
+    /// Number of GCN layers (0, 2 or 4 in the paper's sensitivity study).
     pub gnn_layers: usize,
     /// Width of the GCN embeddings.
     pub gnn_hidden: usize,
@@ -49,7 +37,6 @@ pub struct AgentConfig {
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
-            encoder: Encoder::Gcn,
             gnn_layers: 2,
             gnn_hidden: 64,
             mlp_hidden: vec![64, 64],
@@ -60,58 +47,8 @@ impl Default for AgentConfig {
     }
 }
 
-/// One graph layer of the encoder shared by both heads.
-// An agent holds a handful of these; boxing the larger variant would buy
-// nothing but an indirection on every forward.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-enum GraphLayer {
-    Gcn(Gcn),
-    Gat(Gat),
-}
-
-impl GraphLayer {
-    fn forward(&mut self, h: &Matrix) {
-        match self {
-            GraphLayer::Gcn(l) => l.forward(h),
-            GraphLayer::Gat(l) => l.forward(h),
-        }
-    }
-
-    fn output(&self) -> &Matrix {
-        match self {
-            GraphLayer::Gcn(l) => l.output(),
-            GraphLayer::Gat(l) => l.output(),
-        }
-    }
-
-    /// Accumulate parameter gradients; `∂L/∂input` is only worth its
-    /// products when a layer below consumes it.
-    fn backward(&mut self, grad: &Matrix, input_grad_used: bool) {
-        match self {
-            GraphLayer::Gcn(l) if input_grad_used => l.backward(grad),
-            GraphLayer::Gcn(l) => l.backward_params(grad),
-            GraphLayer::Gat(l) => l.backward(grad),
-        }
-    }
-
-    fn input_grad(&self) -> &Matrix {
-        match self {
-            GraphLayer::Gcn(l) => l.input_grad(),
-            GraphLayer::Gat(l) => l.input_grad(),
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            GraphLayer::Gcn(l) => l.params_mut(),
-            GraphLayer::Gat(l) => l.params_mut(),
-        }
-    }
-}
-
-/// Run the encoder; the embeddings are then [`embedding`].
-fn encode(encoder: &mut [GraphLayer], features: &Matrix) {
+/// Run the GCN encoder; the embeddings are then [`embedding`].
+fn encode(encoder: &mut [Gcn], features: &Matrix) {
     for i in 0..encoder.len() {
         let (below, rest) = encoder.split_at_mut(i);
         rest[0].forward(below.last().map_or(features, |l| l.output()));
@@ -120,16 +57,22 @@ fn encode(encoder: &mut [GraphLayer], features: &Matrix) {
 
 /// The node embeddings `H` of the last [`encode`] (the features
 /// themselves with zero graph layers).
-fn embedding<'a>(encoder: &'a [GraphLayer], features: &'a Matrix) -> &'a Matrix {
+fn embedding<'a>(encoder: &'a [Gcn], features: &'a Matrix) -> &'a Matrix {
     encoder.last().map_or(features, |l| l.output())
 }
 
-/// Backpropagate `∂L/∂H` through the encoder, top layer first.
-fn backprop_encoder(encoder: &mut [GraphLayer], grad_h: &Matrix) {
+/// Backpropagate `∂L/∂H` through the encoder, top layer first. The
+/// first layer's `∂L/∂input` has no consumer, so it accumulates its
+/// parameter gradients only.
+fn backprop_encoder(encoder: &mut [Gcn], grad_h: &Matrix) {
     for i in (0..encoder.len()).rev() {
         let (lower, above) = encoder.split_at_mut(i + 1);
         let grad = above.first().map_or(grad_h, |l| l.input_grad());
-        lower[i].backward(grad, i > 0);
+        if i > 0 {
+            lower[i].backward(grad);
+        } else {
+            lower[i].backward_params(grad);
+        }
     }
 }
 
@@ -155,7 +98,7 @@ struct AgentScratch {
 /// empty ones, and none of them is exported.
 #[derive(Clone)]
 pub struct ActorCritic {
-    encoder: Vec<GraphLayer>,
+    encoder: Vec<Gcn>,
     actor: Mlp,
     critic: Mlp,
     adam_actor: Adam,
@@ -186,17 +129,7 @@ impl ActorCritic {
         let mut dim = feature_dim;
         let mut encoder = Vec::new();
         for _ in 0..cfg.gnn_layers {
-            encoder.push(match cfg.encoder {
-                Encoder::Gcn => {
-                    GraphLayer::Gcn(Gcn::new(adjacency.clone(), dim, cfg.gnn_hidden, &mut rng))
-                }
-                Encoder::Gat => GraphLayer::Gat(Gat::new(
-                    adjacency.neighbor_lists(),
-                    dim,
-                    cfg.gnn_hidden,
-                    &mut rng,
-                )),
-            });
+            encoder.push(Gcn::new(adjacency.clone(), dim, cfg.gnn_hidden, &mut rng));
             dim = cfg.gnn_hidden;
         }
         let mut actor_widths = vec![dim];
@@ -218,7 +151,7 @@ impl ActorCritic {
         }
     }
 
-    /// Encoder, actor head and critic head for one observation: the
+    /// GCN, actor head and critic head for one observation: the
     /// logits are then `self.actor.output()`, the return is the value.
     /// Rollouts and updates share it — the layers keep their outputs,
     /// which a backward pass reads in place, and nothing else.
@@ -504,7 +437,6 @@ mod tests {
             1,
             2,
             &AgentConfig {
-                encoder: Encoder::Gcn,
                 gnn_layers: layers,
                 gnn_hidden: 8,
                 mlp_hidden: vec![16],
@@ -662,58 +594,6 @@ mod tests {
         // Same learning state either way: the twin acts and exports alike.
         assert_eq!(twin.export_state(), a.export_state());
         assert_eq!(twin.act(&obs(4), &[true; 8]), a.act(&obs(4), &[true; 8]));
-    }
-
-    #[test]
-    fn gat_encoder_is_a_drop_in_replacement() {
-        let adj = Csr::from_triples(
-            3,
-            &[
-                (0, 0, 0.5),
-                (1, 1, 0.4),
-                (2, 2, 0.5),
-                (0, 1, 0.3),
-                (1, 0, 0.3),
-                (1, 2, 0.3),
-                (2, 1, 0.3),
-            ],
-        );
-        let mut a = ActorCritic::new(
-            adj,
-            1,
-            2,
-            &AgentConfig {
-                encoder: Encoder::Gat,
-                gnn_layers: 2,
-                gnn_hidden: 8,
-                mlp_hidden: vec![16],
-                actor_lr: 0.02,
-                critic_lr: 0.05,
-                ..Default::default()
-            },
-        );
-        let mask = vec![true; 6];
-        let (logits0, v0) = a.policy_value(&obs(3));
-        assert_eq!(logits0.len(), 6);
-        assert!(v0.is_finite());
-        // A policy update with positive advantage on action 1 must raise
-        // its probability — the GAT gradients flow end to end.
-        let probs0 = masked_softmax(&logits0, &mask);
-        let steps: Vec<StepRecord> = (0..8)
-            .map(|_| StepRecord {
-                features: obs(3),
-                mask: mask.clone(),
-                action: 1,
-                reward: 0.0,
-                value: 0.0,
-                advantage: 1.0,
-                reward_to_go: 0.0,
-            })
-            .collect();
-        a.update_policy(&steps);
-        let (logits1, _) = a.policy_value(&obs(3));
-        let probs1 = masked_softmax(&logits1, &mask);
-        assert!(probs1[1] > probs0[1]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod buffer;
 pub mod env;
 pub mod trainer;
 
-pub use agent::{ActorCritic, AgentConfig, Encoder};
+pub use agent::{ActorCritic, AgentConfig};
 pub use buffer::{EpochBuffer, StepRecord};
 pub use env::{GraphEnv, Observation};
 pub use trainer::{

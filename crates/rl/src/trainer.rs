@@ -539,7 +539,6 @@ mod tests {
             env.feature_dim(),
             env.num_unit_choices(),
             &AgentConfig {
-                encoder: crate::agent::Encoder::Gcn,
                 gnn_layers: 1,
                 gnn_hidden: 8,
                 mlp_hidden: vec![16],
@@ -908,15 +907,13 @@ mod tests {
     /// crates/core/tests/agent_golden.rs.
     #[test]
     fn counter_env_learning_state_matches_the_recorded_hashes() {
-        use crate::agent::Encoder;
-        let state_hash = |encoder: Encoder, num_actors: usize| {
+        let state_hash = |num_actors: usize| {
             let mut env = CounterEnv::new(5, 3, 7);
             let mut agent = ActorCritic::new(
                 env.adjacency().clone(),
                 env.feature_dim(),
                 env.num_unit_choices(),
                 &AgentConfig {
-                    encoder,
                     gnn_layers: 2,
                     gnn_hidden: 12,
                     mlp_hidden: vec![20, 9],
@@ -936,10 +933,8 @@ mod tests {
             train(&mut env, &mut agent, &cfg);
             np_chaos::checkpoint::fnv1a64(agent.export_state().as_bytes())
         };
-        assert_eq!(state_hash(Encoder::Gcn, 1), 0xefe2_ae73_0e76_6b10);
-        assert_eq!(state_hash(Encoder::Gcn, 4), 0xcea1_d121_0900_a66f);
-        assert_eq!(state_hash(Encoder::Gat, 1), 0x656c_496d_1c58_625d);
-        assert_eq!(state_hash(Encoder::Gat, 4), 0xb8db_8446_d9cf_be8c);
+        assert_eq!(state_hash(1), 0xefe2_ae73_0e76_6b10);
+        assert_eq!(state_hash(4), 0xcea1_d121_0900_a66f);
     }
 
     #[test]

@@ -194,23 +194,6 @@ impl Journal {
         Chain::new(&self.path, chaos).append_as(K_DONE, closed)
     }
 
-    /// Cut the journal back to its valid records when bytes follow them
-    /// (a daemon that died mid-append). The next append would otherwise
-    /// be glued onto those bytes, and it and every record after it would
-    /// be dropped by the next replay. A journal that is nothing but valid
-    /// records, one per line, is not touched. Write-new + rename, like
-    /// [`Journal::compact`].
-    pub(crate) fn cut_torn_tail(&self, chaos: &Chaos) -> std::io::Result<()> {
-        let chain = Chain::new(&self.path, chaos);
-        let records = chain.read();
-        let bytes = std::fs::read(&self.path).unwrap_or_default();
-        let lines = bytes.iter().filter(|&&b| b == b'\n').count();
-        if lines == records.len() && bytes.last().is_none_or(|&b| b == b'\n') {
-            return Ok(());
-        }
-        chain.restart(records)
-    }
-
     /// Replace the journal by the [`compaction`] of `head` and `kept` and
     /// return how many lines that is. Write-new + rename
     /// ([`Chain::restart`]): a death part-way leaves the old journal

@@ -370,7 +370,9 @@ impl<S: PlanService> Server<S> {
         let dir_lock = DirLock::acquire(&cfg.state_dir)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::AddrInUse, e.to_string()))?;
         let journal = journal::Journal::in_dir(&cfg.state_dir)?;
-        journal.cut_torn_tail(&chaos)?;
+        // A tail torn by a death mid-append would swallow what this daemon
+        // appends next.
+        np_chaos::checkpoint::Chain::new(journal.path(), &chaos).cut_torn_tail()?;
 
         // Journal replay: in-flight requests re-enqueue with resume set,
         // closed ones go through the rings in the order they closed —

@@ -31,13 +31,10 @@
 //! `self_us` instead of `dur_us` is what makes the `--profile`
 //! breakdown sum to ≤ total wall even though `span("plan")` encloses
 //! `span("lp")`. Older streams without `self_us` deserialize with
-//! `self_us = dur_us` (every span a leaf). Replayed spans
-//! ([`Telemetry::record_span`] / [`Telemetry::replay_into`]) charge
-//! their *self* time to the enclosing live span, so a serial replay of
-//! a worker buffer subtracts exactly the worker's span-covered wall
-//! from the enclosing span — parallel replays can instead report more
-//! self time than wall (CPU-seconds), which profile consumers surface
-//! as coverage > 1.
+//! `self_us = dur_us` (every span a leaf). Recorded spans
+//! ([`Telemetry::record_span`] / [`Telemetry::record_span_parts`])
+//! charge their *self* time to the enclosing live span, clipped to the
+//! wall that span has not yet handed to other children.
 //!
 //! The `lp` subsystem additionally reports the sparse revised simplex's
 //! performance counters (DESIGN.md §12): `lp.refactorizations` (basis
@@ -419,24 +416,6 @@ impl Telemetry {
         }
     }
 
-    /// Re-emit every event recorded in this handle into `target`,
-    /// preserving emission order. This is the deterministic-merge
-    /// primitive for parallel phases: each worker records into a private
-    /// [`Telemetry::memory`] buffer, and the coordinator replays the
-    /// buffers in a fixed order after the join, so the target sink sees
-    /// the same event sequence at every worker count.
-    pub fn replay_into(&self, target: &Telemetry) {
-        for e in self.events() {
-            match e.kind {
-                EventKind::Counter(delta) => target.incr(&e.sys, &e.name, delta),
-                EventKind::Metric(value) => target.record(&e.sys, &e.name, value),
-                EventKind::Span { dur_us, self_us } => {
-                    target.record_span_parts(&e.sys, &e.name, dur_us, self_us)
-                }
-            }
-        }
-    }
-
     /// Flush the JSONL writer (no-op for other sinks).
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
@@ -712,23 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_into_preserves_event_order_and_totals() {
-        let buf = Telemetry::memory();
-        buf.incr(sys::MASTER, "cut_rounds", 2);
-        buf.record(sys::RL, "mean_return", 0.5);
-        buf.record_span(sys::EVAL, "check", 100);
-        let target = Telemetry::memory();
-        buf.replay_into(&target);
-        buf.replay_into(&target); // replays accumulate like live emission
-        assert_eq!(target.counter(sys::MASTER, "cut_rounds"), 4);
-        let kinds: Vec<_> = target.events().iter().map(|e| e.kind_str()).collect();
-        assert_eq!(
-            kinds,
-            ["counter", "metric", "span", "counter", "metric", "span"]
-        );
-    }
-
-    #[test]
     fn jsonl_sink_writes_one_event_per_line() {
         let path =
             std::env::temp_dir().join(format!("np-telemetry-test-{}.jsonl", std::process::id()));
@@ -930,17 +892,15 @@ mod tests {
     }
 
     #[test]
-    fn replayed_nested_streams_charge_only_their_self_time() {
-        // A worker buffer with a parent span (dur 100, self 40) and its
-        // child (dur 60): replaying into a live span must subtract 100
-        // (the worker's span-covered wall), not 160.
-        let buf = Telemetry::memory();
-        buf.record_span_parts(sys::EVAL, "check", 60, 60);
-        buf.record_span_parts(sys::EVAL, "separate", 100, 40);
+    fn recorded_nested_spans_charge_only_their_self_time() {
+        // A recorded parent span (dur 100, self 40) and its child
+        // (dur 60): recording them inside a live span must subtract 100
+        // (their span-covered wall), not 160.
         let target = Telemetry::memory();
         {
             let _outer = tel_span_with_spin(&target, 2_000);
-            buf.replay_into(&target);
+            target.record_span_parts(sys::EVAL, "check", 60, 60);
+            target.record_span_parts(sys::EVAL, "separate", 100, 40);
         }
         let by_name: BTreeMap<String, (u64, u64)> = target
             .spans_self()

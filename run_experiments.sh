@@ -8,4 +8,3 @@ cargo run --release -p np-bench --bin fig10_gnn_layers -- "$@"
 cargo run --release -p np-bench --bin fig11_mlp_hidden -- "$@"
 cargo run --release -p np-bench --bin fig12_capacity_units -- "$@"
 cargo run --release -p np-bench --bin fig13_relax_factor -- "$@"
-cargo run --release -p np-bench --bin ablation_encoder -- "$@"

@@ -15,7 +15,7 @@ use neuroplan::checkpoint::{
 };
 use neuroplan::master::MasterOutcome;
 use neuroplan::pipeline::FirstStage;
-use neuroplan::EventReport;
+use neuroplan::{EventReport, NeuroPlan, NeuroPlanConfig, ReplanConfig};
 use np_chaos::checkpoint::{Chain, Record, Typed};
 use np_chaos::Chaos;
 use np_flow::MetricCut;
@@ -23,9 +23,10 @@ use np_lp::MipStatus;
 use np_rl::{EpochStats, TrainReport};
 use np_serve::journal::{self, Head, Journal, Kept, Replay, Totals, K_CANCELLED, K_DONE, K_FAILED};
 use np_supervisor::PlanQuality;
+use np_topology::generator::GeneratorConfig;
 use np_topology::LinkId;
 use serde_json::{json, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const META: &str = r#"{"sum":"ba7780528f58e952","rec":{"v":1,"kind":"meta","body":{"fp":"00112233aabbccdd","fs":"fs-ffeeddcc44556677"}}}"#;
 const EPOCH: &str = r#"{"sum":"cc65c675a0f9c0c9","rec":{"v":1,"kind":"epoch","body":{"epoch":3,"mean_return":"000000000000c0bf","completed":7,"truncated":1,"mean_length":"0000000000404540","next_epoch":4,"converged_run":2,"prev_return":"000000000000d0bf","recovery_nonce":1,"agent":"AGENT","env":"ENV|with|pipes \"quoted\""}}}"#;
@@ -499,4 +500,62 @@ fn bit_flips_in_a_journal_drop_exactly_the_tail() {
     every_bit_flip_drops_exactly_the_tail("flip-journal", &JOURNAL);
     let compacted = [JOURNAL_HEAD, JOURNAL[0], JOURNAL_ANSWERED, JOURNAL[2]];
     every_bit_flip_drops_exactly_the_tail("flip-compacted", &compacted);
+}
+
+/// What a death part-way through its third append leaves of the chain
+/// `whole`: two records, then the first half of the third.
+fn torn_copy(whole: &Path, to: &Path) {
+    let text = std::fs::read_to_string(whole).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let half = &lines[2][..lines[2].len() / 2];
+    std::fs::write(to, format!("{}\n{}\n{half}", lines[0], lines[1])).unwrap();
+}
+
+/// A run killed mid-append and resumed writes its records where the next
+/// read finds them: `plan` / `replan --resume` cut the torn half-record
+/// off first, so both chains end as the uninterrupted run's do, its
+/// `first_stage`, `master` and event records included.
+#[test]
+fn a_resume_over_a_torn_tail_leaves_the_chains_of_an_uninterrupted_run() {
+    let dir = tmp("torn-resume");
+    let net = GeneratorConfig::a_variant(0.5).generate();
+    let planner = |ckpt: &Path| {
+        NeuroPlan::new(NeuroPlanConfig::quick().with_seed(5)).with_checkpoint(ckpt, true)
+    };
+    let events = np_churn::generate_stream(&net, 5, 3);
+    let rcfg = ReplanConfig::default();
+    let clean_dir = dir.join("clean");
+    let clean = planner(&clean_dir)
+        .replan(&net, &events, &rcfg)
+        .expect("uninterrupted");
+    let kinds = |file: &Path| -> Vec<String> {
+        let records = Chain::new(file, &Chaos::disabled()).read();
+        records.into_iter().map(|r| r.kind).collect()
+    };
+    let chains = ["checkpoint.jsonl", "replan.jsonl"];
+    let clean_kinds = chains.map(|name| kinds(&clean_dir.join(name)));
+    assert!(clean_kinds[0].ends_with(&["first_stage".into(), "master".into()]));
+    assert_eq!(clean_kinds[1].len(), 1 + events.len());
+
+    // Killed while training (no stream yet), and while re-planning.
+    for torn in chains {
+        let ckpt = dir.join(torn);
+        std::fs::create_dir_all(&ckpt).unwrap();
+        std::fs::copy(clean_dir.join(chains[0]), ckpt.join(chains[0])).unwrap();
+        torn_copy(&clean_dir.join(torn), &ckpt.join(torn));
+        let got = planner(&ckpt)
+            .replan(&net, &events, &rcfg)
+            .expect("resumed");
+        assert_eq!(got.final_units, clean.final_units, "{torn}");
+        assert_eq!(got.final_cost.to_bits(), clean.final_cost.to_bits());
+        for (name, want) in chains.iter().zip(&clean_kinds) {
+            assert_eq!(&kinds(&ckpt.join(name)), want, "{torn} torn: {name}");
+            assert_eq!(
+                std::fs::read(ckpt.join(name)).unwrap(),
+                std::fs::read(clean_dir.join(name)).unwrap(),
+                "{torn} torn: {name} is the uninterrupted chain byte for byte"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
