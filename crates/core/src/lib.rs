@@ -25,6 +25,7 @@
 
 pub mod analysis;
 pub mod baselines;
+pub mod certificate;
 pub mod checkpoint;
 pub mod config;
 pub mod env;
@@ -37,12 +38,15 @@ pub mod service;
 pub mod spec;
 
 pub use analysis::{analyze_plan, PlanAnalysis};
+pub use certificate::{verify, Certificate};
 pub use config::NeuroPlanConfig;
 pub use env::PlanningEnv;
 pub use greedy::greedy_augment;
 pub use master::{solve_master, solve_master_telemetry, MasterConfig, MasterOutcome};
 pub use np_supervisor::{PlanQuality, StageBudget, SupervisionReport, SupervisorConfig};
-pub use pipeline::{validate_plan, FirstStage, NeuroPlan, NeuroPlanResult, PlanError, PlanFailure};
+pub use pipeline::{
+    certify, validate_plan, FirstStage, NeuroPlan, NeuroPlanResult, PlanError, PlanFailure,
+};
 pub use replan::{EventReport, ReplanConfig, ReplanReport};
 pub use report::{PhaseReport, PruningReport};
 pub use service::NeuroPlanService;

@@ -13,6 +13,7 @@
 //! [`MasterConfig::upper_bounds`]: NeuroPlan sets them to
 //! `⌈α · C_l^{RL}⌉`, the raw-ILP baseline to the spectrum bound.
 
+use crate::certificate::try_apply_units;
 use np_eval::{PlanEvaluator, Separation};
 use np_flow::MetricCut;
 use np_lp::{
@@ -20,7 +21,7 @@ use np_lp::{
     Sense, SimplexConfig, VarId,
 };
 use np_telemetry::{sys, Telemetry};
-use np_topology::{LinkId, Network, TopologyError};
+use np_topology::{LinkId, Network};
 use std::time::Instant;
 
 /// Master-problem configuration.
@@ -675,32 +676,13 @@ fn cg_round(coeffs: &[(VarId, f64)], rhs: f64) -> Option<(Vec<(VarId, f64)>, f64
     Some((rounded, r))
 }
 
-/// Apply a units vector to a network (two passes so that transient
-/// spectrum states never block a valid final configuration). Panics on a
+/// Apply a units vector to a network ([`try_apply_units`]). Panics on a
 /// vector below a link's minimum or beyond its spectrum room — callers
 /// pass solver output, which respects both by construction.
 pub fn apply_units(net: &mut Network, units: &[u32]) {
     if let Err(e) = try_apply_units(net, units) {
         panic!("solver units respect link minimums and spectrum rows: {e}");
     }
-}
-
-/// [`apply_units`] for vectors from outside the solver (a plan file, a
-/// daemon request): the first link that cannot take its entry is an
-/// error, not a panic.
-pub fn try_apply_units(net: &mut Network, units: &[u32]) -> Result<(), TopologyError> {
-    let ids: Vec<LinkId> = net.link_ids().collect();
-    for &l in &ids {
-        if units[l.index()] < net.link(l).capacity_units {
-            net.set_units(l, units[l.index()])?;
-        }
-    }
-    for &l in &ids {
-        if units[l.index()] > net.link(l).capacity_units {
-            net.set_units(l, units[l.index()])?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

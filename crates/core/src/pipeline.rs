@@ -3,13 +3,14 @@
 //! retried with seeded backoff, and hard budget exhaustion walks the
 //! degradation ladder instead of failing (DESIGN.md §11).
 
+use crate::certificate::{self, Certificate};
 use crate::checkpoint::{self, EpochRecord, MasterRecord, Meta};
 use crate::config::NeuroPlanConfig;
 use crate::env::PlanningEnv;
 use crate::greedy::greedy_augment;
 use crate::master::{
-    lp_round_plan, plan_cost_of, polish_units_budgeted, solve_master_telemetry, try_apply_units,
-    MasterConfig, MasterOutcome,
+    lp_round_plan, plan_cost_of, polish_units_budgeted, solve_master_telemetry, MasterConfig,
+    MasterOutcome,
 };
 use crate::report::PruningReport;
 use np_chaos::checkpoint::{Chain, Record, Typed};
@@ -19,7 +20,7 @@ use np_lp::MipStatus;
 use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, TrainResume};
 use np_supervisor::{PlanQuality, StageCtx, StageError, SupervisionReport, Supervisor};
 use np_telemetry::{sys, Telemetry};
-use np_topology::{Network, TopologyError};
+use np_topology::Network;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -195,6 +196,13 @@ pub enum PlanError {
         /// Dense scenario index of the structural violation.
         scenario: usize,
     },
+    /// A [`Certificate`] does not prove this scenario
+    /// ([`certificate::verify`]). Not a verdict on the plan: only a
+    /// validation can refute it.
+    Uncertified {
+        /// Dense index of the first scenario left unproven.
+        scenario: usize,
+    },
 }
 
 impl PlanError {
@@ -228,6 +236,11 @@ impl std::fmt::Display for PlanError {
             PlanError::StructurallyInfeasible { scenario } => write!(
                 f,
                 "{} admits no feasible routing at any capacity",
+                Self::scenario_name(*scenario)
+            ),
+            PlanError::Uncertified { scenario } => write!(
+                f,
+                "the certificate does not prove {}",
                 Self::scenario_name(*scenario)
             ),
         }
@@ -956,22 +969,7 @@ fn degraded(units: Vec<u32>, cost: f64) -> MasterOutcome {
 /// error names the violated constraint (the first link whose entry the
 /// network cannot take, else the first infeasible scenario).
 pub fn validate_plan(net: &Network, units: &[u32]) -> Result<(), PlanError> {
-    let expected = net.link_ids().count();
-    if units.len() != expected {
-        return Err(PlanError::WrongLength {
-            expected,
-            got: units.len(),
-        });
-    }
-    let mut check = net.clone();
-    try_apply_units(&mut check, units).map_err(|e| match e {
-        TopologyError::BelowMinimumCapacity(link) => PlanError::BelowMinimum { link: link.index() },
-        TopologyError::SpectrumExceeded { link, fiber } => PlanError::SpectrumExceeded {
-            link: link.index(),
-            fiber: fiber.index(),
-        },
-        other => unreachable!("set_units fails only on Eq. 4 or Eq. 5: {other}"),
-    })?;
+    let check = certificate::planned(net, units)?;
     let mut evaluator = np_eval::PlanEvaluator::new(&check, self_exact());
     let outcome = evaluator.check_network(&check);
     if outcome.feasible {
@@ -987,6 +985,16 @@ pub fn validate_plan(net: &Network, units: &[u32]) -> Result<(), PlanError> {
 
 fn self_exact() -> np_eval::EvalConfig {
     np_eval::EvalConfig::default()
+}
+
+/// A [`Certificate`] for `units` on `net`, from the evaluator's primal
+/// witnesses ([`np_eval::path_witness`]); `None` when the units do not
+/// fit the links or some scenario yields no witness. It proves nothing
+/// until [`certificate::verify`] accepts it.
+pub fn certify(net: &Network, units: &[u32]) -> Option<Certificate> {
+    let planned = certificate::planned(net, units).ok()?;
+    let scenarios = np_eval::path_witness(&planned)?;
+    Some(Certificate { scenarios })
 }
 
 #[cfg(test)]

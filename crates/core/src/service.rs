@@ -18,9 +18,13 @@
 //!   the next supervisor stage / trainer epoch boundary.
 //! * **Warm cache.** Results are cached under the same
 //!   [`checkpoint::fingerprint`] that keys checkpoint chains. A repeat
-//!   request skips the solve entirely (one evaluator validation pass,
-//!   [`NeuroPlanService::repeat`]) and, needing no worker, is answered
-//!   at admission through [`PlanService::warm`]; a perturbed request
+//!   request skips the solve entirely — its plan's certificate is
+//!   verified against the instance, or, on the plan's first repeat, one
+//!   evaluator validation pass runs and leaves a certificate in the
+//!   entry ([`NeuroPlanService::repeat`]) — and, needing no worker, is
+//!   answered at admission through [`PlanService::warm`], which also
+//!   remembers the fingerprint of every spec it answered under `spec-`
+//!   and the spec's canonical text; a perturbed request
 //!   (`events` in the spec) reuses the cached base plan as the carried
 //!   plan of the incremental replan path (PR 8) instead of re-planning
 //!   from scratch.
@@ -42,8 +46,9 @@
 //! run was served `"cold"` or `"warm"`; a cold result whose first stage
 //! was not trained for it adds `"first_stage": "reused"`.
 
+use crate::certificate::{verify, Certificate};
 use crate::checkpoint;
-use crate::pipeline::{validate_plan, FirstStage, NeuroPlan, PlanFailure};
+use crate::pipeline::{certify, validate_plan, FirstStage, NeuroPlan, PlanFailure};
 use crate::replan::ReplanReport;
 use crate::spec::PlanSpec;
 use crate::NeuroPlanConfig;
@@ -144,19 +149,39 @@ impl NeuroPlanService {
         self.state_dir.join(format!("req-{id}"))
     }
 
-    /// The warm hit, on either lane: `blob` is the plan cached under the
-    /// fingerprint of an event-free request for `net`. One evaluator
-    /// validation pass instead of a full RL + ILP solve; a cached plan
-    /// that no longer validates is no answer.
-    fn repeat(&self, id: u64, net: &Network, fp: &str, blob: &Value) -> Option<Value> {
+    /// The warm hit, on either lane: `blob` is the plan cached under `fp`,
+    /// the fingerprint of an event-free request for `net`. The plan is
+    /// checked, never trusted: by its certificate, an O(witness) pass,
+    /// when the entry holds one that verifies on `net`; otherwise by an
+    /// evaluator validation pass, after which the entry gets a fresh
+    /// certificate — or `null`, none to be had, and validation it stays.
+    /// A cached plan that no longer validates is no answer.
+    fn repeat(&self, ctx: &RequestCtx<'_>, net: &Network, fp: &str, blob: &Value) -> Option<Value> {
         let units = units_of(blob)?;
-        validate_plan(net, &units).ok()?;
+        let cert = blob.get("cert");
+        let proved = cert.and_then(|v| v.as_str()).and_then(Certificate::decode);
+        if proved.is_none_or(|cert| verify(net, &units, &cert).is_err()) {
+            validate_plan(net, &units).ok()?;
+            if !cert.is_some_and(Value::is_null) {
+                let fresh = certify(net, &units).filter(|c| verify(net, &units, c).is_ok());
+                lock(ctx.cache).replace(fp, with_cert(blob, fresh.map(|c| c.encode())));
+            }
+        }
         self.tel.incr(sys::SERVE, "warm_hits", 1);
         let cost = blob.get("cost").and_then(|v| v.as_f64()).unwrap_or(0.0);
         let quality = blob.get("quality").and_then(|v| v.as_str());
         let quality = quality.unwrap_or("incumbent");
-        Some(result_body(id, fp, &units, cost, quality, &WARM))
+        Some(result_body(ctx.id, fp, &units, cost, quality, &WARM))
     }
+}
+
+/// A plan entry `blob` carrying the certificate text `cert`, or `null`
+/// when there is none to be had (DESIGN.md §15).
+fn with_cert(blob: &Value, cert: Option<String>) -> Value {
+    let mut members = blob.as_object().cloned().unwrap_or_default();
+    members.retain(|(key, _)| key != "cert");
+    members.push(("cert".to_string(), cert.map_or(Value::Null, Value::Str)));
+    Value::Object(members)
 }
 
 impl PlanService for NeuroPlanService {
@@ -169,7 +194,17 @@ impl PlanService for NeuroPlanService {
         if spec.get("events").is_some() {
             return None;
         }
-        let (_, net, _, fp) = read(spec).ok()?;
+        let spec = PlanSpec::from_json(spec).ok()?;
+        // Generated on every request: the plan is checked on it.
+        let net = spec.network().ok()?;
+        // The fingerprint of a spec this lane has answered is a lookup
+        // (not a counted one), not a hash of the whole instance.
+        let key = format!("spec-{}", serde_json::to_string(&spec.to_json()).ok()?);
+        let answered = lock(ctx.cache).get_uncounted(&key).cloned();
+        let fp = match answered.as_ref().and_then(|v| v.as_str()) {
+            Some(fp) => fp.to_string(),
+            None => checkpoint::fingerprint(&net, &spec.config()),
+        };
         let blob = {
             let mut cache = lock(ctx.cache);
             // A miss is not counted here: the worker that plans the
@@ -179,7 +214,11 @@ impl PlanService for NeuroPlanService {
             }
             cache.get(&fp)?
         };
-        self.repeat(ctx.id, &net, &fp, &blob)
+        let body = self.repeat(ctx, &net, &fp, &blob)?;
+        if answered.is_none() {
+            lock(ctx.cache).put(&key, Value::Str(fp));
+        }
+        Some(body)
     }
 
     fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
@@ -193,7 +232,7 @@ impl PlanService for NeuroPlanService {
         // after admission, or the request is a journal replay.
         let cached = lock(ctx.cache).get(&fp);
         if let (Some(blob), None) = (&cached, &events) {
-            if let Some(body) = self.repeat(ctx.id, &net, &fp, blob) {
+            if let Some(body) = self.repeat(ctx, &net, &fp, blob) {
                 return Ok(body);
             }
         }
@@ -339,6 +378,89 @@ mod tests {
         assert_eq!(svc.warm(&at_alpha(1.25), &ctx(&cache, 3)), None);
         assert_eq!(svc.warm(&json!({ "preset": "zz" }), &ctx(&cache, 3)), None);
         assert_eq!(cache.lock().unwrap().stats().0, 2, "two hits, both warm");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whatever the plan entry holds — no certificate, its own, a broken
+    /// one, `null`, units that are not the plan's — a repeat is answered as
+    /// a validation of the entry's units answers it: warm, or not at all.
+    #[test]
+    fn a_repeat_answers_what_validation_answers_whatever_the_entry_holds() {
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("certified");
+        let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+        let spec = tiny_spec();
+        let cold = svc.execute(&spec, &ctx(&cache, 1)).expect("cold");
+        let parsed = PlanSpec::from_json(&spec).unwrap();
+        let net = parsed.network().unwrap();
+        let fp = checkpoint::fingerprint(&net, &parsed.config());
+        let entry = || cache.lock().unwrap().get_uncounted(&fp).cloned().unwrap();
+        let cert_of = |blob: &Value| blob.get("cert").and_then(|v| v.as_str()).map(String::from);
+        assert_eq!(cert_of(&entry()), None, "a cold plan is cached uncertified");
+
+        // The first repeat validates and certifies; the spec is remembered.
+        let warm = svc.warm(&spec, &ctx(&cache, 2)).expect("warm");
+        let text = cert_of(&entry()).expect("certified on the first repeat");
+        let cert = Certificate::decode(&text).expect("a certificate");
+        let units = units_of(&cold).unwrap();
+        assert_eq!(verify(&net, &units, &cert), Ok(()));
+        let key = format!("spec-{}", serde_json::to_string(&parsed.to_json()).unwrap());
+        let remembered = cache.lock().unwrap().get_uncounted(&key).cloned();
+        assert_eq!(remembered, Some(Value::Str(fp.clone())));
+        let answer = || svc.warm(&spec, &ctx(&cache, 2));
+        let store = |blob: Value| assert!(cache.lock().unwrap().replace(&fp, blob));
+        let original = entry();
+        assert_eq!(answer(), Some(warm.clone()));
+
+        // A certificate that proves nothing: validated, then certified anew.
+        let mut short = cert.clone();
+        short.scenarios[0].pop();
+        for bad in [
+            "garbage".to_string(),
+            short.encode(),
+            Certificate::default().encode(),
+        ] {
+            store(with_cert(&original, Some(bad)));
+            assert_eq!(answer(), Some(warm.clone()));
+            assert_eq!(cert_of(&entry()), Some(text.clone()), "certified again");
+        }
+        // `null`: no certificate to be had, validation every time.
+        store(with_cert(&original, None));
+        assert_eq!(answer(), Some(warm.clone()));
+        assert_eq!(entry().get("cert"), Some(&Value::Null));
+
+        // Units that are not the plan's, under the plan's certificate.
+        let mut variants = vec![vec![0; units.len()], units[1..].to_vec()];
+        for l in 0..units.len() {
+            for delta in [-1i64, 1] {
+                let mut changed = units.clone();
+                changed[l] = (i64::from(changed[l]) + delta).max(0) as u32;
+                variants.push(changed);
+            }
+        }
+        let (mut warm_answers, mut refusals) = (0, 0);
+        for changed in variants {
+            let mut members = original.as_object().unwrap().clone();
+            members.retain(|(k, _)| k != "units");
+            members.push(("units".to_string(), json!(changed)));
+            store(Value::Object(members));
+            let got = answer();
+            match validate_plan(&net, &changed) {
+                Ok(()) => {
+                    let got = got.expect("a plan that validates is answered");
+                    assert_eq!(got.get("units"), Some(&json!(changed)));
+                    warm_answers += 1;
+                }
+                Err(e) => {
+                    assert_eq!(got, None, "{e}");
+                    refusals += 1;
+                }
+            }
+        }
+        assert!(
+            warm_answers > 0 && refusals > 0,
+            "{warm_answers} / {refusals}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -260,7 +260,7 @@ fn mwu_completion_feasible(
         return true;
     }
     stats.greedy_attempts += 1;
-    let r = greedy::route_residual(&ctx.graph, &leftovers, residual);
+    let r = greedy::route_residual(&ctx.graph, &leftovers, residual, None);
     if r.feasible {
         stats.greedy_hits += 1;
         // MWU base + greedy top-up routes every demand within capacity.
@@ -450,6 +450,30 @@ fn column_generation(ctx: &ScenarioCtx, stats: &mut EvalStats, tol: f64) -> Verd
 /// [refreshed](ScenarioCtx::refresh), without touching any counters.
 pub fn exact_lp_verdict(ctx: &ScenarioCtx) -> Verdict {
     exact_lp(ctx, &mut EvalStats::default())
+}
+
+/// The exact LP's primal as path flows — every generated path with
+/// positive flow, `x` of it — when it routes `λ ≥ 1` of every demand;
+/// `None` otherwise. For a context already
+/// [refreshed](ScenarioCtx::refresh), without touching any counters.
+pub(crate) fn exact_lp_paths(ctx: &ScenarioCtx) -> Option<Vec<greedy::PathStep>> {
+    if !exact_lp_verdict(ctx).is_feasible() {
+        return None;
+    }
+    let mut slot = ctx.lp.borrow_mut();
+    let plp = slot.as_mut()?;
+    // The converged restricted master: a warm re-solve pivots nothing.
+    let sol = plp.lp.solve();
+    if sol.status != LpStatus::Optimal || sol.x[LAMBDA.0] < 1.0 {
+        return None;
+    }
+    let paths = plp.pool.iter().zip(&sol.x[1..]).filter(|(_, &x)| x > 0.0);
+    let step = |((commodity, arcs), &amount): (&(usize, Vec<ArcId>), &f64)| greedy::PathStep {
+        commodity: *commodity,
+        amount,
+        arcs: arcs.clone(),
+    };
+    Some(paths.map(step).collect())
 }
 
 #[cfg(test)]

@@ -39,8 +39,10 @@ mod edge_oracle;
 pub mod evaluator;
 pub mod scenario;
 pub mod stats;
+pub mod witness;
 
 pub use checker::{check_scenario, Backend, CheckConfig, Verdict};
 pub use evaluator::{caps_of, EvalConfig, PlanEvaluator, Separation, TrajectoryCheck};
 pub use scenario::{scenario_count, Scenario, ScenarioCtx};
 pub use stats::EvalStats;
+pub use witness::path_witness;

@@ -10,7 +10,7 @@
 
 use crate::commodity::Commodity;
 use crate::dijkstra::Tree;
-use crate::graph::FlowGraph;
+use crate::graph::{ArcId, FlowGraph};
 
 /// Outcome of a greedy routing attempt.
 #[derive(Clone, Debug)]
@@ -20,6 +20,20 @@ pub struct GreedyRouting {
     /// Flow placed on each arc (indexed by `ArcId`); a valid witness only
     /// when `feasible`.
     pub flow: Vec<f64>,
+}
+
+/// One routing step of [`route_residual`]: `amount` of commodity
+/// `commodity` (an index into the caller's slice) along `arcs`, source
+/// end first. Summed per arc in the order they were sent, a feasible
+/// routing's steps are its `flow`, bit for bit.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PathStep {
+    /// Index of the commodity in the slice that was routed.
+    pub commodity: usize,
+    /// Gbps sent along the path.
+    pub amount: f64,
+    /// The path's arcs, from the commodity's source to its destination.
+    pub arcs: Vec<ArcId>,
 }
 
 /// Numerical slack when comparing residual capacities.
@@ -32,27 +46,49 @@ const EPS: f64 = 1e-9;
 /// commodity may split across up to `max_paths_per_commodity` paths.
 pub fn route(graph: &FlowGraph, commodities: &[Commodity]) -> GreedyRouting {
     let residual: Vec<f64> = graph.arcs().iter().map(|a| a.cap).collect();
-    route_residual(graph, commodities, residual)
+    route_residual(graph, commodities, residual, None)
+}
+
+/// The congestion-aware length of an arc with capacity `cap` of which
+/// `residual` is left: 1 hop + pressure, `residual/cap` near 0 makes the
+/// arc ~expensive; a saturated arc is absent.
+#[inline]
+fn length(cap: f64, residual: f64) -> f64 {
+    if residual > EPS {
+        1.0 + (cap / residual.max(EPS)).min(1e6) * 0.25
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// [`route`] starting from pre-consumed capacities: `residual[a]` is what
 /// is left of arc `a` (e.g. after subtracting an MWU flow). A `feasible`
 /// answer certifies that `commodities` fit in the residual capacities, so
 /// the caller's base flow plus this one is a witness for the combined
-/// demand.
+/// demand. Every routing step is also pushed to `paths` when one is given.
 pub fn route_residual(
     graph: &FlowGraph,
     commodities: &[Commodity],
     mut residual: Vec<f64>,
+    mut paths: Option<&mut Vec<PathStep>>,
 ) -> GreedyRouting {
     let mut flow = vec![0.0; graph.num_arcs()];
-    let mut order: Vec<&Commodity> = commodities.iter().collect();
-    order.sort_by(|a, b| b.demand.partial_cmp(&a.demand).unwrap());
+    let mut order: Vec<usize> = (0..commodities.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&commodities[a], &commodities[b]);
+        b.demand.partial_cmp(&a.demand).unwrap()
+    });
     let g = graph.packed();
+    // Lengths by position, kept current: a routing changes the residual
+    // of the arcs on its path only, so only those are recomputed.
+    let mut len: Vec<f64> = (g.arcs().iter())
+        .map(|&a| length(graph.arc(a).cap, residual[a]))
+        .collect();
     let mut tree = Tree::default();
     let mut path = Vec::new();
     let max_paths = 1 + graph.num_arcs() / 4;
-    for c in order {
+    for j in order {
+        let c = &commodities[j];
         let mut remaining = c.demand;
         let mut paths_used = 0usize;
         while remaining > EPS {
@@ -63,17 +99,8 @@ pub fn route_residual(
                 };
             }
             paths_used += 1;
-            // Length: 1 hop + congestion pressure. `residual/cap` near 0
-            // makes the arc ~expensive; saturated arcs are absent. Only
-            // the path to c.dst matters, so the tree stops there.
-            tree.grow(g, c.src, [c.dst], |p| {
-                let a = g.arc(p);
-                if residual[a] > EPS {
-                    1.0 + (graph.arc(a).cap / residual[a].max(EPS)).min(1e6) * 0.25
-                } else {
-                    f64::INFINITY
-                }
-            });
+            // Only the path to c.dst matters, so the tree stops there.
+            tree.grow(g, c.src, [c.dst], |p| len[p]);
             if !tree.path_to(g, c.dst, &mut path) {
                 return GreedyRouting {
                     feasible: false,
@@ -86,9 +113,19 @@ pub fn route_residual(
                 .map(|a| residual[a])
                 .fold(f64::INFINITY, f64::min);
             let send = remaining.min(bottleneck);
-            for a in arcs {
+            for &p in &path {
+                let a = g.arc(p as usize);
                 residual[a] -= send;
                 flow[a] += send;
+                len[p as usize] = length(graph.arc(a).cap, residual[a]);
+            }
+            if let Some(paths) = paths.as_deref_mut() {
+                let arcs = arcs.collect();
+                paths.push(PathStep {
+                    commodity: j,
+                    amount: send,
+                    arcs,
+                });
             }
             remaining -= send;
         }

@@ -3,10 +3,12 @@
 //! Repeat and perturbed requests should not pay for a full RL + ILP
 //! solve when a near-identical instance was just planned. The cache
 //! maps a key the planning service chooses to a JSON blob it chooses.
-//! The planner binding keeps two kinds: a base plan (units, cost,
-//! quality) under the `neuroplan::checkpoint::fingerprint` that also
-//! keys the request's checkpoint chain, and a `first_stage` record body
-//! under its `first_stage_key` (DESIGN.md §15).
+//! The planner binding keeps three kinds: a base plan (units, cost,
+//! quality and, once a repeat has asked for it, the plan's certificate)
+//! under the `neuroplan::checkpoint::fingerprint` that also keys the
+//! request's checkpoint chain, a `first_stage` record body under its
+//! `first_stage_key`, and the fingerprint of an answered spec under
+//! `spec-` and the spec's canonical text (DESIGN.md §15).
 //!
 //! Eviction is deterministic: a monotone access sequence (not wall
 //! time) orders entries, and ties cannot arise because the counter is
@@ -56,6 +58,22 @@ impl WarmCache {
                 None
             }
         }
+    }
+
+    /// [`WarmCache::get`] outside the hit/miss counts: for entries that
+    /// serve a lookup rather than answer one. Bumps recency.
+    pub fn get_uncounted(&mut self, key: &str) -> Option<&Value> {
+        self.seq += 1;
+        let (touched, blob) = self.entries.get_mut(key)?;
+        *touched = self.seq;
+        Some(blob)
+    }
+
+    /// Swap the blob of a resident `key` in place — recency and counts
+    /// untouched; `false`, and nothing stored, when `key` is not held.
+    pub fn replace(&mut self, key: &str, blob: Value) -> bool {
+        let held = self.entries.get_mut(key);
+        held.map(|(_, old)| *old = blob).is_some()
     }
 
     /// Insert or refresh `key`. Evicts the least-recently-used entry
@@ -154,6 +172,23 @@ mod tests {
             assert_eq!(run(), first);
         }
         assert_eq!(first, vec!["k2", "k3", "k1", "k4"]);
+    }
+
+    #[test]
+    fn uncounted_reads_and_replacements_leave_the_counts_alone() {
+        let mut c = WarmCache::new(2);
+        c.put("a", blob("A"));
+        c.put("b", blob("B"));
+        assert_eq!(c.get_uncounted("a").and_then(Value::as_str), Some("A"));
+        assert_eq!(c.get_uncounted("z"), None);
+        assert!(c.replace("b", blob("B2")));
+        assert!(!c.replace("z", blob("Z")), "only a resident key");
+        assert_eq!(c.stats(), (0, 0, 0));
+        // The uncounted read made `a` recent; the replacement did not
+        // refresh `b`.
+        assert_eq!(c.put("c", blob("C")).as_deref(), Some("b"));
+        assert!(!c.contains("z"));
+        assert_eq!(c.get("a").unwrap().as_str(), Some("A"));
     }
 
     #[test]

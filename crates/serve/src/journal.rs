@@ -22,7 +22,7 @@
 //! counts — followed by the records of the requests it still holds.
 
 use np_chaos::checkpoint::{
-    body_of, flag, json, num, read_body, read_records, since, Chain, Io, Record, Rows,
+    body_of, flag, json, num, read_body, read_records, since, Chain, Io, Record, Rows, Typed,
 };
 use np_chaos::{record, Chaos};
 use serde_json::Value;
@@ -90,16 +90,20 @@ pub struct Totals {
     pub failed: u64,
     /// Requests closed `cancelled`.
     pub cancelled: u64,
+    /// Of the `done` ones, those answered at admission.
+    pub answered: u64,
 }
 
 impl Totals {
-    /// Count one request closed under terminal kind `kind`.
-    pub fn count(&mut self, kind: &str) {
+    /// Count one request closed under terminal kind `kind`, `answered`
+    /// when that was at admission.
+    pub fn count(&mut self, kind: &str, answered: bool) {
         match kind {
             K_DONE => self.done += 1,
             K_FAILED => self.failed += 1,
             _ => self.cancelled += 1,
         }
+        self.answered += u64::from(answered);
     }
 
     /// Requests counted, of any kind.
@@ -119,12 +123,25 @@ pub struct Head {
     pub expired: Totals,
 }
 
-record! { Head = "head" {
-    num "floor" => floor,
-    num "done" => expired.done,
-    num "failed" => expired.failed,
-    num "cancelled" => expired.cancelled,
-}}
+impl Typed for Head {
+    const KIND: &'static str = "head";
+}
+
+impl Rows for Head {
+    fn rows(&mut self, io: &mut Io<'_>) -> Option<()> {
+        num(io, "floor", &mut self.floor)?;
+        num(io, "done", &mut self.expired.done)?;
+        num(io, "failed", &mut self.expired.failed)?;
+        num(io, "cancelled", &mut self.expired.cancelled)?;
+        // Written when some expired request was answered at admission
+        // only: a head without one is the bytes it always was, and an
+        // older head reads zero.
+        if matches!(io, Io::Put(_)) && self.expired.answered == 0 {
+            return Some(());
+        }
+        since(io, "answered", &mut self.expired.answered, num)
+    }
+}
 
 /// One request as a compaction writes it back.
 pub struct Kept<'a> {
@@ -426,6 +443,7 @@ mod tests {
                 done: 5,
                 failed: 0,
                 cancelled: 1,
+                answered: 3,
             },
         };
         let (x, four, six) = (spec("x"), Value::Str("four".into()), Value::Null);

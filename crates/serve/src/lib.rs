@@ -277,12 +277,11 @@ struct State {
     next_id: u64,
     draining: bool,
     running: usize,
-    /// Requests answered at admission, which no worker ever saw.
-    inline_hits: u64,
     /// The closed requests in the table, oldest close first, by
     /// [`Lane`]: at most [`RETAINED`] each.
     rings: [VecDeque<u64>; 2],
-    /// Outcomes of every request ever closed.
+    /// Outcomes of every request ever closed; `answered` counts those
+    /// answered at admission, which no worker ever saw.
     closed: Totals,
     /// Outcomes of those among them that have left the table.
     expired: Totals,
@@ -297,7 +296,8 @@ impl State {
     /// lane's ring. The ring's oldest request leaves the table when that
     /// makes one too many.
     fn retain(&mut self, id: u64, lane: Lane, kind: &str) {
-        self.closed.count(kind);
+        let answered = lane == Lane::Answered;
+        self.closed.count(kind, answered);
         let ring = &mut self.rings[lane as usize];
         ring.push_back(id);
         if ring.len() <= RETAINED {
@@ -306,7 +306,7 @@ impl State {
         let oldest = ring.pop_front().and_then(|id| self.requests.remove(&id));
         let oldest = oldest.expect("a ring holds ids of the table");
         let (kind, _) = oldest.terminal().expect("a ring holds closed requests");
-        self.expired.count(kind);
+        self.expired.count(kind, answered);
         self.live_lines -= oldest.lines();
         self.dead_lines += oldest.lines();
     }
@@ -384,7 +384,6 @@ impl<S: PlanService> Server<S> {
             next_id: replay.next_id(),
             draining: false,
             running: 0,
-            inline_hits: 0,
             rings: Default::default(),
             closed: replay.head.expired,
             expired: replay.head.expired,
@@ -826,7 +825,6 @@ fn op_submit<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
             req.lane = Lane::Answered;
             st.requests.insert(id, req);
             inn.close(&mut st, id, ReqState::Done, Some(body));
-            st.inline_hits += 1;
             inn.tel.incr(sys::SERVE, "inline_hits", 1);
             ReqState::Done
         }
@@ -941,7 +939,7 @@ fn op_stats<S: PlanService>(inn: &Inner<S>) -> Value {
         ("queue_capacity", Value::Num(inn.cfg.queue_capacity as f64)),
         ("workers", Value::Num(inn.cfg.workers as f64)),
         ("cache_hits", Value::Num(hits as f64)),
-        ("inline_hits", Value::Num(st.inline_hits as f64)),
+        ("inline_hits", Value::Num(st.closed.answered as f64)),
         ("cache_misses", Value::Num(misses as f64)),
         ("cache_evictions", Value::Num(evictions as f64)),
     ])

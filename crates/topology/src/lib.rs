@@ -43,7 +43,7 @@ pub use error::TopologyError;
 pub use family::{family_network, FailureModel, FamilyConfig, SizeTier, TopologyFamily};
 pub use generator::{GeneratorConfig, TopologyPreset};
 pub use ids::{FailureId, FiberId, FlowId, LinkId, SiteId};
-pub use model::{CosClass, Failure, FailureKind, Fiber, Flow, IpLink, Site};
+pub use model::{CosClass, Failure, FailureKind, Fiber, Flow, IpLink, PathFlow, Site};
 pub use network::{FailureImpact, Network, PlanSnapshot};
 pub use perturb::{PerturbDelta, Perturbation};
 pub use policy::ReliabilityPolicy;

@@ -1,6 +1,6 @@
 //! Core entity types of the cross-layer network model.
 
-use crate::ids::{FiberId, SiteId};
+use crate::ids::{FiberId, LinkId, SiteId};
 use serde::{Deserialize, Serialize};
 
 /// An IP/optical site: a PoP or datacenter, embedded in the plane.
@@ -142,6 +142,22 @@ pub struct Flow {
     /// Class of service, which the reliability policy maps to the set of
     /// failures this flow must survive.
     pub cos: CosClass,
+}
+
+/// Traffic on one path: `amount` Gbps from site `src` to site `dst` over
+/// `links` in walking order, each crossed forward (`true`: from the
+/// link's `src` to its `dst`) or backward. A set of these per failure
+/// scenario is a routing, the primal side of a feasibility verdict.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PathFlow {
+    /// Where the path starts.
+    pub src: SiteId,
+    /// Where it ends.
+    pub dst: SiteId,
+    /// Gbps carried.
+    pub amount: f64,
+    /// The links walked, each with the direction it is crossed in.
+    pub links: Vec<(LinkId, bool)>,
 }
 
 /// What breaks in a failure scenario.

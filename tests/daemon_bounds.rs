@@ -178,7 +178,14 @@ fn table(c: &mut Client, last: u64) -> Vec<String> {
 
 /// The counters of `stats` a restart restores.
 fn restored(stats: &Value) -> Vec<(&'static str, u64)> {
-    let keys = ["done", "failed", "cancelled", "retained", "expired"];
+    let keys = [
+        "done",
+        "failed",
+        "cancelled",
+        "retained",
+        "expired",
+        "inline_hits",
+    ];
     let mut counts: Vec<_> = keys.iter().map(|&k| (k, number(stats, k))).collect();
     let in_flight = number(stats, "queued") + number(stats, "running");
     counts.push(("in flight", in_flight));

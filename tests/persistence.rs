@@ -6,9 +6,10 @@
 //! to exactly that line, and that line decodes to exactly that record —
 //! so a chain or journal written by any earlier binary still resumes.
 //! The second half damages such files one bit at a time. The journal's
-//! two younger lines — the `head` of a compacted journal and the `done`
-//! of a request answered at admission (PR 23) — are held the same way,
-//! as first written.
+//! younger lines — the `head` of a compacted journal, without and with
+//! its count of dropped requests answered at admission, and the `done`
+//! of a request answered at admission — are held the same way, as first
+//! written.
 
 use neuroplan::checkpoint::{
     replan_stream_tag, EpochRecord, MasterRecord, Meta, MetaMatch, ReplanEventRecord, ReplanMeta,
@@ -53,6 +54,9 @@ const JOURNAL: [&str; 6] = [
 
 /// The first record of a compacted journal.
 const JOURNAL_HEAD: &str = r#"{"sum":"137db3fe384eb4dc","rec":{"v":1,"kind":"head","body":{"floor":2301,"done":5,"failed":1,"cancelled":2}}}"#;
+/// The `head` of a compaction that dropped requests answered at
+/// admission counts them, which is how `inline_hits` survives a restart.
+const JOURNAL_HEAD_ANSWERED: &str = r#"{"sum":"3e0223f8d2576323","rec":{"v":1,"kind":"head","body":{"floor":2301,"done":5,"failed":1,"cancelled":2,"answered":4}}}"#;
 /// A `done` that says its request never queued.
 const JOURNAL_ANSWERED: &str = r#"{"sum":"e34ea384c5f37b1f","rec":{"v":1,"kind":"done","body":{"id":10,"payload":{"id":10,"units":[1,2],"cost":1.5,"cost_hex":"000000000000f83f"},"answered":1}}}"#;
 
@@ -358,12 +362,26 @@ fn a_compacted_journal_is_a_head_and_the_lines_the_requests_were_journaled_with(
         done: 5,
         failed: 1,
         cancelled: 2,
+        answered: 0,
     };
     let head = Head {
         floor: 2301,
         expired,
     };
     holds("journal-head", head, JOURNAL_HEAD);
+    let answered = Totals {
+        answered: 4,
+        ..expired
+    };
+    let with_answered = Head {
+        expired: answered,
+        ..head
+    };
+    holds(
+        "journal-head-answered",
+        with_answered,
+        JOURNAL_HEAD_ANSWERED,
+    );
 
     // Requests 7 and 9 of the journal above and an answered 10, kept; 8
     // dropped. Every line but the head is a line an append wrote.
