@@ -7,10 +7,11 @@
 //! the pivot counts, factorization counters and wall times to
 //! `BENCH_lp.json` to seed the perf trajectory.
 //!
-//! Both runs use a node budget rather than a wall budget so the search
-//! path is identical and the resulting plan cost must be bit-identical;
-//! the contract checked by the equivalence suite is observable here as
-//! the `costs_bit_identical` field.
+//! Both runs use a node budget rather than a wall budget, so the plan
+//! costs are comparable: the two engines must reach the same optimum, at
+//! most a few ulps apart (each may stop on its own vertex of a degenerate
+//! optimal face, see `tests/refactor_trigger.rs`). Whether they also hit
+//! the same bits is reported as the `costs_bit_identical` field.
 
 use neuroplan::master::{solve_master_telemetry, MasterConfig};
 use np_bench::ExpArgs;
@@ -35,8 +36,8 @@ struct BackendRun {
 fn run(net: &Network, backend: LpBackend, node_limit: usize) -> (BackendRun, Telemetry) {
     let tel = Telemetry::memory();
     let mut evaluator = PlanEvaluator::with_telemetry(net, EvalConfig::default(), tel.clone());
-    // A node budget, not a wall budget: the dense run must walk the
-    // exact same tree so the costs are comparable bit-for-bit.
+    // A node budget, not a wall budget: how far each engine searches must
+    // not depend on its speed, or the costs would not be comparable.
     let cfg = MasterConfig {
         lp_backend: backend,
         ..MasterConfig::new(
@@ -142,8 +143,9 @@ fn main() {
     std::fs::write("BENCH_profile.json", format!("{profile}\n")).expect("write BENCH_profile.json");
     println!("wrote BENCH_profile.json");
     assert!(
-        identical,
-        "backends disagreed on the plan cost: dense {} vs sparse {}",
-        dense.cost, sparse.cost
+        dense.cost.to_bits().abs_diff(sparse.cost.to_bits()) <= 4,
+        "backends disagreed on the optimum: dense {} vs sparse {}",
+        dense.cost,
+        sparse.cost
     );
 }
