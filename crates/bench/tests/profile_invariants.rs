@@ -18,7 +18,6 @@
 use neuroplan::master::{solve_master_telemetry, MasterConfig};
 use neuroplan::{NeuroPlan, NeuroPlanConfig};
 use np_eval::{EvalConfig, PlanEvaluator};
-use np_lp::LpBackend;
 use np_telemetry::profile::ProfileReport;
 use np_telemetry::Telemetry;
 use np_topology::{generator::preset_network, Network, TopologyPreset};
@@ -46,7 +45,6 @@ fn run(
     );
     let cfg = MasterConfig {
         granularity,
-        lp_backend: LpBackend::Sparse,
         ..MasterConfig::new(
             MasterConfig::spectrum_bounds(net),
             node_limit,

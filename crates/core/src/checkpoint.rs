@@ -35,12 +35,10 @@ pub fn fingerprint(net: &Network, cfg: &NeuroPlanConfig) -> String {
     // under a different budget or retry policy must recompute, not
     // splice. The wall budget travels as bits so INFINITY is stable.
     let sup = &cfg.supervisor;
-    // The *resolved* simplex backend is part of the fingerprint: the two
-    // engines may reach equal-cost plans through different pivot
-    // sequences, so a resume across a backend switch (flag or
-    // NP_LP_BACKEND) must recompute rather than splice.
+    // The closing `Sparse` names the simplex engine, as it did when there
+    // were two; it stays so every fingerprint keeps its bytes.
     let tag = format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{:?}|{}|{}|{:?}",
+        "{}|{}|{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{:?}|{}|{}|Sparse",
         cfg.seed,
         cfg.train.epochs,
         cfg.train.steps_per_epoch,
@@ -54,7 +52,6 @@ pub fn fingerprint(net: &Network, cfg: &NeuroPlanConfig) -> String {
         sup.budget.max_epochs,
         sup.retry.max_retries,
         sup.degrade,
-        cfg.lp_backend.resolved(),
     );
     format!("{:016x}", hashed(net, &tag))
 }
@@ -73,7 +70,7 @@ fn hashed(net: &Network, tag: &str) -> u64 {
 pub fn first_stage_key(net: &Network, cfg: &NeuroPlanConfig) -> String {
     let sup = &cfg.supervisor;
     let tag = format!(
-        "{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|{:?}",
+        "{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|Sparse",
         cfg.seed,
         cfg.train.epochs,
         cfg.train.steps_per_epoch,
@@ -83,7 +80,6 @@ pub fn first_stage_key(net: &Network, cfg: &NeuroPlanConfig) -> String {
         sup.budget.wall_secs.to_bits(),
         sup.budget.max_epochs,
         sup.retry.max_retries,
-        cfg.lp_backend.resolved(),
     );
     format!("fs-{:016x}", hashed(net, &tag))
 }
@@ -382,11 +378,6 @@ mod tests {
             edit(&mut other);
             assert_ne!(key, first_stage_key(&net, &other), "config change {i}");
         }
-        let backend = |b| first_stage_key(&net, &cfg.clone().with_lp_backend(b));
-        assert_ne!(
-            backend(np_lp::LpBackend::Dense),
-            backend(np_lp::LpBackend::Sparse)
-        );
         let b = GeneratorConfig::preset(TopologyPreset::B).generate();
         assert_ne!(key, first_stage_key(&b, &cfg), "topology changes it");
     }
@@ -411,19 +402,5 @@ mod tests {
             fingerprint(&net, &cfg.clone().with_max_retries(7)),
             "retry policy changes it"
         );
-    }
-
-    #[test]
-    fn fingerprint_tracks_resolved_lp_backend() {
-        let net = GeneratorConfig::preset(TopologyPreset::A).generate();
-        let cfg = NeuroPlanConfig::quick();
-        let dense = fingerprint(&net, &cfg.clone().with_lp_backend(np_lp::LpBackend::Dense));
-        let sparse = fingerprint(&net, &cfg.clone().with_lp_backend(np_lp::LpBackend::Sparse));
-        assert_ne!(dense, sparse, "backend switch changes the fingerprint");
-        // Auto resolves to sparse unless NP_LP_BACKEND says otherwise, so
-        // an explicit Sparse must fingerprint identically to the default.
-        if np_lp::LpBackend::Auto.resolved() == np_lp::ResolvedBackend::Sparse {
-            assert_eq!(sparse, fingerprint(&net, &cfg), "Auto == resolved Sparse");
-        }
     }
 }

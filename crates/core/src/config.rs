@@ -35,11 +35,9 @@ pub struct NeuroPlanConfig {
     /// Anytime-planning supervision: per-stage budgets, retry policy and
     /// the degradation ladder (DESIGN.md §11).
     pub supervisor: SupervisorConfig,
-    /// Simplex basis engine for every master-problem LP. `Auto` defers
-    /// to `NP_LP_BACKEND` and defaults to the sparse revised simplex;
-    /// `Dense` restores the historical tableau, kept as the
-    /// bit-exactness reference (DESIGN.md §12).
-    pub lp_backend: np_lp::LpBackend,
+    /// Carries nothing; goes when ROADMAP 1(a) drops the benchmark's line
+    /// that reads it.
+    pub lp_backend: (),
 }
 
 impl Default for NeuroPlanConfig {
@@ -88,7 +86,7 @@ impl Default for NeuroPlanConfig {
             final_rollouts: 8,
             seed: 0,
             supervisor: SupervisorConfig::default(),
-            lp_backend: np_lp::LpBackend::Auto,
+            lp_backend: (),
         }
     }
 }
@@ -170,12 +168,6 @@ impl NeuroPlanConfig {
     /// instead of falling back to rounding or the heuristic plan.
     pub fn with_degrade(mut self, degrade: bool) -> Self {
         self.supervisor.degrade = degrade;
-        self
-    }
-
-    /// Select the simplex basis engine.
-    pub fn with_lp_backend(mut self, backend: np_lp::LpBackend) -> Self {
-        self.lp_backend = backend;
         self
     }
 }

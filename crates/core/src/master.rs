@@ -17,8 +17,8 @@ use crate::certificate::try_apply_units;
 use np_eval::{PlanEvaluator, Separation};
 use np_flow::MetricCut;
 use np_lp::{
-    solve_mip_telemetry, Cut, IncrementalLp, LpBackend, LpStatus, MipConfig, MipStatus, Model,
-    Sense, SimplexConfig, VarId,
+    solve_mip_telemetry, Cut, IncrementalLp, LpStatus, MipConfig, MipStatus, Model, Sense,
+    SimplexConfig, VarId,
 };
 use np_telemetry::{sys, Telemetry};
 use np_topology::{LinkId, Network};
@@ -59,10 +59,9 @@ pub struct MasterConfig {
     /// historical behavior). The supervised pipeline sets this to
     /// `false` and runs polishing as its own budgeted stage instead.
     pub polish_final: bool,
-    /// Simplex basis engine for every LP the master solves (B&B node
-    /// relaxations and the LP-rounding loop). `Auto` defers to the
-    /// `NP_LP_BACKEND` environment variable and defaults to sparse.
-    pub lp_backend: LpBackend,
+    /// Carries nothing; goes when ROADMAP 1(a) drops the benchmark's line
+    /// that sets it.
+    pub lp_backend: (),
 }
 
 impl MasterConfig {
@@ -74,7 +73,7 @@ impl MasterConfig {
 
     /// The plain master inside `upper_bounds`: no cutoff, seed cuts or
     /// warm start, 8 cuts per round, the exact unit lattice,
-    /// [`Self::DEFAULT_GAP`], no final polish, [`LpBackend::Auto`].
+    /// [`Self::DEFAULT_GAP`], no final polish.
     /// Callers set what they need with struct-update syntax.
     pub fn new(upper_bounds: Vec<u32>, node_limit: usize, time_limit_secs: f64) -> Self {
         MasterConfig {
@@ -88,7 +87,7 @@ impl MasterConfig {
             gap_tol: Self::DEFAULT_GAP,
             warm_units: None,
             polish_final: false,
-            lp_backend: LpBackend::Auto,
+            lp_backend: (),
         }
     }
 
@@ -218,10 +217,7 @@ pub fn solve_master_telemetry(
         time_limit_secs: cfg.time_limit_secs,
         gap_tol: cfg.gap_tol,
         int_tol: 1e-6,
-        simplex: SimplexConfig {
-            backend: cfg.lp_backend,
-            ..SimplexConfig::default()
-        },
+        simplex: SimplexConfig::default(),
         cutoff: cfg.cutoff,
     };
     // Polish and install the warm plan as the incumbent before searching
@@ -462,19 +458,18 @@ pub fn lp_round_plan(
     let unit = net.unit_gbps;
     let g = f64::from(gran);
     let scfg = SimplexConfig {
-        backend: cfg.lp_backend,
         collect_timing: tel.is_enabled() && np_telemetry::profiling(),
         ..SimplexConfig::default()
     };
     // One persistent LP lives across all separation rounds: each round
     // appends its cuts in place and the next solve re-optimizes from the
-    // previous optimal basis (dual simplex on the sparse backend) instead
-    // of rebuilding and re-solving from scratch. This loop only ever
-    // appends, so it stays on `IncrementalLp`'s warm fast path (the
-    // monotonicity assert still guards it); callers that must *retire*
-    // rows — the churn re-planner invalidating Benders cuts — use
-    // `IncrementalLp::add_tagged_row`/`remove_tagged`, which trade the
-    // warm basis for a forced refactorization on the shrunken model.
+    // previous optimal basis (dual simplex) instead of rebuilding and
+    // re-solving from scratch. This loop only ever appends, so it stays on
+    // `IncrementalLp`'s warm fast path (the monotonicity assert still
+    // guards it); callers that must *retire* rows — the churn re-planner
+    // invalidating Benders cuts — use `IncrementalLp::add_tagged_row` /
+    // `remove_tagged`, which trade the warm basis for a forced
+    // refactorization on the shrunken model.
     let mut inc = IncrementalLp::new(model, scfg);
     const MAX_ROUNDS: usize = 60;
     let result = 'rounds: {

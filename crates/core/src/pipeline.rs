@@ -733,7 +733,6 @@ impl NeuroPlan {
             // as the incumbent, never return anything worse.
             warm_units: Some(first_units.to_vec()),
             polish_final: true,
-            lp_backend: self.cfg.lp_backend,
             ..MasterConfig::new(
                 bounds,
                 self.cfg.mip_node_limit,
@@ -841,7 +840,6 @@ impl NeuroPlan {
                     gap_tol: ladder.gap_tol,
                     warm_units: ladder.carried.map(|(units, _)| units.to_vec()),
                     polish_final: ladder.polish_final,
-                    lp_backend: self.cfg.lp_backend,
                     ..MasterConfig::new(
                         ladder.bounds.clone(),
                         budget.max_nodes.map_or(scaled, |cap| scaled.min(cap)),
@@ -890,7 +888,6 @@ impl NeuroPlan {
                 }
                 let cfg = MasterConfig {
                     gap_tol: ladder.gap_tol,
-                    lp_backend: self.cfg.lp_backend,
                     ..MasterConfig::new(
                         ladder.bounds.clone(),
                         self.cfg.mip_node_limit,

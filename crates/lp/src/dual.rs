@@ -154,8 +154,8 @@ pub(crate) fn restore_feasibility(
         t.x[out] = beta;
         t.loc[j] = Loc::Basic;
         t.basis[r] = j;
-        t.engine.update(r, &tcol);
-        if t.due_refactor(*iterations, refactor_every) && t.refactorize().is_err() {
+        t.factors.update(r, &tcol);
+        if t.factors.should_refactor(refactor_every) && t.refactorize().is_err() {
             return DualStatus::NumericalFailure;
         }
     }

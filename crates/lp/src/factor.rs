@@ -518,9 +518,9 @@ impl SparseBasis {
         self.peak_eta_len = self.peak_eta_len.max(self.etas.len() as u64);
     }
 
-    /// Materialize `B⁻¹` row-major (`binv[r*m + i]`), as the dense
-    /// backend stores it — used only to synthesize a [`crate::simplex::TableauView`]
-    /// for Gomory cut generation at the B&B root.
+    /// Materialize `B⁻¹` row-major (`binv[r*m + i]`) — used only to
+    /// synthesize a [`crate::simplex::TableauView`] for Gomory cut
+    /// generation at the B&B root.
     pub fn dense_binv(&self) -> Vec<f64> {
         let m = self.m;
         let mut binv = vec![0.0f64; m * m];

@@ -7,13 +7,10 @@
 //! * [`model`] — a solver-agnostic model builder: variables with bounds,
 //!   objective coefficients and integrality; linear constraints with
 //!   `≤ / = / ≥` senses. The same model type is consumed by both solvers.
-//! * [`simplex`] — a **bounded-variable two-phase simplex** with two
-//!   interchangeable basis engines behind one driver: the default
-//!   **sparse revised simplex** ([`sparse`] CSC storage, [`factor`]
-//!   LU-factorized basis with eta updates and periodic refactorization)
-//!   and the historical **dense** basis inverse (`NP_LP_BACKEND=dense`),
-//!   kept as the bit-exactness reference. Dantzig pricing with a Bland
-//!   fallback guards against cycling on both engines.
+//! * [`simplex`] — a **bounded-variable two-phase sparse revised
+//!   simplex**: [`sparse`] CSC storage and a [`factor`] LU-factorized
+//!   basis with eta updates and adaptive refactorization. Dantzig pricing
+//!   with a Bland fallback guards against cycling.
 //! * [`dual`] — a bounded-variable **dual simplex** used for
 //!   warm-started re-optimization: reinstall a previously-optimal basis
 //!   after a bound change or appended rows and restore feasibility in a
@@ -30,7 +27,7 @@
 //!   commercial solvers expose for row generation. Each child node
 //!   warm-starts from its parent's optimal basis.
 //!
-//! Scale honesty: the sparse engine is a real revised simplex with LU
+//! Scale honesty: the simplex is a real revised simplex with LU
 //! updates, but tuned for the repository's problem sizes (hundreds to a
 //! few thousand rows/columns per LP) — the factorization is left-looking
 //! with a dense work column rather than a supernodal code, and pricing is
@@ -56,4 +53,4 @@ pub use simplex::{
     solve_lp, solve_lp_warm, solve_lp_warm_chaos, LpOutcome, LpSolution, LpStatus, SimplexConfig,
     SolveStats, TableauView,
 };
-pub use sparse::{CscMatrix, IncrementalLp, LpBackend, ResolvedBackend, WarmBasis, WarmCol};
+pub use sparse::{CscMatrix, IncrementalLp, WarmBasis, WarmCol};

@@ -42,7 +42,7 @@ struct MipTally {
     deadline_overshoot_us: u64,
     /// Basis factorizations across all node LPs.
     refactorizations: u64,
-    /// Sum of per-solve peak eta-file lengths (sparse backend only).
+    /// Sum of per-solve peak eta-file lengths.
     eta_len: u64,
     /// Pivots spent in warm-started re-optimizations.
     warm_start_pivots: u64,
@@ -216,9 +216,9 @@ struct Node {
     overrides: Vec<(VarId, f64, f64)>,
     bound: f64,
     depth: usize,
-    /// Parent's optimal basis (sparse backend), tagged with the cut-purge
-    /// generation it was captured under: a purge renumbers cut rows, so a
-    /// snapshot from an older generation is treated as cold.
+    /// Parent's optimal basis, tagged with the cut-purge generation it was
+    /// captured under: a purge renumbers cut rows, so a snapshot from an
+    /// older generation is treated as cold.
     basis: Option<(u64, Rc<WarmBasis>)>,
 }
 

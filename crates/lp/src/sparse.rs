@@ -1,61 +1,10 @@
 //! Sparse substrate for the revised simplex: CSC constraint-matrix
-//! storage, the dense/sparse backend switch, warm-start basis snapshots,
-//! and an incremental LP that re-optimizes after appended rows.
-//!
-//! The sparse backend (see [`crate::factor`] for the LU machinery and
-//! [`crate::dual`] for the dual simplex) is the default; the historical
-//! dense tableau survives behind `NP_LP_BACKEND=dense` as the reference
-//! implementation the equivalence suite checks against.
+//! storage, warm-start basis snapshots, and an incremental LP that
+//! re-optimizes after appended rows (see [`crate::factor`] for the LU
+//! machinery and [`crate::dual`] for the dual simplex).
 
 use crate::model::{ConstrId, Model, Sense, VarId};
 use crate::simplex::{Loc, LpSolution, SimplexConfig};
-
-/// Which simplex basis engine a solve uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LpBackend {
-    /// Resolve from the `NP_LP_BACKEND` environment variable
-    /// (`dense` → dense; anything else, including unset → sparse).
-    #[default]
-    Auto,
-    /// Dense basis inverse updated with row operations — the historical
-    /// textbook implementation, kept alive as the equivalence reference.
-    Dense,
-    /// CSC + LU-factorized basis with eta updates and warm starts.
-    Sparse,
-}
-
-impl LpBackend {
-    /// Resolve `Auto` against the `NP_LP_BACKEND` environment variable.
-    pub fn resolved(self) -> ResolvedBackend {
-        match self {
-            LpBackend::Dense => ResolvedBackend::Dense,
-            LpBackend::Sparse => ResolvedBackend::Sparse,
-            LpBackend::Auto => match std::env::var("NP_LP_BACKEND") {
-                Ok(v) if v.eq_ignore_ascii_case("dense") => ResolvedBackend::Dense,
-                _ => ResolvedBackend::Sparse,
-            },
-        }
-    }
-
-    /// Parse a CLI/env spelling (`dense`, `sparse`, `auto`).
-    pub fn parse(s: &str) -> Option<LpBackend> {
-        match s.to_ascii_lowercase().as_str() {
-            "dense" => Some(LpBackend::Dense),
-            "sparse" => Some(LpBackend::Sparse),
-            "auto" => Some(LpBackend::Auto),
-            _ => None,
-        }
-    }
-}
-
-/// A fully-resolved backend choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResolvedBackend {
-    /// Dense basis inverse.
-    Dense,
-    /// Factorized sparse basis.
-    Sparse,
-}
 
 /// Compressed-sparse-column matrix: the tableau's constraint matrix
 /// (structural, logical and artificial columns) in three flat arrays.
@@ -150,8 +99,7 @@ pub enum WarmCol {
 
 /// An optimal-basis snapshot, sufficient to warm-start a re-optimization
 /// after bound changes (branch & bound children) or appended rows
-/// (Benders cut rounds). Captured by the sparse backend on every optimal
-/// solve; installing it on a grown model puts each *new* row's logical
+/// (Benders cut rounds). Captured on every unperturbed optimal solve; installing it on a grown model puts each *new* row's logical
 /// into the basis, which preserves dual feasibility (logicals price to
 /// zero), so the dual simplex restores primal feasibility in a handful
 /// of pivots instead of re-running both phases.
@@ -167,8 +115,7 @@ pub struct WarmBasis {
 
 /// An LP that persists across Benders separation rounds: rows are
 /// appended in place and each `solve` re-optimizes from the previous
-/// optimal basis on the sparse backend. On the dense backend every solve
-/// is cold, preserving the reference behavior exactly.
+/// optimal basis.
 ///
 /// The append-only path is the fast path and its row-count monotonicity
 /// is still asserted between removals. Rows added with a *tag*
@@ -196,8 +143,8 @@ pub struct IncrementalLp {
     row_tags: Vec<Option<u64>>,
     /// Cumulative [`crate::simplex::SolveStats`] over all solves.
     pub stats: crate::simplex::SolveStats,
-    /// Solves that could not reuse a basis (first call, dense backend,
-    /// or warm-start fallback).
+    /// Solves that could not reuse a basis (first call, or warm-start
+    /// fallback).
     pub cold_solves: u64,
     /// Rows dropped through [`IncrementalLp::remove_tagged`]; each batch
     /// forces the next solve cold.
@@ -327,7 +274,7 @@ impl IncrementalLp {
     }
 
     /// Solve the current model, warm-starting from the previous optimal
-    /// basis when the sparse backend is active.
+    /// basis.
     pub fn solve(&mut self) -> LpSolution {
         assert!(
             self.model.num_constrs() >= self.rows_floor,
@@ -381,24 +328,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_resolution_prefers_explicit_choice() {
-        assert_eq!(LpBackend::Dense.resolved(), ResolvedBackend::Dense);
-        assert_eq!(LpBackend::Sparse.resolved(), ResolvedBackend::Sparse);
-        assert_eq!(LpBackend::parse("DENSE"), Some(LpBackend::Dense));
-        assert_eq!(LpBackend::parse("sparse"), Some(LpBackend::Sparse));
-        assert_eq!(LpBackend::parse("auto"), Some(LpBackend::Auto));
-        assert_eq!(LpBackend::parse("gurobi"), None);
-    }
-
-    #[test]
     fn incremental_rows_are_monotone_and_reoptimize() {
         // min x, x in [0, 10]; rounds push the lower bound up via rows.
         let mut m = Model::new("inc");
         let x = m.add_var("x", 0.0, 10.0, 1.0, false);
-        let cfg = SimplexConfig {
-            backend: LpBackend::Sparse,
-            ..SimplexConfig::default()
-        };
+        let cfg = SimplexConfig::default();
         let mut inc = IncrementalLp::new(m, cfg);
         let s0 = inc.solve();
         assert_eq!(s0.status, LpStatus::Optimal);
@@ -425,10 +359,7 @@ mod tests {
         // relaxes it back.
         let mut m = Model::new("inc-tagged");
         let x = m.add_var("x", 0.0, 10.0, 1.0, false);
-        let cfg = SimplexConfig {
-            backend: LpBackend::Sparse,
-            ..SimplexConfig::default()
-        };
+        let cfg = SimplexConfig::default();
         let mut inc = IncrementalLp::new(m, cfg);
         inc.add_row("base", vec![(x, 1.0)], Sense::Ge, 1.0);
         inc.add_tagged_row("t7", vec![(x, 1.0)], Sense::Ge, 7.0, 7);
@@ -477,10 +408,7 @@ mod tests {
         m.add_constr("cap1", vec![(x1, 1.0)], Sense::Le, 4.0);
         m.add_constr("cap2", vec![], Sense::Le, 2.0);
         m.add_constr("cap3", vec![], Sense::Le, 1.0);
-        let cfg = SimplexConfig {
-            backend: LpBackend::Sparse,
-            ..SimplexConfig::default()
-        };
+        let cfg = SimplexConfig::default();
         let mut inc = IncrementalLp::new(m, cfg);
         let s0 = inc.solve();
         assert!((s0.x[lambda.0] - 4.0 / 3.0).abs() < 1e-9);

@@ -164,8 +164,7 @@ fn fingerprints_equal_the_parent_commits() {
         let spec = PlanSpec::from_json(&serde_json::from_str(wire).expect("json"))
             .unwrap_or_else(|e| panic!("{wire}: {e}"));
         let net = spec.network().expect("instance");
-        // Pinned backend: the fingerprint follows NP_LP_BACKEND otherwise.
-        let cfg = spec.config().with_lp_backend(np_lp::LpBackend::Sparse);
+        let cfg = spec.config();
         let want = if cfg!(debug_assertions) {
             debug
         } else {
