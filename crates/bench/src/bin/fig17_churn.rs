@@ -75,8 +75,8 @@ fn parse_args() -> Args {
     args
 }
 
-/// Pipeline configuration, sized like `fig16_scenario_matrix`'s cells so
-/// the cold baseline is the same planner the matrix sweep runs.
+/// Pipeline configuration: quick budgets with training shrunk to 4
+/// epochs, so the cold baseline stays a few seconds per plan.
 fn planner_config(quick: bool, seed: u64) -> NeuroPlanConfig {
     let mut cfg = NeuroPlanConfig::quick().with_seed(seed);
     if quick {

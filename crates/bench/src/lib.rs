@@ -1,19 +1,19 @@
 //! # np-bench
 //!
-//! Experiment harness for the NeuroPlan reproduction: one binary per
-//! figure of the paper's evaluation (§6), each printing the rows/series
-//! the paper reports and writing a CSV under `results/`.
+//! Experiment binaries for the figures that vary what a planning request
+//! cannot name: evaluator and agent knobs, worker counts, churn streams
+//! and daemon sessions. Each prints the rows the paper reports and writes
+//! a CSV under `results/` (or a `BENCH_*.json`). The figures that are
+//! grids of planning requests — Figs. 8, 9, 13 and 16 — are
+//! `neuroplan sweep --grid results/grids/<fig>.json` instead.
 //!
 //! | binary | reproduces |
 //! |---|---|
 //! | `fig07_eval_efficiency` | Fig. 7 — evaluator optimizations |
-//! | `fig08_small_scale_optimality` | Fig. 8 — optimality on A-variants |
-//! | `fig09_large_scale` | Fig. 9 — scalability A–E |
 //! | `fig10_gnn_layers` | Fig. 10 — GNN depth sensitivity |
 //! | `fig11_mlp_hidden` | Fig. 11 — MLP width sensitivity |
 //! | `fig12_capacity_units` | Fig. 12 — action granularity |
-//! | `fig13_relax_factor` | Fig. 13 — relax factor α |
-//! | `fig16_scenario_matrix` | beyond-paper — {family × tier × failures} sweep |
+//! | `fig14_parallel_scaling` | beyond-paper — check/separate at 1, 2, 4 workers |
 //! | `fig17_churn` | beyond-paper — online re-planning under churn |
 //! | `fig18_serve` | beyond-paper — planning-as-a-service latency |
 //!
@@ -26,7 +26,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod churn;
-pub mod scenario;
 pub mod serve;
 
 /// Shared command-line options for experiment binaries.

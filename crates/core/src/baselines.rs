@@ -6,6 +6,7 @@ use np_eval::{EvalConfig, PlanEvaluator};
 use np_flow::{k_shortest_paths, FlowGraph};
 use np_lp::MipStatus;
 use np_topology::Network;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Result of a baseline run.
@@ -43,6 +44,58 @@ impl Default for BaselineBudget {
         BaselineBudget {
             node_limit: 4000,
             time_limit_secs: 120.0,
+        }
+    }
+}
+
+/// A `baseline` request's run-scoped half: which system, and its wall
+/// budget. The `baseline` subcommand and a sweep's `baseline` cell read
+/// it from the same flags and run it through [`Baseline::run`].
+#[derive(Clone, Copy, Debug)]
+pub struct Baseline {
+    /// ILP-heur rather than the raw ILP.
+    pub heur: bool,
+    /// Wall-clock cap in seconds.
+    pub time_secs: f64,
+}
+
+impl Baseline {
+    /// `--method ilp|ilp-heur` and `--time <secs>` (120 when absent).
+    pub fn from_flags(flags: &HashMap<String, String>) -> Result<Baseline, String> {
+        let heur = match flags.get("method").map(String::as_str) {
+            Some("ilp") => false,
+            Some("ilp-heur") => true,
+            _ => return Err("--method must be ilp or ilp-heur".to_string()),
+        };
+        let time_secs = match flags.get("time") {
+            None => 120.0,
+            Some(v) => v.parse().map_err(|_| format!("--time cannot take `{v}`"))?,
+        };
+        Ok(Baseline { heur, time_secs })
+    }
+
+    /// The `--method` name.
+    pub fn method(&self) -> &'static str {
+        if self.heur {
+            "ilp-heur"
+        } else {
+            "ilp"
+        }
+    }
+
+    /// Solve `net` under a 50 000-node budget on `workers` evaluator threads.
+    pub fn run(&self, net: &Network, workers: usize) -> BaselineOutcome {
+        let budget = BaselineBudget {
+            node_limit: 50_000,
+            time_limit_secs: self.time_secs,
+        };
+        let eval_cfg = EvalConfig {
+            parallel_workers: workers,
+            ..EvalConfig::default()
+        };
+        match self.heur {
+            true => solve_ilp_heur(net, eval_cfg, budget, 4),
+            false => solve_ilp(net, eval_cfg, budget),
         }
     }
 }

@@ -6,6 +6,7 @@
 //! neuroplan plan     --topology topo.json --out plan.json
 //! neuroplan evaluate --topology topo.json --plan plan.json
 //! neuroplan baseline --preset a --method ilp|ilp-heur
+//! neuroplan sweep    --grid results/grids/fig13.json --out runs/fig13
 //! ```
 //!
 //! Which instance and how to plan it is a [`PlanSpec`]: its field table
@@ -15,8 +16,8 @@
 //! topologies and a flat `{"units": [u32...], "cost": f64}` object for
 //! plans.
 
-use neuroplan::baselines::{solve_ilp, solve_ilp_heur, BaselineBudget};
-use neuroplan::service::plan_body;
+use neuroplan::baselines::Baseline;
+use neuroplan::sweep::{read_grid, run_grid, run_plan};
 use neuroplan::{validate_plan, NeuroPlan, NeuroPlanService, PlanSpec};
 use np_chaos::signals;
 use np_eval::{EvalConfig, PlanEvaluator};
@@ -40,6 +41,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
     ("replan", &[OBSERVED, CHECKPOINTED]),
     ("evaluate", &[OBSERVED, "--plan <file>"]),
     ("baseline", &["--topology <file> --chaos <spec> --method <ilp|ilp-heur> --time <secs>"]),
+    ("sweep", &["--grid <file> --out <dir>"]),
     ("serve", &[
         "--addr <host:port> --state-dir <dir> --queue-cap <n> --cache-cap <n>",
         "--telemetry <file> --profile --profile-out <file> --chaos <spec>",
@@ -265,21 +267,18 @@ fn main() {
             write_or_print(&flags, &net.to_json());
         }
         "plan" => {
+            spec.check_plan().unwrap_or_else(|e| fail(&e));
             let net = load_network(&spec, &flags);
             let tel = telemetry_of(&flags);
             let _lock = lock_checkpoint_dir(&flags);
             let planner = planner_of(&spec, &flags, &tel);
-            let result = planner.try_plan(&net).unwrap_or_else(|e| {
+            let (result, body) = run_plan(&planner, &net).unwrap_or_else(|e| {
                 exit_if_signalled(&tel, &flags);
                 finish_telemetry(&tel, &flags);
                 finish_chaos();
-                eprintln!("plan failed: {e}");
+                eprintln!("{e}");
                 exit(1)
             });
-            if let Err(e) = validate_plan(&net, &result.final_units) {
-                eprintln!("plan failed validation: {e}");
-                exit(1)
-            }
             finish_telemetry(&tel, &flags);
             finish_chaos();
             eprintln!(
@@ -297,14 +296,7 @@ fn main() {
                 result.supervision.total_retries(),
                 result.supervision.degrades
             );
-            let [units, cost, cost_hex, quality] = plan_body(
-                &result.final_units,
-                result.final_cost,
-                result.quality.name(),
-            );
-            let first_stage = serde_json::json!(result.first_stage_cost);
-            let first_stage = ("first_stage_cost".to_string(), first_stage);
-            let body = serde_json::Value::Object(vec![units, cost, cost_hex, first_stage, quality]);
+            let body = serde_json::Value::Object(body);
             write_or_print(&flags, &serde_json::to_string_pretty(&body).expect("json"));
         }
         "replan" => {
@@ -432,36 +424,43 @@ fn main() {
             }
         }
         "baseline" => {
+            let baseline = Baseline::from_flags(&flags).unwrap_or_else(|e| fail(&e));
             let net = load_network(&spec, &flags);
-            let time = flag_or(&flags, "time", 120.0);
-            let budget = BaselineBudget {
-                node_limit: 50_000,
-                time_limit_secs: time,
-            };
-            let workers = spec.workers().unwrap_or(1);
-            let eval_cfg = EvalConfig {
-                parallel_workers: workers,
-                ..EvalConfig::default()
-            };
-            match flags.get("method").map(String::as_str) {
-                Some("ilp") => {
-                    let out = solve_ilp(&net, eval_cfg, budget);
-                    println!(
-                        "ILP: cost {:.1}, proven {}, {:.1}s, {} nodes, {} cuts",
-                        out.cost(),
-                        out.solved_to_optimality,
-                        out.elapsed_secs,
-                        out.master.nodes,
-                        out.master.cuts_added
-                    );
-                }
-                Some("ilp-heur") => {
-                    let out = solve_ilp_heur(&net, eval_cfg, budget, 4);
-                    println!("ILP-heur: cost {:.1}, {:.1}s", out.cost(), out.elapsed_secs);
-                }
-                _ => fail("--method must be ilp or ilp-heur"),
+            let out = baseline.run(&net, spec.workers().unwrap_or(1));
+            match baseline.heur {
+                false => println!(
+                    "ILP: cost {:.1}, proven {}, {:.1}s, {} nodes, {} cuts",
+                    out.cost(),
+                    out.solved_to_optimality,
+                    out.elapsed_secs,
+                    out.master.nodes,
+                    out.master.cuts_added
+                ),
+                true => println!("ILP-heur: cost {:.1}, {:.1}s", out.cost(), out.elapsed_secs),
             }
             finish_chaos();
+        }
+        "sweep" => {
+            let (Some(grid), Some(out)) = (flags.get("grid"), flags.get("out")) else {
+                fail("sweep needs --grid <file> and --out <dir>")
+            };
+            if spec != PlanSpec::default() {
+                fail("sweep takes only --grid and --out: requests go in the grid")
+            }
+            let text = std::fs::read_to_string(grid).unwrap_or_else(|e| {
+                eprintln!("cannot read {grid}: {e}");
+                exit(1)
+            });
+            let cells = read_grid(&text).unwrap_or_else(|e| fail(&e));
+            let failed = run_grid(&cells, std::path::Path::new(out)).unwrap_or_else(|e| {
+                eprintln!("cannot write {out}: {e}");
+                exit(1)
+            });
+            println!("wrote {} cells and summary.csv to {out}", cells.len());
+            if failed > 0 {
+                eprintln!("{failed} of {} cells failed", cells.len());
+                exit(1)
+            }
         }
         "serve" => {
             let tel = telemetry_of(&flags);

@@ -36,6 +36,7 @@ pub mod replan;
 pub mod report;
 pub mod service;
 pub mod spec;
+pub mod sweep;
 
 pub use analysis::{analyze_plan, PlanAnalysis};
 pub use certificate::{verify, Certificate};
@@ -48,6 +49,6 @@ pub use pipeline::{
     certify, validate_plan, FirstStage, NeuroPlan, NeuroPlanResult, PlanError, PlanFailure,
 };
 pub use replan::{EventReport, ReplanConfig, ReplanReport};
-pub use report::{PhaseReport, PruningReport};
+pub use report::PruningReport;
 pub use service::NeuroPlanService;
 pub use spec::PlanSpec;

@@ -464,12 +464,9 @@ pub fn lp_round_plan(
     // One persistent LP lives across all separation rounds: each round
     // appends its cuts in place and the next solve re-optimizes from the
     // previous optimal basis (dual simplex) instead of rebuilding and
-    // re-solving from scratch. This loop only ever appends, so it stays on
-    // `IncrementalLp`'s warm fast path (the monotonicity assert still
-    // guards it); callers that must *retire* rows — the churn re-planner
-    // invalidating Benders cuts — use `IncrementalLp::add_tagged_row` /
-    // `remove_tagged`, which trade the warm basis for a forced
-    // refactorization on the shrunken model.
+    // re-solving from scratch. Rows are only ever appended (the
+    // monotonicity assert guards it): the re-planner retires cuts in the
+    // evaluator's certificate store, before a master is built, never here.
     let mut inc = IncrementalLp::new(model, scfg);
     const MAX_ROUNDS: usize = 60;
     let result = 'rounds: {

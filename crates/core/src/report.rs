@@ -1,11 +1,7 @@
 //! Interpretability reporting (§4.3): operators can inspect the pruning
-//! strategy the RL agent generated before committing the ILP to it, and
-//! — via [`PhaseReport`] — see where a run's wall-clock and solver work
-//! actually went.
+//! strategy the RL agent generated before committing the ILP to it.
 
-use np_telemetry::Telemetry;
 use np_topology::{LinkId, Network};
-use std::fmt::Write as _;
 
 /// A human-auditable summary of the first-stage pruning.
 #[derive(Clone, Debug)]
@@ -81,80 +77,6 @@ impl PruningReport {
     }
 }
 
-/// Per-phase time and counter breakdown of a telemetry-instrumented run.
-///
-/// Snapshots a [`Telemetry`] handle's aggregates so harnesses can render
-/// (or assert on) where the time went: pipeline stage spans first with
-/// their share of the `plan` total, then each subsystem's counters.
-#[derive(Clone, Debug, Default)]
-pub struct PhaseReport {
-    /// Span aggregates as `(sys, name, count, total_us)`.
-    pub phases: Vec<(String, String, u64, u64)>,
-    /// Counter totals as `(sys, name, value)`.
-    pub counters: Vec<(String, String, u64)>,
-}
-
-impl PhaseReport {
-    /// Snapshot the breakdown from a telemetry handle (empty if the
-    /// handle is the no-op sink).
-    pub fn from_telemetry(tel: &Telemetry) -> Self {
-        PhaseReport {
-            phases: tel.spans(),
-            counters: tel.counters(),
-        }
-    }
-
-    /// Total microseconds attributed to a span, 0 if absent.
-    pub fn phase_us(&self, sys: &str, name: &str) -> u64 {
-        self.phases
-            .iter()
-            .find(|(s, n, _, _)| s == sys && n == name)
-            .map_or(0, |&(_, _, _, t)| t)
-    }
-
-    /// A counter total, 0 if absent.
-    pub fn counter(&self, sys: &str, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(s, n, _)| s == sys && n == name)
-            .map_or(0, |&(_, _, v)| v)
-    }
-
-    /// Render the operator-facing table: phase times (with percentage of
-    /// the outermost `pipeline/plan` span when present) and counters.
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        if self.phases.is_empty() && self.counters.is_empty() {
-            out.push_str("telemetry: no events recorded\n");
-            return out;
-        }
-        let total = self.phase_us("pipeline", "plan");
-        if !self.phases.is_empty() {
-            out.push_str("phase breakdown:\n");
-            for (sys, name, count, us) in &self.phases {
-                let pct = if total > 0 {
-                    format!("{:>5.1}%", *us as f64 * 100.0 / total as f64)
-                } else {
-                    "     -".to_string()
-                };
-                writeln!(
-                    out,
-                    "  {sys:<8} {name:<28} {:>10.3} ms  {pct}  ({count}x)",
-                    *us as f64 / 1e3
-                )
-                .unwrap();
-            }
-        }
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (sys, name, value) in &self.counters {
-                writeln!(out, "  {sys:<8} {name:<28} {value:>12}").unwrap();
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,34 +107,5 @@ mod tests {
         let plan = spectrum.clone();
         let report = PruningReport::new(&net, &plan, &spectrum, &spectrum, 2.0);
         assert_eq!(report.reduction_log10(), 0.0);
-    }
-
-    #[test]
-    fn phase_report_renders_spans_and_counters() {
-        let tel = Telemetry::memory();
-        {
-            let _outer = tel.span("pipeline", "plan");
-            let _inner = tel.span("pipeline", "first_stage");
-            tel.incr("eval", "scenario_checks", 17);
-        }
-        let report = PhaseReport::from_telemetry(&tel);
-        assert!(report.phase_us("pipeline", "plan") > 0);
-        assert_eq!(report.counter("eval", "scenario_checks"), 17);
-        assert_eq!(report.counter("eval", "missing"), 0);
-        let text = report.describe();
-        assert!(text.contains("phase breakdown:"));
-        assert!(text.contains("first_stage"));
-        assert!(text.contains("scenario_checks"));
-        assert!(
-            text.contains('%'),
-            "plan total present => percentages rendered"
-        );
-    }
-
-    #[test]
-    fn phase_report_of_noop_telemetry_is_empty() {
-        let report = PhaseReport::from_telemetry(&Telemetry::noop());
-        assert!(report.phases.is_empty() && report.counters.is_empty());
-        assert!(report.describe().contains("no events recorded"));
     }
 }

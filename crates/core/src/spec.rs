@@ -316,6 +316,15 @@ impl PlanSpec {
         cfg.with_degrade(self.get("no_degrade").is_none())
     }
 
+    /// Refuse what only `replan` reads in a `plan` request: a plan would
+    /// drop the stream and answer as if it had none.
+    pub fn check_plan(&self) -> Result<(), String> {
+        match self.get("events") {
+            Some(_) => Err("`events` needs `replan`".to_string()),
+            None => Ok(()),
+        }
+    }
+
     /// The churn stream to absorb after the base plan, resolved against
     /// `net`; `None` for a plain planning request.
     pub fn events(&self, net: &Network) -> Option<Vec<ChurnEvent>> {

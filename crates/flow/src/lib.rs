@@ -31,7 +31,6 @@
 //! `neuroplan` equivalent to the paper's joint formulation.
 
 pub mod commodity;
-pub mod demand;
 pub mod dijkstra;
 pub mod dinic;
 pub mod error;
@@ -42,7 +41,6 @@ pub mod metric;
 pub mod mwu;
 
 pub use commodity::Commodity;
-pub use demand::DemandProfile;
 pub use dijkstra::ShortestPaths;
 pub use error::FlowError;
 pub use graph::{Arc, ArcId, FlowGraph, NodeId, Packed};

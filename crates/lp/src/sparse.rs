@@ -117,13 +117,8 @@ pub struct WarmBasis {
 /// appended in place and each `solve` re-optimizes from the previous
 /// optimal basis.
 ///
-/// The append-only path is the fast path and its row-count monotonicity
-/// is still asserted between removals. Rows added with a *tag*
-/// ([`IncrementalLp::add_tagged_row`]) may additionally be removed as a
-/// group ([`IncrementalLp::remove_tagged`]) — the churn pipeline's exact
-/// cut invalidation — at the price of one forced refactorization: the
-/// stored basis indexes rows by position, so any removal drops it and
-/// the next solve is cold.
+/// Rows are never removed: the stored basis indexes them by position, and
+/// `solve` asserts that the row count only grows.
 ///
 /// Columns may be appended too ([`IncrementalLp::add_col`]) and
 /// right-hand sides and coefficients patched in place: the stored basis
@@ -138,17 +133,11 @@ pub struct IncrementalLp {
     warm: Option<WarmBasis>,
     rows_floor: usize,
     cols_floor: usize,
-    /// Tag of each row (`None` = untagged, never removable), aligned
-    /// with the model's constraint indexing.
-    row_tags: Vec<Option<u64>>,
     /// Cumulative [`crate::simplex::SolveStats`] over all solves.
     pub stats: crate::simplex::SolveStats,
     /// Solves that could not reuse a basis (first call, or warm-start
     /// fallback).
     pub cold_solves: u64,
-    /// Rows dropped through [`IncrementalLp::remove_tagged`]; each batch
-    /// forces the next solve cold.
-    pub tag_removals: u64,
 }
 
 impl IncrementalLp {
@@ -156,17 +145,14 @@ impl IncrementalLp {
     pub fn new(model: Model, config: SimplexConfig) -> IncrementalLp {
         let rows_floor = model.num_constrs();
         let cols_floor = model.num_vars();
-        let row_tags = vec![None; rows_floor];
         IncrementalLp {
             model,
             config,
             warm: None,
             rows_floor,
             cols_floor,
-            row_tags,
             stats: crate::simplex::SolveStats::default(),
             cold_solves: 0,
-            tag_removals: 0,
         }
     }
 
@@ -185,9 +171,8 @@ impl IncrementalLp {
         &mut self.model
     }
 
-    /// Append an untagged row in place — the persistent master model's
-    /// fast path, warm-started across separation rounds. Untagged rows
-    /// are permanent: nothing ever removes them.
+    /// Append a row in place — the persistent master model's fast path,
+    /// warm-started across separation rounds.
     pub fn add_row(
         &mut self,
         name: impl Into<String>,
@@ -196,7 +181,6 @@ impl IncrementalLp {
         rhs: f64,
     ) {
         self.model.add_constr(name, coeffs, sense, rhs);
-        self.row_tags.push(None);
     }
 
     /// Append a permanent column (see [`Model::add_col`]).
@@ -219,58 +203,6 @@ impl IncrementalLp {
     /// Replace one coefficient (see [`Model::set_coeff`]).
     pub fn set_coeff(&mut self, row: ConstrId, var: VarId, coeff: f64) {
         self.model.set_coeff(row, var, coeff);
-    }
-
-    /// Append a row carrying a removal tag (e.g. the dense scenario index
-    /// whose certificate induced a Benders cut). Otherwise identical to
-    /// [`IncrementalLp::add_row`].
-    pub fn add_tagged_row(
-        &mut self,
-        name: impl Into<String>,
-        coeffs: Vec<(VarId, f64)>,
-        sense: Sense,
-        rhs: f64,
-        tag: u64,
-    ) {
-        self.model.add_constr(name, coeffs, sense, rhs);
-        self.row_tags.push(Some(tag));
-    }
-
-    /// Remove every tagged row whose tag satisfies `drop`, returning how
-    /// many rows went away. A non-empty removal invalidates the stored
-    /// basis (row positions shift), so the next [`IncrementalLp::solve`]
-    /// performs a forced refactorization — a cold solve — and the
-    /// monotonic row floor is lowered to the surviving count. Untagged
-    /// rows are never touched, and a removal matching nothing keeps the
-    /// warm fast path fully intact.
-    pub fn remove_tagged(&mut self, drop: impl Fn(u64) -> bool) -> usize {
-        let keep: Vec<bool> = self
-            .row_tags
-            .iter()
-            .map(|t| !matches!(t, Some(tag) if drop(*tag)))
-            .collect();
-        let removed = keep.iter().filter(|&&k| !k).count();
-        if removed == 0 {
-            return 0;
-        }
-        // `purge_constrs` visits each original row once, in order, so a
-        // running counter recovers the original index inside the closure.
-        let mut i = 0;
-        self.model.purge_constrs(0, |_| {
-            let k = keep[i];
-            i += 1;
-            k
-        });
-        let mut j = 0;
-        self.row_tags.retain(|_| {
-            let k = keep[j];
-            j += 1;
-            k
-        });
-        self.warm = None;
-        self.rows_floor = self.model.num_constrs();
-        self.tag_removals += removed as u64;
-        removed
     }
 
     /// Solve the current model, warm-starting from the previous optimal
@@ -351,48 +283,6 @@ mod tests {
         }
         // First solve is cold; the re-optimizations reuse the basis.
         assert_eq!(inc.cold_solves, 1, "appended rows must warm-start");
-    }
-
-    #[test]
-    fn tagged_removal_forces_one_refactorization_then_warms_again() {
-        // min x, x in [0, 10]; tagged rows push the bound, removal
-        // relaxes it back.
-        let mut m = Model::new("inc-tagged");
-        let x = m.add_var("x", 0.0, 10.0, 1.0, false);
-        let cfg = SimplexConfig::default();
-        let mut inc = IncrementalLp::new(m, cfg);
-        inc.add_row("base", vec![(x, 1.0)], Sense::Ge, 1.0);
-        inc.add_tagged_row("t7", vec![(x, 1.0)], Sense::Ge, 7.0, 7);
-        inc.add_tagged_row("t3", vec![(x, 1.0)], Sense::Ge, 3.0, 3);
-        let s = inc.solve();
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective - 7.0).abs() < 1e-6);
-        assert_eq!(inc.cold_solves, 1);
-
-        // A removal matching nothing keeps the warm path intact.
-        assert_eq!(inc.remove_tagged(|t| t == 99), 0);
-        inc.add_row("ge8", vec![(x, 1.0)], Sense::Ge, 8.0);
-        let s = inc.solve();
-        assert!((s.objective - 8.0).abs() < 1e-6);
-        assert_eq!(inc.cold_solves, 1, "no-op removal must not go cold");
-        assert_eq!(inc.tag_removals, 0);
-
-        // Dropping tag 7 shifts later rows down and forces a cold solve;
-        // the untagged rows survive (objective falls to the ge8 bound
-        // even though that row's position moved).
-        assert_eq!(inc.remove_tagged(|t| t == 7), 1);
-        assert_eq!(inc.num_rows(), 3);
-        let s = inc.solve();
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective - 8.0).abs() < 1e-6);
-        assert_eq!(inc.cold_solves, 2, "removal forces a refactorization");
-        assert_eq!(inc.tag_removals, 1);
-
-        // The append fast path is intact after the removal.
-        inc.add_row("ge9", vec![(x, 1.0)], Sense::Ge, 9.0);
-        let s = inc.solve();
-        assert!((s.objective - 9.0).abs() < 1e-6);
-        assert_eq!(inc.cold_solves, 2, "appends warm-start again");
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl TopologyFamily {
         TopologyFamily::FatTree,
     ];
 
-    /// Stable wire name (CLI flags, BENCH_scenarios.json cells).
+    /// Stable wire name (CLI flags and spec JSON).
     pub fn name(self) -> &'static str {
         match self {
             TopologyFamily::Wan => "wan",

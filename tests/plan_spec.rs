@@ -12,6 +12,7 @@
 
 use neuroplan::spec::{Field, Kind, FIELDS};
 use neuroplan::{checkpoint, NeuroPlanService, PlanSpec};
+use neuroplan_suite::neuroplan_bin;
 use np_chaos::checkpoint::body_of;
 use np_chaos::CancelToken;
 use np_serve::{PlanService, RequestCtx, ServiceFailure, WarmCache};
@@ -447,41 +448,6 @@ fn hostile_json_yields_only_typed_errors() {
     assert!(accepted > 100, "the generator never produced a valid spec");
 }
 
-/// The `neuroplan` binary of this test's own build profile. The root
-/// package does not own the binary, so cargo has not necessarily built
-/// it: build it here, once (a no-op when it is fresh).
-fn neuroplan_bin() -> &'static PathBuf {
-    static BIN: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
-    BIN.get_or_init(build_neuroplan)
-}
-
-fn build_neuroplan() -> PathBuf {
-    let exe = std::env::current_exe().expect("test executable path");
-    let profile_dir = exe
-        .parent()
-        .and_then(|deps| deps.parent())
-        .expect("target/<profile>/deps");
-    let mut build = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()));
-    build.args([
-        "build",
-        "-q",
-        "--offline",
-        "-p",
-        "neuroplan",
-        "--bin",
-        "neuroplan",
-    ]);
-    build.current_dir(env!("CARGO_MANIFEST_DIR"));
-    if !cfg!(debug_assertions) {
-        build.arg("--release");
-    }
-    assert!(
-        build.status().expect("run cargo").success(),
-        "cargo build of the CLI failed"
-    );
-    profile_dir.join("neuroplan")
-}
-
 #[test]
 fn the_cli_refuses_bad_requests_before_doing_anything() {
     let bin = neuroplan_bin();
@@ -517,6 +483,22 @@ fn the_cli_refuses_bad_requests_before_doing_anything() {
             );
         }
     }
+    // Only `replan` reads a stream: `plan` used to drop it and plan anyway.
+    let done = Command::new(bin)
+        .args(["plan", "--preset", "a", "--quick", "--events", "seed=1,n=2"])
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawn neuroplan");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert_eq!(done.status.code(), Some(2), "plan --events: {stderr}");
+    assert!(stderr.contains("`events` needs `replan`"), "{stderr}");
+    assert!(
+        !ckpt.exists() && !out.exists(),
+        "plan --events wrote something"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
