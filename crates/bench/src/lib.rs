@@ -1,25 +1,21 @@
 //! # np-bench
 //!
 //! Experiment binaries for the figures that vary what a planning request
-//! cannot name: evaluator and agent knobs, worker counts, churn streams
-//! and daemon sessions. Each prints the rows the paper reports and writes
-//! a CSV under `results/` (or a `BENCH_*.json`). The figures that are
-//! grids of planning requests — Figs. 8, 9, 13 and 16 — are
-//! `neuroplan sweep --grid results/grids/<fig>.json` instead.
+//! cannot name: evaluator knobs, worker counts, churn streams and daemon
+//! sessions. Each prints the rows it reports and writes a CSV under
+//! `results/` (or a `BENCH_*.json`). The figures that are grids of
+//! planning requests — Figs. 8–13 and 16 — are `neuroplan sweep --grid
+//! results/grids/<fig>.json` instead.
 //!
 //! | binary | reproduces |
 //! |---|---|
 //! | `fig07_eval_efficiency` | Fig. 7 — evaluator optimizations |
-//! | `fig10_gnn_layers` | Fig. 10 — GNN depth sensitivity |
-//! | `fig11_mlp_hidden` | Fig. 11 — MLP width sensitivity |
-//! | `fig12_capacity_units` | Fig. 12 — action granularity |
 //! | `fig14_parallel_scaling` | beyond-paper — check/separate at 1, 2, 4 workers |
 //! | `fig17_churn` | beyond-paper — online re-planning under churn |
 //! | `fig18_serve` | beyond-paper — planning-as-a-service latency |
 //!
 //! Every binary accepts `--quick` (CI-sized, the default) or `--full`
 //! (longer budgets), plus `--seed <u64>` and `--out <dir>`.
-//! Criterion micro-benchmarks live in `benches/micro.rs`.
 
 use std::fmt::Display;
 use std::fs;

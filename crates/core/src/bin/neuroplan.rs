@@ -108,9 +108,7 @@ fn load_network(spec: &PlanSpec, flags: &Flags) -> Network {
     let Some(path) = flags.get("topology") else {
         return (spec.network()).unwrap_or_else(|e| fail(&format!("{e} (or --topology)")));
     };
-    if spec.names_instance() {
-        fail("--topology conflicts with --preset and --family")
-    }
+    spec.check_topology().unwrap_or_else(|e| fail(&e));
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1)
@@ -212,6 +210,19 @@ fn exit_if_signalled(tel: &Telemetry, flags: &Flags) {
             "interrupted by signal {signo}; telemetry flushed, checkpoint complete — resume with --resume"
         );
         exit(signals::exit_code(signo));
+    }
+}
+
+/// The `units` of a plan file, one per link of an instance with `links` links.
+fn read_plan(path: &str, links: usize) -> Result<Vec<u32>, String> {
+    let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let plan: serde_json::Value = serde_json::from_str(&body).map_err(|e| e.to_string())?;
+    let units: Vec<u32> = (plan.get("units"))
+        .and_then(|u| serde_json::from_value(u.clone()).ok())
+        .ok_or("it needs a `units` array of u32")?;
+    match units.len() == links {
+        true => Ok(units),
+        false => Err(format!("{} units for {links} links", units.len())),
     }
 }
 
@@ -380,15 +391,10 @@ fn main() {
         "evaluate" => {
             let net = load_network(&spec, &flags);
             let units: Vec<u32> = match flags.get("plan") {
-                Some(path) => {
-                    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("cannot read {path}: {e}");
-                        exit(1)
-                    });
-                    let v: serde_json::Value =
-                        serde_json::from_str(&body).expect("plan file is JSON");
-                    serde_json::from_value(v["units"].clone()).expect("plan file has a units array")
-                }
+                Some(path) => read_plan(path, net.links().len()).unwrap_or_else(|e| {
+                    eprintln!("invalid plan file {path}: {e}");
+                    exit(1)
+                }),
                 None => net.link_ids().map(|l| net.link(l).capacity_units).collect(),
             };
             let caps: Vec<f64> = units

@@ -38,7 +38,7 @@ pub fn fingerprint(net: &Network, cfg: &NeuroPlanConfig) -> String {
     // The closing `Sparse` names the simplex engine, as it did when there
     // were two; it stays so every fingerprint keeps its bytes.
     let tag = format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{:?}|{}|{}|Sparse",
+        "{}|{}|{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{:?}|{}|{}|Sparse{}",
         cfg.seed,
         cfg.train.epochs,
         cfg.train.steps_per_epoch,
@@ -52,8 +52,20 @@ pub fn fingerprint(net: &Network, cfg: &NeuroPlanConfig) -> String {
         sup.budget.max_epochs,
         sup.retry.max_retries,
         sup.degrade,
+        shape(cfg),
     );
     format!("{:016x}", hashed(net, &tag))
+}
+
+/// The agent's shape as a tag suffix. Both budgets give 2 GCN layers and
+/// an MLP as wide as the GCN; that shape adds nothing, so every key from
+/// before the shape could be requested keeps its bytes.
+fn shape(cfg: &NeuroPlanConfig) -> String {
+    let agent = &cfg.agent;
+    match agent.gnn_layers == 2 && agent.mlp_hidden == [agent.gnn_hidden; 2] {
+        true => String::new(),
+        false => format!("|gnn{}|mlp{:?}", agent.gnn_layers, agent.mlp_hidden),
+    }
 }
 
 /// FNV-1a of the instance JSON and a config tag.
@@ -70,7 +82,7 @@ fn hashed(net: &Network, tag: &str) -> u64 {
 pub fn first_stage_key(net: &Network, cfg: &NeuroPlanConfig) -> String {
     let sup = &cfg.supervisor;
     let tag = format!(
-        "{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|Sparse",
+        "{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|Sparse{}",
         cfg.seed,
         cfg.train.epochs,
         cfg.train.steps_per_epoch,
@@ -80,6 +92,7 @@ pub fn first_stage_key(net: &Network, cfg: &NeuroPlanConfig) -> String {
         sup.budget.wall_secs.to_bits(),
         sup.budget.max_epochs,
         sup.retry.max_retries,
+        shape(cfg),
     );
     format!("fs-{:016x}", hashed(net, &tag))
 }
@@ -362,7 +375,7 @@ mod tests {
         second.supervisor.budget.max_nodes = Some(7);
         assert_eq!(key, first_stage_key(&net, &second));
         assert_ne!(fingerprint(&net, &cfg), fingerprint(&net, &second));
-        let moved: [fn(&mut NeuroPlanConfig); 9] = [
+        let moved: [fn(&mut NeuroPlanConfig); 11] = [
             |c| *c = c.clone().with_seed(9),
             |c| *c = c.clone().with_workers(1),
             |c| *c = c.clone().with_stage_budget(30.0),
@@ -372,11 +385,18 @@ mod tests {
             |c| c.max_units_per_step += 1,
             |c| c.final_rollouts += 1,
             |c| c.supervisor.budget.max_epochs = Some(3),
+            |c| c.agent.gnn_layers = 0,
+            |c| c.agent.mlp_hidden = vec![16, 16],
         ];
         for (i, edit) in moved.iter().enumerate() {
             let mut other = cfg.clone();
             edit(&mut other);
             assert_ne!(key, first_stage_key(&net, &other), "config change {i}");
+            assert_ne!(
+                fingerprint(&net, &cfg),
+                fingerprint(&net, &other),
+                "config change {i}"
+            );
         }
         let b = GeneratorConfig::preset(TopologyPreset::B).generate();
         assert_ne!(key, first_stage_key(&b, &cfg), "topology changes it");

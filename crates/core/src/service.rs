@@ -629,6 +629,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The agent's shape is a training input: another one is neither a
+    /// repeat nor a second-stage variant of the default one.
+    #[test]
+    fn another_agent_shape_plans_cold_and_trains_its_own_first_stage() {
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("shape");
+        let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+        let shallow = json!({ "preset": "a", "seed": 3, "gnn_layers": 0 });
+        for (id, spec) in [(1, tiny_spec()), (2, shallow)] {
+            assert_eq!(svc.warm(&spec, &ctx(&cache, id)), None);
+            let result = svc.execute(&spec, &ctx(&cache, id)).expect("plan");
+            assert_eq!(text(&result, "cache"), Some("cold"), "{spec:?}");
+            assert_eq!(result.get("first_stage"), None, "{spec:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_cold_request_with_events_caches_its_base_plan() {
         let cache = Mutex::new(WarmCache::new(8));

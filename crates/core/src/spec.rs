@@ -25,9 +25,9 @@ pub enum Kind {
     Choice(&'static str, fn(&str) -> bool),
     /// A finite number in `[lo, hi]`.
     Real(f64, f64),
-    /// An integer in `[0, max]`. JSON holds it as a number up to 2⁵³ or
+    /// An integer in `[lo, hi]`. JSON holds it as a number up to 2⁵³ or
     /// as a decimal string, so every `u64` round-trips.
-    Int(u64),
+    Int(u64, u64),
     /// A thread count: an integer or `auto` (all cores of the planning host).
     Workers,
     /// A churn stream in [`ChurnSpec`]'s grammar, at most [`MAX_EVENTS`] long.
@@ -63,18 +63,21 @@ pub const FIELDS: &[Field] = &[
     Field { key: "failure_model", kind: Kind::Choice("none|cuts|full", |s| FailureModel::parse(s).is_some()), doc: "family failure scenarios" },
     Field { key: "fill", kind: Kind::Real(0.0, 1.0), doc: "initial capacity fill" },
     Field { key: "long_term", kind: Kind::Switch, doc: "preset only: add dark candidate fibers" },
-    Field { key: "seed", kind: Kind::Int(u64::MAX), doc: "instance and run seed" },
+    Field { key: "seed", kind: Kind::Int(0, u64::MAX), doc: "instance and run seed" },
     Field { key: "quick", kind: Kind::Switch, doc: "CI-sized budgets (the default)" },
     Field { key: "default", kind: Kind::Switch, doc: "calibrated budgets" },
     Field { key: "alpha", kind: Kind::Real(1.0, f64::MAX), doc: "second-stage relax factor" },
-    Field { key: "workers", kind: Kind::Workers, doc: "thread budget; any value selects the 4-actor trainer" },
+    Field { key: "gnn_layers", kind: Kind::Int(0, 4), doc: "GCN layers before the MLP (agent.gnn_layers)" },
+    Field { key: "mlp_hidden", kind: Kind::Int(1, 512), doc: "width of both MLP hidden layers (agent.mlp_hidden)" },
+    Field { key: "units_per_step", kind: Kind::Int(1, 16), doc: "max capacity units one action adds (max_units_per_step)" },
+    Field { key: "workers", kind: Kind::Workers, doc: "thread budget (eval.parallel_workers, train.rollout_workers); any value selects the 4-actor trainer (train.num_actors)" },
     Field { key: "stage_budget", kind: Kind::Real(0.0, f64::MAX), doc: "wall-clock seconds per supervised stage" },
-    Field { key: "max_retries", kind: Kind::Int(u32::MAX as u64), doc: "retries per stage" },
+    Field { key: "max_retries", kind: Kind::Int(0, u32::MAX as u64), doc: "retries per stage" },
     Field { key: "no_degrade", kind: Kind::Switch, doc: "fail instead of walking the degradation ladder" },
     Field { key: "events", kind: Kind::Events, doc: "churn stream to re-plan through (CLI: inline or a file)" },
     Field { key: "gap", kind: Kind::Real(0.0, f64::MAX), doc: "per-event relative optimality gap" },
     Field { key: "prune_alpha", kind: Kind::Real(1.0, f64::MAX), doc: "per-event relax factor around the carried plan" },
-    Field { key: "flap_seed", kind: Kind::Int(u64::MAX), doc: "seed of the chaos link-flap victim" },
+    Field { key: "flap_seed", kind: Kind::Int(0, u64::MAX), doc: "seed of the chaos link-flap victim" },
 ];
 
 #[derive(Clone, Debug, PartialEq)]
@@ -93,7 +96,8 @@ impl Field {
             Kind::Choice(names, _) => names.to_string(),
             Kind::Real(lo, hi) if hi == f64::MAX => format!("{lo}.."),
             Kind::Real(lo, hi) => format!("{lo}..{hi}"),
-            Kind::Int(_) => "int".to_string(),
+            Kind::Int(lo, hi) if hi < u32::MAX as u64 => format!("{lo}..{hi}"),
+            Kind::Int(..) => "int".to_string(),
             Kind::Workers => "n|auto".to_string(),
             Kind::Events => "spec".to_string(),
         }
@@ -111,11 +115,11 @@ impl Field {
     /// Check one value — a JSON scalar, or a flag's text wrapped as one.
     /// A `false` switch is the same as an absent one.
     fn accept(&self, v: &Value) -> Result<Option<Val>, String> {
-        let int = |max: u64| match v {
+        let int = |lo: u64, hi: u64| match v {
             Value::Num(n) if n.fract() == 0.0 && (0.0..=EXACT as f64).contains(n) => {
-                Some(*n as u64).filter(|n| *n <= max)
+                Some(*n as u64).filter(|n| (lo..=hi).contains(n))
             }
-            Value::Str(s) => s.parse().ok().filter(|n| *n <= max),
+            Value::Str(s) => s.parse().ok().filter(|n| (lo..=hi).contains(n)),
             _ => None,
         };
         let val = match (self.kind, v) {
@@ -124,9 +128,9 @@ impl Field {
                 Some(Val::Text(s.to_ascii_lowercase()))
             }
             (Kind::Real(lo, hi), Value::Num(x)) if (lo..=hi).contains(x) => Some(Val::Real(*x)),
-            (Kind::Int(max), _) => int(max).map(Val::Int),
+            (Kind::Int(lo, hi), _) => int(lo, hi).map(Val::Int),
             (Kind::Workers, Value::Str(s)) if s == "auto" => Some(Val::Text(s.clone())),
-            (Kind::Workers, _) => int(usize::MAX as u64).map(Val::Int),
+            (Kind::Workers, _) => int(0, usize::MAX as u64).map(Val::Int),
             (Kind::Events, Value::Str(s)) => match ChurnSpec::parse(s) {
                 Ok(churn) if churn.len() <= MAX_EVENTS => Some(Val::Text(s.clone())),
                 Ok(_) => return Err(format!("`{}` holds over {MAX_EVENTS} events", self.key)),
@@ -254,9 +258,22 @@ impl PlanSpec {
         }
     }
 
-    /// Whether the spec names an instance (`preset` or `family`).
-    pub fn names_instance(&self) -> bool {
-        self.text("preset").or(self.text("family")).is_some()
+    /// Refuse beside a topology file what only a generator reads: the
+    /// file would be planned as if the key were not there. `seed` stays,
+    /// since the planner reads it too.
+    pub fn check_topology(&self) -> Result<(), String> {
+        let generated = [
+            "preset",
+            "family",
+            "fill",
+            "long_term",
+            "size_tier",
+            "failure_model",
+        ];
+        match generated.into_iter().find(|key| self.get(key).is_some()) {
+            Some(key) => Err(format!("`{key}` conflicts with `--topology`")),
+            None => Ok(()),
+        }
     }
 
     /// Generate the instance the spec names.
@@ -299,6 +316,15 @@ impl PlanSpec {
             None => NeuroPlanConfig::quick(),
         };
         cfg.relax_factor = self.real("alpha").unwrap_or(cfg.relax_factor);
+        if let Some(n) = self.int("gnn_layers") {
+            cfg.agent.gnn_layers = n as usize;
+        }
+        if let Some(w) = self.int("mlp_hidden") {
+            cfg.agent.mlp_hidden = vec![w as usize; 2];
+        }
+        if let Some(m) = self.int("units_per_step") {
+            cfg.max_units_per_step = m as usize;
+        }
         if let Some(seed) = self.int("seed") {
             cfg = cfg.with_seed(seed);
         }

@@ -10,13 +10,15 @@
 //!
 //! `<out>/<i>.json` holds cell `i`'s request, canonicalized, followed by
 //! its outcome: a plan file's members plus `rl_cost`, `reference_cost`,
-//! `rung`, `retries` and `degrades`; or a baseline's `cost`, `cost_hex`,
-//! `proven`, `nodes` and `cuts`; or the `error` that stopped it. Every
-//! cell ends with its wall `millis`. `<out>/summary.csv` has one row per
-//! cell with fixed columns and no wall time, so a re-run at the
+//! `rung`, `retries`, `degrades` and the learning curve `epochs`
+//! (`return`, `completed`, `truncated` per epoch); or a baseline's `cost`,
+//! `cost_hex`, `proven`, `nodes` and `cuts`; or the `error` that stopped
+//! it. Every cell ends with its wall `millis`. `<out>/summary.csv` has one
+//! row per cell with fixed columns and no wall time, so a re-run at the
 //! same commit reproduces it byte for byte wherever no wall budget cut a
 //! solve short. Its `request` column is the cell as flags: `neuroplan
-//! <command> <request>` runs the cell alone.
+//! <command> <request>` runs the cell alone; its `returns` column is the
+//! curve's mean returns, `;`-joined.
 
 use crate::baselines::Baseline;
 use crate::pipeline::{validate_plan, NeuroPlan, NeuroPlanResult};
@@ -114,12 +116,20 @@ fn run_cell(cell: &Cell) -> Members {
         None => match run_plan(&NeuroPlan::new(cell.spec.config()), &cell.net) {
             Ok((result, file)) => {
                 out.extend(file);
+                let epochs = (result.train_report.epochs.iter()).map(|e| {
+                    json!({
+                        "return": e.mean_return,
+                        "completed": e.completed,
+                        "truncated": e.truncated,
+                    })
+                });
                 json!({
                     "rl_cost": result.rl_cost,
                     "reference_cost": result.reference_cost,
                     "rung": result.quality.rung(),
                     "retries": result.supervision.total_retries(),
                     "degrades": result.supervision.degrades,
+                    "epochs": Value::Array(epochs.collect()),
                 })
             }
             Err(e) => json!({ "error": e }),
@@ -146,7 +156,7 @@ fn run_cell(cell: &Cell) -> Members {
 
 /// The outcome columns of `summary.csv`, after `cell,command,request`;
 /// a cell leaves empty the ones its command does not report.
-const COLUMNS: [&str; 13] = [
+const COLUMNS: [&str; 14] = [
     "cost",
     "cost_hex",
     "first_stage_cost",
@@ -160,6 +170,7 @@ const COLUMNS: [&str; 13] = [
     "nodes",
     "cuts",
     "error",
+    "returns",
 ];
 
 /// Run every cell in order, writing `<out>/<i>.json` as each finishes and
@@ -172,11 +183,7 @@ pub fn run_grid(cells: &[Cell], out: &Path) -> std::io::Result<usize> {
         let body = Value::Object(run_cell(cell));
         let (command, request) = as_flags(&cell.request);
         let mut row = vec![i.to_string(), command.to_string(), request.clone()];
-        row.extend(
-            COLUMNS
-                .iter()
-                .map(|c| body.get(c).map_or(String::new(), text)),
-        );
+        row.extend(COLUMNS.iter().map(|c| column(&body, c)));
         eprintln!(
             "cell {i}/{}: {command} {request}: {}",
             cells.len(),
@@ -208,6 +215,17 @@ fn as_flags(request: &Members) -> (&str, String) {
         })
         .collect();
     (command, flags.join(" "))
+}
+
+/// Column `c` of a cell's summary row.
+fn column(body: &Value, c: &str) -> String {
+    match (c, body.get("epochs").and_then(Value::as_array)) {
+        ("returns", Some(epochs)) => {
+            let returns: Vec<String> = epochs.iter().map(|e| text(&e["return"])).collect();
+            returns.join(";")
+        }
+        _ => body.get(c).map_or(String::new(), text),
+    }
 }
 
 /// A scalar as a CSV cell: numbers in their shortest round-trip form,

@@ -46,12 +46,12 @@ fn samples(field: &Field) -> Vec<String> {
             hi.to_string(),
             (lo + (hi.min(2.0) - lo) * (0.5 - 1e-12)).to_string(),
         ],
-        Kind::Int(max) => vec![
-            "0".to_string(),
-            "7".to_string(),
-            (1u64 << 53).min(max).to_string(),
-            ((1u64 << 53) + 1).min(max).to_string(),
-            max.to_string(),
+        Kind::Int(lo, hi) => vec![
+            lo.to_string(),
+            7.clamp(lo, hi).to_string(),
+            (1u64 << 53).min(hi).to_string(),
+            ((1u64 << 53) + 1).min(hi).to_string(),
+            hi.to_string(),
         ],
         Kind::Workers => own(&["1", "4", "auto"]),
         Kind::Events => own(&["seed=3,n=5", "demand-scale:1.2; link-remove:3"]),
@@ -305,6 +305,13 @@ fn bad_specs() -> Vec<Value> {
         json!({"preset": "a", "seed": "18446744073709551616"}),
         json!({"preset": "a", "flap_seed": "seven"}),
         json!({"preset": "a", "max_retries": 4294967296u64}),
+        // agent shapes and actions outside Table 2's span
+        json!({"preset": "a", "mlp_hidden": 0}),
+        json!({"preset": "a", "mlp_hidden": 513}),
+        json!({"preset": "a", "units_per_step": 0}),
+        json!({"preset": "a", "units_per_step": 17}),
+        json!({"preset": "a", "gnn_layers": 5}),
+        json!({"preset": "a", "mlp_hidden": "wide"}),
         json!({"preset": "a", "workers": "many"}),
         json!({"preset": "a", "workers": -2}),
         json!({"preset": "a", "default": 1}),
@@ -461,6 +468,8 @@ fn the_cli_refuses_bad_requests_before_doing_anything() {
         &["--lp-backend", "dense"],
         &["--seed", "18446744073709551616"],
         &["--size-tier", "c"],
+        &["--mlp-hidden", "0"],
+        &["--units-per-step", "17"],
     ] {
         for cmd in ["plan", "replan", "generate", "request"] {
             let mut run = Command::new(bin);
@@ -499,6 +508,73 @@ fn the_cli_refuses_bad_requests_before_doing_anything() {
         !ckpt.exists() && !out.exists(),
         "plan --events wrote something"
     );
+    // A topology file is planned as it is: a generator's keys beside it
+    // used to be dropped without a word.
+    let topo = dir.join("topo.json");
+    let generated = Command::new(bin)
+        .args(["generate", "--preset", "a", "--out"])
+        .arg(&topo)
+        .output()
+        .expect("spawn neuroplan");
+    assert!(generated.status.success());
+    for (key, extra) in [
+        ("fill", &["--fill", "0.9"][..]),
+        ("long_term", &["--long-term"]),
+        ("size_tier", &["--size-tier", "a"]),
+        ("failure_model", &["--failure-model", "full"]),
+        ("preset", &["--preset", "a"]),
+    ] {
+        let done = Command::new(bin)
+            .args(["evaluate", "--topology"])
+            .arg(&topo)
+            .args(extra)
+            .output()
+            .expect("spawn neuroplan");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{key}` conflicts with `--topology`")),
+            "{stderr}"
+        );
+    }
+    // The planner reads `seed` too, so it may go with a file.
+    let done = Command::new(bin)
+        .args(["generate", "--seed", "3", "--topology"])
+        .arg(&topo)
+        .output()
+        .expect("spawn neuroplan");
+    assert!(done.status.success(), "--seed beside --topology");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `evaluate --plan` reads a file a user wrote: anything but one `u32` per
+/// link of the instance is one line and exit 1, never a panic.
+#[test]
+fn evaluate_refuses_a_plan_file_it_cannot_apply() {
+    let bin = neuroplan_bin();
+    let dir = tmp("evaluate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let plan = dir.join("plan.json");
+    for body in [
+        "not json",
+        r#"{"units": [1, 2]}"#,
+        r#"{"cost": 1}"#,
+        r#"{"units": "all"}"#,
+        r#"{"units": [1.5]}"#,
+        r#"{"units": [-1]}"#,
+        "[1, 2, 3]",
+    ] {
+        std::fs::write(&plan, body).unwrap();
+        let done = Command::new(bin)
+            .args(["evaluate", "--preset", "a", "--plan"])
+            .arg(&plan)
+            .output()
+            .expect("spawn neuroplan");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(1), "{body}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{body}: {stderr}");
+        assert!(stderr.starts_with("invalid plan file "), "{body}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

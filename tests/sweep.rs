@@ -3,6 +3,7 @@
 //! same request; it checks the whole grid before it runs any cell; and its
 //! summary carries no wall time, so a re-run reproduces it byte for byte.
 
+use neuroplan::sweep::read_grid;
 use neuroplan_suite::neuroplan_bin;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -137,6 +138,7 @@ fn a_grid_with_one_bad_cell_exits_2_and_writes_nothing() {
         r#"{"replan": {"preset": "a"}}"#,
         r#"{"plan": {}}"#,
         r#"{"plan": {"preset": "e", "seed": 4, "fill": 1}}"#,
+        r#"{"plan": {"preset": "a", "fill": 0, "mlp_hidden": 0}}"#,
         r#"["plan", {"preset": "a"}]"#,
     ] {
         std::fs::write(dir.join("grid.json"), format!("[{good}, {bad}]")).unwrap();
@@ -154,4 +156,23 @@ fn a_grid_with_one_bad_cell_exits_2_and_writes_nothing() {
         assert!(!dir.join("out").exists(), "{extra:?} wrote something");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `results/grids/*.json` are what `run_experiments.sh` sweeps: each must
+/// read as `sweep` reads it — every cell a valid request whose instance
+/// generates — without planning anything.
+#[test]
+fn every_committed_grid_reads_as_sweep_reads_it() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/grids");
+    let mut grids = 0;
+    for entry in std::fs::read_dir(&dir).expect("results/grids") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).expect("grid file");
+            let cells = read_grid(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            assert!(!cells.is_empty(), "{path:?} holds no cell");
+            grids += 1;
+        }
+    }
+    assert!(grids >= 7, "the figure grids fig08 to fig13 and fig16");
 }
