@@ -31,65 +31,6 @@ pub struct Certificate {
     pub scenarios: Vec<Vec<PathFlow>>,
 }
 
-impl Certificate {
-    /// The compact text form: scenarios joined by `|`, a scenario's paths
-    /// by `;`, a path as `src,dst,amount,hops` where each hop is a link
-    /// index followed by `>` (crossed from its `src` to its `dst`) or `<`.
-    /// Amounts print as the shortest text that reads back bit for bit.
-    pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (k, paths) in self.scenarios.iter().enumerate() {
-            if k > 0 {
-                out.push('|');
-            }
-            for (i, p) in paths.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                let (src, dst) = (p.src.index(), p.dst.index());
-                let _ = write!(out, "{src},{dst},{:?},", p.amount);
-                for &(l, forward) in &p.links {
-                    let _ = write!(out, "{}{}", l.index(), if forward { '>' } else { '<' });
-                }
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`Certificate::encode`]; `None` on malformed text.
-    pub fn decode(text: &str) -> Option<Certificate> {
-        let scenario = |s: &str| match s {
-            "" => Some(Vec::new()),
-            _ => s.split(';').map(path).collect(),
-        };
-        let scenarios = text.split('|').map(scenario).collect::<Option<_>>()?;
-        Some(Certificate { scenarios })
-    }
-}
-
-/// One path of the text form.
-fn path(text: &str) -> Option<PathFlow> {
-    let mut fields = text.splitn(4, ',');
-    let mut site = || Some(SiteId::new(fields.next()?.parse().ok()?));
-    let (src, dst) = (site()?, site()?);
-    let amount = fields.next()?.parse().ok()?;
-    let mut links = Vec::new();
-    let mut rest = fields.next()?;
-    while !rest.is_empty() {
-        let end = rest.find(['>', '<'])?;
-        let link = LinkId::new(rest[..end].parse().ok()?);
-        links.push((link, rest.as_bytes()[end] == b'>'));
-        rest = &rest[end + 1..];
-    }
-    Some(PathFlow {
-        src,
-        dst,
-        amount,
-        links,
-    })
-}
-
 /// Apply a units vector that comes from outside the solver (a plan file,
 /// a daemon request) in two passes, so that transient spectrum states
 /// never block a valid final configuration: the first link that cannot
@@ -214,53 +155,4 @@ fn walks(net: &Network, p: &PathFlow, failure: Option<FailureId>) -> bool {
         at = to;
     }
     at == p.dst
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hop(l: usize, forward: bool) -> (LinkId, bool) {
-        (LinkId::new(l), forward)
-    }
-
-    #[test]
-    fn the_text_form_reads_back_bit_for_bit_and_refuses_malformed_text() {
-        let path = |src, dst, amount, links| PathFlow {
-            src: SiteId::new(src),
-            dst: SiteId::new(dst),
-            amount,
-            links,
-        };
-        let cert = Certificate {
-            scenarios: vec![
-                vec![
-                    path(0, 3, 12.5, vec![hop(4, true), hop(17, false)]),
-                    path(2, 1, 0.1 + 0.2, vec![hop(0, false)]),
-                ],
-                vec![],
-                vec![path(5, 6, 1e-300, vec![])],
-            ],
-        };
-        let text = cert.encode();
-        assert_eq!(
-            text,
-            "0,3,12.5,4>17<;2,1,0.30000000000000004,0<||5,6,1e-300,"
-        );
-        assert_eq!(Certificate::decode(&text), Some(cert));
-        let one_empty_scenario = Certificate {
-            scenarios: vec![vec![]],
-        };
-        assert_eq!(Certificate::decode(""), Some(one_empty_scenario));
-        for bad in [
-            "0,3,1.5",
-            "0,3,x,",
-            "0,3,1.5,4",
-            "0,3,1.5,4>x<",
-            "a,3,1,",
-            "0,3,1,>",
-        ] {
-            assert_eq!(Certificate::decode(bad), None, "{bad:?}");
-        }
-    }
 }

@@ -193,7 +193,7 @@ impl GraphEnv for PlanningEnv {
         Some(Box::new(PlanningEnv {
             net: self.net.clone(),
             adjacency: self.adjacency.clone(),
-            evaluator: self.evaluator.fork(&self.net),
+            evaluator: self.evaluator.fork(),
             num_unit_choices: self.num_unit_choices,
             reward_norm: self.reward_norm,
             best: None,

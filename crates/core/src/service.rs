@@ -16,21 +16,23 @@
 //! * **Cancellation.** The daemon's per-request token goes straight
 //!   into [`NeuroPlan::with_cancel`], so `cancel` frees the worker at
 //!   the next supervisor stage / trainer epoch boundary.
-//! * **Warm cache.** Results are cached under the same
-//!   [`checkpoint::fingerprint`] that keys checkpoint chains. A repeat
-//!   request skips the solve entirely — its plan's certificate is
-//!   verified against the instance, or, on the plan's first repeat, one
-//!   evaluator validation pass runs and leaves a certificate in the
-//!   entry ([`NeuroPlanService::repeat`]) — and, needing no worker, is
-//!   answered at admission through [`PlanService::warm`], which also
-//!   remembers the fingerprint of every spec it answered under `spec-`
-//!   and the spec's canonical text; a perturbed request
+//! * **Warm cache.** The daemon's LRU holds typed [`CacheEntry`] values.
+//!   Results are cached under the same [`checkpoint::fingerprint`] that
+//!   keys checkpoint chains. A repeat request skips the solve entirely —
+//!   its plan's certificate is verified against the instance, or, on the
+//!   plan's first repeat, one evaluator validation pass runs and leaves a
+//!   decoded certificate in the entry ([`NeuroPlanService::repeat`]) —
+//!   and, needing no worker, is answered at admission through
+//!   [`PlanService::warm`]. A hit keeps, under `spec-` and the spec's
+//!   canonical text, the fingerprint and the instance this spec
+//!   generated, so a later repeat neither generates nor hashes it again
+//!   and is still checked on the instance it names. A perturbed request
 //!   (`events` in the spec) reuses the cached base plan as the carried
-//!   plan of the incremental replan path (PR 8) instead of re-planning
-//!   from scratch.
-//! * **First-stage reuse.** The same cache keeps each trained first
-//!   stage under its [`checkpoint::first_stage_key`]. A request that
-//!   misses on the plan but hits there — only second-stage settings
+//!   plan of the incremental replan path instead of re-planning from
+//!   scratch.
+//! * **First-stage reuse.** The same cache keeps each trained
+//!   [`FirstStage`] under its [`checkpoint::first_stage_key`]. A request
+//!   that misses on the plan but hits there — only second-stage settings
 //!   such as `alpha` differ — has its chain seeded with that
 //!   `first_stage` record, and the resume above runs the second stage
 //!   alone, to the plan a from-scratch run reaches, bit for bit.
@@ -51,13 +53,13 @@ use crate::checkpoint;
 use crate::pipeline::{certify, validate_plan, FirstStage, NeuroPlan, PlanFailure};
 use crate::replan::ReplanReport;
 use crate::spec::PlanSpec;
-use crate::NeuroPlanConfig;
-use np_chaos::checkpoint::{body_of, f64_to_hex, read_body};
+use np_chaos::checkpoint::f64_to_hex;
 use np_serve::{lock, PlanService, RequestCtx, ServiceFailure};
 use np_telemetry::{sys, Telemetry};
 use np_topology::Network;
 use serde_json::{json, Value};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The planner-backed [`PlanService`].
 pub struct NeuroPlanService {
@@ -78,16 +80,51 @@ impl NeuroPlanService {
     }
 }
 
-fn bad(msg: impl Into<String>) -> ServiceFailure {
-    ServiceFailure::Failed(msg.into())
+/// What [`NeuroPlanService`] keeps in the daemon's warm cache, ready to
+/// use: nothing is parsed on a hit (DESIGN.md §15).
+#[derive(Clone, Debug)]
+pub enum CacheEntry {
+    /// An answered spec, under `spec-` and its canonical text: the
+    /// fingerprint it plans under and the instance it generated.
+    Spec {
+        /// [`checkpoint::fingerprint`] of the instance and the spec's
+        /// planner configuration.
+        fp: Arc<str>,
+        /// The instance, which a repeat of the spec is checked on.
+        net: Arc<Network>,
+    },
+    /// A base (event-free) plan, under its fingerprint.
+    Plan(Arc<CachedPlan>),
+    /// A trained first stage, under its first-stage key.
+    FirstStage(Arc<FirstStage>),
 }
 
-fn units_of(blob: &Value) -> Option<Vec<u32>> {
-    blob.get("units")?
-        .as_array()?
-        .iter()
-        .map(|v| v.as_u64().map(|u| u as u32))
-        .collect()
+/// A cached base plan.
+#[derive(Clone, Debug)]
+pub struct CachedPlan {
+    /// Units per link.
+    pub units: Vec<u32>,
+    /// Its cost.
+    pub cost: f64,
+    /// Its quality's wire name.
+    pub quality: &'static str,
+    /// What proves it on the instance.
+    pub proof: Proof,
+}
+
+/// The certificate a cached plan keeps for its repeats.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Proof {
+    /// No repeat has asked for one yet.
+    Unasked,
+    /// One that [`verify`] accepted when it was stored.
+    Held(Certificate),
+    /// The evaluator had none to give: every repeat validates.
+    Unavailable,
+}
+
+fn bad(msg: impl Into<String>) -> ServiceFailure {
+    ServiceFailure::Failed(msg.into())
 }
 
 /// The result members every surface reports — `units`, `cost`,
@@ -110,15 +147,18 @@ fn stream_quality(report: &ReplanReport) -> &'static str {
         .map_or("optimal", |e| e.quality.name())
 }
 
-/// What both lanes read off a wire spec before deciding anything: the
-/// request, its instance, its planner configuration and the fingerprint
-/// of the pair.
-fn read(spec: &Value) -> Result<(PlanSpec, Network, NeuroPlanConfig, String), String> {
-    let spec = PlanSpec::from_json(spec)?;
-    let net = spec.network()?;
-    let cfg = spec.config();
-    let fp = checkpoint::fingerprint(&net, &cfg);
-    Ok((spec, net, cfg, fp))
+/// The cache key of an answered spec: `spec-` and its canonical text.
+fn spec_key(spec: &PlanSpec) -> String {
+    let text = serde_json::to_string(&spec.to_json()).expect("a JSON value serializes");
+    format!("spec-{text}")
+}
+
+/// The instance a request names and its fingerprint, with whether they
+/// were generated here (`true`) or kept under its `spec-` key.
+struct Instance {
+    net: Arc<Network>,
+    fp: Arc<str>,
+    generated: bool,
 }
 
 /// The result body of request `id`; `served` closes it: how the plan was
@@ -149,80 +189,122 @@ impl NeuroPlanService {
         self.state_dir.join(format!("req-{id}"))
     }
 
-    /// The warm hit, on either lane: `blob` is the plan cached under `fp`,
-    /// the fingerprint of an event-free request for `net`. The plan is
-    /// checked, never trusted: by its certificate, an O(witness) pass,
-    /// when the entry holds one that verifies on `net`; otherwise by an
+    /// The instance `spec` names: the one kept under `key` when the spec
+    /// was answered before (an uncounted lookup), else generated and
+    /// fingerprinted here.
+    fn instance(
+        &self,
+        ctx: &RequestCtx<'_, CacheEntry>,
+        spec: &PlanSpec,
+        key: &str,
+    ) -> Result<Instance, String> {
+        if let Some(CacheEntry::Spec { fp, net }) = lock(ctx.cache).get_uncounted(key) {
+            let (net, fp) = (net.clone(), fp.clone());
+            return Ok(Instance {
+                net,
+                fp,
+                generated: false,
+            });
+        }
+        self.tel.incr(sys::SERVE, "instances_generated", 1);
+        let net = spec.network()?;
+        let fp = checkpoint::fingerprint(&net, &spec.config()).into();
+        Ok(Instance {
+            net: Arc::new(net),
+            fp,
+            generated: true,
+        })
+    }
+
+    /// Whether `cert` proves `units` on `net`.
+    fn verifies(&self, net: &Network, units: &[u32], cert: &Certificate) -> bool {
+        self.tel.incr(sys::SERVE, "verifies", 1);
+        verify(net, units, cert).is_ok()
+    }
+
+    /// The warm hit, on either lane: `plan` is the plan cached under the
+    /// fingerprint of the event-free spec kept or to be kept under `key`.
+    /// The plan is checked, never trusted, outside the cache lock and on
+    /// the instance the spec names: by its certificate, an O(witness)
+    /// pass, when the entry holds one that verifies; otherwise by an
     /// evaluator validation pass, after which the entry gets a fresh
-    /// certificate — or `null`, none to be had, and validation it stays.
-    /// A cached plan that no longer validates is no answer.
-    fn repeat(&self, ctx: &RequestCtx<'_>, net: &Network, fp: &str, blob: &Value) -> Option<Value> {
-        let units = units_of(blob)?;
-        let cert = blob.get("cert");
-        let proved = cert.and_then(|v| v.as_str()).and_then(Certificate::decode);
-        if proved.is_none_or(|cert| verify(net, &units, &cert).is_err()) {
-            validate_plan(net, &units).ok()?;
-            if !cert.is_some_and(Value::is_null) {
-                let fresh = certify(net, &units).filter(|c| verify(net, &units, c).is_ok());
-                lock(ctx.cache).replace(fp, with_cert(blob, fresh.map(|c| c.encode())));
+    /// certificate — or [`Proof::Unavailable`], and validation it stays.
+    /// A cached plan that no longer validates is no answer. An answer
+    /// keeps the spec's instance under `key` if it is not kept yet.
+    fn repeat(
+        &self,
+        ctx: &RequestCtx<'_, CacheEntry>,
+        key: &str,
+        at: Instance,
+        plan: &CachedPlan,
+    ) -> Option<Value> {
+        let (net, units) = (&*at.net, &plan.units[..]);
+        let proved = match &plan.proof {
+            Proof::Held(cert) => self.verifies(net, units, cert),
+            _ => false,
+        };
+        if !proved {
+            validate_plan(net, units).ok()?;
+            if plan.proof != Proof::Unavailable {
+                let fresh = certify(net, units).filter(|c| self.verifies(net, units, c));
+                let proof = fresh.map_or(Proof::Unavailable, Proof::Held);
+                let certified = CachedPlan {
+                    units: plan.units.clone(),
+                    proof,
+                    ..*plan
+                };
+                lock(ctx.cache).replace(&at.fp, CacheEntry::Plan(Arc::new(certified)));
             }
         }
         self.tel.incr(sys::SERVE, "warm_hits", 1);
-        let cost = blob.get("cost").and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let quality = blob.get("quality").and_then(|v| v.as_str());
-        let quality = quality.unwrap_or("incumbent");
-        Some(result_body(ctx.id, fp, &units, cost, quality, &WARM))
+        let body = result_body(ctx.id, &at.fp, units, plan.cost, plan.quality, &WARM);
+        if at.generated {
+            let (fp, net) = (at.fp, at.net);
+            lock(ctx.cache).put(key, CacheEntry::Spec { fp, net });
+        }
+        Some(body)
     }
 }
 
-/// A plan entry `blob` carrying the certificate text `cert`, or `null`
-/// when there is none to be had (DESIGN.md §15).
-fn with_cert(blob: &Value, cert: Option<String>) -> Value {
-    let mut members = blob.as_object().cloned().unwrap_or_default();
-    members.retain(|(key, _)| key != "cert");
-    members.push(("cert".to_string(), cert.map_or(Value::Null, Value::Str)));
-    Value::Object(members)
-}
-
 impl PlanService for NeuroPlanService {
+    type Entry = CacheEntry;
+
     /// A repeat of a cached, event-free request: everything else solves
     /// (`events` re-plans, a new fingerprint plans at least a second
     /// stage) and belongs to a worker.
-    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
+    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_, CacheEntry>) -> Option<Value> {
         // Asked of the wire object: resolving a churn stream to learn
         // that there is one costs more than the answer.
         if spec.get("events").is_some() {
             return None;
         }
         let spec = PlanSpec::from_json(spec).ok()?;
-        // Generated on every request: the plan is checked on it.
-        let net = spec.network().ok()?;
-        // The fingerprint of a spec this lane has answered is a lookup
-        // (not a counted one), not a hash of the whole instance.
-        let key = format!("spec-{}", serde_json::to_string(&spec.to_json()).ok()?);
-        let answered = lock(ctx.cache).get_uncounted(&key).cloned();
-        let fp = match answered.as_ref().and_then(|v| v.as_str()) {
-            Some(fp) => fp.to_string(),
-            None => checkpoint::fingerprint(&net, &spec.config()),
-        };
-        let blob = {
+        let key = spec_key(&spec);
+        let at = self.instance(ctx, &spec, &key).ok()?;
+        let plan = {
             let mut cache = lock(ctx.cache);
             // A miss is not counted here: the worker that plans the
             // request looks the fingerprint up again, and counts it once.
-            if !cache.contains(&fp) {
+            if !cache.contains(&at.fp) {
                 return None;
             }
-            cache.get(&fp)?
+            match cache.get(&at.fp)? {
+                CacheEntry::Plan(plan) => plan,
+                _ => return None,
+            }
         };
-        let body = self.repeat(ctx, &net, &fp, &blob)?;
-        if answered.is_none() {
-            lock(ctx.cache).put(&key, Value::Str(fp));
-        }
-        Some(body)
+        self.repeat(ctx, &key, at, &plan)
     }
 
-    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
-        let (spec, net, cfg, fp) = read(spec).map_err(bad)?;
+    fn execute(
+        &self,
+        spec: &Value,
+        ctx: &RequestCtx<'_, CacheEntry>,
+    ) -> Result<Value, ServiceFailure> {
+        let spec = PlanSpec::from_json(spec).map_err(bad)?;
+        let key = spec_key(&spec);
+        let at = self.instance(ctx, &spec, &key).map_err(bad)?;
+        let (net, fp) = (at.net.clone(), at.fp.clone());
         let events = spec.events(&net);
         let done = |units: &[u32], cost: f64, quality: &str, served: &[(&str, &str)]| {
             Ok(result_body(ctx.id, &fp, units, cost, quality, served))
@@ -230,13 +312,16 @@ impl PlanService for NeuroPlanService {
 
         // Warm path: a cached plan for this exact fingerprint — cached
         // after admission, or the request is a journal replay.
-        let cached = lock(ctx.cache).get(&fp);
-        if let (Some(blob), None) = (&cached, &events) {
-            if let Some(body) = self.repeat(ctx, &net, &fp, blob) {
+        let cached = match lock(ctx.cache).get(&fp) {
+            Some(CacheEntry::Plan(plan)) => Some(plan),
+            _ => None,
+        };
+        if let (Some(plan), None) = (&cached, &events) {
+            if let Some(body) = self.repeat(ctx, &key, at, plan) {
                 return Ok(body);
             }
         }
-        let carried = cached.as_ref().and_then(units_of);
+        let cfg = spec.config();
         let planner =
             NeuroPlan::with_telemetry(cfg, self.tel.clone()).with_cancel(ctx.cancel.clone());
         let fail = |what: &str, e: PlanFailure| match e {
@@ -244,12 +329,12 @@ impl PlanService for NeuroPlanService {
             other => bad(format!("{what} failed: {other}")),
         };
         let rcfg = spec.replan_config();
-        if let (Some(units), Some(events)) = (&carried, &events) {
+        if let (Some(plan), Some(events)) = (&cached, &events) {
             // Perturbed repeat: carry the cached plan into the
             // incremental replan path.
             self.tel.incr(sys::SERVE, "warm_hits", 1);
             let report = planner
-                .replan_from(&net, units, events, &rcfg)
+                .replan_from(&net, &plan.units, events, &rcfg)
                 .map_err(|e| fail("replan", e))?;
             let quality = stream_quality(&report);
             return done(&report.final_units, report.final_cost, quality, &WARM);
@@ -261,11 +346,14 @@ impl PlanService for NeuroPlanService {
         let planner = planner.with_checkpoint(self.req_dir(ctx.id), true);
         // A first stage trained for this (instance, training config, seed)
         // under other second-stage settings seeds the chain, and the
-        // resume runs the second stage alone.
-        let key = checkpoint::first_stage_key(&net, &planner.cfg);
-        let first = lock(ctx.cache).get(&key);
-        let first = first.and_then(|body| read_body::<FirstStage>(&body));
-        let seeded = first.is_some_and(|first| planner.seed_first_stage(&fp, &key, first));
+        // resume runs the second stage alone. The lookup serves one and
+        // is not counted: the counts are of plan lookups.
+        let fs_key = checkpoint::first_stage_key(&net, &planner.cfg);
+        let first = match lock(ctx.cache).get_uncounted(&fs_key) {
+            Some(CacheEntry::FirstStage(first)) => Some(FirstStage::clone(first)),
+            _ => None,
+        };
+        let seeded = first.is_some_and(|first| planner.seed_first_stage(&fp, &fs_key, first));
         if seeded {
             self.tel.incr(sys::SERVE, "first_stage_hits", 1);
         }
@@ -281,13 +369,19 @@ impl PlanService for NeuroPlanService {
         // stage for other second-stage settings. Only the base
         // (event-free) plan is cached: it is what both warm paths start
         // from.
-        let blob = json!({"units": units, "cost": cost, "quality": quality});
+        let plan = CachedPlan {
+            units: units.clone(),
+            cost,
+            quality,
+            proof: Proof::Unasked,
+        };
         {
             let mut cache = lock(ctx.cache);
             if !seeded {
-                cache.put(&key, body_of(result.first_stage()));
+                let first = Arc::new(result.first_stage());
+                cache.put(&fs_key, CacheEntry::FirstStage(first));
             }
-            cache.put(&fp, blob);
+            cache.put(&fp, CacheEntry::Plan(Arc::new(plan)));
         }
         let Some(events) = events else {
             return done(units, cost, quality, cold);
@@ -309,11 +403,13 @@ impl PlanService for NeuroPlanService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::greedy_augment;
     use np_chaos::CancelToken;
+    use np_eval::EvalConfig;
     use np_serve::WarmCache;
     use std::sync::Mutex;
 
-    fn ctx(cache: &Mutex<WarmCache>, id: u64) -> RequestCtx<'_> {
+    fn ctx(cache: &Mutex<WarmCache<CacheEntry>>, id: u64) -> RequestCtx<'_, CacheEntry> {
         RequestCtx {
             id,
             resume: false,
@@ -381,53 +477,85 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The plan cached under `fp`.
+    fn plan_in(cache: &Mutex<WarmCache<CacheEntry>>, fp: &str) -> CachedPlan {
+        match cache.lock().unwrap().get_uncounted(fp) {
+            Some(CacheEntry::Plan(plan)) => CachedPlan::clone(plan),
+            other => panic!("no plan under {fp}: {other:?}"),
+        }
+    }
+
+    /// The fingerprint and instance kept for `spec`.
+    fn kept(cache: &Mutex<WarmCache<CacheEntry>>, spec: &PlanSpec) -> (String, Arc<Network>) {
+        match cache.lock().unwrap().get_uncounted(&spec_key(spec)) {
+            Some(CacheEntry::Spec { fp, net }) => (fp.to_string(), net.clone()),
+            other => panic!("no instance kept for {spec:?}: {other:?}"),
+        }
+    }
+
     /// Whatever the plan entry holds — no certificate, its own, a broken
-    /// one, `null`, units that are not the plan's — a repeat is answered as
-    /// a validation of the entry's units answers it: warm, or not at all.
+    /// one, none to be had, units that are not the plan's — a repeat is
+    /// answered as a validation of the entry's units answers it: warm, or
+    /// not at all.
     #[test]
     fn a_repeat_answers_what_validation_answers_whatever_the_entry_holds() {
         let cache = Mutex::new(WarmCache::new(8));
         let dir = tmp("certified");
         let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
         let spec = tiny_spec();
-        let cold = svc.execute(&spec, &ctx(&cache, 1)).expect("cold");
+        svc.execute(&spec, &ctx(&cache, 1)).expect("cold");
         let parsed = PlanSpec::from_json(&spec).unwrap();
         let net = parsed.network().unwrap();
         let fp = checkpoint::fingerprint(&net, &parsed.config());
-        let entry = || cache.lock().unwrap().get_uncounted(&fp).cloned().unwrap();
-        let cert_of = |blob: &Value| blob.get("cert").and_then(|v| v.as_str()).map(String::from);
-        assert_eq!(cert_of(&entry()), None, "a cold plan is cached uncertified");
+        let entry = || plan_in(&cache, &fp);
+        assert_eq!(
+            entry().proof,
+            Proof::Unasked,
+            "a cold plan is cached uncertified"
+        );
 
-        // The first repeat validates and certifies; the spec is remembered.
+        // The first repeat validates and certifies; the spec is kept with
+        // its fingerprint and instance.
         let warm = svc.warm(&spec, &ctx(&cache, 2)).expect("warm");
-        let text = cert_of(&entry()).expect("certified on the first repeat");
-        let cert = Certificate::decode(&text).expect("a certificate");
-        let units = units_of(&cold).unwrap();
+        let Proof::Held(cert) = entry().proof else {
+            panic!("certified on the first repeat")
+        };
+        let units = entry().units;
         assert_eq!(verify(&net, &units, &cert), Ok(()));
-        let key = format!("spec-{}", serde_json::to_string(&parsed.to_json()).unwrap());
-        let remembered = cache.lock().unwrap().get_uncounted(&key).cloned();
-        assert_eq!(remembered, Some(Value::Str(fp.clone())));
+        let (kept_fp, kept_net) = kept(&cache, &parsed);
+        assert_eq!(kept_fp, fp);
+        assert_eq!(kept_net.to_json(), net.to_json());
         let answer = || svc.warm(&spec, &ctx(&cache, 2));
-        let store = |blob: Value| assert!(cache.lock().unwrap().replace(&fp, blob));
+        let store = |plan: CachedPlan| {
+            let plan = CacheEntry::Plan(Arc::new(plan));
+            assert!(cache.lock().unwrap().replace(&fp, plan));
+        };
         let original = entry();
         assert_eq!(answer(), Some(warm.clone()));
 
-        // A certificate that proves nothing: validated, then certified anew.
+        // No certificate, or one that proves nothing: validated, then
+        // certified anew.
         let mut short = cert.clone();
         short.scenarios[0].pop();
-        for bad in [
-            "garbage".to_string(),
-            short.encode(),
-            Certificate::default().encode(),
+        for proof in [
+            Proof::Unasked,
+            Proof::Held(short),
+            Proof::Held(Certificate::default()),
         ] {
-            store(with_cert(&original, Some(bad)));
+            store(CachedPlan {
+                proof,
+                ..original.clone()
+            });
             assert_eq!(answer(), Some(warm.clone()));
-            assert_eq!(cert_of(&entry()), Some(text.clone()), "certified again");
+            assert_eq!(entry().proof, Proof::Held(cert.clone()), "certified again");
         }
-        // `null`: no certificate to be had, validation every time.
-        store(with_cert(&original, None));
+        // None to be had: validation every time.
+        store(CachedPlan {
+            proof: Proof::Unavailable,
+            ..original.clone()
+        });
         assert_eq!(answer(), Some(warm.clone()));
-        assert_eq!(entry().get("cert"), Some(&Value::Null));
+        assert_eq!(entry().proof, Proof::Unavailable);
 
         // Units that are not the plan's, under the plan's certificate.
         let mut variants = vec![vec![0; units.len()], units[1..].to_vec()];
@@ -440,10 +568,10 @@ mod tests {
         }
         let (mut warm_answers, mut refusals) = (0, 0);
         for changed in variants {
-            let mut members = original.as_object().unwrap().clone();
-            members.retain(|(k, _)| k != "units");
-            members.push(("units".to_string(), json!(changed)));
-            store(Value::Object(members));
+            store(CachedPlan {
+                units: changed.clone(),
+                ..original.clone()
+            });
             let got = answer();
             match validate_plan(&net, &changed) {
                 Ok(()) => {
@@ -461,6 +589,95 @@ mod tests {
             warm_answers > 0 && refusals > 0,
             "{warm_answers} / {refusals}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A repeat on either lane is checked by `verify` every time, on an
+    /// instance generated once for its spec, whatever the order of the
+    /// spec's keys.
+    #[test]
+    fn a_warm_hit_is_checked_on_its_own_specs_instance_every_time() {
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("kept");
+        let tel = Telemetry::memory();
+        let svc = NeuroPlanService::new(dir.clone(), tel.clone());
+        let cold = svc.execute(&tiny_spec(), &ctx(&cache, 1)).expect("cold");
+        let count = |name| tel.counter(sys::SERVE, name);
+        let (generated, verified) = (count("instances_generated"), count("verifies"));
+        for k in 0..100u64 {
+            let spec = match k {
+                50 => json!({ "seed": 3, "preset": "a" }),
+                _ => tiny_spec(),
+            };
+            let c = ctx(&cache, 2 + k);
+            let warm = match k % 10 {
+                9 => svc.execute(&spec, &c).expect("worker lane"),
+                _ => svc.warm(&spec, &c).expect("admission lane"),
+            };
+            assert_eq!(text(&warm, "cache"), Some("warm"));
+            assert_eq!(identity(&warm), identity(&cold));
+        }
+        assert!(count("instances_generated") - generated <= 1);
+        assert_eq!(count("verifies") - verified, 100);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What the cache keeps for a spec is the instance the spec
+    /// generates, whichever generator it names.
+    #[test]
+    fn the_kept_instance_is_the_one_the_spec_generates() {
+        for spec in [
+            tiny_spec(),
+            json!({ "preset": "a", "seed": 5, "fill": 0.5 }),
+            json!({ "preset": "a", "long_term": true }),
+            json!({ "family": "ba", "size_tier": "a", "seed": 2 }),
+        ] {
+            let cache = Mutex::new(WarmCache::new(8));
+            let svc = NeuroPlanService::new(tmp("instance"), Telemetry::noop());
+            let parsed = PlanSpec::from_json(&spec).unwrap();
+            let net = parsed.network().unwrap();
+            // A feasible plan to repeat, without planning one.
+            let mut planned = net.clone();
+            greedy_augment(&mut planned, EvalConfig::default()).expect("greedy plan");
+            let units = planned.links().iter().map(|l| l.capacity_units).collect();
+            let plan = CachedPlan {
+                units,
+                cost: 0.0,
+                quality: "optimal",
+                proof: Proof::Unasked,
+            };
+            let fp = checkpoint::fingerprint(&net, &parsed.config());
+            cache
+                .lock()
+                .unwrap()
+                .put(&fp, CacheEntry::Plan(Arc::new(plan)));
+            assert!(svc.warm(&spec, &ctx(&cache, 1)).is_some(), "{spec:?}");
+            let (kept_fp, kept_net) = kept(&cache, &parsed);
+            assert_eq!(kept_fp, fp, "{spec:?}");
+            assert_eq!(kept_net.to_json(), net.to_json(), "{spec:?}");
+        }
+    }
+
+    /// `cache_hits` and `cache_misses` count plan lookups: the first-stage
+    /// lookup of a cold plan is not one.
+    #[test]
+    fn the_cache_counts_plan_lookups_only() {
+        let cache = Mutex::new(WarmCache::new(8));
+        let dir = tmp("counts");
+        let svc = NeuroPlanService::new(dir.clone(), Telemetry::noop());
+        let stats = || {
+            let (hits, misses, _) = cache.lock().unwrap().stats();
+            (hits, misses)
+        };
+        svc.execute(&tiny_spec(), &ctx(&cache, 1)).expect("cold");
+        assert_eq!(stats(), (0, 1), "the cold plan");
+        let reused = svc
+            .execute(&at_alpha(1.25), &ctx(&cache, 2))
+            .expect("reused");
+        assert_eq!(text(&reused, "first_stage"), Some("reused"));
+        assert_eq!(stats(), (0, 2), "a new alpha");
+        svc.warm(&tiny_spec(), &ctx(&cache, 3)).expect("warm");
+        assert_eq!(stats(), (1, 2), "a repeat");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

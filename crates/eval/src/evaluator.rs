@@ -153,7 +153,11 @@ impl PlanEvaluator {
     /// publish through the same merged stats block, so worker count never
     /// changes the counter names or their meanings.
     pub fn with_telemetry(net: &Network, cfg: EvalConfig, tel: Telemetry) -> Self {
-        let ctxs = build_all(net, cfg.source_aggregation);
+        Self::of(build_all(net, cfg.source_aggregation), cfg, tel)
+    }
+
+    /// An evaluator over freshly built scenario contexts.
+    fn of(ctxs: Vec<ScenarioCtx>, cfg: EvalConfig, tel: Telemetry) -> Self {
         let certs = vec![None; ctxs.len()];
         PlanEvaluator {
             cfg,
@@ -347,18 +351,18 @@ impl PlanEvaluator {
     }
 
     /// A child evaluator over the same instance for one parallel actor:
-    /// fresh scenario contexts, a copy of the current certificates, and a
-    /// silent sink. The child always evaluates serially — when actors run
-    /// in parallel the actor level owns the thread budget, and nesting
-    /// worker pools would oversubscribe cores.
-    pub fn fork(&self, net: &Network) -> PlanEvaluator {
-        let mut child = PlanEvaluator::new(
-            net,
-            EvalConfig {
-                parallel_workers: 1,
-                ..self.cfg
-            },
-        );
+    /// scenario contexts as a fresh build leaves them (the parent's
+    /// structure, with no path LP and no witness), a copy of the current
+    /// certificates, and a silent sink. The child always evaluates
+    /// serially — when actors run in parallel the actor level owns the
+    /// thread budget, and nesting worker pools would oversubscribe cores.
+    pub fn fork(&self) -> PlanEvaluator {
+        let ctxs = self.ctxs.iter().map(ScenarioCtx::rebuilt).collect();
+        let cfg = EvalConfig {
+            parallel_workers: 1,
+            ..self.cfg
+        };
+        let mut child = PlanEvaluator::of(ctxs, cfg, Telemetry::noop());
         child.certs.clone_from(&self.certs);
         child
     }

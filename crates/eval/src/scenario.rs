@@ -118,6 +118,24 @@ impl ScenarioCtx {
         }
     }
 
+    /// This context as [`ScenarioCtx::build`] leaves it: the same
+    /// structure, stale capacities, and neither a path LP nor a witness.
+    pub(crate) fn rebuilt(&self) -> Self {
+        let mut graph = self.graph.clone();
+        for a in 0..graph.num_arcs() {
+            graph.set_cap(a, 0.0);
+        }
+        ScenarioCtx {
+            scenario: self.scenario,
+            graph,
+            arc_link: self.arc_link.clone(),
+            commodities: self.commodities.clone(),
+            connected: self.connected,
+            lp: std::cell::RefCell::new(None),
+            witness: std::cell::RefCell::new(None),
+        }
+    }
+
     /// Patch arc capacities from a per-link capacity function (Gbps).
     pub fn refresh(&mut self, cap_gbps: impl Fn(LinkId) -> f64) {
         for (a, &link) in self.arc_link.iter().enumerate() {

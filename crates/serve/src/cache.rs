@@ -2,13 +2,15 @@
 //!
 //! Repeat and perturbed requests should not pay for a full RL + ILP
 //! solve when a near-identical instance was just planned. The cache
-//! maps a key the planning service chooses to a JSON blob it chooses.
-//! The planner binding keeps three kinds: a base plan (units, cost,
-//! quality and, once a repeat has asked for it, the plan's certificate)
-//! under the `neuroplan::checkpoint::fingerprint` that also keys the
-//! request's checkpoint chain, a `first_stage` record body under its
-//! `first_stage_key`, and the fingerprint of an answered spec under
-//! `spec-` and the spec's canonical text (DESIGN.md §15).
+//! maps a key the planning service chooses to an entry of the service's
+//! own type ([`crate::PlanService::Entry`]), so a hit hands back what
+//! the service stored, with nothing to parse. The planner binding keeps
+//! three kinds: a base plan (units, cost, quality and, once a repeat has
+//! asked for it, the plan's certificate) under the
+//! `neuroplan::checkpoint::fingerprint` that also keys the request's
+//! checkpoint chain, a trained first stage under its `first_stage_key`,
+//! and the fingerprint and instance of an answered spec under `spec-`
+//! and the spec's canonical text (DESIGN.md §15).
 //!
 //! Eviction is deterministic: a monotone access sequence (not wall
 //! time) orders entries, and ties cannot arise because the counter is
@@ -16,23 +18,22 @@
 //! keys in the same order evict in the same order, which is what the
 //! eviction-determinism test pins.
 
-use serde_json::Value;
 use std::collections::HashMap;
 
-/// A fingerprint-keyed LRU of opaque warm-start blobs.
+/// A fingerprint-keyed LRU of warm-start entries.
 #[derive(Debug)]
-pub struct WarmCache {
+pub struct WarmCache<V> {
     capacity: usize,
     seq: u64,
-    entries: HashMap<String, (u64, Value)>,
+    entries: HashMap<String, (u64, V)>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl WarmCache {
+impl<V: Clone> WarmCache<V> {
     /// An empty cache holding at most `capacity` entries (0 disables).
-    pub fn new(capacity: usize) -> WarmCache {
+    pub fn new(capacity: usize) -> WarmCache<V> {
         WarmCache {
             capacity,
             seq: 0,
@@ -44,7 +45,7 @@ impl WarmCache {
     }
 
     /// Look up `key`, bumping its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<Value> {
+    pub fn get(&mut self, key: &str) -> Option<V> {
         self.seq += 1;
         let seq = self.seq;
         match self.entries.get_mut(key) {
@@ -62,23 +63,23 @@ impl WarmCache {
 
     /// [`WarmCache::get`] outside the hit/miss counts: for entries that
     /// serve a lookup rather than answer one. Bumps recency.
-    pub fn get_uncounted(&mut self, key: &str) -> Option<&Value> {
+    pub fn get_uncounted(&mut self, key: &str) -> Option<&V> {
         self.seq += 1;
         let (touched, blob) = self.entries.get_mut(key)?;
         *touched = self.seq;
         Some(blob)
     }
 
-    /// Swap the blob of a resident `key` in place — recency and counts
+    /// Swap the entry of a resident `key` in place — recency and counts
     /// untouched; `false`, and nothing stored, when `key` is not held.
-    pub fn replace(&mut self, key: &str, blob: Value) -> bool {
+    pub fn replace(&mut self, key: &str, blob: V) -> bool {
         let held = self.entries.get_mut(key);
         held.map(|(_, old)| *old = blob).is_some()
     }
 
     /// Insert or refresh `key`. Evicts the least-recently-used entry
     /// when full; returns the evicted key, if any.
-    pub fn put(&mut self, key: &str, blob: Value) -> Option<String> {
+    pub fn put(&mut self, key: &str, blob: V) -> Option<String> {
         if self.capacity == 0 {
             return None;
         }
@@ -126,6 +127,7 @@ impl WarmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn blob(tag: &str) -> Value {
         Value::Str(tag.to_string())

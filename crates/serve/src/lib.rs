@@ -59,8 +59,9 @@ pub enum ServiceFailure {
     Cancelled,
 }
 
-/// Everything a service run needs from the daemon.
-pub struct RequestCtx<'a> {
+/// Everything a service run needs from the daemon; `V` is the
+/// service's cache entry ([`PlanService::Entry`]).
+pub struct RequestCtx<'a, V> {
     /// The request id (stable across daemon restarts).
     pub id: u64,
     /// Set when this run is a journal-replay continuation — the service
@@ -70,17 +71,25 @@ pub struct RequestCtx<'a> {
     /// expected to thread it into its planning stack.
     pub cancel: CancelToken,
     /// The warm-result LRU, shared across requests. Keyed by whatever
-    /// fingerprint the service chooses.
-    pub cache: &'a Mutex<WarmCache>,
+    /// fingerprint the service chooses, holding what the service keeps.
+    pub cache: &'a Mutex<WarmCache<V>>,
 }
 
 /// The planning backend. One call per request; must be safe to invoke
 /// from several worker threads at once.
 pub trait PlanService: Send + Sync + 'static {
+    /// What the service keeps in the warm cache, as it will use it: the
+    /// daemon only stores, evicts and counts entries.
+    type Entry: Clone + Send + 'static;
+
     /// Run the request to completion (or cancellation). The returned
     /// value is the result body handed verbatim to clients and the
     /// journal, so it must be self-contained JSON.
-    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure>;
+    fn execute(
+        &self,
+        spec: &Value,
+        ctx: &RequestCtx<'_, Self::Entry>,
+    ) -> Result<Value, ServiceFailure>;
 
     /// The result body of a request that needs no solve (a cached plan
     /// that still validates), or `None` for one that has to run. The
@@ -88,7 +97,7 @@ pub trait PlanService: Send + Sync + 'static {
     /// request is admitted: `Some` is journaled and answered there, `None`
     /// goes to the queue and [`PlanService::execute`]. Must return within
     /// the time of a cache lookup and a check, and must not solve.
-    fn warm(&self, _spec: &Value, _ctx: &RequestCtx<'_>) -> Option<Value> {
+    fn warm(&self, _spec: &Value, _ctx: &RequestCtx<'_, Self::Entry>) -> Option<Value> {
         None
     }
 
@@ -105,11 +114,17 @@ pub trait PlanService: Send + Sync + 'static {
 
 /// Shared services work unchanged (tests hold one side to observe).
 impl<T: PlanService> PlanService for Arc<T> {
-    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
+    type Entry = T::Entry;
+
+    fn execute(
+        &self,
+        spec: &Value,
+        ctx: &RequestCtx<'_, Self::Entry>,
+    ) -> Result<Value, ServiceFailure> {
         self.as_ref().execute(spec, ctx)
     }
 
-    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
+    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_, Self::Entry>) -> Option<Value> {
         self.as_ref().warm(spec, ctx)
     }
 
@@ -329,7 +344,7 @@ struct Inner<S: PlanService> {
     state: Mutex<State>,
     work_cv: Condvar,
     journal: journal::Journal,
-    cache: Mutex<WarmCache>,
+    cache: Mutex<WarmCache<S::Entry>>,
     tel: Telemetry,
     chaos: np_chaos::Chaos,
     shutdown: CancelToken,

@@ -44,7 +44,9 @@ impl SliceService {
 }
 
 impl PlanService for SliceService {
-    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
+    type Entry = ();
+
+    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_, ()>) -> Result<Value, ServiceFailure> {
         self.runs.lock().unwrap().push((ctx.id, ctx.resume));
         self.started.fetch_add(1, Ordering::SeqCst);
         // Stage boundaries every 5ms: this is where cancel is observed.
@@ -476,7 +478,9 @@ impl LaneService {
 }
 
 impl PlanService for LaneService {
-    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
+    type Entry = ();
+
+    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_, ()>) -> Option<Value> {
         if self.warm_panics.swap(false, Ordering::SeqCst) {
             // The worst place for it: the shared cache's lock is held.
             let _cache = ctx.cache.lock().unwrap();
@@ -489,7 +493,7 @@ impl PlanService for LaneService {
         })
     }
 
-    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
+    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_, ()>) -> Result<Value, ServiceFailure> {
         if self.execute_panics.swap(false, Ordering::SeqCst) {
             panic!("injected: the worker dies in the service");
         }

@@ -77,11 +77,13 @@ impl Rng {
 struct EchoService;
 
 impl PlanService for EchoService {
-    fn warm(&self, spec: &Value, _ctx: &RequestCtx<'_>) -> Option<Value> {
+    type Entry = ();
+
+    fn warm(&self, spec: &Value, _ctx: &RequestCtx<'_, ()>) -> Option<Value> {
         spec.get("cold").is_none().then(|| spec.clone())
     }
 
-    fn execute(&self, _spec: &Value, _ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
+    fn execute(&self, _spec: &Value, _ctx: &RequestCtx<'_, ()>) -> Result<Value, ServiceFailure> {
         Err(ServiceFailure::Failed("cold".to_string()))
     }
 }

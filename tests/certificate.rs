@@ -23,11 +23,6 @@ fn certified(net: &Network, units: &[u32], what: &str) -> Certificate {
     let cert = certify(net, units).unwrap_or_else(|| panic!("{what}: no certificate"));
     assert_eq!(cert.scenarios.len(), net.failures().len() + 1, "{what}");
     assert_eq!(verify(net, units, &cert), Ok(()), "{what}");
-    assert_eq!(
-        Certificate::decode(&cert.encode()).as_ref(),
-        Some(&cert),
-        "{what}"
-    );
     cert
 }
 

@@ -79,12 +79,14 @@ impl GatedService {
 }
 
 impl PlanService for GatedService {
-    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Option<Value> {
+    type Entry = ();
+
+    fn warm(&self, spec: &Value, ctx: &RequestCtx<'_, ()>) -> Option<Value> {
         let tag = spec.get("tag").and_then(|v| v.as_str())?;
         (tag.starts_with("warm")).then(|| GatedService::body("inline", spec, ctx.id))
     }
 
-    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_>) -> Result<Value, ServiceFailure> {
+    fn execute(&self, spec: &Value, ctx: &RequestCtx<'_, ()>) -> Result<Value, ServiceFailure> {
         let _ = self.started.lock().unwrap().send(ctx.id);
         let mut permits = self.permits.lock().unwrap();
         while *permits == 0 {
