@@ -14,7 +14,7 @@ use crate::master::{
 };
 use crate::report::PruningReport;
 use np_chaos::checkpoint::{Chain, Record, Typed};
-use np_eval::{EvalStats, PlanEvaluator};
+use np_eval::{EvalConfig, EvalStats, PlanEvaluator};
 use np_flow::MetricCut;
 use np_lp::MipStatus;
 use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, TrainResume};
@@ -565,9 +565,16 @@ impl NeuroPlan {
             .collect();
         let norm = ref_cost.max(1e-6);
 
+        // The env scans on one worker, as its actor forks do: its walks
+        // never reach the exact LP, so a wider scan would keep speculative
+        // certificates past the stop and hand them to the master as seeds
+        // (DESIGN.md §9).
         let mut env = PlanningEnv::new(
             net.clone(),
-            self.cfg.eval,
+            EvalConfig {
+                parallel_workers: 1,
+                ..self.cfg.eval
+            },
             self.cfg.max_units_per_step,
             norm,
         );

@@ -9,7 +9,7 @@ use crate::scenario::ScenarioCtx;
 use crate::stats::EvalStats;
 use np_flow::commodity::group_by_source;
 use np_flow::dijkstra::Tree;
-use np_flow::metric::{extract_cut, MetricCut};
+use np_flow::metric::{extract_cut, MetricCut, VIOLATION_TOL};
 use np_flow::mwu::{max_concurrent_flow, MwuConfig};
 use np_flow::{greedy, ArcId, Commodity};
 use np_lp::{ConstrId, IncrementalLp, LpStatus, Model, Sense, SimplexConfig, VarId};
@@ -19,11 +19,14 @@ use np_lp::{ConstrId, IncrementalLp, LpStatus, Model, Sense, SimplexConfig, VarI
 pub enum Backend {
     /// Escalate: degree cuts → greedy → MWU coarse → MWU fine → exact LP,
     /// where a scenario whose exact LP has answered since its last
-    /// perturbation skips the fine pass and re-solves the LP warm.
+    /// perturbation skips the fine pass and re-solves the LP warm. Without
+    /// the exact LP, a node cut rounded from the coarse lengths may stand
+    /// in for the fine pass instead.
     Auto,
     /// MWU only (approximate; what the RL inner loop uses when configured
-    /// for speed). `λ < 1` without a verified cut is still reported
-    /// infeasible — documented approximation.
+    /// for speed), with the same rounded node cut between its passes.
+    /// `λ < 1` without a verified cut is still reported infeasible —
+    /// documented approximation.
     Mwu,
     /// Exact LP only: the paper's evaluator question (max concurrent flow
     /// λ ≥ 1?) in path form, solved by column generation.
@@ -222,6 +225,16 @@ fn mwu_verdict(
         if mwu_completion_feasible(ctx, &cf, stats) {
             return Verdict::Feasible;
         }
+        // A walk that never reaches the exact LP first rounds the coarse
+        // lengths to a node cut: a verified one exists only on an
+        // infeasible scenario, so the fine pass could not have answered
+        // otherwise (DESIGN.md §17, "Rounding").
+        if pass == 0 && !escalate_to_lp {
+            if let Some(cut) = rounded_node_cut(ctx, &cf.lengths) {
+                stats.rounded_cuts += 1;
+                return Verdict::Infeasible(Some(cut));
+            }
+        }
         // A restricted master that has already answered re-solves warm
         // in a few pivots, cheaper than the fine pass; a cold build is
         // dearer than one, so without such an LP the fine pass runs.
@@ -245,6 +258,68 @@ fn has_warm_lp(ctx: &ScenarioCtx) -> bool {
         .borrow()
         .as_ref()
         .is_some_and(|p| p.warm && p.fits(ctx))
+}
+
+/// The first violated node cut along `lengths`: per commodity source, in
+/// first-seen order, the nodes ordered by distance from it (the
+/// shortest-path kernel's settle order: ascending distance, the larger id
+/// first among equals) and each proper prefix `S` taken as a node set.
+/// An arc or demand `u → w` crosses `S` outward exactly for the prefix
+/// sizes `rank[u] < k ≤ rank[w]`, so one difference array per side gives
+/// every prefix's crossing capacity and demand in one sweep. The first
+/// prefix whose demand exceeds its capacity is returned once
+/// [`extract_cut`] verifies the cut of unit lengths on its outgoing arcs.
+fn rounded_node_cut(ctx: &ScenarioCtx, lengths: &[f64]) -> Option<MetricCut> {
+    let n = ctx.graph.num_nodes();
+    let g = ctx.graph.packed();
+    let mut tree = Tree::default();
+    let mut seen = vec![false; n];
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut rank = vec![0usize; n];
+    let mut cap = vec![0.0f64; n + 1];
+    let mut demand = vec![0.0f64; n + 1];
+    for c in &ctx.commodities {
+        if std::mem::replace(&mut seen[c.src], true) {
+            continue;
+        }
+        tree.grow(g, c.src, [], |p| lengths[g.arc(p)]);
+        order.sort_unstable_by(|&u, &v| tree.dist(u).total_cmp(&tree.dist(v)).then(v.cmp(&u)));
+        for (r, &v) in order.iter().enumerate() {
+            rank[v] = r;
+        }
+        cap.fill(0.0);
+        demand.fill(0.0);
+        let spread = |diff: &mut [f64], u: usize, w: usize, x: f64| {
+            if rank[u] < rank[w] {
+                diff[rank[u] + 1] += x;
+                diff[rank[w] + 1] -= x;
+            }
+        };
+        for arc in ctx.graph.arcs() {
+            spread(&mut cap, arc.from, arc.to, arc.cap);
+        }
+        for d in &ctx.commodities {
+            spread(&mut demand, d.src, d.dst, d.demand);
+        }
+        let (mut out_cap, mut out_demand) = (0.0, 0.0);
+        for k in 1..n {
+            out_cap += cap[k];
+            out_demand += demand[k];
+            if out_cap >= out_demand - VIOLATION_TOL * out_demand.max(1.0) {
+                continue;
+            }
+            let unit: Vec<f64> = ctx
+                .graph
+                .arcs()
+                .iter()
+                .map(|a| f64::from(u8::from(rank[a.from] < k && rank[a.to] >= k)))
+                .collect();
+            if let Some(cut) = extract_cut(&ctx.graph, &ctx.commodities, &unit) {
+                return Some(cut);
+            }
+        }
+    }
+    None
 }
 
 /// Try to turn a sub-threshold MWU flow into an exact feasibility witness
@@ -508,7 +583,7 @@ pub(crate) fn exact_lp_paths(ctx: &ScenarioCtx) -> Option<Vec<greedy::PathStep>>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scenario::ScenarioCtx;
     use np_flow::FlowGraph;
@@ -769,6 +844,93 @@ mod tests {
                 assert_exact_oracle_contract(&ctx, &format!("x{scale}"));
             }
         }
+    }
+
+    /// A coarse pass's lengths on `ctx`, as the walk hands them to
+    /// [`rounded_node_cut`].
+    fn coarse_lengths(ctx: &ScenarioCtx) -> Vec<f64> {
+        let cfg = MwuConfig {
+            epsilon: CheckConfig::default().coarse_eps,
+            target_lambda: Some(1.0),
+            ..Default::default()
+        };
+        max_concurrent_flow(&ctx.graph, &ctx.commodities, &cfg).lengths
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Rounding returns only cuts violated at the context's
+        /// capacities, hence only where the exact LP cannot route, and
+        /// `None` wherever it can — under the coarse lengths and under
+        /// uniform ones.
+        #[test]
+        fn rounded_cuts_are_violated_and_only_where_the_oracle_refutes(
+            n in 3usize..8,
+            chords in proptest::collection::vec((0usize..8, 0usize..8, 0.0f64..12.0), 0..8),
+            demands in proptest::collection::vec((0usize..8, 0usize..8, 0.5f64..6.0), 1..10),
+        ) {
+            let mut ctx = random_ctx(n, &chords, &demands);
+            proptest::prop_assume!(!ctx.commodities.is_empty() && ctx.connected);
+            let caps: Vec<f64> = ctx.graph.arcs().iter().map(|a| a.cap).collect();
+            for scale in [0.6, 0.7, 0.8, 0.9, 1.0, 1.1] {
+                for (a, cap) in caps.iter().enumerate() {
+                    ctx.graph.set_cap(a, cap * scale);
+                }
+                let feasible = exact_lp_verdict(&ctx).is_feasible();
+                let cap_of = |l: LinkId| caps[2 * l.index()] * scale;
+                for lengths in [coarse_lengths(&ctx), vec![1.0; caps.len()]] {
+                    if let Some(cut) = rounded_node_cut(&ctx, &lengths) {
+                        assert!(cut.is_violated(cap_of), "x{scale}: cut not violated");
+                        assert!(!feasible, "x{scale}: a cut where the oracle routes");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `K_{2,3}` (sites 0, 1 on one side, 2, 3, 4 on the other, link ids
+    /// in that order) with `demand` between every two sites of a side, in
+    /// both directions; capacities zero until refreshed. At per-link
+    /// capacity `1.333` no node cut is violated, yet every unit of demand
+    /// travels two hops: 16 units of length on 12 × 1.333 of capacity.
+    pub(crate) fn k23(demand: f64) -> ScenarioCtx {
+        let mut graph = FlowGraph::new(5);
+        let mut arc_link = Vec::new();
+        let links = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)];
+        for (id, &(u, v)) in links.iter().enumerate() {
+            graph.add_link_arcs(u, v, 0.0, LinkId::new(id));
+            arc_link.extend([LinkId::new(id); 2]);
+        }
+        let pairs = [(0, 1), (2, 3), (2, 4), (3, 4)];
+        let commodities = pairs
+            .iter()
+            .flat_map(|&(u, v)| [Commodity::new(u, v, demand), Commodity::new(v, u, demand)])
+            .collect();
+        ScenarioCtx::from_parts(None, graph, arc_link, commodities)
+    }
+
+    /// Where no node cut is violated but the demands do not fit, rounding
+    /// has nothing to find and says so; a third of the capacity violates
+    /// node cuts, and rounding finds one.
+    #[test]
+    fn rounding_finds_nothing_where_only_a_metric_is_violated() {
+        let mut ctx = k23(1.0);
+        ctx.refresh(|_| 1.333);
+        for set in 1u32..31 {
+            let inside = |v: usize| set & (1 << v) != 0;
+            let crossing = |u: usize, w: usize| inside(u) && !inside(w);
+            let arcs = ctx.graph.arcs().iter().filter(|a| crossing(a.from, a.to));
+            let cap: f64 = arcs.map(|a| a.cap).sum();
+            let commodities = ctx.commodities.iter().filter(|c| crossing(c.src, c.dst));
+            let demand: f64 = commodities.map(|c| c.demand).sum();
+            assert!(cap >= demand, "node set {set:#b} is short");
+        }
+        assert!(!exact_lp_verdict(&ctx).is_feasible());
+        assert!(rounded_node_cut(&ctx, &coarse_lengths(&ctx)).is_none());
+        ctx.refresh(|_| 0.4);
+        let cut = rounded_node_cut(&ctx, &coarse_lengths(&ctx)).expect("a violated node cut");
+        assert!(cut.is_violated(|_| 0.4));
     }
 
     #[test]

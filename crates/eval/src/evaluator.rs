@@ -896,40 +896,48 @@ mod tests {
         assert!(!ev_a.restore_state("2|0|0"));
     }
 
-    /// What the approximate backend cannot certify (here a scenario whose
-    /// dark links leave MWU no lengths to verify), `check` reports as a
-    /// violation without a certificate and `separate`'s walk refuses on
-    /// the spot: the panic names the scenario's dense index and no later
-    /// scenario of the chunk is checked first.
+    /// What the approximate backend cannot certify — the `K_{2,3}` context
+    /// of the checker's tests, where no node cut is violated but the exact
+    /// LP refutes the demands — `check` reports as a violation without a
+    /// certificate and `separate`'s walk refuses on the spot: the panic
+    /// names the scenario's dense index and no later scenario of the chunk
+    /// is checked first.
     #[test]
     fn an_uncertified_violation_is_reported_or_refused_inside_the_walk() {
-        let net = preset_network(TopologyPreset::A);
-        let caps = caps_of(&net);
-        let approximate = |certify| Walk {
-            check: CheckConfig {
-                backend: Backend::Mwu,
-                ..CheckConfig::default()
-            },
-            reuse_certificates: true,
-            limit: usize::MAX,
-            certify,
+        use crate::checker::tests::k23;
+        let caps = vec![1.333; 6];
+        let mut hard = k23(1.0);
+        hard.refresh(caps_fn(&caps));
+        assert!(!exact_lp_verdict(&hard).is_feasible());
+        // Feasible, uncertifiable, short at a node cut.
+        let walk = |base, certify, st: &mut EvalStats| {
+            let mut ctxs = vec![k23(0.5), k23(1.0), k23(2.0)];
+            let mut certs = vec![None; ctxs.len()];
+            let walk = Walk {
+                check: CheckConfig {
+                    backend: Backend::Mwu,
+                    ..CheckConfig::default()
+                },
+                reuse_certificates: true,
+                limit: usize::MAX,
+                certify,
+            };
+            let found = walk_chunk(&mut ctxs, &mut certs, base, &caps, &walk, st, None);
+            (found, certs)
         };
-        let mut ev = PlanEvaluator::new(&net, EvalConfig::default());
-        let (ctxs, certs, st) = (&mut ev.ctxs, &mut ev.certs, &mut ev.stats);
-        let found = walk_chunk(ctxs, certs, 0, &caps, &approximate(false), st, None);
+        let (found, certs) = walk(0, false, &mut EvalStats::default());
         let k = found
             .iter()
             .position(|f| !f.structural && certs[f.idx].is_none())
-            .expect("preset A as generated leaves MWU a scenario it cannot certify");
+            .expect("MWU and rounding leave the K_{2,3} scenario uncertified");
+        assert_eq!(found[k].idx, 1);
         assert!(k + 1 < found.len(), "the reporting walk went on past it");
 
-        let mut ev = PlanEvaluator::new(&net, EvalConfig::default());
-        let (ctxs, certs, st) = (&mut ev.ctxs, &mut ev.certs, &mut ev.stats);
+        let mut st = EvalStats::default();
         let base = 3;
-        let refusal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            walk_chunk(ctxs, certs, base, &caps, &approximate(true), st, None)
-        }))
-        .expect_err("a certifying walk must refuse");
+        let refusal =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| walk(base, true, &mut st)))
+                .expect_err("a certifying walk must refuse");
         assert_eq!(
             refusal
                 .downcast_ref::<String>()
@@ -940,7 +948,7 @@ mod tests {
                 base + found[k].idx
             )
         );
-        assert_eq!(ev.stats.scenario_checks as usize, found[k].idx + 1);
+        assert_eq!(st.scenario_checks as usize, found[k].idx + 1);
     }
 
     #[test]

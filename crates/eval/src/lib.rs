@@ -29,10 +29,12 @@
 //! exact LP may run and the scenario's model has already answered since
 //! its last perturbation, a coarse pass that decides nothing goes straight
 //! to a warm re-solve of that model instead of the fine pass (DESIGN.md
-//! §17, "Escalation"). Every infeasibility answer is certified by an
-//! exactly-checked metric inequality or the LP; every feasibility answer
-//! by a primal flow or the LP — the approximation never decides anything
-//! unverified.
+//! §17, "Escalation"); where the exact LP may not run, the coarse lengths
+//! are first rounded to a node cut, and a verified violated one answers
+//! instead of the fine pass (§17, "Rounding"). Every infeasibility answer
+//! is certified by an exactly-checked metric inequality or the LP; every
+//! feasibility answer by a primal flow or the LP — the approximation never
+//! decides anything unverified.
 //!
 //! Parallel failure groups (§5's multi-machine trick, here scoped-thread
 //! threads) are used when many scenarios must be checked at once.

@@ -62,6 +62,10 @@ pub struct EvalStats {
     /// re-solve ran instead of the fine pass (only where the exact LP may
     /// run).
     pub fine_passes_skipped: u64,
+    /// Coarse MWU passes that decided nothing in a walk that never reaches
+    /// the exact LP, whose lengths rounded to an exactly verified violated
+    /// node cut, so the fine pass did not run.
+    pub rounded_cuts: u64,
     /// Wall-clock time inside the evaluator.
     pub elapsed: Duration,
     /// Wall microseconds inside the MWU solver, populated only under the
@@ -80,7 +84,7 @@ impl EvalStats {
     /// This is the bridge into the telemetry layer: serial and parallel
     /// evaluation publish through the same merged block, so they report
     /// the same counter names with the same meanings.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 21] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 22] {
         [
             ("scenario_checks", self.scenario_checks),
             ("stateful_skips", self.stateful_skips),
@@ -103,6 +107,7 @@ impl EvalStats {
             ("perturb_certs_retained", self.perturb_certs_retained),
             ("perturb_certs_dropped", self.perturb_certs_dropped),
             ("fine_passes_skipped", self.fine_passes_skipped),
+            ("rounded_cuts", self.rounded_cuts),
         ]
     }
 
@@ -130,6 +135,7 @@ impl EvalStats {
         self.perturb_certs_retained += other.perturb_certs_retained;
         self.perturb_certs_dropped += other.perturb_certs_dropped;
         self.fine_passes_skipped += other.fine_passes_skipped;
+        self.rounded_cuts += other.rounded_cuts;
         self.elapsed += other.elapsed;
         self.mwu_us += other.mwu_us;
         self.exact_lp_us += other.exact_lp_us;
@@ -194,6 +200,7 @@ mod tests {
                 "perturb_certs_retained",
                 "perturb_certs_dropped",
                 "fine_passes_skipped",
+                "rounded_cuts",
             ]
         );
         // A counter left out of `merge` would vanish from parallel runs.
@@ -206,6 +213,7 @@ mod tests {
             lp_cold_builds: 3,
             lp_cold_retries: 4,
             fine_passes_skipped: 8,
+            rounded_cuts: 9,
             ..Default::default()
         };
         let mut sum = one.clone();

@@ -15,18 +15,24 @@ use neuroplan::{NeuroPlan, NeuroPlanConfig};
 use np_chaos::checkpoint::f64_to_hex;
 use np_topology::generator::{GeneratorConfig, TopologyPreset};
 
-#[test]
-fn preset_c_8_epochs_1_worker_matches_the_recorded_plan() {
+/// The budgets `--quick` means in release, at `epochs` epochs, so a plan
+/// is the same in both build profiles.
+fn release_quick(epochs: usize) -> NeuroPlanConfig {
     let mut cfg = NeuroPlanConfig::default();
     cfg.agent.gnn_hidden = 32;
     cfg.agent.mlp_hidden = vec![32, 32];
-    cfg.train.epochs = 8;
+    cfg.train.epochs = epochs;
     cfg.train.steps_per_epoch = 384;
     cfg.train.max_traj_len = 128;
     cfg.mip_node_limit = 20_000;
     cfg.mip_time_limit_secs = 90.0;
     cfg.final_rollouts = 4;
-    let cfg = cfg.with_seed(0).with_workers(1);
+    cfg
+}
+
+#[test]
+fn preset_c_8_epochs_1_worker_matches_the_recorded_plan() {
+    let cfg = release_quick(8).with_seed(0).with_workers(1);
     let net = GeneratorConfig::preset(TopologyPreset::C).generate();
     let result = NeuroPlan::new(cfg).plan(&net);
     let actual = serde_json::json!({
@@ -47,4 +53,24 @@ fn preset_c_8_epochs_1_worker_matches_the_recorded_plan() {
         golden.trim_end() == actual,
         "preset-C plan differs from {path}; this run produced:\n{actual}"
     );
+}
+
+/// A plan depends on its seed, never on the worker count: `neuroplan plan
+/// --preset a --seed 4 --quick` (release) at `--workers` 1, 2 and 4. The
+/// first stage's evaluator scans on one worker whatever the count: a
+/// wider scan's approximate walks keep certificates from past where one
+/// in-order walk stops, and those reach the master as seed cuts — here
+/// they once led four workers to other units at the same cost.
+#[test]
+fn preset_a_seed_4_plans_alike_at_one_two_and_four_workers() {
+    let mut gen = GeneratorConfig::preset(TopologyPreset::A);
+    gen.seed = 4;
+    let net = gen.generate();
+    let [one, two, four] = [1, 2, 4].map(|workers| {
+        let cfg = release_quick(20).with_seed(4).with_workers(workers);
+        let result = NeuroPlan::new(cfg).plan(&net);
+        (result.final_units, f64_to_hex(result.final_cost))
+    });
+    assert_eq!(one, two, "one and two workers planned differently");
+    assert_eq!(one, four, "one and four workers planned differently");
 }
