@@ -60,11 +60,9 @@ impl Default for NeuroPlanConfig {
                 max_traj_len: 512,
                 gamma: 0.99,
                 lam: 0.97,
-                normalize_advantages: true,
-                truncation_penalty: -1.0,
                 convergence_tol: 0.0,
                 patience: 10,
-                num_actors: 1,
+                num_actors: 4,
                 rollout_workers: 1,
                 rollout_seed: 0,
                 wall_limit_secs: f64::INFINITY,
@@ -129,20 +127,14 @@ impl NeuroPlanConfig {
 
     /// Run the parallel execution paths on `workers` threads (the CLI's
     /// `--workers`): scenario evaluation and rollout collection share
-    /// this budget.
-    ///
-    /// Requesting workers — at *any* count, including 1 — also switches
-    /// training to a fixed pool of 4 logical actors with per-actor RNG
-    /// streams, so the learned policy and final plan depend only on the
-    /// seed, never on the worker count. Without this call the legacy
-    /// single-stream rollout is used (bit-identical to pre-parallel
-    /// releases).
+    /// this budget. It is a thread budget only: training always runs the
+    /// fixed pool of logical actors with per-actor RNG streams, so the
+    /// learned policy and final plan depend on the seed, never on the
+    /// worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         let workers = workers.max(1);
         self.eval.parallel_workers = workers;
         self.train.rollout_workers = workers;
-        self.train.num_actors = 4;
-        self.train.rollout_seed = self.seed;
         self
     }
 
@@ -253,14 +245,16 @@ mod tests {
 
     #[test]
     fn workers_set_every_parallel_path_but_pin_the_actor_count() {
-        let one = NeuroPlanConfig::default().with_seed(7).with_workers(1);
-        let four = NeuroPlanConfig::default().with_seed(7).with_workers(4);
+        let none = NeuroPlanConfig::default().with_seed(7);
+        let one = none.clone().with_workers(1);
+        let four = none.clone().with_workers(4);
         assert_eq!(one.eval.parallel_workers, 1);
         assert_eq!(four.eval.parallel_workers, 4);
         assert_eq!(four.train.rollout_workers, 4);
         // The logical actor count is a constant, so the training
         // trajectory is a function of the seed alone.
         assert_eq!(one.train.num_actors, four.train.num_actors);
+        assert_eq!(none.train.num_actors, one.train.num_actors);
         assert_eq!(one.train.rollout_seed, 7);
     }
 }

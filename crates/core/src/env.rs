@@ -162,73 +162,11 @@ impl PlanningEnv {
         self.reward_norm
     }
 
-    fn refresh_caps(&mut self) {
-        for (i, link) in self.net.links().iter().enumerate() {
-            self.caps_scratch[i] = f64::from(link.capacity_units) * self.net.unit_gbps;
-        }
-    }
-}
-
-impl GraphEnv for PlanningEnv {
-    fn num_nodes(&self) -> usize {
-        self.net.links().len()
-    }
-
-    fn feature_dim(&self) -> usize {
-        5
-    }
-
-    fn num_unit_choices(&self) -> usize {
-        self.num_unit_choices
-    }
-
-    fn adjacency(&self) -> &Csr {
-        &self.adjacency
-    }
-
-    fn fork(&self) -> Option<Box<dyn GraphEnv + Send>> {
-        // The child evaluates serially (the actor level owns the thread
-        // budget) but keeps the parent's certificates, so parallel actors
-        // start with the same short-circuit knowledge the serial run has.
-        Some(Box::new(PlanningEnv {
-            net: self.net.clone(),
-            adjacency: self.adjacency.clone(),
-            evaluator: self.evaluator.fork(),
-            num_unit_choices: self.num_unit_choices,
-            reward_norm: self.reward_norm,
-            best: None,
-            caps_scratch: vec![0.0; self.net.links().len()],
-            steps_taken: 0,
-        }))
-    }
-
-    fn absorb(&mut self, mut child: Box<dyn GraphEnv + Send>) {
-        let Some(any) = child.as_any_mut() else {
-            return;
-        };
-        let Some(child) = any.downcast_mut::<PlanningEnv>() else {
-            return;
-        };
-        self.steps_taken += child.steps_taken;
-        self.evaluator.absorb(&mut child.evaluator);
-        // Strict `<` keeps the earlier-absorbed actor's plan on cost
-        // ties, so the merged best is independent of worker count.
-        if let Some((cost, snap)) = child.best.take() {
-            if self.best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                self.best = Some((cost, snap));
-            }
-        }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
     /// Serialize what a checkpoint must preserve across a kill: the best
     /// plan (cost bit-exact as hex), the step counter and the evaluator's
     /// stateful cursor + certificate pool. Everything else (capacities,
     /// scratch) is rebuilt by the next `reset()`.
-    fn state_json(&self) -> Option<String> {
+    pub fn state_json(&self) -> String {
         use np_chaos::checkpoint::f64_to_hex;
         let best = match &self.best {
             None => "-".to_string(),
@@ -237,18 +175,18 @@ impl GraphEnv for PlanningEnv {
                 format!("{}:{}", f64_to_hex(*cost), units.join(","))
             }
         };
-        Some(format!(
+        format!(
             "1|{}|{}|{}",
             self.steps_taken,
             best,
             self.evaluator.snapshot_state()
-        ))
+        )
     }
 
-    /// Restore a [`GraphEnv::state_json`] blob. Returns `false` (leaving
+    /// Restore a [`PlanningEnv::state_json`] blob. Returns `false` (leaving
     /// the environment untouched) on any version, shape or encoding
     /// mismatch — a foreign or corrupt blob degrades to a fresh start.
-    fn restore_state_json(&mut self, blob: &str) -> bool {
+    pub fn restore_state_json(&mut self, blob: &str) -> bool {
         use np_chaos::checkpoint::hex_to_f64;
         let mut parts = blob.splitn(4, '|');
         let (Some(version), Some(steps), Some(best), Some(eval)) =
@@ -288,6 +226,58 @@ impl GraphEnv for PlanningEnv {
         self.steps_taken = steps;
         self.best = best;
         true
+    }
+
+    fn refresh_caps(&mut self) {
+        for (i, link) in self.net.links().iter().enumerate() {
+            self.caps_scratch[i] = f64::from(link.capacity_units) * self.net.unit_gbps;
+        }
+    }
+}
+
+impl GraphEnv for PlanningEnv {
+    fn num_nodes(&self) -> usize {
+        self.net.links().len()
+    }
+
+    fn feature_dim(&self) -> usize {
+        5
+    }
+
+    fn num_unit_choices(&self) -> usize {
+        self.num_unit_choices
+    }
+
+    fn adjacency(&self) -> &Csr {
+        &self.adjacency
+    }
+
+    fn fork(&self) -> Self {
+        // The child evaluates serially (the actor level owns the thread
+        // budget) but keeps the parent's certificates, so every actor
+        // starts with the short-circuit knowledge of the epochs before.
+        PlanningEnv {
+            net: self.net.clone(),
+            adjacency: self.adjacency.clone(),
+            evaluator: self.evaluator.fork(),
+            num_unit_choices: self.num_unit_choices,
+            reward_norm: self.reward_norm,
+            best: None,
+            caps_scratch: vec![0.0; self.net.links().len()],
+            steps_taken: 0,
+        }
+    }
+
+    fn absorb(&mut self, mut child: Self) {
+        self.steps_taken += child.steps_taken;
+        self.evaluator.absorb(&mut child.evaluator);
+        // Strict `<` keeps the earlier-absorbed actor's plan on cost
+        // ties, so the merged best is independent of worker count.
+        if let Some((cost, snap)) = child.best.take() {
+            if self.best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                self.best = Some((cost, snap));
+            }
+        }
     }
 
     fn reset(&mut self) -> Observation {
@@ -440,7 +430,7 @@ mod tests {
             }
         }
         let (cost, snap) = e.best_plan().expect("feasible plan found").clone();
-        let blob = e.state_json().expect("planning env checkpoints");
+        let blob = e.state_json();
 
         let mut fresh = env();
         assert!(fresh.restore_state_json(&blob), "blob must restore");
@@ -448,7 +438,7 @@ mod tests {
         let (rcost, rsnap) = fresh.best_plan().expect("best plan restored").clone();
         assert_eq!(cost.to_bits(), rcost.to_bits(), "cost is bit-exact");
         assert_eq!(snap.as_slice(), rsnap.as_slice());
-        assert_eq!(fresh.state_json().unwrap(), blob, "re-export is identical");
+        assert_eq!(fresh.state_json(), blob, "re-export is identical");
     }
 
     #[test]
@@ -459,7 +449,7 @@ mod tests {
         assert!(!e.restore_state_json("1|x|-|1|0|0"), "bad step count");
         assert!(!e.restore_state_json("1|0|zz:1,2|1|0|0"), "bad best plan");
         // A blob from a different topology (wrong cert count) is refused.
-        let blob = e.state_json().unwrap();
+        let blob = e.state_json();
         let net2 = GeneratorConfig::preset(TopologyPreset::B).generate();
         let mut other = PlanningEnv::new(net2, EvalConfig::default(), 4, 100.0);
         assert!(!other.restore_state_json(&blob));

@@ -21,6 +21,8 @@ use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, 
 use np_supervisor::{PlanQuality, StageCtx, StageError, SupervisionReport, Supervisor};
 use np_telemetry::{sys, Telemetry};
 use np_topology::Network;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -631,7 +633,7 @@ impl NeuroPlan {
         let report = match ckpt {
             Some(chain) => {
                 let mut hook =
-                    |agent: &mut ActorCritic, env: &mut dyn GraphEnv, p: &TrainProgress<'_>| {
+                    |agent: &mut ActorCritic, env: &mut PlanningEnv, p: &TrainProgress<'_>| {
                         let rec = EpochRecord {
                             stats: p.stats.clone(),
                             next_epoch: p.next_epoch,
@@ -639,7 +641,7 @@ impl NeuroPlan {
                             prev_return: p.prev_return,
                             recovery_nonce: p.recovery_nonce,
                             agent: agent.export_state(),
-                            env: env.state_json().unwrap_or_default(),
+                            env: env.state_json(),
                         };
                         self.append(chain, rec);
                     };
@@ -666,7 +668,7 @@ impl NeuroPlan {
         // the wall budget spent, the stochastic extras are dropped but
         // the greedy decode always runs — it is what turns a trained
         // policy into a plan.
-        agent.reseed_sampling(self.cfg.seed ^ 0xdead_beef);
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xdead_beef);
         let rollout_cap = self.cfg.train.max_traj_len * 4;
         let wall_spent = |ctx: Option<&StageCtx>| {
             ctx.is_some_and(|c| c.budget.wall_secs.is_finite() && c.remaining_secs() <= 0.0)
@@ -684,7 +686,7 @@ impl NeuroPlan {
                 let action = if greedy_decode {
                     agent.act_greedy(&obs.features, &obs.action_mask)
                 } else {
-                    agent.act(&obs.features, &obs.action_mask).0
+                    agent.act_with(&obs.features, &obs.action_mask, &mut rng).0
                 };
                 let (o, _, done) = env.step(action);
                 obs = o;

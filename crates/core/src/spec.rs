@@ -70,7 +70,7 @@ pub const FIELDS: &[Field] = &[
     Field { key: "gnn_layers", kind: Kind::Int(0, 4), doc: "GCN layers before the MLP (agent.gnn_layers)" },
     Field { key: "mlp_hidden", kind: Kind::Int(1, 512), doc: "width of both MLP hidden layers (agent.mlp_hidden)" },
     Field { key: "units_per_step", kind: Kind::Int(1, 16), doc: "max capacity units one action adds (max_units_per_step)" },
-    Field { key: "workers", kind: Kind::Workers, doc: "thread budget (eval.parallel_workers, train.rollout_workers); any value selects the 4-actor trainer (train.num_actors)" },
+    Field { key: "workers", kind: Kind::Workers, doc: "thread budget (eval.parallel_workers, train.rollout_workers)" },
     Field { key: "stage_budget", kind: Kind::Real(0.0, f64::MAX), doc: "wall-clock seconds per supervised stage" },
     Field { key: "max_retries", kind: Kind::Int(0, u32::MAX as u64), doc: "retries per stage" },
     Field { key: "no_degrade", kind: Kind::Switch, doc: "fail instead of walking the degradation ladder" },
@@ -328,8 +328,6 @@ impl PlanSpec {
         if let Some(seed) = self.int("seed") {
             cfg = cfg.with_seed(seed);
         }
-        // Only an explicit `workers` opts into the multi-actor
-        // determinism contract; results then match at every count.
         if let Some(workers) = self.workers() {
             cfg = cfg.with_workers(workers);
         }

@@ -11,6 +11,7 @@
 //! pivots. When no eligible entering column exists the LP is primal
 //! infeasible (the caller re-certifies numerically before trusting it).
 
+use crate::factor::REFACTOR_EVERY;
 use crate::simplex::{Loc, LpStatus, Tableau};
 
 /// Outcome of the feasibility-restoration loop.
@@ -43,7 +44,6 @@ pub(crate) fn restore_feasibility(
     t: &mut Tableau,
     max_iters: usize,
     iterations: &mut usize,
-    refactor_every: usize,
 ) -> DualStatus {
     let zero_tol = 1e-9;
     loop {
@@ -155,7 +155,7 @@ pub(crate) fn restore_feasibility(
         t.loc[j] = Loc::Basic;
         t.basis[r] = j;
         t.factors.update(r, &tcol);
-        if t.factors.should_refactor(refactor_every) && t.refactorize().is_err() {
+        if t.factors.should_refactor(REFACTOR_EVERY) && t.refactorize().is_err() {
             return DualStatus::NumericalFailure;
         }
     }

@@ -16,7 +16,7 @@
 //! The eta file is cleared on every refactorization. The driver decides
 //! *when* to refactorize from this engine's own accounting
 //! ([`SparseBasis::should_refactor`]): the trigger fires on eta-file
-//! growth (length reaching `refactor_every`) or fill-in (accumulated
+//! growth (length reaching `REFACTOR_EVERY`) or fill-in (accumulated
 //! eta nonzeros outweighing the LU factors themselves), never on a
 //! pivot-count schedule — a warm-started solve that performs two pivots
 //! must not pay a cold factorization price.
@@ -97,6 +97,11 @@ struct Scratch {
 /// is purely a cost model.
 const HYPER_SPARSE_FACTOR: usize = 8;
 
+/// Numerical-drift bound on incremental basis updates: the simplex
+/// drivers refactorize when the eta file reaches this many transforms
+/// (or its fill-in outweighs the LU factors).
+pub(crate) const REFACTOR_EVERY: usize = 64;
+
 /// The factorized-basis engine: LU factors plus the eta file, with the
 /// telemetry counters the solver reports (`lp.refactorizations`,
 /// `lp.eta_len`).
@@ -158,8 +163,8 @@ impl SparseBasis {
 
     /// Should the driver refactorize now? Fires on eta-file *growth*
     /// (`refactor_every` transforms accumulated — the numerical-drift
-    /// bound the knob always meant) or on *fill-in* (the eta file
-    /// carrying more nonzeros than the LU factors themselves, at which
+    /// bound; the drivers pass `REFACTOR_EVERY`) or on *fill-in* (the eta
+    /// file carrying more nonzeros than the LU factors themselves, at which
     /// point every FTRAN pays more for the updates than for a fresh
     /// factorization's solve). A pivot-count schedule would charge
     /// warm-started two-pivot solves a cold factorization price — the

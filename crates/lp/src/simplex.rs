@@ -31,7 +31,7 @@
 
 use std::time::Instant;
 
-use crate::factor::SparseBasis;
+use crate::factor::{SparseBasis, REFACTOR_EVERY};
 use crate::model::{Model, Sense};
 use crate::sparse::{CscMatrix, WarmBasis, WarmCol};
 
@@ -61,12 +61,6 @@ pub struct SimplexConfig {
     pub max_iterations: usize,
     /// Feasibility / optimality tolerance.
     pub tol: f64,
-    /// Numerical-drift bound on incremental basis updates: the basis is
-    /// refactorized when the *eta file* reaches this many transforms or
-    /// its fill-in outweighs the LU factors
-    /// ([`SparseBasis::should_refactor`]) — never on a pivot-count
-    /// schedule.
-    pub refactor_every: usize,
     /// Collect per-stage wall timers (factorize / ftran-btran /
     /// pricing) into [`SolveStats`]. Off by default: the clock reads
     /// are cheap but not free, and only `--profile` consumers look at
@@ -79,7 +73,6 @@ impl Default for SimplexConfig {
         SimplexConfig {
             max_iterations: 0,
             tol: 1e-7,
-            refactor_every: 64,
             collect_timing: false,
         }
     }
@@ -578,7 +571,6 @@ impl Tableau {
         &mut self,
         max_iters: usize,
         iterations: &mut usize,
-        refactor: usize,
         start_bland: bool,
     ) -> LpStatus {
         let mut degenerate_run = 0usize;
@@ -702,7 +694,7 @@ impl Tableau {
                     self.factors.update(r, &t);
                 }
             }
-            if self.factors.should_refactor(refactor) && self.refactorize().is_err() {
+            if self.factors.should_refactor(REFACTOR_EVERY) && self.refactorize().is_err() {
                 return LpStatus::NumericalFailure;
             }
         }
@@ -879,7 +871,7 @@ fn solve_attempt(
     for j in t.art_start..t.ncols {
         t.cost[j] = 1.0;
     }
-    let s1 = t.optimize(max_iters, &mut iterations, config.refactor_every, bland);
+    let s1 = t.optimize(max_iters, &mut iterations, bland);
     if s1 == LpStatus::IterationLimit || s1 == LpStatus::NumericalFailure {
         return (extract(model, &t, s1, iterations, false), None, None);
     }
@@ -892,7 +884,7 @@ fn solve_attempt(
     }
     // Phase 2: real costs; artificials pinned at zero.
     t.enter_phase2(model);
-    let s2 = t.optimize(max_iters, &mut iterations, config.refactor_every, bland);
+    let s2 = t.optimize(max_iters, &mut iterations, bland);
     // Final cleanup for tight agreement between x and the row system.
     if s2 == LpStatus::Optimal {
         let _ = t.refresh_final();
@@ -928,8 +920,7 @@ fn warm_attempt(
     // drags on, the cold solve is the better use of the budget.
     let dual_cap = max_iters.min(20 * (t.m + t.n_struct) + 500);
     let mut iterations = 0usize;
-    match crate::dual::restore_feasibility(&mut t, dual_cap, &mut iterations, config.refactor_every)
-    {
+    match crate::dual::restore_feasibility(&mut t, dual_cap, &mut iterations) {
         crate::dual::DualStatus::PrimalFeasible => {}
         crate::dual::DualStatus::Infeasible => {
             // The dual simplex proves infeasibility only under dual
@@ -947,7 +938,7 @@ fn warm_attempt(
     }
     // Primal cleanup: usually zero pivots, but bound changes can leave
     // residual dual infeasibility (e.g. rest states repaired on install).
-    let s2 = t.optimize(max_iters, &mut iterations, config.refactor_every, false);
+    let s2 = t.optimize(max_iters, &mut iterations, false);
     if s2 == LpStatus::Optimal {
         let _ = t.refresh_final();
     }

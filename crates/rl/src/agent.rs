@@ -191,7 +191,7 @@ impl ActorCritic {
     }
 
     /// Like [`ActorCritic::act`] but drawing from a caller-provided RNG.
-    /// Parallel actors sample from private per-actor streams, so the
+    /// Rollout actors sample from private per-actor streams, so the
     /// action sequence depends only on the stream seeds — never on worker
     /// count or scheduling.
     pub fn act_with(
@@ -278,11 +278,6 @@ impl ActorCritic {
     /// Total trainable parameter count (diagnostics).
     pub fn num_params(&mut self) -> usize {
         self.all_params().iter().map(|p| p.len()).sum()
-    }
-
-    /// Reseed the sampling RNG (used to decorrelate evaluation rollouts).
-    pub fn reseed_sampling(&mut self, seed: u64) {
-        self.sample_rng = StdRng::seed_from_u64(seed);
     }
 
     /// Current exploration temperature.

@@ -31,7 +31,11 @@ impl Observation {
 /// `step` applies one action (`UPDATETOPO(G, a)`), returning the next
 /// observation, the intermediate reward and whether the trajectory is
 /// done (service expectations satisfied).
-pub trait GraphEnv {
+///
+/// The trainer collects every epoch through forks: each rollout actor
+/// steps its own [`GraphEnv::fork`], and [`GraphEnv::absorb`] merges the
+/// forks back in actor order.
+pub trait GraphEnv: Sized {
     /// Number of graph nodes (fixed for the environment's lifetime).
     fn num_nodes(&self) -> usize;
     /// Feature dimension of the observation matrix.
@@ -45,40 +49,14 @@ pub trait GraphEnv {
     /// Apply an action. Returns `(observation, reward, done)`.
     fn step(&mut self, action: usize) -> (Observation, f64, bool);
 
-    /// Clone this environment for one parallel rollout actor. `None` (the
-    /// default) means the environment cannot be forked, and the trainer
-    /// falls back to serial collection.
-    fn fork(&self) -> Option<Box<dyn GraphEnv + Send>> {
-        None
-    }
+    /// Clone this environment for one rollout actor.
+    fn fork(&self) -> Self;
 
     /// Merge state a forked child accumulated (best-plan bookkeeping,
     /// evaluator certificates, step counts) back into this environment.
     /// The trainer calls this once per actor, in actor order, so the
     /// merged state is independent of worker count.
-    fn absorb(&mut self, _child: Box<dyn GraphEnv + Send>) {}
-
-    /// Downcasting hook for [`GraphEnv::absorb`] implementations that
-    /// need their concrete type back from the boxed child.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
-
-    /// Serialize whatever environment state must survive a
-    /// checkpoint/resume cycle (best-plan bookkeeping, evaluator
-    /// certificates, step counters) as an opaque string. `None` (the
-    /// default) means the environment carries no state worth
-    /// checkpointing beyond what `reset` rebuilds.
-    fn state_json(&self) -> Option<String> {
-        None
-    }
-
-    /// Restore state captured by [`GraphEnv::state_json`]. Returns
-    /// `false` if the blob does not match this environment, in which
-    /// case the caller must treat the checkpoint as unusable.
-    fn restore_state_json(&mut self, _blob: &str) -> bool {
-        false
-    }
+    fn absorb(&mut self, _child: Self) {}
 
     /// Size of the (flat) action space.
     fn action_space(&self) -> usize {
@@ -177,8 +155,8 @@ pub(crate) mod testenv {
         fn adjacency(&self) -> &Csr {
             &self.adj
         }
-        fn fork(&self) -> Option<Box<dyn GraphEnv + Send>> {
-            Some(Box::new(self.clone()))
+        fn fork(&self) -> Self {
+            self.clone()
         }
         fn reset(&mut self) -> Observation {
             self.counts = vec![0; self.n];

@@ -11,9 +11,9 @@
 //! pre-check consumes, and the plan each rung ships. The budgets that
 //! `quick()` scales with the build profile are written out, so a row
 //! means the same plan in debug and release. `NP_EQUIV_WORKERS=<n>`
-//! runs every row on `n` workers (the CI `supervisor-chaos` matrix);
-//! without it the planner takes its legacy single-stream path. The
-//! expectations are the same either way.
+//! runs every row on `n` workers (CI's `equivalence-4w` sets 4); the
+//! worker count is a thread budget only, so the expectations are the
+//! same either way.
 
 use neuroplan::checkpoint::MasterRecord;
 use neuroplan::{
