@@ -734,24 +734,26 @@ mod tests {
                 "alpha {alpha}"
             );
         }
-        // Neither key covers the thread budget: the plan is the same at
-        // every worker count, though the certificates a first stage
-        // harvests are not (a wider evaluator checks more scenarios per
-        // step). A first stage trained on one worker serves four.
+        // Neither key covers the thread budget: a thread count trains and
+        // plans the same bits as none. A cached spec at another worker
+        // count is a plan-cache hit, and at a new alpha the first stage
+        // trained without `workers` serves any count.
         let workers =
             |n: u64, alpha: f64| json!({ "preset": "a", "seed": 3, "alpha": alpha, "workers": n });
-        svc.execute(&workers(1, 1.5), &ctx(&cache, 20))
-            .expect("cold");
-        let reused = svc
-            .execute(&workers(4, 2.0), &ctx(&cache, 21))
-            .expect("reused");
-        assert_eq!(text(&reused, "first_stage"), Some("reused"));
-        let scratch = from_scratch(&svc, &workers(4, 2.0), 22);
-        assert_eq!(
-            identity(&reused),
-            identity(&scratch),
-            "across worker counts"
-        );
+        let hit = svc
+            .execute(&workers(1, 1.5), &ctx(&cache, 20))
+            .expect("warm");
+        assert_eq!(text(&hit, "cache"), Some("warm"));
+        assert_eq!(identity(&hit), identity(&trained));
+        for (k, (n, alpha)) in [(1, 1.75), (4, 3.0)].into_iter().enumerate() {
+            let id = 21 + 2 * k as u64;
+            let reused = svc
+                .execute(&workers(n, alpha), &ctx(&cache, id))
+                .expect("reused");
+            assert_eq!(text(&reused, "first_stage"), Some("reused"), "{n} workers");
+            let scratch = from_scratch(&svc, &workers(n, alpha), id + 1);
+            assert_eq!(identity(&reused), identity(&scratch), "{n} workers");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
