@@ -7,7 +7,8 @@
 //! fallback initial plan if RL training is cut short before finding a
 //! feasible trajectory.
 
-use np_eval::{EvalConfig, PlanEvaluator, Separation};
+use np_eval::{CheckConfig, EvalConfig, PlanEvaluator, Separation};
+use np_telemetry::Telemetry;
 use np_topology::{LinkId, Network, TopologyError};
 
 /// Failure modes of the augmentation loop.
@@ -38,7 +39,25 @@ impl std::error::Error for GreedyError {}
 /// Augment `net`'s capacities in place until the plan is feasible.
 /// Returns the resulting plan cost (Eq. 1, relative to the baseline).
 pub fn greedy_augment(net: &mut Network, eval_cfg: EvalConfig) -> Result<f64, GreedyError> {
-    let mut evaluator = PlanEvaluator::new(net, eval_cfg);
+    greedy_augment_telemetry(net, eval_cfg, Telemetry::noop())
+}
+
+/// [`greedy_augment`], reporting its evaluator's counters through `tel`.
+pub fn greedy_augment_telemetry(
+    net: &mut Network,
+    eval_cfg: EvalConfig,
+    tel: Telemetry,
+) -> Result<f64, GreedyError> {
+    // The cut's coefficients choose what is bought, so its cuts stay the
+    // ones the fine pass or the LP certify (DESIGN.md §17, "Rounding").
+    let eval_cfg = EvalConfig {
+        check: CheckConfig {
+            round_coarse_misses: false,
+            ..eval_cfg.check
+        },
+        ..eval_cfg
+    };
+    let mut evaluator = PlanEvaluator::with_telemetry(net, eval_cfg, tel);
     let max_iters = 200_000usize;
     for _ in 0..max_iters {
         let caps: Vec<f64> = net.link_ids().map(|l| net.capacity_gbps(l)).collect();

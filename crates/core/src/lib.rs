@@ -42,7 +42,7 @@ pub use analysis::{analyze_plan, PlanAnalysis};
 pub use certificate::{verify, Certificate};
 pub use config::NeuroPlanConfig;
 pub use env::PlanningEnv;
-pub use greedy::greedy_augment;
+pub use greedy::{greedy_augment, greedy_augment_telemetry};
 pub use master::{solve_master, solve_master_telemetry, MasterConfig, MasterOutcome};
 pub use np_supervisor::{PlanQuality, StageBudget, SupervisionReport, SupervisorConfig};
 pub use pipeline::{

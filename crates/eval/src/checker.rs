@@ -19,9 +19,9 @@ use np_lp::{ConstrId, IncrementalLp, LpStatus, Model, Sense, SimplexConfig, VarI
 pub enum Backend {
     /// Escalate: degree cuts → greedy → MWU coarse → MWU fine → exact LP,
     /// where a scenario whose exact LP has answered since its last
-    /// perturbation skips the fine pass and re-solves the LP warm. Without
-    /// the exact LP, a node cut rounded from the coarse lengths may stand
-    /// in for the fine pass instead.
+    /// perturbation skips the fine pass and re-solves the LP warm. Where
+    /// the fine pass would run, a node cut rounded from the coarse lengths
+    /// may end the check first ([`CheckConfig::round_coarse_misses`]).
     Auto,
     /// MWU only (approximate; what the RL inner loop uses when configured
     /// for speed), with the same rounded node cut between its passes.
@@ -47,6 +47,13 @@ pub struct CheckConfig {
     /// boundary-inconclusive checks is fine there and the LP is the one
     /// expensive stage); the Benders separator always forces it on.
     pub allow_exact_lp: bool,
+    /// Whether a coarse MWU miss that would go on to the fine pass is
+    /// first rounded to a node cut, which ends the check when
+    /// [`extract_cut`] verifies it (DESIGN.md §17, "Rounding"). No verdict
+    /// depends on it, only which cut an infeasible one carries. On for the
+    /// RL walk and the separator; `greedy_augment` turns it off, because
+    /// its cuts' coefficients choose what it buys.
+    pub round_coarse_misses: bool,
 }
 
 impl Default for CheckConfig {
@@ -56,6 +63,7 @@ impl Default for CheckConfig {
             coarse_eps: 0.25,
             fine_eps: 0.12,
             allow_exact_lp: true,
+            round_coarse_misses: true,
         }
     }
 }
@@ -225,22 +233,22 @@ fn mwu_verdict(
         if mwu_completion_feasible(ctx, &cf, stats) {
             return Verdict::Feasible;
         }
-        // A walk that never reaches the exact LP first rounds the coarse
-        // lengths to a node cut: a verified one exists only on an
-        // infeasible scenario, so the fine pass could not have answered
-        // otherwise (DESIGN.md §17, "Rounding").
-        if pass == 0 && !escalate_to_lp {
-            if let Some(cut) = rounded_node_cut(ctx, &cf.lengths) {
-                stats.rounded_cuts += 1;
-                return Verdict::Infeasible(Some(cut));
-            }
-        }
         // A restricted master that has already answered re-solves warm
         // in a few pivots, cheaper than the fine pass; a cold build is
         // dearer than one, so without such an LP the fine pass runs.
         if pass == 0 && escalate_to_lp && has_warm_lp(ctx) {
             stats.fine_passes_skipped += 1;
             break;
+        }
+        // Before the fine pass, the coarse lengths are rounded to a node
+        // cut: a verified one exists only on an infeasible scenario, so
+        // neither the fine pass nor the LP could have answered otherwise
+        // (DESIGN.md §17, "Rounding").
+        if pass == 0 && cfg.round_coarse_misses {
+            if let Some(cut) = rounded_node_cut(ctx, &cf.lengths) {
+                stats.rounded_cuts += 1;
+                return Verdict::Infeasible(Some(cut));
+            }
         }
         // Only trust an uncertified λ < 1 on the last pass of the
         // approximate backend.

@@ -768,7 +768,9 @@ mod tests {
     /// A capped round at four workers checks scenarios past the point where
     /// one in-order walk stops. Those checks are undone: the evaluator
     /// keeps the one-worker run's certificates, path LPs (and whether each
-    /// may skip a fine pass, §17 "Escalation") and witnesses (§9).
+    /// may skip a fine pass, §17 "Escalation") and witnesses (§9). The
+    /// walks leave coarse misses unrounded, so that those checks reach the
+    /// LP (§17, "Rounding").
     #[test]
     fn checks_past_a_capped_walk_leave_the_one_worker_state() {
         let net = preset_network(TopologyPreset::B);
@@ -789,6 +791,10 @@ mod tests {
             let caps = vec![hi * f64::from(pct) / 100.0; n];
             let [one, four] = [1, 4].map(|workers| {
                 let cfg = EvalConfig {
+                    check: CheckConfig {
+                        round_coarse_misses: false,
+                        ..CheckConfig::default()
+                    },
                     parallel_workers: workers,
                     ..EvalConfig::default()
                 };

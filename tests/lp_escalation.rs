@@ -12,7 +12,10 @@
 //! the LPs of the scenarios that need one, the second meets them built.
 //! Which route a scenario takes thus depends on what its LP has answered,
 //! and the master's plan on it must not depend on the evaluator's worker
-//! count (DESIGN.md §9).
+//! count (DESIGN.md §9). Both tests walk with
+//! `round_coarse_misses` off, as `greedy_augment` does: a coarse miss
+//! rounded to a node cut (§17, "Rounding") ends its check before either
+//! route is taken.
 
 use neuroplan::{greedy_augment, solve_master, MasterConfig};
 use np_eval::checker::exact_lp_verdict;
@@ -52,10 +55,13 @@ fn sweep(
 
 #[test]
 fn a_built_lp_takes_the_fine_passes_place_and_no_verdict_moves() {
-    let auto = CheckConfig::default();
+    let auto = CheckConfig {
+        round_coarse_misses: false,
+        ..CheckConfig::default()
+    };
     let approximate = CheckConfig {
         allow_exact_lp: false,
-        ..auto
+        ..CheckConfig::default()
     };
     for preset in [TopologyPreset::A, TopologyPreset::B] {
         let net = preset_network(preset);
@@ -124,6 +130,10 @@ fn the_master_plans_alike_at_one_and_four_workers() {
         let net = preset_network(preset);
         let [one, many] = [1, workers.max(2)].map(|w| {
             let cfg = EvalConfig {
+                check: CheckConfig {
+                    round_coarse_misses: false,
+                    ..CheckConfig::default()
+                },
                 parallel_workers: w,
                 ..EvalConfig::default()
             };
