@@ -62,9 +62,9 @@ pub struct EvalStats {
     /// re-solve ran instead of the fine pass (only where the exact LP may
     /// run).
     pub fine_passes_skipped: u64,
-    /// Coarse MWU passes that decided nothing in a walk that never reaches
-    /// the exact LP, whose lengths rounded to an exactly verified violated
-    /// node cut, so the fine pass did not run.
+    /// Coarse MWU passes that decided nothing, whose lengths rounded to an
+    /// exactly verified violated node cut, so neither the fine pass nor
+    /// the exact LP ran (only where `round_coarse_misses` is on).
     pub rounded_cuts: u64,
     /// Wall-clock time inside the evaluator.
     pub elapsed: Duration,
