@@ -769,8 +769,8 @@ mod tests {
     /// one in-order walk stops. Those checks are undone: the evaluator
     /// keeps the one-worker run's certificates, path LPs (and whether each
     /// may skip a fine pass, §17 "Escalation") and witnesses (§9). The
-    /// walks leave coarse misses unrounded, so that those checks reach the
-    /// LP (§17, "Rounding").
+    /// walks round no node cuts, so that those checks reach the LP (§17,
+    /// "Rounding").
     #[test]
     fn checks_past_a_capped_walk_leave_the_one_worker_state() {
         let net = preset_network(TopologyPreset::B);
@@ -792,7 +792,7 @@ mod tests {
             let [one, four] = [1, 4].map(|workers| {
                 let cfg = EvalConfig {
                     check: CheckConfig {
-                        round_coarse_misses: false,
+                        round_node_cuts: false,
                         ..CheckConfig::default()
                     },
                     parallel_workers: workers,

@@ -62,9 +62,10 @@ pub struct EvalStats {
     /// re-solve ran instead of the fine pass (only where the exact LP may
     /// run).
     pub fine_passes_skipped: u64,
-    /// Coarse MWU passes that decided nothing, whose lengths rounded to an
-    /// exactly verified violated node cut, so neither the fine pass nor
-    /// the exact LP ran (only where `round_coarse_misses` is on).
+    /// Checks ended by an exactly verified violated node cut rounded from
+    /// unit or inverse-capacity lengths before any MWU pass, or from the
+    /// lengths of a coarse pass that decided nothing, before the fine pass
+    /// (only where `round_node_cuts` is on).
     pub rounded_cuts: u64,
     /// Wall-clock time inside the evaluator.
     pub elapsed: Duration,

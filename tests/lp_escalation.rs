@@ -12,9 +12,9 @@
 //! the LPs of the scenarios that need one, the second meets them built.
 //! Which route a scenario takes thus depends on what its LP has answered,
 //! and the master's plan on it must not depend on the evaluator's worker
-//! count (DESIGN.md §9). Both tests walk with
-//! `round_coarse_misses` off, as `greedy_augment` does: a coarse miss
-//! rounded to a node cut (§17, "Rounding") ends its check before either
+//! count (DESIGN.md §9). Both tests walk with `round_node_cuts` off, as
+//! `greedy_augment` does: a node cut rounded before the coarse pass or
+//! from a coarse miss (§17, "Rounding") ends its check before either
 //! route is taken.
 
 use neuroplan::{greedy_augment, solve_master, MasterConfig};
@@ -56,7 +56,7 @@ fn sweep(
 #[test]
 fn a_built_lp_takes_the_fine_passes_place_and_no_verdict_moves() {
     let auto = CheckConfig {
-        round_coarse_misses: false,
+        round_node_cuts: false,
         ..CheckConfig::default()
     };
     let approximate = CheckConfig {
@@ -131,7 +131,7 @@ fn the_master_plans_alike_at_one_and_four_workers() {
         let [one, many] = [1, workers.max(2)].map(|w| {
             let cfg = EvalConfig {
                 check: CheckConfig {
-                    round_coarse_misses: false,
+                    round_node_cuts: false,
                     ..CheckConfig::default()
                 },
                 parallel_workers: w,
