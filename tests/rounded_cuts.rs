@@ -1,14 +1,17 @@
-//! Coarse-pass rounding (DESIGN.md §17, "Rounding"): a coarse MWU pass
-//! that neither certifies a cut nor completes a witness has its lengths
-//! rounded to a node cut before the fine pass may run. A verified violated
-//! cut exists only on an infeasible scenario, so no verdict may move: over
-//! presets A–C at the greedy plan's capacities scaled around 1, every
-//! returned cut is violated, the exact LP calls each rounded scenario
-//! infeasible and no feasible one. The RL loop's walk, which never reaches
-//! the exact LP, gives the verdicts the commit before the rounding gave
-//! (pinned as counts); the separator's walk (`separate`, as the master's
-//! lazy callback, polish and the replan master run it) gives the exact
-//! LP's. `greedy_augment` walks the separator's pipeline unrounded.
+//! Node-cut rounding (DESIGN.md §17, "Rounding"): where an MWU pass would
+//! run, the unit and inverse-capacity metrics are rounded to a node cut
+//! first, and a coarse MWU pass that neither certifies a cut nor completes
+//! a witness has its lengths rounded to one before the fine pass may run.
+//! A verified violated cut exists only on an infeasible scenario, so no
+//! verdict may move: over presets A–C at the greedy plan's capacities
+//! scaled around 1, every returned cut is violated, the exact LP calls
+//! each rounded scenario infeasible and no feasible one, and both walks
+//! answer some scenarios before any MWU pass. The RL loop's walk, which
+//! never reaches the exact LP, gives the verdicts the commit before the
+//! rounding gave (pinned as counts); the separator's walk (`separate`, as
+//! the master's lazy callback, polish and the replan master run it) gives
+//! the exact LP's. `greedy_augment` walks the separator's pipeline
+//! unrounded.
 
 use neuroplan::{greedy_augment_telemetry, NeuroPlanConfig};
 use np_eval::checker::exact_lp_verdict;
@@ -28,7 +31,7 @@ fn rounded_cuts_are_violated_and_no_verdict_moves() {
     assert!(!rl.allow_exact_lp);
     // The separator's: Auto, the exact LP behind the fine pass.
     let sep = CheckConfig::default();
-    assert!(sep.allow_exact_lp && sep.round_coarse_misses);
+    assert!(sep.allow_exact_lp && sep.round_node_cuts);
     // (preset, infeasible verdicts of the sweep, checks of the sweep) as
     // the approximate walk gave them before it rounded.
     let pinned = [
@@ -37,6 +40,7 @@ fn rounded_cuts_are_violated_and_no_verdict_moves() {
         (TopologyPreset::C, 92, 342),
     ];
     let mut rounded = [0; 2];
+    let mut before_mwu = [0; 2];
     for (preset, want_infeasible, want_checks) in pinned {
         let net = preset_network(preset);
         let mut planned = net.clone();
@@ -73,7 +77,7 @@ fn rounded_cuts_are_violated_and_no_verdict_moves() {
                     let what = format!("{preset:?} walk {w}: scenario {i} x{x}");
                     let ctx = &mut ctxs[i];
                     ctx.refresh(cap);
-                    let before = stats.rounded_cuts;
+                    let before = (stats.rounded_cuts, stats.mwu_calls);
                     let verdict = check_scenario(ctx, cfg, stats);
                     if cfg.allow_exact_lp {
                         assert_eq!(verdict.is_feasible(), feasible, "{what}: not the LP's");
@@ -83,12 +87,13 @@ fn rounded_cuts_are_violated_and_no_verdict_moves() {
                     if let Verdict::Infeasible(Some(cut)) = &verdict {
                         assert!(cut.is_violated(cap), "{what}: the cut is not violated");
                     }
-                    if stats.rounded_cuts > before {
+                    if stats.rounded_cuts > before.0 {
                         assert!(
                             matches!(verdict, Verdict::Infeasible(Some(_))),
                             "{what}: a rounded cut came back as {verdict:?}"
                         );
                         assert!(!feasible, "{what}: rounded a cut where the exact LP routes");
+                        before_mwu[w] += usize::from(stats.mwu_calls == before.1);
                     }
                 }
             }
@@ -114,6 +119,10 @@ fn rounded_cuts_are_violated_and_no_verdict_moves() {
     }
     assert!(
         rounded.iter().all(|&r| r > 0),
-        "a walk rounded no coarse miss: {rounded:?}"
+        "a walk rounded no node cut: {rounded:?}"
+    );
+    assert!(
+        before_mwu.iter().all(|&r| r > 0),
+        "a walk answered no scenario before the MWU: {before_mwu:?}"
     );
 }
