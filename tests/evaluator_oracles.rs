@@ -1,8 +1,9 @@
 //! Cross-validation of the plan evaluator against independent oracles:
-//! the exact LP backend, brute single-commodity max-flow, and hand-built
+//! the exact LP, brute single-commodity max-flow, and hand-built
 //! instances with known answers.
 
-use np_eval::{Backend, CheckConfig, EvalConfig, PlanEvaluator, ScenarioCtx, Verdict};
+use np_eval::checker::exact_lp_verdict;
+use np_eval::{CheckConfig, EvalConfig, PlanEvaluator, ScenarioCtx, Verdict};
 use np_topology::{
     CosClass, CostModel, Failure, FailureKind, Fiber, FiberId, Flow, IpLink, Network,
     ReliabilityPolicy, SiteId,
@@ -95,33 +96,46 @@ fn a_fiber_cut_on_a_line_is_structurally_fatal() {
     assert_eq!(out.first_violated, Some(1));
 }
 
+/// The walk the RL environment runs: it never reaches the exact LP.
+fn rl_walk() -> CheckConfig {
+    CheckConfig {
+        allow_exact_lp: false,
+        ..CheckConfig::default()
+    }
+}
+
 #[test]
 fn backends_agree_up_to_documented_mwu_conservatism() {
-    let verdict = |net: &Network, backend: Backend| {
+    let ctx = |net: &Network| {
         let mut ctx = ScenarioCtx::build(net, None, true);
         ctx.refresh(|link| net.capacity_gbps(link));
-        let cfg = CheckConfig {
-            backend,
-            ..CheckConfig::default()
-        };
-        let mut stats = np_eval::EvalStats::default();
-        np_eval::check_scenario(&ctx, &cfg, &mut stats).is_feasible()
+        ctx
     };
-    // (3,3) is the exact λ* = 1 boundary: the approximate backend is
-    // allowed (documented) to be conservative there, never permissive.
+    let verdict = |net: &Network, cfg: CheckConfig| {
+        let mut stats = np_eval::EvalStats::default();
+        np_eval::check_scenario(&ctx(net), &cfg, &mut stats).is_feasible()
+    };
+    // (3,3) is the exact λ* = 1 boundary: the RL walk is allowed
+    // (documented) to be conservative there, never permissive.
     for (l, r) in [(3u32, 3u32), (2, 3), (1, 1), (9, 9)] {
         let net = line(l, r, vec![]);
-        let exact = verdict(&net, Backend::ExactLp);
-        let auto = verdict(&net, Backend::Auto);
-        let mwu = verdict(&net, Backend::Mwu);
-        assert_eq!(auto, exact, "Auto must match the exact LP on ({l},{r})");
+        let exact = exact_lp_verdict(&ctx(&net)).is_feasible();
+        let auto = verdict(&net, CheckConfig::default());
+        let mwu = verdict(&net, rl_walk());
+        assert_eq!(
+            auto, exact,
+            "the full walk must match the exact LP on ({l},{r})"
+        );
         if !exact {
-            assert!(!mwu, "Mwu must never accept an infeasible plan ({l},{r})");
+            assert!(
+                !mwu,
+                "the RL walk must never accept an infeasible plan ({l},{r})"
+            );
         }
         if mwu {
             assert!(
                 exact,
-                "Mwu feasibility is a primal witness and cannot lie ({l},{r})"
+                "RL-walk feasibility is a primal witness and cannot lie ({l},{r})"
             );
         }
     }
@@ -202,12 +216,8 @@ fn verdict_pipeline_reports_cuts_on_mwu_backend() {
     let net = line(1, 1, vec![]);
     let mut ctx = ScenarioCtx::build(&net, None, true);
     ctx.refresh(|l| net.capacity_gbps(l));
-    let cfg = CheckConfig {
-        backend: Backend::Mwu,
-        ..CheckConfig::default()
-    };
     let mut stats = np_eval::EvalStats::default();
-    match np_eval::check_scenario(&ctx, &cfg, &mut stats) {
+    match np_eval::check_scenario(&ctx, &rl_walk(), &mut stats) {
         Verdict::Infeasible(Some(cut)) => {
             assert!(cut.is_violated(|l| net.capacity_gbps(l)));
         }

@@ -109,10 +109,10 @@ fn a_built_lp_takes_the_fine_passes_place_and_no_verdict_moves() {
         );
         assert_eq!(second.lp_cold_builds, 0, "{what}: a skip built an LP cold");
 
-        // The approximate backend, from the very same state, never skips.
+        // The RL walk, from the very same state, never skips.
         let rl = sweep(&mut held, &caps, &exact, &approximate, &what);
-        assert_eq!(rl.fine_passes_skipped, 0, "{what}: the RL backend skipped");
-        assert_eq!(rl.lp_calls, 0, "{what}: the RL backend reached the LP");
+        assert_eq!(rl.fine_passes_skipped, 0, "{what}: the RL walk skipped");
+        assert_eq!(rl.lp_calls, 0, "{what}: the RL walk reached the LP");
     }
 }
 
