@@ -6,11 +6,13 @@
 //! the reaction layer on top of np-chaos's fault *injection*:
 //!
 //! - [`StageBudget`] — per-stage wall-clock / node / epoch caps;
-//! - [`RetryPolicy`] — seeded exponential backoff for transient
-//!   failures (singular basis, worker panic, NaN rollback);
+//! - [`RetryPolicy`] — how many times a transient failure (singular
+//!   basis, worker panic, NaN rollback) is retried. A retry re-runs
+//!   deterministic in-process work at once: there is nothing to back
+//!   off from;
 //! - [`Supervisor::run`] — executes one stage attempt-by-attempt,
-//!   catching panics, classifying errors, and recording per-stage
-//!   retry/backoff telemetry under the `supervisor` subsystem;
+//!   catching panics, classifying errors, and recording per-stage retry
+//!   telemetry under the `supervisor` subsystem;
 //! - [`PlanQuality`] — the provenance rung of the degradation ladder
 //!   the pipeline walks when a stage exhausts its budget:
 //!   full MILP proof → incumbent return → LP rounding → greedy
@@ -20,10 +22,6 @@
 //! supervisor rethrows any panic whose payload mentions the chaos kill
 //! marker, so kill-and-resume semantics (process aborts, checkpoint
 //! survives) are preserved under supervision.
-//!
-//! Backoff delays are derived from a splitmix64 hash of
-//! `(seed, stage, attempt)`, so a retry schedule is reproducible for a
-//! given seed while still decorrelating stages from each other.
 
 use np_telemetry::{sys, Telemetry};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -124,67 +122,28 @@ impl Default for StageBudget {
     }
 }
 
-/// Seeded exponential-backoff retry schedule for transient failures.
+/// How often a transient failure is retried.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries per stage after the first attempt (so `max_retries = 2`
     /// allows three attempts total).
     pub max_retries: u32,
-    /// Backoff before retry `k` is `base * 2^(k-1)` scaled by a seeded
-    /// jitter in `[0.5, 1.5)`, capped at `max_backoff_ms`.
-    pub base_backoff_ms: u64,
-    /// Upper bound on any single backoff sleep.
-    pub max_backoff_ms: u64,
-    /// Seed for the jitter hash; retry schedules are reproducible.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff_ms: 25,
-            max_backoff_ms: 2_000,
-            seed: 0,
-        }
-    }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl RetryPolicy {
-    /// Deterministic backoff (milliseconds) before retry `attempt`
-    /// (1-based) of `stage`.
-    pub fn backoff_ms(&self, stage: &str, attempt: u32) -> u64 {
-        if attempt == 0 || self.base_backoff_ms == 0 {
-            return 0;
-        }
-        let exp = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << (attempt - 1).min(20));
-        let h = splitmix64(
-            self.seed ^ np_chaos::checkpoint::fnv1a64(stage.as_bytes()) ^ u64::from(attempt),
-        );
-        // Jitter factor in [0.5, 1.5): decorrelates stages without
-        // losing reproducibility for a fixed seed.
-        let jitter = 0.5 + (h >> 11) as f64 / (1u64 << 53) as f64;
-        ((exp as f64 * jitter) as u64).min(self.max_backoff_ms)
+        RetryPolicy { max_retries: 2 }
     }
 }
 
 /// Everything the supervisor needs to run stages: budget, retry
-/// schedule, and whether degradation below the incumbent rung is
+/// count, and whether degradation below the incumbent rung is
 /// permitted (`--no-degrade` turns the ladder off).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SupervisorConfig {
     /// Per-stage caps (each stage gets the full budget, not a share).
     pub budget: StageBudget,
-    /// Retry/backoff schedule for transient failures.
+    /// Retries for transient failures.
     pub retry: RetryPolicy,
     /// When false, exhausting the MILP rungs is a hard error instead
     /// of falling through to rounding / heuristic plans.
@@ -246,8 +205,6 @@ pub struct StageStats {
     pub retries: u32,
     /// Panics caught and converted to transient failures.
     pub panics: u32,
-    /// Total backoff slept between attempts, milliseconds.
-    pub backoff_ms: u64,
     /// Wall-clock spent across all attempts, seconds.
     pub elapsed_secs: f64,
     /// True when the stage never ran (budget exhausted before entry).
@@ -318,7 +275,7 @@ impl StageCtx<'_> {
     }
 }
 
-/// Runs stages under budgets with retry/backoff, accumulating a
+/// Runs stages under budgets with retries, accumulating a
 /// [`SupervisionReport`]. Cheap to share by reference; interior
 /// mutability keeps `run` callable from `&self`.
 pub struct Supervisor {
@@ -362,7 +319,7 @@ impl Supervisor {
         &self.cfg
     }
 
-    /// Run one stage with retry/backoff. `f` is invoked once per
+    /// Run one stage with retries. `f` is invoked once per
     /// attempt with a fresh [`StageCtx`]; a panic inside `f` counts as
     /// a transient failure unless it is an injected chaos kill, which
     /// is rethrown so the process aborts as the fault plan demands.
@@ -383,7 +340,6 @@ impl Supervisor {
             attempts: 0,
             retries: 0,
             panics: 0,
-            backoff_ms: 0,
             elapsed_secs: 0.0,
             skipped: false,
             failed: false,
@@ -392,7 +348,7 @@ impl Supervisor {
         let mut last_err = StageError::Transient("stage never attempted".to_string());
         let mut result = None;
         for attempt in 0..=self.cfg.retry.max_retries {
-            // Cancellation wins over retries and backoff: a cancelled run
+            // Cancellation wins over retries: a cancelled run
             // stops at the next boundary, never burning another attempt.
             if self.cancel.is_cancelled() {
                 last_err = StageError::Cancelled;
@@ -405,14 +361,8 @@ impl Supervisor {
                 if started.elapsed().as_secs_f64() >= self.cfg.budget.wall_secs {
                     break;
                 }
-                let backoff = self.cfg.retry.backoff_ms(stage, attempt);
                 stats.retries += 1;
-                stats.backoff_ms += backoff;
                 self.tel.incr(sys::SUPERVISOR, "retries", 1);
-                self.tel.incr(sys::SUPERVISOR, "backoff_ms", backoff);
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
             }
             stats.attempts += 1;
             let ctx = StageCtx {
@@ -472,7 +422,6 @@ impl Supervisor {
             attempts: 0,
             retries: 0,
             panics: 0,
-            backoff_ms: 0,
             elapsed_secs: 0.0,
             skipped: true,
             failed: false,
@@ -522,12 +471,7 @@ mod tests {
     }
 
     fn fast_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_ms: 0,
-            max_backoff_ms: 0,
-            seed: 7,
-        }
+        RetryPolicy { max_retries: 3 }
     }
 
     #[test]
@@ -543,26 +487,6 @@ mod tests {
         assert!(PlanQuality::from_name("best-effort").is_none());
         assert!(PlanQuality::Optimal < PlanQuality::Heuristic);
         assert_eq!(PlanQuality::Rounded.rung(), 2);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_grows() {
-        let p = RetryPolicy {
-            max_retries: 5,
-            base_backoff_ms: 10,
-            max_backoff_ms: 100,
-            seed: 42,
-        };
-        let a1 = p.backoff_ms("master", 1);
-        assert_eq!(a1, p.backoff_ms("master", 1), "same inputs, same delay");
-        assert!((5..=15).contains(&a1), "base*jitter in [0.5,1.5): {a1}");
-        for attempt in 1..=5 {
-            assert!(p.backoff_ms("master", attempt) <= 100);
-        }
-        // Different stages decorrelate (equal values are astronomically
-        // unlikely with a 53-bit jitter).
-        assert_ne!(p.backoff_ms("master", 2), p.backoff_ms("first_stage", 2));
-        assert_eq!(p.backoff_ms("master", 0), 0);
     }
 
     #[test]

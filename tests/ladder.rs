@@ -5,9 +5,8 @@
 //!
 //! Every cost, unit vector and stage trace in the table was recorded on
 //! the commit *before* the two hand-written copies of the ladder became
-//! one function, so the merge is pinned bit for bit: the stage labels
-//! (they seed `RetryPolicy::backoff_ms`, which the traces include), the
-//! attempt and degrade counts, the chaos occurrence each budget
+//! one function, so the merge is pinned bit for bit: the stage labels,
+//! the attempt and degrade counts, the chaos occurrence each budget
 //! pre-check consumes, and the plan each rung ships. The budgets that
 //! `quick()` scales with the build profile are written out, so a row
 //! means the same plan in debug and release. `NP_EQUIV_WORKERS=<n>`
@@ -71,7 +70,7 @@ const SURGED_COST: &str = "f7ea0455a8ae9e40";
 type Want =
     Result<(PlanQuality, &'static str, [u32; 18], &'static str), (&'static str, &'static str)>;
 
-/// `stage(attempts/retries/backoff ms[,failed][,skipped])` per supervised
+/// `stage(attempts/retries[,failed][,skipped])` per supervised
 /// stage in execution order, then the degrade count: everything in a
 /// [`SupervisionReport`] except the wall times.
 fn trace(report: &SupervisionReport) -> String {
@@ -81,10 +80,7 @@ fn trace(report: &SupervisionReport) -> String {
         .map(|s| {
             let failed = if s.failed { ",failed" } else { "" };
             let skipped = if s.skipped { ",skipped" } else { "" };
-            format!(
-                "{}({}/{}/{}{failed}{skipped})",
-                s.stage, s.attempts, s.retries, s.backoff_ms
-            )
+            format!("{}({}/{}{failed}{skipped})", s.stage, s.attempts, s.retries)
         })
         .collect();
     format!("{}; {} degrades", stages.join(" "), report.degrades)
@@ -171,7 +167,7 @@ fn plan_walks_the_recorded_rungs() {
                 PlanQuality::Rounded,
                 PLANNED_COST,
                 PLANNED,
-                "first_stage(1/0/0) master(1/0/0,failed) lp_round(1/0/0) polish(1/0/0); \
+                "first_stage(1/0) master(1/0,failed) lp_round(1/0) polish(1/0); \
                  1 degrades",
             )),
         ),
@@ -182,7 +178,7 @@ fn plan_walks_the_recorded_rungs() {
                 PlanQuality::Optimal,
                 PLANNED_COST,
                 PLANNED,
-                "first_stage(1/0/0) master(2/1/26) polish(1/0/0); 0 degrades",
+                "first_stage(1/0) master(2/1) polish(1/0); 0 degrades",
             )),
         ),
         (
@@ -192,7 +188,7 @@ fn plan_walks_the_recorded_rungs() {
                 PlanQuality::Optimal,
                 PLANNED_COST,
                 PLANNED,
-                "first_stage(1/0/0) master(1/0/0) polish(1/0/0); 0 degrades",
+                "first_stage(1/0) master(1/0) polish(1/0); 0 degrades",
             )),
         ),
         (
@@ -204,7 +200,7 @@ fn plan_walks_the_recorded_rungs() {
                 PlanQuality::Incumbent,
                 "7860c86fcc4c9340",
                 [10, 8, 1, 0, 0, 3, 5, 8, 3, 3, 1, 1, 0, 0, 0, 6, 0, 1],
-                "first_stage(1/0/0) master(1/0/0) polish(1/0/0); 0 degrades",
+                "first_stage(1/0) master(1/0) polish(1/0); 0 degrades",
             )),
         ),
         (
@@ -214,8 +210,8 @@ fn plan_walks_the_recorded_rungs() {
                 PlanQuality::Heuristic,
                 GREEDY_COST,
                 GREEDY,
-                "first_stage(1/0/0) master(1/0/0,failed) lp_round(1/0/0,failed) \
-                 heuristic(0/0/0,skipped) polish(1/0/0); 2 degrades",
+                "first_stage(1/0) master(1/0,failed) lp_round(1/0,failed) \
+                 heuristic(0/0,skipped) polish(1/0); 2 degrades",
             )),
         ),
         (
@@ -258,7 +254,7 @@ fn replan_walks_the_recorded_rungs() {
                 PlanQuality::Optimal,
                 SURGED_COST,
                 SURGED,
-                "replan_master(1/0/0); 0 degrades",
+                "replan_master(1/0); 0 degrades",
             )),
         ),
         (
@@ -273,7 +269,7 @@ fn replan_walks_the_recorded_rungs() {
                 PlanQuality::Optimal,
                 SURGED_COST,
                 SURGED,
-                "replan_master(1/0/0,failed) replan_master(1/0/0); 0 degrades",
+                "replan_master(1/0,failed) replan_master(1/0); 0 degrades",
             )),
         ),
         (
@@ -294,7 +290,7 @@ fn replan_walks_the_recorded_rungs() {
                 PlanQuality::Rounded,
                 SURGED_COST,
                 SURGED,
-                "replan_master(3/2/68,failed) replan_lp_round(1/0/0); 1 degrades",
+                "replan_master(3/2,failed) replan_lp_round(1/0); 1 degrades",
             )),
         ),
         (
@@ -307,8 +303,8 @@ fn replan_walks_the_recorded_rungs() {
                 PlanQuality::Heuristic,
                 GREEDY_COST,
                 GREEDY,
-                "replan_master(1/0/0,failed) replan_lp_round(1/0/0,failed) \
-                 replan_heuristic(0/0/0,skipped); 2 degrades",
+                "replan_master(1/0,failed) replan_lp_round(1/0,failed) \
+                 replan_heuristic(0/0,skipped); 2 degrades",
             )),
         ),
         (
