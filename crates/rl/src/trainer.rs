@@ -21,11 +21,6 @@ pub struct TrainConfig {
     pub gamma: f64,
     /// GAE smoothing λ (Table 2: 0.97).
     pub lam: f64,
-    /// Stop early once an epoch's mean trajectory return changes by less
-    /// than this for `patience` consecutive epochs (0 disables).
-    pub convergence_tol: f64,
-    /// Consecutive converged epochs required to stop early.
-    pub patience: usize,
     /// Logical rollout actors per epoch (0 counts as 1). This is part of
     /// the determinism contract, not a thread count: each actor collects
     /// a fixed share of `steps_per_epoch` on its own fork of the
@@ -59,8 +54,6 @@ impl Default for TrainConfig {
             max_traj_len: 512,
             gamma: 0.99,
             lam: 0.97,
-            convergence_tol: 0.0,
-            patience: 10,
             num_actors: 4,
             rollout_workers: 1,
             rollout_seed: 0,
@@ -106,7 +99,8 @@ impl TrainReport {
             .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// Epochs actually run (early stopping may cut `cfg.epochs` short).
+    /// Epochs actually run (a wall budget, a cancellation or a NaN
+    /// give-up may cut `cfg.epochs` short).
     pub fn epochs_run(&self) -> usize {
         self.epochs.len()
     }
@@ -282,10 +276,6 @@ const REANNEAL_TEMP: f64 = 1.5;
 pub struct TrainResume {
     /// First epoch index the resumed run executes.
     pub next_epoch: usize,
-    /// Convergence streak carried across the cut.
-    pub converged_run: usize,
-    /// Previous epoch's mean return (NaN if none yet).
-    pub prev_return: f64,
     /// NaN-rollback count carried across the cut (feeds the stream seed).
     pub recovery_nonce: u64,
     /// Stats of the epochs already completed before the cut.
@@ -298,10 +288,6 @@ pub struct TrainProgress<'a> {
     pub stats: &'a EpochStats,
     /// Epoch index a resume should continue from.
     pub next_epoch: usize,
-    /// Convergence streak after this epoch.
-    pub converged_run: usize,
-    /// Mean return the next convergence check compares against.
-    pub prev_return: f64,
     /// NaN rollbacks so far.
     pub recovery_nonce: u64,
 }
@@ -340,17 +326,12 @@ pub fn train_resumable<E: GraphEnv + Send>(
     let _train_span = tel.span(sys::RL, "train");
     let mut report = TrainReport::default();
     let mut buffer = EpochBuffer::new();
-    let (mut epoch, mut converged_run, mut prev_return, mut recovery_nonce) = match resume {
+    let (mut epoch, mut recovery_nonce) = match resume {
         Some(r) => {
             report.epochs = r.stats;
-            (
-                r.next_epoch,
-                r.converged_run,
-                r.prev_return,
-                r.recovery_nonce,
-            )
+            (r.next_epoch, r.recovery_nonce)
         }
-        None => (0, 0, f64::NAN, 0),
+        None => (0, 0),
     };
     let mut consecutive_rollbacks = 0u32;
     let started = std::time::Instant::now();
@@ -449,19 +430,6 @@ pub fn train_resumable<E: GraphEnv + Send>(
             truncated,
             mean_length,
         });
-        // Optional convergence-based early stop.
-        let mut stop = false;
-        if cfg.convergence_tol > 0.0 {
-            if (mean_return - prev_return).abs() <= cfg.convergence_tol {
-                converged_run += 1;
-                if converged_run >= cfg.patience {
-                    stop = true;
-                }
-            } else {
-                converged_run = 0;
-            }
-            prev_return = mean_return;
-        }
         if let Some(hook) = on_epoch.as_mut() {
             let stats = report.epochs.last().expect("epoch just pushed");
             hook(
@@ -470,8 +438,6 @@ pub fn train_resumable<E: GraphEnv + Send>(
                 &TrainProgress {
                     stats,
                     next_epoch: epoch + 1,
-                    converged_run,
-                    prev_return,
                     recovery_nonce,
                 },
             );
@@ -480,9 +446,6 @@ pub fn train_resumable<E: GraphEnv + Send>(
         // run always leaves a resumable epoch record behind.
         if chaos.should_fire(np_chaos::FaultClass::Kill) {
             panic!("chaos: injected kill after epoch {epoch}");
-        }
-        if stop {
-            break;
         }
         epoch += 1;
     }
@@ -740,8 +703,6 @@ mod tests {
                         ag.export_state(),
                         TrainResume {
                             next_epoch: p.next_epoch,
-                            converged_run: p.converged_run,
-                            prev_return: p.prev_return,
                             recovery_nonce: p.recovery_nonce,
                             stats: stats.clone(),
                         },
@@ -819,8 +780,6 @@ mod tests {
             assert!(agent2.import_state(&blob));
             let resume = TrainResume {
                 next_epoch: 2,
-                converged_run: 0,
-                prev_return: f64::NAN,
                 recovery_nonce: 0,
                 stats: Vec::new(),
             };
@@ -872,25 +831,5 @@ mod tests {
             np_chaos::checkpoint::fnv1a64(agent.export_state().as_bytes())
         };
         assert_eq!(state_hash(), 0xcea1_d121_0900_a66f);
-    }
-
-    #[test]
-    fn early_stopping_respects_patience() {
-        let mut env = CounterEnv::new(2, 1, 2);
-        let mut agent = small_agent(&env, 5);
-        let cfg = TrainConfig {
-            epochs: 50,
-            steps_per_epoch: 32,
-            max_traj_len: 8,
-            convergence_tol: 10.0, // everything counts as converged
-            patience: 3,
-            ..Default::default()
-        };
-        let report = train(&mut env, &mut agent, &cfg);
-        assert!(
-            report.epochs_run() <= 5,
-            "ran {} epochs",
-            report.epochs_run()
-        );
     }
 }
