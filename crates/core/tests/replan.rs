@@ -7,10 +7,9 @@
 //! the carried plan and seeded with every surviving certificate must
 //! prove the same optimal cost as a cold master built from nothing on
 //! the perturbed instance — for every event of a stream, at 1 and at 4
-//! workers. The checkpoint half: a stream killed mid-event resumes
-//! through the ancestor-fingerprint chain to the same final plan, with
-//! already-solved events replayed (perturbations only) rather than
-//! re-solved.
+//! workers. The checkpoint half: a stream killed mid-event resumes from
+//! its own chain to the same final plan, with already-solved events
+//! replayed (perturbations only) rather than re-solved.
 
 use neuroplan::master::{solve_master, MasterConfig, MasterOutcome};
 use neuroplan::{NeuroPlan, NeuroPlanConfig, PlanQuality, ReplanConfig, ReplanReport};
@@ -206,60 +205,6 @@ fn finished_stream_resumes_without_any_recomputation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The ancestor relaxation: a checkpoint taken against topology T is
-/// resumable on the perturbed T′ the records derive — the resume
-/// locates T′ in the fingerprint chain instead of demanding an
-/// identical instance.
-#[test]
-fn checkpoint_resumes_on_perturbed_descendant_instance() {
-    let dir = tmp_dir("ancestor-resume");
-    let net = tier_a();
-    // A link whose removal keeps every scenario structurally feasible.
-    let removable = net
-        .link_ids()
-        .find(|&l| {
-            let mut cand = net.clone();
-            cand.apply_perturbation(&np_topology::Perturbation::LinkRemove { link: l })
-                .is_ok()
-                && np_churn::structurally_ok(&cand)
-        })
-        .expect("tier A has a removable link");
-    let events: Vec<ChurnEvent> = [
-        "demand-scale:1.2".to_string(),
-        format!("link-remove:{}", removable.index()),
-        "demand-scale:1.1".to_string(),
-    ]
-    .iter()
-    .map(|t| ChurnEvent::parse(t).expect("valid event"))
-    .collect();
-    let cfg = exact_cfg(1);
-    let units = greedy_units(&net, cfg.eval);
-    let first = NeuroPlan::new(cfg.clone())
-        .with_checkpoint(&dir, false)
-        .replan_from(&net, &units, &events, &exact_rcfg())
-        .expect("stream replans");
-    assert_eq!(first.skipped(), 0);
-
-    // Reconstruct the instance as it stood after event 1 — a descendant
-    // with a *different link table* than the stream's start.
-    let mut descendant = net.clone();
-    for ev in &events[..2] {
-        let p = ev.to_perturbation(&descendant).expect("event converts");
-        descendant.apply_perturbation(&p).expect("event applies");
-    }
-    assert_ne!(descendant.link_ids().count(), net.link_ids().count());
-
-    let resumed = NeuroPlan::new(cfg)
-        .with_checkpoint(&dir, true)
-        .replan_from(&descendant, &units, &events, &exact_rcfg())
-        .expect("ancestor resume works");
-    assert!(resumed.resumed >= 2, "events up to the descendant restored");
-    assert_eq!(resumed.final_units, first.final_units);
-    assert_eq!(resumed.final_cost.to_bits(), first.final_cost.to_bits());
-    assert_eq!(resumed.initial_cost.to_bits(), first.initial_cost.to_bits());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ---- chaos kill mid-stream (subprocess) -----------------------------
 
 fn bin() -> &'static str {
@@ -312,7 +257,7 @@ fn replan_args<'a>(dir: &'a str, out: &'a str, extra: &[&'a str]) -> Vec<&'a str
 
 /// Kill the process mid-stream, resume, and land on the uninterrupted
 /// run's exact plan — with the already-solved prefix replayed from the
-/// ancestor-fingerprint chain instead of re-solved.
+/// stream's fingerprint chain instead of re-solved.
 #[test]
 fn kill_mid_stream_resumes_to_the_uninterrupted_plan() {
     let clean_dir = tmp_dir("kill-clean");
