@@ -72,3 +72,31 @@ fn evaluator_confirms_first_stage_plans_too() {
     let mut evaluator = PlanEvaluator::new(&check, EvalConfig::default());
     assert!(evaluator.check_network(&check).feasible);
 }
+
+/// The staged API runs the code `plan()` runs: `first_stage`, then
+/// `second_stage`, then `plan()`'s choice between the two, lands on
+/// `plan()`'s final units and cost bits — under the supervisor's budgets
+/// too: with no branch-and-bound nodes the master ships its warm plan and
+/// the polish stage trims it.
+#[test]
+fn the_staged_api_equals_plan() {
+    let net = GeneratorConfig::a_variant(0.5).generate();
+    let unlimited = NeuroPlanConfig::quick().with_seed(1);
+    let mut no_nodes = unlimited.clone();
+    no_nodes.supervisor.budget.max_nodes = Some(0);
+    for (row, cfg) in [("unlimited", unlimited), ("no nodes", no_nodes)] {
+        let planner = NeuroPlan::new(cfg);
+        let first = planner.first_stage(&net);
+        let mut stats = first.stats.clone();
+        let cuts = first.certificates.clone();
+        let (master, _) = planner.second_stage(&net, &first.units, first.cost, cuts, &mut stats);
+        let (cost, units) = if master.has_plan() && master.cost < first.cost {
+            (master.cost, master.units)
+        } else {
+            (first.cost, first.units)
+        };
+        let planned = planner.plan(&net);
+        assert_eq!(units, planned.final_units, "{row}");
+        assert_eq!(cost.to_bits(), planned.final_cost.to_bits(), "{row}");
+    }
+}
