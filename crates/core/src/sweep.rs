@@ -10,15 +10,17 @@
 //!
 //! `<out>/<i>.json` holds cell `i`'s request, canonicalized, followed by
 //! its outcome: a plan file's members plus `rl_cost`, `reference_cost`,
-//! `rung`, `retries`, `degrades` and the learning curve `epochs`
-//! (`return`, `completed`, `truncated` per epoch); or a baseline's `cost`,
+//! `rung`, `retries`, `degrades`, the learning curve `epochs`
+//! (`return`, `completed`, `truncated` per epoch), `first_stage_source`
+//! (`policy` or `greedy`) and `epochs_run`; or a baseline's `cost`,
 //! `cost_hex`, `proven`, `nodes` and `cuts`; or the `error` that stopped
 //! it. Every cell ends with its wall `millis`. `<out>/summary.csv` has one
 //! row per cell with fixed columns and no wall time, so a re-run at the
 //! same commit reproduces it byte for byte wherever no wall budget cut a
 //! solve short. Its `request` column is the cell as flags: `neuroplan
 //! <command> <request>` runs the cell alone; its `returns` column is the
-//! curve's mean returns, `;`-joined.
+//! curve's mean returns, `;`-joined, and its last two columns are
+//! `first_stage_source` and `epochs_run`.
 
 use crate::baselines::Baseline;
 use crate::pipeline::{validate_plan, NeuroPlan, NeuroPlanResult};
@@ -130,6 +132,8 @@ fn run_cell(cell: &Cell) -> Members {
                     "retries": result.supervision.total_retries(),
                     "degrades": result.supervision.degrades,
                     "epochs": Value::Array(epochs.collect()),
+                    "first_stage_source": result.first_stage_source(),
+                    "epochs_run": result.train_report.epochs_run(),
                 })
             }
             Err(e) => json!({ "error": e }),
@@ -156,7 +160,7 @@ fn run_cell(cell: &Cell) -> Members {
 
 /// The outcome columns of `summary.csv`, after `cell,command,request`;
 /// a cell leaves empty the ones its command does not report.
-const COLUMNS: [&str; 14] = [
+const COLUMNS: [&str; 16] = [
     "cost",
     "cost_hex",
     "first_stage_cost",
@@ -171,6 +175,8 @@ const COLUMNS: [&str; 14] = [
     "cuts",
     "error",
     "returns",
+    "first_stage_source",
+    "epochs_run",
 ];
 
 /// Run every cell in order, writing `<out>/<i>.json` as each finishes and

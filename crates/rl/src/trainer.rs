@@ -99,8 +99,8 @@ impl TrainReport {
             .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// Epochs actually run (a wall budget, a cancellation or a NaN
-    /// give-up may cut `cfg.epochs` short).
+    /// Epochs actually run (a wall budget, a cancellation, a NaN
+    /// give-up or the epoch hook may cut `cfg.epochs` short).
     pub fn epochs_run(&self) -> usize {
         self.epochs.len()
     }
@@ -292,10 +292,11 @@ pub struct TrainProgress<'a> {
     pub recovery_nonce: u64,
 }
 
-/// Per-epoch checkpoint callback: runs after the epoch's updates and
-/// stats, before the trainer moves on. Receives the agent and environment
-/// mutably so it can serialize their state.
-pub type EpochHook<'a, E> = dyn FnMut(&mut ActorCritic, &mut E, &TrainProgress<'_>) + 'a;
+/// Per-epoch callback: runs after the epoch's updates and stats, before
+/// the trainer moves on. Receives the agent and environment mutably so it
+/// can serialize their state; returning `true` ends training on this
+/// epoch's boundary, after the injected-kill check.
+pub type EpochHook<'a, E> = dyn FnMut(&mut ActorCritic, &mut E, &TrainProgress<'_>) -> bool + 'a;
 
 /// The full-featured epoch loop: [`train`] plus telemetry through `tel`
 /// (per-epoch return/completion/length metrics under the `rl` subsystem,
@@ -313,7 +314,8 @@ pub type EpochHook<'a, E> = dyn FnMut(&mut ActorCritic, &mut E, &TrainProgress<'
 ///
 /// `resume` restores the loop counters of a checkpointed run (the caller
 /// restores agent and environment); `on_epoch` runs after each completed
-/// epoch so the caller can write the checkpoint.
+/// epoch so the caller can write the checkpoint, and may stop training
+/// there.
 pub fn train_resumable<E: GraphEnv + Send>(
     env: &mut E,
     agent: &mut ActorCritic,
@@ -430,7 +432,7 @@ pub fn train_resumable<E: GraphEnv + Send>(
             truncated,
             mean_length,
         });
-        if let Some(hook) = on_epoch.as_mut() {
+        let stop = on_epoch.as_mut().is_some_and(|hook| {
             let stats = report.epochs.last().expect("epoch just pushed");
             hook(
                 agent,
@@ -440,14 +442,17 @@ pub fn train_resumable<E: GraphEnv + Send>(
                     next_epoch: epoch + 1,
                     recovery_nonce,
                 },
-            );
-        }
+            )
+        });
         // The injected kill lands after the checkpoint hook, so a killed
         // run always leaves a resumable epoch record behind.
         if chaos.should_fire(np_chaos::FaultClass::Kill) {
             panic!("chaos: injected kill after epoch {epoch}");
         }
         epoch += 1;
+        if stop {
+            break;
+        }
     }
     report
 }
@@ -708,6 +713,7 @@ mod tests {
                         },
                     ));
                 }
+                false
             };
             // Simulate the kill by only running the first two epochs.
             let short = TrainConfig {
@@ -747,6 +753,42 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(key(&report), key(&full_report), "stats diverged");
+    }
+
+    #[test]
+    fn a_hook_that_stops_ends_training_on_that_epoch() {
+        let cfg = TrainConfig {
+            epochs: 5,
+            steps_per_epoch: 32,
+            max_traj_len: 16,
+            ..Default::default()
+        };
+        let run = |chaos: &np_chaos::Chaos| {
+            let mut env = CounterEnv::new(3, 1, 5);
+            let mut agent = small_agent(&env, 7);
+            let mut seen = Vec::new();
+            let mut hook = |_: &mut ActorCritic, _: &mut CounterEnv, p: &TrainProgress<'_>| {
+                seen.push(p.next_epoch);
+                p.next_epoch == 2
+            };
+            let tel = Telemetry::noop();
+            let report = train_resumable(
+                &mut env,
+                &mut agent,
+                &cfg,
+                &tel,
+                chaos,
+                None,
+                Some(&mut hook),
+            );
+            (report.epochs_run(), seen)
+        };
+        assert_eq!(run(&np_chaos::Chaos::disabled()), (2, vec![1, 2]));
+        // The stopping epoch still passes the kill check, so a kill there
+        // lands after its checkpoint as on any other epoch.
+        let kill = np_chaos::Chaos::new(np_chaos::FaultPlan::parse("kill@1").unwrap());
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&kill)));
+        assert!(killed.is_err(), "kill@1 fires after the stopping epoch");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! The same body pins the breakdown's accounting on a whole plan — RL
 //! first stage included, rollouts on 1 and on 4 threads: the self times
 //! of the profile sum to at most the wall (forked rollout evaluators
-//! publish their stage times inside the live `rl.forward` span, and
-//! worker CPU-seconds are clipped to wall).
+//! publish their stage times, and the rest of their scan time as
+//! `eval.fork_checks`, inside the live `rl.forward` span, and worker
+//! CPU-seconds are clipped to wall).
 
 use neuroplan::master::{solve_master_telemetry, MasterConfig};
 use neuroplan::{NeuroPlan, NeuroPlanConfig};
@@ -72,6 +73,16 @@ fn profiled_plan(net: &Network, workers: usize) -> (u64, u64) {
             .iter()
             .any(|e| e.name == "mwu" && e.self_us > 0),
         "the evaluator's stage times must reach the profile"
+    );
+    // The rollout actors' forked evaluators check under a silent sink;
+    // their scan time outside the MWU and the exact LP must still leave
+    // `rl.forward`'s self time for an `eval` row of its own.
+    assert!(
+        report
+            .entries
+            .iter()
+            .any(|e| e.sys == "eval" && e.name == "fork_checks" && e.self_us > 0),
+        "the rollout actors' env checks must reach the profile"
     );
     (report.self_total_us(), wall)
 }
