@@ -13,6 +13,8 @@
 
 use neuroplan::master::{solve_master, MasterConfig, MasterOutcome};
 use neuroplan::{NeuroPlan, NeuroPlanConfig, PlanQuality, ReplanConfig, ReplanReport};
+use np_chaos::checkpoint::Chain;
+use np_chaos::Chaos;
 use np_churn::ChurnEvent;
 use np_eval::{EvalConfig, PlanEvaluator};
 use np_lp::MipStatus;
@@ -281,12 +283,14 @@ fn kill_mid_stream_resumes_to_the_uninterrupted_plan() {
     let out_path = dir.join("plan.json");
     // Kill points are counted from the start of the process: one per
     // training epoch, then one per supervised stage (first_stage, master,
-    // polish), then each event's replan_master. `--quick` trains fewer
-    // epochs under `debug_assertions`, and the binary is built with this
-    // test's profile, so the count of the same `quick()` places the kill
-    // inside event 1's solve — after event 0's record hit the checkpoint
-    // — in debug and release alike.
-    let plan_phase = NeuroPlanConfig::quick().train.epochs + 3;
+    // polish), then each event's replan_master. The epochs are the ones
+    // the uninterrupted run trained — one `epoch` record each in its
+    // chain; a policy that has lost to greedy stops early (DESIGN.md §11)
+    // and `--quick` shrinks under `debug_assertions` — so the kill lands
+    // inside event 1's solve, after event 0's record hit the checkpoint,
+    // in debug and release alike.
+    let records = Chain::new(&clean_dir.join("checkpoint.jsonl"), &Chaos::disabled()).read();
+    let plan_phase = records.iter().filter(|r| r.kind == "epoch").count() + 3;
     let kill = format!("kill@{}", plan_phase + 1);
     let killed = run(
         &replan_args(dir.to_str().unwrap(), out_path.to_str().unwrap(), &[]),
