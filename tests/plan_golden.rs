@@ -10,8 +10,12 @@
 //! was recorded on the commit *before* the exact LP moved from the edge
 //! to the path formulation: the exact oracle may change how it gets its
 //! verdicts, never the plan they lead to.
+//!
+//! `tests/golden/replan_preset_b_seed0_n6.json` pins a churn stream the
+//! same way: `replan_from` on the preset-B instance from the golden
+//! preset-B plan, so no training runs.
 
-use neuroplan::{NeuroPlan, NeuroPlanConfig};
+use neuroplan::{NeuroPlan, NeuroPlanConfig, ReplanConfig};
 use np_chaos::checkpoint::f64_to_hex;
 use np_topology::generator::{GeneratorConfig, TopologyPreset};
 
@@ -52,6 +56,62 @@ fn preset_c_8_epochs_1_worker_matches_the_recorded_plan() {
     assert!(
         golden.trim_end() == actual,
         "preset-C plan differs from {path}; this run produced:\n{actual}"
+    );
+}
+
+/// `neuroplan replan --preset b --quick --workers 1 --events seed=0,n=6`
+/// from the golden preset-B plan, event by event (class, skip reason,
+/// cost bits, rung, churn, certificates kept and dropped) plus the final
+/// units.
+#[test]
+fn preset_b_stream_seed_0_matches_the_recorded_events() {
+    let net = GeneratorConfig::preset(TopologyPreset::B).generate();
+    let plan: serde_json::Value = serde_json::from_str(include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/plan_preset_b_quick_w1.json"
+    )))
+    .expect("golden plan JSON");
+    let units: Vec<u32> = plan["units"]
+        .as_array()
+        .expect("units array")
+        .iter()
+        .map(|u| u.as_u64().expect("unit") as u32)
+        .collect();
+    let events = np_churn::generate_stream(&net, 0, 6);
+    let cfg = release_quick(20).with_seed(0).with_workers(1);
+    let report = NeuroPlan::new(cfg)
+        .replan_from(&net, &units, &events, &ReplanConfig::default())
+        .expect("stream replans");
+    let events: Vec<serde_json::Value> = report
+        .events
+        .iter()
+        .map(|ev| {
+            serde_json::json!({
+                "event": ev.event,
+                "class": ev.class,
+                "skipped": ev.skipped,
+                "cost_hex": f64_to_hex(ev.cost),
+                "quality": ev.quality.name(),
+                "churn": ev.churn,
+                "certs_retained": ev.certs_retained,
+                "certs_dropped": ev.certs_dropped,
+            })
+        })
+        .collect();
+    let actual = serde_json::json!({
+        "events": events,
+        "units": report.final_units,
+        "cost_hex": f64_to_hex(report.final_cost),
+    });
+    let actual = serde_json::to_string_pretty(&actual).expect("json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/replan_preset_b_seed0_n6.json"
+    );
+    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    assert!(
+        golden.trim_end() == actual,
+        "preset-B stream differs from {path}; this run produced:\n{actual}"
     );
 }
 
