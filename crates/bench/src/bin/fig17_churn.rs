@@ -29,7 +29,7 @@ use np_bench::churn::{
     ChurnBench, ChurnEventRow, ClassStability, SingleLinkReplan, CHURN_SCHEMA_VERSION,
 };
 use np_bench::{cell, Table};
-use np_churn::{generate_stream, structurally_ok, ChurnEvent};
+use np_churn::{apply_checked, generate_stream, ChurnEvent};
 use np_topology::{FamilyConfig, LinkId, Network, Perturbation, SizeTier, TopologyFamily};
 use std::time::Instant;
 
@@ -90,17 +90,12 @@ fn planner_config(quick: bool, seed: u64) -> NeuroPlanConfig {
     }
 }
 
-/// The least-loaded link whose decommission keeps the instance
-/// structurally feasible — the canonical single-link event (in practice
-/// you decommission the lambda the plan leans on least).
+/// The least-loaded link whose decommission passes the checked step —
+/// the canonical single-link event (in practice you decommission the
+/// lambda the plan leans on least).
 fn removable_link(net: &Network, units: &[u32]) -> LinkId {
     net.link_ids()
-        .filter(|&l| {
-            let mut cand = net.clone();
-            cand.apply_perturbation(&Perturbation::LinkRemove { link: l })
-                .is_ok()
-                && structurally_ok(&cand)
-        })
+        .filter(|&link| apply_checked(net, &Perturbation::LinkRemove { link }).is_ok())
         .min_by_key(|l| units[l.index()])
         .expect("tier B has a removable link")
 }
@@ -163,10 +158,7 @@ fn main() {
     assert_eq!(inc.skipped(), 0, "the single-link event must apply");
     validate_plan(&inc.net, &inc.final_units).expect("incremental plan valid");
 
-    let mut perturbed = net.clone();
-    perturbed
-        .apply_perturbation(&event.to_perturbation(&net).expect("event resolves"))
-        .expect("event applies");
+    let (perturbed, _) = event.apply_checked(&net).expect("event applies");
     let t0 = Instant::now();
     let cold = planner.try_plan(&perturbed).expect("cold re-plan");
     let cold_millis = t0.elapsed().as_secs_f64() * 1e3;

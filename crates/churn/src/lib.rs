@@ -9,17 +9,18 @@
 //! the *current* network state, a [`ChurnSpec`] is either an explicit
 //! event list or a seeded generator description, and
 //! [`generate_stream`] expands the latter into a concrete stream that is
-//! guaranteed to apply in sequence (each generated event is validated
-//! against a scratch copy of the evolving instance, including a
-//! structural-feasibility check, before it is emitted).
+//! guaranteed to apply in sequence.
 //!
-//! The re-planning pipeline in `np-core` consumes these events one at a
-//! time, converts each to an [`np_topology::Perturbation`] via
-//! [`ChurnEvent::to_perturbation`], and uses the resulting
-//! [`np_topology::PerturbDelta`] to invalidate exactly the Benders cuts
-//! the event touches (DESIGN.md §14).
+//! One rule accepts a change, wherever it is made: [`apply_checked`]
+//! applies a [`Perturbation`] to a clone of the instance and requires
+//! [`structurally_ok`] of the result. Generated events and `np-core`'s
+//! live, replayed and chaos-flapped changes all pass through it; the
+//! returned [`PerturbDelta`] invalidates exactly the Benders cuts the
+//! change touches (DESIGN.md §14).
 
-use np_topology::{Failure, FailureKind, FiberId, IpLink, LinkId, Network, Perturbation, SiteId};
+use np_topology::{
+    Failure, FailureKind, FiberId, IpLink, LinkId, Network, PerturbDelta, Perturbation, SiteId,
+};
 
 /// Typed spec-parsing / resolution errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -234,6 +235,13 @@ impl ChurnEvent {
                 })
             }
         }
+    }
+
+    /// Resolve this event against `net` and take the [`apply_checked`]
+    /// step; a resolution error is reported by its text.
+    pub fn apply_checked(&self, net: &Network) -> Result<(Network, PerturbDelta), String> {
+        let p = self.to_perturbation(net).map_err(|e| e.to_string())?;
+        apply_checked(net, &p)
     }
 
     /// Parse one event token (the inverse of [`ChurnEvent`]'s `Display`).
@@ -471,6 +479,19 @@ pub fn structurally_ok(net: &Network) -> bool {
     true
 }
 
+/// The one acceptance rule for a change to an instance: apply `p` to a
+/// clone of `net` and require [`structurally_ok`] of the result. `Ok` is
+/// the new instance and its delta; `Err` is why the change is refused
+/// (the topology's validation error, or structural infeasibility).
+pub fn apply_checked(net: &Network, p: &Perturbation) -> Result<(Network, PerturbDelta), String> {
+    let mut next = net.clone();
+    let delta = next.apply_perturbation(p).map_err(|e| e.to_string())?;
+    if !structurally_ok(&next) {
+        return Err("perturbed instance is structurally infeasible".to_string());
+    }
+    Ok((next, delta))
+}
+
 /// BFS over alive links from `src` under `scenario`.
 fn reachable_from(
     net: &Network,
@@ -507,9 +528,8 @@ fn reachable_from(
 /// Expand a seeded generator description into a concrete event stream.
 ///
 /// Deterministic: the stream is a pure function of `(net, seed, n)`.
-/// Each event is drawn with [`splitmix64`], validated against a scratch
-/// copy of the evolving instance (application must succeed *and*
-/// [`structurally_ok`] must hold afterwards), and only then emitted; a
+/// Each event is drawn with [`splitmix64`] and emitted only once it
+/// passes [`apply_checked`] on the evolving instance; a
 /// draw that does not apply is retried with the next PRNG output, and
 /// after 32 failed draws the event degrades to a small demand bump,
 /// which always applies.
@@ -518,24 +538,18 @@ pub fn generate_stream(net: &Network, seed: u64, n: usize) -> Vec<ChurnEvent> {
     let mut state = seed;
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut picked = None;
-        for _ in 0..32 {
+        let picked = (0..32).find_map(|_| {
             let r = splitmix64(&mut state);
             let r2 = splitmix64(&mut state);
-            let Some(ev) = candidate_event(&scratch, r, r2) else {
-                continue;
-            };
-            if applies(&mut scratch, &ev) {
-                picked = Some(ev);
-                break;
-            }
-        }
-        let ev = picked.unwrap_or_else(|| {
-            let ev = ChurnEvent::DemandScale { factor: 1.05 };
-            let applied = applies(&mut scratch, &ev);
-            debug_assert!(applied, "a demand bump always applies");
-            ev
+            let ev = candidate_event(&scratch, r, r2)?;
+            ev.apply_checked(&scratch).ok().map(|step| (ev, step))
         });
+        let (ev, (next, _)) = picked.unwrap_or_else(|| {
+            let ev = ChurnEvent::DemandScale { factor: 1.05 };
+            let step = ev.apply_checked(&scratch);
+            (ev, step.expect("a demand bump always applies"))
+        });
+        scratch = next;
         events.push(ev);
     }
     events
@@ -580,23 +594,6 @@ fn candidate_event(net: &Network, r: u64, r2: u64) -> Option<ChurnEvent> {
         }),
         _ => None,
     }
-}
-
-/// Apply `ev` to `scratch` if it is valid there and keeps the instance
-/// structurally feasible; report whether it was committed.
-fn applies(scratch: &mut Network, ev: &ChurnEvent) -> bool {
-    let Ok(p) = ev.to_perturbation(scratch) else {
-        return false;
-    };
-    let mut cand = scratch.clone();
-    if cand.apply_perturbation(&p).is_err() {
-        return false;
-    }
-    if !structurally_ok(&cand) {
-        return false;
-    }
-    *scratch = cand;
-    true
 }
 
 #[cfg(test)]

@@ -595,6 +595,7 @@ impl NeuroPlan {
         let _stage_span = self.tel.span(sys::PIPELINE, "first_stage");
         // Reference plan: reward scale + fallback. Failure here means no
         // plan exists at any capacity — not worth retrying.
+        let greedy_span = self.tel.span(sys::PIPELINE, "greedy_reference");
         let mut ref_net = net.clone();
         let ref_cost = greedy_augment(&mut ref_net, self.cfg.eval)
             .map_err(|e| StageError::Fatal(format!("greedy reference failed: {e:?}")))?;
@@ -602,12 +603,14 @@ impl NeuroPlan {
             .link_ids()
             .map(|l| ref_net.link(l).capacity_units)
             .collect();
+        drop(greedy_span);
         let norm = ref_cost.max(1e-6);
 
         // The env scans on one worker, as its actor forks do: its walks
         // never reach the exact LP, so a wider scan would keep speculative
         // certificates past the stop and hand them to the master as seeds
         // (DESIGN.md §9).
+        let build_span = self.tel.span(sys::PIPELINE, "env_build");
         let mut env = PlanningEnv::new(
             net.clone(),
             EvalConfig {
@@ -624,6 +627,7 @@ impl NeuroPlan {
             self.cfg.max_units_per_step,
             &self.cfg.agent,
         );
+        drop(build_span);
         // Restore from the last epoch record, if any. A blob that fails
         // to restore (foreign, corrupt) discards the resume entirely
         // rather than training from a half-restored state.
@@ -703,6 +707,7 @@ impl NeuroPlan {
         // the wall budget spent, the stochastic extras are dropped but
         // the greedy decode always runs — it is what turns a trained
         // policy into a plan.
+        let rollouts_span = self.tel.span(sys::PIPELINE, "final_rollouts");
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xdead_beef);
         let rollout_cap = self.cfg.train.max_traj_len * 4;
         let wall_spent = |ctx: Option<&StageCtx>| {
@@ -730,6 +735,7 @@ impl NeuroPlan {
                 }
             }
         }
+        drop(rollouts_span);
 
         let rl_best = env.best_plan().cloned();
         let rl_cost = rl_best.as_ref().map(|(c, _)| *c);

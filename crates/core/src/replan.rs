@@ -31,6 +31,7 @@ use np_eval::{EvalStats, PlanEvaluator};
 use np_supervisor::{PlanQuality, SupervisionReport, Supervisor};
 use np_telemetry::sys;
 use np_topology::{LinkId, Network, PerturbDelta, Perturbation};
+use std::convert::Infallible;
 
 /// Knobs of the incremental re-planning loop.
 #[derive(Clone, Debug)]
@@ -45,9 +46,6 @@ pub struct ReplanConfig {
     /// search space as a cold master, so incremental equals cold exactly
     /// and is merely warmer.
     pub prune_alpha: Option<f64>,
-    /// Seed for the chaos link-flap victim choice (deterministic per
-    /// event index, so a resumed stream replays the same flap).
-    pub flap_seed: u64,
 }
 
 impl Default for ReplanConfig {
@@ -55,7 +53,6 @@ impl Default for ReplanConfig {
         ReplanConfig {
             gap_tol: MasterConfig::DEFAULT_GAP,
             prune_alpha: None,
-            flap_seed: 0,
         }
     }
 }
@@ -181,10 +178,12 @@ impl NeuroPlan {
         let ckpt_path = self.checkpoint_dir.as_ref().map(|d| d.join("replan.jsonl"));
         let ckpt = ckpt_path.as_deref().map(|p| Chain::new(p, chaos));
         let event_strs: Vec<String> = events.iter().map(|e| e.to_string()).collect();
+        // The third slot held a flap-victim seed that was always 0; it
+        // stays, so chains recorded with it still resume.
         let knob_bits = [
             rcfg.gap_tol.to_bits(),
             rcfg.prune_alpha.map_or(u64::MAX, f64::to_bits),
-            rcfg.flap_seed,
+            0,
         ];
         let stream = checkpoint::replan_stream_tag(&event_strs, initial_units, &knob_bits);
         let mut start = 0usize;
@@ -210,7 +209,7 @@ impl NeuroPlan {
                 if meta.as_ref().is_some_and(|m| m.matches(&stream, &fp_now)) {
                     own_meta = meta;
                     for rec in &decoded {
-                        if !replay_record(&mut cur, rec, &event_strs, rcfg, &self.cfg) {
+                        if !replay_record(&mut cur, rec, &event_strs, &self.cfg) {
                             break;
                         }
                         units = rec.units.clone();
@@ -270,96 +269,55 @@ impl NeuroPlan {
             let afp = ckpt
                 .as_ref()
                 .map(|_| checkpoint::fingerprint(&cur, &self.cfg));
-            let mut flapped = false;
-            // Chaos link-flap: a link drops mid-stream and comes back.
-            // Recovery is two full incremental re-plans — down (traffic
-            // rerouted onto the survivors) and up (the link re-added with
-            // its exact former spec) — so the stream continues from a
-            // plan that is feasible at every intermediate state.
-            if chaos.should_fire(FaultClass::LinkFlap) {
-                if let Some(victim) = flap_victim(&cur, rcfg.flap_seed, k) {
-                    flapped = true;
-                    self.tel.incr(sys::PIPELINE, "replan_flaps", 1);
-                    let delta = cur
-                        .apply_perturbation(&Perturbation::LinkRemove { link: victim })
-                        .expect("flap victim was validated on a clone");
-                    evaluator.apply_perturbation(&cur, &delta);
-                    units = delta.carry_units(&cur, &units);
-                    let spec = match &delta {
-                        PerturbDelta::LinkRemove { spec, .. } => spec.clone(),
-                        _ => unreachable!("link removal yields a LinkRemove delta"),
-                    };
-                    let (u, _, _) = self.replan_solve(&sup, &cur, &mut evaluator, &units, rcfg)?;
-                    units = u;
-                    let delta = cur
-                        .apply_perturbation(&Perturbation::LinkAdd { link: spec })
-                        .expect("re-adding a just-removed link is valid");
-                    evaluator.apply_perturbation(&cur, &delta);
-                    units = delta.carry_units(&cur, &units);
-                    let (u, _, _) = self.replan_solve(&sup, &cur, &mut evaluator, &units, rcfg)?;
-                    units = u;
-                }
-            }
-
-            // Apply the event on a clone first: a perturbation that fails
-            // validation — or that leaves some scenario with no surviving
-            // path at any capacity — must not poison the live instance
-            // (the evaluator's surgery has no inverse), so such an event
-            // is skipped and the stream recovers by keeping the plan.
-            let ev = &events[k];
-            let mut skipped: Option<String> = None;
-            let mut applied = false;
-            match ev.to_perturbation(&cur) {
-                Err(e) => skipped = Some(e.to_string()),
-                Ok(p) => {
-                    let mut cand = cur.clone();
-                    match cand.apply_perturbation(&p) {
-                        Err(e) => skipped = Some(e.to_string()),
-                        Ok(delta) => {
-                            if !np_churn::structurally_ok(&cand) {
-                                skipped = Some(
-                                    "perturbed instance is structurally infeasible".to_string(),
-                                );
-                            } else {
-                                cur = cand;
-                                evaluator.apply_perturbation(&cur, &delta);
-                                units = delta.carry_units(&cur, &units);
-                                applied = true;
-                            }
-                        }
-                    }
-                }
-            }
-
-            let carried = units.clone();
-            if applied {
-                let (u, c, q) = self.replan_solve(&sup, &cur, &mut evaluator, &carried, rcfg)?;
+            // Each perturbation the event commits — a chaos flap's down
+            // and up first, then the event's own — is surgery on the
+            // evaluator and an incremental re-plan, so the stream
+            // continues from a plan feasible at every intermediate state.
+            // A refused event is skipped and the plan kept.
+            let flap = chaos.should_fire(FaultClass::LinkFlap);
+            let mut solved = None;
+            let step = apply_event(&mut cur, &events[k], k, flap, |cur, delta| {
+                evaluator.apply_perturbation(cur, delta);
+                let carried = delta.carry_units(cur, &units);
+                let (u, c, q) = self.replan_solve(&sup, cur, &mut evaluator, &carried, rcfg)?;
                 units = u;
-                cost = c;
-                quality = q;
-            } else {
-                self.tel.incr(sys::PIPELINE, "replan_skipped", 1);
-                cost = plan_cost_of(&cur, &units);
+                solved = Some((carried, c, q));
+                Ok(())
+            })?;
+            if step.flapped {
+                self.tel.incr(sys::PIPELINE, "replan_flaps", 1);
             }
-            let churn: u64 = units
-                .iter()
-                .zip(carried.iter())
-                .map(|(&a, &b)| u64::from(a.abs_diff(b)))
-                .sum();
+            // The last solve is the event's own unless the event was refused.
+            let churn = match solved.filter(|_| step.skipped.is_none()) {
+                Some((carried, c, q)) => {
+                    cost = c;
+                    quality = q;
+                    units
+                        .iter()
+                        .zip(&carried)
+                        .map(|(&a, &b)| u64::from(a.abs_diff(b)))
+                        .sum()
+                }
+                None => {
+                    self.tel.incr(sys::PIPELINE, "replan_skipped", 1);
+                    cost = plan_cost_of(&cur, &units);
+                    0
+                }
+            };
             let delta_stats = evaluator.take_stats();
             eval_stats.merge(&delta_stats);
 
             let mut report = EventReport {
                 index: k,
-                class: ev.class().to_string(),
+                class: events[k].class().to_string(),
                 event: event_strs[k].clone(),
-                skipped,
+                skipped: step.skipped,
                 cost,
                 quality,
                 churn,
                 certs_retained: delta_stats.perturb_certs_retained,
                 certs_dropped: delta_stats.perturb_certs_dropped,
-                flapped,
+                flapped: step.flapped,
                 resumed: false,
                 millis: 0.0,
             };
@@ -439,14 +397,13 @@ fn restored(rec: &ReplanEventRecord) -> EventReport {
 
 /// Re-apply one recorded event's perturbations (flap included, solves
 /// excluded) to `cur`, verify-then-commit: `cur` is only mutated when
-/// the whole record replays cleanly and lands on the recorded
-/// fingerprint. `false` = the chain diverges here; the caller re-solves
-/// from this event onward.
+/// the record's event is this stream's and the replay leads from the
+/// recorded ancestor fingerprint to the recorded one. `false` = the chain
+/// diverges here; the caller re-solves from this event onward.
 fn replay_record(
     cur: &mut Network,
     rec: &ReplanEventRecord,
     event_strs: &[String],
-    rcfg: &ReplanConfig,
     cfg: &crate::config::NeuroPlanConfig,
 ) -> bool {
     let k = rec.report.index;
@@ -456,21 +413,13 @@ fn replay_record(
     if rec.ancestor_fp != checkpoint::fingerprint(cur, cfg) {
         return false;
     }
-    let mut next = cur.clone();
-    if rec.report.flapped && !replay_flap(&mut next, rcfg.flap_seed, k) {
+    let Ok(ev) = ChurnEvent::parse(&rec.report.event) else {
         return false;
-    }
-    if rec.report.skipped.is_none() {
-        let Ok(ev) = ChurnEvent::parse(&rec.report.event) else {
-            return false;
-        };
-        let Ok(p) = ev.to_perturbation(&next) else {
-            return false;
-        };
-        if next.apply_perturbation(&p).is_err() || !np_churn::structurally_ok(&next) {
-            return false;
-        }
-    }
+    };
+    let mut next = cur.clone();
+    let Ok(_) = apply_event(&mut next, &ev, k, rec.report.flapped, |_, _| {
+        Ok::<_, Infallible>(())
+    });
     if checkpoint::fingerprint(&next, cfg) != rec.fp {
         return false;
     }
@@ -478,45 +427,62 @@ fn replay_record(
     true
 }
 
+/// What [`apply_event`] did.
+struct Step {
+    /// Whether a flap victim was found, dropped and re-added.
+    flapped: bool,
+    /// Why the event itself was refused, if it was.
+    skipped: Option<String>,
+}
+
+/// Apply event `k` to `cur`, every change through np-churn's checked
+/// step, calling `on_step` after each one it commits. With `flap`, a
+/// victim link is first removed and its exact spec re-added — two steps —
+/// and then the event is tried; a refused event leaves `cur` as the flap
+/// left it.
+fn apply_event<E>(
+    cur: &mut Network,
+    ev: &ChurnEvent,
+    k: usize,
+    flap: bool,
+    mut on_step: impl FnMut(&Network, &PerturbDelta) -> Result<(), E>,
+) -> Result<Step, E> {
+    let mut commit = |cur: &mut Network, (next, delta): (Network, PerturbDelta)| {
+        *cur = next;
+        on_step(cur, &delta).map(|()| delta)
+    };
+    let victim = if flap { flap_victim(cur, k) } else { None };
+    let flapped = victim.is_some();
+    if let Some(down) = victim {
+        let PerturbDelta::LinkRemove { spec, .. } = commit(cur, down)? else {
+            unreachable!("link removal yields a LinkRemove delta")
+        };
+        let up = np_churn::apply_checked(cur, &Perturbation::LinkAdd { link: spec })
+            .expect("re-adding a just-removed link is valid");
+        commit(cur, up)?;
+    }
+    let skipped = match ev.apply_checked(cur) {
+        Ok(next) => commit(cur, next).map(|_| None)?,
+        Err(reason) => Some(reason),
+    };
+    Ok(Step { flapped, skipped })
+}
+
 /// Deterministic flap victim for event `k`: a seeded starting point in
-/// the link table, then the first link whose removal validates and
-/// leaves every scenario structurally feasible. `None` when no link can
-/// be dropped (the flap is then recorded as not having happened).
-fn flap_victim(net: &Network, flap_seed: u64, k: usize) -> Option<LinkId> {
+/// the link table, then the first link whose removal passes the checked
+/// step, returned as that step. `None` when no link can be dropped (the
+/// flap is then recorded as not having happened).
+fn flap_victim(net: &Network, k: usize) -> Option<(Network, PerturbDelta)> {
     let n = net.link_ids().count();
     if n <= 1 {
         return None;
     }
-    let mut s = flap_seed ^ (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut s = (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let start = (np_churn::splitmix64(&mut s) % n as u64) as usize;
-    for j in 0..n {
-        let victim = LinkId::new((start + j) % n);
-        let mut cand = net.clone();
-        if cand
-            .apply_perturbation(&Perturbation::LinkRemove { link: victim })
-            .is_ok()
-            && np_churn::structurally_ok(&cand)
-        {
-            return Some(victim);
-        }
-    }
-    None
-}
-
-/// Replay a recorded flap: remove the (deterministically re-derived)
-/// victim and re-add its exact spec, without the intermediate solves.
-fn replay_flap(net: &mut Network, flap_seed: u64, k: usize) -> bool {
-    let Some(victim) = flap_victim(net, flap_seed, k) else {
-        return false;
-    };
-    let Ok(delta) = net.apply_perturbation(&Perturbation::LinkRemove { link: victim }) else {
-        return false;
-    };
-    let PerturbDelta::LinkRemove { spec, .. } = delta else {
-        return false;
-    };
-    net.apply_perturbation(&Perturbation::LinkAdd { link: spec })
-        .is_ok()
+    (0..n).find_map(|j| {
+        let link = LinkId::new((start + j) % n);
+        np_churn::apply_checked(net, &Perturbation::LinkRemove { link }).ok()
+    })
 }
 
 #[cfg(test)]

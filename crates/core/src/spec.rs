@@ -77,7 +77,6 @@ pub const FIELDS: &[Field] = &[
     Field { key: "events", kind: Kind::Events, doc: "churn stream to re-plan through (CLI: inline or a file)" },
     Field { key: "gap", kind: Kind::Real(0.0, f64::MAX), doc: "per-event relative optimality gap" },
     Field { key: "prune_alpha", kind: Kind::Real(1.0, f64::MAX), doc: "per-event relax factor around the carried plan" },
-    Field { key: "flap_seed", kind: Kind::Int(0, u64::MAX), doc: "seed of the chaos link-flap victim" },
 ];
 
 #[derive(Clone, Debug, PartialEq)]
@@ -362,7 +361,6 @@ impl PlanSpec {
         ReplanConfig {
             gap_tol: self.real("gap").unwrap_or(base.gap_tol),
             prune_alpha: self.real("prune_alpha"),
-            flap_seed: self.int("flap_seed").unwrap_or(base.flap_seed),
         }
     }
 }

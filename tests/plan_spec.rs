@@ -312,7 +312,7 @@ fn bad_specs() -> Vec<Value> {
         json!({"preset": "a", "seed": -1}),
         json!({"preset": "a", "seed": 1e19}),
         json!({"preset": "a", "seed": "18446744073709551616"}),
-        json!({"preset": "a", "flap_seed": "seven"}),
+        json!({"preset": "a", "seed": "seven"}),
         json!({"preset": "a", "max_retries": 4294967296u64}),
         // agent shapes and actions outside Table 2's span
         json!({"preset": "a", "mlp_hidden": 0}),
