@@ -93,7 +93,7 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
     let r = greedy::route(&ctx.graph, &ctx.commodities);
     if r.feasible {
         stats.greedy_hits += 1;
-        *ctx.witness.borrow_mut() = Some(r.flow);
+        ctx.proofs.borrow_mut().witness = Some(r.flow);
         return Verdict::Feasible;
     }
     mwu_verdict(ctx, cfg, stats)
@@ -104,8 +104,8 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
 /// a feasibility proof whenever every arc still covers it. The positive
 /// twin of the evaluator's metric-cut certificate reuse.
 fn witness_still_fits(ctx: &ScenarioCtx, stats: &mut EvalStats) -> bool {
-    let witness = ctx.witness.borrow();
-    let Some(flow) = witness.as_ref() else {
+    let proofs = ctx.proofs.borrow();
+    let Some(flow) = &proofs.witness else {
         return false;
     };
     let fits = ctx
@@ -203,7 +203,7 @@ fn mwu_verdict(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStats) -> V
         if cf.is_feasible() {
             // λ ≥ 1: the scaled flow over-routes every demand and is
             // capacity-feasible — keep it as the reusable witness.
-            *ctx.witness.borrow_mut() = Some(cf.flow);
+            ctx.proofs.borrow_mut().witness = Some(cf.flow);
             return Verdict::Feasible;
         }
         if let Some(cut) = extract_cut(&ctx.graph, &ctx.commodities, &cf.lengths) {
@@ -246,10 +246,8 @@ fn mwu_verdict(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStats) -> V
 /// Whether `ctx` holds a path LP built for its graph that has answered
 /// since the scenario was last perturbed (DESIGN.md §17, "Escalation").
 fn has_warm_lp(ctx: &ScenarioCtx) -> bool {
-    ctx.lp
-        .borrow()
-        .as_ref()
-        .is_some_and(|p| p.warm && p.fits(ctx))
+    let proofs = ctx.proofs.borrow();
+    proofs.lp.as_ref().is_some_and(|p| p.warm && p.fits(ctx))
 }
 
 /// The first violated node cut along `lengths`: per commodity source, in
@@ -341,7 +339,7 @@ fn mwu_completion_feasible(
         .map(|(c, &r)| Commodity::new(c.src, c.dst, c.demand - r))
         .collect();
     if leftovers.is_empty() {
-        *ctx.witness.borrow_mut() = Some(cf.flow.clone());
+        ctx.proofs.borrow_mut().witness = Some(cf.flow.clone());
         return true;
     }
     stats.greedy_attempts += 1;
@@ -350,7 +348,7 @@ fn mwu_completion_feasible(
         stats.greedy_hits += 1;
         // MWU base + greedy top-up routes every demand within capacity.
         let combined: Vec<f64> = cf.flow.iter().zip(&r.flow).map(|(a, b)| a + b).collect();
-        *ctx.witness.borrow_mut() = Some(combined);
+        ctx.proofs.borrow_mut().witness = Some(combined);
     }
     r.feasible
 }
@@ -479,7 +477,7 @@ fn exact_lp(ctx: &ScenarioCtx, stats: &mut EvalStats) -> Verdict {
         return v;
     }
     stats.lp_cold_retries += 1;
-    *ctx.lp.borrow_mut() = None;
+    ctx.proofs.borrow_mut().lp = None;
     column_generation(ctx, stats, 0.0)
 }
 
@@ -491,7 +489,9 @@ fn exact_lp(ctx: &ScenarioCtx, stats: &mut EvalStats) -> Verdict {
 fn column_generation(ctx: &ScenarioCtx, stats: &mut EvalStats, tol: f64) -> Verdict {
     let k = ctx.commodities.len();
     let na = ctx.graph.num_arcs();
-    let mut slot = ctx.lp.borrow_mut();
+    let mut proofs = ctx.proofs.borrow_mut();
+    let proofs = &mut *proofs;
+    let slot = &mut proofs.lp;
     if slot.as_ref().is_some_and(|p| !p.fits(ctx)) {
         *slot = None;
     }
@@ -536,7 +536,7 @@ fn column_generation(ctx: &ScenarioCtx, stats: &mut EvalStats, tol: f64) -> Verd
                     flow[a] += x;
                 }
             }
-            *ctx.witness.borrow_mut() = Some(flow);
+            proofs.witness = Some(flow);
         }
         return Verdict::Feasible;
     }
@@ -558,8 +558,8 @@ pub(crate) fn exact_lp_paths(ctx: &ScenarioCtx) -> Option<Vec<greedy::PathStep>>
     if !exact_lp_verdict(ctx).is_feasible() {
         return None;
     }
-    let mut slot = ctx.lp.borrow_mut();
-    let plp = slot.as_mut()?;
+    let mut proofs = ctx.proofs.borrow_mut();
+    let plp = proofs.lp.as_mut()?;
     // The converged restricted master: a warm re-solve pivots nothing.
     let sol = plp.lp.solve();
     if sol.status != LpStatus::Optimal || sol.x[LAMBDA.0] < 1.0 {
@@ -711,15 +711,15 @@ pub(crate) mod tests {
     /// λ of the persistent path LP as `exact_lp_verdict` left it (a warm
     /// re-solve of the converged restricted master pivots nothing).
     fn path_lp_lambda(ctx: &ScenarioCtx) -> f64 {
-        let mut slot = ctx.lp.borrow_mut();
-        slot.as_mut().expect("exact LP ran").lp.solve().x[LAMBDA.0]
+        let mut proofs = ctx.proofs.borrow_mut();
+        proofs.lp.as_mut().expect("exact LP ran").lp.solve().x[LAMBDA.0]
     }
 
     /// The three promises of the exact oracle on one refreshed context:
     /// λ equals the verbatim edge LP's, an infeasible verdict carries a
     /// violated cut, a `λ ≥ 1` verdict stores a witness that fits.
     fn assert_exact_oracle_contract(ctx: &ScenarioCtx, what: &str) {
-        *ctx.witness.borrow_mut() = None;
+        ctx.proofs.borrow_mut().witness = None;
         let verdict = exact_lp_verdict(ctx);
         let lam = path_lp_lambda(ctx);
         let edge = crate::edge_oracle::edge_lp_lambda(ctx, LAMBDA_CAP);
@@ -734,7 +734,8 @@ pub(crate) mod tests {
         match verdict {
             Verdict::Feasible => {
                 assert!(lam >= 1.0 - 1e-7, "{what}: feasible at λ {lam}");
-                let witness = ctx.witness.borrow();
+                let proofs = ctx.proofs.borrow();
+                let witness = &proofs.witness;
                 assert_eq!(witness.is_some(), lam >= 1.0, "{what}: witness iff λ ≥ 1");
                 for (arc, f) in ctx.graph.arcs().iter().zip(witness.iter().flatten()) {
                     assert!(*f <= arc.cap + 1e-9, "{what}: witness overflows an arc");
@@ -981,7 +982,7 @@ pub(crate) mod tests {
             .iter()
             .find(|c| !exact_lp_verdict(c).is_feasible())
             .expect("some scenario binds");
-        *ctx.lp.borrow_mut() = None;
+        ctx.proofs.borrow_mut().lp = None;
         let mut st = stats();
         assert!(matches!(
             exact_lp(ctx, &mut st),
@@ -994,8 +995,10 @@ pub(crate) mod tests {
         // has a zero right-hand side and cannot verify.
         let k = ctx.commodities.len();
         let poison = |ctx: &ScenarioCtx| {
-            let mut slot = ctx.lp.borrow_mut();
-            slot.as_mut()
+            let mut proofs = ctx.proofs.borrow_mut();
+            proofs
+                .lp
+                .as_mut()
                 .unwrap()
                 .lp
                 .set_coeff(ConstrId(k), LAMBDA, 1e9);

@@ -21,6 +21,11 @@
 //! * **witness fast path** — a greedy multicommodity routing attempt
 //!   proves feasibility cheaply in the common late-trajectory case.
 //!
+//! A scenario's proofs — the cut that last failed it, the flow that last
+//! routed it and its path LP — are one value on its [`ScenarioCtx`]: the
+//! scan's undo, `fork`/`absorb`, the perturbation surgery and the
+//! checkpoint snapshot each move it (DESIGN.md §9, §14, §17).
+//!
 //! The verdict pipeline per scenario ([`check_scenario`]) is: stored
 //! cut → degree cuts → greedy witness → rounded node cuts → MWU (coarse,
 //! then fine) with exact cut verification → exact LP (max concurrent

@@ -3,10 +3,12 @@
 //! every evaluation (the paper's "only update the constraints that are
 //! influenced … avoiding building up the model from scratch").
 
+use crate::checker::PathLp;
 use np_flow::commodity::group_by_source;
 use np_flow::dijkstra::Tree;
-use np_flow::{Commodity, FlowGraph};
+use np_flow::{Commodity, FlowGraph, MetricCut};
 use np_topology::{FailureId, LinkId, Network};
+use std::cell::RefCell;
 
 /// A scenario is the no-failure state or one failure from `Λ`.
 pub type Scenario = Option<FailureId>;
@@ -19,6 +21,29 @@ pub fn scenario_count(net: &Network) -> usize {
 /// The scenario with the given dense index (0 = no failure).
 pub fn scenario_at(index: usize) -> Scenario {
     index.checked_sub(1).map(FailureId::new)
+}
+
+/// What one scenario's checks have proved. The scan's undo saves and puts
+/// back the whole value, a fork keeps only the cut, and the perturbation
+/// surgery rescales, drops or remaps it (DESIGN.md §9, §14).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Proofs {
+    /// The metric cut that last failed the scenario. A cut is valid for
+    /// every capacity vector, so while it stays violated it answers a check
+    /// in O(links) without running one.
+    pub(crate) cut: Option<MetricCut>,
+    /// Per-arc flow of the last *positive* feasibility witness (greedy,
+    /// completed MWU, or exact-LP primal). The demands of a scenario are
+    /// fixed, so a stored flow that routes them all stays a valid proof
+    /// under any capacity vector that still covers it arc-wise — an O(m)
+    /// comparison that short-circuits the whole verdict pipeline.
+    pub(crate) witness: Option<Vec<f64>>,
+    /// The scenario's persistent exact LP: the restricted master of the
+    /// path-form concurrent-flow LP with every path generated so far and
+    /// its last optimal basis. Paths stay valid under any capacities and
+    /// demands, so successive checks patch right-hand sides and
+    /// re-optimize in a handful of pivots instead of a cold solve.
+    pub(crate) lp: Option<PathLp>,
 }
 
 /// Fixed structure of one scenario's feasibility problem.
@@ -39,22 +64,9 @@ pub struct ScenarioCtx {
     /// arc set and the commodity endpoints, which never change after
     /// [`ScenarioCtx::from_parts`].
     pub(crate) connected: bool,
-    /// The scenario's persistent exact LP: the restricted master of the
-    /// path-form concurrent-flow LP with every path generated so far and
-    /// its last optimal basis. Paths stay valid under any capacities and
-    /// demands, so successive checks patch right-hand sides and
-    /// re-optimize in a handful of pivots instead of a cold solve.
-    /// Interior mutability keeps `check_scenario`'s shared-borrow
-    /// signature; each scenario is only ever checked by one worker at a
-    /// time.
-    pub(crate) lp: std::cell::RefCell<Option<crate::checker::PathLp>>,
-    /// Per-arc flow of the last *positive* feasibility witness (greedy,
-    /// completed MWU, or exact-LP primal). The demands of a scenario are
-    /// fixed, so a stored flow that routes them all stays a valid proof
-    /// under any capacity vector that still covers it arc-wise — an O(m)
-    /// comparison that short-circuits the whole verdict pipeline. The
-    /// dual twin of the evaluator's metric-cut certificate store.
-    pub witness: std::cell::RefCell<Option<Vec<f64>>>,
+    /// What the checks have proved. The `RefCell` keeps `check_scenario`'s
+    /// shared borrow; each scenario is checked by one worker at a time.
+    pub(crate) proofs: RefCell<Proofs>,
 }
 
 impl ScenarioCtx {
@@ -113,26 +125,28 @@ impl ScenarioCtx {
             arc_link,
             commodities,
             connected,
-            lp: std::cell::RefCell::new(None),
-            witness: std::cell::RefCell::new(None),
+            proofs: RefCell::default(),
         }
     }
 
-    /// This context as [`ScenarioCtx::build`] leaves it: the same
-    /// structure, stale capacities, and neither a path LP nor a witness.
-    pub(crate) fn rebuilt(&self) -> Self {
+    /// This context as a fork starts it: the same structure, stale
+    /// capacities, its cut, and neither a path LP nor a witness.
+    pub(crate) fn forked(&self) -> Self {
         let mut graph = self.graph.clone();
         for a in 0..graph.num_arcs() {
             graph.set_cap(a, 0.0);
         }
+        let cut = self.proofs.borrow().cut.clone();
         ScenarioCtx {
             scenario: self.scenario,
             graph,
             arc_link: self.arc_link.clone(),
             commodities: self.commodities.clone(),
             connected: self.connected,
-            lp: std::cell::RefCell::new(None),
-            witness: std::cell::RefCell::new(None),
+            proofs: RefCell::new(Proofs {
+                cut,
+                ..Proofs::default()
+            }),
         }
     }
 
