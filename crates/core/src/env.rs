@@ -136,11 +136,6 @@ impl PlanningEnv {
         self.best.as_ref()
     }
 
-    /// Forget the best plan (used between experiment phases).
-    pub fn clear_best(&mut self) {
-        self.best = None;
-    }
-
     /// Immutable access to the instance (capacities reflect the current
     /// trajectory state).
     pub fn network(&self) -> &Network {

@@ -15,7 +15,7 @@ use crate::buffer::StepRecord;
 use np_neural::ops::{log_prob, masked_softmax_into, policy_logit_grad, sample_categorical};
 use np_neural::{Adam, Csr, Gcn, Matrix, Mlp, Param, Scratch};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Agent hyperparameters (Table 2).
 #[derive(Clone, Debug)]
@@ -413,11 +413,6 @@ impl ActorCritic {
             .map(|(i, _)| i)
             .expect("non-empty action space")
     }
-}
-
-/// Draw a u64 seed from an RNG (helper for deterministic seed fan-out).
-pub fn derive_seed(rng: &mut impl Rng) -> u64 {
-    rng.gen()
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! during GCN message passing (they serve the same site pair, and mixing
 //! them would blur which fiber path is loaded).
 
-use crate::ids::LinkId;
 use crate::network::Network;
 
 /// The transformed graph: one node per IP link of the source topology,
@@ -42,11 +41,6 @@ impl TransformedGraph {
     /// Degree of transformed node `i` (without the GCN self-loop).
     pub fn degree(&self, i: usize) -> usize {
         self.offsets[i + 1] - self.offsets[i]
-    }
-
-    /// The link this transformed node stands for.
-    pub fn link_of(&self, node: usize) -> LinkId {
-        LinkId::new(node)
     }
 
     /// Entries of the symmetrically-normalized adjacency with self-loops,
