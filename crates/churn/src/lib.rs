@@ -457,26 +457,48 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// for a plan to exist at any capacity. The generator refuses events
 /// that break it, so generated streams never drive the planner into a
 /// structurally infeasible instance.
+///
+/// One pass per scenario: the endpoints of every alive link are joined
+/// in a disjoint-set forest over the sites, and each active flow's
+/// endpoints must then share a root — O(links + flows) per scenario.
 pub fn structurally_ok(net: &Network) -> bool {
+    let mut dead = vec![false; net.links().len()];
+    let mut root: Vec<usize> = Vec::with_capacity(net.sites().len());
     let scenarios = std::iter::once(None).chain(net.failure_ids().map(Some));
     for scenario in scenarios {
-        let mut reach_cache: Vec<Option<Vec<bool>>> = vec![None; net.sites().len()];
-        for flow_id in net.flow_ids() {
-            if !net.flow_active(flow_id, scenario) {
-                continue;
-            }
-            let flow = net.flow(flow_id);
-            let src = flow.src.index();
-            if reach_cache[src].is_none() {
-                reach_cache[src] = Some(reachable_from(net, src, scenario));
-            }
-            let reach = reach_cache[src].as_ref().expect("just filled");
-            if !reach[flow.dst.index()] {
-                return false;
-            }
+        let dead_links = scenario.map_or(&[][..], |f| &net.impact(f).dead_links[..]);
+        for l in dead_links {
+            dead[l.index()] = true;
+        }
+        root.clear();
+        root.extend(0..net.sites().len());
+        for (link, _) in net.links().iter().zip(&dead).filter(|(_, &d)| !d) {
+            let a = find(&mut root, link.src.index());
+            let b = find(&mut root, link.dst.index());
+            root[a] = b;
+        }
+        for l in dead_links {
+            dead[l.index()] = false;
+        }
+        let connected = net.flow_ids().all(|f| {
+            let flow = net.flow(f);
+            !net.flow_active(f, scenario)
+                || find(&mut root, flow.src.index()) == find(&mut root, flow.dst.index())
+        });
+        if !connected {
+            return false;
         }
     }
     true
+}
+
+/// The root of `x` in the forest `root`, halving the path walked.
+fn find(root: &mut [usize], mut x: usize) -> usize {
+    while root[x] != x {
+        root[x] = root[root[x]];
+        x = root[x];
+    }
+    x
 }
 
 /// The one acceptance rule for a change to an instance: apply `p` to a
@@ -492,39 +514,6 @@ pub fn apply_checked(net: &Network, p: &Perturbation) -> Result<(Network, Pertur
     Ok((next, delta))
 }
 
-/// BFS over alive links from `src` under `scenario`.
-fn reachable_from(
-    net: &Network,
-    src: usize,
-    scenario: Option<np_topology::FailureId>,
-) -> Vec<bool> {
-    let n = net.sites().len();
-    let mut seen = vec![false; n];
-    seen[src] = true;
-    let mut queue = vec![src];
-    while let Some(u) = queue.pop() {
-        for l in net.link_ids() {
-            if !net.link_alive(l, scenario) {
-                continue;
-            }
-            let link = net.link(l);
-            let (a, b) = (link.src.index(), link.dst.index());
-            let v = if a == u {
-                b
-            } else if b == u {
-                a
-            } else {
-                continue;
-            };
-            if !seen[v] {
-                seen[v] = true;
-                queue.push(v);
-            }
-        }
-    }
-    seen
-}
-
 /// Expand a seeded generator description into a concrete event stream.
 ///
 /// Deterministic: the stream is a pure function of `(net, seed, n)`.
@@ -533,7 +522,13 @@ fn reachable_from(
 /// draw that does not apply is retried with the next PRNG output, and
 /// after 32 failed draws the event degrades to a small demand bump,
 /// which always applies.
+///
+/// An instance that already fails [`structurally_ok`] gets an empty
+/// stream: no event could be accepted on it, and planning it reports why.
 pub fn generate_stream(net: &Network, seed: u64, n: usize) -> Vec<ChurnEvent> {
+    if !structurally_ok(net) {
+        return Vec::new();
+    }
     let mut scratch = net.clone();
     let mut state = seed;
     let mut events = Vec::with_capacity(n);

@@ -587,6 +587,57 @@ fn evaluate_refuses_a_plan_file_it_cannot_apply() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An instance on which some flow has no path at all is the planner's one
+/// error line and exit 1, with a generated stream too: generating the
+/// stream used to panic on it (exit 101) before the planner could say so.
+#[test]
+fn replan_refuses_a_structurally_infeasible_instance() {
+    let bin = neuroplan_bin();
+    let dir = tmp("infeasible");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = np_topology::GeneratorConfig::preset(np_topology::TopologyPreset::A).generate();
+    let cut_off = np_topology::SiteId::new(1);
+    let links = net.links().iter().filter(|l| !l.touches(cut_off));
+    let net = np_topology::Network::new(
+        net.sites().to_vec(),
+        net.fibers().to_vec(),
+        links.cloned().collect(),
+        net.flows().to_vec(),
+        net.failures().to_vec(),
+        net.policy.clone(),
+        net.cost_model.clone(),
+        net.unit_gbps,
+    )
+    .expect("site 1 without links is a valid instance");
+    let topo = dir.join("topo.json");
+    std::fs::write(&topo, net.to_json()).unwrap();
+    for (cmd, events) in [
+        ("plan", None),
+        ("replan", Some("seed=0,n=3")),
+        ("replan", Some("demand-scale:1.1")),
+    ] {
+        let mut run = Command::new(bin);
+        run.args([cmd, "--topology"])
+            .arg(&topo)
+            .args(["--quick", "--workers", "1"]);
+        if let Some(events) = events {
+            run.args(["--events", events]);
+        }
+        let done = run.output().expect("spawn neuroplan");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(1), "{cmd} {events:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!(
+                "{cmd} failed: planning instance is infeasible: \
+                 greedy reference failed: StructurallyInfeasible(0)"
+            ),
+            "{cmd} {events:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--profile` alone reports on stderr and leaves the working directory
 /// as it found it (it used to drop `BENCH_profile.json` there, over the
 /// committed one when run from the checkout root).
