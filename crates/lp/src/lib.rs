@@ -40,6 +40,8 @@ pub mod factor;
 pub mod gomory;
 pub mod milp;
 pub mod model;
+#[cfg(test)]
+mod pins;
 mod presolve;
 pub mod simplex;
 pub mod sparse;
