@@ -216,8 +216,6 @@ pub fn solve_master_telemetry(
         node_limit: cfg.node_limit,
         time_limit_secs: cfg.time_limit_secs,
         gap_tol: cfg.gap_tol,
-        int_tol: 1e-6,
-        simplex: SimplexConfig::default(),
         cutoff: cfg.cutoff,
     };
     // Polish and install the warm plan as the incumbent before searching
@@ -251,7 +249,7 @@ pub fn solve_master_telemetry(
     let max_cuts = cfg.max_cuts_per_round;
     let mut caps = vec![0.0f64; links.len()];
     let mut cut_rounds: u64 = 0;
-    let mut benders_rows: u64 = 0;
+    let mut benders_rows_added: u64 = 0;
     let mut structural_infeasible: u64 = 0;
     let mut separator = |x: &[f64]| -> Vec<Cut> {
         for (i, _) in links_ref.iter().enumerate() {
@@ -261,26 +259,8 @@ pub fn solve_master_telemetry(
             Separation::Feasible => vec![],
             Separation::Cuts(cuts) => {
                 cut_rounds += 1;
-                let mut rows = Vec::new();
-                for (k, cut) in cuts.iter().enumerate() {
-                    if let Some((coeffs, rhs)) = cut_to_row(cut, &avars, base_ref, unit, g) {
-                        if let Some((rc, rr)) = cg_round(&coeffs, rhs) {
-                            rows.push(Cut {
-                                name: format!("benders_cg_{k}"),
-                                coeffs: rc,
-                                sense: Sense::Ge,
-                                rhs: rr,
-                            });
-                        }
-                        rows.push(Cut {
-                            name: format!("benders_{k}"),
-                            coeffs,
-                            sense: Sense::Ge,
-                            rhs,
-                        });
-                    }
-                }
-                benders_rows += rows.len() as u64;
+                let rows = benders_rows(&cuts, "benders", &avars, base_ref, unit, g);
+                benders_rows_added += rows.len() as u64;
                 rows
             }
             Separation::StructurallyInfeasible(_) => {
@@ -334,7 +314,7 @@ pub fn solve_master_telemetry(
     if tel.is_enabled() {
         tel.incr(sys::MASTER, "cut_rounds", cut_rounds);
         tel.incr(sys::MASTER, "cuts_added", sol.cuts_added as u64);
-        tel.incr(sys::MASTER, "benders_rows", benders_rows);
+        tel.incr(sys::MASTER, "benders_rows", benders_rows_added);
         tel.incr(sys::MASTER, "structural_infeasible", structural_infeasible);
         tel.incr(
             sys::MASTER,
@@ -414,14 +394,8 @@ fn build_master_model(net: &Network, cfg: &MasterConfig) -> MasterModel {
             );
         }
     }
-    // Seed cuts (raw + Chvátal–Gomory-rounded variants).
-    for (k, cut) in cfg.seed_cuts.iter().enumerate() {
-        if let Some((coeffs, rhs)) = cut_to_row(cut, &avars, &base, unit, g) {
-            if let Some((rc, rr)) = cg_round(&coeffs, rhs) {
-                model.add_constr(format!("seed_cg_{k}"), rc, Sense::Ge, rr);
-            }
-            model.add_constr(format!("seed_{k}"), coeffs, Sense::Ge, rhs);
-        }
+    for row in benders_rows(&cfg.seed_cuts, "seed", &avars, &base, unit, g) {
+        model.add_constr(row.name, row.coeffs, row.sense, row.rhs);
     }
     MasterModel {
         model,
@@ -459,7 +433,6 @@ pub fn lp_round_plan(
     let g = f64::from(gran);
     let scfg = SimplexConfig {
         collect_timing: tel.is_enabled() && np_telemetry::profiling(),
-        ..SimplexConfig::default()
     };
     // One persistent LP lives across all separation rounds: each round
     // appends its cuts in place and the next solve re-optimizes from the
@@ -493,20 +466,16 @@ pub fn lp_round_plan(
                     break 'rounds Some((units, cost));
                 }
                 Separation::Cuts(cuts) => {
-                    let rows_before = inc.num_rows();
-                    for (k, cut) in cuts.iter().enumerate() {
-                        if let Some((coeffs, rhs)) = cut_to_row(cut, &avars, &base, unit, g) {
-                            if let Some((rc, rr)) = cg_round(&coeffs, rhs) {
-                                inc.add_row(format!("round_cg_{round}_{k}"), rc, Sense::Ge, rr);
-                            }
-                            inc.add_row(format!("round_{round}_{k}"), coeffs, Sense::Ge, rhs);
-                        }
-                    }
-                    if inc.num_rows() == rows_before {
+                    let rows =
+                        benders_rows(&cuts, &format!("round_{round}"), &avars, &base, unit, g);
+                    if rows.is_empty() {
                         // Every cut was satisfied by the baseline already:
                         // the oracle and the rounding disagree numerically
                         // and more rounds cannot make progress.
                         break 'rounds None;
+                    }
+                    for row in rows {
+                        inc.add_row(row.name, row.coeffs, row.sense, row.rhs);
                     }
                 }
                 Separation::StructurallyInfeasible(_) => break 'rounds None,
@@ -613,6 +582,39 @@ pub(crate) fn polish_units_budgeted(
         }
     }
     overshoot
+}
+
+/// The master rows of `cuts`, in order: for each metric cut that
+/// [`cut_to_row`] keeps, its Chvátal–Gomory companion `{prefix}_cg_{k}`
+/// (when [`cg_round`] gives one), then the raw row `{prefix}_{k}`.
+fn benders_rows(
+    cuts: &[MetricCut],
+    prefix: &str,
+    avars: &[VarId],
+    base: &[u32],
+    unit_gbps: f64,
+    granularity: f64,
+) -> Vec<Cut> {
+    let mut rows = Vec::new();
+    for (k, cut) in cuts.iter().enumerate() {
+        if let Some((coeffs, rhs)) = cut_to_row(cut, avars, base, unit_gbps, granularity) {
+            if let Some((rc, rr)) = cg_round(&coeffs, rhs) {
+                rows.push(Cut {
+                    name: format!("{prefix}_cg_{k}"),
+                    coeffs: rc,
+                    sense: Sense::Ge,
+                    rhs: rr,
+                });
+            }
+            rows.push(Cut {
+                name: format!("{prefix}_{k}"),
+                coeffs,
+                sense: Sense::Ge,
+                rhs,
+            });
+        }
+    }
+    rows
 }
 
 /// Convert a metric cut over link capacities (Gbps) into a master row

@@ -15,9 +15,9 @@
 //!   warm-started re-optimization: reinstall a previously-optimal basis
 //!   after a bound change or appended rows and restore feasibility in a
 //!   handful of pivots instead of re-running both phases.
-//! * `presolve` — safe model reductions (singleton rows, redundant
-//!   rows, bound tightening with integer rounding) applied before the
-//!   heavy machinery;
+//! * `presolve` — root bound tightening for the MILP: row activity
+//!   ranges narrow variable bounds (singleton rows unrounded, integer
+//!   bounds rounded inward); no row is added, removed or reordered;
 //! * [`milp`] — **branch & bound** over the simplex relaxation:
 //!   best-bound node selection, most-fractional branching, incumbent and
 //!   gap management, node/time limits, and — crucially for NeuroPlan —
@@ -40,8 +40,6 @@ pub mod factor;
 pub mod gomory;
 pub mod milp;
 pub mod model;
-#[cfg(test)]
-mod pins;
 mod presolve;
 pub mod simplex;
 pub mod sparse;
@@ -56,3 +54,6 @@ pub use simplex::{
     SolveStats, TableauView,
 };
 pub use sparse::{CscMatrix, IncrementalLp, WarmBasis, WarmCol};
+
+#[cfg(test)]
+mod pins;

@@ -1,59 +1,40 @@
-//! Presolve: cheap model reductions applied before the simplex.
+//! Root bound tightening for the MILP solver: each row's activity range
+//! over the variable box bounds the variables it holds. Only variable
+//! bounds change; no row is added, removed or reordered, so cut and dual
+//! indexing stay stable, and the feasible set never changes. Per sweep:
 //!
-//! Implements the standard safe reductions that matter for our master
-//! problems (and for LP hygiene generally):
+//! 1. a singleton row is a bound on its variable, applied unrounded;
+//! 2. any other row no point of the box violates is redundant, and one no
+//!    point satisfies proves infeasibility;
+//! 3. every other row bounds each of its variables by the activity range
+//!    of the rest, integer bounds rounded inward.
 //!
-//! 1. **bound tightening from single rows** — a `≥` row with all-positive
-//!    coefficients implies a lower bound on each variable once the others
-//!    sit at their upper bounds (and dually for `≤` rows);
-//! 2. **empty and redundant row removal** — rows that cannot be violated
-//!    within the current bounds are dropped; rows that cannot be
-//!    *satisfied* prove infeasibility immediately;
-//! 3. **singleton rows** — a row with one variable is just a bound.
-//!
-//! The pass is iterated to a fixed point (bounded rounds), and returns a
-//! report of what was done. It never changes the feasible set.
+//! Rows settled by steps 1–2 sit out the round's later sweeps. A round
+//! sweeps until nothing changes (at most 8) and keeps only the bounds it
+//! moved by more than [`MIN_TIGHTEN`]; rounds repeat while they keep any
+//! (at most 4).
 
-use crate::model::{Model, Sense};
-
-/// What a presolve pass did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct PresolveReport {
-    /// Rows removed as redundant.
-    pub redundant_rows: usize,
-    /// Singleton rows converted into bounds.
-    pub singleton_rows: usize,
-    /// Variable bounds tightened.
-    pub bounds_tightened: usize,
-    /// The model was proven infeasible during presolve.
-    pub proven_infeasible: bool,
-    /// Fixed-point rounds executed.
-    pub rounds: usize,
-}
+use crate::model::{Model, Sense, VarId};
 
 /// Smallest bound improvement worth recording (guards float churn).
 const MIN_TIGHTEN: f64 = 1e-9;
 
-/// Bound tightening only: no rows are added or removed, so constraint
-/// indices stay stable — safe to run inside the MILP solver before the
-/// search (cuts and duals keep their row alignment). Returns
-/// `(bounds_tightened, proven_infeasible)`.
+/// Tighten `model`'s variable bounds in place. Returns
+/// `(bounds_tightened, proven_infeasible)`; the bounds of a model proven
+/// infeasible are those of the last completed round.
 pub fn tighten_bounds(model: &mut Model) -> (usize, bool) {
     let mut total = 0usize;
     for _ in 0..4 {
-        let mut m2 = model.clone();
-        let report = presolve(&mut m2);
-        if report.proven_infeasible {
+        let mut lb: Vec<f64> = model.vars().iter().map(|v| v.lb).collect();
+        let mut ub: Vec<f64> = model.vars().iter().map(|v| v.ub).collect();
+        if !sweep(model, &mut lb, &mut ub) {
             return (total, true);
         }
-        // Copy only the bounds back.
         let mut changed = 0usize;
-        for j in 0..model.num_vars() {
-            let v = crate::model::VarId(j);
-            let (ol, ou) = (model.var(v).lb, model.var(v).ub);
-            let (nl, nu) = (m2.var(v).lb, m2.var(v).ub);
-            if nl > ol + MIN_TIGHTEN || nu < ou - MIN_TIGHTEN {
-                model.set_bounds(v, nl, nu);
+        for (j, (&nl, &nu)) in lb.iter().zip(&ub).enumerate() {
+            let var = model.var(VarId(j));
+            if nl > var.lb + MIN_TIGHTEN || nu < var.ub - MIN_TIGHTEN {
+                model.set_bounds(VarId(j), nl, nu);
                 changed += 1;
             }
         }
@@ -65,21 +46,19 @@ pub fn tighten_bounds(model: &mut Model) -> (usize, bool) {
     (total, false)
 }
 
-/// Run presolve in place. Constraints may be removed and variable bounds
-/// tightened; variable indices are preserved.
-pub(crate) fn presolve(model: &mut Model) -> PresolveReport {
-    let mut report = PresolveReport::default();
-    for round in 0..8 {
-        report.rounds = round + 1;
+/// One round: sweep `model`'s rows over the box `lb`/`ub` until nothing
+/// changes. Returns `false` when a row proves the model infeasible.
+fn sweep(model: &Model, lb: &mut [f64], ub: &mut [f64]) -> bool {
+    let rows = model.constrs();
+    // Rows still in play this round (steps 1–2 settle the rest).
+    let mut live = vec![true; rows.len()];
+    for _ in 0..8 {
         let mut changed = false;
-
-        // Row activity bounds: min/max of Σ a·x over the box.
-        let activity = |model: &Model, row: usize| -> (f64, f64) {
-            let mut lo = 0.0f64;
-            let mut hi = 0.0f64;
-            for &(v, a) in &model.constrs()[row].coeffs {
-                let var = model.var(v);
-                let (l, u) = (var.lb, var.ub);
+        // Row activity range: min/max of Σ a·x over the box.
+        let activity = |coeffs: &[(VarId, f64)], lb: &[f64], ub: &[f64]| -> (f64, f64) {
+            let (mut lo, mut hi) = (0.0f64, 0.0f64);
+            for &(v, a) in coeffs {
+                let (l, u) = (lb[v.0], ub[v.0]);
                 if a >= 0.0 {
                     lo += a * l;
                     hi += a * u;
@@ -91,89 +70,59 @@ pub(crate) fn presolve(model: &mut Model) -> PresolveReport {
             (lo, hi)
         };
 
-        // Pass 1: singleton rows → bounds; redundancy / infeasibility.
-        let mut keep = vec![true; model.num_constrs()];
-        // Indexed loop: `model` is mutated (`set_bounds`) mid-iteration,
-        // which holding an iterator over `model.constrs()` would forbid.
-        #[allow(clippy::needless_range_loop)]
-        for row in 0..model.num_constrs() {
-            let c = &model.constrs()[row];
-            if c.coeffs.is_empty() {
-                let violated = match c.sense {
-                    Sense::Le => 0.0 > c.rhs + 1e-9,
-                    Sense::Ge => 0.0 < c.rhs - 1e-9,
-                    Sense::Eq => c.rhs.abs() > 1e-9,
-                };
-                if violated {
-                    report.proven_infeasible = true;
-                    return report;
-                }
-                keep[row] = false;
-                report.redundant_rows += 1;
-                changed = true;
+        // Steps 1–2.
+        for (c, live) in rows.iter().zip(&mut live) {
+            if !*live {
                 continue;
             }
-            if c.coeffs.len() == 1 {
-                let (v, a) = c.coeffs[0];
-                let rhs = c.rhs / a;
-                let var = model.var(v);
-                let (mut lb, mut ub) = (var.lb, var.ub);
-                match (c.sense, a > 0.0) {
-                    (Sense::Le, true) | (Sense::Ge, false) => ub = ub.min(rhs),
-                    (Sense::Ge, true) | (Sense::Le, false) => lb = lb.max(rhs),
-                    (Sense::Eq, _) => {
-                        lb = lb.max(rhs);
-                        ub = ub.min(rhs);
+            match c.coeffs[..] {
+                [(v, a)] => {
+                    let rhs = c.rhs / a;
+                    let (mut l, mut u) = (lb[v.0], ub[v.0]);
+                    match (c.sense, a > 0.0) {
+                        (Sense::Le, true) | (Sense::Ge, false) => u = u.min(rhs),
+                        (Sense::Ge, true) | (Sense::Le, false) => l = l.max(rhs),
+                        (Sense::Eq, _) => {
+                            l = l.max(rhs);
+                            u = u.min(rhs);
+                        }
+                    }
+                    if l > u + 1e-9 {
+                        return false;
+                    }
+                    if l > lb[v.0] + MIN_TIGHTEN || u < ub[v.0] - MIN_TIGHTEN {
+                        changed = true;
+                    }
+                    lb[v.0] = l;
+                    ub[v.0] = u.max(l);
+                    *live = false;
+                }
+                _ => {
+                    // An empty row has activity [0, 0]; an equality row is
+                    // redundant only when it is empty.
+                    let (lo, hi) = activity(&c.coeffs, lb, ub);
+                    let (redundant, impossible) = match c.sense {
+                        Sense::Le => (hi <= c.rhs + 1e-9, lo > c.rhs + 1e-9),
+                        Sense::Ge => (lo >= c.rhs - 1e-9, hi < c.rhs - 1e-9),
+                        Sense::Eq => (c.coeffs.is_empty(), lo > c.rhs + 1e-9 || hi < c.rhs - 1e-9),
+                    };
+                    if impossible {
+                        return false;
+                    }
+                    if redundant {
+                        *live = false;
+                        changed = true;
                     }
                 }
-                if lb > ub + 1e-9 {
-                    report.proven_infeasible = true;
-                    return report;
-                }
-                let tightened = lb > var.lb + MIN_TIGHTEN || ub < var.ub - MIN_TIGHTEN;
-                if tightened {
-                    report.bounds_tightened += 1;
-                    changed = true;
-                }
-                model.set_bounds(v, lb, ub.max(lb));
-                keep[row] = false;
-                report.singleton_rows += 1;
-                continue;
             }
-            let (lo, hi) = activity(model, row);
-            let redundant = match c.sense {
-                Sense::Le => hi <= c.rhs + 1e-9,
-                Sense::Ge => lo >= c.rhs - 1e-9,
-                Sense::Eq => false,
-            };
-            let impossible = match c.sense {
-                Sense::Le => lo > c.rhs + 1e-9,
-                Sense::Ge => hi < c.rhs - 1e-9,
-                Sense::Eq => lo > c.rhs + 1e-9 || hi < c.rhs - 1e-9,
-            };
-            if impossible {
-                report.proven_infeasible = true;
-                return report;
-            }
-            if redundant {
-                keep[row] = false;
-                report.redundant_rows += 1;
-                changed = true;
-            }
-        }
-        if keep.iter().any(|&k| !k) {
-            let mut it = keep.into_iter();
-            model.purge_constrs(0, |_| it.next().unwrap_or(true));
         }
 
-        // Pass 2: bound tightening from multi-variable rows.
-        for row in 0..model.num_constrs() {
-            let c = model.constrs()[row].clone();
-            let (lo, hi) = activity(model, row);
+        // Step 3, on the rows still live.
+        for (c, _) in rows.iter().zip(&live).filter(|(_, live)| **live) {
+            let (lo, hi) = activity(&c.coeffs, lb, ub);
             for &(v, a) in &c.coeffs {
-                let var = model.var(v);
-                let (l, u) = (var.lb, var.ub);
-                // Residual activity without this variable's contribution.
+                let (l, u) = (lb[v.0], ub[v.0]);
+                // Activity range of the rest of the row.
                 let (term_lo, term_hi) = if a >= 0.0 {
                     (a * l, a * u)
                 } else {
@@ -184,32 +133,27 @@ pub(crate) fn presolve(model: &mut Model) -> PresolveReport {
                 let mut new_l = l;
                 let mut new_u = u;
                 match c.sense {
-                    Sense::Le => {
-                        // a·x ≤ rhs − rest_lo
-                        if rest_lo.is_finite() {
-                            let cap = (c.rhs - rest_lo) / a;
-                            if a > 0.0 {
-                                new_u = new_u.min(cap);
-                            } else {
-                                new_l = new_l.max(cap);
-                            }
+                    // a·x ≤ rhs − rest_lo
+                    Sense::Le if rest_lo.is_finite() => {
+                        let cap = (c.rhs - rest_lo) / a;
+                        if a > 0.0 {
+                            new_u = new_u.min(cap);
+                        } else {
+                            new_l = new_l.max(cap);
                         }
                     }
-                    Sense::Ge => {
-                        // a·x ≥ rhs − rest_hi
-                        if rest_hi.is_finite() {
-                            let need = (c.rhs - rest_hi) / a;
-                            if a > 0.0 {
-                                new_l = new_l.max(need);
-                            } else {
-                                new_u = new_u.min(need);
-                            }
+                    // a·x ≥ rhs − rest_hi
+                    Sense::Ge if rest_hi.is_finite() => {
+                        let need = (c.rhs - rest_hi) / a;
+                        if a > 0.0 {
+                            new_l = new_l.max(need);
+                        } else {
+                            new_u = new_u.min(need);
                         }
                     }
-                    Sense::Eq => { /* both directions handled by Le+Ge logic elsewhere */ }
+                    _ => {}
                 }
-                // Integer variables can round their bounds inward.
-                if var.integer {
+                if model.var(v).integer {
                     if new_l.is_finite() {
                         new_l = (new_l - 1e-9).ceil();
                     }
@@ -218,12 +162,11 @@ pub(crate) fn presolve(model: &mut Model) -> PresolveReport {
                     }
                 }
                 if new_l > new_u + 1e-9 {
-                    report.proven_infeasible = true;
-                    return report;
+                    return false;
                 }
                 if new_l > l + MIN_TIGHTEN || new_u < u - MIN_TIGHTEN {
-                    model.set_bounds(v, new_l, new_u.max(new_l));
-                    report.bounds_tightened += 1;
+                    lb[v.0] = new_l;
+                    ub[v.0] = new_u.max(new_l);
                     changed = true;
                 }
             }
@@ -232,13 +175,12 @@ pub(crate) fn presolve(model: &mut Model) -> PresolveReport {
             break;
         }
     }
-    report
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::{solve_lp, LpStatus, SimplexConfig};
 
     #[test]
     fn singleton_rows_become_bounds() {
@@ -246,12 +188,9 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0, false);
         m.add_constr("c1", vec![(x, 2.0)], Sense::Ge, 6.0);
         m.add_constr("c2", vec![(x, 1.0)], Sense::Le, 8.0);
-        let r = presolve(&mut m);
-        assert_eq!(r.singleton_rows, 2);
-        assert_eq!(m.num_constrs(), 0);
+        assert_eq!(tighten_bounds(&mut m), (1, false));
         assert_eq!(m.var(x).lb, 3.0);
         assert_eq!(m.var(x).ub, 8.0);
-        assert!(!r.proven_infeasible);
     }
 
     #[test]
@@ -259,19 +198,7 @@ mod tests {
         let mut m = Model::new("inf");
         let x = m.add_var("x", 0.0, 1.0, 1.0, false);
         m.add_constr("c", vec![(x, 1.0)], Sense::Ge, 5.0);
-        assert!(presolve(&mut m).proven_infeasible);
-    }
-
-    #[test]
-    fn redundant_rows_are_dropped() {
-        let mut m = Model::new("red");
-        let x = m.add_var("x", 0.0, 2.0, 1.0, false);
-        let y = m.add_var("y", 0.0, 2.0, 1.0, false);
-        // Always true within bounds: x + y ≤ 100.
-        m.add_constr("c", vec![(x, 1.0), (y, 1.0)], Sense::Le, 100.0);
-        let r = presolve(&mut m);
-        assert_eq!(r.redundant_rows, 1);
-        assert_eq!(m.num_constrs(), 0);
+        assert!(tighten_bounds(&mut m).1);
     }
 
     #[test]
@@ -280,7 +207,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 1.0, 1.0, false);
         let y = m.add_var("y", 0.0, 1.0, 1.0, false);
         m.add_constr("c", vec![(x, 1.0), (y, 1.0)], Sense::Ge, 5.0);
-        assert!(presolve(&mut m).proven_infeasible);
+        assert!(tighten_bounds(&mut m).1);
     }
 
     #[test]
@@ -290,29 +217,26 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0, false);
         let y = m.add_var("y", 0.0, 4.0, 1.0, false);
         m.add_constr("c", vec![(x, 1.0), (y, 1.0)], Sense::Ge, 9.0);
-        let r = presolve(&mut m);
-        assert!(r.bounds_tightened >= 1);
+        let (tightened, infeasible) = tighten_bounds(&mut m);
+        assert!(tightened >= 1 && !infeasible);
         assert!((m.var(x).lb - 5.0).abs() < 1e-9);
         assert_eq!(m.var(y).lb, 0.0, "y's bound cannot tighten (x can cover)");
     }
 
     #[test]
     fn integer_bounds_round_inward() {
-        // 2x ≥ 5 with x integer: presolve should land x ≥ 3 directly.
+        // 2x ≥ 5 with x integer: the singleton row alone gives the bound
+        // unrounded; a multi-variable row holding x rounds it to 3.
         let mut m = Model::new("int");
         let x = m.add_var("x", 0.0, 10.0, 1.0, true);
         m.add_constr("c1", vec![(x, 2.0)], Sense::Ge, 5.0);
-        // Keep a second row so the bound-tightening pass sees the var.
+        let mut alone = m.clone();
+        tighten_bounds(&mut alone);
+        assert_eq!(alone.var(x).lb, 2.5);
         let y = m.add_var("y", 0.0, 10.0, 1.0, false);
         m.add_constr("c2", vec![(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
-        presolve(&mut m);
-        assert!(m.var(x).lb >= 2.5 - 1e-9);
-        // The singleton pass applies the raw bound; the integer rounding
-        // applies in the multi-row pass. Either way the LP below agrees
-        // with the MILP optimum.
-        let s = solve_lp(&m, &SimplexConfig::default());
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!(s.x[0] >= 2.5 - 1e-9);
+        tighten_bounds(&mut m);
+        assert_eq!(m.var(x).lb, 3.0);
     }
 
     #[test]
@@ -327,49 +251,5 @@ mod tests {
         assert!(tightened >= 1);
         assert_eq!(m.num_constrs(), rows, "rows must not move");
         assert!(m.var(x).lb >= 5.0 - 1e-9);
-    }
-
-    #[test]
-    fn presolve_preserves_the_optimum() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
-        for trial in 0..10 {
-            let mut m = Model::new(format!("t{trial}"));
-            let vars: Vec<_> = (0..6)
-                .map(|j| {
-                    let ub = rng.gen_range(2.0..8.0);
-                    let obj = rng.gen_range(0.5..3.0);
-                    m.add_var(format!("x{j}"), 0.0, ub, obj, false)
-                })
-                .collect();
-            for k in 0..5 {
-                let mut coeffs = Vec::new();
-                for &v in &vars {
-                    if rng.gen_bool(0.5) {
-                        coeffs.push((v, rng.gen_range(0.3..2.0)));
-                    }
-                }
-                if coeffs.is_empty() {
-                    continue;
-                }
-                let worth: f64 = coeffs.iter().map(|&(v, a)| a * m.var(v).ub).sum();
-                m.add_constr(format!("r{k}"), coeffs, Sense::Ge, worth * 0.4);
-            }
-            let before = solve_lp(&m, &SimplexConfig::default());
-            let mut reduced = m.clone();
-            let report = presolve(&mut reduced);
-            assert!(!report.proven_infeasible);
-            let after = solve_lp(&reduced, &SimplexConfig::default());
-            assert_eq!(before.status, after.status);
-            if before.status == LpStatus::Optimal {
-                assert!(
-                    (before.objective - after.objective).abs() <= 1e-6,
-                    "trial {trial}: presolve changed the optimum {} -> {}",
-                    before.objective,
-                    after.objective
-                );
-            }
-        }
     }
 }

@@ -53,29 +53,18 @@ pub enum LpStatus {
     NumericalFailure,
 }
 
-/// Solver tuning knobs.
-#[derive(Clone, Copy, Debug)]
+/// Feasibility / optimality tolerance of every solve.
+const TOL: f64 = 1e-7;
+
+/// Solver switches. The tolerance ([`TOL`]) and the pivot cap
+/// (`200·(m+n) + 20_000` across both phases) are fixed.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SimplexConfig {
-    /// Hard cap on pivots across both phases; 0 means automatic
-    /// (`200·(m+n) + 20_000`).
-    pub max_iterations: usize,
-    /// Feasibility / optimality tolerance.
-    pub tol: f64,
     /// Collect per-stage wall timers (factorize / ftran-btran /
     /// pricing) into [`SolveStats`]. Off by default: the clock reads
     /// are cheap but not free, and only `--profile` consumers look at
     /// them.
     pub collect_timing: bool,
-}
-
-impl Default for SimplexConfig {
-    fn default() -> Self {
-        SimplexConfig {
-            max_iterations: 0,
-            tol: 1e-7,
-            collect_timing: false,
-        }
-    }
 }
 
 /// Per-solve accounting for the `lp.*` telemetry counters.
@@ -219,7 +208,7 @@ impl Tableau {
     /// loosened by a deterministic [`perturb_eps`] — the feasible set
     /// only grows, so a feasible model stays feasible and the optimum
     /// moves by at most O(1e-9) relative.
-    fn build(model: &Model, tol: f64, perturb: Option<u64>, timing: bool) -> Tableau {
+    fn build(model: &Model, perturb: Option<u64>, timing: bool) -> Tableau {
         let m = model.num_constrs();
         let n = model.num_vars();
         let ncols = n + m + m;
@@ -328,7 +317,7 @@ impl Tableau {
             loc,
             x,
             factors,
-            tol,
+            tol: TOL,
             timers: timing.then(StageTimers::default),
         }
     }
@@ -737,13 +726,9 @@ impl Tableau {
     }
 }
 
-/// Automatic iteration cap when `max_iterations` is 0.
-fn iter_cap(config: &SimplexConfig, t: &Tableau) -> usize {
-    if config.max_iterations > 0 {
-        config.max_iterations
-    } else {
-        200 * (t.m + t.n_struct) + 20_000
-    }
+/// Pivot cap across both phases of one solve.
+fn iter_cap(t: &Tableau) -> usize {
+    200 * (t.m + t.n_struct) + 20_000
 }
 
 fn extract(
@@ -863,8 +848,8 @@ fn solve_attempt(
     bland: bool,
     want_view: bool,
 ) -> (LpSolution, Option<TableauView>, Option<WarmBasis>) {
-    let mut t = Tableau::build(model, config.tol, perturb, config.collect_timing);
-    let max_iters = iter_cap(config, &t);
+    let mut t = Tableau::build(model, perturb, config.collect_timing);
+    let max_iters = iter_cap(&t);
     let mut iterations = 0usize;
 
     // Phase 1: minimize the artificial mass.
@@ -875,7 +860,7 @@ fn solve_attempt(
     if s1 == LpStatus::IterationLimit || s1 == LpStatus::NumericalFailure {
         return (extract(model, &t, s1, iterations, false), None, None);
     }
-    if t.phase1_objective() > config.tol * 10.0 {
+    if t.phase1_objective() > TOL * 10.0 {
         return (
             extract(model, &t, LpStatus::Infeasible, iterations, false),
             None,
@@ -912,10 +897,10 @@ fn warm_attempt(
     if chaos.should_fire(np_chaos::FaultClass::LpSingular) {
         return None;
     }
-    let mut t = Tableau::build(model, config.tol, None, config.collect_timing);
+    let mut t = Tableau::build(model, None, config.collect_timing);
     t.enter_phase2(model);
     t.install_warm(warm).ok()?;
-    let max_iters = iter_cap(config, &t);
+    let max_iters = iter_cap(&t);
     // The dual restore is expected to take a handful of pivots; if it
     // drags on, the cold solve is the better use of the budget.
     let dual_cap = max_iters.min(20 * (t.m + t.n_struct) + 500);
