@@ -23,7 +23,6 @@
 //! heuristics: capacity-unit enlargement and iterative failure
 //! selection, the production workarounds of §3.2).
 
-pub mod analysis;
 pub mod baselines;
 pub mod certificate;
 pub mod checkpoint;
@@ -38,7 +37,6 @@ pub mod service;
 pub mod spec;
 pub mod sweep;
 
-pub use analysis::{analyze_plan, PlanAnalysis};
 pub use certificate::{verify, Certificate};
 pub use config::NeuroPlanConfig;
 pub use env::PlanningEnv;

@@ -1,11 +1,12 @@
 //! Plan a real (public) WAN map: the Internet2 Abilene backbone, then
-//! audit the result with the scenario-load analyzer.
+//! check the GÉANT-like map at a uniform fill with the evaluator.
 //!
 //! ```sh
 //! cargo run --release --example reference_wan
 //! ```
 
-use neuroplan::{analyze_plan, validate_plan, NeuroPlan, NeuroPlanConfig};
+use neuroplan::{validate_plan, NeuroPlan, NeuroPlanConfig};
+use np_eval::{EvalConfig, PlanEvaluator};
 use np_topology::reference;
 
 fn main() {
@@ -29,21 +30,11 @@ fn main() {
         result.first_stage_cost, result.final_cost, result.master.cuts_added
     );
 
-    // Operator audit: where is the headroom after this plan?
-    let analysis = analyze_plan(&net, &result.final_units);
-    println!("\n{}", analysis.describe(&net));
-
-    // And the same machinery on the GÉANT-like map, evaluation only.
+    // The GÉANT-like map at 80% uniform fill, evaluation only.
     let geant = reference::geant(0.8);
-    let units: Vec<u32> = geant
-        .link_ids()
-        .map(|l| geant.link(l).capacity_units)
-        .collect();
-    let ga = analyze_plan(&geant, &units);
-    let tight = ga.tightest().expect("geant has scenarios");
-    println!(
-        "GEANT at 80% uniform fill: tightest scenario {} with headroom {:+.1}%",
-        tight.name,
-        (tight.lambda - 1.0) * 100.0
-    );
+    let mut evaluator = PlanEvaluator::new(&geant, EvalConfig::default());
+    match evaluator.check_network(&geant).first_violated {
+        None => println!("GEANT at 80% uniform fill: every scenario is satisfied"),
+        Some(i) => println!("GEANT at 80% uniform fill: scenario {i} is the first violated"),
+    }
 }
