@@ -144,7 +144,8 @@ pub struct MasterOutcome {
     pub units: Vec<u32>,
     /// Branch-and-bound nodes processed.
     pub nodes: usize,
-    /// Benders cuts added during the search (lazy only, not seeds).
+    /// Rows the MILP added during the search: lazy Benders rows (not the
+    /// seed cuts) and root Gomory cuts.
     pub cuts_added: usize,
     /// Proven lower bound on the optimal cost within the given bounds.
     pub best_bound: f64,
@@ -595,23 +596,19 @@ fn benders_rows(
     unit_gbps: f64,
     granularity: f64,
 ) -> Vec<Cut> {
+    let row = |name: String, coeffs: Vec<(VarId, f64)>, rhs: f64| Cut {
+        name,
+        coeffs,
+        sense: Sense::Ge,
+        rhs,
+    };
     let mut rows = Vec::new();
     for (k, cut) in cuts.iter().enumerate() {
         if let Some((coeffs, rhs)) = cut_to_row(cut, avars, base, unit_gbps, granularity) {
             if let Some((rc, rr)) = cg_round(&coeffs, rhs) {
-                rows.push(Cut {
-                    name: format!("{prefix}_cg_{k}"),
-                    coeffs: rc,
-                    sense: Sense::Ge,
-                    rhs: rr,
-                });
+                rows.push(row(format!("{prefix}_cg_{k}"), rc, rr));
             }
-            rows.push(Cut {
-                name: format!("{prefix}_{k}"),
-                coeffs,
-                sense: Sense::Ge,
-                rhs,
-            });
+            rows.push(row(format!("{prefix}_{k}"), coeffs, rhs));
         }
     }
     rows

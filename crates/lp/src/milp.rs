@@ -235,7 +235,7 @@ pub struct MipSolution {
     pub best_bound: f64,
     /// Nodes processed.
     pub nodes: usize,
-    /// Lazy cuts added by the separator.
+    /// Rows added to the LP: the separator's lazy rows and root Gomory cuts.
     pub cuts_added: usize,
     /// Microseconds the solve ran past its wall-clock budget inside
     /// uninterruptible separation rounds (also emitted as the

@@ -46,6 +46,22 @@ pub fn tighten_bounds(model: &mut Model) -> (usize, bool) {
     (total, false)
 }
 
+/// Row activity range: min and max of `Σ a·x` over the box `lb`/`ub`.
+fn activity(coeffs: &[(VarId, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
+    let (mut lo, mut hi) = (0.0f64, 0.0f64);
+    for &(v, a) in coeffs {
+        let (l, u) = (lb[v.0], ub[v.0]);
+        if a >= 0.0 {
+            lo += a * l;
+            hi += a * u;
+        } else {
+            lo += a * u;
+            hi += a * l;
+        }
+    }
+    (lo, hi)
+}
+
 /// One round: sweep `model`'s rows over the box `lb`/`ub` until nothing
 /// changes. Returns `false` when a row proves the model infeasible.
 fn sweep(model: &Model, lb: &mut [f64], ub: &mut [f64]) -> bool {
@@ -54,22 +70,6 @@ fn sweep(model: &Model, lb: &mut [f64], ub: &mut [f64]) -> bool {
     let mut live = vec![true; rows.len()];
     for _ in 0..8 {
         let mut changed = false;
-        // Row activity range: min/max of Σ a·x over the box.
-        let activity = |coeffs: &[(VarId, f64)], lb: &[f64], ub: &[f64]| -> (f64, f64) {
-            let (mut lo, mut hi) = (0.0f64, 0.0f64);
-            for &(v, a) in coeffs {
-                let (l, u) = (lb[v.0], ub[v.0]);
-                if a >= 0.0 {
-                    lo += a * l;
-                    hi += a * u;
-                } else {
-                    lo += a * u;
-                    hi += a * l;
-                }
-            }
-            (lo, hi)
-        };
-
         // Steps 1–2.
         for (c, live) in rows.iter().zip(&mut live) {
             if !*live {
