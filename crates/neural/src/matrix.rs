@@ -477,6 +477,68 @@ pub(crate) mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `m` with about one entry in `1/rate` replaced by `+inf`, `-inf` or
+    /// NaN: against a non-finite right factor a zero left factor's term
+    /// is NaN, so only these values show whether a kernel skips it.
+    pub(crate) fn strew_non_finite(m: &mut Matrix, rate: u32, rng: &mut StdRng) {
+        for v in m.as_mut_slice() {
+            if rng.gen_range(0..rate) == 0 {
+                *v = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)];
+            }
+        }
+    }
+
+    /// [`bits`] with every NaN as `f64::NAN`. Which operand's NaN an add
+    /// of two NaNs returns is the instruction's, and the compiler may
+    /// commute an add, so a NaN's payload is no part of the contract;
+    /// which entries are NaN is.
+    fn bits_but_nan_payloads(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// Naive `ikj`: ascending `p`, exact-zero left factors skipped.
+    fn naive(a: &Matrix, b: &Matrix) -> Vec<f64> {
+        let (n, k, m) = (a.rows(), a.cols(), b.cols());
+        let mut want = vec![0.0; n * m];
+        for i in 0..n {
+            for p in (0..k).filter(|&p| a.get(i, p) != 0.0) {
+                for j in 0..m {
+                    want[i * m + j] += a.get(i, p) * b.get(p, j);
+                }
+            }
+        }
+        want
+    }
+
+    /// `a · b` through [`accumulate_body`] in `build`, with `a` read both
+    /// as itself and as the transpose of a transposed copy.
+    fn both_layouts(build: &str, a: &Matrix, b: &Matrix) -> [Vec<f64>; 2] {
+        let (n, k, m) = (a.rows(), a.cols(), b.cols());
+        let mut at = Matrix::zeros(0, 0);
+        a.transpose_into(&mut at);
+        let as_a = Lhs {
+            data: a.as_slice(),
+            row_stride: k,
+            depth_stride: 1,
+        };
+        let as_at = Lhs {
+            data: at.as_slice(),
+            row_stride: 1,
+            depth_stride: n,
+        };
+        [as_a, as_at].map(|lhs| {
+            let mut out = vec![f64::NAN; n * m];
+            in_build(
+                build,
+                #[inline(always)]
+                |strip| accumulate_body(strip, lhs, k, b.as_slice(), m, &mut out),
+            );
+            out
+        })
+    }
+
     #[test]
     fn every_build_of_the_dense_kernel_is_the_naive_loop_bit_for_bit() {
         let builds = builds("dense kernel");
@@ -485,36 +547,35 @@ pub(crate) mod tests {
             let (n, k, m) = random_shape(&mut rng);
             let a = random_matrix(n, k, &mut rng);
             let b = random_matrix(k, m, &mut rng);
-            // Naive `ikj`: ascending `p`, exact-zero left factors skipped.
-            let mut want = vec![0.0; n * m];
-            for i in 0..n {
-                for p in (0..k).filter(|&p| a.get(i, p) != 0.0) {
-                    for j in 0..m {
-                        want[i * m + j] += a.get(i, p) * b.get(p, j);
-                    }
+            let want = naive(&a, &b);
+            for build in &builds {
+                for out in both_layouts(build, &a, &b) {
+                    assert_eq!(bits(&out), bits(&want), "{build}, seed {seed}");
                 }
             }
-            let mut at = Matrix::zeros(0, 0);
-            a.transpose_into(&mut at);
-            let as_a = Lhs {
-                data: a.as_slice(),
-                row_stride: k,
-                depth_stride: 1,
-            };
-            let as_at = Lhs {
-                data: at.as_slice(),
-                row_stride: 1,
-                depth_stride: n,
-            };
-            for build in &builds {
-                for lhs in [as_a, as_at] {
-                    let mut out = vec![f64::NAN; n * m];
-                    in_build(
-                        build,
-                        #[inline(always)]
-                        |strip| accumulate_body(strip, lhs, k, b.as_slice(), m, &mut out),
-                    );
-                    assert_eq!(bits(&out), bits(&want), "{build}, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn every_build_skips_zero_left_factors_of_non_finite_right_operands() {
+        // Every row count to 20 at every width class of the tiles: below,
+        // at and off 4 and 8, the 4-wide head, multiples of 8 and ragged.
+        let widths = [1, 3, 4, 5, 7, 8, 9, 12, 16, 24, 31, 32, 33, 64, 70];
+        let builds = builds("non-finite operands");
+        let mut rng = StdRng::seed_from_u64(48);
+        for n in 1..=20 {
+            for m in widths {
+                let k = [1, 2, 5, 31, 32, 129][rng.gen_range(0..6usize)];
+                let mut a = random_matrix(n, k, &mut rng);
+                let mut b = random_matrix(k, m, &mut rng);
+                strew_non_finite(&mut a, 40, &mut rng);
+                strew_non_finite(&mut b, [4, 30, 1000][rng.gen_range(0..3usize)], &mut rng);
+                let want = bits_but_nan_payloads(&naive(&a, &b));
+                for build in &builds {
+                    for out in both_layouts(build, &a, &b) {
+                        let got = bits_but_nan_payloads(&out);
+                        assert_eq!(got, want, "{build}, {n}x{k}x{m}");
+                    }
                 }
             }
         }
@@ -524,23 +585,17 @@ pub(crate) mod tests {
     fn no_build_fuses_a_multiply_with_its_add() {
         // (1 + 2⁻³⁰)² rounds to 1 + 2⁻²⁹, which cancels the first term to
         // +0.0; a fused multiply-add keeps the 2⁻⁶⁰ the rounding drops.
+        // Every row count to 17, so every tile shape meets the pair.
         let (x, y) = (1.0 + 2f64.powi(-30), -(1.0 + 2f64.powi(-29)));
-        let lhs = [1.0, x];
         for build in builds("fma sentinel") {
-            for m in (1..=40).chain([63, 64, 65]) {
-                let b: Vec<f64> = [y, x].iter().flat_map(|&v| vec![v; m]).collect();
-                let mut out = vec![f64::NAN; m];
-                let lhs = Lhs {
-                    data: &lhs,
-                    row_stride: 2,
-                    depth_stride: 1,
-                };
-                in_build(
-                    build,
-                    #[inline(always)]
-                    |strip| accumulate_body(strip, lhs, 2, &b, m, &mut out),
-                );
-                assert_eq!(bits(&out), vec![0; m], "{build}, width {m}");
+            for n in 1..=17 {
+                let a = Matrix::from_vec(n, 2, [1.0, x].repeat(n));
+                for m in (1..=40).chain([63, 64, 65]) {
+                    let b = Matrix::from_vec(2, m, [vec![y; m], vec![x; m]].concat());
+                    for out in both_layouts(build, &a, &b) {
+                        assert_eq!(bits(&out), vec![0; n * m], "{build}, {n}x2x{m}");
+                    }
+                }
             }
         }
     }

@@ -1,8 +1,9 @@
 //! The tiled `_into` kernels against the naive loops they replaced:
 //! equality is on `f64::to_bits`, not within a tolerance (DESIGN.md
 //! "neural kernel contract"). Shapes cover widths below, at and off a
-//! tile multiple and depths beyond one gather chunk; values include
-//! exact zeros (whole rows of them), `-0.0` and the odd huge magnitude.
+//! tile multiple, row counts past two tiles and long depths; values
+//! include exact zeros (whole rows of them), `-0.0`, the odd huge
+//! magnitude and, in one case, `±inf` and NaN in both operands.
 
 use np_neural::{Csr, Matrix};
 use proptest::prelude::*;
@@ -55,6 +56,39 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// About one entry in `1/rate` of `m` becomes `+inf`, `-inf` or NaN.
+/// Against a non-finite right factor a zero left factor's term is NaN, so
+/// only such operands show whether a kernel skips that term.
+fn strew_non_finite(m: &mut Matrix, rate: u32, rng: &mut StdRng) {
+    for v in m.as_mut_slice() {
+        if rng.gen_range(0..rate) == 0 {
+            *v = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)];
+        }
+    }
+}
+
+/// Row counts past two tiles of eight; widths below, at and off 4 and 8.
+fn tile_shape(rng: &mut StdRng) -> (usize, usize, usize) {
+    let widths = [1, 3, 4, 5, 7, 8, 9, 12, 16, 24, 31, 32, 33, 64, 70];
+    let depths = [1, 2, 5, 31, 32, 64, 129];
+    (
+        rng.gen_range(1..=20),
+        depths[rng.gen_range(0..depths.len())],
+        widths[rng.gen_range(0..widths.len())],
+    )
+}
+
+/// [`bits`] with every NaN as `f64::NAN`: which operand's NaN an add of
+/// two NaNs returns is the instruction's, and the compiler may commute an
+/// add, so a NaN's payload is no part of the contract; which entries are
+/// NaN is.
+fn bits_but_nan_payloads(m: &Matrix) -> Vec<u64> {
+    m.as_slice()
+        .iter()
+        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+        .collect()
+}
+
 fn naive_transpose(a: &Matrix) -> Matrix {
     let mut t = Matrix::zeros(a.cols(), a.rows());
     for r in 0..a.rows() {
@@ -92,6 +126,24 @@ proptest! {
         let mut t = Matrix::zeros(0, 0);
         a.transpose_into(&mut t);
         prop_assert_eq!(bits(&t), bits(&at));
+    }
+
+    #[test]
+    fn dense_kernels_skip_zero_left_factors_of_non_finite_right_operands(
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, k, m) = tile_shape(&mut rng);
+        let mut a = random_matrix(n, k, &mut rng);
+        let mut b = random_matrix(k, m, &mut rng);
+        strew_non_finite(&mut a, 40, &mut rng);
+        strew_non_finite(&mut b, [4, 30, 1000][rng.gen_range(0..3usize)], &mut rng);
+        let want = bits_but_nan_payloads(&naive_matmul(&a, &b));
+        let mut out = Matrix::zeros(0, 0);
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(bits_but_nan_payloads(&out), want.clone());
+        naive_transpose(&a).t_matmul_into(&b, &mut out);
+        prop_assert_eq!(bits_but_nan_payloads(&out), want);
     }
 
     #[test]
