@@ -96,24 +96,30 @@ impl Matrix {
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         out.resize(self.rows, other.cols);
-        let lhs = Lhs {
-            data: &self.data,
-            row_stride: self.cols,
-            depth_stride: 1,
-        };
-        accumulate(lhs, self.cols, &other.data, other.cols, &mut out.data);
+        let lhs = Lhs::Rows(&self.data);
+        accumulate(
+            Product {
+                lhs,
+                n: self.rows,
+                b: other,
+            },
+            &mut out.data,
+        );
     }
 
     /// `out = selfᵀ · other` without materializing the transpose.
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         out.resize(self.cols, other.cols);
-        let lhs = Lhs {
-            data: &self.data,
-            row_stride: 1,
-            depth_stride: self.cols,
-        };
-        accumulate(lhs, self.rows, &other.data, other.cols, &mut out.data);
+        let lhs = Lhs::Cols(&self.data);
+        accumulate(
+            Product {
+                lhs,
+                n: self.cols,
+                b: other,
+            },
+            &mut out.data,
+        );
     }
 
     /// `out = selfᵀ`. `A · Bᵀ` is `A.matmul_into(&Bᵀ, ..)` over a copy
@@ -224,8 +230,10 @@ impl Matrix {
 
 /// Runs `kernel` in the widest build this CPU can execute: compiled with
 /// AVX2 where `std` detects it (the answer is cached), as the crate is
-/// compiled everywhere else. `kernel` receives that build's strip width
-/// for [`add_scaled_rows`]. It must be an `#[inline(always)]` closure over
+/// compiled everywhere else. `kernel` receives that build's strip width,
+/// the `f64`s eight of its vector registers hold: the widest strip of
+/// [`add_scaled_rows`] and the most outputs of a dense tile ([`tiles`]).
+/// It must be an `#[inline(always)]` closure over
 /// `#[inline(always)]` code: only code inlined into a build takes its
 /// instruction set. Every build performs the same IEEE operations in the
 /// same order (DESIGN.md "neural kernel contract"); FMA is never enabled.
@@ -258,59 +266,156 @@ unsafe fn avx2<R>(kernel: impl FnOnce(usize) -> R) -> R {
     kernel(32)
 }
 
-/// Depth entries whose non-zero multipliers are gathered (on the stack)
-/// before the output strips sweep over them.
-const DEPTH_CHUNK: usize = 128;
-
-/// The left operand of [`accumulate`]: element `(i, p)` lives at
-/// `data[i * row_stride + p * depth_stride]`, which covers both `A` and
-/// `Aᵀ` without copying.
+/// One product `lhs · b` of [`accumulate`], `lhs` being `n × b.rows`.
 #[derive(Clone, Copy)]
-struct Lhs<'a> {
-    data: &'a [f64],
-    row_stride: usize,
-    depth_stride: usize,
+struct Product<'a> {
+    lhs: Lhs<'a>,
+    n: usize,
+    b: &'a Matrix,
 }
 
-/// `out[i, j] = Σ_p lhs(i, p) · b[p, j]` over `depth` values of `p`, the
-/// one dense kernel (DESIGN.md "neural kernel contract"): every output
-/// element starts at `+0.0` and adds its terms in ascending `p`, one
-/// rounding per term, skipping terms whose left factor is exactly zero —
-/// the arithmetic of the naive `ikj` loop, bit for bit. The non-zero
-/// factors of a row are gathered first, so the sweep over them is
-/// branch-free however the zeros (ReLU outputs, masked gradients) fall.
-fn accumulate(lhs: Lhs<'_>, depth: usize, b: &[f64], m: usize, out: &mut [f64]) {
+/// The left operand of a [`Product`], read in place: `Rows(a)` is `a`
+/// itself (element `(i, p)` at `i * depth + p`), `Cols(a)` the transpose
+/// of a stored `depth × n` matrix (at `p * n + i`).
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    Rows(&'a [f64]),
+    Cols(&'a [f64]),
+}
+
+/// `out[i, j] = Σ_p lhs(i, p) · b[p, j]`, the one dense kernel (DESIGN.md
+/// "neural kernel contract"): every output element starts at `+0.0` and
+/// adds its terms in ascending `p`, one rounding per term, skipping terms
+/// whose left factor is exactly zero — the arithmetic of the naive `ikj`
+/// loop, bit for bit. Outputs are computed in register tiles ([`tiles`]).
+fn accumulate(p: Product<'_>, out: &mut [f64]) {
     widest(
         #[inline(always)]
-        |strip| accumulate_body(strip, lhs, depth, b, m, out),
+        |strip| tiles(strip, p, out),
     );
 }
 
+/// Covers `out` with tiles of `R` rows × `C` columns, `R · C` at most
+/// `strip` (32 under AVX2, eight 4-lane registers; 16 on the baseline,
+/// eight 2-lane ones): row blocks of 4 (of 8 where the width is below 8
+/// under AVX2, as for the actor's 4-wide head), then 2 and 1 for the
+/// rows left over; in each block, the widest columns that fit, then
+/// narrower ones down to 1.
 #[inline(always)]
-fn accumulate_body(strip: usize, lhs: Lhs<'_>, depth: usize, b: &[f64], m: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    if m == 0 {
-        return;
+fn tiles(strip: usize, p: Product<'_>, out: &mut [f64]) {
+    let mut i = 0;
+    if strip == 32 && p.b.cols < 8 {
+        while p.n - i >= 8 {
+            row_block::<8>(strip, p, out, i);
+            i += 8;
+        }
     }
-    let mut nz_p = [0usize; DEPTH_CHUNK];
-    let mut nz_a = [0.0f64; DEPTH_CHUNK];
-    for (i, orow) in out.chunks_exact_mut(m).enumerate() {
-        for p0 in (0..depth).step_by(DEPTH_CHUNK) {
-            let mut cnt = 0;
-            for p in p0..(p0 + DEPTH_CHUNK).min(depth) {
-                let a = lhs.data[i * lhs.row_stride + p * lhs.depth_stride];
-                nz_p[cnt] = p;
-                nz_a[cnt] = a;
-                cnt += usize::from(a != 0.0);
+    while p.n - i >= 4 {
+        row_block::<4>(strip, p, out, i);
+        i += 4;
+    }
+    if p.n - i >= 2 {
+        row_block::<2>(strip, p, out, i);
+        i += 2;
+    }
+    if p.n - i >= 1 {
+        row_block::<1>(strip, p, out, i);
+    }
+}
+
+/// Rows `i..i + R` of `out`: tiles as wide as `strip / R` allows, then
+/// narrower down to 1 column.
+#[inline(always)]
+fn row_block<const R: usize>(strip: usize, p: Product<'_>, out: &mut [f64], i: usize) {
+    let mut j = 0;
+    if R * 32 <= strip {
+        j = columns::<R, 32>(p, out, i, j);
+    }
+    if R * 16 <= strip {
+        j = columns::<R, 16>(p, out, i, j);
+    }
+    if R * 8 <= strip {
+        j = columns::<R, 8>(p, out, i, j);
+    }
+    let j = columns::<R, 4>(p, out, i, j);
+    let j = columns::<R, 2>(p, out, i, j);
+    columns::<R, 1>(p, out, i, j);
+}
+
+/// The `R × C` tiles of rows `i..i + R` from column `j` on; returns
+/// where they end.
+#[inline(always)]
+fn columns<const R: usize, const C: usize>(
+    p: Product<'_>,
+    out: &mut [f64],
+    i: usize,
+    mut j: usize,
+) -> usize {
+    let m = p.b.cols;
+    while m - j >= C {
+        let mut acc = sums::<R, C, false>(p, i, j);
+        // A finite sum added only finite terms, so each zero left factor
+        // met a finite `b` and its `±0.0` term changed nothing: the sum is
+        // the one that skips it. Otherwise the tile is summed again with
+        // those terms masked.
+        if !acc.iter().flatten().fold(true, |ok, v| ok & v.is_finite()) {
+            acc = sums::<R, C, true>(p, i, j);
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            out[(i + r) * m + j..][..C].copy_from_slice(acc);
+        }
+        j += C;
+    }
+    j
+}
+
+/// The `R × C` outputs at `(i, j)`, each in its own register accumulator
+/// that runs its element's whole `p` loop in ascending order.
+#[inline(always)]
+fn sums<const R: usize, const C: usize, const MASK: bool>(
+    p: Product<'_>,
+    i: usize,
+    j: usize,
+) -> [[f64; C]; R] {
+    let mut acc = [[0.0f64; C]; R];
+    let (depth, m) = (p.b.rows, p.b.cols);
+    let brows = p.b.data.chunks_exact(m).map(|brow| &brow[j..][..C]);
+    match p.lhs {
+        Lhs::Rows(a) => {
+            let rows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * depth..][..depth]);
+            for (k, brow) in (0..depth).zip(brows) {
+                add_terms::<R, C, MASK>(&mut acc, std::array::from_fn(|r| rows[r][k]), brow);
             }
-            add_scaled_rows(strip, &nz_p[..cnt], &nz_a[..cnt], b, orow);
+        }
+        Lhs::Cols(a) => {
+            for (col, brow) in a.chunks_exact(p.n).zip(brows) {
+                add_terms::<R, C, MASK>(&mut acc, col[i..][..R].try_into().unwrap(), brow);
+            }
+        }
+    }
+    acc
+}
+
+/// One `p` of a tile: `acc[r][c] += a[r] · brow[c]`. With `MASK`, a term
+/// whose left factor is `±0.0` is added as `+0.0`.
+#[inline(always)]
+fn add_terms<const R: usize, const C: usize, const MASK: bool>(
+    acc: &mut [[f64; C]; R],
+    a: [f64; R],
+    brow: &[f64],
+) {
+    let brow: &[f64; C] = brow.try_into().unwrap();
+    for (acc, a) in acc.iter_mut().zip(a) {
+        for (s, &o) in acc.iter_mut().zip(brow) {
+            let t = a * o;
+            *s += if MASK && a == 0.0 { 0.0 } else { t };
         }
     }
 }
 
 /// `dst[j] += Σ_t scales[t] · b[rows[t], j]` with `b` of `dst`'s width:
 /// each element of `dst` adds its terms in slice order, one rounding
-/// each. Shared by the dense and the CSR product. A strip of `dst` sits
+/// each: the CSR product's row kernel. A strip of `dst` sits
 /// in registers while the terms stream past — `strip` (16 or 32) `f64`
 /// at a time, then 16/8/4/2/1 for what is left of a narrow or ragged row.
 #[inline(always)]
@@ -512,28 +617,19 @@ pub(crate) mod tests {
         want
     }
 
-    /// `a · b` through [`accumulate_body`] in `build`, with `a` read both
+    /// `a · b` through [`tiles`] in `build`, with `a` read both
     /// as itself and as the transpose of a transposed copy.
     fn both_layouts(build: &str, a: &Matrix, b: &Matrix) -> [Vec<f64>; 2] {
-        let (n, k, m) = (a.rows(), a.cols(), b.cols());
         let mut at = Matrix::zeros(0, 0);
         a.transpose_into(&mut at);
-        let as_a = Lhs {
-            data: a.as_slice(),
-            row_stride: k,
-            depth_stride: 1,
-        };
-        let as_at = Lhs {
-            data: at.as_slice(),
-            row_stride: 1,
-            depth_stride: n,
-        };
-        [as_a, as_at].map(|lhs| {
-            let mut out = vec![f64::NAN; n * m];
+        let n = a.rows();
+        [Lhs::Rows(a.as_slice()), Lhs::Cols(at.as_slice())].map(|lhs| {
+            let mut out = vec![f64::NAN; n * b.cols()];
+            let p = Product { lhs, n, b };
             in_build(
                 build,
                 #[inline(always)]
-                |strip| accumulate_body(strip, lhs, k, b.as_slice(), m, &mut out),
+                |strip| tiles(strip, p, &mut out),
             );
             out
         })
