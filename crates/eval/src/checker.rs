@@ -90,7 +90,9 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
         return Verdict::Feasible;
     }
     stats.greedy_attempts += 1;
-    let r = greedy::route(&ctx.graph, &ctx.commodities);
+    let r = timed(&mut stats.greedy_us, || {
+        greedy::route(&ctx.graph, &ctx.commodities)
+    });
     if r.feasible {
         stats.greedy_hits += 1;
         ctx.proofs.borrow_mut().witness = Some(r.flow);
@@ -182,21 +184,19 @@ fn mwu_verdict(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStats) -> V
     }
     for (pass, eps) in [(0, cfg.coarse_eps), (1, cfg.fine_eps)] {
         stats.mwu_calls += 1;
-        let t0 = np_telemetry::profiling().then(std::time::Instant::now);
-        let cf = max_concurrent_flow(
-            &ctx.graph,
-            &ctx.commodities,
-            &MwuConfig {
-                epsilon: eps,
-                // Only "λ ≥ 1?" matters here; skip the tail phases a
-                // full run would spend sharpening λ past the threshold.
-                target_lambda: Some(1.0),
-                ..Default::default()
-            },
-        );
-        if let Some(t0) = t0 {
-            stats.mwu_us += t0.elapsed().as_micros() as u64;
-        }
+        let cf = timed(&mut stats.mwu_us, || {
+            max_concurrent_flow(
+                &ctx.graph,
+                &ctx.commodities,
+                &MwuConfig {
+                    epsilon: eps,
+                    // Only "λ ≥ 1?" matters here; skip the tail phases a
+                    // full run would spend sharpening λ past the threshold.
+                    target_lambda: Some(1.0),
+                    ..Default::default()
+                },
+            )
+        });
         stats.mwu_phases += cf.phases;
         stats.mwu_trees += cf.trees;
         stats.mwu_routings += cf.routings;
@@ -343,7 +343,9 @@ fn mwu_completion_feasible(
         return true;
     }
     stats.greedy_attempts += 1;
-    let r = greedy::route_residual(&ctx.graph, &leftovers, residual, None);
+    let r = timed(&mut stats.greedy_us, || {
+        greedy::route_residual(&ctx.graph, &leftovers, residual, None)
+    });
     if r.feasible {
         stats.greedy_hits += 1;
         // MWU base + greedy top-up routes every demand within capacity.
@@ -351,6 +353,17 @@ fn mwu_completion_feasible(
         ctx.proofs.borrow_mut().witness = Some(combined);
     }
     r.feasible
+}
+
+/// `f()`, its wall microseconds added to `us` when profiling is on: the
+/// stage times that [`EvalStats`] carries as spans, never counters.
+fn timed<T>(us: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t0 = np_telemetry::profiling().then(std::time::Instant::now);
+    let out = f();
+    if let Some(t0) = t0 {
+        *us += t0.elapsed().as_micros() as u64;
+    }
+    out
 }
 
 /// The exact LP stage of the pipeline: [`exact_lp`] with its wall time

@@ -175,16 +175,15 @@ impl PlanEvaluator {
         }
         // Stage times (profiling only) flow as deferred leaf spans, never
         // counters, so counter streams are identical with profiling off.
-        let mwu_us = self.stats.mwu_us.saturating_sub(self.published.mwu_us);
-        if mwu_us > 0 {
-            self.tel.record_span(sys::EVAL, "mwu", mwu_us);
-        }
-        let lp_us = self
+        for ((name, now), (_, before)) in self
             .stats
-            .exact_lp_us
-            .saturating_sub(self.published.exact_lp_us);
-        if lp_us > 0 {
-            self.tel.record_span(sys::EVAL, "exact_lp", lp_us);
+            .stage_us()
+            .into_iter()
+            .zip(self.published.stage_us())
+        {
+            if now > before {
+                self.tel.record_span(sys::EVAL, name, now - before);
+            }
         }
         self.published = self.stats.clone();
     }
@@ -350,9 +349,8 @@ impl PlanEvaluator {
     /// still live — published later, its stage times would be charged to
     /// whatever span is live then and counted twice. The child's silent
     /// sink recorded no `check` spans, so under profiling the rest of its
-    /// scan time (greedy routing, witness and cut reuse: everything but
-    /// the MWU and the exact LP) follows as an `eval.fork_checks` leaf
-    /// span.
+    /// scan time (witness and cut reuse: everything but the MWU, the exact
+    /// LP and greedy routing) follows as an `eval.fork_checks` leaf span.
     pub fn absorb(&mut self, child: &mut PlanEvaluator) {
         for (mine, theirs) in self.ctxs.iter_mut().zip(&mut child.ctxs) {
             let mine = &mut mine.proofs.get_mut().cut;
@@ -365,7 +363,8 @@ impl PlanEvaluator {
         self.publish_stats();
         if np_telemetry::profiling() {
             let scan_us = u64::try_from(st.elapsed.as_micros()).unwrap_or(u64::MAX);
-            let rest_us = scan_us.saturating_sub(st.mwu_us + st.exact_lp_us);
+            let staged_us = st.stage_us().iter().map(|&(_, us)| us).sum();
+            let rest_us = scan_us.saturating_sub(staged_us);
             if rest_us > 0 {
                 self.tel.record_span(sys::EVAL, "fork_checks", rest_us);
             }

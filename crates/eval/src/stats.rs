@@ -78,6 +78,10 @@ pub struct EvalStats {
     /// Wall microseconds inside the exact concurrent-flow LP (profiling
     /// only; same span-not-counter contract as `mwu_us`).
     pub exact_lp_us: u64,
+    /// Wall microseconds inside greedy routing: the first-fit attempt of
+    /// a check and the top-up of a sub-threshold MWU flow (profiling
+    /// only; same span-not-counter contract as `mwu_us`).
+    pub greedy_us: u64,
 }
 
 impl EvalStats {
@@ -112,6 +116,16 @@ impl EvalStats {
         ]
     }
 
+    /// The stage times as `(span name, µs)` pairs, published as `eval`
+    /// leaf spans under profiling.
+    pub(crate) fn stage_us(&self) -> [(&'static str, u64); 3] {
+        [
+            ("mwu", self.mwu_us),
+            ("exact_lp", self.exact_lp_us),
+            ("greedy", self.greedy_us),
+        ]
+    }
+
     /// Merge another stats block into this one (used when joining
     /// parallel failure-group workers).
     pub fn merge(&mut self, other: &EvalStats) {
@@ -140,6 +154,7 @@ impl EvalStats {
         self.elapsed += other.elapsed;
         self.mwu_us += other.mwu_us;
         self.exact_lp_us += other.exact_lp_us;
+        self.greedy_us += other.greedy_us;
     }
 }
 

@@ -14,7 +14,8 @@
 //! of the profile sum to at most the wall (forked rollout evaluators
 //! publish their stage times, and the rest of their scan time as
 //! `eval.fork_checks`, inside the live `rl.forward` span, and worker
-//! CPU-seconds are clipped to wall).
+//! CPU-seconds are clipped to wall), and that greedy routing has its own
+//! `eval.greedy` row.
 
 use neuroplan::master::{solve_master_telemetry, MasterConfig};
 use neuroplan::{NeuroPlan, NeuroPlanConfig};
@@ -74,9 +75,21 @@ fn profiled_plan(net: &Network, workers: usize) -> (u64, u64) {
             .any(|e| e.name == "mwu" && e.self_us > 0),
         "the evaluator's stage times must reach the profile"
     );
+    // Greedy routing (the first-fit attempt of every check without a
+    // fitting witness, and the top-up of a sub-threshold MWU flow) is a
+    // row of its own, not self time of `check`, `separate` or
+    // `fork_checks`.
+    assert!(
+        report
+            .entries
+            .iter()
+            .any(|e| e.sys == "eval" && e.name == "greedy" && e.self_us > 0),
+        "greedy routing must reach the profile as eval.greedy"
+    );
     // The rollout actors' forked evaluators check under a silent sink;
-    // their scan time outside the MWU and the exact LP must still leave
-    // `rl.forward`'s self time for an `eval` row of its own.
+    // their scan time outside the MWU, the exact LP and greedy routing
+    // must still leave `rl.forward`'s self time for an `eval` row of its
+    // own.
     assert!(
         report
             .entries
