@@ -64,6 +64,14 @@ struct MipTally {
     factor_us: u64,
     ftran_btran_us: u64,
     pricing_us: u64,
+    /// The rest of the solve's own work, timed the same way (ns): the
+    /// working copy of the model and its bound tightening (`presolve`),
+    /// node LPs outside the three stages above — tableau builds, ratio
+    /// tests, basis updates, solution extraction (`simplex`) — and root
+    /// Gomory cut generation (`gomory`).
+    presolve_ns: u64,
+    simplex_ns: u64,
+    gomory_ns: u64,
 }
 
 impl MipTally {
@@ -80,6 +88,14 @@ impl MipTally {
         self.factor_us += lp.stats.factor_us;
         self.ftran_btran_us += lp.stats.ftran_btran_us;
         self.pricing_us += lp.stats.pricing_us;
+    }
+
+    /// Charge a node LP's wall outside its three timed stages.
+    fn absorb_lp_wall(&mut self, t0: Option<Instant>, lp: &LpSolution) {
+        if let Some(ns) = elapsed_ns(t0) {
+            let staged = lp.stats.factor_us + lp.stats.ftran_btran_us + lp.stats.pricing_us;
+            self.simplex_ns += ns.saturating_sub(staged * 1_000);
+        }
     }
 
     /// Emit the counters and assemble the solve's result.
@@ -107,10 +123,18 @@ impl MipTally {
             // Stage times (present only under `--profile`) ride as deferred
             // leaf spans: `record_span` charges their self time to the live
             // enclosing `solve_mip` span, keeping self-time sums ≤ wall.
-            if self.factor_us + self.ftran_btran_us + self.pricing_us > 0 {
-                tel.record_span(sys::LP, "factorize", self.factor_us);
-                tel.record_span(sys::LP, "ftran_btran", self.ftran_btran_us);
-                tel.record_span(sys::LP, "pricing", self.pricing_us);
+            let stages = [
+                ("factorize", self.factor_us),
+                ("ftran_btran", self.ftran_btran_us),
+                ("pricing", self.pricing_us),
+                ("presolve", self.presolve_ns / 1_000),
+                ("simplex", self.simplex_ns / 1_000),
+                ("gomory", self.gomory_ns / 1_000),
+            ];
+            if stages.iter().any(|&(_, us)| us > 0) {
+                for (name, us) in stages {
+                    tel.record_span(sys::LP, name, us);
+                }
             }
         }
         MipSolution {
@@ -394,6 +418,11 @@ pub fn solve_mip(
     solve_mip_telemetry(model, config, separator, &Telemetry::noop())
 }
 
+/// Nanoseconds since `t0`, when the clock was read (profiling only).
+fn elapsed_ns(t0: Option<Instant>) -> Option<u64> {
+    t0.map(|t0| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX))
+}
+
 /// [`solve_mip`] with solver counters reported through `tel`: simplex
 /// iterations, branch-and-bound nodes, lazy-callback invocations, Gomory
 /// cuts, total cuts, incumbent updates, plus a `solve_mip` span.
@@ -420,10 +449,14 @@ pub fn solve_mip_telemetry(
     let chaos = np_chaos::global();
     let deadline_hit =
         |budget: &Budget| budget.expired() || chaos.should_fire(np_chaos::FaultClass::Deadline);
+    let clock = || simplex_cfg.collect_timing.then(Instant::now);
+    let t0 = clock();
     let mut work = model.clone();
     // Tightened bounds hold for every feasible point, so they are the
     // base the branching restores to.
-    if tighten_bounds(&mut work).1 {
+    let infeasible = tighten_bounds(&mut work).1;
+    tally.presolve_ns += elapsed_ns(t0).unwrap_or(0);
+    if infeasible {
         return tally.finish(
             tel,
             MipStatus::Infeasible,
@@ -515,8 +548,10 @@ pub fn solve_mip_telemetry(
                 let warm_ref = node_basis
                     .as_ref()
                     .and_then(|(gen, b)| (*gen == rows.purge_gen).then(|| b.as_ref()));
+                let t0 = clock();
                 let out = solve_lp_warm_chaos(&rows.work, &simplex_cfg, warm_ref, at_root, chaos);
                 let lp = out.solution;
+                tally.absorb_lp_wall(t0, &lp);
                 if let Some(b) = out.basis {
                     node_basis = Some((rows.purge_gen, Rc::new(b)));
                 }
@@ -667,7 +702,9 @@ pub fn solve_mip_telemetry(
                 // rows leave open.
                 if at_root && gmi_rounds < 40 {
                     if let Some(view) = &out.view {
+                        let t0 = clock();
                         let cuts = gomory::generate(&rows.work, view, &is_int, 10, 1e-6);
+                        tally.gomory_ns += elapsed_ns(t0).unwrap_or(0);
                         if !cuts.is_empty() {
                             gmi_rounds += 1;
                             rows.purge(&lp.x);
