@@ -20,7 +20,9 @@
 use crate::gomory;
 use crate::model::{Model, Sense, VarId};
 use crate::presolve::tighten_bounds;
-use crate::simplex::{solve_lp, solve_lp_warm_chaos, LpSolution, LpStatus, SimplexConfig};
+use crate::simplex::{
+    elapsed_ns, solve_lp, solve_lp_warm_chaos, LpSolution, LpStatus, SimplexConfig,
+};
 use crate::sparse::WarmBasis;
 use np_telemetry::{sys, Telemetry};
 use std::cmp::Ordering;
@@ -75,8 +77,9 @@ struct MipTally {
 }
 
 impl MipTally {
-    /// Fold one LP solution's counters into the tally.
-    fn absorb(&mut self, lp: &LpSolution) {
+    /// Fold one LP solution's counters into the tally, and (profiling
+    /// only) the wall since `t0` outside its three timed stages.
+    fn absorb(&mut self, lp: &LpSolution, t0: Option<Instant>) {
         self.simplex_iterations += lp.iterations as u64;
         self.refactorizations += lp.stats.refactorizations;
         self.eta_len += lp.stats.peak_eta_len;
@@ -88,11 +91,7 @@ impl MipTally {
         self.factor_us += lp.stats.factor_us;
         self.ftran_btran_us += lp.stats.ftran_btran_us;
         self.pricing_us += lp.stats.pricing_us;
-    }
-
-    /// Charge a node LP's wall outside its three timed stages.
-    fn absorb_lp_wall(&mut self, t0: Option<Instant>, lp: &LpSolution) {
-        if let Some(ns) = elapsed_ns(t0) {
+        if let Some(ns) = t0.map(elapsed_ns) {
             let staged = lp.stats.factor_us + lp.stats.ftran_btran_us + lp.stats.pricing_us;
             self.simplex_ns += ns.saturating_sub(staged * 1_000);
         }
@@ -418,11 +417,6 @@ pub fn solve_mip(
     solve_mip_telemetry(model, config, separator, &Telemetry::noop())
 }
 
-/// Nanoseconds since `t0`, when the clock was read (profiling only).
-fn elapsed_ns(t0: Option<Instant>) -> Option<u64> {
-    t0.map(|t0| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX))
-}
-
 /// [`solve_mip`] with solver counters reported through `tel`: simplex
 /// iterations, branch-and-bound nodes, lazy-callback invocations, Gomory
 /// cuts, total cuts, incumbent updates, plus a `solve_mip` span.
@@ -455,7 +449,7 @@ pub fn solve_mip_telemetry(
     // Tightened bounds hold for every feasible point, so they are the
     // base the branching restores to.
     let infeasible = tighten_bounds(&mut work).1;
-    tally.presolve_ns += elapsed_ns(t0).unwrap_or(0);
+    tally.presolve_ns += t0.map_or(0, elapsed_ns);
     if infeasible {
         return tally.finish(
             tel,
@@ -551,11 +545,10 @@ pub fn solve_mip_telemetry(
                 let t0 = clock();
                 let out = solve_lp_warm_chaos(&rows.work, &simplex_cfg, warm_ref, at_root, chaos);
                 let lp = out.solution;
-                tally.absorb_lp_wall(t0, &lp);
                 if let Some(b) = out.basis {
                     node_basis = Some((rows.purge_gen, Rc::new(b)));
                 }
-                tally.absorb(&lp);
+                tally.absorb(&lp, t0);
                 match lp.status {
                     LpStatus::Infeasible => break,
                     // No overrides apply at the root, so `work` still
@@ -704,7 +697,7 @@ pub fn solve_mip_telemetry(
                     if let Some(view) = &out.view {
                         let t0 = clock();
                         let cuts = gomory::generate(&rows.work, view, &is_int, 10, 1e-6);
-                        tally.gomory_ns += elapsed_ns(t0).unwrap_or(0);
+                        tally.gomory_ns += t0.map_or(0, elapsed_ns);
                         if !cuts.is_empty() {
                             gmi_rounds += 1;
                             rows.purge(&lp.x);
@@ -763,8 +756,9 @@ pub fn solve_mip_telemetry(
         // Heap bounds are parent-era LP objectives and go stale as lazy
         // cuts accumulate globally. One fresh root LP over the *current*
         // row set is a valid global lower bound and usually much tighter.
+        let t0 = clock();
         let root = solve_lp(&rows.work, &simplex_cfg);
-        tally.absorb(&root);
+        tally.absorb(&root, t0);
         if root.status == LpStatus::Optimal {
             best_bound = best_bound.max(root.objective);
         } else if root.status == LpStatus::Infeasible {

@@ -102,7 +102,7 @@ pub(crate) struct StageTimers {
 }
 
 #[inline]
-fn elapsed_ns(t0: Instant) -> u64 {
+pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
