@@ -8,10 +8,7 @@
 //! refactorizations, pivots append product-form eta vectors (the
 //! Forrest–Tomlin-style cheap update: reuse the FTRAN'd entering column
 //! as the elementary transform) instead of reworking the factors;
-//! FTRAN/BTRAN apply the LU solve followed by the eta file. Triangular
-//! solves go hyper-sparse when the right-hand side is sparse enough: a
-//! position heap visits exactly the nonzero pattern in elimination
-//! order, performing bit-identical arithmetic to the dense probe loops.
+//! FTRAN/BTRAN apply the LU solve followed by the eta file.
 //!
 //! The eta file is cleared on every refactorization. The driver decides
 //! *when* to refactorize from this engine's own accounting
@@ -73,30 +70,6 @@ struct Lu {
     udiag: Vec<f64>,
 }
 
-/// Reusable solve workspace: heaps and marker arrays for the
-/// hyper-sparse paths, plus the dense intermediate vector, so the
-/// thousands of FTRAN/BTRAN calls per solve do not each pay a malloc.
-#[derive(Clone, Debug, Default)]
-struct Scratch {
-    /// Dense intermediate (position space), kept zeroed between calls.
-    z: Vec<f64>,
-    /// Min-heap of positions for the forward (L) solve.
-    lo: BinaryHeap<Reverse<usize>>,
-    /// Max-heap of positions for the backward (U) solve.
-    hi: BinaryHeap<usize>,
-    /// Position-space membership marker for the heaps.
-    queued: Vec<bool>,
-    /// Positions whose `z` entry was written (to re-zero cheaply).
-    touched: Vec<usize>,
-}
-
-/// Below this fill ratio (input nonzeros × the factor vs. `m`) the
-/// triangular solves walk the nonzero pattern through a heap instead of
-/// probing every position. The arithmetic is identical either way —
-/// positions are visited in the same elimination order — so the switch
-/// is purely a cost model.
-const HYPER_SPARSE_FACTOR: usize = 8;
-
 /// Numerical-drift bound on incremental basis updates: the simplex
 /// drivers refactorize when the eta file reaches this many transforms
 /// (or its fill-in outweighs the LU factors).
@@ -118,7 +91,9 @@ pub struct SparseBasis {
     pub refactorizations: u64,
     /// Longest eta file seen between refactorizations.
     pub peak_eta_len: u64,
-    scratch: RefCell<Scratch>,
+    /// FTRAN's dense intermediate (position space), reused so the
+    /// thousands of solves per LP do not each pay a malloc.
+    scratch: RefCell<Vec<f64>>,
 }
 
 impl SparseBasis {
@@ -132,7 +107,7 @@ impl SparseBasis {
             eta_nnz: 0,
             refactorizations: 0,
             peak_eta_len: 0,
-            scratch: RefCell::new(Scratch::default()),
+            scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -304,12 +279,10 @@ impl SparseBasis {
     /// entries; the result is dense, indexed by basis *position*.
     pub fn ftran_sparse(&self, entries: impl IntoIterator<Item = (usize, f64)>) -> Vec<f64> {
         let mut w = vec![0.0f64; self.m];
-        let mut nnz = 0usize;
         for (i, v) in entries {
             w[i] += v;
-            nnz += 1;
         }
-        self.ftran_in_place_hint(&mut w, nnz);
+        self.ftran_in_place(&mut w);
         w
     }
 
@@ -324,41 +297,13 @@ impl SparseBasis {
     /// In-place FTRAN: `w` enters indexed by original row, leaves indexed
     /// by basis position.
     fn ftran_in_place(&self, w: &mut [f64]) {
-        self.ftran_in_place_hint(w, self.m);
-    }
-
-    fn ftran_in_place_hint(&self, w: &mut [f64], nnz_hint: usize) {
-        let m = self.m;
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        if s.z.len() != m {
-            s.z = vec![0.0f64; m];
-            s.queued = vec![false; m];
-        }
-        if nnz_hint.saturating_mul(HYPER_SPARSE_FACTOR) < m {
-            self.ftran_hyper_sparse(w, s);
-        } else {
-            self.ftran_dense_probe(w, &mut s.z);
-        }
-        // Eta file, oldest first (entirely in basis-position space).
-        for eta in &self.etas {
-            let vr = w[eta.r] / eta.pivot;
-            if vr != 0.0 {
-                for &(i, t) in &eta.col {
-                    w[i] -= t * vr;
-                }
-            }
-            w[eta.r] = vr;
-        }
-    }
-
-    /// Dense-probe LU solve: O(m) walks over every position. `z` is a
-    /// borrowed scratch vector (fully overwritten, left as-is).
-    fn ftran_dense_probe(&self, w: &mut [f64], z: &mut [f64]) {
         let m = self.m;
         let lu = &self.lu;
+        let mut z = self.scratch.borrow_mut();
+        z.resize(m, 0.0);
         // Forward solve L·z = P·a, z in position space. z_j is read from
-        // the pivot row of position j after earlier eliminations applied.
+        // the pivot row of position j after earlier eliminations applied;
+        // every z_j is written here before the backward solve reads it.
         for j in 0..m {
             let zj = w[lu.rowp[j]];
             z[j] = zj;
@@ -380,80 +325,16 @@ impl SparseBasis {
                 }
             }
         }
-        // Re-zero scratch for the next hyper-sparse caller.
-        for v in z.iter_mut() {
-            *v = 0.0;
-        }
-    }
-
-    /// Hyper-sparse LU solve: identical arithmetic to
-    /// [`Self::ftran_dense_probe`] (positions visited in the same
-    /// elimination order), but only the nonzero pattern is walked.
-    /// Requires `s.z` zeroed on entry; leaves it zeroed.
-    fn ftran_hyper_sparse(&self, w: &mut [f64], s: &mut Scratch) {
-        let lu = &self.lu;
-        debug_assert!(s.lo.is_empty() && s.hi.is_empty());
-        s.touched.clear();
-        // Seed the forward worklist with the positions of nonzero input
-        // rows.
-        for (i, &v) in w.iter().enumerate() {
-            if v != 0.0 {
-                let j = lu.rowp_inv[i];
-                if !s.queued[j] {
-                    s.queued[j] = true;
-                    s.lo.push(Reverse(j));
+        // Eta file, oldest first (entirely in basis-position space).
+        for eta in &self.etas {
+            let vr = w[eta.r] / eta.pivot;
+            if vr != 0.0 {
+                for &(i, t) in &eta.col {
+                    w[i] -= t * vr;
                 }
             }
+            w[eta.r] = vr;
         }
-        // Forward solve L·z = P·a on the pattern, ascending positions.
-        while let Some(Reverse(j)) = s.lo.pop() {
-            s.queued[j] = false;
-            let zj = w[lu.rowp[j]];
-            if zj == 0.0 {
-                continue;
-            }
-            s.z[j] = zj;
-            s.touched.push(j);
-            for &(i, lv) in &lu.lcols[j] {
-                let p = lu.rowp_inv[i];
-                // L is unit lower triangular: fill lands at p > j only.
-                if !s.queued[p] && s.z[p] == 0.0 && w[i] == 0.0 {
-                    s.queued[p] = true;
-                    s.lo.push(Reverse(p));
-                }
-                w[i] -= lv * zj;
-            }
-        }
-        // The input rows have served their purpose; the result lands in
-        // basis-position space, so clear the row-indexed remnants.
-        w[..self.m].fill(0.0);
-        // Backward solve U·x = z on the pattern, descending positions.
-        for &j in &s.touched {
-            if !s.queued[j] {
-                s.queued[j] = true;
-                s.hi.push(j);
-            }
-        }
-        while let Some(k) = s.hi.pop() {
-            s.queued[k] = false;
-            let zk = s.z[k];
-            s.z[k] = 0.0;
-            if zk == 0.0 {
-                continue;
-            }
-            let xk = zk / lu.udiag[k];
-            w[lu.colp[k]] = xk;
-            if xk != 0.0 {
-                for &(j, uv) in &lu.ucols[k] {
-                    if !s.queued[j] && s.z[j] == 0.0 {
-                        s.queued[j] = true;
-                        s.hi.push(j);
-                    }
-                    s.z[j] -= uv * xk;
-                }
-            }
-        }
-        s.touched.clear();
     }
 
     /// Solve `Bᵀ·y = c` where `c` is indexed by basis position; the

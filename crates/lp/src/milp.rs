@@ -1036,7 +1036,7 @@ mod tests {
         assert!(tel.counter(LP, "lazy_callbacks") >= 2);
         assert!(tel.counter(LP, "simplex_iterations") >= 1);
         assert!(tel.counter(LP, "incumbent_updates") >= 1);
-        let spans = tel.spans();
+        let spans = tel.spans_self();
         assert!(
             spans.iter().any(|(s, n, ..)| s == LP && n == "solve_mip"),
             "solve span missing: {spans:?}"

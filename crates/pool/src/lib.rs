@@ -205,16 +205,11 @@ mod tests {
         let want: Vec<usize> = (0..12).map(|i| i * i).collect();
         assert_eq!(got, want, "replayed tasks must land in their own slots");
         assert_eq!(chaos.fired(np_chaos::FaultClass::PoolPanic), 2);
-        let panics: u64 = tel
-            .events()
-            .iter()
-            .filter(|e| e.sys == sys::POOL && e.name == "worker_panics")
-            .map(|e| match e.kind {
-                np_telemetry::EventKind::Counter(d) => d,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(panics, 2, "each injected panic is counted in telemetry");
+        assert_eq!(
+            tel.counter(sys::POOL, "worker_panics"),
+            2,
+            "each injected panic is counted in telemetry"
+        );
     }
 
     #[test]

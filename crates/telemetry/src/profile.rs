@@ -8,7 +8,7 @@
 //!
 //! - [`ProfileReport::to_json`] — the stable `np-profile-v1` schema
 //!   the CLI writes to `--profile-out` (golden-tested in
-//!   `crates/bench/tests/profile_schema.rs`);
+//!   `tests/profile_schema.rs`);
 //! - [`ProfileReport::render_table`] — the sorted stderr table behind
 //!   the CLI's `--profile` flag.
 

@@ -380,7 +380,7 @@ fn a_cancel_that_lands_during_the_master_is_never_swallowed() {
                 }
             };
             wait_for(&|| {
-                tel.spans()
+                tel.spans_self()
                     .iter()
                     .any(|(sys, name, ..)| sys == "pipeline" && name == "first_stage")
             });
