@@ -14,10 +14,10 @@ use np_flow::mwu::{max_concurrent_flow, MwuConfig};
 use np_flow::{greedy, ArcId, Commodity};
 use np_lp::{ConstrId, IncrementalLp, LpStatus, Model, Sense, SimplexConfig, VarId};
 
-/// Configuration of the verdict pipeline: degree cuts → greedy → node
-/// cuts → MWU coarse → MWU fine → exact LP, where a scenario whose exact
-/// LP has answered since its last perturbation skips the fine pass and
-/// re-solves the LP warm.
+/// Configuration of the verdict pipeline: degree cuts → stored witness,
+/// reused or repaired → greedy → node cuts → MWU coarse → MWU fine → exact
+/// LP, where a scenario whose exact LP has answered since its last
+/// perturbation skips the fine pass and re-solves the LP warm.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
     /// ε for the first (cheap) MWU pass.
@@ -86,7 +86,7 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
     if let Some(v) = degree_cut_verdict(ctx, stats) {
         return v;
     }
-    if witness_still_fits(ctx, stats) {
+    if witness_fits_or_repairs(ctx, stats) {
         return Verdict::Feasible;
     }
     stats.greedy_attempts += 1;
@@ -104,9 +104,11 @@ pub fn check_scenario(ctx: &ScenarioCtx, cfg: &CheckConfig, stats: &mut EvalStat
 /// Re-validate this scenario's stored witness flow against the current
 /// capacities: demands are fixed, so a flow that routed them all is still
 /// a feasibility proof whenever every arc still covers it. The positive
-/// twin of the evaluator's metric-cut certificate reuse.
-fn witness_still_fits(ctx: &ScenarioCtx, stats: &mut EvalStats) -> bool {
-    let proofs = ctx.proofs.borrow();
+/// twin of the evaluator's metric-cut certificate reuse. A witness that no
+/// longer fits is repaired on a copy ([`greedy::repair`], timed as greedy
+/// work), which replaces it only when every overflow detoured.
+fn witness_fits_or_repairs(ctx: &ScenarioCtx, stats: &mut EvalStats) -> bool {
+    let mut proofs = ctx.proofs.borrow_mut();
     let Some(flow) = &proofs.witness else {
         return false;
     };
@@ -118,8 +120,17 @@ fn witness_still_fits(ctx: &ScenarioCtx, stats: &mut EvalStats) -> bool {
         .all(|(arc, &f)| f <= arc.cap + 1e-9);
     if fits {
         stats.witness_reuse_hits += 1;
+        return true;
     }
-    fits
+    let mut repaired = flow.clone();
+    let fixed = timed(&mut stats.greedy_us, || {
+        greedy::repair(&ctx.graph, &mut repaired)
+    });
+    if fixed {
+        stats.witness_repairs += 1;
+        proofs.witness = Some(repaired);
+    }
+    fixed
 }
 
 /// Cheap necessary condition: the demand leaving (entering) a node cannot

@@ -18,8 +18,12 @@
 //! * **certificate reuse** — the violated metric cut that failed a
 //!   scenario last time is re-evaluated in `O(links)` first; while it
 //!   stays violated the expensive check is skipped entirely;
-//! * **witness fast path** — a greedy multicommodity routing attempt
-//!   proves feasibility cheaply in the common late-trajectory case.
+//! * **witness fast path** — the flow that last routed a scenario is
+//!   re-checked arc by arc; where some arcs no longer cover it, their
+//!   overflow is detoured along spare capacity (`greedy::repair`), and
+//!   only where that fails does a greedy multicommodity routing attempt
+//!   run from scratch, which proves feasibility cheaply in the common
+//!   late-trajectory case.
 //!
 //! A scenario's proofs — the cut that last failed it, the flow that last
 //! routed it and its path LP — are one value on its [`ScenarioCtx`]: the
@@ -27,11 +31,11 @@
 //! checkpoint snapshot each move it (DESIGN.md §9, §14, §17).
 //!
 //! The verdict pipeline per scenario ([`check_scenario`]) is: stored
-//! cut → degree cuts → greedy witness → rounded node cuts → MWU (coarse,
-//! then fine) with exact cut verification → exact LP (max concurrent
-//! flow in path form, solved by column generation on a model that
-//! persists per scenario; the paper's edge formulation is the test
-//! oracle). Where the
+//! cut → degree cuts → stored witness, reused or repaired → greedy
+//! witness → rounded node cuts → MWU (coarse, then fine) with exact cut
+//! verification → exact LP (max concurrent flow in path form, solved by
+//! column generation on a model that persists per scenario; the paper's
+//! edge formulation is the test oracle). Where the
 //! exact LP may run and the scenario's model has already answered since
 //! its last perturbation, a coarse pass that decides nothing goes straight
 //! to a warm re-solve of that model instead of the fine pass (DESIGN.md

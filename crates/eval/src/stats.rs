@@ -19,7 +19,7 @@ pub struct EvalStats {
     pub witness_reuse_hits: u64,
     /// Infeasibility decided by the degree (node-cut) shortcut.
     pub degree_cut_hits: u64,
-    /// Greedy routing attempts / successes.
+    /// Greedy routing attempts.
     pub greedy_attempts: u64,
     /// Greedy routing successes (feasibility witnesses).
     pub greedy_hits: u64,
@@ -67,6 +67,9 @@ pub struct EvalStats {
     /// lengths of a coarse pass that decided nothing, before the fine pass
     /// (only where `round_node_cuts` is on).
     pub rounded_cuts: u64,
+    /// Feasibility decided by repairing a stored witness flow that no
+    /// longer fit: its overflow detoured along spare capacity.
+    pub witness_repairs: u64,
     /// Wall-clock time inside the evaluator.
     pub elapsed: Duration,
     /// Wall microseconds inside the MWU solver, populated only under the
@@ -78,9 +81,10 @@ pub struct EvalStats {
     /// Wall microseconds inside the exact concurrent-flow LP (profiling
     /// only; same span-not-counter contract as `mwu_us`).
     pub exact_lp_us: u64,
-    /// Wall microseconds inside greedy routing: the first-fit attempt of
-    /// a check and the top-up of a sub-threshold MWU flow (profiling
-    /// only; same span-not-counter contract as `mwu_us`).
+    /// Wall microseconds inside greedy routing: the repair of a stored
+    /// witness, the first-fit attempt of a check and the top-up of a
+    /// sub-threshold MWU flow (profiling only; same span-not-counter
+    /// contract as `mwu_us`).
     pub greedy_us: u64,
 }
 
@@ -89,7 +93,7 @@ impl EvalStats {
     /// This is the bridge into the telemetry layer: serial and parallel
     /// evaluation publish through the same merged block, so they report
     /// the same counter names with the same meanings.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 22] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 23] {
         [
             ("scenario_checks", self.scenario_checks),
             ("stateful_skips", self.stateful_skips),
@@ -113,6 +117,7 @@ impl EvalStats {
             ("perturb_certs_dropped", self.perturb_certs_dropped),
             ("fine_passes_skipped", self.fine_passes_skipped),
             ("rounded_cuts", self.rounded_cuts),
+            ("witness_repairs", self.witness_repairs),
         ]
     }
 
@@ -151,6 +156,7 @@ impl EvalStats {
         self.perturb_certs_dropped += other.perturb_certs_dropped;
         self.fine_passes_skipped += other.fine_passes_skipped;
         self.rounded_cuts += other.rounded_cuts;
+        self.witness_repairs += other.witness_repairs;
         self.elapsed += other.elapsed;
         self.mwu_us += other.mwu_us;
         self.exact_lp_us += other.exact_lp_us;
@@ -217,6 +223,7 @@ mod tests {
                 "perturb_certs_dropped",
                 "fine_passes_skipped",
                 "rounded_cuts",
+                "witness_repairs",
             ]
         );
         // A counter left out of `merge` would vanish from parallel runs.
@@ -230,6 +237,7 @@ mod tests {
             lp_cold_retries: 4,
             fine_passes_skipped: 8,
             rounded_cuts: 9,
+            witness_repairs: 10,
             ..Default::default()
         };
         let mut sum = one.clone();

@@ -136,6 +136,48 @@ pub fn route_residual(
     }
 }
 
+/// Repair a flow that overflows some arcs at the current capacities by
+/// detouring each overflow along spare capacity: for every arc `a = u → v`
+/// over its capacity, in `ArcId` order, up to `1 + m/4` congestion-aware
+/// shortest `u ⇝ v` paths avoiding `a` and every arc without spare
+/// residual take `min(excess, bottleneck)` off `a`. A detour replaces the
+/// `u → v` segment of whatever flow crosses `a`, so every node's net
+/// outflow is kept and a flow that routed some demands still routes them.
+/// `true` iff every arc then fits within `1e-9`, the test of witness reuse;
+/// on `false` `flow` is left part-repaired.
+pub fn repair(graph: &FlowGraph, flow: &mut [f64]) -> bool {
+    let g = graph.packed();
+    let mut tree = Tree::default();
+    let mut path = Vec::new();
+    let max_paths = 1 + graph.num_arcs() / 4;
+    for (a, arc) in graph.arcs().iter().enumerate() {
+        let mut paths_used = 0usize;
+        while flow[a] - arc.cap > EPS {
+            if paths_used >= max_paths {
+                return false;
+            }
+            paths_used += 1;
+            let spare = |b: ArcId| graph.arc(b).cap - flow[b];
+            tree.grow(g, arc.from, [arc.to], |p| match g.arc(p) {
+                b if b == a => f64::INFINITY,
+                b => length(graph.arc(b).cap, spare(b)),
+            });
+            if !tree.path_to(g, arc.to, &mut path) {
+                return false;
+            }
+            let bottleneck = (path.iter())
+                .map(|&p| spare(g.arc(p as usize)))
+                .fold(f64::INFINITY, f64::min);
+            let send = (flow[a] - arc.cap).min(bottleneck);
+            for &p in &path {
+                flow[g.arc(p as usize)] += send;
+            }
+            flow[a] -= send;
+        }
+    }
+    (graph.arcs().iter().zip(flow.iter())).all(|(arc, &f)| f <= arc.cap + EPS)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,5 +244,51 @@ mod tests {
         // detour). Feasible overall; greedy must find it.
         let r = route(&g, &[Commodity::new(0, 2, 10.0), Commodity::new(0, 2, 4.0)]);
         assert!(r.feasible);
+    }
+
+    /// Each node's net outflow under `flow`.
+    fn net_outflow(g: &FlowGraph, flow: &[f64]) -> Vec<f64> {
+        let mut net = vec![0.0; g.num_nodes()];
+        for (arc, &f) in g.arcs().iter().zip(flow) {
+            net[arc.from] += f;
+            net[arc.to] -= f;
+        }
+        net
+    }
+
+    #[test]
+    fn repair_detours_an_overflow_along_spare_capacity() {
+        // 15 units sent 0→1→3 over arcs of 10: 0→1's overflow detours by
+        // 0→2→1, then 1→3's by 1→2→3, and every net outflow stays put.
+        let mut g = FlowGraph::new(4);
+        g.add_arc(0, 1, 10.0, None);
+        g.add_arc(1, 3, 10.0, None);
+        g.add_arc(0, 2, 10.0, None);
+        g.add_arc(2, 1, 10.0, None);
+        g.add_arc(1, 2, 10.0, None);
+        g.add_arc(2, 3, 10.0, None);
+        let mut flow = vec![15.0, 15.0, 0.0, 0.0, 0.0, 0.0];
+        let before = net_outflow(&g, &flow);
+        assert!(repair(&g, &mut flow));
+        for (arc, &f) in g.arcs().iter().zip(&flow) {
+            assert!(f <= arc.cap + 1e-9, "{flow:?}");
+        }
+        assert_eq!(net_outflow(&g, &flow), before);
+        assert_eq!(flow, [10.0, 10.0, 5.0, 5.0, 5.0, 5.0]);
+    }
+
+    #[test]
+    fn repair_fails_across_a_bridge() {
+        // 0→1 is the only way from 0 to 1: its overflow cannot detour.
+        let mut g = FlowGraph::new(3);
+        g.add_arc(0, 1, 10.0, None);
+        g.add_arc(1, 2, 10.0, None);
+        g.add_arc(2, 1, 10.0, None);
+        let mut flow = vec![12.0, 0.0, 0.0];
+        assert!(!repair(&g, &mut flow));
+        // A flow that fits is its own repair and stays as it was.
+        let mut fits = vec![10.0, 4.0, 0.0];
+        assert!(repair(&g, &mut fits));
+        assert_eq!(fits, [10.0, 4.0, 0.0]);
     }
 }

@@ -329,7 +329,7 @@ impl Supervisor {
     /// mirroring the trainer's per-epoch kill points.
     pub fn run<T>(
         &self,
-        stage: &str,
+        stage: &'static str,
         mut f: impl FnMut(&StageCtx) -> Result<T, StageError>,
     ) -> Result<T, StageError> {
         if self.chaos.should_fire(np_chaos::FaultClass::Kill) {

@@ -148,13 +148,34 @@ impl serde::Serialize for Event {
     }
 }
 
+/// Totals by subsystem, then by name. A lookup borrows both `&str`s, so
+/// only the first event of a name allocates.
+type Totals<T> = BTreeMap<String, BTreeMap<String, T>>;
+
+/// The total of `sys/name`, inserted as `T::default()` on first sight.
+fn total<'a, T: Default>(map: &'a mut Totals<T>, sys: &str, name: &str) -> &'a mut T {
+    if !map.contains_key(sys) {
+        map.insert(sys.to_string(), BTreeMap::new());
+    }
+    let names = map.get_mut(sys).expect("inserted above");
+    if !names.contains_key(name) {
+        names.insert(name.to_string(), T::default());
+    }
+    names.get_mut(name).expect("inserted above")
+}
+
+/// Every total of `map` with its (sys, name), ordered by (sys, name).
+fn flatten<T>(map: &Totals<T>) -> impl Iterator<Item = (&String, &String, &T)> {
+    (map.iter()).flat_map(|(s, names)| names.iter().map(move |(n, t)| (s, n, t)))
+}
+
 /// In-memory totals, kept whenever telemetry is enabled.
 #[derive(Default)]
 struct Store {
     /// Running totals per (sys, name).
-    counters: BTreeMap<(String, String), u64>,
+    counters: Totals<u64>,
     /// Span count, total duration, and total self time per (sys, name).
-    spans: BTreeMap<(String, String), (u64, u64, u64)>,
+    spans: Totals<(u64, u64, u64)>,
 }
 
 // Per-thread stack of live `SpanGuard`s: each entry is the span's start
@@ -327,13 +348,15 @@ impl Telemetry {
 
     /// Start a wall-clock span; the event is emitted when the guard
     /// drops. On a no-op handle this doesn't even read the clock.
+    /// Both labels are `'static` ([`sys`] constants and literals), so
+    /// the guard copies no string.
     #[inline]
-    pub fn span(&self, sys: &str, name: &str) -> SpanGuard {
+    pub fn span(&self, sys: &'static str, name: &'static str) -> SpanGuard {
         match &self.inner {
             None => SpanGuard {
                 tel: Telemetry::noop(),
-                sys: String::new(),
-                name: String::new(),
+                sys,
+                name,
                 start: None,
                 depth: 0,
             },
@@ -341,8 +364,8 @@ impl Telemetry {
                 let start = Instant::now();
                 SpanGuard {
                     tel: self.clone(),
-                    sys: sys.to_string(),
-                    name: name.to_string(),
+                    sys,
+                    name,
                     start: Some(start),
                     depth: stack_push(start),
                 }
@@ -363,12 +386,7 @@ impl Telemetry {
     pub fn counter(&self, sys: &str, name: &str) -> u64 {
         self.inner
             .as_ref()
-            .and_then(|i| {
-                lock(&i.store)
-                    .counters
-                    .get(&(sys.to_string(), name.to_string()))
-                    .copied()
-            })
+            .and_then(|i| lock(&i.store).counters.get(sys)?.get(name).copied())
             .unwrap_or(0)
     }
 
@@ -376,10 +394,8 @@ impl Telemetry {
     pub fn counters(&self) -> Vec<(String, String, u64)> {
         match &self.inner {
             None => Vec::new(),
-            Some(i) => lock(&i.store)
-                .counters
-                .iter()
-                .map(|((s, n), v)| (s.clone(), n.clone(), *v))
+            Some(i) => flatten(&lock(&i.store).counters)
+                .map(|(s, n, v)| (s.clone(), n.clone(), *v))
                 .collect(),
         }
     }
@@ -390,10 +406,8 @@ impl Telemetry {
     pub fn spans_self(&self) -> Vec<(String, String, u64, u64, u64)> {
         match &self.inner {
             None => Vec::new(),
-            Some(i) => lock(&i.store)
-                .spans
-                .iter()
-                .map(|((s, n), (c, t, se))| (s.clone(), n.clone(), *c, *t, *se))
+            Some(i) => flatten(&lock(&i.store).spans)
+                .map(|(s, n, (c, t, se))| (s.clone(), n.clone(), *c, *t, *se))
                 .collect(),
         }
     }
@@ -441,15 +455,15 @@ impl Inner {
     }
 
     /// Add the event to the totals and, on a JSONL sink, write its line.
+    /// Only a name's first event and a JSONL line allocate.
     fn emit(&self, sys: &str, name: &str, kind: EventKind) {
-        let key = || (sys.to_string(), name.to_string());
         match kind {
             EventKind::Counter(delta) => {
-                *lock(&self.store).counters.entry(key()).or_insert(0) += delta;
+                *total(&mut lock(&self.store).counters, sys, name) += delta;
             }
             EventKind::Span { dur_us, self_us } => {
                 let mut store = lock(&self.store);
-                let slot = store.spans.entry(key()).or_insert((0, 0, 0));
+                let slot = total(&mut store.spans, sys, name);
                 slot.0 += 1;
                 slot.1 += dur_us;
                 slot.2 += self_us;
@@ -518,8 +532,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[must_use = "a span measures until it is dropped"]
 pub struct SpanGuard {
     tel: Telemetry,
-    sys: String,
-    name: String,
+    sys: &'static str,
+    name: &'static str,
     start: Option<Instant>,
     /// Position of this guard's child-time accumulator in the
     /// per-thread span stack (stack length right after the push).
@@ -533,7 +547,7 @@ impl Drop for SpanGuard {
         let dur_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let child_us = stack_pop_and_charge(self.depth, dur_us);
         let self_us = dur_us.saturating_sub(child_us);
-        inner.emit(&self.sys, &self.name, EventKind::Span { dur_us, self_us });
+        inner.emit(self.sys, self.name, EventKind::Span { dur_us, self_us });
     }
 }
 

@@ -3,8 +3,10 @@
 //! spans and recorded spans leave the heap where it was, on the
 //! in-memory sink and on the JSONL sink alike. A daemon running with
 //! `--telemetry` or `--profile` would otherwise keep every event of its
-//! uptime. Live bytes are counted by a wrapping global allocator, per
-//! thread, so the test harness's own threads do not interfere.
+//! uptime. Nor does a memory sink allocate at all for an event whose
+//! name it has seen. Live bytes and allocations are counted by a wrapping
+//! global allocator, per thread, so the test harness's own threads do not
+//! interfere.
 
 use np_telemetry::{sys, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,10 +16,15 @@ struct Counting;
 
 thread_local! {
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn add_live(delta: i64) {
     LIVE_BYTES.with(|n| n.set(n.get() + delta));
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every request is forwarded unchanged to the system allocator;
@@ -26,6 +33,7 @@ fn add_live(delta: i64) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         add_live(layout.size() as i64);
+        count_alloc();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -38,6 +46,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         add_live(new_size as i64 - layout.size() as i64);
+        count_alloc();
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -94,4 +103,29 @@ fn jsonl_sink_keeps_totals_not_events() {
         "JSONL sink retained {grown} B over {ROUNDS} rounds"
     );
     assert_eq!(lines.expect("sink file reads"), 4 * (ROUNDS + 1));
+}
+
+#[test]
+fn memory_sink_allocates_nothing_for_a_seen_name() {
+    let tel = Telemetry::memory();
+    one_round(&tel);
+    let allocs = |f: &dyn Fn()| {
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..1_000 {
+            f();
+        }
+        ALLOCS.with(Cell::get) - before
+    };
+    assert_eq!(allocs(&|| tel.incr(sys::LP, "bb_nodes", 1)), 0, "incr");
+    assert_eq!(allocs(&|| drop(tel.span(sys::EVAL, "check"))), 0, "span");
+    assert_eq!(
+        allocs(&|| tel.record_span(sys::LP, "factorize", 3)),
+        0,
+        "record_span"
+    );
+    assert_eq!(
+        allocs(&|| tel.record(sys::RL, "mean_return", -1.5)),
+        0,
+        "record"
+    );
 }

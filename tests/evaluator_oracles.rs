@@ -2,11 +2,13 @@
 //! the exact LP, brute single-commodity max-flow, and hand-built
 //! instances with known answers.
 
+use neuroplan::greedy_augment;
 use np_eval::checker::exact_lp_verdict;
-use np_eval::{CheckConfig, EvalConfig, PlanEvaluator, ScenarioCtx, Verdict};
+use np_eval::scenario::{build_all, scenario_at};
+use np_eval::{CheckConfig, EvalConfig, EvalStats, PlanEvaluator, ScenarioCtx, Verdict};
 use np_topology::{
-    CosClass, CostModel, Failure, FailureKind, Fiber, FiberId, Flow, IpLink, Network,
-    ReliabilityPolicy, SiteId,
+    generator::preset_network, CosClass, CostModel, Failure, FailureKind, Fiber, FiberId, Flow,
+    IpLink, Network, ReliabilityPolicy, SiteId, TopologyPreset,
 };
 
 /// Line network 0 - 1 - 2 with one flow 0→2 of 300 Gbps; capacities are
@@ -223,4 +225,63 @@ fn verdict_pipeline_reports_cuts_on_mwu_backend() {
         }
         other => panic!("expected a certified infeasibility, got {other:?}"),
     }
+}
+
+/// A stored witness that no longer fits is repaired before greedy runs
+/// (DESIGN.md §17, "Escalation"). On presets A and B, with one set of
+/// contexts per walk carried from the greedy plan's capacities down to
+/// 0.8 of them and then to each link dark in turn, every check answered
+/// by a repair is `Feasible` and agrees with the exact LP on a fresh
+/// context, on the full walk and on the RL walk alike.
+#[test]
+fn repaired_witnesses_agree_with_the_exact_lp_on_both_walks() {
+    let mut repairs = [0; 2];
+    for preset in [TopologyPreset::A, TopologyPreset::B] {
+        let net = preset_network(preset);
+        let mut planned = net.clone();
+        greedy_augment(&mut planned, EvalConfig::default()).expect("presets are plannable");
+        let plan: Vec<f64> = net.link_ids().map(|l| planned.capacity_gbps(l)).collect();
+        let mut sweep: Vec<Vec<f64>> = [1.0, 0.95, 0.9, 0.85, 0.8]
+            .iter()
+            .map(|x| plan.iter().map(|c| c * x).collect())
+            .collect();
+        for dark in 0..plan.len() {
+            let mut caps = plan.clone();
+            caps[dark] = 0.0;
+            sweep.push(caps);
+        }
+        let mut walks = [
+            (CheckConfig::default(), build_all(&net, true)),
+            (rl_walk(), build_all(&net, true)),
+        ];
+        for (w, (cfg, ctxs)) in walks.iter_mut().enumerate() {
+            let mut stats = EvalStats::default();
+            for (k, caps) in sweep.iter().enumerate() {
+                for (i, ctx) in ctxs.iter_mut().enumerate() {
+                    ctx.refresh(|l| caps[l.index()]);
+                    let before = stats.witness_repairs;
+                    let verdict = np_eval::check_scenario(ctx, cfg, &mut stats);
+                    if stats.witness_repairs == before {
+                        continue;
+                    }
+                    let what = format!("{preset:?} walk {w}, capacities {k}, scenario {i}");
+                    assert!(
+                        verdict.is_feasible(),
+                        "{what}: a repair answered {verdict:?}"
+                    );
+                    let mut fresh = ScenarioCtx::build(&net, scenario_at(i), true);
+                    fresh.refresh(|l| caps[l.index()]);
+                    assert!(
+                        exact_lp_verdict(&fresh).is_feasible(),
+                        "{what}: repaired where the exact LP says infeasible"
+                    );
+                }
+            }
+            repairs[w] += stats.witness_repairs;
+        }
+    }
+    assert!(
+        repairs.iter().all(|&r| r > 0),
+        "a walk repaired nothing: {repairs:?}"
+    );
 }
