@@ -26,12 +26,13 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// The first epoch boundary at which the greedy stop may end training
-/// (DESIGN.md §11). Where the policy wins (the `fig16` Barabási–Albert
-/// tier-A cells) its best plan is under greedy's after one epoch, so
-/// three more leave a margin; and 4 epochs are already what the churn
-/// bench and the ledger's warm-up train, so those runs do not change.
-const GREEDY_STOP_EPOCH: usize = 4;
+/// How many environment steps the greedy stop waits for before it may end
+/// training (DESIGN.md §11). The rule reads the policy's best rollout
+/// plan, which grows with steps, not epochs. Where the policy wins (the
+/// `fig16` Barabási–Albert tier-A cells) its best plan is at 0.93× greedy
+/// after its first 384 steps. So release `--quick` (384-step epochs) and
+/// `--default` stop after epoch 1, debug `--quick` (128) after epoch 3.
+const GREEDY_STOP_STEPS: usize = 384;
 
 /// How close to the greedy reference the policy's best plan must have
 /// come for training to go on. At quick budgets the WAN presets' best
@@ -42,15 +43,15 @@ const GREEDY_STOP_EPOCH: usize = 4;
 /// changes its final cost.
 const GREEDY_STOP_RATIO: f64 = 1.25;
 
-/// The heuristic-bounded first stage: from epoch [`GREEDY_STOP_EPOCH`]
-/// on, training stops at the first boundary where no rollout plan so far
-/// costs within [`GREEDY_STOP_RATIO`] of the greedy reference. It reads
-/// only the epoch index and the environment's best plan, which is
-/// checkpointed and merged in actor order, so the stop lands on the same
-/// epoch at any worker count and across kill-and-resume.
-fn lost_to_greedy(env: &PlanningEnv, next_epoch: usize, ref_cost: f64) -> bool {
+/// The heuristic-bounded first stage: once [`GREEDY_STOP_STEPS`] env
+/// steps have run, training stops at the first epoch boundary where no
+/// rollout plan so far costs within [`GREEDY_STOP_RATIO`] of the greedy
+/// reference. It reads only the steps run and the environment's best
+/// plan, which is checkpointed and merged in actor order, so the stop
+/// lands on the same epoch at any worker count and across kill-and-resume.
+fn lost_to_greedy(env: &PlanningEnv, steps_run: usize, ref_cost: f64) -> bool {
     let best = env.best_plan().map_or(f64::INFINITY, |(cost, _)| *cost);
-    next_epoch >= GREEDY_STOP_EPOCH && best > GREEDY_STOP_RATIO * ref_cost
+    steps_run >= GREEDY_STOP_STEPS && best > GREEDY_STOP_RATIO * ref_cost
 }
 
 /// Outputs of the RL stage.
@@ -660,12 +661,13 @@ impl NeuroPlan {
             }
         }
         // The greedy stop is decided on an epoch boundary from checkpointed
-        // state only, so a resume that lands on the boundary where the
-        // uninterrupted run stopped stops there too. Counted only where it
-        // cuts training short.
-        let epochs = tcfg.epochs;
+        // state and the fingerprinted epoch size only, so a resume that
+        // lands on the boundary where the uninterrupted run stopped stops
+        // there too. Counted only where it cuts training short.
+        let (epochs, steps_per_epoch) = (tcfg.epochs, tcfg.steps_per_epoch);
         let greedy_stop = |env: &PlanningEnv, next_epoch: usize| {
-            let stop = next_epoch < epochs && lost_to_greedy(env, next_epoch, ref_cost);
+            let steps_run = next_epoch * steps_per_epoch;
+            let stop = next_epoch < epochs && lost_to_greedy(env, steps_run, ref_cost);
             if stop {
                 self.tel.incr(sys::RL, "greedy_stops", 1);
             }

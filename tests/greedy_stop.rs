@@ -1,9 +1,9 @@
-//! The greedy stop of the first stage (DESIGN.md §11): from epoch 4 on,
-//! training ends at the first epoch boundary where no rollout plan so far
-//! costs within 1.25× of the greedy reference. Where the policy loses it
-//! must leave the plan's bytes alone, where it wins it must never fire,
-//! and it must land on the same epoch at any worker count and across
-//! kill-and-resume.
+//! The greedy stop of the first stage (DESIGN.md §11): once 384 env steps
+//! have run, training ends at the first epoch boundary where no rollout
+//! plan so far costs within 1.25× of the greedy reference. Where the
+//! policy loses it must leave the plan's bytes alone, where it wins it
+//! must never fire, and it must land on the same epoch at any worker
+//! count and across kill-and-resume, at 128- and 384-step epochs.
 
 use neuroplan::sweep::run_plan;
 use neuroplan::{NeuroPlan, NeuroPlanConfig, PlanSpec};
@@ -29,16 +29,17 @@ fn release_quick(spec: Value) -> (NeuroPlanConfig, np_topology::Network) {
 }
 
 /// `neuroplan plan --preset b --quick --workers 1` in release: the policy's
-/// best plan is 2× greedy's at epoch 4, so training stops there, and the
-/// plan file is the recorded one byte for byte.
+/// best plan is 2× greedy's after the first 384-step epoch, so training
+/// stops there, and the plan file is the recorded one byte for byte.
 #[test]
-fn preset_b_quick_stops_at_epoch_4_with_the_recorded_plan() {
+fn preset_b_quick_stops_after_epoch_1_with_the_recorded_plan() {
     let (cfg, net) = release_quick(json!({"preset": "b", "quick": true, "workers": 1}));
     let tel = Telemetry::memory();
     let (result, body) = run_plan(&NeuroPlan::with_telemetry(cfg, tel.clone()), &net).unwrap();
     assert_eq!(tel.counter("rl", "greedy_stops"), 1);
-    assert_eq!(tel.counter("rl", "epochs"), 4);
-    assert_eq!(result.train_report.epochs_run(), 4);
+    assert_eq!(tel.counter("rl", "epochs"), 1);
+    assert_eq!(tel.counter("rl", "env_steps"), 384);
+    assert_eq!(result.train_report.epochs_run(), 1);
     assert_eq!(result.first_stage_source(), "greedy");
     let plan = serde_json::to_string_pretty(&Value::Object(body)).expect("json");
     let path = concat!(
@@ -50,6 +51,21 @@ fn preset_b_quick_stops_at_epoch_4_with_the_recorded_plan() {
         golden.trim_end() == plan,
         "preset-B plan differs from {path}; this run produced:\n{plan}"
     );
+}
+
+/// The same instance at 128-step epochs (debug `--quick`, the churn
+/// bench) waits for the same 384 steps: it stops after epoch 3.
+#[test]
+fn at_128_step_epochs_preset_b_stops_after_the_same_384_steps() {
+    let (mut cfg, net) = release_quick(json!({"preset": "b", "quick": true, "workers": 1}));
+    cfg.train.steps_per_epoch = 128;
+    let tel = Telemetry::memory();
+    let (result, _) = run_plan(&NeuroPlan::with_telemetry(cfg, tel.clone()), &net).unwrap();
+    assert_eq!(tel.counter("rl", "greedy_stops"), 1);
+    assert_eq!(tel.counter("rl", "epochs"), 3);
+    assert_eq!(tel.counter("rl", "env_steps"), 384);
+    assert_eq!(result.train_report.epochs_run(), 3);
+    assert_eq!(result.first_stage_source(), "greedy");
 }
 
 /// `fig16` cell 4, a Barabási–Albert tier-A cell where the policy beats
@@ -76,16 +92,18 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-/// A chain cut after epoch 2 and one cut after epoch 4 (where the
-/// uninterrupted run stops) each resume to the uninterrupted run's stop
-/// and plan, at 1, 2 and 4 workers.
+/// At 128-step epochs the uninterrupted run stops after epoch 3, at
+/// 384-step epochs after epoch 1. A chain cut before the stop (after
+/// epoch 2 of 3) and one cut on the stop boundary each resume to the
+/// uninterrupted run's stop and plan, at 1, 2 and 4 workers.
 #[test]
 fn a_resume_lands_on_the_uninterrupted_stop_at_any_worker_count() {
     let net = GeneratorConfig::a_variant(0.5).generate();
     let dir = tmp("resume");
-    let run = |workers: usize, ckpt: &Path| {
+    let run = |steps_per_epoch: usize, workers: usize, ckpt: &Path| {
         let tel = Telemetry::memory();
-        let cfg = NeuroPlanConfig::quick().with_seed(5).with_workers(workers);
+        let mut cfg = NeuroPlanConfig::quick().with_seed(5).with_workers(workers);
+        cfg.train.steps_per_epoch = steps_per_epoch;
         let planner = NeuroPlan::with_telemetry(cfg, tel.clone()).with_checkpoint(ckpt, true);
         let result = planner.try_plan(&net).expect("plan");
         let counts = (
@@ -94,45 +112,48 @@ fn a_resume_lands_on_the_uninterrupted_stop_at_any_worker_count() {
         );
         (result, counts)
     };
-    let mut one_worker = None;
-    for workers in [1, 2, 4] {
-        let clean_dir = dir.join(format!("clean-{workers}"));
-        let (clean, counts) = run(workers, &clean_dir);
-        assert_eq!(
-            counts,
-            (4, 1),
-            "{workers} workers: the uninterrupted run stops at 4"
-        );
-        let plan = (clean.final_units.clone(), clean.final_cost.to_bits());
-        assert_eq!(
-            one_worker.get_or_insert(plan.clone()),
-            &plan,
-            "{workers} workers"
-        );
-        let records = Chain::new(&clean_dir.join("checkpoint.jsonl"), &Chaos::disabled()).read();
-        for cut in [2, 4] {
-            let cut_dir = dir.join(format!("cut-{workers}-{cut}"));
-            std::fs::create_dir_all(&cut_dir).unwrap();
-            // The meta record, then `cut` epoch records.
-            let kept = records[..1 + cut].to_vec();
-            assert!(kept.iter().skip(1).all(|r| r.kind == "epoch"));
-            Chain::new(&cut_dir.join("checkpoint.jsonl"), &Chaos::disabled())
-                .restart(kept)
-                .unwrap();
-            let (resumed, counts) = run(workers, &cut_dir);
-            let tag = format!("{workers} workers, cut after epoch {cut}");
+    for (steps, stop, cuts) in [(128, 3, &[2, 3][..]), (384, 1, &[1][..])] {
+        let mut one_worker = None;
+        for workers in [1, 2, 4] {
+            let clean_dir = dir.join(format!("clean-{steps}-{workers}"));
+            let (clean, counts) = run(steps, workers, &clean_dir);
             assert_eq!(
                 counts,
-                (4 - cut as u64, 1),
-                "{tag}: trains to the same stop"
+                (stop, 1),
+                "{steps}-step epochs, {workers} workers: the uninterrupted run stops at {stop}"
             );
-            assert_eq!(resumed.train_report.epochs_run(), 4, "{tag}");
-            assert_eq!(resumed.final_units, clean.final_units, "{tag}");
-            assert_eq!(resumed.final_cost.to_bits(), clean.final_cost.to_bits());
+            let plan = (clean.final_units.clone(), clean.final_cost.to_bits());
             assert_eq!(
-                resumed.rl_cost.map(f64::to_bits),
-                clean.rl_cost.map(f64::to_bits)
+                one_worker.get_or_insert(plan.clone()),
+                &plan,
+                "{steps}-step epochs, {workers} workers"
             );
+            let records =
+                Chain::new(&clean_dir.join("checkpoint.jsonl"), &Chaos::disabled()).read();
+            for &cut in cuts {
+                let cut_dir = dir.join(format!("cut-{steps}-{workers}-{cut}"));
+                std::fs::create_dir_all(&cut_dir).unwrap();
+                // The meta record, then `cut` epoch records.
+                let kept = records[..1 + cut].to_vec();
+                assert!(kept.iter().skip(1).all(|r| r.kind == "epoch"));
+                Chain::new(&cut_dir.join("checkpoint.jsonl"), &Chaos::disabled())
+                    .restart(kept)
+                    .unwrap();
+                let (resumed, counts) = run(steps, workers, &cut_dir);
+                let tag = format!("{steps}-step epochs, {workers} workers, cut after epoch {cut}");
+                assert_eq!(
+                    counts,
+                    (stop - cut as u64, 1),
+                    "{tag}: trains to the same stop"
+                );
+                assert_eq!(resumed.train_report.epochs_run(), stop as usize, "{tag}");
+                assert_eq!(resumed.final_units, clean.final_units, "{tag}");
+                assert_eq!(resumed.final_cost.to_bits(), clean.final_cost.to_bits());
+                assert_eq!(
+                    resumed.rl_cost.map(f64::to_bits),
+                    clean.rl_cost.map(f64::to_bits)
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
