@@ -511,9 +511,9 @@ pub fn plan_cost_of(net: &Network, units: &[u32]) -> f64 {
         .sum()
 }
 
-/// Greedy 1-opt descent: repeatedly remove single capacity units (most
-/// expensive first) as long as every scenario stays feasible. Never goes
-/// below a link's `min_units` (Eq. 5).
+/// Greedy 1-opt descent: one pass over the links, most expensive first,
+/// removing single capacity units from each as long as every scenario
+/// stays feasible. Never goes below a link's `min_units` (Eq. 5).
 pub fn polish_units(net: &Network, evaluator: &mut PlanEvaluator, units: &mut [u32]) {
     polish_units_budgeted(net, evaluator, units, &Instant::now(), f64::INFINITY);
 }
@@ -552,34 +552,27 @@ pub(crate) fn polish_units_budgeted(
             0
         }
     };
-    loop {
-        let mut improved = false;
-        for &l in &order {
-            let i = l.index();
-            while units[i] > net.link(l).min_units {
-                // Never *start* a separation round the budget no longer
-                // covers; a round already in flight runs to completion
-                // and its overrun is accounted below.
-                if start.elapsed().as_secs_f64() >= limit_secs {
-                    return overshoot;
-                }
-                caps[i] = f64::from(units[i] - 1) * net.unit_gbps;
-                let sep = evaluator.separate(&caps, 1);
-                overshoot += over_now(start);
-                match sep {
-                    Separation::Feasible => {
-                        units[i] -= 1;
-                        improved = true;
-                    }
-                    _ => {
-                        caps[i] = f64::from(units[i]) * net.unit_gbps;
-                        break;
-                    }
-                }
+    // One pass suffices: afterwards every link sits at `min_units` or
+    // just failed a trial one unit lower, and as the pass only lowers
+    // capacities and feasibility is monotone in capacity, a second pass
+    // would repeat only refuted trials.
+    for &l in &order {
+        let i = l.index();
+        while units[i] > net.link(l).min_units {
+            // Never *start* a separation round the budget no longer
+            // covers; a round already in flight runs to completion and
+            // its overrun is accounted below.
+            if start.elapsed().as_secs_f64() >= limit_secs {
+                return overshoot;
             }
-        }
-        if !improved {
-            break;
+            caps[i] = f64::from(units[i] - 1) * net.unit_gbps;
+            let sep = evaluator.separate(&caps, 1);
+            overshoot += over_now(start);
+            if !matches!(sep, Separation::Feasible) {
+                caps[i] = f64::from(units[i]) * net.unit_gbps;
+                break;
+            }
+            units[i] -= 1;
         }
     }
     overshoot
