@@ -371,7 +371,18 @@ fn sigterm_mid_plan_exits_with_the_signal_code() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn plan");
-    std::thread::sleep(Duration::from_secs(2));
+    // Signal once the plan has written its chain's first record: the
+    // handler is installed by then and the whole first and second stage
+    // are still ahead, however fast the instance plans.
+    let chain = dir.join("ckpt").join("checkpoint.jsonl");
+    let waited = Instant::now();
+    while !std::fs::metadata(&chain).is_ok_and(|m| m.len() > 0) {
+        assert!(
+            waited.elapsed() < Duration::from_secs(60),
+            "the plan wrote no checkpoint record"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let term = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .status()

@@ -3,7 +3,8 @@
 //! plan so far costs within 1.25× of the greedy reference. Where the
 //! policy loses it must leave the plan's bytes alone, where it wins it
 //! must never fire, and it must land on the same epoch at any worker
-//! count and across kill-and-resume, at 128- and 384-step epochs.
+//! count and across kill-and-resume, at 128- and 384-step epochs. A
+//! policy it stops runs no final rollouts; one it never stops does.
 
 use neuroplan::sweep::run_plan;
 use neuroplan::{NeuroPlan, NeuroPlanConfig, PlanSpec};
@@ -28,9 +29,18 @@ fn release_quick(spec: Value) -> (NeuroPlanConfig, np_topology::Network) {
     (cfg, spec.network().expect("instance"))
 }
 
+/// Spans `sys/name` recorded on `tel`.
+fn span_count(tel: &Telemetry, sys: &str, name: &str) -> u64 {
+    tel.spans_self()
+        .iter()
+        .find(|(s, n, ..)| s == sys && n == name)
+        .map_or(0, |&(_, _, count, ..)| count)
+}
+
 /// `neuroplan plan --preset b --quick --workers 1` in release: the policy's
 /// best plan is 2× greedy's after the first 384-step epoch, so training
-/// stops there, and the plan file is the recorded one byte for byte.
+/// stops there and the policy is not rolled out again, and the plan file
+/// is the recorded one byte for byte.
 #[test]
 fn preset_b_quick_stops_after_epoch_1_with_the_recorded_plan() {
     let (cfg, net) = release_quick(json!({"preset": "b", "quick": true, "workers": 1}));
@@ -41,6 +51,15 @@ fn preset_b_quick_stops_after_epoch_1_with_the_recorded_plan() {
     assert_eq!(tel.counter("rl", "env_steps"), 384);
     assert_eq!(result.train_report.epochs_run(), 1);
     assert_eq!(result.first_stage_source(), "greedy");
+    // Training steps forked environments, whose evaluators report as
+    // `eval.fork_checks`; only a step of the pipeline's own environment
+    // (a final rollout) checks under `eval.check`.
+    assert_eq!(span_count(&tel, "pipeline", "final_rollouts"), 0);
+    assert_eq!(
+        span_count(&tel, "eval", "check"),
+        0,
+        "an env step after the stop"
+    );
     let plan = serde_json::to_string_pretty(&Value::Object(body)).expect("json");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -70,7 +89,8 @@ fn at_128_step_epochs_preset_b_stops_after_the_same_384_steps() {
 
 /// `fig16` cell 4, a Barabási–Albert tier-A cell where the policy beats
 /// greedy from its first epoch: the stop never fires, all 20 epochs
-/// train, and the policy's plan has the bits it had before the rule.
+/// train, the trained policy is rolled out, and the policy's plan has the
+/// bits it had before the rule.
 #[test]
 fn where_the_policy_wins_all_epochs_train() {
     let (cfg, net) = release_quick(json!({
@@ -82,6 +102,11 @@ fn where_the_policy_wins_all_epochs_train() {
     assert_eq!(tel.counter("rl", "greedy_stops"), 0);
     assert_eq!(result.train_report.epochs_run(), 20);
     assert_eq!(result.first_stage_source(), "policy");
+    assert_eq!(span_count(&tel, "pipeline", "final_rollouts"), 1);
+    assert!(
+        span_count(&tel, "eval", "check") > 0,
+        "no final rollout stepped"
+    );
     let rl_cost = result.rl_cost.expect("the policy completed a plan");
     assert_eq!(f64_to_hex(rl_cost), "38a271aa4c8e7740", "rl_cost {rl_cost}");
 }
