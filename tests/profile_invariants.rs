@@ -14,8 +14,9 @@
 //! of the profile sum to at most the wall (forked rollout evaluators
 //! publish their stage times, and the rest of their scan time as
 //! `eval.fork_checks`, inside the live `rl.forward` span, and worker
-//! CPU-seconds are clipped to wall), and that greedy routing has its own
-//! `eval.greedy` row.
+//! CPU-seconds are clipped to wall), that greedy routing has its own
+//! `eval.greedy` row, and that the greedy reference's evaluator work sits
+//! in `eval` rows under `pipeline.greedy_reference`.
 
 use neuroplan::master::{solve_master_telemetry, MasterConfig};
 use neuroplan::{NeuroPlan, NeuroPlanConfig};
@@ -96,6 +97,20 @@ fn profiled_plan(net: &Network, workers: usize) -> (u64, u64) {
             .iter()
             .any(|e| e.sys == "eval" && e.name == "fork_checks" && e.self_us > 0),
         "the rollout actors' env checks must reach the profile"
+    );
+    // The greedy reference's evaluator reports through the pipeline's
+    // telemetry, so its MWU, LP and greedy-routing time is `eval` rows
+    // nested under `pipeline.greedy_reference`, not that row's self time.
+    let reference = report
+        .entries
+        .iter()
+        .find(|e| e.sys == "pipeline" && e.name == "greedy_reference")
+        .expect("the greedy reference has its own span");
+    assert!(
+        reference.self_us * 2 < reference.total_us,
+        "greedy_reference is {} us of self time in {} us: its evaluator is opaque",
+        reference.self_us,
+        reference.total_us
     );
     (report.self_total_us(), wall)
 }
