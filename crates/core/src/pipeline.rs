@@ -17,13 +17,14 @@ use np_chaos::checkpoint::{Chain, Record, Typed};
 use np_eval::{EvalConfig, EvalStats, PlanEvaluator};
 use np_flow::MetricCut;
 use np_lp::MipStatus;
-use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, TrainResume};
+use np_rl::{
+    train_resumable, ActorCritic, EpochCallbacks, GraphEnv, TrainProgress, TrainReport, TrainResume,
+};
 use np_supervisor::{PlanQuality, StageCtx, StageError, SupervisionReport, Supervisor};
 use np_telemetry::{sys, Telemetry};
 use np_topology::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -470,8 +471,11 @@ impl NeuroPlan {
             records.iter().filter_map(Record::decode).collect()
         };
         let epoch_recs = epochs_of(&records);
+        // `stopped` steers only the run that trains; a recorded first
+        // stage has no use for it.
         let report = TrainReport {
             epochs: epoch_recs.iter().map(|e| e.stats.clone()).collect(),
+            ..TrainReport::default()
         };
         let first_rec = (records.iter())
             .find_map(Record::decode::<FirstStage>)
@@ -664,21 +668,12 @@ impl NeuroPlan {
         // The greedy stop is decided on an epoch boundary from checkpointed
         // state and the fingerprinted epoch size only, so a resume that
         // lands on the boundary where the uninterrupted run stopped stops
-        // there too. Counted only where it cuts training short.
+        // there too. It fires only where it cuts training short, and the
+        // trainer asks it before the epoch's updates, which it then skips.
         let (epochs, steps_per_epoch) = (tcfg.epochs, tcfg.steps_per_epoch);
-        let stopped = Cell::new(false);
         let greedy_stop = |env: &PlanningEnv, next_epoch: usize| {
-            let steps_run = next_epoch * steps_per_epoch;
-            let stop = next_epoch < epochs && lost_to_greedy(env, steps_run, ref_cost);
-            if stop {
-                self.tel.incr(sys::RL, "greedy_stops", 1);
-                stopped.set(true);
-            }
-            stop
+            next_epoch < epochs && lost_to_greedy(env, next_epoch * steps_per_epoch, ref_cost)
         };
-        if let Some(r) = resume.as_ref().filter(|r| greedy_stop(&env, r.next_epoch)) {
-            tcfg.epochs = r.next_epoch;
-        }
         let mut hook = |agent: &mut ActorCritic, env: &mut PlanningEnv, p: &TrainProgress<'_>| {
             if let Some(chain) = ckpt {
                 let rec = EpochRecord {
@@ -690,7 +685,6 @@ impl NeuroPlan {
                 };
                 self.append(chain, rec);
             }
-            greedy_stop(env, p.next_epoch)
         };
         let report = train_resumable(
             &mut env,
@@ -699,8 +693,14 @@ impl NeuroPlan {
             &self.tel,
             chaos,
             resume,
-            Some(&mut hook),
+            EpochCallbacks {
+                stop: Some(&greedy_stop),
+                on_epoch: Some(&mut hook),
+            },
         );
+        if report.stopped {
+            self.tel.incr(sys::RL, "greedy_stops", 1);
+        }
         // A cancelled run stops here, on the epoch boundary the trainer
         // just checkpointed — never spend the final rollouts or the
         // master on a request nobody is waiting for.
@@ -715,7 +715,7 @@ impl NeuroPlan {
         // 1.25× greedy, so no rollout of it could pass the
         // `cost <= ref_cost` test below: it runs none, and greedy's plan
         // ships with the certificates training gathered.
-        if !stopped.get() {
+        if !report.stopped {
             let _rollouts_span = self.tel.span(sys::PIPELINE, "final_rollouts");
             let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xdead_beef);
             let rollout_cap = self.cfg.train.max_traj_len * 4;

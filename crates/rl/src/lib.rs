@@ -26,6 +26,6 @@ pub use agent::{ActorCritic, AgentConfig};
 pub use buffer::{EpochBuffer, StepRecord};
 pub use env::{GraphEnv, Observation};
 pub use trainer::{
-    train, train_resumable, EpochHook, EpochStats, TrainConfig, TrainProgress, TrainReport,
-    TrainResume,
+    train, train_resumable, EpochCallbacks, EpochHook, EpochStats, StopRule, TrainConfig,
+    TrainProgress, TrainReport, TrainResume,
 };

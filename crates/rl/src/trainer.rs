@@ -88,6 +88,10 @@ pub struct EpochStats {
 pub struct TrainReport {
     /// One entry per epoch, in order.
     pub epochs: Vec<EpochStats>,
+    /// Whether the caller's stop rule ended training (see
+    /// [`EpochCallbacks::stop`]), on a completed epoch or on the boundary
+    /// a resume restored.
+    pub stopped: bool,
 }
 
 impl TrainReport {
@@ -100,7 +104,7 @@ impl TrainReport {
     }
 
     /// Epochs actually run (a wall budget, a cancellation, a NaN
-    /// give-up or the epoch hook may cut `cfg.epochs` short).
+    /// give-up or the stop rule may cut `cfg.epochs` short).
     pub fn epochs_run(&self) -> usize {
         self.epochs.len()
     }
@@ -120,7 +124,7 @@ pub fn train<E: GraphEnv + Send>(
         &Telemetry::noop(),
         np_chaos::global(),
         None,
-        None,
+        EpochCallbacks::default(),
     )
 }
 
@@ -292,11 +296,39 @@ pub struct TrainProgress<'a> {
     pub recovery_nonce: u64,
 }
 
-/// Per-epoch callback: runs after the epoch's updates and stats, before
-/// the trainer moves on. Receives the agent and environment mutably so it
-/// can serialize their state; returning `true` ends training on this
-/// epoch's boundary, after the injected-kill check.
-pub type EpochHook<'a, E> = dyn FnMut(&mut ActorCritic, &mut E, &TrainProgress<'_>) -> bool + 'a;
+/// Per-epoch callback: runs after the epoch's updates (none on an epoch
+/// the stop rule ended) and stats, before the injected-kill check.
+/// Receives the agent and environment mutably so it can serialize their
+/// state; it records, and has no say in whether training goes on.
+pub type EpochHook<'a, E> = dyn FnMut(&mut ActorCritic, &mut E, &TrainProgress<'_>) + 'a;
+
+/// A pure stop rule: `rule(env, next_epoch)` is `true` where training
+/// should end on the boundary before epoch `next_epoch`.
+pub type StopRule<'a, E> = dyn Fn(&E, usize) -> bool + 'a;
+
+/// The caller's part in [`train_resumable`]'s epoch boundaries. The
+/// default neither stops nor records.
+pub struct EpochCallbacks<'a, E> {
+    /// Asked once per completed epoch, after its rollouts and before its
+    /// updates, and once on the boundary a resume restores. When it says
+    /// stop, that epoch runs no policy or value update (nothing would
+    /// read them), still passes the NaN check, stats, telemetry, the hook
+    /// and the injected-kill check, and training ends there. A NaN
+    /// rollback of that epoch re-collects and asks again.
+    pub stop: Option<&'a StopRule<'a, E>>,
+    /// Runs after each completed epoch so the caller can write the
+    /// checkpoint.
+    pub on_epoch: Option<&'a mut EpochHook<'a, E>>,
+}
+
+impl<E> Default for EpochCallbacks<'_, E> {
+    fn default() -> Self {
+        EpochCallbacks {
+            stop: None,
+            on_epoch: None,
+        }
+    }
+}
 
 /// The full-featured epoch loop: [`train`] plus telemetry through `tel`
 /// (per-epoch return/completion/length metrics under the `rl` subsystem,
@@ -313,9 +345,11 @@ pub type EpochHook<'a, E> = dyn FnMut(&mut ActorCritic, &mut E, &TrainProgress<'
 /// good parameters.
 ///
 /// `resume` restores the loop counters of a checkpointed run (the caller
-/// restores agent and environment); `on_epoch` runs after each completed
-/// epoch so the caller can write the checkpoint, and may stop training
-/// there.
+/// restores agent and environment). `callbacks.stop` decides, after each
+/// epoch's rollouts, whether that epoch is the last (and skips its
+/// updates); `callbacks.on_epoch` runs after each completed epoch so the
+/// caller can write the checkpoint. A resume whose restored boundary the
+/// rule stops on runs no epoch at all.
 pub fn train_resumable<E: GraphEnv + Send>(
     env: &mut E,
     agent: &mut ActorCritic,
@@ -323,11 +357,14 @@ pub fn train_resumable<E: GraphEnv + Send>(
     tel: &Telemetry,
     chaos: &np_chaos::Chaos,
     resume: Option<TrainResume>,
-    mut on_epoch: Option<&mut EpochHook<'_, E>>,
+    callbacks: EpochCallbacks<'_, E>,
 ) -> TrainReport {
     let _train_span = tel.span(sys::RL, "train");
+    let EpochCallbacks { stop, mut on_epoch } = callbacks;
+    let stops_at = |env: &E, next_epoch: usize| stop.is_some_and(|rule| rule(env, next_epoch));
     let mut report = TrainReport::default();
     let mut buffer = EpochBuffer::new();
+    let resumed = resume.is_some();
     let (mut epoch, mut recovery_nonce) = match resume {
         Some(r) => {
             report.epochs = r.stats;
@@ -335,6 +372,12 @@ pub fn train_resumable<E: GraphEnv + Send>(
         }
         None => (0, 0),
     };
+    // A resume asks the rule on the boundary it restored, so it ends
+    // where the uninterrupted run ended.
+    if resumed && stops_at(env, epoch) {
+        report.stopped = true;
+        return report;
+    }
     let mut consecutive_rollbacks = 0u32;
     let started = std::time::Instant::now();
     while epoch < cfg.epochs {
@@ -380,8 +423,10 @@ pub fn train_resumable<E: GraphEnv + Send>(
             completed += part.completed;
             truncated += part.truncated;
         }
-        buffer.normalize_advantages();
-        {
+        // The last epoch's updates would go unread: decide before them.
+        let stopping = stops_at(env, epoch + 1);
+        if !stopping {
+            buffer.normalize_advantages();
             let _update_span = tel.span(sys::RL, "policy_update");
             // The update is the backward/optimizer stage of the profile
             // breakdown; live so it nets out of `policy_update`'s self.
@@ -432,7 +477,7 @@ pub fn train_resumable<E: GraphEnv + Send>(
             truncated,
             mean_length,
         });
-        let stop = on_epoch.as_mut().is_some_and(|hook| {
+        if let Some(hook) = on_epoch.as_mut() {
             let stats = report.epochs.last().expect("epoch just pushed");
             hook(
                 agent,
@@ -442,15 +487,16 @@ pub fn train_resumable<E: GraphEnv + Send>(
                     next_epoch: epoch + 1,
                     recovery_nonce,
                 },
-            )
-        });
+            );
+        }
         // The injected kill lands after the checkpoint hook, so a killed
         // run always leaves a resumable epoch record behind.
         if chaos.should_fire(np_chaos::FaultClass::Kill) {
             panic!("chaos: injected kill after epoch {epoch}");
         }
         epoch += 1;
-        if stop {
+        if stopping {
+            report.stopped = true;
             break;
         }
     }
@@ -644,7 +690,15 @@ mod tests {
             max_traj_len: 32,
             ..Default::default()
         };
-        let report = train_resumable(&mut env, &mut agent, &cfg, &tel, &chaos, None, None);
+        let report = train_resumable(
+            &mut env,
+            &mut agent,
+            &cfg,
+            &tel,
+            &chaos,
+            None,
+            EpochCallbacks::default(),
+        );
         assert_eq!(report.epochs_run(), 4, "rolled-back epoch is retried");
         assert!(report.epochs.iter().all(|e| e.mean_return.is_finite()));
         assert!(agent.params_finite(), "recovery leaves finite parameters");
@@ -673,7 +727,7 @@ mod tests {
             &Telemetry::noop(),
             &chaos,
             None,
-            None,
+            EpochCallbacks::default(),
         );
         assert!(report.epochs.is_empty(), "no epoch survives the injection");
         assert!(agent.params_finite());
@@ -713,7 +767,6 @@ mod tests {
                         },
                     ));
                 }
-                false
             };
             // Simulate the kill by only running the first two epochs.
             let short = TrainConfig {
@@ -727,7 +780,10 @@ mod tests {
                 &Telemetry::noop(),
                 &np_chaos::Chaos::disabled(),
                 None,
-                Some(&mut hook),
+                EpochCallbacks {
+                    stop: None,
+                    on_epoch: Some(&mut hook),
+                },
             );
         }
         let (blob, resume) = cut.expect("checkpoint captured at epoch 1");
@@ -743,7 +799,7 @@ mod tests {
             &Telemetry::noop(),
             &np_chaos::Chaos::disabled(),
             Some(resume),
-            None,
+            EpochCallbacks::default(),
         );
         assert_eq!(agent.export_state(), full_state, "parameters diverged");
         let key = |r: &TrainReport| {
@@ -769,8 +825,8 @@ mod tests {
             let mut seen = Vec::new();
             let mut hook = |_: &mut ActorCritic, _: &mut CounterEnv, p: &TrainProgress<'_>| {
                 seen.push(p.next_epoch);
-                p.next_epoch == 2
             };
+            let rule = |_: &CounterEnv, next_epoch: usize| next_epoch == 2;
             let tel = Telemetry::noop();
             let report = train_resumable(
                 &mut env,
@@ -779,16 +835,158 @@ mod tests {
                 &tel,
                 chaos,
                 None,
-                Some(&mut hook),
+                EpochCallbacks {
+                    stop: Some(&rule),
+                    on_epoch: Some(&mut hook),
+                },
             );
-            (report.epochs_run(), seen)
+            (report.epochs_run(), report.stopped, seen)
         };
-        assert_eq!(run(&np_chaos::Chaos::disabled()), (2, vec![1, 2]));
+        assert_eq!(run(&np_chaos::Chaos::disabled()), (2, true, vec![1, 2]));
         // The stopping epoch still passes the kill check, so a kill there
         // lands after its checkpoint as on any other epoch.
         let kill = np_chaos::Chaos::new(np_chaos::FaultPlan::parse("kill@1").unwrap());
         let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&kill)));
         assert!(killed.is_err(), "kill@1 fires after the stopping epoch");
+    }
+
+    /// Epoch keys of a report: index, return bits, completed, truncated.
+    fn epoch_keys(r: &TrainReport) -> Vec<(usize, u64, usize, usize)> {
+        r.epochs
+            .iter()
+            .map(|e| (e.epoch, e.mean_return.to_bits(), e.completed, e.truncated))
+            .collect()
+    }
+
+    /// Spans `rl/name` recorded on `tel`.
+    fn span_count(tel: &Telemetry, name: &str) -> u64 {
+        (tel.spans_self().iter())
+            .find(|(s, n, ..)| s == "rl" && n == name)
+            .map_or(0, |&(_, _, count, ..)| count)
+    }
+
+    #[test]
+    fn the_epoch_a_rule_stops_runs_no_update() {
+        let cfg = TrainConfig {
+            epochs: 5,
+            steps_per_epoch: 64,
+            max_traj_len: 16,
+            num_actors: 4,
+            rollout_seed: 11,
+            ..Default::default()
+        };
+        let unstopped = |epochs: usize| {
+            let mut env = CounterEnv::new(3, 1, 5);
+            let mut agent = small_agent(&env, 7);
+            let report = train(
+                &mut env,
+                &mut agent,
+                &TrainConfig {
+                    epochs,
+                    ..cfg.clone()
+                },
+            );
+            (agent.export_state(), report)
+        };
+        for k in 1..=3 {
+            let mut env = CounterEnv::new(3, 1, 5);
+            let mut agent = small_agent(&env, 7);
+            let rule = |_: &CounterEnv, next_epoch: usize| next_epoch == k;
+            let tel = Telemetry::memory();
+            let mut records = Vec::new();
+            let mut hook = |ag: &mut ActorCritic, _: &mut CounterEnv, p: &TrainProgress<'_>| {
+                records.push((p.next_epoch, ag.export_state()));
+            };
+            let report = train_resumable(
+                &mut env,
+                &mut agent,
+                &cfg,
+                &tel,
+                &np_chaos::Chaos::disabled(),
+                None,
+                EpochCallbacks {
+                    stop: Some(&rule),
+                    on_epoch: Some(&mut hook),
+                },
+            );
+            assert!(report.stopped, "boundary {k}");
+            // k epochs of rollouts, as an unstopped k-epoch run collects...
+            assert_eq!(epoch_keys(&report), epoch_keys(&unstopped(k).1));
+            // ...but only k - 1 updates: the agent, and the stopping
+            // epoch's record of it, are those of k - 1 unstopped epochs.
+            let (before, _) = unstopped(k - 1);
+            assert_eq!(agent.export_state(), before, "boundary {k}");
+            assert_eq!(records.last(), Some(&(k, before.clone())));
+            assert_eq!(span_count(&tel, "policy_update"), k as u64 - 1);
+
+            // A resume on that boundary stops there again and runs no
+            // epoch: the agent does not move.
+            let tel = Telemetry::memory();
+            let resume = TrainResume {
+                next_epoch: k,
+                recovery_nonce: 0,
+                stats: report.epochs.clone(),
+            };
+            let resumed = train_resumable(
+                &mut env,
+                &mut agent,
+                &cfg,
+                &tel,
+                &np_chaos::Chaos::disabled(),
+                Some(resume),
+                EpochCallbacks {
+                    stop: Some(&rule),
+                    on_epoch: None,
+                },
+            );
+            assert!(resumed.stopped);
+            assert_eq!(epoch_keys(&resumed), epoch_keys(&report));
+            assert_eq!(span_count(&tel, "epoch"), 0);
+            assert_eq!(agent.export_state(), before);
+        }
+    }
+
+    #[test]
+    fn a_nan_rollback_on_the_stopping_epoch_decides_again_and_stops_once() {
+        // nan-grad@1 poisons the second epoch, the one the rule stops on.
+        let chaos = np_chaos::Chaos::new(np_chaos::FaultPlan::parse("nan-grad@1").unwrap());
+        let tel = Telemetry::memory();
+        let mut env = CounterEnv::new(3, 1, 5);
+        let mut agent = small_agent(&env, 7);
+        let asked = std::cell::Cell::new(0);
+        let rule = |_: &CounterEnv, next_epoch: usize| {
+            asked.set(asked.get() + usize::from(next_epoch == 2));
+            next_epoch == 2
+        };
+        let mut seen = Vec::new();
+        let mut hook = |_: &mut ActorCritic, _: &mut CounterEnv, p: &TrainProgress<'_>| {
+            seen.push(p.next_epoch);
+        };
+        let cfg = TrainConfig {
+            epochs: 4,
+            steps_per_epoch: 64,
+            max_traj_len: 16,
+            ..Default::default()
+        };
+        let report = train_resumable(
+            &mut env,
+            &mut agent,
+            &cfg,
+            &tel,
+            &chaos,
+            None,
+            EpochCallbacks {
+                stop: Some(&rule),
+                on_epoch: Some(&mut hook),
+            },
+        );
+        assert_eq!(chaos.fired(np_chaos::FaultClass::NanGrad), 1);
+        assert_eq!(tel.counter("rl", "nan_rollbacks"), 1);
+        assert_eq!(asked.get(), 2, "the retried epoch decides again");
+        assert!(report.stopped);
+        assert_eq!(report.epochs_run(), 2);
+        assert_eq!(seen, vec![1, 2], "the stopping epoch is recorded once");
+        assert!(agent.params_finite());
     }
 
     #[test]
@@ -832,7 +1030,7 @@ mod tests {
                 &Telemetry::noop(),
                 &np_chaos::Chaos::disabled(),
                 Some(resume),
-                None,
+                EpochCallbacks::default(),
             );
             agent2.export_state()
         };

@@ -3,13 +3,16 @@
 //! plan so far costs within 1.25× of the greedy reference. Where the
 //! policy loses it must leave the plan's bytes alone, where it wins it
 //! must never fire, and it must land on the same epoch at any worker
-//! count and across kill-and-resume, at 128- and 384-step epochs. A
-//! policy it stops runs no final rollouts; one it never stops does.
+//! count and across kill-and-resume, at 128- and 384-step epochs. The
+//! epoch it stops on runs no policy or value update, and a policy it
+//! stops runs no final rollouts; one it never stops does both.
 
+use neuroplan::checkpoint::EpochRecord;
 use neuroplan::sweep::run_plan;
-use neuroplan::{NeuroPlan, NeuroPlanConfig, PlanSpec};
+use neuroplan::{NeuroPlan, NeuroPlanConfig, PlanSpec, PlanningEnv};
 use np_chaos::checkpoint::{f64_to_hex, Chain};
 use np_chaos::Chaos;
+use np_rl::{ActorCritic, GraphEnv};
 use np_telemetry::Telemetry;
 use np_topology::generator::GeneratorConfig;
 use serde_json::{json, Value};
@@ -39,8 +42,8 @@ fn span_count(tel: &Telemetry, sys: &str, name: &str) -> u64 {
 
 /// `neuroplan plan --preset b --quick --workers 1` in release: the policy's
 /// best plan is 2× greedy's after the first 384-step epoch, so training
-/// stops there and the policy is not rolled out again, and the plan file
-/// is the recorded one byte for byte.
+/// stops there, before that epoch's updates, and the policy is not rolled
+/// out again, and the plan file is the recorded one byte for byte.
 #[test]
 fn preset_b_quick_stops_after_epoch_1_with_the_recorded_plan() {
     let (cfg, net) = release_quick(json!({"preset": "b", "quick": true, "workers": 1}));
@@ -51,6 +54,7 @@ fn preset_b_quick_stops_after_epoch_1_with_the_recorded_plan() {
     assert_eq!(tel.counter("rl", "env_steps"), 384);
     assert_eq!(result.train_report.epochs_run(), 1);
     assert_eq!(result.first_stage_source(), "greedy");
+    assert_eq!(span_count(&tel, "rl", "policy_update"), 0);
     // Training steps forked environments, whose evaluators report as
     // `eval.fork_checks`; only a step of the pipeline's own environment
     // (a final rollout) checks under `eval.check`.
@@ -72,8 +76,38 @@ fn preset_b_quick_stops_after_epoch_1_with_the_recorded_plan() {
     );
 }
 
+/// The preset-B run of the test above with a checkpoint chain: its one
+/// epoch record holds the agent that epoch started from, the untrained
+/// one, since the stop skips the epoch's updates.
+#[test]
+fn the_stopping_epoch_records_the_agent_it_started_from() {
+    let (cfg, net) = release_quick(json!({"preset": "b", "quick": true, "workers": 1}));
+    let dir = tmp("record");
+    let planner = NeuroPlan::new(cfg.clone()).with_checkpoint(&dir, false);
+    planner.try_plan(&net).expect("plan");
+    let records = Chain::new(&dir.join("checkpoint.jsonl"), &Chaos::disabled()).read();
+    let epochs: Vec<EpochRecord> = records.iter().filter_map(|r| r.decode()).collect();
+    assert_eq!(epochs.len(), 1, "one epoch, then the stop");
+    assert_eq!(epochs[0].next_epoch, 1);
+    // The agent is built as the first stage builds it; the reward scale
+    // (here 1) shapes neither the adjacency nor the features' width.
+    let env = PlanningEnv::new(net, cfg.eval, cfg.max_units_per_step, 1.0);
+    let mut untrained = ActorCritic::new(
+        env.adjacency().clone(),
+        env.feature_dim(),
+        cfg.max_units_per_step,
+        &cfg.agent,
+    );
+    assert!(
+        epochs[0].agent == untrained.export_state(),
+        "the stopping epoch's record holds an updated agent"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The same instance at 128-step epochs (debug `--quick`, the churn
-/// bench) waits for the same 384 steps: it stops after epoch 3.
+/// bench) waits for the same 384 steps: it stops after epoch 3, having
+/// updated the policy after epochs 1 and 2 only.
 #[test]
 fn at_128_step_epochs_preset_b_stops_after_the_same_384_steps() {
     let (mut cfg, net) = release_quick(json!({"preset": "b", "quick": true, "workers": 1}));
@@ -84,12 +118,13 @@ fn at_128_step_epochs_preset_b_stops_after_the_same_384_steps() {
     assert_eq!(tel.counter("rl", "epochs"), 3);
     assert_eq!(tel.counter("rl", "env_steps"), 384);
     assert_eq!(result.train_report.epochs_run(), 3);
+    assert_eq!(span_count(&tel, "rl", "policy_update"), 2);
     assert_eq!(result.first_stage_source(), "greedy");
 }
 
 /// `fig16` cell 4, a Barabási–Albert tier-A cell where the policy beats
 /// greedy from its first epoch: the stop never fires, all 20 epochs
-/// train, the trained policy is rolled out, and the policy's plan has the
+/// train and update, the trained policy is rolled out, and the policy's plan has the
 /// bits it had before the rule.
 #[test]
 fn where_the_policy_wins_all_epochs_train() {
@@ -101,6 +136,7 @@ fn where_the_policy_wins_all_epochs_train() {
     let (result, _) = run_plan(&NeuroPlan::with_telemetry(cfg, tel.clone()), &net).unwrap();
     assert_eq!(tel.counter("rl", "greedy_stops"), 0);
     assert_eq!(result.train_report.epochs_run(), 20);
+    assert_eq!(span_count(&tel, "rl", "policy_update"), 20);
     assert_eq!(result.first_stage_source(), "policy");
     assert_eq!(span_count(&tel, "pipeline", "final_rollouts"), 1);
     assert!(
