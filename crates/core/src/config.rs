@@ -35,7 +35,7 @@ pub struct NeuroPlanConfig {
     /// Anytime-planning supervision: per-stage budgets, retry policy and
     /// the degradation ladder (DESIGN.md §11).
     pub supervisor: SupervisorConfig,
-    /// Carries nothing; goes when ROADMAP 1(a) drops the benchmark's line
+    /// Carries nothing; goes when ROADMAP 1(b) drops the benchmark's line
     /// that reads it.
     pub lp_backend: (),
 }
@@ -80,28 +80,17 @@ impl Default for NeuroPlanConfig {
 }
 
 impl NeuroPlanConfig {
-    /// A fast configuration for tests and `--quick` experiment runs.
-    ///
-    /// Debug builds (plain `cargo test`) shrink further: the matrix
-    /// kernels are ~20x slower unoptimized and the point of the tests is
-    /// the plumbing, not the learning curve.
+    /// A fast configuration for tests and `--quick` experiment runs: the
+    /// Table 2 model shapes with a halved agent and the compute budgets
+    /// of DESIGN.md §6, the same in every build.
     pub fn quick() -> Self {
         let mut cfg = Self::default();
-        if cfg!(debug_assertions) {
-            cfg.train.epochs = 5;
-            cfg.train.steps_per_epoch = 128;
-            cfg.train.max_traj_len = 96;
-            cfg.mip_node_limit = 250;
-            cfg.mip_time_limit_secs = 10.0;
-            cfg.final_rollouts = 2;
-        } else {
-            cfg.train.epochs = 20;
-            cfg.train.steps_per_epoch = 384;
-            cfg.train.max_traj_len = 128;
-            cfg.mip_node_limit = 20_000;
-            cfg.mip_time_limit_secs = 90.0;
-            cfg.final_rollouts = 4;
-        }
+        cfg.train.epochs = 20;
+        cfg.train.steps_per_epoch = 384;
+        cfg.train.max_traj_len = 128;
+        cfg.mip_node_limit = 20_000;
+        cfg.mip_time_limit_secs = 90.0;
+        cfg.final_rollouts = 4;
         cfg.agent.gnn_hidden = 32;
         cfg.agent.mlp_hidden = vec![32, 32];
         cfg

@@ -59,7 +59,7 @@ pub struct MasterConfig {
     /// historical behavior). The supervised pipeline sets this to
     /// `false` and runs polishing as its own budgeted stage instead.
     pub polish_final: bool,
-    /// Carries nothing; goes when ROADMAP 1(a) drops the benchmark's line
+    /// Carries nothing; goes when ROADMAP 1(b) drops the benchmark's line
     /// that sets it.
     pub lp_backend: (),
 }

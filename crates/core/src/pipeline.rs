@@ -32,8 +32,9 @@ use std::time::Instant;
 /// training (DESIGN.md §11). The rule reads the policy's best rollout
 /// plan, which grows with steps, not epochs. Where the policy wins (the
 /// `fig16` Barabási–Albert tier-A cells) its best plan is at 0.93× greedy
-/// after its first 384 steps. So release `--quick` (384-step epochs) and
-/// `--default` stop after epoch 1, debug `--quick` (128) after epoch 3.
+/// after its first 384 steps. So `--quick` (384-step epochs) and
+/// `--default` stop after epoch 1, `fig17_churn --quick` (128) after
+/// epoch 3.
 const GREEDY_STOP_STEPS: usize = 384;
 
 /// How close to the greedy reference the policy's best plan must have

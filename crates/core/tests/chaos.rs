@@ -93,7 +93,7 @@ fn nan_grad_injection_rolls_back_and_plans() {
     let out_path = dir.join("plan.json");
     let out = run(
         &plan_args(out_path.to_str().unwrap(), &[]),
-        Some("nan-grad@1"),
+        Some("nan-grad@0"),
     );
     assert_plan_written(&out, &out_path, "nan-grad");
     assert!(

@@ -286,9 +286,8 @@ fn kill_mid_stream_resumes_to_the_uninterrupted_plan() {
     // polish), then each event's replan_master. The epochs are the ones
     // the uninterrupted run trained — one `epoch` record each in its
     // chain; a policy that has lost to greedy stops early (DESIGN.md §11)
-    // and `--quick` shrinks under `debug_assertions` — so the kill lands
-    // inside event 1's solve, after event 0's record hit the checkpoint,
-    // in debug and release alike.
+    // — so the kill lands inside event 1's solve, after event 0's record
+    // hit the checkpoint.
     let records = Chain::new(&clean_dir.join("checkpoint.jsonl"), &Chaos::disabled()).read();
     let plan_phase = records.iter().filter(|r| r.kind == "epoch").count() + 3;
     let kill = format!("kill@{}", plan_phase + 1);

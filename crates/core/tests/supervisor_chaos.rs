@@ -262,15 +262,9 @@ fn kill_at_stage_boundary_round_trip(workers: &str, kill_spec: &str, stage: &str
 // Kill occurrence 0 is the first_stage boundary (before any training);
 // occurrences 1..=E land after each completed epoch, and the next two
 // land on the master and polish stage boundaries. The seed-5 quick run
-// loses to greedy and stops once 384 env steps have run (DESIGN.md §11):
-// after epoch 3 of a debug build's 128-step epochs, after epoch 1 of a
-// release build's 384-step ones. So occurrence E + 1 is the master
+// loses to greedy and stops once 384 env steps have run (DESIGN.md §11),
+// after its first 384-step epoch. So occurrence E + 1 = 2 is the master
 // boundary.
-const MASTER_KILL: &str = if cfg!(debug_assertions) {
-    "kill@4-99"
-} else {
-    "kill@2-99"
-};
 
 #[test]
 fn kill_at_the_first_stage_boundary_resumes_bit_identically() {
@@ -284,7 +278,7 @@ fn kill_at_the_first_stage_boundary_resumes_bit_identically_at_four_workers() {
 
 #[test]
 fn kill_at_the_master_boundary_resumes_bit_identically() {
-    kill_at_stage_boundary_round_trip("1", MASTER_KILL, "master", "kill-master-1w");
+    kill_at_stage_boundary_round_trip("1", "kill@2-99", "master", "kill-master-1w");
 }
 
 /// A finished checkpointed run whose second stage degraded must resume

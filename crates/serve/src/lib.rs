@@ -45,7 +45,7 @@ use np_telemetry::{sys, Telemetry};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -353,7 +353,7 @@ struct Inner<S: PlanService> {
 /// A running daemon: bound listener, worker pool, journal, lock.
 pub struct Server<S: PlanService> {
     inner: Arc<Inner<S>>,
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
     _lock: DirLock,
 }
@@ -443,7 +443,6 @@ impl<S: PlanService> Server<S> {
         }
 
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let cache = WarmCache::new(cfg.cache_capacity);
@@ -465,9 +464,17 @@ impl<S: PlanService> Server<S> {
         let mut threads = Vec::new();
         // Shutdown watcher: the daemon-wide token may be fired by a
         // signal handler (which can only set atomics), so someone has to
-        // turn it into per-request interrupts and worker wakeups.
+        // turn it into per-request interrupts and worker wakeups, and
+        // wake the accept loop, blocked in `accept`, with a self-connect.
         {
             let inn = Arc::clone(&inner);
+            let mut wake = addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
             threads.push(
                 std::thread::Builder::new()
                     .name("np-serve-shutdown".to_string())
@@ -476,6 +483,7 @@ impl<S: PlanService> Server<S> {
                             std::thread::sleep(Duration::from_millis(50));
                         }
                         inn.interrupt();
+                        let _ = TcpStream::connect(wake);
                     })
                     .expect("spawn shutdown watcher"),
             );
@@ -510,7 +518,7 @@ impl<S: PlanService> Server<S> {
     }
 
     /// The bound address (useful with an ephemeral port).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -698,24 +706,19 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
     }
 }
 
+/// Blocks in `accept`; after shutdown the watcher's self-connect is the
+/// connection that wakes it to return.
 fn accept_loop<S: PlanService>(inn: &Arc<Inner<S>>, listener: TcpListener) {
-    loop {
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { return };
         if inn.shutdown.is_cancelled() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inn = Arc::clone(inn);
-                let spawned = std::thread::Builder::new()
-                    .name("np-serve-conn".to_string())
-                    .spawn(move || handle_conn(&inn, stream));
-                let _ = spawned;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => return,
-        }
+        let inn = Arc::clone(inn);
+        let spawned = std::thread::Builder::new()
+            .name("np-serve-conn".to_string())
+            .spawn(move || handle_conn(&inn, stream));
+        let _ = spawned;
     }
 }
 
@@ -958,4 +961,43 @@ fn op_stats<S: PlanService>(inn: &Inner<S>) -> Value {
         ("cache_misses", Value::Num(misses as f64)),
         ("cache_evictions", Value::Num(evictions as f64)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Idle;
+
+    impl PlanService for Idle {
+        type Entry = ();
+
+        fn execute(&self, _: &Value, _: &RequestCtx<'_, ()>) -> Result<Value, ServiceFailure> {
+            Ok(Value::Null)
+        }
+    }
+
+    /// The accept loop blocks in `accept`; on a daemon bound to the
+    /// unspecified address the watcher's wake-up goes to loopback, and
+    /// the daemon winds down.
+    #[test]
+    fn a_daemon_bound_to_every_interface_shuts_down() {
+        let dir = std::env::temp_dir().join(format!("np-serve-any-{}", std::process::id()));
+        let cfg = ServerConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..ServerConfig::local(&dir)
+        };
+        let shutdown = CancelToken::new();
+        let chaos = np_chaos::Chaos::disabled();
+        let server = Server::start_with_chaos(cfg, Idle, Telemetry::noop(), shutdown, chaos)
+            .expect("server starts");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown_and_wait();
+            let _ = tx.send(());
+        });
+        let stopped = rx.recv_timeout(Duration::from_secs(10));
+        assert!(stopped.is_ok(), "the daemon did not wind down");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -7,9 +7,9 @@
 //! the commit *before* the two hand-written copies of the ladder became
 //! one function, so the merge is pinned bit for bit: the stage labels,
 //! the attempt and degrade counts, the chaos occurrence each budget
-//! pre-check consumes, and the plan each rung ships. The budgets that
-//! `quick()` scales with the build profile are written out, so a row
-//! means the same plan in debug and release. `NP_EQUIV_WORKERS=<n>`
+//! pre-check consumes, and the plan each rung ships. The rows were
+//! recorded at budgets smaller than `quick()`'s, written out field by
+//! field in `cfg`. `NP_EQUIV_WORKERS=<n>`
 //! runs every row on `n` workers (CI's `equivalence-4w` sets 4); the
 //! worker count is a thread budget only, so the expectations are the
 //! same either way.
@@ -39,8 +39,6 @@ fn cfg() -> NeuroPlanConfig {
     cfg.train.steps_per_epoch = 128;
     cfg.train.max_traj_len = 96;
     cfg.final_rollouts = 2;
-    cfg.mip_node_limit = 20_000;
-    cfg.mip_time_limit_secs = 90.0;
     let cfg = cfg.with_seed(1);
     match std::env::var("NP_EQUIV_WORKERS") {
         Ok(v) => cfg.with_workers(v.parse().expect("NP_EQUIV_WORKERS is a count")),

@@ -621,9 +621,18 @@ fn chains_in_the_parent_format_still_resume() {
     let dir = tmp("parent-format");
     let net = GeneratorConfig::a_variant(0.5).generate();
     let tel = Telemetry::memory();
+    // Small budgets, field by field: at 128-step epochs the losing policy
+    // trains 3 epochs before the greedy stop, so a chain cut after epoch
+    // 1 leaves two to resume.
+    let mut cfg = NeuroPlanConfig::quick().with_seed(5);
+    cfg.train.epochs = 5;
+    cfg.train.steps_per_epoch = 128;
+    cfg.train.max_traj_len = 96;
+    cfg.mip_node_limit = 250;
+    cfg.mip_time_limit_secs = 10.0;
+    cfg.final_rollouts = 2;
     let planner = |ckpt: &Path| {
-        NeuroPlan::with_telemetry(NeuroPlanConfig::quick().with_seed(5), tel.clone())
-            .with_checkpoint(ckpt, true)
+        NeuroPlan::with_telemetry(cfg.clone(), tel.clone()).with_checkpoint(ckpt, true)
     };
     let events = np_churn::generate_stream(&net, 5, 3);
     let rcfg = ReplanConfig::default();

@@ -4,12 +4,11 @@
 //! `tests/golden/plan_preset_b_quick_w1.json` pins the RL-bound preset-B
 //! plan through the CLI. The evaluator-bound twin is preset C at 8
 //! epochs — the `plan-wan-c` benchmark input — which the CLI cannot
-//! express (it has no epoch flag and `--quick` shrinks under
-//! `debug_assertions`), so the budgets are written out here field by
-//! field and the plan means the same in both build profiles. The golden
-//! was recorded on the commit *before* the exact LP moved from the edge
-//! to the path formulation: the exact oracle may change how it gets its
-//! verdicts, never the plan they lead to.
+//! express (it has no epoch flag), so it is `NeuroPlanConfig::quick()`
+//! with its epoch cap set here. The golden was recorded on the commit
+//! *before* the exact LP moved from the edge to the path formulation:
+//! the exact oracle may change how it gets its verdicts, never the plan
+//! they lead to.
 //!
 //! `tests/golden/replan_preset_b_seed0_n6.json` pins a churn stream the
 //! same way: `replan_from` on the preset-B instance from the golden
@@ -19,24 +18,10 @@ use neuroplan::{NeuroPlan, NeuroPlanConfig, ReplanConfig};
 use np_chaos::checkpoint::f64_to_hex;
 use np_topology::generator::{GeneratorConfig, TopologyPreset};
 
-/// The budgets `--quick` means in release, at `epochs` epochs, so a plan
-/// is the same in both build profiles.
-fn release_quick(epochs: usize) -> NeuroPlanConfig {
-    let mut cfg = NeuroPlanConfig::default();
-    cfg.agent.gnn_hidden = 32;
-    cfg.agent.mlp_hidden = vec![32, 32];
-    cfg.train.epochs = epochs;
-    cfg.train.steps_per_epoch = 384;
-    cfg.train.max_traj_len = 128;
-    cfg.mip_node_limit = 20_000;
-    cfg.mip_time_limit_secs = 90.0;
-    cfg.final_rollouts = 4;
-    cfg
-}
-
 #[test]
 fn preset_c_8_epochs_1_worker_matches_the_recorded_plan() {
-    let cfg = release_quick(8).with_seed(0).with_workers(1);
+    let mut cfg = NeuroPlanConfig::quick().with_seed(0).with_workers(1);
+    cfg.train.epochs = 8;
     let net = GeneratorConfig::preset(TopologyPreset::C).generate();
     let result = NeuroPlan::new(cfg).plan(&net);
     let actual = serde_json::json!({
@@ -78,7 +63,7 @@ fn preset_b_stream_seed_0_matches_the_recorded_events() {
         .map(|u| u.as_u64().expect("unit") as u32)
         .collect();
     let events = np_churn::generate_stream(&net, 0, 6);
-    let cfg = release_quick(20).with_seed(0).with_workers(1);
+    let cfg = NeuroPlanConfig::quick().with_seed(0).with_workers(1);
     let report = NeuroPlan::new(cfg)
         .replan_from(&net, &units, &events, &ReplanConfig::default())
         .expect("stream replans");
@@ -127,7 +112,7 @@ fn preset_a_seed_4_plans_alike_at_one_two_and_four_workers() {
     gen.seed = 4;
     let net = gen.generate();
     let [one, two, four] = [1, 2, 4].map(|workers| {
-        let cfg = release_quick(20).with_seed(4).with_workers(workers);
+        let cfg = NeuroPlanConfig::quick().with_seed(4).with_workers(workers);
         let result = NeuroPlan::new(cfg).plan(&net);
         (result.final_units, f64_to_hex(result.final_cost))
     });

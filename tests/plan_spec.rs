@@ -130,32 +130,32 @@ fn seeds_beyond_2_pow_53_plan_the_same_instance_on_both_surfaces() {
     );
 }
 
-/// `(wire spec, fingerprint in a debug build, in a release build)`,
-/// printed by the commit before `PlanSpec`'s `service::{network_of,
-/// config_of}` (the CLI shapes by its `planner_config` call sequence)
-/// under the sparse LP backend. `quick()` budgets differ between the
-/// profiles. The rows without `workers` were re-recorded when the
-/// single-stream trainer went: a request without `workers` now trains
-/// the 4-actor policy, so `a/4` equals its `workers: 1` form above.
+/// `(wire spec, fingerprint)`, printed by a release build of the commit
+/// before `PlanSpec`'s `service::{network_of, config_of}` (the CLI shapes
+/// by its `planner_config` call sequence) under the sparse LP backend.
+/// `quick()` has those budgets in every build. The rows without
+/// `workers` were re-recorded when the single-stream trainer went: a
+/// request without `workers` now trains the 4-actor policy, so `a/4`
+/// equals its `workers: 1` form above.
 #[rustfmt::skip]
-const PINNED: &[(&str, &str, &str)] = &[
+const PINNED: &[(&str, &str)] = &[
     // benchmark/src/workloads.rs::spec, jitter 0 and 1
-    (r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5}"#, "73fe13bae0ff8053", "7165e7090ec8138b"),
-    (r#"{"preset":"a","seed":5,"workers":1,"alpha":1.5}"#, "1117d2226094f0b1", "2322d2367a72a97d"),
-    (r#"{"preset":"a","seed":9,"workers":1,"alpha":1.499999999999}"#, "05bbfd7934b4e614", "cb3d9b03d75d474c"),
+    (r#"{"preset":"a","seed":4,"workers":1,"alpha":1.5}"#, "7165e7090ec8138b"),
+    (r#"{"preset":"a","seed":5,"workers":1,"alpha":1.5}"#, "2322d2367a72a97d"),
+    (r#"{"preset":"a","seed":9,"workers":1,"alpha":1.499999999999}"#, "cb3d9b03d75d474c"),
     // crates/core/tests/serve.rs and the CI serve-smoke job
-    (r#"{"preset":"a","seed":3}"#, "3eb56e0bb2267dbc", "d331f838a308bae2"),
-    (r#"{"preset":"a","seed":4}"#, "73fe13bae0ff8053", "7165e7090ec8138b"),
-    (r#"{"preset":"a","seed":7}"#, "b22b33c85ff06b6b", "391f8ddb47e3ca53"),
-    (r#"{"preset":"c","seed":3}"#, "df829a766e52d57f", "080b37beb168d49f"),
-    (r#"{"preset":"c","seed":9}"#, "941dbe5283e70f05", "a9242f77e2242529"),
-    (r#"{"preset":"d","seed":3,"fill":0.9}"#, "b747f99c6714d27e", "24edeb50c9554070"),
+    (r#"{"preset":"a","seed":3}"#, "d331f838a308bae2"),
+    (r#"{"preset":"a","seed":4}"#, "7165e7090ec8138b"),
+    (r#"{"preset":"a","seed":7}"#, "391f8ddb47e3ca53"),
+    (r#"{"preset":"c","seed":3}"#, "080b37beb168d49f"),
+    (r#"{"preset":"c","seed":9}"#, "a9242f77e2242529"),
+    (r#"{"preset":"d","seed":3,"fill":0.9}"#, "24edeb50c9554070"),
     // CLI checkpoint chains: plan-golden, the supervisor suite, a family
-    (r#"{"preset":"b","quick":true,"workers":1}"#, "3a9ed2d2c1c3e440", "39ac8d37c084c41e"),
+    (r#"{"preset":"b","quick":true,"workers":1}"#, "39ac8d37c084c41e"),
     (r#"{"preset":"a","fill":0.5,"seed":5,"alpha":2,"workers":4,"stage_budget":30,"max_retries":1,"no_degrade":true}"#,
-     "df11724656c4292c", "290dab68dfc2dea4"),
+     "290dab68dfc2dea4"),
     (r#"{"family":"clos","size_tier":"a","failure_model":"full","seed":3,"default":true}"#,
-     "9e872f2334c290cf", "9e872f2334c290cf"),
+     "9e872f2334c290cf"),
 ];
 
 #[test]
@@ -165,16 +165,11 @@ fn fingerprints_equal_the_parent_commits() {
         1.499999999999,
         "the benchmark's jittered alpha"
     );
-    for (wire, debug, release) in PINNED {
+    for (wire, want) in PINNED {
         let spec = PlanSpec::from_json(&serde_json::from_str(wire).expect("json"))
             .unwrap_or_else(|e| panic!("{wire}: {e}"));
         let net = spec.network().expect("instance");
         let cfg = spec.config();
-        let want = if cfg!(debug_assertions) {
-            debug
-        } else {
-            release
-        };
         assert_eq!(&checkpoint::fingerprint(&net, &cfg), want, "{wire}");
     }
 }

@@ -15,21 +15,6 @@ use np_eval::{EvalConfig, PlanEvaluator};
 use np_topology::generator::{preset_network, TopologyPreset};
 use np_topology::Network;
 
-/// The budgets `--quick` means in release (as in tests/plan_golden.rs),
-/// so the plan is the same in both build profiles.
-fn release_quick() -> NeuroPlanConfig {
-    let mut cfg = NeuroPlanConfig::default().with_seed(0).with_workers(1);
-    cfg.agent.gnn_hidden = 32;
-    cfg.agent.mlp_hidden = vec![32, 32];
-    cfg.train.epochs = 20;
-    cfg.train.steps_per_epoch = 384;
-    cfg.train.max_traj_len = 128;
-    cfg.mip_node_limit = 20_000;
-    cfg.mip_time_limit_secs = 90.0;
-    cfg.final_rollouts = 4;
-    cfg
-}
-
 /// Whether link `i` of `units` can lose one unit, with the rest of the
 /// plan kept, while the exact LP still routes every scenario.
 fn routes_one_lower(net: &Network, units: &[u32], i: usize) -> bool {
@@ -67,7 +52,8 @@ const PRESETS: [TopologyPreset; 3] = [TopologyPreset::A, TopologyPreset::B, Topo
 fn quick_plans_of_presets_a_to_c_are_one_opt() {
     for preset in PRESETS {
         let net = preset_network(preset);
-        let result = NeuroPlan::new(release_quick()).plan(&net);
+        let result =
+            NeuroPlan::new(NeuroPlanConfig::quick().with_seed(0).with_workers(1)).plan(&net);
         assert_one_opt(&net, &result.final_units, &format!("{preset:?}"));
     }
 }
